@@ -6,17 +6,8 @@ SEEDS ?= 100
 START_SEED ?= 0
 FAULTS_OUT ?= faults-report.json
 
-# recovery-profile exploration knobs (see docs/RECOVERY.md)
-RECOVERY_SEEDS ?= 25
-RECOVERY_OUT ?= faults-recovery.json
-
-# smartbft-profile exploration knobs (see docs/SMARTBFT.md)
-SMARTBFT_SEEDS ?= 25
-SMARTBFT_OUT ?= faults-smartbft.json
-
-# overload-profile exploration knobs (see docs/WORKLOADS.md)
-OVERLOAD_SEEDS ?= 25
-OVERLOAD_OUT ?= faults-overload.json
+# per-profile exploration knob (make faults-<profile>; see docs/FAULTS.md)
+PROFILE_SEEDS ?= 25
 
 # benchmark harness knobs (see docs/BENCHMARKS.md)
 BASELINE ?= benchmarks/baselines/BENCH_smoke.json
@@ -39,7 +30,9 @@ FLOW_GRAPH ?= flow-graph.json
 RACESAN_OUT ?= racesan-report.json
 RACESAN_K ?= 8
 
-.PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore faults-recovery faults-smartbft faults-overload bench-smoke bench-check bench-baseline bench-full bench-kernel bench-kernel-baseline bench-report bench-sweep
+# (the per-profile faults-<profile> targets come from a pattern rule,
+# which make skips for .PHONY names -- none of them names a file)
+.PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-kernel bench-kernel-baseline bench-report bench-sweep
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run)
 test:
@@ -82,27 +75,15 @@ faults-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.faults --seeds 5 \
 		--out $(FAULTS_OUT)
 
-## crash-recovery exploration: amnesiac restarts + storage faults
-## against durable-WAL replicas (make faults-recovery RECOVERY_SEEDS=200)
-faults-recovery:
+## one explorer profile, 25 seeds: any row of PROFILES in
+## src/repro/faults/explorer.py is a target -- faults-recovery
+## (docs/RECOVERY.md), faults-smartbft (docs/SMARTBFT.md),
+## faults-overload (docs/WORKLOADS.md); writes faults-<profile>.json
+## (make faults-recovery PROFILE_SEEDS=200)
+faults-%:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.faults \
-		--seeds $(RECOVERY_SEEDS) --profile recovery \
-		--out $(RECOVERY_OUT)
-
-## SmartBFT-backend exploration: leader censorship + message/crash
-## faults against repro.smart2 (make faults-smartbft SMARTBFT_SEEDS=200)
-faults-smartbft:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.faults \
-		--seeds $(SMARTBFT_SEEDS) --profile smartbft \
-		--out $(SMARTBFT_OUT)
-
-## adversarial-overload exploration: client floods against the
-## admission-controlled service, judged by the no-silent-drop
-## backpressure invariant (make faults-overload OVERLOAD_SEEDS=200)
-faults-overload:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.faults \
-		--seeds $(OVERLOAD_SEEDS) --profile overload \
-		--out $(OVERLOAD_OUT)
+		--seeds $(PROFILE_SEEDS) --profile $* \
+		--out faults-$*.json
 
 ## opt-in deep exploration: make faults-explore SEEDS=500
 faults-explore:

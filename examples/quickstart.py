@@ -36,7 +36,7 @@ def main() -> None:
     service.run(duration=5.0)  # simulated seconds
 
     print(f"\nfrontend delivered {len(blocks)} blocks "
-          f"(each backed by 2f+1 = {frontend.matching_copies_needed} matching copies):")
+          f"(each backed by 2f+1 = {frontend.acceptance.copies_needed} matching copies):")
     for block in blocks:
         print(
             f"  block #{block.number}: {len(block.envelopes):>2} envelopes, "

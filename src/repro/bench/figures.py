@@ -443,7 +443,7 @@ def wheat_ablation_point(
         for replica in service.replicas:
             replica.view = view
         for frontend in service.frontends:
-            frontend.proxy.update_view(view)
+            frontend.relay.update_view(view)
     else:
         service = build_ordering_service(config)
     generator = OpenLoopGenerator(

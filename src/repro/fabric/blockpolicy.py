@@ -22,7 +22,7 @@ copy-matching assumption baked into the committer.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Container, List, Optional, Set
 
 from repro.crypto.keys import KeyRegistry
 from repro.fabric.block import Block
@@ -49,12 +49,12 @@ class AcceptAllBlocks(BlockValidityPolicy):
         return "accept-all"
 
 
-def count_valid_signatures(
+def valid_signers(
     block: Block,
     registry: Optional[KeyRegistry],
-    orderer_names: Optional[Set[str]] = None,
-) -> int:
-    """Distinct valid ordering-node signatures on ``block``.
+    orderer_names: Optional[Container[str]] = None,
+) -> List[str]:
+    """Distinct ordering nodes with a valid signature on ``block``.
 
     Signers outside ``orderer_names`` (when given) or unknown to the
     registry never count.  Without a registry, signatures cannot be
@@ -62,19 +62,30 @@ def count_valid_signatures(
     that weaker mode explicitly by passing ``registry=None``.
     """
     if registry is None:
-        if orderer_names:
-            return sum(1 for name in block.signatures if name in orderer_names)
-        return len(block.signatures)
+        return [
+            name
+            for name in block.signatures
+            if not orderer_names or name in orderer_names
+        ]
     payload = block.header.signing_payload()
-    valid = 0
+    valid = []
     for signer, signature in sorted(block.signatures.items()):
         if orderer_names and signer not in orderer_names:
             continue
         if signer not in registry:
             continue
         if registry.verifier_of(signer).verify(payload, signature):
-            valid += 1
+            valid.append(signer)
     return valid
+
+
+def count_valid_signatures(
+    block: Block,
+    registry: Optional[KeyRegistry],
+    orderer_names: Optional[Container[str]] = None,
+) -> int:
+    """How many :func:`valid_signers` ``block`` carries."""
+    return len(valid_signers(block, registry, orderer_names))
 
 
 class SignatureCountPolicy(BlockValidityPolicy):

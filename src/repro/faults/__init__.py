@@ -37,8 +37,10 @@ from repro.faults.actions import (
     SuppressSync,
 )
 from repro.faults.explorer import (
+    PROFILES,
     ExplorationReport,
     ExplorerConfig,
+    Profile,
     RunResult,
     explore,
     run_schedule,
@@ -59,9 +61,9 @@ from repro.faults.invariants import (
     check_log_agreement,
     check_no_silent_drop,
     check_ordering_service,
-    replica_log_digests,
 )
 from repro.faults.scenario import FaultEvent, Scenario
+from repro.smart.consensus import replica_log_digests
 
 __all__ = [
     "ANY",
@@ -83,7 +85,9 @@ __all__ = [
     "FloodClient",
     "Match",
     "MuteReplica",
+    "PROFILES",
     "Partition",
+    "Profile",
     "Reorder",
     "RunResult",
     "Scenario",

@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from repro.faults.explorer import (
+    PROFILES,
     ExplorerConfig,
     run_seed,
     shrink_schedule,
@@ -46,18 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulated time when all faults heal (default 3.0)")
     parser.add_argument("--deadline", type=float, default=60.0,
                         help="simulated-time liveness budget (default 60.0)")
-    parser.add_argument("--profile",
-                        choices=("default", "recovery", "smartbft", "overload"),
-                        default="default",
-                        help="schedule space: 'default' (historical kinds), "
-                        "'recovery' (amnesiac crash_restart + storage faults "
-                        "against durable-WAL replicas; see docs/RECOVERY.md), "
-                        "'smartbft' (leader censorship + message/crash "
-                        "faults against the SmartBFT backend; see "
-                        "docs/SMARTBFT.md), or 'overload' (adversarial "
-                        "client floods against the admission-controlled "
-                        "service, plus the no-silent-drop backpressure "
-                        "invariant; see docs/WORKLOADS.md)")
+    parser.add_argument("--profile", choices=tuple(PROFILES), default="default",
+                        help="schedule space and what it runs against -- " +
+                        "; ".join(f"'{name}': {profile.summary}"
+                                  for name, profile in PROFILES.items()))
     parser.add_argument("--shrink", action="store_true",
                         help="minimize failing schedules by event removal")
     parser.add_argument("--trace", action="store_true",

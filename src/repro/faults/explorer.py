@@ -45,7 +45,6 @@ from repro.faults.invariants import (
     VoteRecorder,
     check_no_silent_drop,
     check_ordering_service,
-    replica_log_digests,
 )
 from repro.faults.scenario import FaultEvent, Scenario
 from repro.smart.view import bft_group_size
@@ -80,16 +79,8 @@ class ExplorerConfig:
     deadline: float = 60.0
     min_events: int = 1
     max_events: int = 4
-    #: "default" keeps the historical schedule space (byte-identical
-    #: seeds); "recovery" samples amnesiac crash_restart + storage
-    #: faults against a durable-WAL deployment and additionally checks
-    #: the no-equivocation-by-amnesia invariant (docs/RECOVERY.md);
-    #: "smartbft" runs the same invariants against the SmartBFT backend
-    #: (repro.smart2), sampling leader censorship alongside the message
-    #: and crash faults (docs/SMARTBFT.md); "overload" enables admission
-    #: control, leads every schedule with an adversarial client flood
-    #: and additionally checks the no-silent-drop backpressure
-    #: invariant (docs/WORKLOADS.md)
+    #: a row of :data:`PROFILES`: the schedule space sampled and the
+    #: deployment, recorders and invariants it is run against
     profile: str = "default"
     #: admission-control knobs of the overload profile (per tenant and
     #: per frontend; generous enough that the honest workload passes
@@ -123,335 +114,198 @@ class RunResult:
         return not self.violations
 
 
-#: Fault kinds the sampler draws from.  ``crash``, ``partition`` and the
-#: two Byzantine kinds are sampled at most once per schedule so the
-#: fault assumption (at most f=1 Byzantine replica, quorums eventually
-#: available) is never exceeded by construction.
-KINDS = (
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "crash",
-    "partition",
-    "equivocate",
-    "corrupt-writes",
-)
+# ----------------------------------------------------------------------
+# fault kinds: how each is sampled, and how often per schedule
+# ----------------------------------------------------------------------
+def _sample_action(kind: str, rng, cfg: ExplorerConfig, index: int, used: int):
+    """Draw one ``kind`` fault from the schedule stream.  The order of
+    draws within a kind is fixed: seeds are pinned on it."""
+    n = cfg.n
+    if kind in ("drop", "delay", "duplicate", "reorder"):
+        src, dst = rng.sample(range(n), 2)
+        match = Match(src=src, dst=dst)
+        if kind == "drop":
+            rate = round(rng.uniform(0.3, 0.9), 2)
+            return Drop(match, rate=rate, stream=f"drop-{index}")
+        if kind == "delay":
+            return Delay(match, delay=round(rng.uniform(0.02, 0.15), 3))
+        if kind == "duplicate":
+            return Duplicate(match, copies=rng.randint(2, 3), spacing=0.004)
+        delay = round(rng.uniform(0.01, 0.06), 3)
+        rate = round(rng.uniform(0.4, 1.0), 2)
+        return Reorder(match, delay=delay, rate=rate, stream=f"reorder-{index}")
+    if kind == "crash":
+        return CrashReplica(rng.randrange(n))
+    if kind == "crash_restart":
+        # amnesiac restart; half of them (per the stream) leave a torn
+        # tail on the victim's disk, the rest lose the unsynced suffix
+        victim = rng.randrange(n)
+        return CrashReplica(victim, amnesia=True, torn_tail=rng.random() < 0.5)
+    if kind == "partition":
+        size = rng.randint(1, n // 2)
+        isolated = sorted(rng.sample(range(n), size))
+        return Partition(isolated, [p for p in range(n) if p not in isolated])
+    if kind == "equivocate":
+        return EquivocatePropose(0, rng.randrange(1, n))
+    if kind == "corrupt-writes":
+        return CorruptWrites(rng.randrange(n))
+    if kind == "censor":
+        # a node silently dropping one frontend's requests -- the fault
+        # SmartBFT's leader rotation and censorship blacklist must survive
+        client = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
+        return CensorClients(rng.randrange(n), {client})
+    if kind == "flood":
+        # an attacker injecting duplicate-heavy submissions into one
+        # frontend at hundreds to thousands of envelopes per second;
+        # the ``used``-th flood gets its own attacker id and pinned
+        # envelope-id block, keeping run digests reproducible
+        target = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
+        rate = round(rng.uniform(400.0, 2000.0), 1)
+        return FloodClient(
+            target,
+            rate=rate,
+            channel=cfg.channel,
+            payload_size=cfg.payload_size,
+            submitter=f"mallory{used}",
+            unique_every=rng.randint(1, 6),
+            id_base=FLOOD_ID_BASE + used * 1_000_000,
+            attacker_id=ATTACKER_ID_BASE + used,
+        )
+    raise ValueError(f"unknown fault kind {kind!r}")
 
 
-#: Fault kinds of the recovery profile.  Byzantine kinds are excluded
-#: on purpose: the vote-equivocation check must only ever fire on a
-#: *protocol* failure (an amnesiac replica contradicting its pre-crash
-#: votes), never on deliberately injected equivocation.  Bit-rot is
-#: exercised by unit tests instead -- corrupting already-synced data is
-#: outside the crash fault model the explorer samples.
-RECOVERY_KINDS = (
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "crash_restart",
-    "partition",
-)
+#: kind -> budget it spends.  A budget is used at most once per
+#: schedule (``flood``: once per frontend) and further draws of the
+#: kind fall back to ``delay``, so the fault assumption (at most f=1
+#: faulty replica, quorums eventually available) is never exceeded by
+#: construction.  Kinds not listed are unlimited.
+_BUDGETS = {
+    "crash": "crash",
+    "crash_restart": "crash",
+    "partition": "partition",
+    "equivocate": "byzantine",
+    "corrupt-writes": "byzantine",
+    "censor": "censor",
+    "flood": "flood",
+}
 
 
-#: Fault kinds of the smartbft profile.  ``censor`` is the profile's
-#: signature Byzantine fault (the leader-side request censorship the
-#: rotation blacklist exists to defeat); the BFT-SMaRt-specific
-#: Byzantine kinds (``equivocate``/``corrupt-writes`` forge Propose and
-#: Write messages SmartBFT never sends) are excluded.  Amnesiac
-#: restarts are exercised by the smart2 unit tests -- SmartBFT recovers
-#: by peer state transfer, not WAL replay, so the vote-equivocation
-#: machinery has nothing to record.
-SMARTBFT_KINDS = (
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "crash",
-    "partition",
-    "censor",
-)
+@dataclass(frozen=True)
+class Profile:
+    """A schedule space and what its schedules are run against."""
+
+    #: one line for ``--help`` and the docs
+    summary: str
+    #: name of the seed's random stream the schedule is drawn from (one
+    #: per profile, so adding a profile never moves another's seeds)
+    stream: str
+    #: fault kinds drawn uniformly
+    kinds: Tuple[str, ...]
+    #: kind of every schedule's first event (not drawn), if any
+    lead: Optional[str] = None
+    orderer: str = "bftsmart"
+    durable_wal: bool = False
+    #: admission control on (``ExplorerConfig.admission_*``): load may
+    #: be refused, so every submission's verdict is recorded, the run
+    #: ends when every *admitted* envelope is committed rather than
+    #: every offered one, and no-silent-drop is checked
+    admission: bool = False
+    #: record WRITE/ACCEPT votes; check no-equivocation-by-amnesia
+    record_votes: bool = False
+    #: everything submitted must be delivered once faults heal
+    expect_live: bool = True
 
 
-#: Fault kinds of the overload profile.  ``flood`` is the signature
-#: fault (an adversarial client hammering one frontend with duplicate
-#: submissions over the wire); the Byzantine replica kinds are excluded
-#: so every violation under overload is attributable to the
-#: backpressure path, not to forged protocol messages.
-OVERLOAD_KINDS = (
-    "flood",
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "crash",
-    "partition",
-)
+_MESSAGE_KINDS = ("drop", "delay", "duplicate", "reorder")
+
+#: ``--profile`` / ``ExplorerConfig.profile`` -> profile; a new profile
+#: is a new row
+PROFILES: Dict[str, Profile] = {
+    "default": Profile(
+        summary="the historical kinds: message, crash, partition and "
+        "Byzantine-replica faults against the BFT-SMaRt service "
+        "(docs/FAULTS.md)",
+        stream="fault-schedule",
+        kinds=_MESSAGE_KINDS + ("crash", "partition", "equivocate", "corrupt-writes"),
+    ),
+    # Byzantine kinds are excluded on purpose: the vote-equivocation
+    # check must only ever fire on a *protocol* failure (an amnesiac
+    # replica contradicting its pre-crash votes), never on deliberately
+    # injected equivocation.  Bit-rot is exercised by unit tests instead
+    # -- corrupting already-synced data is outside the crash fault model
+    # the explorer samples.
+    "recovery": Profile(
+        summary="amnesiac crash_restart + storage faults against "
+        "durable-WAL replicas, plus the no-equivocation-by-amnesia "
+        "invariant (docs/RECOVERY.md)",
+        stream="fault-schedule/recovery",
+        kinds=_MESSAGE_KINDS + ("crash_restart", "partition"),
+        lead="crash_restart",
+        durable_wal=True,
+        record_votes=True,
+    ),
+    # ``censor`` is the signature Byzantine fault; the BFT-SMaRt-specific
+    # Byzantine kinds (``equivocate``/``corrupt-writes`` forge Propose
+    # and Write messages SmartBFT never sends) are excluded.  Amnesiac
+    # restarts are exercised by the smart2 unit tests -- SmartBFT
+    # recovers by peer state transfer, not WAL replay, so the
+    # vote-equivocation machinery has nothing to record.
+    "smartbft": Profile(
+        summary="leader censorship + message/crash faults against the "
+        "SmartBFT backend, same invariants (docs/SMARTBFT.md)",
+        stream="fault-schedule/smartbft",
+        kinds=_MESSAGE_KINDS + ("crash", "partition", "censor"),
+        lead="censor",
+        orderer="smartbft",
+    ),
+    # ``flood`` is the signature fault; the Byzantine replica kinds are
+    # excluded so every violation under overload is attributable to the
+    # backpressure path, not to forged protocol messages.
+    "overload": Profile(
+        summary="adversarial client floods against the admission-"
+        "controlled service, judged by the no-silent-drop backpressure "
+        "invariant instead of liveness (docs/WORKLOADS.md)",
+        stream="fault-schedule/overload",
+        kinds=("flood",) + _MESSAGE_KINDS + ("crash", "partition"),
+        lead="flood",
+        admission=True,
+        expect_live=False,
+    ),
+}
+
+
+def profile_of(cfg: ExplorerConfig) -> Profile:
+    """The :data:`PROFILES` row ``cfg.profile`` names."""
+    try:
+        return PROFILES[cfg.profile]
+    except KeyError:
+        raise ValueError(
+            f"unknown profile {cfg.profile!r}; expected one of {sorted(PROFILES)}"
+        ) from None
 
 
 def sample_schedule(seed: int, cfg: Optional[ExplorerConfig] = None) -> List[FaultEvent]:
     """Derive a fault schedule deterministically from ``seed``."""
     cfg = cfg or ExplorerConfig()
-    if cfg.profile == "recovery":
-        return _sample_recovery_schedule(seed, cfg)
-    if cfg.profile == "smartbft":
-        return _sample_smartbft_schedule(seed, cfg)
-    if cfg.profile == "overload":
-        return _sample_overload_schedule(seed, cfg)
-    rng = RandomStreams(seed).stream("fault-schedule")
-    n = cfg.n
+    profile = profile_of(cfg)
+    rng = RandomStreams(seed).stream(profile.stream)
     count = rng.randint(cfg.min_events, cfg.max_events)
-    crash_used = split_used = byz_used = False
+    used: Dict[str, int] = {}
     events: List[FaultEvent] = []
     for index in range(count):
-        kind = rng.choice(KINDS)
+        if index == 0 and profile.lead is not None:
+            kind = profile.lead
+        else:
+            kind = rng.choice(profile.kinds)
         at = round(rng.uniform(*cfg.fault_window), 3)
         duration = round(rng.uniform(0.4, 1.5), 3)
-        if kind == "crash" and crash_used:
-            kind = "delay"
-        if kind == "partition" and split_used:
-            kind = "delay"
-        if kind in ("equivocate", "corrupt-writes") and byz_used:
-            kind = "delay"
-
-        if kind == "drop":
-            src, dst = rng.sample(range(n), 2)
-            rate = round(rng.uniform(0.3, 0.9), 2)
-            action = Drop(Match(src=src, dst=dst), rate=rate, stream=f"drop-{index}")
-        elif kind == "delay":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.02, 0.15), 3)
-            action = Delay(Match(src=src, dst=dst), delay=delay)
-        elif kind == "duplicate":
-            src, dst = rng.sample(range(n), 2)
-            copies = rng.randint(2, 3)
-            action = Duplicate(Match(src=src, dst=dst), copies=copies, spacing=0.004)
-        elif kind == "reorder":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.01, 0.06), 3)
-            rate = round(rng.uniform(0.4, 1.0), 2)
-            action = Reorder(
-                Match(src=src, dst=dst), delay=delay, rate=rate,
-                stream=f"reorder-{index}",
-            )
-        elif kind == "crash":
-            crash_used = True
-            action = CrashReplica(rng.randrange(n))
-        elif kind == "partition":
-            split_used = True
-            size = rng.randint(1, n // 2)
-            isolated = sorted(rng.sample(range(n), size))
-            rest = [p for p in range(n) if p not in isolated]
-            action = Partition(isolated, rest)
-        elif kind == "equivocate":
-            byz_used = True
-            victim = rng.randrange(1, n)
-            action = EquivocatePropose(0, victim)
-        else:  # corrupt-writes
-            byz_used = True
-            action = CorruptWrites(rng.randrange(n))
-        events.append(FaultEvent(at=at, action=action, duration=duration))
-    events.sort(key=lambda e: e.at)
-    return events
-
-
-def _sample_recovery_schedule(seed: int, cfg: ExplorerConfig) -> List[FaultEvent]:
-    """Schedules around amnesiac restarts (a separate stream, so the
-    default profile's seeds stay byte-identical).
-
-    Every schedule contains at least one ``crash_restart``; half of
-    them (per the stream) leave a torn tail on the victim's disk, the
-    rest exercise the plain lost-unsynced-suffix crash.
-    """
-    rng = RandomStreams(seed).stream("fault-schedule/recovery")
-    n = cfg.n
-    count = rng.randint(cfg.min_events, cfg.max_events)
-    crash_used = split_used = False
-    events: List[FaultEvent] = []
-    for index in range(count):
-        kind = "crash_restart" if index == 0 else rng.choice(RECOVERY_KINDS)
-        at = round(rng.uniform(*cfg.fault_window), 3)
-        duration = round(rng.uniform(0.4, 1.5), 3)
-        if kind == "crash_restart" and crash_used:
-            kind = "delay"
-        if kind == "partition" and split_used:
-            kind = "delay"
-
-        if kind == "drop":
-            src, dst = rng.sample(range(n), 2)
-            rate = round(rng.uniform(0.3, 0.9), 2)
-            action = Drop(Match(src=src, dst=dst), rate=rate, stream=f"drop-{index}")
-        elif kind == "delay":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.02, 0.15), 3)
-            action = Delay(Match(src=src, dst=dst), delay=delay)
-        elif kind == "duplicate":
-            src, dst = rng.sample(range(n), 2)
-            copies = rng.randint(2, 3)
-            action = Duplicate(Match(src=src, dst=dst), copies=copies, spacing=0.004)
-        elif kind == "reorder":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.01, 0.06), 3)
-            rate = round(rng.uniform(0.4, 1.0), 2)
-            action = Reorder(
-                Match(src=src, dst=dst), delay=delay, rate=rate,
-                stream=f"reorder-{index}",
-            )
-        elif kind == "crash_restart":
-            crash_used = True
-            action = CrashReplica(
-                rng.randrange(n),
-                amnesia=True,
-                torn_tail=rng.random() < 0.5,
-            )
-        else:  # partition
-            split_used = True
-            size = rng.randint(1, n // 2)
-            isolated = sorted(rng.sample(range(n), size))
-            rest = [p for p in range(n) if p not in isolated]
-            action = Partition(isolated, rest)
-        events.append(FaultEvent(at=at, action=action, duration=duration))
-    events.sort(key=lambda e: e.at)
-    return events
-
-
-def _sample_smartbft_schedule(seed: int, cfg: ExplorerConfig) -> List[FaultEvent]:
-    """Schedules against the SmartBFT backend (a separate stream, so
-    the default profile's seeds stay byte-identical).
-
-    Every schedule opens with a ``censor`` event -- a node silently
-    dropping one frontend's requests, the fault SmartBFT's leader
-    rotation and censorship blacklist are built to survive -- followed
-    by message- and crash-level noise.  ``censor`` and ``crash`` are
-    each sampled at most once, keeping within the f=1 fault budget.
-    """
-    rng = RandomStreams(seed).stream("fault-schedule/smartbft")
-    n = cfg.n
-    count = rng.randint(cfg.min_events, cfg.max_events)
-    crash_used = split_used = censor_used = False
-    events: List[FaultEvent] = []
-    for index in range(count):
-        kind = "censor" if index == 0 else rng.choice(SMARTBFT_KINDS)
-        at = round(rng.uniform(*cfg.fault_window), 3)
-        duration = round(rng.uniform(0.4, 1.5), 3)
-        if kind == "censor" and censor_used:
-            kind = "delay"
-        if kind == "crash" and crash_used:
-            kind = "delay"
-        if kind == "partition" and split_used:
-            kind = "delay"
-
-        if kind == "drop":
-            src, dst = rng.sample(range(n), 2)
-            rate = round(rng.uniform(0.3, 0.9), 2)
-            action = Drop(Match(src=src, dst=dst), rate=rate, stream=f"drop-{index}")
-        elif kind == "delay":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.02, 0.15), 3)
-            action = Delay(Match(src=src, dst=dst), delay=delay)
-        elif kind == "duplicate":
-            src, dst = rng.sample(range(n), 2)
-            copies = rng.randint(2, 3)
-            action = Duplicate(Match(src=src, dst=dst), copies=copies, spacing=0.004)
-        elif kind == "reorder":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.01, 0.06), 3)
-            rate = round(rng.uniform(0.4, 1.0), 2)
-            action = Reorder(
-                Match(src=src, dst=dst), delay=delay, rate=rate,
-                stream=f"reorder-{index}",
-            )
-        elif kind == "crash":
-            crash_used = True
-            action = CrashReplica(rng.randrange(n))
-        elif kind == "partition":
-            split_used = True
-            size = rng.randint(1, n // 2)
-            isolated = sorted(rng.sample(range(n), size))
-            rest = [p for p in range(n) if p not in isolated]
-            action = Partition(isolated, rest)
-        else:  # censor
-            censor_used = True
-            client = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
-            action = CensorClients(rng.randrange(n), {client})
-        events.append(FaultEvent(at=at, action=action, duration=duration))
-    events.sort(key=lambda e: e.at)
-    return events
-
-
-def _sample_overload_schedule(seed: int, cfg: ExplorerConfig) -> List[FaultEvent]:
-    """Schedules that lead with adversarial floods (a separate stream,
-    so the default profile's seeds stay byte-identical).
-
-    Every schedule's first sampled event is a ``flood`` -- an attacker
-    injecting duplicate-heavy submissions into one frontend at hundreds
-    to thousands of envelopes per second -- followed by message- and
-    crash-level noise.  At most one flood per frontend (each gets its
-    own attacker id and pinned envelope-id block, keeping run digests
-    reproducible), at most one crash and one partition per schedule.
-    """
-    rng = RandomStreams(seed).stream("fault-schedule/overload")
-    n = cfg.n
-    count = rng.randint(cfg.min_events, cfg.max_events)
-    crash_used = split_used = False
-    floods_used = 0
-    events: List[FaultEvent] = []
-    for index in range(count):
-        kind = "flood" if index == 0 else rng.choice(OVERLOAD_KINDS)
-        at = round(rng.uniform(*cfg.fault_window), 3)
-        duration = round(rng.uniform(0.4, 1.5), 3)
-        if kind == "flood" and floods_used >= cfg.num_frontends:
-            kind = "delay"
-        if kind == "crash" and crash_used:
-            kind = "delay"
-        if kind == "partition" and split_used:
-            kind = "delay"
-
-        if kind == "flood":
-            target = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
-            rate = round(rng.uniform(400.0, 2000.0), 1)
-            unique_every = rng.randint(1, 6)
-            action = FloodClient(
-                target,
-                rate=rate,
-                channel=cfg.channel,
-                payload_size=cfg.payload_size,
-                submitter=f"mallory{floods_used}",
-                unique_every=unique_every,
-                id_base=FLOOD_ID_BASE + floods_used * 1_000_000,
-                attacker_id=ATTACKER_ID_BASE + floods_used,
-            )
-            floods_used += 1
-        elif kind == "drop":
-            src, dst = rng.sample(range(n), 2)
-            rate = round(rng.uniform(0.3, 0.9), 2)
-            action = Drop(Match(src=src, dst=dst), rate=rate, stream=f"drop-{index}")
-        elif kind == "delay":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.02, 0.15), 3)
-            action = Delay(Match(src=src, dst=dst), delay=delay)
-        elif kind == "duplicate":
-            src, dst = rng.sample(range(n), 2)
-            copies = rng.randint(2, 3)
-            action = Duplicate(Match(src=src, dst=dst), copies=copies, spacing=0.004)
-        elif kind == "reorder":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.01, 0.06), 3)
-            rate = round(rng.uniform(0.4, 1.0), 2)
-            action = Reorder(
-                Match(src=src, dst=dst), delay=delay, rate=rate,
-                stream=f"reorder-{index}",
-            )
-        elif kind == "crash":
-            crash_used = True
-            action = CrashReplica(rng.randrange(n))
-        else:  # partition
-            split_used = True
-            size = rng.randint(1, n // 2)
-            isolated = sorted(rng.sample(range(n), size))
-            rest = [p for p in range(n) if p not in isolated]
-            action = Partition(isolated, rest)
+        budget = _BUDGETS.get(kind)
+        spent = used.get(budget, 0)
+        if budget is not None:
+            used[budget] = spent + 1
+            if spent >= (cfg.num_frontends if budget == "flood" else 1):
+                kind = "delay"
+        action = _sample_action(kind, rng, cfg, index, spent)
         events.append(FaultEvent(at=at, action=action, duration=duration))
     events.sort(key=lambda e: e.at)
     return events
@@ -463,11 +317,10 @@ def run_schedule(
     """Run one fault schedule against a fresh deployment and check the
     invariants."""
     cfg = cfg or ExplorerConfig()
-    durable = cfg.profile == "recovery"
-    overload = cfg.profile == "overload"
+    profile = profile_of(cfg)
     service = build_ordering_service(
         OrderingServiceConfig(
-            orderer="smartbft" if cfg.profile == "smartbft" else "bftsmart",
+            orderer=profile.orderer,
             f=cfg.f,
             channel=ChannelConfig(
                 cfg.channel,
@@ -478,7 +331,7 @@ def run_schedule(
             physical_cores=None,
             request_timeout=cfg.request_timeout,
             enable_batch_timeout=True,
-            durable_wal=durable,
+            durable_wal=profile.durable_wal,
             seed=seed,
             admission=(
                 AdmissionConfig(
@@ -486,14 +339,14 @@ def run_schedule(
                     tenant_burst=cfg.admission_burst,
                     max_in_flight=cfg.admission_window,
                 )
-                if overload
+                if profile.admission
                 else None
             ),
         )
     )
     recorder = BlockRecorder(service.network)
-    vote_recorder = VoteRecorder(service.network) if durable else None
-    submissions = SubmissionRecorder(service.frontends) if overload else None
+    vote_recorder = VoteRecorder(service.network) if profile.record_votes else None
+    submissions = SubmissionRecorder(service.frontends) if profile.admission else None
     injector = FaultInjector(service.network, service.replicas, seed=seed)
     Scenario(events, heal_at=cfg.heal_at).install(injector)
 
@@ -516,10 +369,10 @@ def run_schedule(
         )
 
     if submissions is not None:
-        # under overload some honest envelopes are legitimately (and
-        # explicitly) rejected, so "delivered >= offered" is the wrong
-        # finish line: run until the floods healed and every *admitted*
-        # envelope has been committed
+        # some honest envelopes are legitimately (and explicitly)
+        # rejected, so "delivered >= offered" is the wrong finish line:
+        # run until the floods healed and every *admitted* envelope has
+        # been committed
         load_end = cfg.load_start + cfg.load_window
         quiesce_at = max(load_end, cfg.heal_at) + 0.001
         service.sim.run_until(
@@ -540,7 +393,7 @@ def run_schedule(
         service,
         recorder,
         vote_recorder=vote_recorder,
-        expect_live=not overload,
+        expect_live=profile.expect_live,
     )
     if submissions is not None:
         violations += check_no_silent_drop(submissions)
@@ -552,7 +405,7 @@ def run_schedule(
         "replica-logs",
         [
             (rid, sorted((cid, digest) for cid, digest in cids.items()))
-            for rid, cids in sorted(replica_log_digests(service.replicas).items())
+            for rid, cids in sorted(service.replica_log_digests().items())
         ],
     )
     ledger_digest = sha256_hex(

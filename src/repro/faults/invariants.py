@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.fabric.api import BlockDelivery
-from repro.smart.consensus import batch_hash
 from repro.smart.messages import Accept, Write
 
 
@@ -89,16 +88,6 @@ def check_log_agreement(
                     )
                 )
     return violations
-
-
-def replica_log_digests(replicas: Sequence) -> Dict[Any, Dict[int, bytes]]:
-    """Per-replica ``cid -> batch hash`` maps from the operation logs."""
-    return {
-        replica.replica_id: {
-            cid: batch_hash(cid, batch) for cid, batch in replica.log.entries
-        }
-        for replica in replicas
-    }
 
 
 # ----------------------------------------------------------------------
@@ -363,14 +352,7 @@ def check_ordering_service(
     """Run every applicable invariant against an
     :class:`~repro.ordering.service.OrderingService` deployment."""
     violations: List[Violation] = []
-    violations += check_log_agreement(
-        {
-            replica.replica_id: {
-                cid: batch_hash(cid, batch) for cid, batch in replica.log.entries
-            }
-            for replica in service.replicas
-        }
-    )
+    violations += check_log_agreement(service.replica_log_digests())
     violations += check_durable_logs(service.replicas)
     if recorder is not None:
         violations += recorder.check()

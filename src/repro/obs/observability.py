@@ -129,7 +129,7 @@ class Observability:
             node.obs = self
         for frontend in service.frontends:
             frontend.obs = self
-            frontend.proxy.obs = self
+            frontend.relay.obs = self
             admission = getattr(frontend, "admission", None)
             if admission is not None:
                 # queue-depth / shed-count gauges for the backpressure

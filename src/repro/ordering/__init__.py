@@ -3,9 +3,9 @@
 This package is the paper's primary contribution: ordering nodes built
 on BFT-SMaRt service replicas (:mod:`repro.ordering.node`), the block
 cutter (:mod:`repro.ordering.blockcutter`), the frontend/BFT shim that
-bridges HLF peers to the ordering cluster
-(:mod:`repro.ordering.frontend`), and deployment builders
-(:mod:`repro.ordering.service`).
+bridges HLF peers to the ordering cluster -- one for every BFT backend
+(:mod:`repro.ordering.frontend`) -- and the deployment builder with its
+backend table (:mod:`repro.ordering.service`).
 """
 
 from repro.ordering.admission import (
@@ -15,7 +15,7 @@ from repro.ordering.admission import (
     jain_fairness,
 )
 from repro.ordering.blockcutter import BlockCutter
-from repro.ordering.frontend import Frontend
+from repro.ordering.frontend import Frontend, MatchingCopies, SignedQuorum
 from repro.ordering.node import BFTOrderingNode, TimeToCut
 from repro.ordering.service import (
     OrderingService,
@@ -32,8 +32,10 @@ __all__ = [
     "Rejected",
     "jain_fairness",
     "Frontend",
+    "MatchingCopies",
     "OrderingService",
     "OrderingServiceConfig",
+    "SignedQuorum",
     "TimeToCut",
     "build_ordering_service",
     "ordering_replier",

@@ -21,14 +21,13 @@ block copies under BFT-SMaRt copy-matching versus one copy carrying a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import Block
 from repro.fabric.blockpolicy import (
     AcceptAllBlocks,
-    BlockValidityPolicy,
     SignatureCountPolicy,
     SignatureQuorumPolicy,
 )
@@ -37,19 +36,12 @@ from repro.fabric.committer import CommittingPeer
 from repro.fabric.envelope import Envelope, OversizedPayloadError, check_payload_size
 from repro.fabric.orderers.kafka import KafkaCluster, KafkaOrderer
 from repro.fabric.orderers.solo import SoloOrderer
-from repro.ordering.service import (
-    FRONTEND_ID_BASE,
-    OrderingServiceConfig,
-    build_ordering_service,
-)
+from repro.ordering.service import OrderingServiceConfig, build_ordering_service
 from repro.sim.core import Simulator
 from repro.sim.monitor import StatsRegistry
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.randomness import RandomStreams
 from repro.smart.view import one_correct_size
-
-#: every ordering backend the repository implements
-BACKENDS = ("solo", "kafka", "bftsmart", "smartbft")
 
 #: network id of the harness's committing peer
 PEER_NAME = "peer0"
@@ -130,46 +122,27 @@ class BackendRun:
         return [eid for block in self.committed_envelope_ids for eid in block]
 
 
-def policy_for_backend(
-    backend: str,
-    f: int,
-    registry: Optional[KeyRegistry],
-    orderer_names: Optional[set] = None,
-) -> BlockValidityPolicy:
-    """The committer-side block-validity policy each backend warrants."""
-    if backend in ("solo", "kafka"):
-        return AcceptAllBlocks()
-    if backend == "bftsmart":
-        # frontends matched 2f+1 copies upstream; f+1 valid signatures
-        # prove a correct node vouched for the merged block
-        return SignatureCountPolicy(
-            one_correct_size(f), registry=registry, orderer_names=orderer_names
-        )
-    if backend == "smartbft":
-        return SignatureQuorumPolicy(
-            f, registry=registry, orderer_names=orderer_names
-        )
-    raise ValueError(f"unknown backend {backend!r}")
+@dataclass
+class _StandUp:
+    """A backend stood up for one run, reduced to what the run body
+    needs: where to submit, where to attach the committing peer, and
+    which links carry block dissemination."""
+
+    sim: Simulator
+    network: Network
+    registry: KeyRegistry
+    orderer_names: Set[str]
+    #: ingress: raises OversizedPayloadError past AbsoluteMaxBytes
+    submit: Callable[[Envelope], Any]
+    attach_peer: Callable[[str], None]
+    #: (src, dst) network links whose bytes are dissemination
+    delivery_links: List[Tuple[Any, Any]]
+    extras: Dict[str, Any]
 
 
-def run_backend_workload(backend: str, spec: Optional[WorkloadSpec] = None) -> BackendRun:
-    """Replay ``spec`` through ``backend`` and commit via one peer."""
-    spec = spec or WorkloadSpec()
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend in ("solo", "kafka"):
-        return _run_cft(backend, spec)
-    return _run_bft(backend, spec)
-
-
-def _expected_committed(spec: WorkloadSpec) -> int:
-    return spec.num_envelopes - len(set(spec.oversized_at))
-
-
-# ----------------------------------------------------------------------
-# solo / Kafka (crash-fault backends)
-# ----------------------------------------------------------------------
-def _run_cft(backend: str, spec: WorkloadSpec) -> BackendRun:
+def _stand_up_cft(backend: str, spec: WorkloadSpec) -> _StandUp:
+    """solo / Kafka: one trusted orderer delivering straight to peers
+    (Fabric's crash-fault orderers have no frontend tier)."""
     sim = Simulator()
     streams = RandomStreams(spec.seed)
     network = Network(
@@ -194,61 +167,25 @@ def _run_cft(backend: str, spec: WorkloadSpec) -> BackendRun:
         )
         extras["cluster"] = cluster
 
-    peer = CommittingPeer(
-        sim,
-        network,
-        PEER_NAME,
-        channel,
-        registry=registry,
-        orderer_names={"orderer0"},
-        block_policy=policy_for_backend(backend, spec.f, registry, {"orderer0"}),
-    )
-    network.register(PEER_NAME, peer)
-    orderer.attach_receiver(PEER_NAME)
-
-    rejected = 0
-
-    def _submit(index: int) -> None:
-        nonlocal rejected
-        envelope = spec.make_envelope(index)
+    def submit(envelope: Envelope) -> None:
         # same AbsoluteMaxBytes ingress gate the BFT frontends apply
-        try:
-            check_payload_size(envelope.payload_ref(), spec.absolute_max_bytes)
-        except OversizedPayloadError:
-            rejected += 1
-            return
+        check_payload_size(envelope.payload_ref(), spec.absolute_max_bytes)
         orderer.submit(envelope)
 
-    for index in range(spec.num_envelopes):
-        sim.schedule(0.001 + index * spec.inter_arrival, _submit, index)
-
-    expected = _expected_committed(spec)
-
-    def _done() -> bool:
-        return sum(len(r.block.envelopes) for r in peer.commits) >= expected
-
-    finished = sim.run_until(_done, deadline=spec.deadline)
-    sim.run(until=sim.now + spec.settle)
-
-    dissemination = int(
-        network.stats.bytes_by_src.get("orderer0", {}).get(PEER_NAME, 0)
-    )
-    return BackendRun(
-        backend=backend,
-        spec=spec,
-        peer=peer,
-        submitted=spec.num_envelopes - rejected,
-        rejected_at_ingress=rejected,
-        dissemination_bytes=dissemination,
-        finished=finished,
+    return _StandUp(
+        sim=sim,
+        network=network,
+        registry=registry,
+        orderer_names={"orderer0"},
+        submit=submit,
+        attach_peer=orderer.attach_receiver,
+        delivery_links=[("orderer0", PEER_NAME)],
         extras=extras,
     )
 
 
-# ----------------------------------------------------------------------
-# BFT-SMaRt / SmartBFT (Byzantine backends, shared deployment builder)
-# ----------------------------------------------------------------------
-def _run_bft(backend: str, spec: WorkloadSpec) -> BackendRun:
+def _stand_up_bft(backend: str, spec: WorkloadSpec) -> _StandUp:
+    """BFT-SMaRt / SmartBFT: the shared deployment builder, one frontend."""
     config = OrderingServiceConfig(
         orderer=backend,
         f=spec.f,
@@ -261,56 +198,93 @@ def _run_bft(backend: str, spec: WorkloadSpec) -> BackendRun:
         seed=spec.seed,
     )
     service = build_ordering_service(config)
-    orderer_names = {f"orderer{i}" for i in range(config.n)}
+    frontend = service.frontends[0]
+    return _StandUp(
+        sim=service.sim,
+        network=service.network,
+        registry=service.registry,
+        orderer_names={node.name for node in service.nodes},
+        submit=frontend.submit,
+        attach_peer=frontend.attach_peer,
+        delivery_links=[(i, frontend.name) for i in range(config.n)],
+        extras={"service": service},
+    )
+
+
+#: backend -> (stand-up, the committer-side block-validity policy the
+#: backend warrants, from ``(f, registry, orderer_names)``); every
+#: ordering backend the repository implements
+_HARNESS = {
+    "solo": (_stand_up_cft, lambda f, registry, names: AcceptAllBlocks()),
+    "kafka": (_stand_up_cft, lambda f, registry, names: AcceptAllBlocks()),
+    # frontends matched 2f+1 copies upstream; f+1 valid signatures
+    # prove a correct node vouched for the merged block
+    "bftsmart": (
+        _stand_up_bft,
+        lambda f, registry, names: SignatureCountPolicy(
+            one_correct_size(f), registry=registry, orderer_names=names
+        ),
+    ),
+    "smartbft": (
+        _stand_up_bft,
+        lambda f, registry, names: SignatureQuorumPolicy(
+            f, registry=registry, orderer_names=names
+        ),
+    ),
+}
+BACKENDS = tuple(_HARNESS)
+
+
+def run_backend_workload(backend: str, spec: Optional[WorkloadSpec] = None) -> BackendRun:
+    """Replay ``spec`` through ``backend`` and commit via one peer."""
+    spec = spec or WorkloadSpec()
+    if backend not in _HARNESS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    stand_up, block_policy = _HARNESS[backend]
+    up = stand_up(backend, spec)
+    sim, network = up.sim, up.network
     peer = CommittingPeer(
-        service.sim,
-        service.network,
+        sim,
+        network,
         PEER_NAME,
         spec.channel_config(),
-        registry=service.registry,
-        orderer_names=orderer_names,
-        block_policy=policy_for_backend(
-            backend, spec.f, service.registry, orderer_names
-        ),
+        registry=up.registry,
+        orderer_names=up.orderer_names,
+        block_policy=block_policy(spec.f, up.registry, up.orderer_names),
     )
-    service.network.register(PEER_NAME, peer)
-    service.frontends[0].attach_peer(PEER_NAME)
+    network.register(PEER_NAME, peer)
+    up.attach_peer(PEER_NAME)
 
     rejected = 0
 
     def _submit(index: int) -> None:
         nonlocal rejected
-        envelope = spec.make_envelope(index)
         try:
-            service.submit(envelope, frontend_index=0)
+            up.submit(spec.make_envelope(index))
         except OversizedPayloadError:
             rejected += 1
 
     for index in range(spec.num_envelopes):
-        service.sim.schedule(0.001 + index * spec.inter_arrival, _submit, index)
+        sim.schedule(0.001 + index * spec.inter_arrival, _submit, index)
 
-    expected = _expected_committed(spec)
+    expected = spec.num_envelopes - len(set(spec.oversized_at))
 
     def _done() -> bool:
         return sum(len(r.block.envelopes) for r in peer.commits) >= expected
 
-    finished = service.sim.run_until(_done, deadline=spec.deadline)
-    service.run(spec.settle)
+    finished = sim.run_until(_done, deadline=spec.deadline)
+    sim.run(until=sim.now + spec.settle)
 
-    by_src = service.network.stats.bytes_by_src
-    dissemination = int(
-        sum(
-            by_src.get(i, {}).get(FRONTEND_ID_BASE, 0)
-            for i in range(config.n)
-        )
-    )
+    by_src = network.stats.bytes_by_src
     return BackendRun(
         backend=backend,
         spec=spec,
         peer=peer,
         submitted=spec.num_envelopes - rejected,
         rejected_at_ingress=rejected,
-        dissemination_bytes=dissemination,
+        dissemination_bytes=int(
+            sum(by_src.get(src, {}).get(dst, 0) for src, dst in up.delivery_links)
+        ),
         finished=finished,
-        extras={"service": service},
+        extras=up.extras,
     )

@@ -1,23 +1,27 @@
 """Deployment builder: assemble a complete BFT ordering service.
 
 Wires together everything from Figure 4: a cluster of ``3f+1+delta``
-ordering nodes (BFT-SMaRt replica + :class:`BFTOrderingNode` app +
-per-machine CPU with a signing thread pool) and a set of frontends,
-over a simulated LAN or WAN.  Used by integration tests, the examples
-and the benchmark harness.
+ordering machines (consensus replica + ordering node + per-machine CPU
+with a signing thread pool) and a set of frontends, over a simulated
+LAN or WAN.  The consensus module is pluggable the way Fabric means it
+to be (arXiv:1801.10228): everything here is shared, and
+``OrderingServiceConfig.orderer`` picks a row of :data:`BACKENDS` that
+says how the backend builds one machine and what its frontends relay
+through and trust.  Used by integration tests, the examples and the
+benchmark harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering.admission import AdmissionConfig, AdmissionController
-from repro.ordering.frontend import Frontend
+from repro.ordering.admission import AdmissionConfig, AdmissionController, Rejected
+from repro.ordering.frontend import Frontend, MatchingCopies, SignedQuorum
 from repro.ordering.node import BFTOrderingNode, TimeToCut
 from repro.ordering.wal_codec import decode_value, encode_value
 from repro.sim.core import Simulator
@@ -26,6 +30,7 @@ from repro.sim.monitor import StatsRegistry
 from repro.sim.network import ConstantLatency, LatencyModel, Network
 from repro.sim.randomness import RandomStreams
 from repro.sim.storage import DEFAULT_FSYNC_LATENCY, SECTOR_SIZE, SimDisk
+from repro.smart.consensus import replica_log_digests
 from repro.smart.messages import ClientRequest
 from repro.smart.proxy import ServiceProxy
 from repro.smart.replica import ReplicaConfig, ServiceReplica, default_replier
@@ -93,6 +98,15 @@ class OrderingServiceConfig:
     def n(self) -> int:
         return bft_group_size(self.f, self.delta)
 
+    def channel_configs(self) -> Dict[str, ChannelConfig]:
+        """Every channel the service orders, by id."""
+        channels = {self.channel.channel_id: self.channel}
+        for extra in self.extra_channels:
+            if extra.channel_id in channels:
+                raise ValueError(f"duplicate channel id {extra.channel_id!r}")
+            channels[extra.channel_id] = extra
+        return channels
+
 
 def make_ordering_wal(config: OrderingServiceConfig) -> ConsensusWAL:
     """A per-replica consensus WAL wired to the ordering-layer codec."""
@@ -120,15 +134,23 @@ def ordering_replier(replica, request: ClientRequest, result, regency, tentative
 
 @dataclass
 class OrderingService:
-    """A fully wired deployment."""
+    """A fully wired deployment, whatever the backend.
+
+    ``replicas`` are the consensus participants (what the fault layer
+    crashes and the invariants read decided logs from), ``nodes`` the
+    block-cutting applications (what the observability hub and the
+    throughput meters read).  Under BFT-SMaRt a node is the application
+    of its replica; a SmartBFT node runs consensus on blocks itself, so
+    there ``replicas is nodes``.
+    """
 
     sim: Simulator
     network: Network
     config: OrderingServiceConfig
     registry: KeyRegistry
     view: View
-    replicas: List[ServiceReplica]
-    nodes: List[BFTOrderingNode]
+    replicas: List[Any]
+    nodes: List[Any]
     frontends: List[Frontend]
     stats: StatsRegistry
     cpus: List[Optional[CPU]]
@@ -136,15 +158,17 @@ class OrderingService:
     observability: Optional[Any] = None
 
     @property
-    def leader_node(self) -> BFTOrderingNode:
+    def leader_node(self):
         """Ordering node 0 -- where the paper measures throughput."""
         return self.nodes[0]
 
-    def submit(self, envelope: Envelope, frontend_index: int = 0) -> None:
-        self.frontends[frontend_index].submit(envelope)
+    def submit(self, envelope: Envelope, frontend_index: int = 0) -> Optional[Rejected]:
+        """Submit through one frontend; its verdict (``None`` = relayed)."""
+        return self.frontends[frontend_index].submit(envelope)
 
     def admin_proxy(self, admin_index: int = 0, site: Optional[str] = None) -> ServiceProxy:
         """A proxy for administrative (reconfiguration) commands."""
+        self._require_reconfigurable()
         proxy = ServiceProxy(
             self.sim,
             self.network,
@@ -174,14 +198,7 @@ class OrderingService:
 
     def replica_log_digests(self) -> Dict[int, Dict[int, bytes]]:
         """Per-replica map of decided cid -> batch hash (durability log)."""
-        from repro.smart.consensus import batch_hash
-
-        return {
-            replica.replica_id: {
-                cid: batch_hash(cid, batch) for cid, batch in replica.log.entries
-            }
-            for replica in self.replicas
-        }
+        return replica_log_digests(self.replicas)
 
     def total_submitted(self) -> int:
         return sum(frontend.envelopes_submitted for frontend in self.frontends)
@@ -195,66 +212,98 @@ class OrderingService:
         self.sim.run(until=self.sim.now + duration)
 
     # ------------------------------------------------------------------
+    # assembly (shared by the builder and by add_node)
+    # ------------------------------------------------------------------
+    def _add_machine(self, index: int, site: str) -> Tuple[Any, Any]:
+        """One ordering machine: CPU, identity, then whatever the
+        backend runs on it, attached to the network at ``site``."""
+        config = self.config
+        cpu: Optional[CPU] = None
+        if config.physical_cores is not None:
+            cpu = CPU(
+                self.sim,
+                physical_cores=config.physical_cores,
+                hardware_threads=config.hardware_threads,
+            )
+            if config.smart_cpu_fraction > 0:
+                cpu.set_background_load(config.smart_cpu_fraction)
+        self.cpus.append(cpu)
+        identity = self.registry.enroll(f"orderer{index}", org=f"ordererorg{index}")
+        replica, node = BACKENDS[config.orderer].machine(
+            self,
+            index,
+            site,
+            # what every backend's ordering node is constructed from
+            sim=self.sim,
+            network=self.network,
+            name=identity.name,
+            identity=identity,
+            channels=config.channel_configs(),
+            cpu=cpu,
+            signing_workers=config.signing_workers,
+            sign_cost=config.sign_cost,
+            stats=self.stats,
+        )
+        self.network.register(index, replica, site=site)
+        self.nodes.append(node)
+        if replica is node:
+            self.replicas = self.nodes
+        else:
+            self.replicas.append(replica)
+        return replica, node
+
+    def _add_frontend(self, client_id: int, site: str, relay, acceptance) -> Frontend:
+        config = self.config
+        frontend = Frontend(
+            sim=self.sim,
+            network=self.network,
+            name=client_id,
+            relay=relay,
+            acceptance=acceptance,
+            orderer_names={node.name for node in self.nodes},
+            stats=self.stats,
+            max_envelope_bytes={
+                channel_id: cfg.absolute_max_bytes
+                for channel_id, cfg in config.channel_configs().items()
+            },
+            admission=(
+                AdmissionController(config.admission)
+                if config.admission is not None
+                else None
+            ),
+        )
+        self.network.register(client_id, frontend, site=site)
+        self.frontends.append(frontend)
+        return frontend
+
+    # ------------------------------------------------------------------
     # runtime reconfiguration (paper §5.2)
     # ------------------------------------------------------------------
+    def _require_reconfigurable(self) -> None:
+        if not BACKENDS[self.config.orderer].reconfigurable:
+            raise NotImplementedError(
+                f"the {self.config.orderer!r} backend has no runtime "
+                "reconfiguration (add_node/admin_proxy need 'bftsmart')"
+            )
+
     def add_node(self, site: str = "lan"):
         """Add a new ordering node to the running cluster.
 
-        Builds the machine (CPU, identity, app, replica), wires it to
-        the network and frontends, orders the membership change through
+        Builds the machine exactly as the deployment builder does,
+        wires it to the frontends, orders the membership change through
         consensus, and -- once decided -- brings the node up to date by
-        state transfer and points every frontend proxy at the new view.
+        state transfer and points every frontend at the new view.
 
         Returns ``(future, node)``; drive the simulator until the
         future resolves (e.g. ``service.sim.drain([future], ...)``).
         """
         from repro.smart.reconfiguration import ReconfigurationClient
 
+        self._require_reconfigurable()
         index = len(self.replicas)
-        cpu: Optional[CPU] = None
-        if self.config.physical_cores is not None:
-            cpu = CPU(
-                self.sim,
-                physical_cores=self.config.physical_cores,
-                hardware_threads=self.config.hardware_threads,
-            )
-            if self.config.smart_cpu_fraction > 0:
-                cpu.set_background_load(self.config.smart_cpu_fraction)
-        self.cpus.append(cpu)
-        identity = self.registry.enroll(f"orderer{index}", org=f"ordererorg{index}")
-        channels = {
-            self.config.channel.channel_id: self.config.channel,
-            **{c.channel_id: c for c in self.config.extra_channels},
-        }
-        node = BFTOrderingNode(
-            sim=self.sim,
-            network=self.network,
-            name=identity.name,
-            identity=identity,
-            channels=channels,
-            cpu=cpu,
-            signing_workers=self.config.signing_workers,
-            sign_cost=self.config.sign_cost,
-            stats=self.stats,
-            double_sign=self.config.double_sign,
-            net_id=index,
-        )
-        current_view = self.replicas[0].view
-        replica = ServiceReplica(
-            sim=self.sim,
-            network=self.network,
-            replica_id=index,
-            view=current_view,
-            app=node,
-            config=self.replicas[0].config,
-            log=make_ordering_wal(self.config) if self.config.durable_wal else None,
-            replier=ordering_replier,
-        )
-        self.network.register(index, replica, site=site)
+        replica, node = self._add_machine(index, site)
         for frontend in self.frontends:
             node.register_frontend(frontend.name)
-        self.nodes.append(node)
-        self.replicas.append(replica)
 
         admin = self.admin_proxy(admin_index=index, site=site)
         future = ReconfigurationClient(admin).add_replica(index)
@@ -268,11 +317,160 @@ class OrderingService:
             replica.view = new_view
             replica.state_transfer.start()
             for frontend in self.frontends:
-                frontend.proxy.update_view(new_view)
-                frontend.f = new_view.f
+                frontend.relay.update_view(new_view)
+                frontend.acceptance.f = new_view.f
 
         future.add_callback(_activate)
         return future, node
+
+
+# ----------------------------------------------------------------------
+# the backend table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Backend:
+    """What a consensus module contributes to a deployment."""
+
+    #: ``(service, index, site, **node_kwargs) -> (replica, node)``:
+    #: what runs on one ordering machine (the same object twice when
+    #: the node is its own consensus replica)
+    machine: Callable[..., Tuple[Any, Any]]
+    #: ``(service, client_id, site, streams)``: stand up one frontend
+    #: through ``service._add_frontend(client_id, site, relay,
+    #: acceptance)`` and connect it to the cluster's block stream
+    frontend: Callable[..., None]
+    #: membership can change at runtime (``add_node``/``admin_proxy``)
+    reconfigurable: bool
+
+
+def _bftsmart_machine(
+    service: OrderingService, index: int, site: str, **node_kwargs
+) -> Tuple[ServiceReplica, BFTOrderingNode]:
+    """A BFT-SMaRt replica with the ordering node as its application."""
+    config = service.config
+    # a machine joining a running cluster adopts its view and settings
+    peer = service.replicas[0] if service.replicas else None
+    view = peer.view if peer is not None else service.view
+    node = BFTOrderingNode(
+        double_sign=config.double_sign, net_id=index, **node_kwargs
+    )
+    if config.enable_batch_timeout:
+        # deterministic batch timeouts: the node submits TTCs through a
+        # lightweight internal proxy living on its own machine
+        ttc_proxy = ServiceProxy(
+            service.sim, service.network, TTC_ID_BASE + index, view, register=False
+        )
+        service.network.register(TTC_ID_BASE + index, ttc_proxy, site=site)
+        node.ttc_submitter = lambda ttc: ttc_proxy.invoke_async(ttc, size_bytes=24)
+    replica = ServiceReplica(
+        sim=service.sim,
+        network=service.network,
+        replica_id=index,
+        view=view,
+        app=node,
+        config=(
+            peer.config
+            if peer is not None
+            else ReplicaConfig(
+                max_batch=config.max_batch,
+                request_timeout=config.request_timeout,
+                checkpoint_period=config.checkpoint_period,
+                tentative_execution=config.tentative_execution,
+            )
+        ),
+        log=make_ordering_wal(config) if config.durable_wal else None,
+        replier=ordering_replier,
+    )
+    return replica, node
+
+
+def _bftsmart_frontend(
+    service: OrderingService, client_id: int, site: str, streams: RandomStreams
+) -> None:
+    """Relay through a ``ServiceProxy``; every node pushes its copy of
+    each block and ``2f+1`` matching ones are trusted."""
+    config = service.config
+    proxy = ServiceProxy(
+        service.sim,
+        service.network,
+        client_id,
+        service.view,
+        accept_tentative=config.tentative_execution,
+        register=False,
+        # retry backoff jitter comes from the deployment's seeded
+        # streams -- never ambient randomness (DET002)
+        rng=streams.stream(f"proxy-backoff/{client_id}"),
+    )
+    service._add_frontend(
+        client_id,
+        site,
+        proxy,
+        MatchingCopies(
+            config.f,
+            registry=service.registry,
+            verify_signatures=config.verify_block_signatures,
+        ),
+    )
+    for node in service.nodes:
+        node.register_frontend(client_id)
+
+
+def _smartbft_machine(service: OrderingService, index: int, site: str, **node_kwargs):
+    """A SmartBFT node: consensus on blocks, its own replica."""
+    # smart2 builds on this package's block cutter, so it is imported
+    # when a smartbft deployment is built, not when this module loads
+    from repro.smart2.node import SmartBFTNode
+
+    config = service.config
+    node = SmartBFTNode(
+        replica_id=index,
+        registry=service.registry,
+        membership=service.view,
+        peer_names=_orderer_names(service.view),
+        log=make_ordering_wal(config) if config.durable_wal else None,
+        request_timeout=config.request_timeout,
+        heartbeat_interval=config.request_timeout / 4,
+        **node_kwargs,
+    )
+    return node, node
+
+
+def _smartbft_frontend(
+    service: OrderingService, client_id: int, site: str, streams: RandomStreams
+) -> None:
+    """Relay through one home node and subscribe to its single signed
+    copies; a copy is trusted iff its signature quorum verifies."""
+    from repro.smart2.relay import HomeNodeRelay
+
+    relay = HomeNodeRelay(
+        service.sim,
+        service.network,
+        client_id,
+        service.view,
+        request_timeout=service.config.request_timeout,
+    )
+    frontend = service._add_frontend(
+        client_id,
+        site,
+        relay,
+        SignedQuorum(service.view, service.registry, _orderer_names(service.view)),
+    )
+    frontend.on_block.append(relay.on_block)
+    relay.start()
+
+
+def _orderer_names(view: View) -> Dict[int, str]:
+    """Enrolled identity name of every member (see ``_add_machine``)."""
+    return {pid: f"orderer{pid}" for pid in view.processes}
+
+
+#: every BFT ordering backend ``OrderingServiceConfig.orderer`` can name
+BACKENDS: Dict[str, Backend] = {
+    # the paper's service: repro.smart replicas + repro.ordering nodes
+    "bftsmart": Backend(_bftsmart_machine, _bftsmart_frontend, reconfigurable=True),
+    # the successor design (arXiv:2107.06922): repro.smart2
+    "smartbft": Backend(_smartbft_machine, _smartbft_frontend, reconfigurable=False),
+}
 
 
 def build_ordering_service(
@@ -284,17 +482,15 @@ def build_ordering_service(
 
     ``observability`` optionally receives a
     :class:`repro.obs.Observability` hub; it is attached to every
-    component (network, replicas, nodes, frontends, proxies) so the
+    component (network, replicas, nodes, frontends, relays) so the
     deployment emits metrics and consensus spans as it runs.
     """
     config = config or OrderingServiceConfig()
-    if config.orderer == "smartbft":
-        from repro.smart2.deployment import build_smartbft_service
-
-        return build_smartbft_service(config, sim=sim, observability=observability)
-    if config.orderer != "bftsmart":
+    backend = BACKENDS.get(config.orderer)
+    if backend is None:
         raise ValueError(
-            f"unknown orderer {config.orderer!r}; expected 'bftsmart' or 'smartbft'"
+            f"unknown orderer {config.orderer!r}; expected one of "
+            + ", ".join(repr(name) for name in BACKENDS)
         )
     sim = sim or Simulator()
     streams = RandomStreams(config.seed)
@@ -302,7 +498,6 @@ def build_ordering_service(
     network = Network(
         sim, latency, default_bandwidth_bps=config.bandwidth_bps, streams=streams
     )
-    stats = StatsRegistry()
     scheme = SimulatedECDSA()
     if config.sign_cost is not None:
         scheme.sign_cost = config.sign_cost
@@ -322,115 +517,7 @@ def build_ordering_service(
         raise ValueError(
             f"need {config.num_frontends} frontend sites, got {len(frontend_sites)}"
         )
-
-    replica_config = ReplicaConfig(
-        max_batch=config.max_batch,
-        request_timeout=config.request_timeout,
-        checkpoint_period=config.checkpoint_period,
-        tentative_execution=config.tentative_execution,
-    )
-
-    # ordering nodes: CPU + identity + app + replica, one per machine
-    nodes: List[BFTOrderingNode] = []
-    replicas: List[ServiceReplica] = []
-    cpus: List[Optional[CPU]] = []
-    channels = {config.channel.channel_id: config.channel}
-    for extra in config.extra_channels:
-        if extra.channel_id in channels:
-            raise ValueError(f"duplicate channel id {extra.channel_id!r}")
-        channels[extra.channel_id] = extra
-    for i in range(n):
-        cpu: Optional[CPU] = None
-        if config.physical_cores is not None:
-            cpu = CPU(
-                sim,
-                physical_cores=config.physical_cores,
-                hardware_threads=config.hardware_threads,
-            )
-            if config.smart_cpu_fraction > 0:
-                cpu.set_background_load(config.smart_cpu_fraction)
-        cpus.append(cpu)
-        identity = registry.enroll(f"orderer{i}", org=f"ordererorg{i}")
-        node = BFTOrderingNode(
-            sim=sim,
-            network=network,
-            name=identity.name,
-            identity=identity,
-            channels=channels,
-            cpu=cpu,
-            signing_workers=config.signing_workers,
-            sign_cost=config.sign_cost,
-            stats=stats,
-            double_sign=config.double_sign,
-            net_id=i,
-        )
-        replica = ServiceReplica(
-            sim=sim,
-            network=network,
-            replica_id=i,
-            view=view,
-            app=node,
-            config=replica_config,
-            log=make_ordering_wal(config) if config.durable_wal else None,
-            replier=ordering_replier,
-        )
-        network.register(i, replica, site=node_sites[i])
-        nodes.append(node)
-        replicas.append(replica)
-
-    # deterministic batch timeouts: each node submits TTCs through a
-    # lightweight internal proxy (only when enabled)
-    if config.enable_batch_timeout:
-        for i, node in enumerate(nodes):
-            ttc_proxy = ServiceProxy(
-                sim, network, TTC_ID_BASE + i, view, register=False
-            )
-            # the TTC proxy lives on the node's machine
-            network.register(TTC_ID_BASE + i, ttc_proxy, site=node_sites[i])
-            node.ttc_submitter = (
-                lambda ttc, proxy=ttc_proxy: proxy.invoke_async(ttc, size_bytes=24)
-            )
-
-    # frontends
-    frontends: List[Frontend] = []
-    orderer_names = {node.name for node in nodes}
-    for j in range(config.num_frontends):
-        client_id = FRONTEND_ID_BASE + j
-        proxy = ServiceProxy(
-            sim,
-            network,
-            client_id,
-            view,
-            accept_tentative=config.tentative_execution,
-            register=False,
-            # retry backoff jitter comes from the deployment's seeded
-            # streams -- never ambient randomness (DET002)
-            rng=streams.stream(f"proxy-backoff/{client_id}"),
-        )
-        frontend = Frontend(
-            sim=sim,
-            network=network,
-            name=client_id,
-            proxy=proxy,
-            f=config.f,
-            registry=registry,
-            orderer_names=orderer_names,
-            verify_signatures=config.verify_block_signatures,
-            stats=stats,
-            max_envelope_bytes={
-                channel_id: cfg.absolute_max_bytes
-                for channel_id, cfg in channels.items()
-            },
-            admission=(
-                AdmissionController(config.admission)
-                if config.admission is not None
-                else None
-            ),
-        )
-        network.register(client_id, frontend, site=frontend_sites[j])
-        for node in nodes:
-            node.register_frontend(client_id)
-        frontends.append(frontend)
+    config.channel_configs()  # duplicate channel ids fail before anything is built
 
     service = OrderingService(
         sim=sim,
@@ -438,13 +525,17 @@ def build_ordering_service(
         config=config,
         registry=registry,
         view=view,
-        replicas=replicas,
-        nodes=nodes,
-        frontends=frontends,
-        stats=stats,
-        cpus=cpus,
+        replicas=[],
+        nodes=[],
+        frontends=[],
+        stats=StatsRegistry(),
+        cpus=[],
         observability=observability,
     )
+    for index, site in enumerate(node_sites):
+        service._add_machine(index, site)
+    for j, site in enumerate(frontend_sites):
+        backend.frontend(service, FRONTEND_ID_BASE + j, site, streams)
     if observability is not None:
         observability.attach(service)
     return service

@@ -9,7 +9,7 @@ used as the value-selection proof during the synchronization phase.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.crypto.hashing import sha256
 from repro.smart.messages import ClientRequest, WriteCertificate
@@ -36,6 +36,16 @@ def batch_hash(cid: int, batch: List[ClientRequest]) -> bytes:
     if cache is not None:
         cache[cid] = digest
     return digest
+
+
+def replica_log_digests(replicas: Iterable) -> Dict[Any, Dict[int, bytes]]:
+    """Per-replica ``cid -> batch hash`` maps from the operation logs."""
+    return {
+        replica.replica_id: {
+            cid: batch_hash(cid, batch) for cid, batch in replica.log.entries
+        }
+        for replica in replicas
+    }
 
 
 class ConsensusInstance:

@@ -1,219 +1,26 @@
-"""Deployment builder for the SmartBFT-style ordering service.
-
-Mirrors :func:`repro.ordering.service.build_ordering_service` -- same
-configuration object, same network/crypto/stats wiring, same probe
-surface (``ledger_digests``/``total_delivered``/``crash_node``/...) --
-so benchmarks, the fault explorer and the conformance battery drive
-either backend through one interface.  Selected with
-``OrderingServiceConfig(orderer="smartbft")``.
+"""The SmartBFT deployment is a row of the one backend table
+(:data:`repro.ordering.service.BACKENDS`); this entry point only pins
+``orderer="smartbft"`` for callers that name the backend by function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from dataclasses import replace
+from typing import Any, Optional
 
-from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import SimulatedECDSA
-from repro.fabric.envelope import Envelope
-from repro.ordering.admission import AdmissionController
 from repro.ordering.service import (
-    FRONTEND_ID_BASE,
+    OrderingService,
     OrderingServiceConfig,
-    make_ordering_wal,
+    build_ordering_service,
 )
 from repro.sim.core import Simulator
-from repro.sim.cpu import CPU
-from repro.sim.monitor import StatsRegistry
-from repro.sim.network import ConstantLatency, Network
-from repro.sim.randomness import RandomStreams
-from repro.smart.view import View, binary_weights
-from repro.smart2.frontend import QuorumFrontend
-from repro.smart2.node import SmartBFTNode
-
-
-@dataclass
-class SmartBFTService:
-    """A fully wired SmartBFT-style deployment.
-
-    ``replicas`` and ``nodes`` name the same objects: a SmartBFT node
-    *is* its own replica (consensus runs on blocks directly), but both
-    aliases keep the fault layer and the observability hub -- which
-    iterate ``service.replicas`` and ``service.nodes`` respectively --
-    working unchanged.
-    """
-
-    sim: Simulator
-    network: Network
-    config: OrderingServiceConfig
-    registry: KeyRegistry
-    view: View
-    replicas: List[SmartBFTNode]
-    nodes: List[SmartBFTNode]
-    frontends: List[QuorumFrontend]
-    stats: StatsRegistry
-    cpus: List[Optional[CPU]]
-    observability: Optional[Any] = None
-
-    @property
-    def leader_node(self) -> SmartBFTNode:
-        return self.nodes[self.nodes[0].leader]
-
-    def submit(self, envelope: Envelope, frontend_index: int = 0) -> None:
-        self.frontends[frontend_index].submit(envelope)
-
-    def crash_node(self, index: int, amnesia: bool = False) -> None:
-        self.nodes[index].crash(amnesia=amnesia)
-
-    def recover_node(self, index: int) -> None:
-        self.nodes[index].recover()
-
-    # ------------------------------------------------------------------
-    # invariant probes (repro.faults)
-    # ------------------------------------------------------------------
-    def ledger_digests(self) -> Dict[int, bytes]:
-        return {
-            frontend.name: frontend.ledger_digest() for frontend in self.frontends
-        }
-
-    def replica_log_digests(self) -> Dict[int, Dict[int, bytes]]:
-        from repro.smart.consensus import batch_hash
-
-        return {
-            node.replica_id: {
-                cid: batch_hash(cid, batch) for cid, batch in node.log.entries
-            }
-            for node in self.nodes
-        }
-
-    def total_submitted(self) -> int:
-        return sum(frontend.envelopes_submitted for frontend in self.frontends)
-
-    def total_delivered(self) -> int:
-        return int(self.stats.meter(f"{FRONTEND_ID_BASE}.envelopes").total)
-
-    def run(self, duration: float) -> None:
-        self.sim.run(until=self.sim.now + duration)
 
 
 def build_smartbft_service(
     config: Optional[OrderingServiceConfig] = None,
     sim: Optional[Simulator] = None,
     observability: Optional[Any] = None,
-) -> SmartBFTService:
-    """Stand up a complete SmartBFT-style ordering service."""
-    config = config or OrderingServiceConfig()
-    sim = sim or Simulator()
-    streams = RandomStreams(config.seed)
-    latency = config.latency or ConstantLatency(0.0001)
-    network = Network(
-        sim, latency, default_bandwidth_bps=config.bandwidth_bps, streams=streams
-    )
-    stats = StatsRegistry()
-    scheme = SimulatedECDSA()
-    if config.sign_cost is not None:
-        scheme.sign_cost = config.sign_cost
-    registry = KeyRegistry(scheme=scheme, rng=streams.stream("keys"))
-
-    n = config.n
-    processes = tuple(range(n))
-    weights = binary_weights(processes, config.f, config.delta, config.vmax_holders)
-    view = View(
-        view_id=0, processes=processes, f=config.f, delta=config.delta, weights=weights
-    )
-    node_sites = list(config.node_sites or ["lan"] * n)
-    frontend_sites = list(config.frontend_sites or ["lan"] * config.num_frontends)
-    if len(node_sites) != n:
-        raise ValueError(f"need {n} node sites, got {len(node_sites)}")
-    if len(frontend_sites) != config.num_frontends:
-        raise ValueError(
-            f"need {config.num_frontends} frontend sites, got {len(frontend_sites)}"
-        )
-
-    channels = {config.channel.channel_id: config.channel}
-    for extra in config.extra_channels:
-        if extra.channel_id in channels:
-            raise ValueError(f"duplicate channel id {extra.channel_id!r}")
-        channels[extra.channel_id] = extra
-
-    identities = [
-        registry.enroll(f"orderer{i}", org=f"ordererorg{i}") for i in range(n)
-    ]
-    peer_names = {i: identities[i].name for i in range(n)}
-
-    nodes: List[SmartBFTNode] = []
-    cpus: List[Optional[CPU]] = []
-    for i in range(n):
-        cpu: Optional[CPU] = None
-        if config.physical_cores is not None:
-            cpu = CPU(
-                sim,
-                physical_cores=config.physical_cores,
-                hardware_threads=config.hardware_threads,
-            )
-            if config.smart_cpu_fraction > 0:
-                cpu.set_background_load(config.smart_cpu_fraction)
-        cpus.append(cpu)
-        node = SmartBFTNode(
-            sim=sim,
-            network=network,
-            replica_id=i,
-            name=identities[i].name,
-            identity=identities[i],
-            registry=registry,
-            membership=view,
-            channels=channels,
-            peer_names=peer_names,
-            log=make_ordering_wal(config) if config.durable_wal else None,
-            cpu=cpu,
-            signing_workers=config.signing_workers,
-            sign_cost=config.sign_cost,
-            stats=stats,
-            request_timeout=config.request_timeout,
-            heartbeat_interval=config.request_timeout / 4,
-        )
-        network.register(i, node, site=node_sites[i])
-        nodes.append(node)
-
-    frontends: List[QuorumFrontend] = []
-    for j in range(config.num_frontends):
-        client_id = FRONTEND_ID_BASE + j
-        frontend = QuorumFrontend(
-            sim=sim,
-            network=network,
-            name=client_id,
-            view=view,
-            registry=registry,
-            node_names=peer_names,
-            stats=stats,
-            max_envelope_bytes={
-                channel_id: cfg.absolute_max_bytes
-                for channel_id, cfg in channels.items()
-            },
-            request_timeout=config.request_timeout,
-            admission=(
-                AdmissionController(config.admission)
-                if config.admission is not None
-                else None
-            ),
-        )
-        network.register(client_id, frontend, site=frontend_sites[j])
-        frontend.start()
-        frontends.append(frontend)
-
-    service = SmartBFTService(
-        sim=sim,
-        network=network,
-        config=config,
-        registry=registry,
-        view=view,
-        replicas=nodes,
-        nodes=nodes,
-        frontends=frontends,
-        stats=stats,
-        cpus=cpus,
-        observability=observability,
-    )
-    if observability is not None:
-        observability.attach(service)
-    return service
+) -> OrderingService:
+    """``build_ordering_service`` with ``config.orderer = "smartbft"``."""
+    config = replace(config or OrderingServiceConfig(), orderer="smartbft")
+    return build_ordering_service(config, sim=sim, observability=observability)

@@ -202,7 +202,9 @@ class SmartBFTNode:
         # request bookkeeping
         self._pending: Dict[Tuple[int, int], Tuple[ClientRequest, float]] = {}
         self._batch_queue: List[Tuple[str, List[ClientRequest]]] = []
-        self._req_by_env: Dict[int, ClientRequest] = {}
+        #: envelope id -> ingested requests carrying it, oldest first (a
+        #: client may submit one id under several request ids)
+        self._req_by_env: Dict[int, List[ClientRequest]] = {}
         self._leader_seen: Set[Tuple[int, int]] = set()
 
         # view change state
@@ -399,7 +401,7 @@ class SmartBFTNode:
         if state is None:
             return
         self._leader_seen.add(rid)
-        self._req_by_env[envelope.envelope_id] = request
+        self._req_by_env.setdefault(envelope.envelope_id, []).append(request)
         self.envelopes_processed += 1
         batches = state.cutter.ordered(envelope)
         for batch in batches:
@@ -411,7 +413,12 @@ class SmartBFTNode:
     def _enqueue_batch(self, channel_id: str, batch: List[Envelope]) -> None:
         if not batch:
             return
-        requests = [self._req_by_env.pop(e.envelope_id) for e in batch]
+        requests = []
+        for envelope in batch:
+            waiting = self._req_by_env[envelope.envelope_id]
+            requests.append(waiting.pop(0))
+            if not waiting:
+                del self._req_by_env[envelope.envelope_id]
         self._batch_queue.append((channel_id, requests))
 
     def _arm_cut_timer(self, channel_id: str) -> None:

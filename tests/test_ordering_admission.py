@@ -146,7 +146,8 @@ class TestFrontendIntegration:
             envelope = Envelope(
                 channel_id="ch0", transaction=None, payload_size=64, envelope_id=i
             )
-            verdicts.append(frontend.submit(envelope))
+            # the service-level entry point hands the verdict through
+            verdicts.append(service.submit(envelope))
         rejected = [v for v in verdicts if v is not None]
         assert len(rejected) == 4  # window of 8
         assert all(v.reason == REASON_WINDOW_FULL for v in rejected)
@@ -184,6 +185,27 @@ class TestFrontendIntegration:
         service.run(2.0)
         assert service.total_delivered() == 2
         assert frontend.admission.shed_count == 4
+
+    def test_duplicate_ids_release_every_slot(self, orderer):
+        """A duplicate flood admits one envelope id many times; every
+        admit holds a window slot and every slot must come back."""
+        service = overload_service(orderer, max_in_flight=16)
+        frontend = service.frontends[0]
+        verdicts = []
+        for i in range(18):  # ids 0..5, three times in a row each
+            envelope = Envelope(
+                channel_id="ch0", transaction=None, payload_size=64, envelope_id=i // 3
+            )
+            verdicts.append(frontend.submit(envelope))
+        assert [v is None for v in verdicts] == [True] * 16 + [False] * 2
+        assert frontend.admission.in_flight == 16
+        service.run(10.0)
+        assert service.total_delivered() == 16
+        assert frontend.admission.in_flight == 0
+        assert not frontend._window_pending
+        # and nothing committed is still being resubmitted
+        assert getattr(frontend.relay, "resubmissions", 0) == 0
+        assert not getattr(frontend.relay, "_outstanding", None)
 
 
 class TestAdmissionDisabledCompat:

@@ -68,8 +68,8 @@ class TestAddOrderingNode:
         service.sim.drain([future], service.sim.now + 20.0)
         service.run(0.5)  # let the activation callback fire
         for frontend in service.frontends:
-            assert frontend.proxy.view.n == 5
-            assert frontend.matching_copies_needed == 3  # 2f+1, f=1
+            assert frontend.relay.view.n == 5
+            assert frontend.acceptance.copies_needed == 3  # 2f+1, f=1
 
     def test_two_sequential_additions(self):
         service = build()

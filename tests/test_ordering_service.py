@@ -1,10 +1,17 @@
 """Integration tests for the complete BFT ordering service."""
 
+import pytest
 
 from repro.fabric.api import BlockDelivery
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering import OrderingServiceConfig, build_ordering_service
+from repro.ordering import (
+    Frontend,
+    OrderingService,
+    OrderingServiceConfig,
+    build_ordering_service,
+)
+from repro.ordering.service import BACKENDS
 
 
 def build(max_count=10, num_frontends=1, enable_ttc=False, cores=None, **kwargs):
@@ -139,7 +146,7 @@ class TestFaultTolerance:
 
     def test_frontend_with_signature_verification_needs_f_plus_1(self):
         service = build(verify_block_signatures=True)
-        assert service.frontends[0].matching_copies_needed == 2
+        assert service.frontends[0].acceptance.copies_needed == 2
         for _ in range(10):
             service.submit(Envelope.raw("ch0", 64))
         service.run(3.0)
@@ -204,3 +211,38 @@ class TestWheatService:
             replica.counters.tentative_executions > 0
             for replica in service.replicas
         )
+
+
+class TestBackendTable:
+    def test_every_backend_is_one_service_behind_one_frontend(self):
+        services = {name: build(orderer=name, num_frontends=2) for name in BACKENDS}
+        assert set(services) == {"bftsmart", "smartbft"}
+        for service in services.values():
+            assert type(service) is OrderingService
+            assert [type(fe) for fe in service.frontends] == [Frontend, Frontend]
+            assert len(service.replicas) == len(service.nodes) == len(service.cpus) == 4
+        # a SmartBFT node is its own consensus replica
+        assert services["smartbft"].replicas is services["smartbft"].nodes
+        assert services["bftsmart"].replicas is not services["bftsmart"].nodes
+
+    def test_named_entry_point_is_the_same_builder(self):
+        from repro.smart2.deployment import build_smartbft_service
+
+        service = build_smartbft_service(OrderingServiceConfig(physical_cores=None))
+        assert type(service) is OrderingService
+        assert service.config.orderer == "smartbft"
+
+    def test_backend_without_reconfiguration_refuses_add_node(self):
+        service = build(orderer="smartbft")
+        registered = set(service.network.node_ids())
+        with pytest.raises(NotImplementedError, match="smartbft"):
+            service.add_node()
+        with pytest.raises(NotImplementedError, match="smartbft"):
+            service.admin_proxy()
+        # nothing was half-built
+        assert len(service.nodes) == len(service.cpus) == 4
+        assert set(service.network.node_ids()) == registered
+
+    def test_unknown_orderer_names_the_valid_rows(self):
+        with pytest.raises(ValueError, match="'bftsmart', 'smartbft'"):
+            build(orderer="raft")
