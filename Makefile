@@ -13,7 +13,6 @@ PROFILE_SEEDS ?= 25
 BASELINE ?= benchmarks/baselines/BENCH_smoke.json
 CANDIDATE ?= BENCH_smoke.json
 TOLERANCE ?= 0.05
-KERNEL_BASELINE ?= benchmarks/baselines/BENCH_kernel.json
 
 # experiment report / sweep knobs (see docs/BENCHMARKS.md)
 REPORT_INPUTS ?= $(BASELINE) $(CANDIDATE)
@@ -32,7 +31,7 @@ RACESAN_K ?= 8
 
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
-.PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-kernel bench-kernel-baseline bench-report bench-sweep
+.PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run)
 test:
@@ -68,7 +67,7 @@ racesan:
 		--permutations $(RACESAN_K) --json $(RACESAN_OUT)
 
 ## everything CI's per-commit job runs, in order
-ci: lint analyze flow test faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check bench-kernel bench-report
+ci: lint analyze flow test faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check perf-quick bench-report
 
 ## quick confidence check: 5 explorer seeds (runs in seconds)
 faults-smoke:
@@ -108,24 +107,6 @@ bench-baseline:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run --smoke \
 		--name smoke --out $(BASELINE)
 
-## kernel fast-path speed gate: run the kernel_speed benchmark (full
-## matrix, seconds) and compare against its committed baseline.  The
-## wall-clock metrics carry a wide declared tolerance (CI machines are
-## noisy); events_processed is bit-deterministic and gates exactly, so
-## any change to the event stream fails here even if timing looks fine.
-bench-kernel:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run \
-		--only kernel_speed --name kernel --out BENCH_kernel.json
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench compare \
-		$(KERNEL_BASELINE) BENCH_kernel.json
-
-## refresh the committed kernel-speed baseline after an intentional
-## kernel change (expect the wall-clock numbers to move; check the
-## events_processed rows stayed identical unless semantics changed)
-bench-kernel-baseline:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run \
-		--only kernel_speed --name kernel --out $(KERNEL_BASELINE)
-
 ## full paper-figure matrices (minutes); writes BENCH_full.json
 bench-full:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run \
@@ -144,3 +125,18 @@ bench-report:
 bench-sweep:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run \
 		--spec $(SPEC)$(if $(SMOKE), --smoke,)
+
+## host cost of the simulator itself: the repo's performance benchmark
+## (BENCHMARK.json; benchmarks/perf/README.md) -- all seven workloads,
+## calibrated host-time metrics plus per-layer attribution (minutes);
+## writes benchmarks/perf/out/ (results.json and the traces)
+perf:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m benchmarks.perf run
+
+## the performance benchmark's self-test (seconds): builds, commits and
+## verifies every workload at quick size through every seam name of
+## benchmarks/perf/adapter.py and checks BENCHMARK.json against
+## workloads.py -- so a refactor that breaks the benchmark command
+## fails per commit; it gates no timing
+perf-quick:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -q benchmarks/perf/test_perf.py

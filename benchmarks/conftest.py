@@ -74,15 +74,3 @@ def bench_result(results_dir, _bench_cache):
 
     return _run
 
-
-@pytest.fixture
-def record_result(results_dir):
-    """Write a rendered result table to benchmarks/results/."""
-
-    def _record(name: str, text: str) -> None:
-        path = os.path.join(results_dir, f"{name}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"\n{text}\n[written to {path}]")
-
-    return _record

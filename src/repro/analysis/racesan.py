@@ -133,7 +133,6 @@ def _run_recovery(
 ) -> Tuple[Dict[str, Any], List[List[Any]]]:
     """Smoke deployment + durable WAL + mid-run amnesia crash/rejoin."""
     from repro.bench.topology import lan_latency_model
-    from repro.bench.workload import OpenLoopGenerator
     from repro.fabric.channel import ChannelConfig
     from repro.obs.observability import Observability
     from repro.ordering.service import (
@@ -142,6 +141,7 @@ def _run_recovery(
     )
     from repro.sim.trace import MessageTracer
     from repro.smart.view import bft_group_size, max_faults
+    from repro.workload import OpenLoopGenerator
 
     orderers = 4
     f = max_faults(orderers)

@@ -7,25 +7,25 @@ EXPERIMENTS.md records next to the paper's numbers.
 - :func:`figure6` -- signature-generation throughput vs worker
   threads, *measured* on the simulated 8-core/16-thread Xeon, with the
   analytic curve alongside;
-- :func:`figure6_invariance` -- signing rate vs envelope/block sizes
-  (constant, because only the header is signed);
-- :func:`figure7_panel` -- LAN ordering throughput vs receivers for
-  all envelope sizes (one panel of Figure 7, from the capacity model);
 - :func:`simulate_lan_throughput` -- full-stack DES cross-validation
   of a single Figure 7 operating point;
-- :func:`geo_latency_experiment` -- Figures 8 and 9: end-to-end
-  ordering latency at four frontends across the Americas with the
-  ordering cluster spread world-wide, BFT-SMaRt vs WHEAT;
+- :func:`geo_latency_experiment` -- one cell of Figures 8 and 9:
+  end-to-end ordering latency at four frontends across the Americas
+  with the ordering cluster spread world-wide, BFT-SMaRt vs WHEAT;
 - :func:`conclusion_comparison` -- the §8 comparison against
   Ethereum's and Bitcoin's peaks;
-- :func:`wheat_ablation` -- our ablation: weights and tentative
-  execution toggled independently.
+- :func:`wheat_ablation_point` -- one cell of our ablation: weights
+  and tentative execution toggled independently.
+
+Each function measures one operating point; the sweeps over envelope
+sizes, receivers, protocols and toggles are the parameter matrices of
+:mod:`repro.bench.suite`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.model import (
     BATCH_LIMIT,
@@ -33,7 +33,6 @@ from repro.bench.model import (
     SignatureThroughputModel,
 )
 from repro.bench.topology import aws_latency_model, lan_latency_model
-from repro.bench.workload import OpenLoopGenerator
 from repro.fabric.channel import ChannelConfig
 from repro.ordering.service import (
     FRONTEND_ID_BASE,
@@ -42,6 +41,7 @@ from repro.ordering.service import (
 )
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
+from repro.workload import OpenLoopGenerator
 
 #: The envelope sizes of the evaluation: a SHA-256 hash, three ECDSA
 #: endorsement signatures, and 1/4 KB transaction messages (§6.2).
@@ -102,44 +102,9 @@ def figure6(
     return results
 
 
-def figure6_invariance(
-    envelope_sizes: Sequence[int] = ENVELOPE_SIZES,
-    block_sizes: Sequence[int] = BLOCK_SIZES,
-    workers: int = 16,
-) -> Dict[Tuple[int, int], float]:
-    """§6.1: the signing rate is independent of envelope and block
-    sizes because only the (fixed-size) header is signed."""
-    model = SignatureThroughputModel()
-    rate = model.throughput(workers)
-    return {(es, bs): rate for es in envelope_sizes for bs in block_sizes}
-
-
 # ----------------------------------------------------------------------
-# Figure 7 (capacity model) + DES cross-validation
+# Figure 7: DES cross-validation of the capacity model
 # ----------------------------------------------------------------------
-def figure7_panel(
-    orderers: int,
-    block_size: int,
-    envelope_sizes: Sequence[int] = ENVELOPE_SIZES,
-    receivers: Sequence[int] = RECEIVER_COUNTS,
-) -> Dict[int, Dict[int, float]]:
-    """One panel of Figure 7: tx/s by envelope size and receivers."""
-    model = OrderingCapacityModel(n=orderers)
-    return {
-        es: {r: model.throughput(es, block_size, r) for r in receivers}
-        for es in envelope_sizes
-    }
-
-
-def figure7_all_panels() -> Dict[Tuple[int, int], Dict[int, Dict[int, float]]]:
-    """All six panels: (orderers, block size) -> series."""
-    return {
-        (n, bs): figure7_panel(n, bs)
-        for n in CLUSTER_SIZES
-        for bs in BLOCK_SIZES
-    }
-
-
 @dataclass
 class LanSimResult:
     """One full-stack DES measurement of a Figure 7 operating point."""
@@ -152,8 +117,6 @@ class LanSimResult:
     generated_rate: float  # blocks*bs signed at node 0
     delivered_rate: float  # envelopes accepted (2f+1 copies) at a frontend
     model_prediction: float
-    #: kernel events the run processed (deterministic for a seed)
-    events_processed: int = 0
 
 
 def simulate_lan_throughput(
@@ -218,7 +181,6 @@ def simulate_lan_throughput(
         generated_rate=generated,
         delivered_rate=delivered,
         model_prediction=predicted,
-        events_processed=service.sim.processed_events,
     )
 
 
@@ -326,45 +288,6 @@ def geo_latency_experiment(
     return results
 
 
-def figure8(
-    envelope_sizes: Sequence[int] = ENVELOPE_SIZES,
-    block_size: int = 10,
-    rate: float = 1100.0,
-    duration: float = 10.0,
-    seed: int = 0,
-) -> Dict[str, Dict[int, List[GeoLatencyResult]]]:
-    """Figure 8 (or Figure 9 with ``block_size=100``)."""
-    return {
-        protocol: {
-            es: geo_latency_experiment(
-                protocol=protocol,
-                envelope_size=es,
-                block_size=block_size,
-                rate=rate,
-                duration=duration,
-                seed=seed,
-            )
-            for es in envelope_sizes
-        }
-        for protocol in ("bftsmart", "wheat")
-    }
-
-
-def figure9(
-    envelope_sizes: Sequence[int] = ENVELOPE_SIZES,
-    rate: float = 1100.0,
-    duration: float = 10.0,
-    seed: int = 0,
-) -> Dict[str, Dict[int, List[GeoLatencyResult]]]:
-    return figure8(
-        envelope_sizes=envelope_sizes,
-        block_size=100,
-        rate=rate,
-        duration=duration,
-        seed=seed,
-    )
-
-
 # ----------------------------------------------------------------------
 # §8 conclusion comparison and ablations
 # ----------------------------------------------------------------------
@@ -465,96 +388,4 @@ def wheat_ablation_point(
         tentative=tentative,
         median=recorder.median,
         p90=recorder.p90,
-    )
-
-
-def wheat_ablation(
-    envelope_size: int = 1024,
-    block_size: int = 10,
-    rate: float = 1100.0,
-    duration: float = 8.0,
-    frontend_region: str = "virginia",
-    seed: int = 0,
-) -> List[AblationResult]:
-    """Decompose WHEAT's gain: weighted quorums and tentative execution
-    toggled independently on the 5-replica geo deployment."""
-    return [
-        wheat_ablation_point(
-            weights,
-            tentative,
-            envelope_size=envelope_size,
-            block_size=block_size,
-            rate=rate,
-            duration=duration,
-            frontend_region=frontend_region,
-            seed=seed,
-        )
-        for weights in (False, True)
-        for tentative in (False, True)
-    ]
-
-
-# ----------------------------------------------------------------------
-# Kernel fast path: simulated time per wall-clock second
-# ----------------------------------------------------------------------
-@dataclass
-class KernelSpeedResult:
-    """Wall-clock speed of the simulator under the Figure 7 workload.
-
-    ``sim_seconds_per_wall_second`` is the headline number: how many
-    simulated seconds one real second buys.  ``events_processed`` is
-    bit-deterministic for a seed, so it doubles as an exact regression
-    probe for "someone made the protocol chattier" -- wall-clock noise
-    cannot hide behind it.
-    """
-
-    orderers: int
-    sim_seconds: float
-    wall_seconds: float  # best (minimum) over the in-process repeats
-    events_processed: int
-    sim_seconds_per_wall_second: float
-    events_per_wall_second: float
-    events_per_sim_second: float
-
-
-def kernel_speed(
-    orderers: int = 10,
-    duration: float = 0.4,
-    warmup: float = 0.1,
-    seed: int = 0,
-    repeats: int = 3,
-) -> KernelSpeedResult:
-    """Measure simulated-seconds-per-wall-second on the fig7 LAN workload.
-
-    Runs :func:`simulate_lan_throughput` (the saturated Figure 7 LAN
-    operating point -- the most event-dense scenario in the suite)
-    ``repeats`` times in-process with the *same* seed and keeps the
-    fastest wall time: the workload is deterministic, so repeats only
-    differ by interpreter warm-up and machine noise, and best-of is the
-    standard estimator for that shape.  Wall-clock measurement is the
-    entire point of this benchmark, hence the DET001 suppressions.
-    """
-    import time as _time
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    sim_seconds = warmup + duration
-    best_wall = float("inf")
-    events = 0
-    for _ in range(repeats):
-        start = _time.perf_counter()  # repro: allow[DET001] wall-clock benchmark by design
-        result = simulate_lan_throughput(
-            orderers=orderers, duration=duration, warmup=warmup, seed=seed
-        )
-        wall = _time.perf_counter() - start  # repro: allow[DET001] wall-clock benchmark by design
-        best_wall = min(best_wall, wall)
-        events = result.events_processed
-    return KernelSpeedResult(
-        orderers=orderers,
-        sim_seconds=sim_seconds,
-        wall_seconds=best_wall,
-        events_processed=events,
-        sim_seconds_per_wall_second=sim_seconds / best_wall,
-        events_per_wall_second=events / best_wall,
-        events_per_sim_second=events / sim_seconds,
     )

@@ -15,7 +15,8 @@ from benchalot's benchmark matrix):
 - :func:`run_suite` runs any subset of the registry and produces a
   versioned, machine-readable result document that
   :func:`write_result` serializes to ``BENCH_<name>.json`` — the
-  trajectory that :mod:`repro.bench.compare` gates regressions against.
+  trajectory that the regression gate of :mod:`repro.bench.report`
+  (``python -m repro.bench compare``) reads.
 
 Every benchmark may declare a ``smoke_matrix`` (and ``smoke_repeats``):
 a seconds-fast subset used by ``make bench-smoke`` and the tier-1 test
@@ -98,11 +99,6 @@ class Benchmark:
     base_seed: int = 0
     seed_policy: str = "per-repeat"
     directions: Mapping[str, str] = field(default_factory=dict)
-    #: per-metric relative tolerance overrides for ``bench compare``
-    #: (wall-clock metrics need a far wider band than the
-    #: bit-deterministic simulator metrics); unlisted metrics use the
-    #: comparison's global tolerance
-    tolerances: Mapping[str, float] = field(default_factory=dict)
     description: str = ""
     tags: Tuple[str, ...] = ()
 
@@ -125,12 +121,6 @@ class Benchmark:
                 raise ValueError(
                     f"{self.name}: direction for {metric!r} must be "
                     f"'higher' or 'lower', got {direction!r}"
-                )
-        for metric, tol in self.tolerances.items():
-            if not isinstance(tol, (int, float)) or tol < 0:
-                raise ValueError(
-                    f"{self.name}: tolerance for {metric!r} must be a "
-                    f"non-negative number, got {tol!r}"
                 )
 
     def matrix_for(self, mode: str) -> Mapping[str, Sequence[Any]]:
@@ -264,23 +254,17 @@ class MetricSummary:
     direction: str
     values: List[float]
     stats: Dict[str, float]
-    #: declared relative tolerance for regression gating (None = use
-    #: the comparison's global tolerance)
-    tolerance: Optional[float] = None
 
     @property
     def median(self) -> float:
         return self.stats["median"]
 
     def to_json_dict(self) -> Dict[str, Any]:
-        document = {
+        return {
             "direction": self.direction,
             "values": [_jsonable(v) for v in self.values],
             **{k: _jsonable(self.stats[k]) for k in SUMMARY_KEYS},
         }
-        if self.tolerance is not None:
-            document["tolerance"] = self.tolerance
-        return document
 
 
 @dataclass
@@ -498,7 +482,6 @@ def run_benchmark(
                 direction=directions[metric],
                 values=list(stats.latency(metric)._samples),
                 stats=summarize(stats.latency(metric)._samples),
-                tolerance=benchmark.tolerances.get(metric),
             )
             for metric in sorted(directions)
         }

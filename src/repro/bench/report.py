@@ -1,10 +1,11 @@
 """Fuzzbench-style N-way experiment reports over bench result JSON.
 
-Where :mod:`repro.bench.compare` answers "did *this one* run regress
-against *that one* baseline?", this module answers the evaluation
-question the paper (and the SmartBFT bake-off after it) is built on:
-**given N variants — orderers, configs, commits — which is best, where,
-and is the difference statistically real?**
+This module answers the evaluation question the paper (and the SmartBFT
+bake-off after it) is built on: **given N variants — orderers, configs,
+commits — which is best, where, and is the difference statistically
+real?**  "Did *this one* run regress against *that one* baseline?" is
+its two-variant case, read off the same per-unit statistics by the
+regression gate at the bottom (``python -m repro.bench compare``).
 
 Inputs are ``repro-bench-result/1`` documents.  Variants come from one
 of two groupings:
@@ -45,11 +46,11 @@ import html as html_module
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench.harness import load_result
 from repro.bench.stats import (
-    a12,
     a12_magnitude,
     cd_groups,
     critical_difference,
@@ -91,6 +92,15 @@ def _finite(values: Sequence[Any]) -> List[float]:
     ]
 
 
+def _finite_or_none(value: Any) -> Optional[float]:
+    finite = _finite([value])
+    return finite[0] if finite else None
+
+
+def _describe_params(params: Mapping[str, Any]) -> str:
+    return ", ".join(f"{k}={v}" for k, v in params.items()) or "-"
+
+
 @dataclass
 class Unit:
     """One comparable (benchmark, matrix point, metric) measurement."""
@@ -113,7 +123,7 @@ class Unit:
         return sorted(v for v, m in self.medians.items() if m is not None)
 
     def describe_params(self) -> str:
-        return ", ".join(f"{k}={v}" for k, v in self.params.items()) or "-"
+        return _describe_params(self.params)
 
 
 @dataclass
@@ -171,11 +181,8 @@ def _ingest_document(
                         f"{name}[{unit.describe_params()}] {metric}"
                     )
                 unit.samples[point_variant] = _finite(summary["values"])
-                median = summary.get("median")
-                unit.medians[point_variant] = (
-                    float(median)
-                    if isinstance(median, (int, float)) and math.isfinite(median)
-                    else None
+                unit.medians[point_variant] = _finite_or_none(
+                    summary.get("median")
                 )
             if "phases" in point and point["phases"]:
                 entry = grouping.phases.setdefault(
@@ -236,7 +243,20 @@ class PairwiseCell:
     a: str
     b: str
     p_value: float
-    effect_a12: float
+    #: Mann-Whitney U of ``a`` (its wins over ``b``, ties counting half)
+    #: out of ``pairs = len(a) * len(b)`` -- A12 is their ratio, so one
+    #: ranking yields the test and the effect size in either direction
+    u_statistic: float
+    pairs: int
+
+    def effect_of(self, variant: str) -> float:
+        """A12 of ``variant`` (``a`` or ``b``) over the other one."""
+        wins = self.u_statistic if variant == self.a else self.pairs - self.u_statistic
+        return wins / self.pairs
+
+    @property
+    def effect_a12(self) -> float:
+        return self.effect_of(self.a)
 
     @property
     def magnitude(self) -> str:
@@ -245,12 +265,39 @@ class PairwiseCell:
 
 @dataclass
 class UnitAnalysis:
+    """Every statistic of one unit, computed on first read and memoized
+    (the shape of fuzzbench's ``BenchmarkResults``): the markdown, HTML,
+    JSON and step-summary renderers and the regression gate are all
+    readers of these properties, so no test is run twice."""
+
     unit: Unit
-    #: ordered (a, b) pairs with a < b, both variants measured
-    pairwise: List[PairwiseCell]
-    #: per-variant rank (1 = best) when the unit covers every report
-    #: variant; None otherwise (excluded from the overall ranking)
-    ranks: Optional[Dict[str, float]]
+    #: the report's variants; the unit is *complete* when it covers all
+    variants: Sequence[str]
+
+    @cached_property
+    def pairwise(self) -> List[PairwiseCell]:
+        """Ordered (a, b) pairs with a < b, both variants measured."""
+        present = self.unit.present()
+        cells: List[PairwiseCell] = []
+        for i, va in enumerate(present):
+            for vb in present[i + 1 :]:
+                sa, sb = self.unit.samples[va], self.unit.samples[vb]
+                if not sa or not sb:
+                    continue
+                u_statistic, p_value = mann_whitney_u(sa, sb)
+                cells.append(
+                    PairwiseCell(va, vb, p_value, u_statistic, len(sa) * len(sb))
+                )
+        return cells
+
+    @cached_property
+    def ranks(self) -> Optional[Dict[str, float]]:
+        """Per-variant rank (1 = best) when the unit is complete; None
+        otherwise (excluded from the overall ranking)."""
+        if set(self.unit.present()) != set(self.variants):
+            return None
+        medians = {v: self.unit.medians[v] for v in self.variants}
+        return rank_by_median(medians, self.unit.direction)
 
     @property
     def min_p(self) -> Optional[float]:
@@ -291,6 +338,15 @@ class ExperimentReport:
     history: Optional[Dict[str, Any]]
     notes: List[str]
 
+    def by_benchmark(self) -> List[Tuple[str, List[UnitAnalysis]]]:
+        """The unit analyses per benchmark, in section order."""
+        grouped: Dict[str, List[UnitAnalysis]] = {
+            name: [] for name in self.benchmark_order
+        }
+        for analysis in self.units:
+            grouped[analysis.unit.benchmark].append(analysis)
+        return list(grouped.items())
+
 
 def analyze(
     grouping: Grouping,
@@ -303,32 +359,13 @@ def analyze(
     if not grouping.units:
         raise ReportError("no comparable units found in the inputs")
     variants = list(grouping.variants)
-    analyses: List[UnitAnalysis] = []
-    per_unit_ranks: List[Dict[str, float]] = []
+    analyses = [UnitAnalysis(unit, variants) for unit in grouping.units.values()]
+    per_unit_ranks = [a.ranks for a in analyses if a.ranks is not None]
     wins = {v: 0 for v in variants}
-    for unit in grouping.units.values():
-        present = unit.present()
-        pairwise: List[PairwiseCell] = []
-        for i, va in enumerate(present):
-            for vb in present[i + 1 :]:
-                sa, sb = unit.samples[va], unit.samples[vb]
-                if not sa or not sb:
-                    continue
-                _, p_value = mann_whitney_u(sa, sb)
-                pairwise.append(
-                    PairwiseCell(
-                        a=va, b=vb, p_value=p_value, effect_a12=a12(sa, sb)
-                    )
-                )
-        ranks: Optional[Dict[str, float]] = None
-        if set(present) == set(variants):
-            medians = {v: unit.medians[v] for v in variants}
-            ranks = rank_by_median(medians, unit.direction)
-            per_unit_ranks.append(ranks)
-            leaders = [v for v, r in ranks.items() if r == 1.0]
-            if len(leaders) == 1:
-                wins[leaders[0]] += 1
-        analyses.append(UnitAnalysis(unit=unit, pairwise=pairwise, ranks=ranks))
+    for ranks in per_unit_ranks:
+        leaders = [v for v, r in ranks.items() if r == 1.0]
+        if len(leaders) == 1:
+            wins[leaders[0]] += 1
 
     complete = len(per_unit_ranks)
     ranks_avg = mean_ranks(per_unit_ranks) if complete else {}
@@ -375,47 +412,28 @@ def history_series(
     Series cover every unit present in the *newest* snapshot; snapshots
     missing a unit contribute a gap.
     """
-    if not snapshots:
-        return {"snapshots": [], "series": []}
-    indexed: List[Dict[Tuple, Tuple[Optional[float], str]]] = []
-    for _, document in snapshots:
-        index: Dict[Tuple, Tuple[Optional[float], str]] = {}
-        for bench in document["benchmarks"]:
-            for point in bench["points"]:
-                pkey = _point_key(point["params"])
-                for metric, summary in point["metrics"].items():
-                    median = summary.get("median")
-                    index[(bench["benchmark"], pkey, metric)] = (
-                        float(median)
-                        if isinstance(median, (int, float))
-                        and math.isfinite(median)
-                        else None,
-                        summary["direction"],
-                    )
-        indexed.append(index)
+    names = [name for name, _ in snapshots]
+    # the shared ingester, one variant per snapshot; newest first so the
+    # units (and their directions) follow the newest document's order
+    grouping = Grouping(variants=names, units={}, phases={}, benchmark_order=[])
+    for name, document in reversed(snapshots):
+        _ingest_document(grouping, name, document)
     series: List[Dict[str, Any]] = []
-    newest_name, newest = snapshots[-1]
-    for bench in newest["benchmarks"]:
-        for point in bench["points"]:
-            pkey = _point_key(point["params"])
-            params = dict(point["params"])
-            for metric, summary in point["metrics"].items():
-                key = (bench["benchmark"], pkey, metric)
-                values = [index.get(key, (None, ""))[0] for index in indexed]
-                series.append(
-                    {
-                        "benchmark": bench["benchmark"],
-                        "params": params,
-                        "metric": metric,
-                        "direction": summary["direction"],
-                        "medians": values,
-                        "sparkline": sparkline(values),
-                    }
-                )
-    return {
-        "snapshots": [name for name, _ in snapshots],
-        "series": series,
-    }
+    for unit in grouping.units.values():
+        if names[-1] not in unit.medians:
+            continue  # gone from the newest snapshot
+        values = [unit.medians.get(name) for name in names]
+        series.append(
+            {
+                "benchmark": unit.benchmark,
+                "params": unit.params,
+                "metric": unit.metric,
+                "direction": unit.direction,
+                "medians": values,
+                "sparkline": sparkline(values),
+            }
+        )
+    return {"snapshots": names, "series": series}
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +453,12 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]
     for row in rows:
         lines.append("| " + " | ".join(row) + " |")
     return lines
+
+
+def _render_notes(report: ExperimentReport) -> List[str]:
+    if not report.notes:
+        return []
+    return [f"> note: {note}" for note in report.notes] + [""]
 
 
 def _render_ranking(report: ExperimentReport) -> List[str]:
@@ -557,13 +581,10 @@ def _render_benchmark(
                 if cell is None:
                     row.append("-")
                     continue
-                effect = (
-                    cell.effect_a12
-                    if cell.a == va
-                    else 1.0 - cell.effect_a12
-                )
                 mark = "*" if cell.p_value < report.alpha else ""
-                row.append(f"{cell.p_value:.4f}{mark} / {effect:.2f}")
+                row.append(
+                    f"{cell.p_value:.4f}{mark} / {cell.effect_of(va):.2f}"
+                )
             matrix_rows.append(row)
         lines += _md_table([""] + [f"`{v}`" for v in present], matrix_rows)
         lines.append("")
@@ -592,9 +613,7 @@ def _render_phases(report: ExperimentReport) -> List[str]:
         for (bench_name, _), entry in sorted(report.phases.items()):
             if bench_name != benchmark:
                 continue
-            params = ", ".join(
-                f"{k}={v}" for k, v in entry["params"].items()
-            ) or "-"
+            params = _describe_params(entry["params"])
             columns = {
                 (variant or "run"): samples
                 for variant, samples in entry["columns"].items()
@@ -629,7 +648,7 @@ def _render_history(report: ExperimentReport) -> List[str]:
     lines.append("")
     rows = []
     for entry in history.get("series", []):
-        params = ", ".join(f"{k}={v}" for k, v in entry["params"].items()) or "-"
+        params = _describe_params(entry["params"])
         medians = entry["medians"]
         finite = [m for m in medians if m is not None]
         latest = medians[-1] if medians else None
@@ -681,10 +700,7 @@ def render_markdown(
                 f"(run `{source['run_name']}`, mode {source['mode']})"
             )
         lines.append("")
-    for note in report.notes:
-        lines.append(f"> note: {note}")
-    if report.notes:
-        lines.append("")
+    lines += _render_notes(report)
     lines += _render_ranking(report)
     lines.append("")
     lines.append("## Per-benchmark results")
@@ -694,15 +710,10 @@ def render_markdown(
         "the smallest pairwise Mann–Whitney p-value at the unit."
     )
     lines.append("")
-    by_benchmark: Dict[str, List[UnitAnalysis]] = {}
-    for analysis in report.units:
-        by_benchmark.setdefault(analysis.unit.benchmark, []).append(analysis)
-    for benchmark in report.benchmark_order:
-        analyses = by_benchmark.get(benchmark)
-        if not analyses:
-            continue
-        lines += _render_benchmark(report, benchmark, analyses, full_detail)
-        lines.append("")
+    for benchmark, analyses in report.by_benchmark():
+        if analyses:
+            lines += _render_benchmark(report, benchmark, analyses, full_detail)
+            lines.append("")
     lines += _render_phases(report)
     lines.append("")
     lines += _render_history(report)
@@ -713,10 +724,7 @@ def render_markdown(
 def render_github_summary(report: ExperimentReport) -> str:
     """The ranking section alone — what CI writes to the step summary."""
     lines = ["# Benchmark ranking", ""]
-    for note in report.notes:
-        lines.append(f"> note: {note}")
-    if report.notes:
-        lines.append("")
+    lines += _render_notes(report)
     lines += _render_ranking(report)
     lines.append("")
     return "\n".join(lines)
@@ -877,11 +885,7 @@ def report_to_json_dict(report: ExperimentReport) -> Dict[str, Any]:
         },
         "benchmarks": [],
     }
-    by_benchmark: Dict[str, List[UnitAnalysis]] = {}
-    for analysis in report.units:
-        by_benchmark.setdefault(analysis.unit.benchmark, []).append(analysis)
-    for benchmark in report.benchmark_order:
-        analyses = by_benchmark.get(benchmark, [])
+    for benchmark, analyses in report.by_benchmark():
         units_json = []
         for analysis in analyses:
             unit = analysis.unit
@@ -932,6 +936,15 @@ def report_to_json_dict(report: ExperimentReport) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Top-level entry point used by the CLI
 # ----------------------------------------------------------------------
+def _source(variant: str, path: str, document: Mapping[str, Any]) -> Dict[str, str]:
+    return {
+        "variant": variant,
+        "path": path,
+        "run_name": document.get("run_name", ""),
+        "mode": document.get("mode", ""),
+    }
+
+
 def build_report(
     paths: Sequence[str],
     by_axis: Optional[str] = None,
@@ -950,14 +963,7 @@ def build_report(
             raise ReportError("--names only applies to file-grouped reports")
         path, document = documents[0]
         grouping = group_by_axis(document, by_axis)
-        sources = [
-            {
-                "variant": "",
-                "path": path,
-                "run_name": document.get("run_name", ""),
-                "mode": document.get("mode", ""),
-            }
-        ]
+        sources = [_source("", path, document)]
         grouping_mode = f"axis:{by_axis}"
     else:
         if names is not None:
@@ -973,12 +979,7 @@ def build_report(
             [(label, doc) for label, (_, doc) in zip(labelled, documents)]
         )
         sources = [
-            {
-                "variant": label,
-                "path": path,
-                "run_name": document.get("run_name", ""),
-                "mode": document.get("mode", ""),
-            }
+            _source(label, path, document)
             for label, (path, document) in zip(labelled, documents)
         ]
         grouping_mode = "files"
@@ -992,3 +993,267 @@ def build_report(
         grouping_mode=grouping_mode,
         history=history,
     )
+
+
+# ----------------------------------------------------------------------
+# Regression gate: the two-variant reading (``compare`` on the CLI)
+# ----------------------------------------------------------------------
+#: Variant names of the gate's two-file grouping.
+BASELINE, CANDIDATE = "baseline", "candidate"
+
+#: Minimum per-side repeats before the Mann-Whitney test is consulted.
+MIN_SAMPLES_FOR_TEST = 5
+
+#: Default relative tolerance on the median delta (5%).
+DEFAULT_TOLERANCE = 0.05
+
+
+@dataclass
+class Verdict:
+    """The gate's verdict on one baseline unit."""
+
+    unit: Unit
+    status: str  # "ok" | "improved" | "regression" | "missing"
+    delta_relative: Optional[float] = None
+    #: set, like ``effect_a12``, only when both sides were testable
+    p_value: Optional[float] = None
+    #: probability that a candidate repeat exceeds a baseline repeat
+    effect_a12: Optional[float] = None
+    detail: str = ""
+    #: on a regression between two ``--phases`` runs, phase label ->
+    #: ``{"baseline": s, "candidate": s, "delta": s}`` (means over
+    #: repeats): which protocol phase the regression sits in
+    phase_deltas: Optional[Dict[str, Dict[str, float]]] = None
+
+    def describe(self) -> str:
+        unit = self.unit
+        head = (
+            f"{self.status.upper():<10} "
+            f"{unit.benchmark}[{unit.describe_params()}] {unit.metric}"
+        )
+        if self.status == "missing":
+            return f"{head}: {self.detail}"
+        delta = (
+            "n/a"
+            if self.delta_relative is None
+            else f"{self.delta_relative * 100:+.1f}%"
+        )
+        p = "" if self.p_value is None else f", p={self.p_value:.4f}"
+        if self.effect_a12 is not None:
+            p += f", A12={self.effect_a12:.2f}"
+        line = (
+            f"{head}: {_fmt(unit.medians[BASELINE])} -> "
+            f"{_fmt(unit.medians[CANDIDATE])} "
+            f"({delta}{p}, {unit.direction} is better)"
+        )
+        if self.phase_deltas:
+            worst = sorted(
+                self.phase_deltas.items(),
+                key=lambda item: abs(item[1]["delta"]),
+                reverse=True,
+            )[:3]
+            moved = "; ".join(
+                f"{label} {entry['baseline'] * 1e3:.3f}ms -> "
+                f"{entry['candidate'] * 1e3:.3f}ms"
+                for label, entry in worst
+            )
+            line += f"\n             phases most moved: {moved}"
+        return line
+
+
+@dataclass
+class GateReport:
+    """All verdicts of one baseline/candidate comparison."""
+
+    baseline_name: str
+    candidate_name: str
+    tolerance: float
+    alpha: float
+    verdicts: List[Verdict]
+
+    @property
+    def regressions(self) -> List[Verdict]:
+        return [v for v in self.verdicts if v.status == "regression"]
+
+    @property
+    def missing(self) -> List[Verdict]:
+        return [v for v in self.verdicts if v.status == "missing"]
+
+    def summary_counts(self) -> Dict[str, int]:
+        counts = {"ok": 0, "improved": 0, "regression": 0, "missing": 0}
+        for verdict in self.verdicts:
+            counts[verdict.status] += 1
+        return counts
+
+    def to_json_dict(self) -> Dict[str, Any]:
+        return {
+            "schema": "repro-bench-compare/1",
+            "baseline": self.baseline_name,
+            "candidate": self.candidate_name,
+            "tolerance": self.tolerance,
+            "alpha": self.alpha,
+            "counts": self.summary_counts(),
+            "comparisons": [
+                {
+                    "benchmark": v.unit.benchmark,
+                    "params": v.unit.params,
+                    "metric": v.unit.metric,
+                    "direction": v.unit.direction,
+                    "status": v.status,
+                    "baseline_median": v.unit.medians.get(BASELINE),
+                    "candidate_median": v.unit.medians.get(CANDIDATE),
+                    "delta_relative": v.delta_relative,
+                    "p_value": v.p_value,
+                    "effect_a12": v.effect_a12,
+                    "detail": v.detail,
+                    "phase_deltas": v.phase_deltas,
+                }
+                for v in self.verdicts
+            ],
+        }
+
+    def render(self) -> str:
+        counts = self.summary_counts()
+        lines = [
+            f"bench-compare: baseline={self.baseline_name} "
+            f"candidate={self.candidate_name} "
+            f"tolerance={self.tolerance:.1%} alpha={self.alpha}",
+            f"  {counts['ok']} ok, {counts['improved']} improved, "
+            f"{counts['regression']} regressions, {counts['missing']} missing",
+        ]
+        for verdict in self.verdicts:
+            if verdict.status != "ok":
+                lines.append("  " + verdict.describe())
+        return "\n".join(lines)
+
+
+def compare_results(
+    baseline: Mapping[str, Any],
+    candidate: Mapping[str, Any],
+    tolerance: float = DEFAULT_TOLERANCE,
+    alpha: float = DEFAULT_ALPHA,
+) -> GateReport:
+    """Gate two validated result documents: the two-variant report,
+    read from the baseline's perspective.
+
+    Every baseline unit gets a verdict; extra candidate coverage is
+    ignored.  A unit the candidate lacks is ``missing`` (matrix subsets
+    — smoke vs full — are routine, but dropped coverage stays visible).
+    Otherwise it is a ``regression`` when (1) the median-of-repeats
+    moves in the metric's bad direction by more than ``tolerance``
+    (relative) and (2), if both sides carry >= ``MIN_SAMPLES_FOR_TEST``
+    repeats, the unit's Mann–Whitney test also rejects the no-change
+    null (p < ``alpha``), so repeat noise cannot trip the gate; with
+    fewer repeats the median delta alone decides, which is sound
+    because single-repeat runs of the deterministic simulator are
+    bit-stable.  The mirror-image move is ``improved``, the rest ``ok``.
+    """
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
+    grouping = group_by_files([(BASELINE, baseline), (CANDIDATE, candidate)])
+    report = analyze(grouping, alpha=alpha)
+    # what the candidate covers at all, to say *what* is missing
+    covered = set()
+    for analysis in report.units:
+        if CANDIDATE in analysis.unit.medians:
+            covered.add(analysis.unit.benchmark)
+            covered.add(analysis.unit.key[:2])
+    verdicts: List[Verdict] = []
+    for analysis in report.units:
+        unit = analysis.unit
+        if BASELINE not in unit.medians:
+            continue
+        if CANDIDATE not in unit.medians:
+            why = (
+                "benchmark absent from candidate"
+                if unit.benchmark not in covered
+                else "matrix point absent from candidate"
+                if unit.key[:2] not in covered
+                else "metric absent from candidate"
+            )
+            verdicts.append(Verdict(unit, "missing", detail=why))
+            continue
+        verdict = _verdict(analysis, tolerance, alpha)
+        if verdict.status == "regression":
+            verdict.phase_deltas = _phase_deltas(report.phases.get(unit.key[:2]))
+        verdicts.append(verdict)
+    return GateReport(
+        baseline_name=baseline["run_name"],
+        candidate_name=candidate["run_name"],
+        tolerance=tolerance,
+        alpha=alpha,
+        verdicts=verdicts,
+    )
+
+
+def _verdict(analysis: UnitAnalysis, tolerance: float, alpha: float) -> Verdict:
+    unit = analysis.unit
+    base_median, cand_median = unit.medians[BASELINE], unit.medians[CANDIDATE]
+    if base_median is None or cand_median is None:
+        return Verdict(
+            unit, "missing", detail="median is null (non-finite measurement)"
+        )
+    if base_median == 0:
+        delta = 0.0 if cand_median == 0 else math.inf
+    else:
+        delta = (cand_median - base_median) / abs(base_median)
+    verdict = Verdict(
+        unit, "ok", delta_relative=delta if math.isfinite(delta) else None
+    )
+    worse = delta > tolerance if unit.direction == "lower" else delta < -tolerance
+    better = delta < -tolerance if unit.direction == "lower" else delta > tolerance
+
+    repeats = min(len(unit.samples[BASELINE]), len(unit.samples[CANDIDATE]))
+    if repeats >= MIN_SAMPLES_FOR_TEST:
+        (cell,) = analysis.pairwise
+        verdict.p_value = cell.p_value
+        verdict.effect_a12 = cell.effect_of(CANDIDATE)
+        if cell.p_value >= alpha:
+            # the median moved, but the distributions are not
+            # distinguishable: treat as noise
+            if worse:
+                verdict.detail = "median delta beyond tolerance but p >= alpha"
+            worse = better = False
+
+    if worse:
+        verdict.status = "regression"
+        verdict.detail = (
+            f"median moved {delta:+.1%} in the bad direction "
+            f"(tolerance {tolerance:.1%})"
+        )
+    elif better:
+        verdict.status = "improved"
+    return verdict
+
+
+def _phase_deltas(
+    entry: Optional[Mapping[str, Any]],
+) -> Optional[Dict[str, Dict[str, float]]]:
+    """Mean per-phase movement at a point whose baseline and candidate
+    both carry a ``phases`` breakdown; None otherwise."""
+    columns = entry["columns"] if entry else {}
+    if BASELINE not in columns or CANDIDATE not in columns:
+        return None
+    deltas: Dict[str, Dict[str, float]] = {}
+    for label, samples in columns[BASELINE].items():
+        base_values = _finite(samples)
+        cand_values = _finite(columns[CANDIDATE].get(label, []))
+        if not base_values or not cand_values:
+            continue
+        base_mean = sum(base_values) / len(base_values)
+        cand_mean = sum(cand_values) / len(cand_values)
+        deltas[label] = {
+            "baseline": base_mean,
+            "candidate": cand_mean,
+            "delta": cand_mean - base_mean,
+        }
+    return deltas or None
+
+
+def gate(report: GateReport, strict_missing: bool = False) -> int:
+    """Process exit code for a gate report."""
+    if report.regressions:
+        return 1
+    if strict_missing and report.missing:
+        return 1
+    return 0

@@ -1,8 +1,8 @@
 """Shared statistical kernels for benchmark comparison and reporting.
 
-Everything :mod:`repro.bench.compare` (the two-run regression gate) and
-:mod:`repro.bench.report` (the N-way fuzzbench-style ranking) need in
-one dependency-free module:
+Everything :mod:`repro.bench.report` (the N-way fuzzbench-style
+ranking and its two-variant reading, the regression gate) needs in one
+dependency-free module:
 
 - :func:`rankdata` / :func:`mann_whitney_u` — the rank machinery and
   the two-sided U test (normal approximation, tie + continuity

@@ -28,7 +28,6 @@ from repro.bench.figures import (
     conclusion_comparison,
     figure6,
     geo_latency_experiment,
-    kernel_speed,
     simulate_lan_throughput,
     wheat_ablation_point,
 )
@@ -571,60 +570,6 @@ def baseline_orderers(ctx: BenchContext) -> Dict[str, float]:
     )
     return {"median_latency_s": median, "blocks": float(blocks)}
 
-
-# ----------------------------------------------------------------------
-# Kernel fast path: simulated seconds per wall-clock second
-# ----------------------------------------------------------------------
-@REGISTRY.register(
-    name="kernel_speed",
-    description="Simulator fast-path speed: simulated seconds per "
-    "wall-clock second under the saturated Figure 7 LAN workload. "
-    "Wall-clock metrics gate with a wide declared tolerance; "
-    "events_processed is bit-deterministic and gates exactly.",
-    matrix={
-        "orderers": (4, 10),
-        "duration": (0.4,),
-        "warmup": (0.1,),
-        "repeats": (3,),
-    },
-    smoke_matrix={
-        "orderers": (4, 10),
-        "duration": (0.3,),
-        "warmup": (0.1,),
-        "repeats": (2,),
-    },
-    seed_policy="fixed",
-    directions={
-        "sim_s_per_wall_s": "higher",
-        "events_per_wall_s": "higher",
-        # fewer kernel events for the same simulated workload = leaner
-        # kernel; this count is exact, so any drift is a real change
-        "events_processed": "lower",
-        "events_per_sim_s": "lower",
-    },
-    tolerances={
-        # real-time measurements: generous band so machine noise cannot
-        # trip the gate, while an order-of-magnitude regression still
-        # fails it (direction-aware: improvements never fail)
-        "sim_s_per_wall_s": 0.60,
-        "events_per_wall_s": 0.60,
-    },
-    tags=("kernel", "speed", "lan"),
-)
-def kernel_speed_bench(ctx: BenchContext) -> Dict[str, float]:
-    result = kernel_speed(
-        orderers=ctx["orderers"],
-        duration=ctx["duration"],
-        warmup=ctx["warmup"],
-        seed=ctx.seed,
-        repeats=ctx["repeats"],
-    )
-    return {
-        "sim_s_per_wall_s": result.sim_seconds_per_wall_second,
-        "events_per_wall_s": result.events_per_wall_second,
-        "events_processed": float(result.events_processed),
-        "events_per_sim_s": result.events_per_sim_second,
-    }
 
 # ----------------------------------------------------------------------
 # Bake-off: all four ordering backends on one workload

@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 from repro.bench.topology import lan_latency_model
 from repro.sim.trace import MessageTracer
 from repro.smart.view import bft_group_size, max_faults
-from repro.bench.workload import OpenLoopGenerator
 from repro.fabric.channel import ChannelConfig
 from repro.obs.observability import PHASES, Observability
 from repro.ordering.service import (
@@ -32,6 +31,7 @@ from repro.ordering.service import (
     OrderingServiceConfig,
     build_ordering_service,
 )
+from repro.workload import OpenLoopGenerator
 
 #: Maximum relative disagreement between the phase sum and the bench
 #: harness's end-to-end mean before the report (and CI) fails.

@@ -268,11 +268,16 @@ def run_backend_workload(backend: str, spec: Optional[WorkloadSpec] = None) -> B
         sim.schedule(0.001 + index * spec.inter_arrival, _submit, index)
 
     expected = spec.num_envelopes - len(set(spec.oversized_at))
+    # run_until evaluates its predicate after every event: count commits
+    # as they happen instead of re-summing every block each time
+    committed = 0
 
-    def _done() -> bool:
-        return sum(len(r.block.envelopes) for r in peer.commits) >= expected
+    def _count(record) -> None:
+        nonlocal committed
+        committed += len(record.block.envelopes)
 
-    finished = sim.run_until(_done, deadline=spec.deadline)
+    peer.on_commit.append(_count)
+    finished = sim.run_until(lambda: committed >= expected, deadline=spec.deadline)
     sim.run(until=sim.now + spec.settle)
 
     by_src = network.stats.bytes_by_src

@@ -22,7 +22,9 @@ state:
   censorship-target spam);
 - :mod:`repro.workload.engine` -- the engine driving any set of
   tenants against the frontends, recording offered/admitted/rejected/
-  committed counts, admitted latency and per-tenant fairness.
+  committed counts, admitted latency and per-tenant fairness; plus the
+  two paper-style drivers built on it (``OpenLoopGenerator``: one
+  fixed-rate tenant; ``ClosedLoopDriver``: a fixed client count).
 
 See docs/WORKLOADS.md for the design discussion.
 """
@@ -43,6 +45,7 @@ from repro.workload.adversarial import (
 )
 from repro.workload.engine import (
     ClosedLoopDriver,
+    OpenLoopGenerator,
     TenantSpec,
     TenantStats,
     WorkloadEngine,
@@ -67,6 +70,7 @@ __all__ = [
     "DuplicateFlood",
     "FixedArrivals",
     "MultiChannelProfile",
+    "OpenLoopGenerator",
     "OversizedSpam",
     "PoissonArrivals",
     "ProvenanceProfile",

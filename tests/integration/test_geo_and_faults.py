@@ -51,13 +51,13 @@ class TestGeoDeployments:
         """Sydney going dark must not affect safety; WHEAT's weights
         mean it barely affects latency either."""
         from repro.bench.figures import GEO_FRONTEND_SITES, WHEAT_GEO_SITES
-        from repro.bench.workload import OpenLoopGenerator
         from repro.fabric.channel import ChannelConfig
         from repro.ordering.service import (
             FRONTEND_ID_BASE,
             OrderingServiceConfig,
             build_ordering_service,
         )
+        from repro.workload import OpenLoopGenerator
 
         config = OrderingServiceConfig(
             f=1,

@@ -1,22 +1,24 @@
-"""Regression-gate self-tests for :mod:`repro.bench.compare`.
+"""Regression-gate self-tests (``python -m repro.bench compare``).
 
-Feeds the comparator synthetic baseline/candidate documents: an
-injected +30% latency regression must fail the gate with a structured
-report, within-tolerance noise must pass, and the Mann-Whitney layer
-must keep indistinguishable repeat noise from tripping the gate.
+The gate is the two-variant reading of :mod:`repro.bench.report`.
+Feeds it synthetic baseline/candidate documents: an injected +30%
+latency regression must fail the gate with a structured report,
+within-tolerance noise must pass, and the Mann-Whitney layer must keep
+indistinguishable repeat noise from tripping the gate.
 """
 
 import json
 
 import pytest
 
-from repro.bench.compare import compare_results, gate, mann_whitney_u
 from repro.bench.harness import SCHEMA, validate_result
+from repro.bench.report import compare_results, gate
+from repro.bench.stats import mann_whitney_u
 from repro.sim.monitor import summarize
 
 
 def make_document(run_name, metric_values, direction="lower", metric="latency_s",
-                  benchmark="synthetic", params=None):
+                  benchmark="synthetic", params=None, phases=None):
     """A minimal schema-valid result document with one metric."""
     values = list(metric_values)
     stats = summarize(values)
@@ -48,6 +50,8 @@ def make_document(run_name, metric_values, direction="lower", metric="latency_s"
             }
         ],
     }
+    if phases is not None:
+        document["benchmarks"][0]["points"][0]["phases"] = phases
     validate_result(document)
     return document
 
@@ -91,8 +95,8 @@ class TestComparator:
         report = compare_results(baseline, regressed, tolerance=0.05)
         assert len(report.regressions) == 1
         finding = report.regressions[0]
-        assert finding.benchmark == "synthetic"
-        assert finding.metric == "latency_s"
+        assert finding.unit.benchmark == "synthetic"
+        assert finding.unit.metric == "latency_s"
         assert finding.delta_relative == pytest.approx(0.30, abs=0.02)
         assert finding.p_value is not None and finding.p_value < 0.05
         # candidate is uniformly 30% slower: candidate samples dominate
@@ -117,7 +121,7 @@ class TestComparator:
         baseline = make_document("base", BASE_LATENCIES)
         report = compare_results(baseline, make_document("cand", BASE_LATENCIES))
         assert gate(report) == 0
-        assert report.comparisons[0].status == "ok"
+        assert report.verdicts[0].status == "ok"
 
     def test_throughput_direction(self):
         baseline = make_document(
@@ -135,7 +139,7 @@ class TestComparator:
         assert gate(compare_results(baseline, slower)) == 1
         report = compare_results(baseline, faster)
         assert gate(report) == 0
-        assert report.comparisons[0].status == "improved"
+        assert report.verdicts[0].status == "improved"
 
     def test_overlapping_noise_not_significant(self):
         """Median moves beyond tolerance but the distributions overlap:
@@ -144,7 +148,7 @@ class TestComparator:
         wobble = make_document("cand", [0.20, 0.10, 0.20, 0.10, 0.20, 0.20])
         report = compare_results(baseline, wobble, tolerance=0.05)
         assert report.regressions == []
-        comparison = report.comparisons[0]
+        comparison = report.verdicts[0]
         assert comparison.p_value is not None and comparison.p_value >= 0.05
         assert "p >= alpha" in comparison.detail
 
@@ -174,6 +178,38 @@ class TestComparator:
         assert document["counts"]["regression"] == 1
         text = report.render()
         assert "REGRESSION" in text and "latency_s" in text
+
+    def test_regression_localized_to_phases(self):
+        """A regression at a point whose two sides both carry a
+        ``phases`` breakdown names the phases that moved most, from the
+        report's phase columns."""
+        baseline = make_document(
+            "base", BASE_LATENCIES,
+            phases={"order": [0.060] * 6, "sign": [0.010] * 6,
+                    "deliver": [0.030] * 6, "end_to_end": [0.100] * 6},
+        )
+        regressed = make_document(
+            "cand", [v * 1.30 for v in BASE_LATENCIES],
+            phases={"order": [0.095] * 6, "sign": [0.010] * 6,
+                    "deliver": [0.025] * 6, "end_to_end": [0.130] * 6},
+        )
+        report = compare_results(baseline, regressed)
+        (finding,) = report.regressions
+        assert finding.phase_deltas["order"] == {
+            "baseline": pytest.approx(0.060),
+            "candidate": pytest.approx(0.095),
+            "delta": pytest.approx(0.035),
+        }
+        assert report.render().splitlines()[-1] == (
+            "             phases most moved: order 60.000ms -> 95.000ms; "
+            "end_to_end 100.000ms -> 130.000ms; deliver 30.000ms -> 25.000ms"
+        )
+        # phases on one side only: still a regression, nothing to localize
+        report = compare_results(
+            make_document("base", BASE_LATENCIES), regressed
+        )
+        assert report.regressions[0].phase_deltas is None
+        assert "phases most moved" not in report.render()
 
 
 class TestCompareCli:

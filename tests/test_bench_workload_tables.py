@@ -1,18 +1,11 @@
-"""Tests for workload generators, table rendering and the CLI."""
+"""Tests for the paper-style load drivers, the retired figure CLI and
+service-config validation."""
 
 import pytest
 
-from repro.bench.tables import (
-    render_ablation,
-    render_conclusion,
-    render_figure6,
-    render_figure7_panel,
-    render_lan_sim,
-)
-from repro.bench.figures import AblationResult, LanSimResult
-from repro.bench.workload import ClosedLoopClients, OpenLoopGenerator, envelope_stream
 from repro.fabric.channel import ChannelConfig
 from repro.ordering import OrderingServiceConfig, build_ordering_service
+from repro.workload import ClosedLoopDriver, OpenLoopGenerator
 
 
 def small_service(block_size=5, num_frontends=2):
@@ -24,14 +17,6 @@ def small_service(block_size=5, num_frontends=2):
         enable_batch_timeout=True,
     )
     return build_ordering_service(config)
-
-
-class TestEnvelopeStream:
-    def test_count_and_size(self):
-        envelopes = list(envelope_stream("ch0", 256, 5))
-        assert len(envelopes) == 5
-        assert all(e.payload_size == 256 for e in envelopes)
-        assert len({e.envelope_id for e in envelopes}) == 5
 
 
 class TestOpenLoopGenerator:
@@ -175,7 +160,7 @@ class TestOpenLoopGenerator:
 class TestClosedLoopClients:
     def test_completes_all_envelopes(self):
         service = small_service(block_size=2, num_frontends=1)
-        clients = ClosedLoopClients(
+        clients = ClosedLoopDriver(
             sim=service.sim,
             frontend=service.frontends[0],
             channel_id="ch0",
@@ -190,7 +175,7 @@ class TestClosedLoopClients:
 
     def test_bounded_concurrency(self):
         service = small_service(block_size=2, num_frontends=1)
-        clients = ClosedLoopClients(
+        clients = ClosedLoopDriver(
             sim=service.sim,
             frontend=service.frontends[0],
             channel_id="ch0",
@@ -205,7 +190,7 @@ class TestClosedLoopClients:
 
     def test_done_semantics(self):
         service = small_service(block_size=2, num_frontends=1)
-        clients = ClosedLoopClients(
+        clients = ClosedLoopDriver(
             sim=service.sim,
             frontend=service.frontends[0],
             channel_id="ch0",
@@ -225,7 +210,7 @@ class TestClosedLoopClients:
 
     def test_clients_capped_by_max_envelopes(self):
         service = small_service(block_size=2, num_frontends=1)
-        clients = ClosedLoopClients(
+        clients = ClosedLoopDriver(
             sim=service.sim,
             frontend=service.frontends[0],
             channel_id="ch0",
@@ -238,63 +223,41 @@ class TestClosedLoopClients:
         assert len(clients._outstanding) == 3
 
 
-class TestRendering:
-    def test_render_figure6(self):
-        text = render_figure6({1: {"measured": 800.0, "model": 808.0}})
-        assert "807" in text or "800" in text
-        assert "Figure 6" in text
-
-    def test_render_figure7_panel(self):
-        panel = {40: {1: 50000.0, 32: 15000.0}}
-        text = render_figure7_panel(4, 10, panel)
-        assert "4 orderers" in text
-        assert "50.0" in text and "15.0" in text
-
-    def test_render_lan_sim(self):
-        result = LanSimResult(4, 10, 1024, 2, 25000.0, 22800.0, 22700.0, 22242.0)
-        text = render_lan_sim([result])
-        assert "22800" in text
-
-    def test_render_conclusion(self):
-        text = render_conclusion(
-            {
-                "bft_ordering_worst_case": 1986.0,
-                "ethereum_theoretical_peak": 1000.0,
-                "bitcoin_peak": 7.0,
-                "speedup_vs_ethereum": 1.986,
-                "speedup_vs_bitcoin": 283.7,
-            }
-        )
-        assert "1986" in text and "Ethereum" in text
-
-    def test_render_ablation(self):
-        rows = [AblationResult(True, True, 0.278, 0.345)]
-        text = render_ablation(rows)
-        assert "278" in text
-
-
 class TestCli:
-    def test_figure6_via_cli(self, capsys):
+    """Figures come from the harness's ``run --only NAME`` (the README
+    commands); the pre-harness ``--figure N`` interface is gone."""
+
+    def _run(self, tmp_path, capsys, *only):
         from repro.bench.__main__ import main
 
-        assert main(["--figure", "6"]) == 0
-        out = capsys.readouterr().out
+        argv = ["run", "--out", str(tmp_path / "out.json")]
+        for name in only:
+            argv += ["--only", name]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_figure6_via_cli(self, tmp_path, capsys):
+        out = self._run(tmp_path, capsys, "fig6_signing")
         assert "Figure 6" in out
         assert "8400" in out
 
-    def test_figure7_via_cli(self, capsys):
-        from repro.bench.__main__ import main
+    def test_figure7_via_cli(self, tmp_path, capsys):
+        out = self._run(tmp_path, capsys, "fig7_capacity")
+        assert "orderers=4, block_size=10, envelope_size=40, receivers=1 " in out
 
-        assert main(["--figure", "7", "--orderers", "4", "--block-size", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "4 orderers, 10 envelopes/block" in out
-
-    def test_eq1_via_cli(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["--figure", "eq1"]) == 0
-        out = capsys.readouterr().out
+    def test_eq1_via_cli(self, tmp_path, capsys):
+        out = self._run(tmp_path, capsys, "eq1", "conclusion")
         assert "Equation 1" in out and "Ethereum" in out
+
+    def test_figure_flag_is_a_usage_error(self, capsys):
+        """``--figure 6`` no longer runs anything: argparse rejects it
+        (exit 2, usage on stderr)."""
+        from repro.bench.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--figure", "6"])
+        assert excinfo.value.code == 2
+        assert "usage: python -m repro.bench" in capsys.readouterr().err
 
     def test_bad_figure_rejected(self):
         from repro.bench.__main__ import main
