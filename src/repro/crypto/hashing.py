@@ -11,19 +11,102 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, Iterable, Union
+from typing import Any, Callable, Dict, Iterable, Union
 
 Encodable = Union[bytes, str, int, float, bool, None, tuple, list, dict]
 
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_FLOAT = b"D"
-_TAG_BYTES = b"B"
-_TAG_STR = b"S"
-_TAG_LIST = b"L"
-_TAG_DICT = b"M"
+# a tag and its big-endian length/count (I, B, S, L, M) or double (D),
+# packed in one call
+_LENGTH = struct.Struct(">cI")
+_pack_length = _LENGTH.pack
+_pack_float = struct.Struct(">cd").pack
+
+
+def _encode_none(out: bytearray, value: None) -> None:
+    out += b"N"
+
+
+def _encode_bool(out: bytearray, value: bool) -> None:
+    out += b"T" if value else b"F"
+
+
+def _encode_int(out: bytearray, value: int) -> None:
+    body = str(value).encode("ascii")
+    out += _pack_length(b"I", len(body))
+    out += body
+
+
+def _encode_float(out: bytearray, value: float) -> None:
+    out += _pack_float(b"D", value)
+
+
+def _encode_bytes(out: bytearray, value: bytes) -> None:
+    out += _pack_length(b"B", len(value))
+    out += value
+
+
+def _encode_str(out: bytearray, value: str) -> None:
+    body = value.encode("utf-8")
+    out += _pack_length(b"S", len(body))
+    out += body
+
+
+def _encode_list(out: bytearray, value: Union[list, tuple]) -> None:
+    out += _pack_length(b"L", len(value))
+    lookup = _ENCODERS.get
+    for item in value:
+        (lookup(type(item)) or _inherited_encoder(item))(out, item)
+
+
+def _encode_dict(out: bytearray, value: dict) -> None:
+    """Entries sorted by encoded key.  Every entry (key then value) is
+    encoded once, straight into ``out``; only then are the entries cut
+    out as slices, sorted and written back.  An encoding is never a
+    proper prefix of another (every value is tagged and length-
+    prefixed), so ordering whole entries is ordering by key, ties
+    broken by value."""
+    header = len(out)
+    out += b"M\0\0\0\0"  # the count is patched in once items() is exhausted
+    first = len(out)
+    lookup = _ENCODERS.get
+    ends = []
+    for key, val in value.items():
+        (lookup(type(key)) or _inherited_encoder(key))(out, key)
+        (lookup(type(val)) or _inherited_encoder(val))(out, val)
+        ends.append(len(out))
+    if not ends:
+        return
+    _LENGTH.pack_into(out, header, b"M", len(ends))
+    if len(ends) > 1:
+        entries = sorted(out[a:b] for a, b in zip([first, *ends], ends))
+        out[first:] = b"".join(entries)
+
+
+#: exact type -> encoder.  Every call site spells the dispatch out --
+#: ``(lookup(type(v)) or _inherited_encoder(v))(out, v)`` -- because one
+#: dict probe and one call per value is the whole cost of a scalar
+_ENCODERS: Dict[type, Callable[[bytearray, Any], None]] = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    bytes: _encode_bytes,
+    str: _encode_str,
+    list: _encode_list,
+    tuple: _encode_list,
+    dict: _encode_dict,
+}
+
+
+def _inherited_encoder(value: Any) -> Callable[[bytearray, Any], None]:
+    """The encoder of the nearest encodable base class (an ``IntEnum``
+    is an int, a namedtuple a tuple, an ``OrderedDict`` a dict), or
+    ``TypeError``."""
+    for base in type(value).__mro__:
+        encoder = _ENCODERS.get(base)
+        if encoder is not None:
+            return encoder
+    raise TypeError(f"cannot canonically encode {type(value).__name__}")
 
 
 def canonical_encode(value: Encodable) -> bytes:
@@ -31,53 +114,12 @@ def canonical_encode(value: Encodable) -> bytes:
 
     Supports None, bools, ints, floats, bytes, str, and (nested)
     lists/tuples and dicts with encodable keys (dict entries are sorted
-    by encoded key, so dict ordering never affects the output).
+    by encoded key, so dict ordering never affects the output), and
+    instances of their subclasses.  Anything else is a ``TypeError``.
     """
     out = bytearray()
-    _encode_into(out, value)
+    (_ENCODERS.get(type(value)) or _inherited_encoder(value))(out, value)
     return bytes(out)
-
-
-def _encode_into(out: bytearray, value: Encodable) -> None:
-    if value is None:
-        out += _TAG_NONE
-    elif value is True:
-        out += _TAG_TRUE
-    elif value is False:
-        out += _TAG_FALSE
-    elif isinstance(value, int):
-        body = str(value).encode("ascii")
-        out += _TAG_INT
-        out += struct.pack(">I", len(body))
-        out += body
-    elif isinstance(value, float):
-        out += _TAG_FLOAT
-        out += struct.pack(">d", value)
-    elif isinstance(value, bytes):
-        out += _TAG_BYTES
-        out += struct.pack(">I", len(value))
-        out += value
-    elif isinstance(value, str):
-        body = value.encode("utf-8")
-        out += _TAG_STR
-        out += struct.pack(">I", len(body))
-        out += body
-    elif isinstance(value, (list, tuple)):
-        out += _TAG_LIST
-        out += struct.pack(">I", len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif isinstance(value, dict):
-        encoded_items = sorted(
-            (canonical_encode(key), canonical_encode(val)) for key, val in value.items()
-        )
-        out += _TAG_DICT
-        out += struct.pack(">I", len(encoded_items))
-        for key_bytes, val_bytes in encoded_items:
-            out += key_bytes
-            out += val_bytes
-    else:
-        raise TypeError(f"cannot canonically encode {type(value).__name__}")
 
 
 def sha256(*values: Encodable) -> bytes:
@@ -87,12 +129,13 @@ def sha256(*values: Encodable) -> bytes:
     length-prefixed), so ``sha256(a, b) != sha256(a + b)`` -- no
     concatenation ambiguity.
     """
-    out = bytearray()
-    for value in values:
-        _encode_into(out, value)
     # hashing the concatenation equals feeding the encodings to one
     # hasher.update per value; a single buffer skips the per-value
     # bytes copies (sha256 runs on every propose/sign/verify)
+    out = bytearray()
+    lookup = _ENCODERS.get
+    for value in values:
+        (lookup(type(value)) or _inherited_encoder(value))(out, value)
     return hashlib.sha256(out).digest()
 
 

@@ -17,7 +17,7 @@ from repro.fabric.envelope import ChaincodeProposal, Envelope, ProposalResponse
 FABRIC_MESSAGE_OVERHEAD = 128
 
 
-@dataclass
+@dataclass(slots=True)
 class ProposalMessage:
     """Client -> endorsing peer: please simulate and endorse."""
 
@@ -29,7 +29,7 @@ class ProposalMessage:
         return FABRIC_MESSAGE_OVERHEAD + 64 + args_size
 
 
-@dataclass
+@dataclass(slots=True)
 class ProposalResponseMessage:
     """Endorsing peer -> client: rw-sets + endorsement signature."""
 
@@ -40,7 +40,7 @@ class ProposalResponseMessage:
         return FABRIC_MESSAGE_OVERHEAD + 64 + rwset
 
 
-@dataclass
+@dataclass(slots=True)
 class SubmitEnvelope:
     """Client -> ordering service: broadcast(envelope)."""
 
@@ -85,7 +85,7 @@ class BlockResponse:
         return FABRIC_MESSAGE_OVERHEAD + sum(b.wire_size() for b in self.blocks)
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitEvent:
     """Committing peer -> client: your transaction is in the chain."""
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Any, List, Mapping, Optional, Tuple, Union
 
 from repro.crypto.hashing import sha256
 
@@ -124,9 +125,20 @@ def check_payload_size(
     return length
 
 
-@dataclass(frozen=True)
+def _digest_cache() -> Any:
+    """The slot an object keeps its digest in: not a constructor
+    argument, not hashed, not compared."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class ChaincodeProposal:
-    """A client's signed request to invoke a chaincode function."""
+    """A client's signed request to invoke a chaincode function.
+
+    Frozen, so the digest -- hashed by the client, every endorser and
+    every committing peer -- is computed once and kept on the instance
+    (shallowly, like :class:`WriteSet`: ``args`` are hashed by ``repr``).
+    """
 
     channel_id: str
     chaincode_id: str
@@ -135,48 +147,110 @@ class ChaincodeProposal:
     client: str
     nonce: int
     timestamp: float = 0.0
+    _digest: Optional[bytes] = _digest_cache()
 
     def digest(self) -> bytes:
-        return sha256(
-            "proposal",
-            self.channel_id,
-            self.chaincode_id,
-            self.function,
-            [repr(a) for a in self.args],
-            self.client,
-            self.nonce,
-        )
+        cached = self._digest
+        if cached is None:
+            cached = sha256(
+                "proposal",
+                self.channel_id,
+                self.chaincode_id,
+                self.function,
+                [repr(a) for a in self.args],
+                self.client,
+                self.nonce,
+            )
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
 
-@dataclass
+def _seal(rw_set: Any, name: str, digest: bytes) -> None:
+    """Freeze a read or write set at its first ``digest()``: its mapping
+    is swapped for a read-only view of a private copy, so neither the
+    set nor a dict the caller kept can change what was hashed."""
+    object.__setattr__(rw_set, name, MappingProxyType(dict(getattr(rw_set, name))))
+    object.__setattr__(rw_set, "_digest", digest)
+
+
+@dataclass(frozen=True, slots=True)
 class ReadSet:
-    """Versioned keys read during simulation (MVCC check input)."""
+    """Versioned keys read during simulation (MVCC check input).
 
-    reads: Dict[str, Optional[Version]] = field(default_factory=dict)
+    Filled in through ``reads`` while chaincode runs; the first
+    :meth:`digest` *seals* the set -- ``reads`` becomes a read-only
+    view, so a later write raises instead of leaving the cached digest
+    stale.
+    """
+
+    reads: Mapping[str, Optional[Version]] = field(default_factory=dict)
+    _digest: Optional[bytes] = _digest_cache()
 
     def digest(self) -> bytes:
-        return sha256(
-            "readset", {k: list(v) if v else None for k, v in self.reads.items()}
-        )
+        cached = self._digest
+        if cached is None:
+            cached = sha256(
+                "readset", {k: list(v) if v else None for k, v in self.reads.items()}
+            )
+            _seal(self, "reads", cached)
+        return cached
 
     def __len__(self) -> int:
         return len(self.reads)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class WriteSet:
-    """Key updates produced during simulation (None value = delete)."""
+    """Key updates produced during simulation (None value = delete).
 
-    writes: Dict[str, Optional[Any]] = field(default_factory=dict)
+    Sealed by the first :meth:`digest` exactly like :class:`ReadSet`.
+    The seal is shallow: it fixes which keys are written and which
+    object each key is bound to, and the digest covers ``repr(value)``
+    as of that moment.  A mutable value (``AssetTransferChaincode``
+    writes a dict) mutated *in place* afterwards is not seen by this
+    digest; no code in the repo does that, chaincode results that alias
+    such a value are still re-``repr``-ed by every endorsement check,
+    and ``tests/test_fabric_digest_cache.py`` pins both facts.
+    """
+
+    writes: Mapping[str, Optional[Any]] = field(default_factory=dict)
+    _digest: Optional[bytes] = _digest_cache()
 
     def digest(self) -> bytes:
-        return sha256("writeset", {k: repr(v) for k, v in self.writes.items()})
+        cached = self._digest
+        if cached is None:
+            cached = sha256("writeset", {k: repr(v) for k, v in self.writes.items()})
+            _seal(self, "writes", cached)
+        return cached
 
     def __len__(self) -> int:
         return len(self.writes)
 
 
-@dataclass
+def endorsement_payload(
+    proposal_digest: bytes,
+    read_set: ReadSet,
+    write_set: WriteSet,
+    result: Any,
+    success: bool,
+) -> bytes:
+    """What an endorsing peer signs and a committing peer re-derives.
+
+    A flat composite over the cached leaf digests, recomputed on every
+    call: the objects it reads from stay assignable, so swapping a
+    transaction's write set or result is detected by the next check.
+    """
+    return sha256(
+        "response",
+        proposal_digest,
+        read_set.digest(),
+        write_set.digest(),
+        repr(result),
+        success,
+    )
+
+
+@dataclass(slots=True)
 class ProposalResponse:
     """An endorsing peer's simulation result + signature."""
 
@@ -190,17 +264,12 @@ class ProposalResponse:
     signature: bytes = b""
 
     def signed_payload(self) -> bytes:
-        return sha256(
-            "response",
-            self.proposal_digest,
-            self.read_set.digest(),
-            self.write_set.digest(),
-            repr(self.result),
-            self.success,
+        return endorsement_payload(
+            self.proposal_digest, self.read_set, self.write_set, self.result, self.success
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Endorsement:
     """The (endorser, signature) pair attached to a transaction."""
 
@@ -209,9 +278,13 @@ class Endorsement:
     signature: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
-    """A fully-assembled transaction awaiting ordering + validation."""
+    """A fully-assembled transaction awaiting ordering + validation.
+
+    Every field stays assignable and neither hash below is cached: both
+    are flat composites over the sealed leaves' cached digests.
+    """
 
     proposal: ChaincodeProposal
     read_set: ReadSet
@@ -223,13 +296,8 @@ class Transaction:
 
     def response_payload(self) -> bytes:
         """What each endorsement must have signed."""
-        return sha256(
-            "response",
-            self.proposal.digest(),
-            self.read_set.digest(),
-            self.write_set.digest(),
-            repr(self.result),
-            True,
+        return endorsement_payload(
+            self.proposal.digest(), self.read_set, self.write_set, self.result, True
         )
 
     def digest(self) -> bytes:
@@ -265,7 +333,7 @@ class Envelope:
     payload: Optional[PayloadRef] = field(default=None, repr=False, compare=False)
     #: identity digest cache -- the hashed fields never change after
     #: construction, and blocks/frontends hash every envelope repeatedly
-    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _digest: Optional[bytes] = _digest_cache()
 
     def digest(self) -> bytes:
         cached = self._digest

@@ -47,7 +47,7 @@ def _transaction_to_dict(tx: Transaction) -> Dict[str, Any]:
             key: (list(version) if version is not None else None)
             for key, version in tx.read_set.reads.items()
         },
-        "writes": tx.write_set.writes,
+        "writes": dict(tx.write_set.writes),
         "result": tx.result,
         "endorsements": [
             {"endorser": e.endorser, "org": e.org, "signature": e.signature.hex()}
@@ -67,7 +67,7 @@ def _transaction_from_dict(data: Dict[str, Any]) -> Transaction:
         nonce=data["proposal"]["nonce"],
         timestamp=data["proposal"]["timestamp"],
     )
-    tx = Transaction(
+    return Transaction(
         proposal=proposal,
         read_set=ReadSet(
             {
@@ -86,9 +86,8 @@ def _transaction_from_dict(data: Dict[str, Any]) -> Transaction:
             for e in data["endorsements"]
         ],
         client_signature=bytes.fromhex(data["client_signature"]),
+        tx_id=data["tx_id"],
     )
-    tx.tx_id = data["tx_id"]
-    return tx
 
 
 def envelope_to_dict(envelope: Envelope) -> Dict[str, Any]:
@@ -108,7 +107,7 @@ def envelope_to_dict(envelope: Envelope) -> Dict[str, Any]:
 
 
 def envelope_from_dict(data: Dict[str, Any]) -> Envelope:
-    envelope = Envelope(
+    return Envelope(
         channel_id=data["channel_id"],
         transaction=(
             _transaction_from_dict(data["transaction"])
@@ -119,9 +118,8 @@ def envelope_from_dict(data: Dict[str, Any]) -> Envelope:
         submitter=data["submitter"],
         signature=bytes.fromhex(data["signature"]),
         is_config=data["is_config"],
+        envelope_id=data["envelope_id"],
     )
-    envelope.envelope_id = data["envelope_id"]
-    return envelope
 
 
 def block_to_dict(block: Block) -> Dict[str, Any]:

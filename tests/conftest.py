@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import random
 from typing import List, Optional, Tuple
 
 import pytest
 
+from repro.crypto.keys import KeyRegistry
+from repro.crypto.signatures import SimulatedECDSA
+from repro.fabric import (
+    AssetTransferChaincode,
+    ChannelConfig,
+    CommittingPeer,
+    EndorsingPeer,
+    FabricClient,
+    KVChaincode,
+    Or,
+    SignedBy,
+    SmallBankChaincode,
+)
+from repro.fabric.orderers import SoloOrderer
 from repro.sim import ConstantLatency, Network, Simulator
 from repro.smart import (
     ReplicaConfig,
@@ -134,3 +149,90 @@ def sim():
 @pytest.fixture
 def network(sim):
     return Network(sim, ConstantLatency(0.0005))
+
+
+class SoloPipeline:
+    """The whole endorse -> order -> validate -> commit path at its
+    smallest: two organisations (an endorsing and a committing peer
+    each), the solo orderer and one client, all three sample chaincodes
+    installed.  Nothing but the Fabric path hashes here, so per-
+    transaction hash counts and ledger bytes can be pinned exactly."""
+
+    def __init__(self, block_size: int = 10, seed: int = 0):
+        self.sim = Simulator()
+        self.network = Network(self.sim, ConstantLatency(0.0005))
+        self.registry = KeyRegistry(
+            scheme=SimulatedECDSA(), rng=random.Random(seed)
+        )
+        policy = Or(SignedBy("org1"), SignedBy("org2"))
+        channel = ChannelConfig(
+            "ch0",
+            max_message_count=block_size,
+            batch_timeout=0.2,
+            endorsement_policy=policy,
+        )
+        self.orderer = SoloOrderer(
+            self.sim, self.network, "solo", self.registry.enroll("solo"), channel
+        )
+        self.network.register("solo", self.orderer)
+        self.committers = []
+        endorsers = []
+        for org in ("org1", "org2"):
+            peer = f"peer-{org}"
+            self.registry.enroll(peer, org=org)
+            committer = CommittingPeer(
+                self.sim,
+                self.network,
+                peer,
+                channel,
+                registry=self.registry,
+                orderer_names={"solo"},
+                required_block_signatures=1,
+            )
+            self.network.register(peer, committer)
+            self.orderer.attach_receiver(peer)
+            self.committers.append(committer)
+            endorser = f"endorser-{org}"
+            self.network.register(
+                endorser,
+                EndorsingPeer(
+                    self.network,
+                    endorser,
+                    self.registry.enroll(endorser, org=org),
+                    state_provider=lambda _channel, c=committer: c.state,
+                    chaincodes={
+                        "kv": KVChaincode(),
+                        "asset-transfer": AssetTransferChaincode(),
+                        "smallbank": SmallBankChaincode(),
+                    },
+                ),
+            )
+            endorsers.append(endorser)
+        self.client = FabricClient(
+            self.sim,
+            self.network,
+            self.registry.enroll("client0", org="clients"),
+            self.registry,
+            endorsers=endorsers,
+            orderer_endpoint="solo",
+            default_policy=policy,
+        )
+
+    def submit(self, chaincode_id: str, function: str, *args):
+        return self.client.submit_transaction("ch0", chaincode_id, function, args)
+
+    def drain(self, futures, deadline: float = 30.0) -> bool:
+        """Run until every future resolved, then until the slower peer
+        has committed too (a future resolves on the *first* event)."""
+        done = self.sim.drain(futures, self.sim.now + deadline)
+        self.sim.run(until=self.sim.now + 0.5)
+        return done
+
+    def transactions(self, committer_index: int = 0):
+        """Every transaction in one peer's ledger, in chain order."""
+        return [
+            envelope.transaction
+            for block in self.committers[committer_index].ledger
+            for envelope in block.envelopes
+            if envelope.transaction is not None
+        ]

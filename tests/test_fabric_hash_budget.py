@@ -1,0 +1,104 @@
+"""Deterministic cost and byte-level pins of the Fabric path.
+
+Two regressions a clock cannot catch per commit: the number of
+canonical hashes a transaction costs on its way from proposal to
+commit (an exact count), and the bytes the path produces (the DetSan
+goldens and ``seam_pins.json`` only cover raw envelopes).  Both run
+the same seeded hot-key workload through :class:`SoloPipeline`.
+"""
+
+import collections
+import itertools
+import json
+import random
+import sys
+from pathlib import Path
+
+import repro.crypto.hashing as hashing
+import repro.fabric.envelope as envelope_module
+from tests.conftest import SoloPipeline
+
+GOLDEN = Path(__file__).parent / "data" / "golden" / "fabric_path_seed0.json"
+
+HOT_KEYS = 16
+
+
+def run_hot_keys(pipeline: SoloPipeline, transactions: int, seed: int = 0):
+    """One transaction per simulated millisecond: create ``HOT_KEYS``
+    keys, then increment seeded-random ones -- several in flight per
+    block, so some read versions are stale by validation (MVCC)."""
+    keys = random.Random(seed)
+    futures = []
+
+    def submit(index: int) -> None:
+        if index < HOT_KEYS:
+            call = ("put", f"k{index}", 0)
+        else:
+            call = ("increment", f"k{keys.randrange(HOT_KEYS)}")
+        futures.append(pipeline.submit("kv", *call))
+
+    for index in range(transactions):
+        pipeline.sim.schedule_at(index * 0.001, submit, index)
+    pipeline.sim.run(until=transactions * 0.001)
+    assert pipeline.drain(futures)
+
+
+def fabric_path_fingerprint(pipeline: SoloPipeline) -> dict:
+    first, second = pipeline.committers
+    assert first.ledger.last_hash == second.ledger.last_hash
+    assert first.state.snapshot() == second.state.snapshot()
+    return {
+        "last_hash": first.ledger.last_hash.hex(),
+        "codes": [[code.value for code in record.codes] for record in first.commits],
+        "state": {
+            key: [value, list(version)]
+            for key, (value, version) in sorted(first.state.snapshot().items())
+        },
+    }
+
+
+def test_fabric_path_bytes_match_golden(monkeypatch):
+    """Recorded at the parent of the single-pass encoder / digest
+    caches; ids feed the digests, so the process-global counter is
+    replaced by a fresh one."""
+    monkeypatch.setattr(envelope_module, "_tx_counter", itertools.count())
+    pipeline = SoloPipeline(block_size=10, seed=0)
+    run_hot_keys(pipeline, 200)
+    fingerprint = fabric_path_fingerprint(pipeline)
+    codes = [code for block in fingerprint["codes"] for code in block]
+    assert len(codes) == 200 and "MVCC_READ_CONFLICT" in codes
+    assert fingerprint == json.loads(GOLDEN.read_text())
+
+
+def test_hash_budget_per_transaction(monkeypatch):
+    """36 canonical hashes per transaction before the leaf caches; the
+    table below is what is left, and it is exact -- one more hash per
+    transaction anywhere on the path fails here, without a clock."""
+    calls = collections.Counter()
+    real = hashing.sha256
+
+    def counting(*values):
+        calls[values[0]] += 1
+        return real(*values)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "sha256", None) is real:
+            monkeypatch.setattr(module, "sha256", counting)
+    transactions = 120
+    pipeline = SoloPipeline(block_size=10, seed=0)
+    run_hot_keys(pipeline, transactions)
+    assert len(pipeline.transactions(0)) == len(pipeline.transactions(1)) == transactions
+
+    per_transaction = {
+        tag: calls[tag] / transactions
+        for tag in ("proposal", "readset", "writeset", "response", "transaction", "envelope")
+    }
+    assert per_transaction == {
+        "proposal": 1,  # one frozen object shared by client, endorsers, peers
+        "readset": 2,  # one set object per endorser, each encoded once
+        "writeset": 2,
+        "response": 7,  # flat composites: 2 sign + 2 verify + 1 group + 2 validate
+        "transaction": 2,  # client signature + envelope digest
+        "envelope": 1,
+    }
+    assert sum(calls.values()) <= 16 * transactions

@@ -75,6 +75,35 @@ class TestPersistence:
         assert reloaded.verify_chain()
         assert reloaded.last_hash == committer.ledger.last_hash
 
+    def test_reloaded_envelopes_keep_ids_and_digests(self, tmp_path):
+        """Loading constructs every envelope and transaction *with* its
+        saved id -- hashed fields are never written after construction
+        -- and draws nothing from the process-global id counter."""
+        import repro.fabric.envelope as envelope_module
+
+        committer, _registry, _service = committed_pipeline()
+        path = str(tmp_path / "chain.json")
+        save_ledger(committer.ledger, path)
+        before = next(envelope_module._tx_counter)
+        reloaded = load_ledger(path)
+        assert next(envelope_module._tx_counter) == before + 1
+        saved = [e for block in committer.ledger for e in block.envelopes]
+        loaded = [e for block in reloaded for e in block.envelopes]
+        assert [e.envelope_id for e in loaded] == [e.envelope_id for e in saved]
+        assert [e.digest() for e in loaded] == [e.digest() for e in saved]
+        assert [e.transaction.tx_id for e in loaded] == [
+            e.transaction.tx_id for e in saved
+        ]
+
+    def test_saving_copies_the_sealed_write_set(self, tmp_path):
+        """The ledger's write sets are sealed (read-only views): the
+        serializer copies them rather than handing them to ``json``."""
+        committer, _registry, _service = committed_pipeline()
+        block = committer.ledger.get(0)
+        written = block_to_dict(block)["envelopes"][0]["transaction"]["writes"]
+        live = block.envelopes[0].transaction.write_set.writes
+        assert type(written) is dict and written == live and written is not live
+
     def test_reloaded_chain_passes_full_audit(self, tmp_path):
         committer, registry, service = committed_pipeline()
         path = str(tmp_path / "chain.json")
