@@ -29,9 +29,12 @@ FLOW_GRAPH ?= flow-graph.json
 RACESAN_OUT ?= racesan-report.json
 RACESAN_K ?= 8
 
+# alternating parent/child pairs of the perf benchmark (tools/perf_pairs.py)
+PAIRS ?= 10
+
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
-.PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick
+.PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run)
 test:
@@ -140,3 +143,13 @@ perf:
 ## fails per commit; it gates no timing
 perf-quick:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -q benchmarks/perf/test_perf.py
+
+## the protocol behind a host-time claim: PAIRS alternating runs of the
+## unmodified benchmarks/perf/run.py on the committed files of PARENT
+## and on the working tree, equal seed within a pair, order swapped
+## every pair; prints medians, quartiles, wins and the nine-of-ten /
+## parent-IQR verdict (minutes; not part of make ci)
+## usage: make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10]
+perf-pairs:
+	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(PAIRS)

@@ -51,11 +51,24 @@ class SimulatedECDSA:
     unforgeable for any component that does not hold the key, which is
     the property the protocols rely on.  Signature size is padded to 64
     bytes to match ECDSA P-256 for network accounting.
+
+    Verifying is deterministic in ``(public, message, signature)``, and
+    one block signature is checked by every node, frontend and peer of a
+    deployment, so a scheme instance remembers the last
+    ``VERIFIED_TRIPLES`` triples that *passed* the comparison and
+    answers those from memory.  Only a pass is remembered: a bad
+    signature, a signature under another key and an unknown key are
+    recomputed on every call, so nothing is accepted that the HMAC did
+    not accept.  The modeled ``verify_cost`` is charged by the callers
+    either way.
     """
 
     name = "sim-ecdsa"
     signature_size = 64
     public_key_size = 33
+
+    #: verified triples kept per scheme instance (oldest dropped first)
+    VERIFIED_TRIPLES = 256
 
     def __init__(
         self,
@@ -65,6 +78,7 @@ class SimulatedECDSA:
         self.sign_cost = sign_cost
         self.verify_cost = verify_cost
         self._secrets: dict[bytes, bytes] = {}
+        self._verified: dict[Tuple[bytes, bytes, bytes], None] = {}
 
     def keygen(self, rng) -> Tuple[bytes, bytes]:
         secret = rng.getrandbits(256).to_bytes(32, "big")
@@ -73,15 +87,23 @@ class SimulatedECDSA:
         return secret, public
 
     def sign(self, private: bytes, message: bytes) -> bytes:
-        mac = hmac.new(private, message, hashlib.sha256).digest()
+        mac = hmac.digest(private, message, "sha256")
         return mac + mac  # pad to 64 bytes, ECDSA-sized
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
+        triple = (public, message, signature)
+        verified = self._verified
+        if triple in verified:
+            return True
         secret = self._secrets.get(public)
         if secret is None or len(signature) != 64:
             return False
-        expected = self.sign(secret, message)
-        return hmac.compare_digest(expected, signature)
+        if not hmac.compare_digest(self.sign(secret, message), signature):
+            return False
+        if len(verified) >= self.VERIFIED_TRIPLES:
+            del verified[next(iter(verified))]
+        verified[triple] = None
+        return True
 
 
 @dataclass

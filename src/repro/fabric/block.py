@@ -9,7 +9,8 @@ envelope and block sizes (paper section 6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 from repro.crypto.hashing import sha256
 from repro.fabric.envelope import Envelope
@@ -24,9 +25,31 @@ HEADER_SIZE = 72
 ENVELOPE_FRAMING = 8
 
 
+#: Entries in each of the two cross-replica tables below.  Every
+#: ordering node cuts the same block from the same decided batch within
+#: a few network delays of the others, so the window that has to be
+#: remembered is the blocks in flight, not the chain.
+SHARED_DIGESTS = 128
+
+
 def compute_data_hash(envelopes: List[Envelope]) -> bytes:
     """Hash of a block's envelope list."""
-    return sha256("block-data", [e.digest() for e in envelopes])
+    return _data_hash(tuple([e.digest() for e in envelopes]))
+
+
+@lru_cache(maxsize=SHARED_DIGESTS)
+def _data_hash(envelope_digests: Tuple[bytes, ...]) -> bytes:
+    """``block-data`` hash by its full content, the envelope digests:
+    the n nodes of a deployment assemble the same block, one hashes."""
+    return sha256("block-data", envelope_digests)
+
+
+@lru_cache(maxsize=SHARED_DIGESTS, typed=True)
+def _header_digest(number: int, previous_hash: bytes, data_hash: bytes) -> bytes:
+    """``block-header`` hash by its full content; ``typed`` because the
+    canonical encoding tells ``1`` from ``1.0`` and ``True`` where a
+    dict key does not."""
+    return sha256("block-header", number, previous_hash, data_hash)
 
 
 @dataclass(frozen=True)
@@ -39,12 +62,12 @@ class BlockHeader:
 
     def digest(self) -> bytes:
         # headers are frozen, yet every signer/verifier/copy-witness
-        # hashes the same header -- compute once, cache on the instance
+        # hashes the same header -- cache on the instance; each node
+        # builds its own instance of the same header, so a first call
+        # goes through the table shared by content
         cached = getattr(self, "_digest", None)
         if cached is None:
-            cached = sha256(
-                "block-header", self.number, self.previous_hash, self.data_hash
-            )
+            cached = _header_digest(self.number, self.previous_hash, self.data_hash)
             object.__setattr__(self, "_digest", cached)
         return cached
 
@@ -81,8 +104,7 @@ class Block:
         return size
 
     def wire_size(self) -> int:
-        signatures = sum(64 + 16 for _ in self.signatures)
-        return HEADER_SIZE + self.data_size() + signatures
+        return HEADER_SIZE + self.data_size() + (64 + 16) * len(self.signatures)
 
     def verify_data(self) -> bool:
         """Does the header's data hash match the envelopes carried?"""

@@ -10,8 +10,9 @@ module models the disk a replica writes its WAL to:
   discards the cache, optionally leaving a *torn tail* (a
   sector-aligned prefix of the unsynced suffix) or flipping a durable
   byte (*bit rot*).
-- :func:`frame_record` / :func:`scan_records` -- the shared CRC line
-  framing used by both :class:`~repro.smart.wal.ConsensusWAL` and
+- :func:`frame_record` / :func:`frame_payload` / :func:`scan_records`
+  -- the shared CRC line framing used by both
+  :class:`~repro.smart.wal.ConsensusWAL` and
   :class:`~repro.smart.durability.FileBackedLog`.  ``scan_records``
   classifies damage as a torn tail (truncate and continue) or mid-log
   corruption (loud failure).
@@ -119,14 +120,26 @@ class SimDisk:
             self._durable[index] ^= 1 << rng.randrange(8)
 
 
-def frame_record(record: Any) -> bytes:
-    """Encode one record as a CRC-framed JSON line.
+#: The canonical JSON of every record body: sorted keys, no whitespace,
+#: non-ASCII escaped.  One encoder for the process: constructing one
+#: costs more than encoding a small record with it.
+_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    Wire format: ``<crc32 of body, 8 hex digits> <canonical json>\\n``.
+
+def frame_payload(payload: bytes) -> bytes:
+    """CRC-frame an already-encoded record body.
+
+    Wire format: ``<crc32 of payload, 8 hex digits> <payload>\\n``.  The
+    payload must be the canonical JSON of the record (what
+    :func:`frame_record` would produce): fixed-shape records render it
+    from a template instead of going through the encoder.
     """
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    payload = body.encode("utf-8")
-    return f"{zlib.crc32(payload):08x} ".encode("ascii") + payload + b"\n"
+    return b"%08x %b\n" % (zlib.crc32(payload), payload)
+
+
+def frame_record(record: Any) -> bytes:
+    """Encode one record as a CRC-framed canonical-JSON line."""
+    return frame_payload(_encode_canonical(record).encode("ascii"))
 
 
 @dataclass

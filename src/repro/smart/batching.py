@@ -19,23 +19,27 @@ DEFAULT_MAX_BATCH_BYTES = 10 * 1024 * 1024
 
 
 class RequestBatch(list):
-    """A request batch that can memoize its consensus hash.
+    """A request batch that carries what every replica derives from it.
 
     Batches travel by reference inside one simulation (the network
-    never serializes payloads), and every replica hashes the same batch
-    object to validate a PROPOSE.  A plain list cannot carry the cache,
-    so the leader's :class:`PendingQueue` hands out this subclass;
+    never serializes payloads), so every replica validates, executes
+    and logs the same batch object, and requests are immutable once
+    batched.  A plain list cannot carry a cache, so the leader's
+    :class:`PendingQueue` hands out this subclass:
     :func:`repro.smart.consensus.batch_hash` stores one digest per cid
-    in ``hash_by_cid``.  Plain lists still hash fine -- they just never
-    hit the cache (forged batches built by fault injections stay
-    uncached on purpose).
+    in ``hash_by_cid``, and :class:`repro.smart.wal.ConsensusWAL` keeps
+    the framed ``batch`` record of the decision in ``wal_frame`` as
+    ``(cid, encode_op, frame)``.  Plain lists still hash and log fine
+    -- they just never hit a cache (forged batches built by fault
+    injections stay uncached on purpose).
     """
 
-    __slots__ = ("hash_by_cid",)
+    __slots__ = ("hash_by_cid", "wal_frame")
 
     def __init__(self, *args):
         super().__init__(*args)
         self.hash_by_cid = {}
+        self.wal_frame = None
 
 
 class PendingQueue:

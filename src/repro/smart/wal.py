@@ -19,7 +19,7 @@ Decided-batch records deliberately ride the next vote's fsync (group
 commit): losing one costs a state-transfer round-trip on recovery but
 never safety.
 
-Record format (one CRC-framed JSON line each, see
+Record format (one CRC-framed canonical-JSON line each, see
 :func:`repro.sim.storage.frame_record`)::
 
     {"t": "batch",  "cid": C, "reqs": [[client, seq, op, size, rc], ...]}
@@ -27,16 +27,42 @@ Record format (one CRC-framed JSON line each, see
     {"t": "write",  "cid": C, "reg": R, "h": HEX}
     {"t": "accept", "cid": C, "reg": R, "h": HEX}
     {"t": "reg",    "reg": R}
+
+The three fixed-shape records -- three integers and a hex string at
+most, nothing to escape -- are rendered by the byte templates below,
+which *are* their definition: the bytes canonical JSON gives the same
+record (``tests/properties/test_props_wal.py`` keeps that encoder as
+the oracle).  A ``batch`` record is content-determined too -- every
+correct replica logs the same decided batch at the same cid -- so its
+frame is built once per :class:`~repro.smart.batching.RequestBatch`
+object and reused by the other replicas' WALs (see
+:meth:`ConsensusWAL._batch_frame`).
 """
 
 from __future__ import annotations
 
+from binascii import hexlify
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.storage import SimDisk, frame_record, scan_records
+from repro.sim.storage import SimDisk, frame_payload, frame_record, scan_records
+from repro.smart.batching import RequestBatch
 from repro.smart.durability import Checkpoint, OperationLog, _jsonable
 from repro.smart.messages import ClientRequest
+
+#: Canonical JSON (sorted keys, no whitespace) of the vote and regency
+#: records; ``cid`` and ``reg`` are integers, ``h`` is lowercase hex.
+_VOTE_TEMPLATES = {
+    "write": b'{"cid":%d,"h":"%b","reg":%d,"t":"write"}',
+    "accept": b'{"cid":%d,"h":"%b","reg":%d,"t":"accept"}',
+}
+_REGENCY_TEMPLATE = b'{"reg":%d,"t":"reg"}'
+
+
+def _identity(value: Any) -> Any:
+    """The default codec: operations and states that are JSON already."""
+    return value
 
 
 @dataclass
@@ -61,6 +87,13 @@ class WalRecovery:
 class ConsensusWAL(OperationLog):
     """An :class:`OperationLog` persisted to a :class:`SimDisk`."""
 
+    #: How many batch objects keep the frame this WAL built for them
+    #: (:meth:`_batch_frame`).  Consensus runs one instance at a time,
+    #: so the replicas that keep up log a decision within an instance or
+    #: two of the first, while the batch stays in every log until the
+    #: next checkpoint -- far longer than its frame is of use.
+    SHARED_FRAMES = 4
+
     def __init__(
         self,
         disk: SimDisk,
@@ -71,35 +104,64 @@ class ConsensusWAL(OperationLog):
     ):
         super().__init__()
         self.disk = disk
-        self._encode_op = encode_op or (lambda op: op)
-        self._decode_op = decode_op or (lambda op: op)
+        self._encode_op = encode_op or _identity
+        self._decode_op = decode_op or _identity
         self._encode_state = encode_state or _jsonable
-        self._decode_state = decode_state or (lambda state: state)
+        self._decode_state = decode_state or _identity
+        self._framed: "deque[RequestBatch]" = deque()
 
     # ------------------------------------------------------------------
     # OperationLog interface, now durable
 
     def append(self, cid: int, batch: List[ClientRequest]) -> None:
         super().append(cid, batch)
-        self.disk.append(
-            frame_record(
-                {
-                    "t": "batch",
-                    "cid": cid,
-                    "reqs": [
-                        [
-                            r.client_id,
-                            r.sequence,
-                            self._encode_op(r.operation),
-                            r.size_bytes,
-                            1 if r.reconfig else 0,
-                        ]
-                        for r in batch
-                    ],
-                }
-            )
-        )
+        self.disk.append(self._batch_frame(cid, batch))
         # No sync: decided batches group-commit on the next vote fsync.
+
+    def _batch_frame(self, cid: int, batch: List[ClientRequest]) -> bytes:
+        """The framed ``batch`` record, encoded once per batch object.
+
+        Inside one simulation the replicas of a decision execute the
+        *same* :class:`RequestBatch` object, so the first WAL to log it
+        leaves the frame on the object and the others reuse it.  The
+        share is by object identity plus ``(cid, encode_op)`` -- never
+        by value hash, which binds ``(client, sequence, size)`` only and
+        so cannot tell two batches with different operations apart.
+        Plain lists (batches rebuilt by :meth:`recover`, forged ones
+        built by fault injections) and WALs with another codec always
+        encode from scratch, and so does a replica more than
+        ``SHARED_FRAMES`` decisions behind the first to log: the frame
+        is taken off the object again by the WAL that put it there.
+        """
+        encode_op = self._encode_op
+        shareable = isinstance(batch, RequestBatch)
+        if shareable:
+            shared = batch.wal_frame
+            if shared is not None and shared[0] == cid and shared[1] is encode_op:
+                return shared[2]
+        frame = frame_record(
+            {
+                "t": "batch",
+                "cid": cid,
+                "reqs": [
+                    [
+                        r.client_id,
+                        r.sequence,
+                        encode_op(r.operation),
+                        r.size_bytes,
+                        1 if r.reconfig else 0,
+                    ]
+                    for r in batch
+                ],
+            }
+        )
+        if shareable:
+            batch.wal_frame = (cid, encode_op, frame)
+            framed = self._framed
+            framed.append(batch)
+            if len(framed) > self.SHARED_FRAMES:
+                framed.popleft().wal_frame = None
+        return frame
 
     def set_checkpoint(self, checkpoint: Checkpoint) -> None:
         super().set_checkpoint(checkpoint)
@@ -115,10 +177,6 @@ class ConsensusWAL(OperationLog):
         )
         self.disk.sync()
 
-    def clear(self) -> None:
-        self._entries = []
-        self.checkpoint = None
-
     # ------------------------------------------------------------------
     # Consensus-evidence records
 
@@ -132,12 +190,12 @@ class ConsensusWAL(OperationLog):
 
     def log_regency(self, regency: int) -> float:
         """Persist an installed regency; returns fsync latency to charge."""
-        self.disk.append(frame_record({"t": "reg", "reg": regency}))
+        self.disk.append(frame_payload(_REGENCY_TEMPLATE % regency))
         return self.disk.sync()
 
     def _log_vote(self, kind: str, cid: int, regency: int, value_hash: bytes) -> float:
         self.disk.append(
-            frame_record({"t": kind, "cid": cid, "reg": regency, "h": value_hash.hex()})
+            frame_payload(_VOTE_TEMPLATES[kind] % (cid, hexlify(value_hash), regency))
         )
         return self.disk.sync()
 

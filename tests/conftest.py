@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import random
+import sys
 from typing import List, Optional, Tuple
 
 import pytest
 
+import repro.crypto.hashing as hashing
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric import (
@@ -30,6 +33,22 @@ from repro.smart import (
     View,
     wheat_view,
 )
+
+
+def count_hashes_by_tag(monkeypatch) -> collections.Counter:
+    """Count every canonical ``sha256`` call by its leading tag, in
+    every module that imported the function, until the test ends."""
+    calls: collections.Counter = collections.Counter()
+    real = hashing.sha256
+
+    def counting(*values):
+        calls[values[0]] += 1
+        return real(*values)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "sha256", None) is real:
+            monkeypatch.setattr(module, "sha256", counting)
+    return calls
 
 
 class CounterApp(StateMachine):

@@ -1,0 +1,329 @@
+"""Derive once per decision, not once per replica: budgets and soundness.
+
+What every correct replica derives from the same content -- the framed
+``batch`` record of a decision, a block's data hash and header digest,
+the verdict on a block signature -- is derived once and shared by
+content (or by identity of an immutable shared object), never by
+replica id.  Two kinds of test, no clock in either:
+
+- *budgets*: exact counts of the expensive primitive (JSON encodes,
+  canonical hashes, HMACs) over a seeded run, which fail the moment a
+  derivation goes back to once-per-replica;
+- *soundness*: forged or divergent input misses every share by
+  construction, no table replaces a check, every table stays bounded.
+"""
+
+import collections
+import hmac
+import json
+import random
+from types import SimpleNamespace
+
+import pytest
+
+import repro.crypto.hashing as hashing
+import repro.fabric.block as block_module
+import repro.smart.wal as wal_module
+from repro.crypto.signatures import SimulatedECDSA
+from repro.fabric.block import BlockHeader, compute_data_hash, make_block
+from repro.fabric.channel import ChannelConfig
+from repro.fabric.envelope import Envelope
+from repro.faults.invariants import check_durable_logs
+from repro.ordering import OrderingServiceConfig, build_ordering_service
+from repro.sim.storage import SimDisk, scan_records
+from repro.smart.batching import RequestBatch
+from repro.smart.consensus import batch_hash
+from repro.smart.wal import ConsensusWAL
+from tests.conftest import count_hashes_by_tag
+from tests.test_sim_storage import oracle_frame_record
+from tests.test_smart_wal import ordering_wal, request
+
+
+@pytest.fixture(autouse=True)
+def empty_block_tables():
+    """The block tables are per process and keyed by content, so a test
+    that ran earlier may have hashed the very blocks counted here."""
+    block_module._data_hash.cache_clear()
+    block_module._header_digest.cache_clear()
+
+
+def run_service(orderer: str, f: int, envelopes: int, block_size: int, **config):
+    service = build_ordering_service(
+        OrderingServiceConfig(
+            orderer=orderer,
+            f=f,
+            channel=ChannelConfig("ch0", max_message_count=block_size, batch_timeout=10.0),
+            num_frontends=2,
+            request_timeout=30.0,
+            seed=11,
+            **config,
+        )
+    )
+    for i in range(envelopes):
+        envelope = Envelope(
+            channel_id="ch0", transaction=None, payload_size=256, envelope_id=i
+        )
+        service.sim.schedule_at(0.01 + i * 0.0005, service.submit, envelope, i % 2)
+    service.run(5.0)
+    blocks = envelopes // block_size
+    assert [fe.blocks_delivered for fe in service.frontends] == [blocks, blocks]
+    return service
+
+
+def count_hmacs(monkeypatch) -> list:
+    calls = []
+    real = hmac.digest
+
+    def counting(key, msg, digest):
+        calls.append((key, msg))
+        return real(key, msg, digest)
+
+    monkeypatch.setattr(hmac, "digest", counting)
+    return calls
+
+
+def count_frame_records(monkeypatch) -> collections.Counter:
+    """JSON encodes behind the WAL, by record type."""
+    encodes = collections.Counter()
+    real = wal_module.frame_record
+
+    def counting(record):
+        encodes[record["t"]] += 1
+        return real(record)
+
+    monkeypatch.setattr(wal_module, "frame_record", counting)
+    return encodes
+
+
+class TestBudgets:
+    def test_one_batch_encode_per_decision_and_no_encoder_per_vote(self, monkeypatch):
+        """n=4 durable: the four WALs of a decision write one encoded
+        frame (four encodes before the share), and votes and regencies
+        never reach the JSON encoder at all."""
+        encodes = count_frame_records(monkeypatch)
+        constructed = []
+        real_init = json.JSONEncoder.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONEncoder, "__init__", counting_init)
+        service = run_service("bftsmart", 1, 120, 10, durable_wal=True, checkpoint_period=16)
+        decisions = {replica.last_executed + 1 for replica in service.replicas}
+        assert len(decisions) == 1
+        [decisions] = decisions
+        assert decisions >= 12
+        assert encodes["batch"] == decisions
+        assert set(encodes) == {"batch", "ckpt"}  # no vote or regency went through JSON
+        assert constructed == []
+        # and what was shared is what each replica would have written itself
+        for replica in service.replicas:
+            image = replica.log.disk.contents()
+            records = scan_records(image).records
+            assert sum(1 for r in records if r["t"] == "batch") == decisions
+            assert sum(1 for r in records if r["t"] in ("write", "accept")) == 2 * decisions
+            assert image == b"".join(oracle_frame_record(r) for r in records)
+            assert replica.log.disk.fsyncs >= 2 * decisions  # one per vote, as before
+        assert check_durable_logs(service.replicas) == []
+
+    def test_one_data_hash_and_one_header_hash_per_block(self, monkeypatch):
+        """n=10: ten nodes assemble every block, one of them hashes it
+        (ten ``block-data`` and ten ``block-header`` hashes before)."""
+        calls = count_hashes_by_tag(monkeypatch)
+        service = run_service("bftsmart", 3, 200, 10)
+        assert len(service.nodes) == 10
+        assert {node.blocks_created for node in service.nodes} == {20}
+        assert calls["block-data"] == 20
+        assert calls["block-header"] == 20
+        assert block_module._data_hash.cache_info().misses == 20
+        assert block_module._data_hash.cache_info().hits == 9 * 20
+
+    def test_smartbft_hmacs_per_block(self, monkeypatch):
+        """smartbft n=10: a commit signature is signed once and verified
+        once, however many nodes and frontends check it -- per block one
+        sign + one first verification for the pre-prepare and for each
+        commit signature, 22 at most (about 94 before)."""
+        macs = count_hmacs(monkeypatch)
+        service = run_service("smartbft", 3, 200, 10)
+        blocks = 20
+        assert {node.blocks_created for node in service.nodes} == {blocks}
+        # under one key a message is MAC'd twice at most: its signature
+        # and the first check of it (a commit that arrives after the
+        # decision is never checked at all)
+        assert max(collections.Counter(macs).values()) == 2
+        assert 2 * (1 + 7) * blocks <= len(macs) <= 24 * blocks  # 7 = a 2f+1 quorum
+        # both frontends checked every block's signature quorum, from memory
+        assert all(fe.blocks_delivered == blocks for fe in service.frontends)
+        scheme = service.registry.scheme
+        assert 0 < len(scheme._verified) <= scheme.VERIFIED_TRIPLES
+
+
+class TestFrameShareSoundness:
+    def test_forged_and_recovered_batches_encode_from_scratch(self, monkeypatch):
+        encodes = count_frame_records(monkeypatch)
+        batch = RequestBatch([request(0), request(1)])
+        first, second, third = ordering_wal(), ordering_wal(), ordering_wal()
+        first.append(3, batch)
+        second.append(3, batch)
+        assert encodes["batch"] == 1  # the share
+        # a fault injection's forged copy is a plain list: same content, no share
+        forged = list(batch)
+        third.append(3, forged)
+        assert encodes["batch"] == 2
+        assert not hasattr(forged, "wal_frame")
+        # a batch replayed from disk is a plain list too
+        first.log_regency(0)
+        [(cid, replayed)] = ordering_wal(first.disk).recover().entries
+        assert cid == 3 and type(replayed) is list
+        ordering_wal().append(3, replayed)
+        assert encodes["batch"] == 3
+        # the same object at another cid is another record
+        ordering_wal().append(4, batch)
+        assert encodes["batch"] == 4
+        assert first.disk.contents().startswith(second.disk.contents())
+
+    def test_wals_with_different_codecs_never_share(self, monkeypatch):
+        encodes = count_frame_records(monkeypatch)
+        batch = RequestBatch([request(0, op=(1, 2))])
+        tagged = ordering_wal()
+        listed = ConsensusWAL(SimDisk(), encode_op=list)
+        tagged.append(0, batch)
+        listed.append(0, batch)
+        tagged_again = ordering_wal()
+        tagged_again.append(0, batch)
+        assert encodes["batch"] == 3  # the second codec took the object's one slot
+        assert b'"__t"' in tagged.disk.contents()
+        assert b'"__t"' not in listed.disk.contents()
+        assert tagged_again.disk.contents() == tagged.disk.contents()
+
+    def test_same_hash_different_operations_is_still_a_conflict(self):
+        """``batch_hash`` binds (client, sequence, size) only, so these
+        two batches vote under one hash; a frame shared by that hash
+        would make the second log *look* like the first and hide the
+        conflict from ``check_durable_logs``."""
+        alice = RequestBatch([request(0, op="pay alice")])
+        mallory = RequestBatch([request(0, op="pay mallory")])
+        assert batch_hash(5, alice) == batch_hash(5, mallory)
+        honest, victim = ordering_wal(), ordering_wal()
+        honest.append(5, alice)
+        victim.append(5, mallory)  # its own record, not alice's frame
+        assert b"pay alice" in honest.disk.contents()
+        assert b"pay mallory" in victim.disk.contents()
+        assert b"pay alice" not in victim.disk.contents()
+        # the same replica logging both (before and after a restart) is flagged
+        restarted = ordering_wal(victim.disk)
+        restarted.append(5, alice)
+        violations = check_durable_logs(
+            [SimpleNamespace(replica_id=2, log=restarted)]
+        )
+        assert any("conflicting batch records for cid=5" in str(v) for v in violations)
+
+    def test_a_wal_takes_its_frames_back(self):
+        wal = ordering_wal()
+        batches = [RequestBatch([request(i)]) for i in range(50)]
+        for cid, batch in enumerate(batches):
+            wal.append(cid, batch)
+            assert sum(b.wal_frame is not None for b in batches) <= wal.SHARED_FRAMES
+        assert batches[-1].wal_frame is not None and batches[0].wal_frame is None
+
+
+class TestBlockTableSoundness:
+    def envelopes(self, ids):
+        return [
+            Envelope(channel_id="ch0", transaction=None, payload_size=64, envelope_id=i)
+            for i in ids
+        ]
+
+    def test_tables_are_keyed_by_the_whole_hashed_content(self):
+        first = compute_data_hash(self.envelopes([1, 2, 3]))
+        assert compute_data_hash(self.envelopes([1, 2, 3])) == first  # other objects
+        assert block_module._data_hash.cache_info().hits == 1
+        assert compute_data_hash(self.envelopes([1, 3, 2])) != first
+        assert compute_data_hash(self.envelopes([1, 2])) != first
+        assert compute_data_hash([]) == hashing.sha256("block-data", [])
+        header = BlockHeader(number=1, previous_hash=b"p" * 32, data_hash=first)
+        assert header.digest() == hashing.sha256("block-header", 1, b"p" * 32, first)
+        for other in (
+            BlockHeader(number=2, previous_hash=b"p" * 32, data_hash=first),
+            BlockHeader(number=1, previous_hash=b"q" * 32, data_hash=first),
+            BlockHeader(number=1, previous_hash=b"p" * 32, data_hash=b"d" * 32),
+            # 1 == 1.0 == True as dict keys, not as canonical encodings
+            BlockHeader(number=1.0, previous_hash=b"p" * 32, data_hash=first),
+            BlockHeader(number=True, previous_hash=b"p" * 32, data_hash=first),
+        ):
+            assert other.digest() != header.digest()
+            assert other.digest() == hashing.sha256(
+                "block-header", other.number, other.previous_hash, other.data_hash
+            )
+
+    def test_a_tampered_block_still_fails_verify_data(self):
+        block = make_block(1, b"p" * 32, self.envelopes([1, 2, 3]))
+        assert block.verify_data()
+        block.envelopes[1] = self.envelopes([9])[0]
+        assert not block.verify_data()
+
+
+class TestVerifiedSignatureSoundness:
+    def test_only_a_pass_is_remembered(self, monkeypatch):
+        macs = count_hmacs(monkeypatch)
+        scheme = SimulatedECDSA()
+        secret, public = scheme.keygen(random.Random(1))
+        _, other_public = scheme.keygen(random.Random(2))
+        signature = scheme.sign(secret, b"header digest")
+        assert len(macs) == 1
+        assert scheme.verify(public, b"header digest", signature)
+        assert scheme.verify(public, b"header digest", signature)
+        assert len(macs) == 2  # the first verification computed, the second did not
+        tampered = bytes([signature[0] ^ 1]) + signature[1:]
+        for rejected in (
+            (public, b"header digest", tampered),
+            (public, b"another digest", signature),
+            (other_public, b"header digest", signature),  # right signature, wrong key
+            (public, b"header digest", signature[:32]),
+        ):
+            before = len(macs)
+            assert not scheme.verify(*rejected)
+            assert not scheme.verify(*rejected)
+            # recomputed both times (the truncated one never reaches the HMAC)
+            assert len(macs) - before == (2 if len(rejected[2]) == 64 else 0)
+        assert list(scheme._verified) == [(public, b"header digest", signature)]
+
+    def test_a_key_enrolled_after_a_failed_lookup_verifies(self, monkeypatch):
+        elsewhere = SimulatedECDSA()
+        secret, public = elsewhere.keygen(random.Random(7))
+        signature = elsewhere.sign(secret, b"m")
+        scheme = SimulatedECDSA()
+        macs = count_hmacs(monkeypatch)
+        assert not scheme.verify(public, b"m", signature)
+        assert not scheme.verify(public, b"m", signature)
+        assert macs == [] and scheme._verified == {}  # unknown key: nothing kept
+        assert scheme.keygen(random.Random(7)) == (secret, public)
+        assert scheme.verify(public, b"m", signature)
+        assert len(macs) == 1
+        # verdicts are per scheme instance
+        assert (public, b"m", signature) not in elsewhere._verified
+
+
+def test_every_table_stays_bounded_over_2000_blocks():
+    scheme = SimulatedECDSA()
+    secret, public = scheme.keygen(random.Random(0))
+    wal = ConsensusWAL(SimDisk())
+    previous = b"\x00" * 32
+    batches = []
+    for number in range(2000):
+        envelope = Envelope(
+            channel_id="ch0", transaction=None, payload_size=64, envelope_id=number
+        )
+        block = make_block(number, previous, [envelope])
+        previous = block.digest()
+        assert scheme.verify(public, previous, scheme.sign(secret, previous))
+        batches.append(RequestBatch([request(number)]))
+        wal.append(number, batches[-1])
+    assert block_module._data_hash.cache_info().currsize == block_module.SHARED_DIGESTS
+    assert block_module._header_digest.cache_info().currsize == block_module.SHARED_DIGESTS
+    assert len(scheme._verified) == scheme.VERIFIED_TRIPLES
+    assert sum(b.wal_frame is not None for b in batches) == wal.SHARED_FRAMES
+    assert max(
+        block_module.SHARED_DIGESTS, scheme.VERIFIED_TRIPLES, wal.SHARED_FRAMES
+    ) <= 256

@@ -7,16 +7,13 @@ goldens and ``seam_pins.json`` only cover raw envelopes).  Both run
 the same seeded hot-key workload through :class:`SoloPipeline`.
 """
 
-import collections
 import itertools
 import json
 import random
-import sys
 from pathlib import Path
 
-import repro.crypto.hashing as hashing
 import repro.fabric.envelope as envelope_module
-from tests.conftest import SoloPipeline
+from tests.conftest import SoloPipeline, count_hashes_by_tag
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "fabric_path_seed0.json"
 
@@ -74,16 +71,7 @@ def test_hash_budget_per_transaction(monkeypatch):
     """36 canonical hashes per transaction before the leaf caches; the
     table below is what is left, and it is exact -- one more hash per
     transaction anywhere on the path fails here, without a clock."""
-    calls = collections.Counter()
-    real = hashing.sha256
-
-    def counting(*values):
-        calls[values[0]] += 1
-        return real(*values)
-
-    for module in list(sys.modules.values()):
-        if getattr(module, "sha256", None) is real:
-            monkeypatch.setattr(module, "sha256", counting)
+    calls = count_hashes_by_tag(monkeypatch)
     transactions = 120
     pipeline = SoloPipeline(block_size=10, seed=0)
     run_hot_keys(pipeline, transactions)

@@ -1,6 +1,8 @@
 """Tests for the simulated stable-storage device and record framing."""
 
+import json
 import random
+import zlib
 
 import pytest
 
@@ -9,9 +11,20 @@ from repro.sim.storage import (
     ScanResult,
     SimDisk,
     StorageFaults,
+    frame_payload,
     frame_record,
     scan_records,
 )
+
+
+def oracle_frame_record(record) -> bytes:
+    """The framing ``sim/storage.py`` had before the shared encoder and
+    the record templates, kept verbatim as the reference: every frame
+    the WAL writes, however it is produced, must equal this byte for
+    byte (tests/properties/test_props_wal.py, tests/test_derive_once.py)."""
+    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    payload = body.encode("utf-8")
+    return f"{zlib.crc32(payload):08x} ".encode("ascii") + payload + b"\n"
 
 
 class TestSimDisk:
@@ -99,6 +112,35 @@ class TestFraming:
 
     def test_frame_is_canonical(self):
         assert frame_record({"b": 1, "a": 2}) == frame_record({"a": 2, "b": 1})
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"t": "reg", "reg": 3},
+            {"b": [1, 2.5, None, True, -0.0], "a": {"z": "caf\u00e9 \"q\" \\ \n \u2028", "y": []}},
+            {"cid": -(2**70), "h": "", "reg": 2**70, "t": "write"},
+            [],
+            "\ud800",  # a lone surrogate is escaped, never encoded
+        ],
+    )
+    def test_frame_record_matches_the_json_dumps_oracle(self, record):
+        assert frame_record(record) == oracle_frame_record(record)
+
+    def test_frame_payload_is_the_framing_half(self):
+        record = {"t": "accept", "cid": 7, "reg": 0, "h": "ab"}
+        payload = b'{"cid":7,"h":"ab","reg":0,"t":"accept"}'
+        assert frame_payload(payload) == oracle_frame_record(record)
+        assert frame_payload(b"") == b"00000000 \n"
+        # the CRC field is always eight digits
+        assert all(
+            len(frame_payload(bytes([byte])).split(b" ")[0]) == 8 for byte in range(256)
+        )
+
+    def test_frame_record_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            frame_record({"op": b"bytes"})
+        with pytest.raises(TypeError):
+            frame_record({"op": object()})
 
     def test_scan_empty(self):
         assert scan_records(b"") == ScanResult(records=[], valid_bytes=0)

@@ -6,6 +6,7 @@ the view, and network partitions.  Message-level attacks are expressed
 with the :mod:`repro.faults` DSL.
 """
 
+import pytest
 
 from repro.crypto.hashing import sha256
 from repro.faults import (
@@ -68,6 +69,56 @@ class TestForgedMessages:
         replica.deliver(3, response)
         cluster.run(0.5)
         assert cluster.apps[1].total == 0
+
+    def decide_without_the_value(self, cluster, batch):
+        """Replica 1 sees an ACCEPT quorum for ``batch``'s hash but never
+        the PROPOSE, so it decides cid 0 and has to fetch the value."""
+        replica = cluster.replicas[1]
+        value_hash = batch_hash(0, batch)
+        for sender in (0, 2, 3):
+            replica.deliver(sender, Accept(sender, 0, 0, value_hash))
+        assert replica.instance(0).decided and replica.last_executed == -1
+        assert replica.counters.value_fetches == 1
+        return replica, value_hash
+
+    def test_value_response_check_binds_ids_and_sizes_only(self):
+        """How far today's check goes: ``batch_hash`` covers (client,
+        sequence, size) of every request and nothing else, so a
+        ``ValueResponse`` is held to exactly those -- the operations
+        ride along unchecked (the xfail below states what should hold)."""
+
+        def pay(to, client=9, seq=0, size=8):
+            return [ClientRequest(client, seq, operation=to, size_bytes=size)]
+
+        assert batch_hash(0, pay("alice")) == batch_hash(0, pay("mallory"))
+        cluster = Cluster()
+        replica, value_hash = self.decide_without_the_value(cluster, pay(5))
+        for lie in (pay(-999, client=8), pay(-999, seq=1), pay(-999, size=9), []):
+            replica.deliver(3, ValueResponse(3, 0, value_hash, lie))
+        cluster.run(0.5)
+        assert cluster.apps[1].history == []
+        replica.deliver(2, ValueResponse(2, 0, value_hash, pay(5)))
+        cluster.run(0.5)
+        assert cluster.apps[1].history == [5]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="batch_hash binds (client_id, sequence, size_bytes) only, so a "
+        "lying ValueResponse (or an equivocating leader) can swap operations "
+        "under the quorum-voted hash; fix: bind Envelope.digest() / a canonical "
+        "op encoding into batch_hash, goldens regenerated in that PR (ROADMAP, "
+        "'Even out the safety net')",
+    )
+    def test_value_response_with_swapped_operations_rejected(self):
+        """A ``ValueResponse`` whose operations differ from the decided
+        batch must be discarded like any other forged response."""
+        cluster = Cluster()
+        decided = [ClientRequest(9, 0, operation=5, size_bytes=8)]
+        swapped = [ClientRequest(9, 0, operation=-999, size_bytes=8)]
+        replica, value_hash = self.decide_without_the_value(cluster, decided)
+        replica.deliver(3, ValueResponse(3, 0, value_hash, swapped))
+        cluster.run(0.5)
+        assert -999 not in cluster.apps[1].history
 
     def test_votes_from_outside_view_ignored(self):
         cluster = Cluster()

@@ -1,0 +1,232 @@
+#!/usr/bin/env python
+"""Alternating parent/child pairs of the performance benchmark.
+
+    python tools/perf_pairs.py --parent <rev> --workload <name> [--pairs 10]
+    make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10]
+
+The rule a host-time claim has to pass (the choosing-metrics guide,
+"Measuring in a small sandbox"): at least ten pairs of parent and
+change, alternating which side runs first, the change winning at least
+nine tenths of the pairs (ties count for neither side) and the medians
+apart by more than the distance between the parent's own quartiles.
+
+The parent's committed files are exported with ``git archive`` into
+the ignored ``benchmarks/perf/out/pairs/`` -- the way the benchmark is
+run on a commit: a fresh directory, nothing left registered in
+``.git``.  Each side then runs its *own*, unmodified
+``benchmarks/perf/run.py --trace 0``, one process at a time, with the
+seed equal within a pair and the order swapped every pair.  Stdlib
+only; it edits nothing under ``benchmarks/perf/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+from typing import Any, Dict, List, Sequence
+
+REPO = Path(__file__).resolve().parent.parent
+EXPORTS = REPO / "benchmarks" / "perf" / "out" / "pairs"
+RUN = Path("benchmarks") / "perf" / "run.py"
+#: the metric a host-time claim is about; the other host metrics are
+#: printed beside it, the sim_* ones only checked for identity
+CLAIMED = "host_cpu_s_per_sim_s"
+
+
+def export_parent(rev: str) -> Path:
+    """The committed files of ``rev`` in a directory of their own."""
+    sha = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=REPO, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    root = EXPORTS / sha[:12]
+    if root.exists():
+        shutil.rmtree(root)
+    root.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", sha], cwd=REPO, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(root)
+    return root
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> Dict[str, Any]:
+    """One ``run.py --trace 0`` of the tree at ``root``: its last line."""
+    proc = subprocess.run(
+        [
+            sys.executable, str(root / RUN), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        ],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root}: run.py exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def run_pairs(
+    parent_root: Path, workload: str, pairs: int, first_seed: int, seconds: float
+) -> List[Dict[str, Any]]:
+    results = []
+    for index in range(pairs):
+        seed = first_seed + index
+        order = ("parent", "child") if index % 2 == 0 else ("child", "parent")
+        pair: Dict[str, Any] = {"seed": seed, "order": list(order)}
+        for side in order:
+            root = parent_root if side == "parent" else REPO
+            pair[side] = run_once(root, workload, seed, seconds)
+        results.append(pair)
+        print(
+            f"pair {index} seed {seed} ({order[0]} first): "
+            + " ".join(
+                f"{side}={_value(pair[side], CLAIMED):.4f}"
+                for side in ("parent", "child")
+            ),
+            file=sys.stderr,
+        )
+    return results
+
+
+def _value(result: Dict[str, Any], metric: str) -> float:
+    return result["metrics"][metric]["value"]
+
+
+def quartiles(values: Sequence[float]) -> List[float]:
+    """[q1, median, q3]; a single run is its own quartiles."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(pairs: Sequence[Dict[str, Any]], metric: str, better: str) -> Dict[str, Any]:
+    """The section-8 arithmetic over finished pairs, for one metric."""
+    sign = -1.0 if better == "lower" else 1.0
+    parent = [_value(pair["parent"], metric) for pair in pairs]
+    child = [_value(pair["child"], metric) for pair in pairs]
+    wins = sum(1 for p, c in zip(parent, child) if sign * (c - p) > 0)
+    ties = sum(1 for p, c in zip(parent, child) if c == p)
+    parent_q, child_q = quartiles(parent), quartiles(child)
+    parent_iqr = parent_q[2] - parent_q[0]
+    gain = sign * (child_q[1] - parent_q[1])
+    sim_mismatches = [
+        f"seed {pair['seed']}: {name}"
+        for pair in pairs
+        for name in sorted(pair["parent"]["metrics"])
+        if name.startswith("sim_") and _value(pair["parent"], name) != _value(pair["child"], name)
+    ]
+    failed = {
+        side: sum(pair[side]["failed"] for pair in pairs) for side in ("parent", "child")
+    }
+    attempted = {
+        side: sum(pair[side]["attempted"] for pair in pairs) for side in ("parent", "child")
+    }
+    return {
+        "metric": metric,
+        "better": better,
+        "pairs": len(pairs),
+        "parent": {"q1": parent_q[0], "median": parent_q[1], "q3": parent_q[2]},
+        "child": {"q1": child_q[0], "median": child_q[1], "q3": child_q[2]},
+        "parent_iqr": parent_iqr,
+        "change": (child_q[1] - parent_q[1]) / parent_q[1] if parent_q[1] else 0.0,
+        "wins": wins,
+        "ties": ties,
+        "losses": len(pairs) - wins - ties,
+        "wins_nine_tenths": 10 * wins >= 9 * len(pairs),
+        "medians_apart_by_more_than_parent_iqr": gain > parent_iqr,
+        "sim_identical": not sim_mismatches,
+        "sim_mismatches": sim_mismatches,
+        "correct": all(pair[side]["correct"] for pair in pairs for side in ("parent", "child")),
+        "failed": failed,
+        "no_more_failures": (
+            failed["child"] * attempted["parent"] <= failed["parent"] * attempted["child"]
+        ),
+    }
+
+
+def claim_holds(summary: Dict[str, Any]) -> bool:
+    return (
+        summary["pairs"] >= 10
+        and summary["wins_nine_tenths"]
+        and summary["medians_apart_by_more_than_parent_iqr"]
+        and summary["sim_identical"]
+        and summary["correct"]
+        and summary["no_more_failures"]
+    )
+
+
+def render(summary: Dict[str, Any], others: Sequence[Dict[str, Any]]) -> str:
+    lines = [
+        "| metric | parent median [q1, q3] | child median [q1, q3] | change "
+        "| child wins / ties / losses |",
+        "|---|---|---|---|---|",
+    ]
+    for row in (summary, *others):
+        p, c = row["parent"], row["child"]
+        lines.append(
+            f"| `{row['metric']}` | {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] "
+            f"| {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] | {row['change']:+.1%} "
+            f"| {row['wins']} / {row['ties']} / {row['losses']} |"
+        )
+    lines += [
+        "",
+        f"`{summary['metric']}` over {summary['pairs']} pairs "
+        f"(better: {summary['better']}):",
+        f"- child wins at least nine tenths of the pairs: {summary['wins_nine_tenths']}",
+        f"- medians apart by more than the parent's IQR ({summary['parent_iqr']:.6g}): "
+        f"{summary['medians_apart_by_more_than_parent_iqr']}",
+        f"- every sim_* identical within each pair: {summary['sim_identical']}"
+        + "".join(f"\n  - {line}" for line in summary["sim_mismatches"]),
+        f"- correct on every run: {summary['correct']}; failed parent/child: "
+        f"{summary['failed']['parent']} / {summary['failed']['child']}",
+        f"- claim holds (>= 10 pairs and all of the above): {claim_holds(summary)}",
+    ]
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    contract = json.loads((REPO / "BENCHMARK.json").read_text())
+    better = {entry["name"]: entry["better"] for entry in contract["end_to_end"]}
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument(
+        "--workload", required=True, choices=[w["name"] for w in contract["workloads"]]
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=0, help="pair i runs seed first+i")
+    parser.add_argument("--json", help="also write every run and the summaries here")
+    args = parser.parse_args(argv)
+
+    parent_root = export_parent(args.parent)
+    try:
+        pairs = run_pairs(
+            parent_root, args.workload, args.pairs, args.first_seed,
+            contract["run_seconds"],
+        )
+    finally:
+        shutil.rmtree(parent_root, ignore_errors=True)
+    summary = summarize(pairs, CLAIMED, better[CLAIMED])
+    others = [
+        summarize(pairs, name, better[name])
+        for name in better
+        if name != CLAIMED and not name.startswith("sim_")
+    ]
+    print(f"## {args.workload}: parent {args.parent} vs working tree")
+    print(render(summary, others))
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps({"pairs": pairs, "summary": summary, "others": others}, indent=1)
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
