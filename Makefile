@@ -32,13 +32,19 @@ RACESAN_K ?= 8
 # alternating parent/child pairs of the perf benchmark (tools/perf_pairs.py)
 PAIRS ?= 10
 
+# hypothesis profile of `make test` (registered in tests/conftest.py)
+HYPOTHESIS_PROFILE ?= tier1
+
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
 .PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs
 
-## tier-1: the whole test suite (includes the 25-seed explorer run)
+## tier-1: the whole test suite (includes the 25-seed explorer run);
+## property tests run under the derandomized, database-less hypothesis
+## profile (tests/conftest.py) -- nightly.yml passes nightly instead
 test:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q \
+		--hypothesis-profile=$(HYPOTHESIS_PROFILE)
 
 ## static checks: real ruff when installed, AST fallback otherwise
 ## (config in pyproject.toml; see tools/lint.py)

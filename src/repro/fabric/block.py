@@ -34,7 +34,9 @@ SHARED_DIGESTS = 128
 
 def compute_data_hash(envelopes: List[Envelope]) -> bytes:
     """Hash of a block's envelope list."""
-    return _data_hash(tuple([e.digest() for e in envelopes]))
+    # the key is read straight from the envelopes' digest slots: by the
+    # time a block is assembled almost every envelope has been hashed
+    return _data_hash(tuple([e._digest or e.digest() for e in envelopes]))
 
 
 @lru_cache(maxsize=SHARED_DIGESTS)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, List, Mapping, Optional, Tuple, Union
 
@@ -227,6 +228,11 @@ class WriteSet:
         return len(self.writes)
 
 
+#: Entries in each of the two composite tables below: the transactions
+#: in flight between endorsement and commit, not the ledger.
+SHARED_COMPOSITES = 256
+
+
 def endorsement_payload(
     proposal_digest: bytes,
     read_set: ReadSet,
@@ -236,18 +242,40 @@ def endorsement_payload(
 ) -> bytes:
     """What an endorsing peer signs and a committing peer re-derives.
 
-    A flat composite over the cached leaf digests, recomputed on every
-    call: the objects it reads from stay assignable, so swapping a
-    transaction's write set or result is detected by the next check.
+    A flat composite over the cached leaf digests, looked up by its
+    full content on every call: nothing is kept on the objects it reads
+    from, which stay assignable, so swapping a transaction's write set
+    or result is a different key and is detected by the next check.
     """
-    return sha256(
-        "response",
-        proposal_digest,
-        read_set.digest(),
-        write_set.digest(),
-        repr(result),
-        success,
+    return _response_hash(
+        proposal_digest, read_set.digest(), write_set.digest(), repr(result), success
     )
+
+
+@lru_cache(maxsize=SHARED_COMPOSITES, typed=True)
+def _response_hash(
+    proposal_digest: bytes,
+    read_digest: bytes,
+    write_digest: bytes,
+    result_repr: str,
+    success: bool,
+) -> bytes:
+    """``response`` hash by everything it hashes: both endorsers sign,
+    the client groups and every committing peer checks the same payload.
+    ``typed`` because the canonical encoding tells ``True`` from ``1``
+    where a dict key does not."""
+    return sha256(
+        "response", proposal_digest, read_digest, write_digest, result_repr, success
+    )
+
+
+@lru_cache(maxsize=SHARED_COMPOSITES, typed=True)
+def _transaction_hash(
+    proposal_digest: bytes, read_digest: bytes, write_digest: bytes, tx_id: int
+) -> bytes:
+    """``transaction`` hash by everything it hashes (the client signs
+    it, then the envelope digest covers it)."""
+    return sha256("transaction", proposal_digest, read_digest, write_digest, tx_id)
 
 
 @dataclass(slots=True)
@@ -282,8 +310,9 @@ class Endorsement:
 class Transaction:
     """A fully-assembled transaction awaiting ordering + validation.
 
-    Every field stays assignable and neither hash below is cached: both
-    are flat composites over the sealed leaves' cached digests.
+    Every field stays assignable and neither hash below is cached on
+    the instance: both are flat composites over the sealed leaves'
+    cached digests, looked up by that content.
     """
 
     proposal: ChaincodeProposal
@@ -301,8 +330,7 @@ class Transaction:
         )
 
     def digest(self) -> bytes:
-        return sha256(
-            "transaction",
+        return _transaction_hash(
             self.proposal.digest(),
             self.read_set.digest(),
             self.write_set.digest(),

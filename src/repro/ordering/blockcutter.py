@@ -10,7 +10,7 @@ envelopes.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
@@ -38,26 +38,51 @@ class BlockCutter:
 
     def ordered(self, envelope: Envelope) -> List[List[Envelope]]:
         """Feed one ordered envelope; returns zero or more cut batches."""
+        return self.ordered_run((envelope,), 0, 1)[0]
+
+    def ordered_run(
+        self, envelopes: Sequence[Envelope], start: int, stop: int
+    ) -> Tuple[List[List[Envelope]], int]:
+        """Feed ``envelopes[start:stop]`` in order, up to and including
+        the first envelope that cuts.
+
+        Returns the batches that envelope cut (none if the run ended
+        first) and the index of the next envelope not yet fed, so a
+        caller can act on a cut -- assemble the blocks, arm a timer --
+        exactly where feeding one envelope at a time would have, and
+        then resume.  This loop is the cutting rule; :meth:`ordered` is
+        its one-envelope case.
+        """
+        preferred_max_bytes = self.config.preferred_max_bytes
+        max_message_count = self.config.max_message_count
+        pending = self._pending
+        pending_bytes = self._pending_bytes
+        count = len(pending)
         batches: List[List[Envelope]] = []
-        if envelope.is_config:
-            # config envelopes get a block of their own, after flushing
-            if self._pending:
+        index = start
+        while index < stop and not batches:
+            envelope = envelopes[index]
+            index += 1
+            if envelope.is_config:
+                # config envelopes get a block of their own, after flushing
+                if count:
+                    batches.append(self.cut())
+                batches.append([envelope])
+                self.batches_cut += 1
+                return batches, index
+            size = envelope.payload_size
+            if count and pending_bytes + size > preferred_max_bytes:
+                # the message would overflow the pending batch: cut first
                 batches.append(self.cut())
-            batches.append([envelope])
-            self.batches_cut += 1
-            return batches
-        message_will_overflow = (
-            self._pending
-            and self._pending_bytes + envelope.payload_size
-            > self.config.preferred_max_bytes
-        )
-        if message_will_overflow:
-            batches.append(self.cut())
-        self._pending.append(envelope)
-        self._pending_bytes += envelope.payload_size
-        if len(self._pending) >= self.config.max_message_count:
-            batches.append(self.cut())
-        return batches
+                pending, pending_bytes, count = self._pending, 0, 0
+            pending.append(envelope)
+            pending_bytes += size
+            count += 1
+            if count >= max_message_count:
+                batches.append(self.cut())
+                return batches, index
+        self._pending_bytes = pending_bytes
+        return batches, index
 
     def cut(self) -> List[Envelope]:
         """Drain the pending envelopes as one batch (may be empty)."""

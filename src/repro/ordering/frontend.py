@@ -330,7 +330,10 @@ class Frontend:
             self._latency_recorder = self.stats.latency(f"{self.name}.latency")
         blocks.record(now, 1.0)
         self._envelopes_meter.record(now, float(len(block.envelopes)))
-        latency = self._latency_recorder
-        for envelope in block.envelopes:
-            if envelope.create_time is not None:
-                latency.record(now - envelope.create_time)
+        self._latency_recorder.extend(
+            [
+                now - envelope.create_time
+                for envelope in block.envelopes
+                if envelope.create_time is not None
+            ]
+        )

@@ -24,8 +24,8 @@ ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Optional
-
 
 from repro.crypto.keys import Identity
 from repro.fabric.api import BlockDelivery
@@ -103,6 +103,13 @@ class BFTOrderingNode(StateMachine):
             for channel_id, config in channels.items()
         }
         self._channel_configs = dict(channels)
+        #: the result of ordering an envelope, one shared read-only
+        #: mapping per channel (results are compared and cached, never
+        #: written)
+        self._acks = {
+            channel_id: MappingProxyType({"status": "ACK", "channel": channel_id})
+            for channel_id in channels
+        }
         self.blocks_created = 0
         self.envelopes_processed = 0
         #: (blocks, envelopes) meter pair, resolved on first signed block
@@ -132,34 +139,65 @@ class BFTOrderingNode(StateMachine):
         regency: int,
         tentative: bool = False,
     ) -> List[Any]:
+        operations = [request.operation for request in requests]
         results: List[Any] = []
-        for request in requests:
-            operation = request.operation
+        start, count = 0, len(operations)
+        while start < count:
+            operation = operations[start]
             # envelopes outnumber TTCs by orders of magnitude: test the
             # common case first (the branches are mutually exclusive)
             if isinstance(operation, Envelope):
-                results.append(self._handle_envelope(operation))
+                # a decided batch is almost always one run of envelopes
+                # for one channel: find where the run ends, order it whole
+                channel_id = operation.channel_id
+                end = start + 1
+                while end < count:
+                    operation = operations[end]
+                    if (
+                        not isinstance(operation, Envelope)
+                        or operation.channel_id != channel_id
+                    ):
+                        break
+                    end += 1
+                results += self._order_run(channel_id, operations[start:end])
+                start = end
             elif isinstance(operation, TimeToCut):
                 results.append(self._handle_ttc(operation))
+                start += 1
             else:
                 results.append({"status": "BAD_REQUEST"})
+                start += 1
         return results
 
-    def _handle_envelope(self, envelope: Envelope) -> Dict[str, Any]:
-        state = self._channels.get(envelope.channel_id)
+    def _order_run(self, channel_id: str, envelopes: List[Envelope]) -> List[Any]:
+        """Order consecutive envelopes of one channel: one pass over the
+        run, yet every block is assembled and every cut timer armed at
+        the envelope, and so in the order, feeding them singly would."""
+        state = self._channels.get(channel_id)
+        count = len(envelopes)
         if state is None:
-            return {"status": "NO_SUCH_CHANNEL", "channel": envelope.channel_id}
-        self.envelopes_processed += 1
-        batches = state.cutter.ordered(envelope)
-        for batch in batches:
-            self._create_block(envelope.channel_id, state, batch)
-        if batches:
-            state.ttc_pending = False
-        if len(state.cutter) > 0:
-            # covers both a fresh remainder after a cut and the plain
-            # not-yet-full case; a stale armed timer re-arms itself
-            self._arm_cut_timer(envelope.channel_id, state)
-        return {"status": "ACK", "channel": envelope.channel_id}
+            return [
+                {"status": "NO_SUCH_CHANNEL", "channel": channel_id}
+                for _ in range(count)
+            ]
+        self.envelopes_processed += count
+        cutter = state.cutter
+        timed = self.ttc_submitter is not None
+        fed = 0
+        while fed < count:
+            # with no timer pending the very next envelope may have to
+            # arm one, so it is fed alone; otherwise feed up to a cut
+            stop = fed + 1 if timed and not state.ttc_pending else count
+            batches, fed = cutter.ordered_run(envelopes, fed, stop)
+            for batch in batches:
+                self._create_block(channel_id, state, batch)
+            if batches:
+                state.ttc_pending = False
+            if timed and not state.ttc_pending and len(cutter) > 0:
+                # covers both a fresh remainder after a cut and the
+                # plain not-yet-full case
+                self._arm_cut_timer(channel_id, state)
+        return [self._acks[channel_id]] * count
 
     def _handle_ttc(self, ttc: TimeToCut) -> Dict[str, Any]:
         state = self._channels.get(ttc.channel_id)

@@ -112,8 +112,19 @@ class LatencyRecorder:
         self._sum = 0.0
 
     def extend(self, samples: Iterable[float]) -> None:
+        """:meth:`record` every sample, in order, in one call."""
+        samples = list(samples)
+        if not samples:
+            return
+        self._samples += samples
+        self._sorted = None
+        # the same left-to-right additions a record() loop performs
+        # (the builtin sum() compensates its float total on newer
+        # interpreters, which would change the last bits of the mean)
+        total = self._sum
         for sample in samples:
-            self.record(sample)
+            total += sample
+        self._sum = total
 
     @property
     def samples(self) -> List[float]:

@@ -8,7 +8,7 @@ pending-request queue into a batch of at most ``max_batch`` requests
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.smart.messages import ClientRequest, RequestId
 
@@ -54,25 +54,24 @@ class PendingQueue:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
         self.max_batch_bytes = max_batch_bytes
-        self._queue: "OrderedDict[RequestId, ClientRequest]" = OrderedDict()
-        self._arrival: Dict[RequestId, float] = {}
+        #: request id -> (request, arrival time), in arrival order
+        self._queue: OrderedDict[RequestId, Tuple[ClientRequest, float]] = OrderedDict()
 
     def add(self, request: ClientRequest, now: float) -> bool:
         """Enqueue unless already pending; returns True if added."""
         rid = request.request_id
         if rid in self._queue:
             return False
-        self._queue[rid] = request
-        self._arrival[rid] = now
+        self._queue[rid] = (request, now)
         return True
 
     def remove(self, rid: RequestId) -> None:
         self._queue.pop(rid, None)
-        self._arrival.pop(rid, None)
 
     def remove_all(self, requests: List[ClientRequest]) -> None:
+        discard = self._queue.pop
         for request in requests:
-            self.remove(request.request_id)
+            discard(request.request_id, None)
 
     def __contains__(self, rid: RequestId) -> bool:
         return rid in self._queue
@@ -82,25 +81,27 @@ class PendingQueue:
 
     def oldest_age(self, now: float) -> Optional[float]:
         """Age of the longest-waiting request, or None if empty."""
-        if not self._arrival:
-            return None
-        first_rid = next(iter(self._queue))
-        return now - self._arrival[first_rid]
+        for _request, arrival in self._queue.values():
+            return now - arrival
+        return None
 
     def peek_all(self) -> List[ClientRequest]:
-        return list(self._queue.values())
+        return [request for request, _arrival in self._queue.values()]
 
     def next_batch(self) -> List[ClientRequest]:
         """Drain up to the batch limits, preserving FIFO order."""
         batch = RequestBatch()
+        room = self.max_batch
         batch_bytes = 0
-        for rid in list(self._queue):
-            request = self._queue[rid]
-            if len(batch) >= self.max_batch:
+        # walks the head of the queue only: the backlog behind the batch
+        # (thousands of requests past saturation) is never touched
+        for request, _arrival in self._queue.values():
+            if room == 0:
                 break
             if batch and batch_bytes + request.size_bytes > self.max_batch_bytes:
                 break
             batch.append(request)
             batch_bytes += request.size_bytes
-            self.remove(rid)
+            room -= 1
+        self.remove_all(batch)
         return batch

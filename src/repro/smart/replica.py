@@ -204,6 +204,7 @@ class ServiceReplica:
         self.sim = sim
         self.network = network
         self.replica_id = replica_id
+        self.regency = 0
         self.view = view
         self.app = app
         self.config = config or ReplicaConfig()
@@ -215,7 +216,6 @@ class ServiceReplica:
         #: optional repro.obs hub (attached by Observability.attach)
         self.obs = None
 
-        self.regency = 0
         self.last_executed = -1
         self.active_cid: Optional[int] = None
         self.instances: Dict[int, ConsensusInstance] = {}
@@ -249,9 +249,13 @@ class ServiceReplica:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    @property
-    def is_leader(self) -> bool:
-        return self.view.leader_of(self.regency) == self.replica_id
+    def set_regency(self, regency: int) -> None:
+        """Enter ``regency``.  ``is_leader`` is a plain attribute, read
+        once per client request, so it is derived where its inputs
+        change -- here and in the ``view`` setter -- and nowhere else
+        may assign ``regency``."""
+        self.regency = regency
+        self.is_leader = self._view.leader_of(regency) == self.replica_id
 
     @property
     def leader(self) -> int:
@@ -267,6 +271,7 @@ class ServiceReplica:
         # once per view change instead of once per message
         self._view = view
         self._others = [p for p in view.processes if p != self.replica_id]
+        self.is_leader = view.leader_of(self.regency) == self.replica_id
 
     def other_replicas(self) -> List[int]:
         """The other members of the current view (do not mutate)."""
@@ -375,7 +380,7 @@ class ServiceReplica:
                             else inst.accept_sent
                         )
                         sent[reg] = votes[reg]
-            self.regency = regency
+            self.set_regency(regency)
             if corrupt:
                 # the durable image lied once: abstain from voting until
                 # a regency change moves past everything it may cover
@@ -401,7 +406,7 @@ class ServiceReplica:
         from repro.smart.statetransfer import StateTransfer
         from repro.smart.synchronization import Synchronizer
 
-        self.regency = 0
+        self.set_regency(0)
         self.last_executed = -1
         self.active_cid = None
         self.instances = {}
@@ -464,22 +469,26 @@ class ServiceReplica:
     # ------------------------------------------------------------------
     # client requests and proposing
     # ------------------------------------------------------------------
-    def _on_request(self, request: ClientRequest) -> None:
+    def _on_request(self, src, request: ClientRequest) -> None:
         if request.request_id in self._executed_ids:
             self.counters.duplicate_requests += 1
             cached = self._last_reply.get(request.client_id)
             if cached is not None and request.sequence == cached[0]:
                 self.replier(self, request, cached[1], cached[2], False)
             return
-        request.submit_time = request.submit_time or self.sim.now
+        now = self.sim.now
+        request.submit_time = request.submit_time or now
         if self.obs is not None:
-            self.obs.on_request(self.replica_id, request, self.sim.now)
-        self.pending.add(request, self.sim.now)
+            self.obs.on_request(self.replica_id, request, now)
+        self.pending.add(request, now)
         self._maybe_propose()
 
     def _maybe_propose(self) -> None:
         """Leader-only: start the next consensus when idle."""
-        if not self.is_leader or self.active_cid is not None or not self.pending:
+        # runs once per request per replica: the attribute tests come
+        # first (a busy leader stops at the first, a follower at the
+        # second), the queue's __len__ last
+        if self.active_cid is not None or not self.is_leader or not self.pending:
             return
         if self.synchronizer.changing_regency:
             return
@@ -843,18 +852,19 @@ class ServiceReplica:
         regency: int,
         tentative: bool,
     ) -> None:
-        to_run: List[ClientRequest] = []
-        for request in batch:
-            # dedup by exact request id only: clients submit asynchronously
-            # with many outstanding sequences, so after a leader change a
-            # *lower* sequence may legitimately be ordered after a higher
-            # one and must still execute
-            if request.request_id in self._executed_ids:
-                self.counters.duplicate_requests += 1
-                continue
-            to_run.append(request)
+        # dedup by exact request id only: clients submit asynchronously
+        # with many outstanding sequences, so after a leader change a
+        # *lower* sequence may legitimately be ordered after a higher
+        # one and must still execute
+        executed = self._executed_ids
+        ids = [request.request_id for request in batch]
+        if executed.isdisjoint(ids):
+            to_run = batch  # nothing to filter: run the decided batch as is
+        else:
+            to_run = [r for r in batch if r.request_id not in executed]
+            self.counters.duplicate_requests += len(batch) - len(to_run)
         reconfigs = [r for r in to_run if r.reconfig]
-        normal = [r for r in to_run if not r.reconfig]
+        normal = [r for r in to_run if not r.reconfig] if reconfigs else to_run
         results: List[Any] = []
         if normal:
             results = self.app.execute_batch(inst.cid, normal, regency, tentative)
@@ -862,25 +872,30 @@ class ServiceReplica:
                 raise RuntimeError(
                     f"app returned {len(results)} results for {len(normal)} requests"
                 )
-        for request, result in zip(normal, results):
-            self._complete_request(request, result, regency, tentative)
+        if not tentative:
+            # booked for the whole batch at once (no replier reads
+            # either); the ids filtered out above are in the set already
+            self.counters.requests_executed += len(to_run)
+            executed.update(ids)
+        self._answer(normal, results, regency, tentative)
         for request in reconfigs:
             result = self._apply_reconfiguration(request)
-            self._complete_request(request, result, regency, tentative)
+            self._answer((request,), (result,), regency, tentative)
         self.pending.remove_all(batch)
         if not tentative:
             self._forwarded = False
 
-    def _complete_request(
-        self, request: ClientRequest, result: Any, regency: int, tentative: bool
-    ) -> None:
-        if not tentative:
-            self.counters.requests_executed += 1
-            self._executed_ids.add(request.request_id)
-            cached = self._last_reply.get(request.client_id)
-            if cached is None or request.sequence >= cached[0]:
-                self._last_reply[request.client_id] = (request.sequence, result, regency)
-        self.replier(self, request, result, regency, tentative)
+    def _answer(self, requests, results, regency: int, tentative: bool) -> None:
+        """Reply to executed requests, in order, remembering the final
+        replies for retransmissions: one loop per batch."""
+        replier = self.replier
+        last_reply = self._last_reply
+        for request, result in zip(requests, results):
+            if not tentative:
+                cached = last_reply.get(request.client_id)
+                if cached is None or request.sequence >= cached[0]:
+                    last_reply[request.client_id] = (request.sequence, result, regency)
+            replier(self, request, result, regency, tentative)
 
     # ------------------------------------------------------------------
     # tentative execution (WHEAT)
@@ -1040,8 +1055,8 @@ class ServiceReplica:
 #: through ``self.synchronizer`` / ``self.state_transfer`` must resolve
 #: the attribute at call time because both are recreated on restart.
 _DISPATCH: Dict[str, Callable[["ServiceReplica", Any, Any], None]] = {
-    "ClientRequest": lambda self, src, m: self._on_request(m),
-    "ForwardedRequest": lambda self, src, m: self._on_request(m.request),
+    "ClientRequest": ServiceReplica._on_request,
+    "ForwardedRequest": lambda self, src, m: self._on_request(src, m.request),
     "Propose": ServiceReplica._on_propose,
     "Write": ServiceReplica._on_write,
     "Accept": ServiceReplica._on_accept,

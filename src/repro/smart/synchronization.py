@@ -136,7 +136,7 @@ class Synchronizer:
     # ------------------------------------------------------------------
     def _install_regency(self, target: int) -> None:
         replica = self.replica
-        replica.regency = target
+        replica.set_regency(target)
         replica.log.log_regency(target)
         replica.counters.regency_changes += 1
         self.changing_regency = True
@@ -269,7 +269,7 @@ class Synchronizer:
         if not self._sync_respects_certificates(msg):
             return  # leader ignored a certified value: refuse
         if msg.regency > replica.regency:
-            replica.regency = msg.regency
+            replica.set_regency(msg.regency)
             replica.log.log_regency(msg.regency)
             replica.counters.regency_changes += 1
         self.changing_regency = False

@@ -8,8 +8,12 @@ import sys
 from typing import List, Optional, Tuple
 
 import pytest
+from hypothesis import settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 import repro.crypto.hashing as hashing
+import repro.fabric.block as block_module
+import repro.fabric.envelope as envelope_module
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric import (
@@ -35,9 +39,39 @@ from repro.smart import (
 )
 
 
+# A gate either has no randomness or names its seed (docs/ANALYSIS.md).
+# "tier1" -- the default, what `make test` / `make ci` / ci.yml select --
+# derives every example from the test itself and replays nothing from a
+# local database, so a checkout is green or red by its content alone.
+# "nightly" (nightly.yml: --hypothesis-profile=nightly) draws fresh
+# examples every run, tries harder where a test sets no budget of its
+# own, and keeps what it finds in a database the job uploads; a failure
+# found there comes back as an @example(...) on the test.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile(
+    "nightly",
+    derandomize=False,
+    max_examples=1000,
+    database=DirectoryBasedExampleDatabase(".hypothesis/examples"),
+    print_blob=True,
+)
+settings.load_profile("tier1")
+
+
 def count_hashes_by_tag(monkeypatch) -> collections.Counter:
     """Count every canonical ``sha256`` call by its leading tag, in
-    every module that imported the function, until the test ends."""
+    every module that imported the function, until the test ends.
+
+    The tables that share a hash by its content are per process, so
+    they are emptied first: the count is the count of a fresh process,
+    whichever tests ran before."""
+    for table in (
+        block_module._data_hash,
+        block_module._header_digest,
+        envelope_module._response_hash,
+        envelope_module._transaction_hash,
+    ):
+        table.cache_clear()
     calls: collections.Counter = collections.Counter()
     real = hashing.sha256
 
@@ -80,6 +114,15 @@ class CounterApp(StateMachine):
         else:
             self.total = state["total"]
             self.history = list(state["history"])
+
+
+def prefix_consistent(apps) -> bool:
+    """Every replica's history is a prefix of the longest one -- what
+    holds at every instant of a run (equal histories only hold once the
+    messages in flight have been delivered)."""
+    histories = [app.history for app in apps]
+    longest = max(histories, key=len)
+    return all(longest[: len(h)] == h for h in histories)
 
 
 class Cluster:
@@ -149,10 +192,7 @@ class Cluster:
         return True
 
     def prefix_consistent(self) -> bool:
-        """Every replica's history is a prefix of the longest one."""
-        histories = [app.history for app in self.apps]
-        longest = max(histories, key=len)
-        return all(longest[: len(h)] == h for h in histories)
+        return prefix_consistent(self.apps)
 
 
 @pytest.fixture

@@ -11,30 +11,39 @@ replica id.  Two kinds of test, no clock in either:
   derivation goes back to once-per-replica;
 - *soundness*: forged or divergent input misses every share by
   construction, no table replaces a check, every table stays bounded.
+
+The same two kinds pin the sibling rule, *pay per batch, not per
+envelope*: exact Python-call budgets (``sys.setprofile``) on the
+request intake, the batch execute and the delivery statistics, and the
+soundness of what the intake caches (``is_leader``).
 """
 
 import collections
 import hmac
 import json
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
 
 import repro.crypto.hashing as hashing
 import repro.fabric.block as block_module
+import repro.fabric.envelope as envelope_module
+import repro.sim.monitor as monitor_module
 import repro.smart.wal as wal_module
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import BlockHeader, compute_data_hash, make_block
 from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import Envelope
+from repro.fabric.envelope import Envelope, ReadSet, WriteSet, endorsement_payload
 from repro.faults.invariants import check_durable_logs
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 from repro.sim.storage import SimDisk, scan_records
+from repro.smart import ReconfigurationClient, ServiceReplica
 from repro.smart.batching import RequestBatch
 from repro.smart.consensus import batch_hash
 from repro.smart.wal import ConsensusWAL
-from tests.conftest import count_hashes_by_tag
+from tests.conftest import Cluster, CounterApp, count_hashes_by_tag
 from tests.test_sim_storage import oracle_frame_record
 from tests.test_smart_wal import ordering_wal, request
 
@@ -264,6 +273,45 @@ class TestBlockTableSoundness:
         assert not block.verify_data()
 
 
+class TestCompositeTableSoundness:
+    """``endorsement_payload`` and ``Transaction.digest`` are looked up
+    by everything they hash (``tests/test_fabric_digest_cache.py`` swaps
+    every field of a live transaction; this pins the key itself)."""
+
+    def test_keyed_by_the_whole_hashed_content_and_its_types(self):
+        envelope_module._response_hash.cache_clear()
+        reads, writes = ReadSet({"k": (1, 0)}), WriteSet({"k": "v"})
+        proposal = b"p" * 32
+
+        def from_scratch(result, success):
+            return hashing.sha256(
+                "response", proposal, reads.digest(), writes.digest(), repr(result), success
+            )
+
+        payload = endorsement_payload(proposal, reads, writes, "OK", True)
+        assert payload == from_scratch("OK", True)
+        assert endorsement_payload(proposal, reads, writes, "OK", True) == payload
+        assert envelope_module._response_hash.cache_info().hits == 1
+        # True == 1 and "1" != 1 as dict keys; the encoding tells all three apart
+        for result, success in (("OK", 1), ("OK", False), (1, True), ("1", True)):
+            other = endorsement_payload(proposal, reads, writes, result, success)
+            assert other == from_scratch(result, success) != payload
+        assert envelope_module._response_hash.cache_info().hits == 1
+        assert len(
+            {endorsement_payload(proposal, reads, writes, r, True) for r in (1, "1", 1.0)}
+        ) == 3
+
+    def test_both_tables_stay_bounded(self):
+        reads, writes = ReadSet(), WriteSet()
+        for number in range(3 * envelope_module.SHARED_COMPOSITES):
+            endorsement_payload(b"p" * 32, reads, writes, number, True)
+            envelope_module._transaction_hash(
+                b"p" * 32, reads.digest(), writes.digest(), number
+            )
+        for table in (envelope_module._response_hash, envelope_module._transaction_hash):
+            assert table.cache_info().currsize == envelope_module.SHARED_COMPOSITES <= 256
+
+
 class TestVerifiedSignatureSoundness:
     def test_only_a_pass_is_remembered(self, monkeypatch):
         macs = count_hmacs(monkeypatch)
@@ -327,3 +375,232 @@ def test_every_table_stays_bounded_over_2000_blocks():
     assert max(
         block_module.SHARED_DIGESTS, scheme.VERIFIED_TRIPLES, wal.SHARED_FRAMES
     ) <= 256
+
+
+# ----------------------------------------------------------------------
+# pay per batch, not per envelope (docs/KERNEL.md): Python-call budgets
+# ----------------------------------------------------------------------
+class CallProfile:
+    """A ``sys.setprofile`` hook counting Python frames (``call``
+    events; C functions are ``c_call`` and not counted) in three places
+    of one run: under each ``Network._deliver`` of a client request to
+    a follower, inside each 400-request ``_execute_batch``, and in
+    ``sim/monitor.py``."""
+
+    def __init__(self, service):
+        from repro.sim.network import Network
+        from repro.smart.messages import ClientRequest
+        from repro.smart.replica import ServiceReplica
+
+        self.request_class = ClientRequest
+        self.deliver_code = Network._deliver.__code__
+        self.execute_code = ServiceReplica._execute_batch.__code__
+        self.followers = {
+            replica.replica_id for replica in service.replicas if not replica.is_leader
+        }
+        self.monitor_file = monitor_module.__file__
+        #: Python frames per follower ClientRequest, the delivery's own included
+        self.frames_per_request = []
+        #: code -> calls, inside the 400-request executes only
+        self.execute_calls = collections.Counter()
+        self.big_executes = 0
+        #: function name -> calls into sim/monitor.py, over the whole run
+        self.monitor_calls = collections.Counter()
+        self._delivery = None
+        self._execute = None
+
+    def __call__(self, frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if self._delivery is not None:
+                self.frames_per_request[-1] += 1
+            elif code is self.deliver_code:
+                local = frame.f_locals
+                if local["dst"] in self.followers and isinstance(
+                    local["payload"], self.request_class
+                ):
+                    self._delivery = frame
+                    self.frames_per_request.append(1)
+            if self._execute is not None:
+                self.execute_calls[code] += 1
+            elif code is self.execute_code and len(frame.f_locals["batch"]) == 400:
+                self._execute = frame
+                self.big_executes += 1
+            if code.co_filename == self.monitor_file:
+                self.monitor_calls[code.co_name] += 1
+        elif event == "return":
+            if frame is self._delivery:
+                self._delivery = None
+            if frame is self._execute:
+                self._execute = None
+
+
+def calls_into(profile: CallProfile, *classes) -> dict:
+    """``Class.method -> calls`` for the methods of ``classes`` that ran
+    inside the 400-request executes."""
+    named = {
+        function.__code__: f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, function in vars(cls).items()
+        if hasattr(function, "__code__")
+    }
+    return {
+        named[code]: calls for code, calls in profile.execute_calls.items() if code in named
+    }
+
+
+class TestPerBatchBudgets:
+    ENVELOPES = 410
+    BLOCK_SIZE = 10
+
+    @pytest.fixture(scope="class")
+    def profiled(self):
+        """n=4, 410 envelopes submitted in one instant over NICs fast
+        enough not to spread them out: the leader proposes the first
+        alone and, when that instance ends, the 400 waiting (the batch
+        limit), then the last nine."""
+        service = build_ordering_service(
+            OrderingServiceConfig(
+                f=1,
+                channel=ChannelConfig(
+                    "ch0", max_message_count=self.BLOCK_SIZE, batch_timeout=10.0
+                ),
+                num_frontends=2,
+                request_timeout=30.0,
+                bandwidth_bps=1e11,
+                seed=11,
+            )
+        )
+        for i in range(self.ENVELOPES):
+            envelope = Envelope(
+                channel_id="ch0", transaction=None, payload_size=256, envelope_id=i
+            )
+            service.sim.schedule_at(0.01, service.submit, envelope, i % 2)
+        profile = CallProfile(service)
+        sys.setprofile(profile)
+        try:
+            service.run(5.0)
+        finally:
+            sys.setprofile(None)
+        blocks = self.ENVELOPES // self.BLOCK_SIZE
+        assert [fe.blocks_delivered for fe in service.frontends] == [blocks, blocks]
+        assert [r.counters.consensus_decided for r in service.replicas] == [3] * 4
+        return service, profile
+
+    def test_a_client_request_costs_a_follower_five_frames(self, profiled):
+        """``Network._deliver -> ServiceReplica.deliver -> _on_request ->
+        PendingQueue.add -> _maybe_propose``, nothing else (nine before:
+        a dispatch lambda, ``is_leader``, ``View.leader_of``, ``View.n``
+        and the ``view`` property on top)."""
+        service, profile = profiled
+        assert len(profile.frames_per_request) == 3 * self.ENVELOPES
+        assert set(profile.frames_per_request) == {5}
+
+    def test_no_python_call_per_envelope_while_a_batch_executes(self, profiled):
+        """Each of the four replicas executed one 400-request batch:
+        the node and the queue are entered once per batch, per channel
+        run and per cut block -- never once per envelope (per replica,
+        2 000 calls into the node and 1 200 into the queue before)."""
+        from repro.ordering.blockcutter import BlockCutter
+        from repro.ordering.node import BFTOrderingNode
+        from repro.smart.batching import PendingQueue
+
+        service, profile = profiled
+        assert profile.big_executes == len(service.replicas) == 4
+        blocks = 400 // self.BLOCK_SIZE
+        per_replica = {
+            name: calls / 4
+            for name, calls in calls_into(
+                profile, BFTOrderingNode, PendingQueue, BlockCutter
+            ).items()
+        }
+        assert per_replica == {
+            "BFTOrderingNode.execute_batch": 1,
+            "BFTOrderingNode._order_run": 1,
+            "BFTOrderingNode._create_block": blocks,  # signed later, by the pool
+            "BlockCutter.ordered_run": blocks + 1,  # to each cut, then the rest
+            "BlockCutter.cut": blocks,
+            "PendingQueue.remove_all": 1,
+        }
+
+    def test_one_recorder_call_per_delivered_block(self, profiled):
+        service, profile = profiled
+        delivered = sum(fe.blocks_delivered for fe in service.frontends)
+        signed = sum(node.blocks_created for node in service.nodes)
+        assert profile.monitor_calls["extend"] == delivered
+        # the two throughput meters of a frontend and of a node, per block
+        assert profile.monitor_calls["record"] == 2 * delivered + 2 * signed
+        recorders = [
+            service.stats.latency(f"{fe.name}.latency") for fe in service.frontends
+        ]
+        assert [r.count for r in recorders] == [self.ENVELOPES] * 2
+        # nothing else ran in sim/monitor.py but the lazy instrument lookups
+        assert set(profile.monitor_calls) <= {
+            "extend", "record", "meter", "latency", "__init__"
+        }
+
+
+class TestCachedLeaderFlag:
+    def test_is_leader_tracks_regency_and_view_at_every_event(self):
+        """``is_leader`` is a plain attribute derived where ``regency``
+        or ``view`` is assigned.  Through a leader crash, two
+        reconfigurations (one of which moves the leadership without any
+        regency change) and an amnesiac restart it equals the
+        definition after every single event, at every replica."""
+        cluster = Cluster()
+        sim = cluster.sim
+        seen = set()
+
+        def check() -> bool:
+            for replica in cluster.replicas:
+                expected = replica.view.leader_of(replica.regency) == replica.replica_id
+                assert replica.is_leader is expected, (
+                    replica.replica_id, replica.regency, replica.view.processes
+                )
+                seen.add(
+                    (replica.replica_id, replica.view.view_id, replica.regency, expected)
+                )
+            return False
+
+        def run(futures, deadline=20.0) -> bool:
+            sim.run_until(
+                lambda: check() or all(f.done for f in futures), sim.now + deadline
+            )
+            return all(f.done for f in futures)
+
+        proxy = cluster.proxy()
+        assert run([proxy.invoke(1)])
+        cluster.replicas[0].crash()  # the leader of regency 0
+        assert run([proxy.invoke(2)])
+        assert [replica.regency for replica in cluster.replicas[1:]] == [1, 1, 1]
+        joiner = ServiceReplica(
+            sim, cluster.network, 4, cluster.view, CounterApp(), config=cluster.config
+        )
+        cluster.network.register(4, joiner)
+        cluster.replicas.append(joiner)
+        admin = ReconfigurationClient(cluster.proxy())
+        assert run([admin.add_replica(4)])
+        for client in (admin.proxy, proxy):
+            client.update_view(cluster.replicas[1].view)
+        assert run([admin.remove_replica(0)])
+        proxy.update_view(cluster.replicas[1].view)
+        assert run([proxy.invoke(3)])
+        cluster.replicas[3].crash(amnesia=True)
+        sim.run_until(check, sim.now + 0.5)
+        cluster.replicas[3].recover()
+        assert run([proxy.invoke(4)])
+        # the scenario did move the leadership both ways
+        by_replica = collections.defaultdict(set)
+        for replica_id, view_id, regency, leading in seen:
+            by_replica[replica_id].add((view_id, regency, leading))
+        assert {1, 2, 3, 4} <= {
+            replica_id
+            for replica_id, states in by_replica.items()
+            if {leading for _v, _r, leading in states} == {True, False}
+        }
+        # ... and at least once by installing a view alone, regency unchanged
+        assert any(
+            (view_id + 1, regency, not leading) in states
+            for states in by_replica.values()
+            for view_id, regency, leading in states
+        )

@@ -85,8 +85,11 @@ def test_hash_budget_per_transaction(monkeypatch):
         "proposal": 1,  # one frozen object shared by client, endorsers, peers
         "readset": 2,  # one set object per endorser, each encoded once
         "writeset": 2,
-        "response": 7,  # flat composites: 2 sign + 2 verify + 1 group + 2 validate
-        "transaction": 2,  # client signature + envelope digest
+        # flat composites, shared by content: 2 sign + 2 verify + 1 group
+        # + 2 validate look up one payload, the client signature and the
+        # envelope digest one transaction hash
+        "response": 1,
+        "transaction": 1,
         "envelope": 1,
     }
-    assert sum(calls.values()) <= 16 * transactions
+    assert sum(calls.values()) <= 9 * transactions

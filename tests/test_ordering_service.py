@@ -246,3 +246,36 @@ class TestBackendTable:
     def test_unknown_orderer_names_the_valid_rows(self):
         with pytest.raises(ValueError, match="'bftsmart', 'smartbft'"):
             build(orderer="raft")
+
+
+class TestEagerProposeBatching:
+    """The leader proposes whatever is pending the moment the previous
+    instance finishes (BFT-SMaRt's eager batching), so the batch size is
+    not a setting but an outcome: about ``offered rate x instance
+    latency`` requests, and never fewer than one.  An instance here is
+    three 0.1 ms network delays, so below ~3 000 env/s every envelope
+    gets an instance of its own -- which is why the admission-controlled
+    ``overload_4x_flood`` and the 1 000 env/s ``leader_crash_wal`` perf
+    workloads run ``envs_per_decision`` 1.1 / 1.7, and why a per-batch
+    saving has nothing to amortize there (docs/WORKLOADS.md)."""
+
+    def envs_per_decision(self, rate: float, seconds: float = 0.1) -> float:
+        service = build(request_timeout=30.0)
+        count = int(rate * seconds) // 10 * 10
+        for index in range(count):
+            service.sim.schedule_at(
+                0.01 + index / rate, service.submit, Envelope.raw("ch0", 512)
+            )
+        service.run(1.0)
+        assert service.frontends[0].blocks_delivered == count // 10
+        counters = service.replicas[0].counters
+        assert counters.requests_executed == count
+        return counters.requests_executed / counters.consensus_decided
+
+    def test_envs_per_decision_rises_with_offered_rate(self):
+        rates = (1_000, 4_000, 8_000, 32_000)
+        sizes = [self.envs_per_decision(rate) for rate in rates]
+        assert sizes[0] == 1.0  # one arrival per ms, an instance is 0.3 ms
+        assert sizes == sorted(set(sizes))  # strictly rising past the knee
+        assert 2.0 < sizes[2] < 3.5  # 8 000 env/s x ~0.32 ms
+        assert sizes[3] > 10.0
