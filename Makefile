@@ -155,7 +155,12 @@ perf-quick:
 ## and on the working tree, equal seed within a pair, order swapped
 ## every pair; prints medians, quartiles, wins and the nine-of-ten /
 ## parent-IQR verdict (minutes; not part of make ci)
-## usage: make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10]
+## WORKLOAD may name several claimed workloads; CONTROLS=N also runs
+## every other workload at N pairs and judges it against the bounds of
+## BENCHMARK.json (within bound / unresolved / worse) -- the no-change
+## table of a perf PR, one verdict row per workload
+## usage: make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [CONTROLS=N]
 perf-pairs:
-	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		--pairs $(PAIRS)
+	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) \
+		$(foreach name,$(WORKLOAD),--workload $(name)) \
+		--pairs $(PAIRS) $(if $(CONTROLS),--controls $(CONTROLS))

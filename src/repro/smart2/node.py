@@ -33,13 +33,18 @@ injector and invariant checkers drive both backends unchanged.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
+from repro.crypto.hashing import sha256
 from repro.crypto.keys import Identity, KeyRegistry
+from repro.crypto.signatures import Verifier
 from repro.fabric.api import BlockDelivery
 from repro.fabric.block import (
     GENESIS_PREVIOUS_HASH,
+    SHARED_DIGESTS,
     Block,
     BlockHeader,
     compute_data_hash,
@@ -72,10 +77,14 @@ from repro.smart2.messages import (
 CATCHUP_BATCH = 64
 
 
+@lru_cache(maxsize=SHARED_DIGESTS, typed=True)
 def preprepare_payload(view_number: int, seq: int, header_digest: bytes) -> bytes:
-    """What the leader signs over a pre-prepare."""
-    from repro.crypto.hashing import sha256
+    """What the leader signs over a pre-prepare.
 
+    Looked up by its full content, like ``fabric/block.py::
+    _header_digest``: the leader and every follower hash the same
+    triple, one of them does.  A different body is a different key.
+    """
     return sha256("smart2-preprepare", view_number, seq, header_digest)
 
 
@@ -109,14 +118,26 @@ class _ChainState:
 
 @dataclass
 class _Round:
-    """Consensus state for one sequence number in the current view."""
+    """Consensus state for one sequence number in the current view.
+
+    Votes are tallied as they are recorded: beside each digest's voters
+    runs the summed weight of those voters, added to exactly when a
+    *new* voter is recorded, so a quorum test is one comparison
+    (docs/SMARTBFT.md, "Vote accounting").
+    """
 
     preprepare: Optional[Preprepare] = None
     header: Optional[BlockHeader] = None
+    #: ``header.digest()``, stored when the pre-prepare is accepted
+    digest: Optional[bytes] = None
     #: header digest -> distinct prepare voters
     prepares: Dict[bytes, Set[int]] = field(default_factory=dict)
+    #: header digest -> summed weight of ``prepares[digest]``
+    prepare_weight: Dict[bytes, float] = field(default_factory=dict)
     #: header digest -> {voter: header signature}
     commits: Dict[bytes, Dict[int, bytes]] = field(default_factory=dict)
+    #: header digest -> summed weight of ``commits[digest]``'s voters
+    commit_weight: Dict[bytes, float] = field(default_factory=dict)
     prepared: bool = False
     prepared_voters: Tuple[int, ...] = ()
     committed: bool = False
@@ -166,6 +187,11 @@ class SmartBFTNode:
         self.view = membership
         self.view_number = 0
         self.peer_names = dict(peer_names)
+        #: pid -> verifier, filled on first use.  ``peer_names`` is fixed
+        #: at construction and the registry only ever enrolls, so an
+        #: entry never goes stale; a pid that does not resolve *yet* is
+        #: not remembered (peers enroll after this node is built)
+        self._verifiers: Dict[int, Verifier] = {}
         self.log = log if log is not None else OperationLog()
         self.cpu = cpu
         self.signing_pool = ThreadPool(cpu, signing_workers) if cpu else None
@@ -201,10 +227,11 @@ class SmartBFTNode:
 
         # request bookkeeping
         self._pending: Dict[Tuple[int, int], Tuple[ClientRequest, float]] = {}
-        self._batch_queue: List[Tuple[str, List[ClientRequest]]] = []
+        #: cut batches waiting for the one in-flight proposal to end
+        self._batch_queue: Deque[Tuple[str, List[ClientRequest]]] = deque()
         #: envelope id -> ingested requests carrying it, oldest first (a
         #: client may submit one id under several request ids)
-        self._req_by_env: Dict[int, List[ClientRequest]] = {}
+        self._req_by_env: Dict[int, Deque[ClientRequest]] = {}
         self._leader_seen: Set[Tuple[int, int]] = set()
 
         # view change state
@@ -213,6 +240,12 @@ class SmartBFTNode:
         self._highest_vc_sent = 0
         self._view_changes: Dict[int, Dict[int, ViewChange]] = {}
         self._blacklist: Dict[int, int] = {}
+        #: ``leader`` is ``leader_for(view_number)`` and ``is_leader``
+        #: whether that is this node and no view change is running --
+        #: read on every request, vote and timer tick, so both are plain
+        #: attributes resolved where ``view_number``, ``_blacklist`` or
+        #: ``_changing`` is assigned
+        self._resolve_leader()
         self._last_new_view: Optional[NewView] = None
         self._last_leader_alive = 0.0
         #: (leader, view) per installed view -- property-test probe
@@ -222,6 +255,11 @@ class SmartBFTNode:
 
         # subscribers: frontend id -> next decision index to send
         self._subscribers: Dict[Any, int] = {}
+        #: the push order, re-sorted when a frontend subscribes
+        self._subscriber_order: List[Any] = []
+        #: this node's (blocks, envelopes) meters, looked up at the first
+        #: decision (so the registry's creation order is what it was)
+        self._meters: Optional[Tuple[Any, Any]] = None
 
         # counters
         self.blocks_created = 0
@@ -259,13 +297,11 @@ class SmartBFTNode:
                 return candidate
         return processes[start]
 
-    @property
-    def leader(self) -> int:
-        return self.leader_for(self.view_number)
-
-    @property
-    def is_leader(self) -> bool:
-        return self.leader == self.replica_id and not self._changing
+    def _resolve_leader(self) -> None:
+        """Re-derive :attr:`leader` / :attr:`is_leader`; call wherever
+        ``view_number``, ``_blacklist`` or ``_changing`` is assigned."""
+        self.leader = self.leader_for(self.view_number)
+        self.is_leader = self.leader == self.replica_id and not self._changing
 
     # ------------------------------------------------------------------
     # wire helpers
@@ -282,11 +318,14 @@ class SmartBFTNode:
             self.replica_id, self._others, message, message.wire_size()
         )
 
-    def _verifier_of(self, pid: int):
-        name = self.peer_names.get(pid)
-        if name is None or name not in self.registry:
-            return None
-        return self.registry.verifier_of(name)
+    def _verifier_of(self, pid: int) -> Optional[Verifier]:
+        verifier = self._verifiers.get(pid)
+        if verifier is None:
+            name = self.peer_names.get(pid)
+            if name is None or name not in self.registry:
+                return None
+            verifier = self._verifiers[pid] = self.registry.verifier_of(name)
+        return verifier
 
     # ------------------------------------------------------------------
     # crash / recovery (fault-injection surface)
@@ -314,6 +353,7 @@ class SmartBFTNode:
         # grace period before suspecting anyone, then resume timers
         self._last_leader_alive = self.sim.now
         self._changing = False
+        self._resolve_leader()
         self._arm_watchdog()
         if self.is_leader:
             self._arm_heartbeat()
@@ -337,11 +377,12 @@ class SmartBFTNode:
         self._decisions = []
         self._committed_ids = set()
         self._pending = {}
-        self._batch_queue = []
+        self._batch_queue = deque()
         self._req_by_env = {}
         self._leader_seen = set()
         self._view_changes = {}
         self._subscribers = {}
+        self._subscriber_order = []
         self.log.clear()
 
     # ------------------------------------------------------------------
@@ -351,16 +392,17 @@ class SmartBFTNode:
         if self.crashed:
             return
         kind = message.__class__
-        if kind is ClientRequest:
+        # votes first: at n nodes a block is 2(n-1) of them per node
+        if kind is Prepare:
+            self._on_prepare(src, message)
+        elif kind is Commit:
+            self.on_commit(src, message)
+        elif kind is ClientRequest:
             self._on_request(message, forwarded=False)
         elif kind is Forward:
             self._on_request(message.request, forwarded=True)
         elif kind is Preprepare:
             self.on_preprepare(src, message)
-        elif kind is Prepare:
-            self._on_prepare(src, message)
-        elif kind is Commit:
-            self.on_commit(src, message)
         elif kind is Heartbeat:
             self.on_heartbeat(src, message)
         elif kind is ViewChange:
@@ -401,7 +443,10 @@ class SmartBFTNode:
         if state is None:
             return
         self._leader_seen.add(rid)
-        self._req_by_env.setdefault(envelope.envelope_id, []).append(request)
+        waiting = self._req_by_env.get(envelope.envelope_id)
+        if waiting is None:
+            waiting = self._req_by_env[envelope.envelope_id] = deque()
+        waiting.append(request)
         self.envelopes_processed += 1
         batches = state.cutter.ordered(envelope)
         for batch in batches:
@@ -416,7 +461,7 @@ class SmartBFTNode:
         requests = []
         for envelope in batch:
             waiting = self._req_by_env[envelope.envelope_id]
-            requests.append(waiting.pop(0))
+            requests.append(waiting.popleft())
             if not waiting:
                 del self._req_by_env[envelope.envelope_id]
         self._batch_queue.append((channel_id, requests))
@@ -453,7 +498,7 @@ class SmartBFTNode:
             or not self._batch_queue
         ):
             return
-        channel_id, batch = self._batch_queue.pop(0)
+        channel_id, batch = self._batch_queue.popleft()
         self._propose(channel_id, batch)
 
     def _propose(self, channel_id: str, batch: List[ClientRequest]) -> None:
@@ -490,7 +535,7 @@ class SmartBFTNode:
     def on_preprepare(self, src: int, msg: Preprepare) -> None:
         if self._changing or msg.view_number != self.view_number:
             return
-        if msg.sender != src or src != self.leader_for(self.view_number):
+        if msg.sender != src or src != self.leader:
             return
         if msg.seq != self.next_commit_seq:
             if msg.seq > self.next_commit_seq:
@@ -506,7 +551,7 @@ class SmartBFTNode:
             return
         if not msg.batch:
             return
-        if any(r.request_id in self._committed_ids for r in msg.batch):
+        if not self._committed_ids.isdisjoint([r.request_id for r in msg.batch]):
             return  # replayed request: an honest leader never does this
         verifier = self._verifier_of(msg.sender)
         if verifier is None:
@@ -524,17 +569,20 @@ class SmartBFTNode:
         self._accept_preprepare(msg, header)
 
     def _accept_preprepare(self, msg: Preprepare, header: BlockHeader) -> None:
-        round_ = self._rounds.setdefault(msg.seq, _Round())
+        round_ = self._rounds.get(msg.seq)
+        if round_ is None:
+            round_ = self._rounds[msg.seq] = _Round()
         if round_.preprepare is not None:
             return  # already accepted one for this (view, seq)
         round_.preprepare = msg
         round_.header = header
-        delay = self.log.log_write(msg.seq, msg.view_number, header.digest())
+        digest = round_.digest = header.digest()
+        delay = self.log.log_write(msg.seq, msg.view_number, digest)
         prepare = Prepare(
             sender=self.replica_id,
             view_number=msg.view_number,
             seq=msg.seq,
-            header_digest=header.digest(),
+            header_digest=digest,
         )
         if delay > 0:
             self.sim.schedule(delay, self._send_prepare, prepare, self._timer_epoch)
@@ -547,36 +595,43 @@ class SmartBFTNode:
         if self._changing or prepare.view_number != self.view_number:
             return
         self._broadcast(prepare)
-        self._record_prepare(self.replica_id, prepare)
+        self._tally_prepare(self.replica_id, prepare)
 
     def _on_prepare(self, src: int, msg: Prepare) -> None:
         if self._changing or msg.view_number != self.view_number:
             return
         if msg.sender != src:
             return
-        self._record_prepare(src, msg)
+        self._tally_prepare(src, msg)
 
-    def _record_prepare(self, src: int, msg: Prepare) -> None:
-        if msg.seq < self.next_commit_seq:
+    def _tally_prepare(self, src: int, msg: Prepare) -> None:
+        """Count one PREPARE (a peer's or this node's own); the vote
+        that completes the quorum for the accepted header signs it."""
+        seq = msg.seq
+        if seq < self.next_commit_seq:
             return
-        round_ = self._rounds.setdefault(msg.seq, _Round())
-        round_.prepares.setdefault(msg.header_digest, set()).add(src)
-        self._maybe_prepared(msg.seq)
-
-    def _maybe_prepared(self, seq: int) -> None:
         round_ = self._rounds.get(seq)
+        if round_ is None:
+            round_ = self._rounds[seq] = _Round()
+        voted = msg.header_digest
+        voters = round_.prepares.get(voted)
+        if voters is None:
+            voters = round_.prepares[voted] = set()
+        if src not in voters:
+            voters.add(src)
+            weights = round_.prepare_weight
+            weights[voted] = weights.get(voted, 0.0) + self.view.weights.get(src, 0.0)
+        # the test is about the *accepted* header whatever this vote
+        # named: votes may have arrived before the pre-prepare did
+        digest = round_.digest
         if (
-            round_ is None
-            or round_.prepared
-            or round_.header is None
+            round_.prepared
+            or digest is None
+            or not self.view.is_quorum_weight(round_.prepare_weight.get(digest, 0.0))
         ):
             return
-        digest = round_.header.digest()
-        voters = round_.prepares.get(digest, set())
-        if not self.view.has_quorum(voters):
-            return
         round_.prepared = True
-        round_.prepared_voters = tuple(sorted(voters))
+        round_.prepared_voters = tuple(sorted(round_.prepares[digest]))
         delay = self.log.log_accept(seq, self.view_number, digest)
         view_number = self.view_number
         if self.signing_pool is not None and self.sign_cost > 0:
@@ -607,7 +662,8 @@ class SmartBFTNode:
             signature=signature,
         )
         self._broadcast(commit)
-        self._record_commit(self.replica_id, commit)
+        if seq >= self.next_commit_seq:  # else decided while the pool signed
+            self._tally_commit(self.replica_id, commit)
 
     def on_commit(self, src: int, msg: Commit) -> None:
         if self._changing or msg.view_number != self.view_number:
@@ -617,25 +673,28 @@ class SmartBFTNode:
         verifier = self._verifier_of(src)
         if verifier is None or not verifier.verify(msg.header_digest, msg.signature):
             return
-        self._record_commit(src, msg)
+        self._tally_commit(src, msg)
 
-    def _record_commit(self, src: int, msg: Commit) -> None:
-        round_ = self._rounds.setdefault(msg.seq, _Round())
-        round_.commits.setdefault(msg.header_digest, {})[src] = msg.signature
-        self._maybe_decide(msg.seq)
-
-    def _maybe_decide(self, seq: int) -> None:
-        round_ = self._rounds.get(seq)
+    def _tally_commit(self, src: int, msg: Commit) -> None:
+        """Count one verified COMMIT signature (a peer's or this node's
+        own); the vote that completes the quorum decides the block."""
+        round_ = self._rounds.get(msg.seq)
+        if round_ is None:
+            round_ = self._rounds[msg.seq] = _Round()
+        voted = msg.header_digest
+        votes = round_.commits.get(voted)
+        if votes is None:
+            votes = round_.commits[voted] = {}
+        if src not in votes:
+            weights = round_.commit_weight
+            weights[voted] = weights.get(voted, 0.0) + self.view.weights.get(src, 0.0)
+        votes[src] = msg.signature
+        digest = round_.digest
         if (
-            round_ is None
-            or round_.committed
-            or round_.header is None
-            or round_.preprepare is None
+            round_.committed
+            or digest is None
+            or not self.view.is_quorum_weight(round_.commit_weight.get(digest, 0.0))
         ):
-            return
-        digest = round_.header.digest()
-        votes = round_.commits.get(digest, {})
-        if not self.view.has_quorum(votes.keys()):
             return
         round_.committed = True
         self._apply_ready_decisions()
@@ -647,15 +706,14 @@ class SmartBFTNode:
                 break
             seq = self.next_commit_seq
             msg = round_.preprepare
-            header = round_.header
-            digest = header.digest()
+            names = self.peer_names
             signatures = {
-                self.peer_names[voter]: sig
-                for voter, sig in sorted(round_.commits.get(digest, {}).items())
-                if voter in self.peer_names
+                names[voter]: sig
+                for voter, sig in sorted(round_.commits[round_.digest].items())
+                if voter in names
             }
             block = Block(
-                header=header,
+                header=round_.header,
                 envelopes=[r.operation for r in msg.batch],
                 signatures=signatures,
                 channel_id=msg.channel_id,
@@ -675,11 +733,12 @@ class SmartBFTNode:
         self.next_commit_seq = decision.seq + 1
         self._decisions.append(decision)
         self.blocks_created += 1
-        for request in decision.batch:
-            rid = request.request_id
-            self._committed_ids.add(rid)
-            self._pending.pop(rid, None)
-            self._leader_seen.discard(rid)
+        rids = [request.request_id for request in decision.batch]
+        self._committed_ids.update(rids)
+        self._leader_seen.difference_update(rids)
+        settle = self._pending.pop
+        for rid in rids:
+            settle(rid, None)
         if self._proposing_seq == decision.seq:
             self._proposing_seq = None
         if self.obs is not None:
@@ -687,11 +746,15 @@ class SmartBFTNode:
                 self.name, decision.block, self.sim.now, self.sim.now
             )
         if self.stats is not None:
+            meters = self._meters
+            if meters is None:
+                meters = self._meters = (
+                    self.stats.meter(f"{self.name}.blocks"),
+                    self.stats.meter(f"{self.name}.envelopes"),
+                )
             now = self.sim.now
-            self.stats.meter(f"{self.name}.blocks").record(now, 1.0)
-            self.stats.meter(f"{self.name}.envelopes").record(
-                now, float(len(decision.block.envelopes))
-            )
+            meters[0].record(now, 1.0)
+            meters[1].record(now, float(len(decision.block.envelopes)))
         self._push_to_subscribers()
         self._maybe_propose()
 
@@ -702,7 +765,7 @@ class SmartBFTNode:
         if self.faults.mute:
             return
         total = len(self._decisions)
-        for frontend_id in sorted(self._subscribers, key=repr):
+        for frontend_id in self._subscriber_order:
             cursor = self._subscribers[frontend_id]
             while cursor < total:
                 decision = self._decisions[cursor]
@@ -715,6 +778,7 @@ class SmartBFTNode:
 
     def _on_subscribe(self, src: Any, msg: Subscribe) -> None:
         self._subscribers[src] = min(max(msg.next_seq, 0), len(self._decisions))
+        self._subscriber_order = sorted(self._subscribers, key=repr)
         self._push_to_subscribers()
 
     # ------------------------------------------------------------------
@@ -800,6 +864,7 @@ class SmartBFTNode:
 
     def _vote_view_change(self, target: int, reason: str) -> None:
         self._changing = True
+        self._resolve_leader()
         self._change_started = self.sim.now
         self._highest_vc_sent = target
         prepared = None
@@ -810,7 +875,7 @@ class SmartBFTNode:
             sender=self.replica_id,
             new_view=target,
             last_seq=self.next_commit_seq - 1,
-            suspected=self.leader_for(self.view_number),
+            suspected=self.leader,
             reason=reason,
             prepared=prepared,
         )
@@ -937,6 +1002,7 @@ class SmartBFTNode:
             if previous_blacklist.get(pid) != until:
                 self.blacklist_events.append((pid, msg.new_view, until))
         self._changing = False
+        self._resolve_leader()
         self._last_new_view = msg
         self._last_leader_alive = self.sim.now
         # restart the per-request censorship clock: the new leader gets
@@ -958,7 +1024,7 @@ class SmartBFTNode:
         # leadership bookkeeping restarts from scratch in the new view
         self._leader_seen = set()
         self._req_by_env = {}
-        self._batch_queue = []
+        self._batch_queue = deque()
         for channel_id in sorted(self._channels):
             state = self._channels[channel_id]
             state.cutter = BlockCutter(self._channel_configs[channel_id])

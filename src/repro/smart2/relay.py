@@ -112,9 +112,11 @@ class HomeNodeRelay:
         """A block was delivered in order: its envelopes are committed."""
         self._delivered_count += 1
         self._last_delivery = self.sim.now
+        carried = self._rids_by_env.pop
+        settle = self._outstanding.pop
         for envelope in block.envelopes:
-            for rid in self._rids_by_env.pop(envelope.envelope_id, ()):
-                self._outstanding.pop(rid, None)
+            for rid in carried(envelope.envelope_id, ()):
+                settle(rid, None)
 
     def _arm_timer(self) -> None:
         if self._timer_armed:

@@ -14,6 +14,7 @@ from hypothesis.database import DirectoryBasedExampleDatabase
 import repro.crypto.hashing as hashing
 import repro.fabric.block as block_module
 import repro.fabric.envelope as envelope_module
+import repro.smart2.node as smart2_node
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric import (
@@ -70,6 +71,7 @@ def count_hashes_by_tag(monkeypatch) -> collections.Counter:
         block_module._header_digest,
         envelope_module._response_hash,
         envelope_module._transaction_hash,
+        smart2_node.preprepare_payload,
     ):
         table.cache_clear()
     calls: collections.Counter = collections.Counter()

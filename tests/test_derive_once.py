@@ -15,7 +15,9 @@ replica id.  Two kinds of test, no clock in either:
 The same two kinds pin the sibling rule, *pay per batch, not per
 envelope*: exact Python-call budgets (``sys.setprofile``) on the
 request intake, the batch execute and the delivery statistics, and the
-soundness of what the intake caches (``is_leader``).
+soundness of what the intake caches (``is_leader``).  And the SmartBFT
+backend's: *a quorum test is a comparison, never a recount; what a view
+fixes is resolved when the view is installed*.
 """
 
 import collections
@@ -32,6 +34,8 @@ import repro.fabric.block as block_module
 import repro.fabric.envelope as envelope_module
 import repro.sim.monitor as monitor_module
 import repro.smart.wal as wal_module
+import repro.smart2.node as smart2_node
+from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import BlockHeader, compute_data_hash, make_block
 from repro.fabric.channel import ChannelConfig
@@ -42,9 +46,14 @@ from repro.sim.storage import SimDisk, scan_records
 from repro.smart import ReconfigurationClient, ServiceReplica
 from repro.smart.batching import RequestBatch
 from repro.smart.consensus import batch_hash
+from repro.smart.view import View
 from repro.smart.wal import ConsensusWAL
+from repro.smart2.messages import Preprepare
 from tests.conftest import Cluster, CounterApp, count_hashes_by_tag
 from tests.test_sim_storage import oracle_frame_record
+from tests.test_smartbft_node import build as build_smartbft
+from tests.test_smartbft_node import requests as smartbft_requests
+from tests.test_smartbft_node import signed_preprepare
 from tests.test_smart_wal import ordering_wal, request
 
 
@@ -54,6 +63,7 @@ def empty_block_tables():
     that ran earlier may have hashed the very blocks counted here."""
     block_module._data_hash.cache_clear()
     block_module._header_digest.cache_clear()
+    smart2_node.preprepare_payload.cache_clear()
 
 
 def run_service(orderer: str, f: int, envelopes: int, block_size: int, **config):
@@ -88,6 +98,21 @@ def count_hmacs(monkeypatch) -> list:
         return real(key, msg, digest)
 
     monkeypatch.setattr(hmac, "digest", counting)
+    return calls
+
+
+def count_calls_by_caller(monkeypatch, cls, name: str) -> collections.Counter:
+    """Calls of ``cls.name``, by the package directory of the calling
+    frame (``smart2``, ``ordering``, ...)."""
+    calls = collections.Counter()
+    real = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        caller = sys._getframe(1).f_code.co_filename
+        calls[caller.replace("\\", "/").rsplit("/", 2)[-2]] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
     return calls
 
 
@@ -166,6 +191,34 @@ class TestBudgets:
         assert all(fe.blocks_delivered == blocks for fe in service.frontends)
         scheme = service.registry.scheme
         assert 0 < len(scheme._verified) <= scheme.VERIFIED_TRIPLES
+
+    def test_smartbft_votes_are_tallied_not_recounted(self, monkeypatch):
+        """smartbft n=10, 20 blocks, no view change: a PREPARE or COMMIT
+        costs one tally and one comparison -- ``View.has_quorum`` is
+        left to the frontends' ``SignedQuorum`` (115 calls a block from
+        ``smart2`` before) -- and what every node derives from the same
+        block is derived once: one pre-prepare payload hash a block (ten
+        before), at most three header digests per node and block (17
+        before), one verifier resolution per peer and node (7 per node
+        and block before)."""
+        recounts = count_calls_by_caller(monkeypatch, View, "has_quorum")
+        digests = count_calls_by_caller(monkeypatch, BlockHeader, "digest")
+        resolutions = count_calls_by_caller(monkeypatch, KeyRegistry, "verifier_of")
+        hashes = count_hashes_by_tag(monkeypatch)
+        service = run_service("smartbft", 3, 200, 10)
+        blocks, n = 20, 10
+        assert {node.blocks_created for node in service.nodes} == {blocks}
+        assert {node.view_number for node in service.nodes} == {0}
+        assert recounts["smart2"] == 0
+        assert recounts["ordering"] == 2 * blocks  # each frontend, each block
+        assert hashes["smart2-preprepare"] == blocks
+        assert smart2_node.preprepare_payload.cache_info().hits == (n - 1) * blocks
+        assert 0 < digests["smart2"] <= 3 * n * blocks
+        assert resolutions["smart2"] <= n * n
+        for node in service.nodes:
+            # the leader never verifies itself; everyone verifies the leader
+            assert 0 in node._verifiers or node.replica_id == 0
+            assert len(node._verifiers) <= n
 
 
 class TestFrameShareSoundness:
@@ -351,6 +404,58 @@ class TestVerifiedSignatureSoundness:
         assert len(macs) == 1
         # verdicts are per scheme instance
         assert (public, b"m", signature) not in elsewhere._verified
+
+
+class TestPreprepareTableSoundness:
+    """``preprepare_payload`` is looked up by its whole content, so a
+    pre-prepare with another body cannot be answered from the table."""
+
+    def test_a_swapped_batch_under_the_same_seq_is_rehashed_and_rejected(self, monkeypatch):
+        hashes = count_hashes_by_tag(monkeypatch)
+        service = build_smartbft()
+        follower = service.nodes[2]
+        genesis = block_module.GENESIS_PREVIOUS_HASH
+        honest, header = signed_preprepare(
+            service, 0, 0, 0, 0, genesis, smartbft_requests(range(4))
+        )
+        assert hashes["smart2-preprepare"] == 1  # the leader's own, now in the table
+        # a Byzantine relay swaps the batch under the leader's signature:
+        # same view, same seq, same position -- another data hash
+        swapped = Preprepare(
+            sender=0, view_number=0, seq=0, channel_id=honest.channel_id, number=0,
+            previous_hash=genesis, batch=smartbft_requests(range(4, 8)),
+            signature=honest.signature,
+        )
+        follower.deliver(0, swapped)
+        assert hashes["smart2-preprepare"] == 2  # a miss: hashed, and the signature fails
+        assert follower._rounds == {}
+        follower.deliver(0, swapped)
+        assert follower._rounds == {}  # the remembered payload still fails the check
+        # so does a reordering of the honest batch, and a forged signature
+        reordered = Preprepare(
+            sender=0, view_number=0, seq=0, channel_id=honest.channel_id, number=0,
+            previous_hash=genesis, batch=honest.batch[::-1], signature=honest.signature,
+        )
+        follower.deliver(0, reordered)
+        forged = Preprepare(
+            sender=0, view_number=0, seq=0, channel_id=honest.channel_id, number=0,
+            previous_hash=genesis, batch=honest.batch, signature=b"\x01" * 64,
+        )
+        follower.deliver(0, forged)
+        assert follower._rounds == {} and hashes["smart2-preprepare"] == 3
+        # the honest one is answered from the table and accepted
+        follower.deliver(0, honest)
+        assert hashes["smart2-preprepare"] == 3
+        assert follower._rounds[0].preprepare is honest
+        assert follower._rounds[0].digest == header.digest()
+
+    def test_the_key_tells_types_apart_and_the_table_stays_bounded(self):
+        payload = smart2_node.preprepare_payload
+        assert len({payload(*key) for key in ((1, 2, b"d"), (True, 2, b"d"), (1, 2, "d"))}) == 3
+        for seq in range(3 * block_module.SHARED_DIGESTS):
+            payload(0, seq, b"d" * 32)
+        assert payload.cache_info().currsize == block_module.SHARED_DIGESTS <= 256
+        assert payload(0, 5, b"d" * 32) == hashing.sha256("smart2-preprepare", 0, 5, b"d" * 32)
 
 
 def test_every_table_stays_bounded_over_2000_blocks():

@@ -37,7 +37,7 @@ from repro.ordering import OrderingServiceConfig, build_ordering_service
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden" / "smartbft_votes_seed0.json"
 
 
-def _service(f: int, block_size: int, **config):
+def build_service(f: int, block_size: int, **config):
     return build_ordering_service(
         OrderingServiceConfig(
             orderer="smartbft",
@@ -101,13 +101,13 @@ def _run_recording(service, duration: float) -> dict:
 
 
 def record_n10() -> dict:
-    service = _service(3, 10, request_timeout=30.0)
+    service = build_service(3, 10, request_timeout=30.0)
     _submit(service, range(120), 0.05, 0.0005)
     return _run_recording(service, 3.0)
 
 
 def record_n4_leader_crash() -> dict:
-    service = _service(1, 4, request_timeout=0.5)
+    service = build_service(1, 4, request_timeout=0.5)
     _submit(service, range(64), 0.05, 0.01)
     service.sim.schedule_at(0.2, service.crash_node, 0, True)
     service.sim.schedule_at(3.0, service.recover_node, 0)

@@ -1,6 +1,7 @@
 """The arithmetic of tools/perf_pairs.py, on canned run results."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ _spec.loader.exec_module(perf_pairs)
 
 
 def result(host, goodput=1000.0, rss=35.0, correct=True, failed=0):
-    """One run.py --trace 0 result line, reduced to three metrics."""
+    """One run.py --trace 0 result line, reduced to four metrics."""
     return {
         "correct": correct,
         "attempted": 5000,
@@ -23,6 +24,7 @@ def result(host, goodput=1000.0, rss=35.0, correct=True, failed=0):
         "metrics": {
             "host_cpu_s_per_sim_s": {"value": host, "unit": "s/sim_s"},
             "host_peak_rss_mb": {"value": rss, "unit": "MiB"},
+            "setup_s": {"value": 0.2, "unit": "s"},
             "sim_goodput_env_s": {"value": goodput, "unit": "env/sim_s"},
         },
     }
@@ -115,3 +117,135 @@ def test_quartiles_of_one_run_and_the_table_rows():
     assert rss["wins"] == 0 and abs(rss["change"] - 0.02) < 1e-12
     table = perf_pairs.render(claimed, [rss])
     assert "| `host_peak_rss_mb` | 35 [35, 35] | 35.7 [35.7, 35.7] | +2.0% | 0 / 0 / 10 |" in table
+
+
+# ----------------------------------------------------------------------
+# one verdict row per workload: claimed rows and no-change controls
+# ----------------------------------------------------------------------
+END_TO_END = [
+    {"name": "host_cpu_s_per_sim_s", "better": "lower", "bound": 0.25},
+    {"name": "host_peak_rss_mb", "better": "lower", "bound": 0.05},
+    {"name": "sim_goodput_env_s", "better": "higher", "bound": 0.07},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+]
+QUIET = [0.100, 0.101, 0.099]
+
+
+def test_a_claimed_row_is_the_nine_of_ten_rule():
+    held = perf_pairs.verdict_row("a", True, pairs_of(PARENT, CHILD), END_TO_END)
+    assert (held["role"], held["verdict"]) == ("claimed", "claim holds")
+    short = perf_pairs.verdict_row("a", True, pairs_of(PARENT[:3], CHILD[:3]), END_TO_END)
+    assert short["verdict"] == "claim not met"  # three pairs never hold a claim
+
+
+def test_a_control_row_within_every_bound():
+    row = perf_pairs.verdict_row("b", False, pairs_of(QUIET, [0.102, 0.100, 0.101]), END_TO_END)
+    assert (row["role"], row["verdict"]) == ("control", "within bound")
+    # sim_* equal within every pair is not judged at all
+    assert row["metrics"] == {
+        "host_cpu_s_per_sim_s": "within bound", "host_peak_rss_mb": "within bound",
+        "setup_s": "within bound",
+    }
+    # a control that got *faster* is within bound too, however far
+    faster = perf_pairs.verdict_row("b", False, pairs_of(QUIET, [0.05, 0.05, 0.05]), END_TO_END)
+    assert faster["verdict"] == "within bound"
+
+
+def test_a_control_row_worse_by_more_than_its_bound_names_the_metric():
+    slow = perf_pairs.verdict_row("b", False, pairs_of(QUIET, [0.130, 0.131, 0.129]), END_TO_END)
+    assert slow["verdict"] == "worse: `host_cpu_s_per_sim_s`"  # +30 % against 25 %
+    edge = perf_pairs.verdict_row("b", False, pairs_of(QUIET, [0.124, 0.125, 0.123]), END_TO_END)
+    assert edge["verdict"] == "within bound"  # +24 %
+    fat = perf_pairs.verdict_row(
+        "b", False, pairs_of(QUIET, QUIET, rss=35.0 * 1.06), END_TO_END
+    )
+    assert fat["verdict"] == "worse: `host_peak_rss_mb`"  # +6 % against 5 %
+    assert fat["metrics"]["host_cpu_s_per_sim_s"] == "within bound"
+
+
+def test_a_control_row_noisier_than_its_bound_is_unresolved_not_unchanged():
+    noisy_parent = [0.10, 0.20, 0.12, 0.18, 0.11]
+    noisy_child = [0.11, 0.19, 0.13, 0.17, 0.10]
+    row = perf_pairs.verdict_row(
+        "b", False, pairs_of(noisy_parent, noisy_child), END_TO_END
+    )
+    assert row["verdict"] == "unresolved: `host_cpu_s_per_sim_s`"
+    # ... unless every child run reads better than every parent run
+    clear = perf_pairs.verdict_row(
+        "b", False, pairs_of(noisy_parent, [0.05, 0.09, 0.06, 0.08, 0.07]), END_TO_END
+    )
+    assert clear["verdict"] == "within bound"
+
+
+def test_a_control_row_judges_a_moved_sim_metric_and_new_failures():
+    moved = pairs_of(QUIET, QUIET)
+    for pair in moved:
+        pair["child"]["metrics"]["sim_goodput_env_s"]["value"] = 900.0  # -10 % vs 7 %
+    row = perf_pairs.verdict_row("b", False, moved, END_TO_END)
+    assert row["verdict"] == "worse: `sim_goodput_env_s`"
+    assert not row["summary"]["sim_identical"]
+    nudged = pairs_of(QUIET, QUIET)
+    nudged[1]["child"]["metrics"]["sim_goodput_env_s"]["value"] = 999.0
+    assert perf_pairs.verdict_row("b", False, nudged, END_TO_END)["verdict"] == "within bound"
+    failing = perf_pairs.verdict_row("b", False, pairs_of(QUIET, QUIET, failed=2), END_TO_END)
+    assert failing["verdict"] == "worse: `failed`"
+
+
+def test_the_verdict_table_has_one_row_per_workload():
+    rows = [
+        perf_pairs.verdict_row("smartbft_n10_sat", True, pairs_of(PARENT, CHILD), END_TO_END),
+        perf_pairs.verdict_row("lan_n10_sat", False, pairs_of(QUIET, QUIET), END_TO_END),
+        perf_pairs.verdict_row(
+            "geo_wheat", False, pairs_of(QUIET, [0.130, 0.131, 0.129]), END_TO_END
+        ),
+    ]
+    table = perf_pairs.render_verdicts(rows).splitlines()
+    assert len(table) == 2 + 3
+    assert table[2] == (
+        "| `smartbft_n10_sat` | claimed | 10 | 0.245 -> 0.1895 | -22.7% | 10 / 0 / 0 "
+        "| True | claim holds |"
+    )
+    assert table[3] == (
+        "| `lan_n10_sat` | control | 3 | 0.1 -> 0.1 | +0.0% | 0 / 3 / 0 | True | within bound |"
+    )
+    assert table[4].endswith("| True | worse: `host_cpu_s_per_sim_s` |")
+
+
+def test_the_command_line_plans_claimed_rows_then_controls(monkeypatch, capsys):
+    ran = []
+
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+
+    def canned_pairs(parent_root, workload, pairs, first_seed, seconds):
+        ran.append((workload, pairs, first_seed, seconds))
+        canned = pairs_of(PARENT[:pairs], CHILD[:pairs] if workload == "smartbft_n10_sat"
+                          else PARENT[:pairs])
+        for pair in canned:  # a real run reports every metric of the contract
+            for side in ("parent", "child"):
+                for entry in contract["end_to_end"]:
+                    pair[side]["metrics"].setdefault(entry["name"], {"value": 1.0})
+        return canned
+
+    monkeypatch.setattr(perf_pairs, "export_parent", lambda rev: REPO_ROOT / "no-such-export")
+    monkeypatch.setattr(perf_pairs, "run_pairs", canned_pairs)
+    assert perf_pairs.main(
+        ["--parent", "HEAD", "--workload", "smartbft_n10_sat", "--controls", "2"]
+    ) == 0
+    assert ran[0] == ("smartbft_n10_sat", 10, 0, 15)
+    assert [(name, pairs) for name, pairs, _s, _t in ran[1:]] == [
+        (name, 2)
+        for name in ("lan_n10_sat", "lan_n4_fanout16_sat", "geo_wheat", "overload_4x_flood",
+                     "leader_crash_wal", "fabric_solo_mvcc")
+    ]
+    out = capsys.readouterr().out
+    assert "## smartbft_n10_sat: parent HEAD vs working tree" in out
+    verdicts = out[out.index("## verdicts"):].splitlines()
+    assert len(verdicts) == 1 + 2 + 7
+    assert verdicts[3].startswith("| `smartbft_n10_sat` | claimed | 10 |")
+    assert verdicts[3].endswith("| claim holds |")
+    assert all(line.endswith("| True | within bound |") for line in verdicts[4:])
+    # two claimed workloads and no controls: two rows
+    ran.clear()
+    perf_pairs.main(["--parent", "HEAD", "--workload", "geo_wheat", "--workload",
+                     "lan_n10_sat", "--pairs", "3"])
+    assert [(name, pairs) for name, pairs, _s, _t in ran] == [("geo_wheat", 3), ("lan_n10_sat", 3)]

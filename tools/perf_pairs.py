@@ -2,7 +2,8 @@
 """Alternating parent/child pairs of the performance benchmark.
 
     python tools/perf_pairs.py --parent <rev> --workload <name> [--pairs 10]
-    make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10]
+                               [--workload <name> ...] [--controls N]
+    make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [CONTROLS=N]
 
 The rule a host-time claim has to pass (the choosing-metrics guide,
 "Measuring in a small sandbox"): at least ten pairs of parent and
@@ -15,8 +16,19 @@ the ignored ``benchmarks/perf/out/pairs/`` -- the way the benchmark is
 run on a commit: a fresh directory, nothing left registered in
 ``.git``.  Each side then runs its *own*, unmodified
 ``benchmarks/perf/run.py --trace 0``, one process at a time, with the
-seed equal within a pair and the order swapped every pair.  Stdlib
-only; it edits nothing under ``benchmarks/perf/``.
+seed equal within a pair and the order swapped every pair.
+
+Every ``--workload`` named is a *claimed* row, judged by the rule
+above.  ``--controls N`` adds every other workload of ``BENCHMARK.json``
+as a *control* row at N pairs -- the workloads the change's mechanism
+bypasses, where the prediction is no change -- judged metric by metric
+against the contract's bounds (the guide's section 6, step 5): *worse*
+when the child's median is worse than the parent's by more than the
+bound (or a larger share of operations failed), *unresolved* when it is
+not but either side's interquartile spread is wider than the bound and
+some child run reads no better than some parent run, *within bound*
+otherwise.  The last table printed has one verdict row per workload.
+Stdlib only; it edits nothing under ``benchmarks/perf/``.
 """
 
 from __future__ import annotations
@@ -116,6 +128,7 @@ def summarize(pairs: Sequence[Dict[str, Any]], metric: str, better: str) -> Dict
     ties = sum(1 for p, c in zip(parent, child) if c == p)
     parent_q, child_q = quartiles(parent), quartiles(child)
     parent_iqr = parent_q[2] - parent_q[0]
+    child_iqr = child_q[2] - child_q[0]
     gain = sign * (child_q[1] - parent_q[1])
     sim_mismatches = [
         f"seed {pair['seed']}: {name}"
@@ -136,6 +149,8 @@ def summarize(pairs: Sequence[Dict[str, Any]], metric: str, better: str) -> Dict
         "parent": {"q1": parent_q[0], "median": parent_q[1], "q3": parent_q[2]},
         "child": {"q1": child_q[0], "median": child_q[1], "q3": child_q[2]},
         "parent_iqr": parent_iqr,
+        "child_iqr": child_iqr,
+        "every_child_run_better": min(sign * c for c in child) > max(sign * p for p in parent),
         "change": (child_q[1] - parent_q[1]) / parent_q[1] if parent_q[1] else 0.0,
         "wins": wins,
         "ties": ties,
@@ -192,39 +207,123 @@ def render(summary: Dict[str, Any], others: Sequence[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
+def judge_control(row: Dict[str, Any], bound: float) -> str:
+    """One metric of a control row against its bound: ``worse``,
+    ``unresolved`` or ``within bound``."""
+    sign = -1.0 if row["better"] == "lower" else 1.0
+    if -sign * row["change"] > bound:
+        return "worse"
+    spread = max(
+        (row[side + "_iqr"] / abs(row[side]["median"])) if row[side]["median"] else 0.0
+        for side in ("parent", "child")
+    )
+    if spread > bound and not row["every_child_run_better"]:
+        return "unresolved"
+    return "within bound"
+
+
+def verdict_row(
+    workload: str, claimed: bool, pairs: Sequence[Dict[str, Any]],
+    end_to_end: Sequence[Dict[str, Any]],
+) -> Dict[str, Any]:
+    """The line of the last table for one workload.  A claimed row is
+    the section-8 rule on ``CLAIMED``; a control row is the worst of its
+    metrics' verdicts, naming the metrics that are not within bound (a
+    ``sim_*`` metric equal within every pair has nothing to judge)."""
+    better = {entry["name"]: entry["better"] for entry in end_to_end}
+    summary = summarize(pairs, CLAIMED, better[CLAIMED])
+    row = {"workload": workload, "role": "claimed" if claimed else "control",
+           "summary": summary, "metrics": {}}
+    if claimed:
+        row["verdict"] = "claim holds" if claim_holds(summary) else "claim not met"
+        return row
+    for entry in end_to_end:
+        name = entry["name"]
+        if name.startswith("sim_") and all(
+            _value(pair["parent"], name) == _value(pair["child"], name) for pair in pairs
+        ):
+            continue
+        row["metrics"][name] = judge_control(
+            summarize(pairs, name, entry["better"]), entry["bound"]
+        )
+    if not (summary["correct"] and summary["no_more_failures"]):
+        row["metrics"]["failed"] = "worse"
+    for verdict in ("worse", "unresolved"):
+        named = [name for name, v in row["metrics"].items() if v == verdict]
+        if named:
+            row["verdict"] = f"{verdict}: " + ", ".join(f"`{name}`" for name in named)
+            return row
+    row["verdict"] = "within bound"
+    return row
+
+
+def render_verdicts(rows: Sequence[Dict[str, Any]]) -> str:
+    lines = [
+        f"| workload | role | pairs | `{CLAIMED}` parent -> child | change "
+        "| child wins / ties / losses | sim_* identical | verdict |",
+        "|---|---|---|---|---|---|---|---|",
+    ]
+    for row in rows:
+        summary = row["summary"]
+        lines.append(
+            f"| `{row['workload']}` | {row['role']} | {summary['pairs']} "
+            f"| {summary['parent']['median']:.6g} -> {summary['child']['median']:.6g} "
+            f"| {summary['change']:+.1%} "
+            f"| {summary['wins']} / {summary['ties']} / {summary['losses']} "
+            f"| {summary['sim_identical']} | {row['verdict']} |"
+        )
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     contract = json.loads((REPO / "BENCHMARK.json").read_text())
-    better = {entry["name"]: entry["better"] for entry in contract["end_to_end"]}
+    end_to_end = contract["end_to_end"]
+    better = {entry["name"]: entry["better"] for entry in end_to_end}
+    names = [w["name"] for w in contract["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument(
-        "--workload", required=True, choices=[w["name"] for w in contract["workloads"]]
+        "--workload", required=True, action="append", choices=names,
+        help="a workload the change claims a gain on (repeatable)",
     )
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per claimed workload")
+    parser.add_argument(
+        "--controls", type=int, default=0, metavar="N",
+        help="also run every other workload at N pairs, as no-change controls",
+    )
     parser.add_argument("--first-seed", type=int, default=0, help="pair i runs seed first+i")
     parser.add_argument("--json", help="also write every run and the summaries here")
     args = parser.parse_args(argv)
 
+    plan = [(name, True, args.pairs) for name in dict.fromkeys(args.workload)]
+    if args.controls > 0:
+        plan += [(name, False, args.controls) for name in names if name not in args.workload]
     parent_root = export_parent(args.parent)
+    document = {}
+    rows = []
     try:
-        pairs = run_pairs(
-            parent_root, args.workload, args.pairs, args.first_seed,
-            contract["run_seconds"],
-        )
+        for workload, claimed, count in plan:
+            pairs = run_pairs(
+                parent_root, workload, count, args.first_seed, contract["run_seconds"]
+            )
+            row = verdict_row(workload, claimed, pairs, end_to_end)
+            rows.append(row)
+            others = [
+                summarize(pairs, name, better[name])
+                for name in better
+                if name != CLAIMED and not name.startswith("sim_")
+            ]
+            document[workload] = {"pairs": pairs, "row": row, "others": others}
+            if claimed:
+                print(f"## {workload}: parent {args.parent} vs working tree")
+                print(render(row["summary"], others))
+                print(flush=True)
     finally:
         shutil.rmtree(parent_root, ignore_errors=True)
-    summary = summarize(pairs, CLAIMED, better[CLAIMED])
-    others = [
-        summarize(pairs, name, better[name])
-        for name in better
-        if name != CLAIMED and not name.startswith("sim_")
-    ]
-    print(f"## {args.workload}: parent {args.parent} vs working tree")
-    print(render(summary, others))
+    print(f"## verdicts: parent {args.parent} vs working tree")
+    print(render_verdicts(rows))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps({"pairs": pairs, "summary": summary, "others": others}, indent=1)
-        )
+        Path(args.json).write_text(json.dumps(document, indent=1))
     return 0
 
 
