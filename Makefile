@@ -63,20 +63,23 @@ flow:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.analysis flow \
 		--json $(FLOW_OUT) --graph $(FLOW_GRAPH)
 
-## runtime determinism sanitizer: double-run the seeded smoke scenario
-## under different PYTHONHASHSEEDs and diff trace/span/metric views
+## runtime determinism sanitizer: double-run every default scenario
+## row (src/repro/analysis/sanitizer.py::SCENARIOS) in child
+## interpreters under different PYTHONHASHSEEDs and diff the
+## trace/span/metric views
 detsan:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.analysis detsan \
 		--json $(DETSAN_OUT)
 
-## schedule-race sanitizer: re-run smoke + recovery under RACESAN_K
-## tie-break permutations and diff semantic digests (RACESAN001)
+## schedule-race sanitizer: re-run every default scenario row under
+## RACESAN_K tie-break permutations, in one process, and diff semantic
+## digests (RACESAN001)
 racesan:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.analysis racesan \
 		--permutations $(RACESAN_K) --json $(RACESAN_OUT)
 
 ## everything CI's per-commit job runs, in order
-ci: lint analyze flow test faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check perf-quick bench-report
+ci: lint analyze flow racesan test faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check perf-quick bench-report
 
 ## quick confidence check: 5 explorer seeds (runs in seconds)
 faults-smoke:

@@ -10,13 +10,15 @@ rests on (see docs/ANALYSIS.md for the catalog):
   named helpers in :mod:`repro.smart.view`, no state mutation before
   verification in message handlers, no scheduling primitives outside
   the simulator kernel.
-- **DETSAN** -- the runtime sanitizer: a seeded scenario double-run
-  under different ``PYTHONHASHSEED`` values whose trace/span/metric
-  views must match byte-for-byte.
+- **DETSAN / RACESAN** -- the runtime sanitizers
+  (:mod:`repro.analysis.sanitizer`): seeded scenarios re-run under
+  different ``PYTHONHASHSEED`` values, whose trace/span/metric views
+  must match byte-for-byte, and under permuted same-timestamp
+  tie-breaks, whose protocol outcome must.
 
 Run ``python -m repro.analysis`` (or ``make analyze``) for the static
-pass and ``python -m repro.analysis detsan`` (or ``make detsan``) for
-the runtime pass.
+pass and ``python -m repro.analysis detsan`` / ``racesan`` (or ``make
+detsan`` / ``make racesan``) for the runtime passes.
 """
 
 from .engine import analyze_paths, analyze_source

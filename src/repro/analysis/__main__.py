@@ -5,13 +5,12 @@ Subcommands:
 - ``check [paths...]`` (the default): run the static DET/PROTO rules.
 - ``flow``: the MsgFlow interprocedural message-flow/taint analysis
   (FLOW001-003), with optional graph artifacts (``--graph``/``--dot``).
-- ``detsan``: the runtime determinism sanitizer (double-run + diff).
+- ``detsan``: the runtime determinism sanitizer (every default
+  scenario double-run under two hash seeds, all views diffed).
 - ``racesan``: the schedule-race sanitizer (K tie-break permutations
   per scenario, semantic-digest diff, RACESAN001).
-- ``capture``: one instrumented scenario run to a JSON record --
-  internal, spawned twice by ``detsan`` under different hash seeds.
-- ``racesan-capture``: one scenario run under a tie-break permutation
-  to a JSON record -- internal, spawned K+1 times by ``racesan``.
+- ``capture``: one scenario run to a JSON record -- what ``detsan``
+  spawns once per hash seed, and what ``tools/write_golden.py`` pins.
 - ``rules``: print the rule catalog.
 
 Exit status everywhere: 0 clean, 1 findings/divergence, 2 internal
@@ -25,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import detsan, engine, flow, racesan
+from . import engine, flow, sanitizer
 from .rules import CATALOG
 from .suppress import (
     DETSAN_RULES,
@@ -35,12 +34,12 @@ from .suppress import (
 )
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=detsan.DEFAULT_SEED)
+def _add_run_args(parser: argparse.ArgumentParser, rate: float) -> None:
+    parser.add_argument("--seed", type=int, default=sanitizer.DEFAULT_SEED)
     parser.add_argument(
-        "--duration", type=float, default=detsan.DEFAULT_DURATION
+        "--duration", type=float, default=sanitizer.DEFAULT_DURATION
     )
-    parser.add_argument("--rate", type=float, default=detsan.DEFAULT_RATE)
+    parser.add_argument("--rate", type=float, default=rate)
 
 
 def main(argv=None) -> int:
@@ -77,56 +76,37 @@ def main(argv=None) -> int:
     )
 
     det = sub.add_parser("detsan", help="runtime determinism sanitizer")
-    _add_scenario_args(det)
+    _add_run_args(det, sanitizer.DETSAN_RATE)
     det.add_argument("--json", dest="json_out", default=None)
-
-    capture = sub.add_parser(
-        "capture", help="one instrumented run to a JSON record (internal)"
-    )
-    _add_scenario_args(capture)
-    capture.add_argument("--out", required=True)
 
     race = sub.add_parser("racesan", help="schedule-race sanitizer")
     race.add_argument(
         "--scenario",
         dest="scenarios",
         action="append",
-        choices=list(racesan.ALL_SCENARIOS),
+        choices=list(sanitizer.SCENARIOS),
         default=None,
-        help="scenario to permute (repeatable; default: smoke + recovery)",
+        help="scenario to permute (repeatable; default: every default row)",
     )
     race.add_argument(
         "--permutations",
         "-k",
         type=int,
-        default=racesan.DEFAULT_PERMUTATIONS,
+        default=sanitizer.DEFAULT_PERMUTATIONS,
         help="tie-break permutations per scenario",
     )
-    race.add_argument("--seed", type=int, default=racesan.DEFAULT_SEED)
-    race.add_argument(
-        "--duration", type=float, default=racesan.DEFAULT_DURATION
-    )
-    race.add_argument("--rate", type=float, default=racesan.DEFAULT_RATE)
+    _add_run_args(race, sanitizer.RACESAN_RATE)
     race.add_argument("--json", dest="json_out", default=None)
 
-    race_capture = sub.add_parser(
-        "racesan-capture",
-        help="one permuted run to a JSON record (internal)",
+    capture = sub.add_parser(
+        "capture", help="one scenario run to a JSON record"
     )
-    race_capture.add_argument(
-        "--scenario", default="smoke", choices=list(racesan.ALL_SCENARIOS)
+    capture.add_argument(
+        "--scenario", default="smoke", choices=list(sanitizer.SCENARIOS)
     )
-    race_capture.add_argument("--seed", type=int, default=racesan.DEFAULT_SEED)
-    race_capture.add_argument(
-        "--duration", type=float, default=racesan.DEFAULT_DURATION
-    )
-    race_capture.add_argument(
-        "--rate", type=float, default=racesan.DEFAULT_RATE
-    )
-    race_capture.add_argument(
-        "--tie-seed", dest="tie_seed", type=int, default=None
-    )
-    race_capture.add_argument("--out", required=True)
+    _add_run_args(capture, sanitizer.RACESAN_RATE)  # capture_record's own
+    capture.add_argument("--tie-seed", dest="tie_seed", type=int, default=None)
+    capture.add_argument("--out", required=True)
 
     sub.add_parser("rules", help="print the rule catalog")
 
@@ -144,36 +124,28 @@ def main(argv=None) -> int:
             dot_out=args.dot_out,
         )
     if args.command == "racesan":
-        return racesan.run(
-            scenarios=args.scenarios or list(racesan.DEFAULT_SCENARIOS),
+        return sanitizer.run_racesan(
+            scenarios=args.scenarios or sanitizer.DEFAULT_SCENARIOS,
             permutations=args.permutations,
             seed=args.seed,
             duration=args.duration,
             rate=args.rate,
             json_out=args.json_out,
         )
-    if args.command == "racesan-capture":
-        record = racesan.capture_record(
-            scenario=args.scenario,
-            seed=args.seed,
-            duration=args.duration,
-            rate=args.rate,
-            tie_seed=args.tie_seed,
-        )
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(record, sort_keys=True) + "\n")
-        return 0
     if args.command == "detsan":
-        return detsan.run(
+        return sanitizer.run_detsan(
             seed=args.seed,
             duration=args.duration,
             rate=args.rate,
             json_out=args.json_out,
         )
     if args.command == "capture":
-        record = detsan.capture_record(
-            seed=args.seed, duration=args.duration, rate=args.rate
+        record = sanitizer.capture_record(
+            scenario=args.scenario,
+            seed=args.seed,
+            duration=args.duration,
+            rate=args.rate,
+            tie_seed=args.tie_seed,
         )
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

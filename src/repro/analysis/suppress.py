@@ -50,7 +50,7 @@ STATIC_RULES = (
     "PROTO003",
 )
 
-#: Runtime-sanitizer rules (:mod:`repro.analysis.detsan`).
+#: Hash-seed sanitizer rules (:mod:`repro.analysis.sanitizer`).
 DETSAN_RULES = (
     "DETSAN001",
     "DETSAN002",
@@ -65,7 +65,7 @@ FLOW_RULES = (
     "FLOW003",
 )
 
-#: Schedule-race sanitizer rules (:mod:`repro.analysis.racesan`).
+#: Schedule-race sanitizer rules (:mod:`repro.analysis.sanitizer`).
 RACESAN_RULES = ("RACESAN001",)
 
 #: The meta-rule for malformed/unknown suppressions.

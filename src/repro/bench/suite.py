@@ -40,7 +40,7 @@ from repro.bench.model import (
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import Envelope
+from repro.fabric.envelope import Envelope, envelope_ids
 from repro.fabric.orderers import KafkaCluster, KafkaOrderer, SoloOrderer
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 from repro.sim import ConstantLatency, Network, RandomStreams, Simulator
@@ -411,8 +411,9 @@ def _run_solo(envelopes: int, envelope_size: int, block_size: int):
         sim, network, "solo", registry.enroll("solo"), channel, stats=stats
     )
     network.register("solo", orderer)
+    ids = envelope_ids(sim)
     for _ in range(envelopes):
-        orderer.submit(Envelope.raw("ch0", envelope_size))
+        orderer.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
     sim.run(until=5.0)
     return stats.latency("solo.latency").median, orderer.blocks_created
 
@@ -428,8 +429,9 @@ def _run_kafka(envelopes: int, envelope_size: int, block_size: int):
         sim, network, "korderer0", registry.enroll("korderer0"), cluster, channel,
         stats=stats,
     )
+    ids = envelope_ids(sim)
     for _ in range(envelopes):
-        orderer.submit(Envelope.raw("ch0", envelope_size))
+        orderer.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
     sim.run(until=5.0)
     return stats.latency("korderer0.latency").median, orderer.blocks_created
 
@@ -444,8 +446,9 @@ def _run_bft(envelopes: int, envelope_size: int, block_size: int):
         latency=ConstantLatency(0.0001),
     )
     service = build_ordering_service(config)
+    ids = envelope_ids(service.sim)
     for _ in range(envelopes):
-        service.submit(Envelope.raw("ch0", envelope_size))
+        service.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
     service.run(5.0)
     recorder = service.stats.latency(f"{service.frontends[0].name}.latency")
     return recorder.median, service.nodes[0].blocks_created
@@ -499,13 +502,9 @@ def recovery_time(ctx: BenchContext) -> Dict[str, float]:
     )
     service = build_ordering_service(config, observability=ctx.obs)
     spacing = 1.5 / envelopes
+    ids = envelope_ids(service.sim)
     for i in range(envelopes):
-        envelope = Envelope(
-            channel_id="ch0",
-            transaction=None,
-            payload_size=ctx["payload_size"],
-            envelope_id=i,
-        )
+        envelope = Envelope.raw("ch0", ctx["payload_size"], envelope_id=next(ids))
         service.sim.schedule_at(0.1 + i * spacing, service.submit, envelope, 0)
 
     replica = service.replicas[1]

@@ -18,6 +18,10 @@ from repro.fabric.envelope import Envelope
 #: Genesis "previous hash".
 GENESIS_PREVIOUS_HASH = b"\x00" * 32
 
+#: Id of the config envelope in block 0: fixed, so every peer that
+#: builds the genesis block of a channel gets the same header digest.
+GENESIS_ENVELOPE_ID = 0
+
 #: Serialized header bytes (number + two hashes + lengths).
 HEADER_SIZE = 72
 
@@ -129,6 +133,12 @@ def make_block(
 
 def genesis_block(channel_id: str = "system") -> Block:
     """Block 0 of a channel (a config block in real HLF)."""
-    config_envelope = Envelope.raw(channel_id, payload_size=128, submitter="genesis")
-    config_envelope.is_config = True
+    config_envelope = Envelope(
+        channel_id=channel_id,
+        transaction=None,
+        payload_size=128,
+        submitter="genesis",
+        is_config=True,
+        envelope_id=GENESIS_ENVELOPE_ID,
+    )
     return make_block(0, GENESIS_PREVIOUS_HASH, [config_envelope], channel_id)

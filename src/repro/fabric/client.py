@@ -27,6 +27,7 @@ from repro.fabric.envelope import (
     Envelope,
     ProposalResponse,
     Transaction,
+    envelope_ids,
 )
 from repro.fabric.policy import EndorsementPolicy
 from repro.sim.core import Future, Simulator
@@ -72,6 +73,7 @@ class FabricClient:
         self.default_policy = default_policy
         self.envelope_size = envelope_size
         self._nonce = itertools.count()
+        self._ids = envelope_ids(sim)
         self._pending: Dict[bytes, _PendingTransaction] = {}
         self._awaiting_commit: Dict[int, _PendingTransaction] = {}
         self.commits_seen: List[CommitEvent] = []
@@ -223,6 +225,7 @@ class FabricClient:
                 Endorsement(endorser=r.endorser, org=r.org, signature=r.signature)
                 for r in matching
             ],
+            tx_id=next(self._ids),
         )
         transaction.client_signature = self.identity.sign(transaction.digest())
         payload_size = self.envelope_size or self._estimate_size(transaction)
@@ -231,6 +234,7 @@ class FabricClient:
             transaction=transaction,
             payload_size=payload_size,
             submitter=self.identity.name,
+            envelope_id=next(self._ids),
             create_time=self.sim.now,
         )
         envelope.signature = self.identity.sign(envelope.digest())

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Any, List, Mapping, Optional, Tuple, Union
+from typing import Any, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.crypto.hashing import sha256
 
@@ -33,7 +33,22 @@ Version = Tuple[int, int]
 #: an orderer enforces at submission (10 MB by default, as in HLF).
 DEFAULT_MAX_PAYLOAD_BYTES = 10 * 1024 * 1024
 
-_tx_counter = itertools.count()
+#: Ids of envelopes and transactions built by hand, outside any run: a
+#: test, an example or a REPL that writes ``Envelope.raw(...)`` without
+#: saying which id it means.  Nothing under ``src/repro`` that runs on a
+#: simulator draws from it (``tests/test_run_identity.py`` proves it
+#: stands still across every run path); a run takes its ids from
+#: :func:`envelope_ids`, or names them outright.
+_handmade_ids = itertools.count()
+
+
+def envelope_ids(sim: Any) -> Iterator[int]:
+    """The stream a run on ``sim`` draws ``envelope_id`` and ``tx_id``
+    from (one stream for both: a client assembles a transaction and
+    wraps it in the same step), in the order the run creates them --
+    so the same seed gives the same ids, digests and ledgers however
+    many runs the process hosted before."""
+    return sim.id_stream("envelope")
 
 
 class OversizedPayloadError(ValueError):
@@ -321,7 +336,7 @@ class Transaction:
     result: Any
     endorsements: List[Endorsement]
     client_signature: bytes = b""
-    tx_id: int = field(default_factory=lambda: next(_tx_counter))
+    tx_id: int = field(default_factory=lambda: next(_handmade_ids))
 
     def response_payload(self) -> bytes:
         """What each endorsement must have signed."""
@@ -356,7 +371,7 @@ class Envelope:
     submitter: str = ""
     signature: bytes = b""
     is_config: bool = False
-    envelope_id: int = field(default_factory=lambda: next(_tx_counter))
+    envelope_id: int = field(default_factory=lambda: next(_handmade_ids))
     create_time: Optional[float] = None
     payload: Optional[PayloadRef] = field(default=None, repr=False, compare=False)
     #: identity digest cache -- the hashed fields never change after
@@ -381,15 +396,25 @@ class Envelope:
         return ref
 
     @classmethod
-    def raw(cls, channel_id: str, payload_size: int, submitter: str = "") -> "Envelope":
+    def raw(
+        cls,
+        channel_id: str,
+        payload_size: int,
+        submitter: str = "",
+        envelope_id: Optional[int] = None,
+    ) -> "Envelope":
         """A synthetic envelope with no transaction inside -- what the
         paper's micro-benchmarks submit (only the size matters to the
-        ordering service)."""
+        ordering service).  A run passes ``next(envelope_ids(sim))``;
+        left out, the id is a hand-built one."""
+        if envelope_id is None:
+            envelope_id = next(_handmade_ids)
         return cls(
             channel_id=channel_id,
             transaction=None,
             payload_size=payload_size,
             submitter=submitter,
+            envelope_id=envelope_id,
         )
 
     @classmethod

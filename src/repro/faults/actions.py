@@ -21,7 +21,13 @@ from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Iterable, Optional, 
 from repro.crypto.hashing import sha256
 from repro.sim.network import Intercept
 from repro.smart.consensus import batch_hash
-from repro.smart.messages import ClientRequest, ForwardedRequest, Propose, Write
+from repro.smart.messages import (
+    ClientRequest,
+    ForwardedRequest,
+    Propose,
+    Write,
+    request_uids,
+)
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
@@ -334,6 +340,7 @@ class EquivocatePropose(FilterFault):
 
     def _filter(self, ctx):
         count = [0]
+        uids = request_uids(ctx.sim)
 
         def fn(src, dst, payload):
             if (
@@ -349,6 +356,7 @@ class EquivocatePropose(FilterFault):
                             client_id=self.poison_client,
                             sequence=count[0],
                             operation=self.poison_op,
+                            uid=next(uids),
                         )
                     ]
                 count[0] += 1
@@ -611,8 +619,8 @@ class FloodClient(FaultAction):
     botnet of lightweight clients looks like to the ordering service.
     Every ``unique_every``-th envelope carries a fresh identity; the
     rest replay the previous one (a duplicate flood on the wire).
-    Envelope ids are pinned from ``id_base`` so fault traces and ledger
-    digests stay reproducible run over run.
+    Envelope ids count up from ``id_base``, a block the honest load
+    never uses, so a flooded id is recognizable in traces and reports.
     """
 
     def __init__(

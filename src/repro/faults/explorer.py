@@ -157,8 +157,8 @@ def _sample_action(kind: str, rng, cfg: ExplorerConfig, index: int, used: int):
     if kind == "flood":
         # an attacker injecting duplicate-heavy submissions into one
         # frontend at hundreds to thousands of envelopes per second;
-        # the ``used``-th flood gets its own attacker id and pinned
-        # envelope-id block, keeping run digests reproducible
+        # the ``used``-th flood gets its own attacker id and a block
+        # of envelope ids disjoint from the honest load's 0..n-1
         target = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
         rate = round(rng.uniform(400.0, 2000.0), 1)
         return FloodClient(
@@ -350,9 +350,9 @@ def run_schedule(
     injector = FaultInjector(service.network, service.replicas, seed=seed)
     Scenario(events, heal_at=cfg.heal_at).install(injector)
 
-    # the workload: evenly spaced envelopes, round-robin over frontends.
-    # Envelope ids are pinned so block digests (which hash envelope ids)
-    # are identical across reruns of the same seed in one process.
+    # the workload: evenly spaced envelopes, round-robin over frontends,
+    # each named by its index in the offered load (violation reports and
+    # the submission recorder speak in these ids)
     spacing = cfg.load_window / cfg.envelopes
     for i in range(cfg.envelopes):
         envelope = Envelope(

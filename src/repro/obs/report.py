@@ -17,10 +17,10 @@ attached and prints the paper-style resource-attribution report:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.topology import lan_latency_model
+from repro.sim.core import Simulator
 from repro.sim.trace import MessageTracer
 from repro.smart.view import bft_group_size, max_faults
 from repro.fabric.channel import ChannelConfig
@@ -58,11 +58,21 @@ def run_scenario(
     envelope_size: int = 1024,
     block_size: int = 10,
     trace: bool = False,
+    sim: Optional[Simulator] = None,
+    arm: Optional[Callable[[OrderingService], None]] = None,
+    **config: Any,
 ) -> ScenarioResult:
     """Drive a seeded ``orderers``-node LAN deployment at a moderate
-    load with the hub attached, then close tracing."""
+    load with the hub attached, then close tracing.
+
+    This is the one stand-up of the smoke deployment.  The sanitizer
+    rows (:mod:`repro.analysis.sanitizer`) vary it through what is left:
+    ``config`` replaces fields of the :class:`OrderingServiceConfig`
+    below, ``arm`` is called on the built service before it runs (to
+    schedule a crash), ``sim`` is the simulator to build on.
+    """
     f = max_faults(orderers)
-    config = OrderingServiceConfig(
+    fields: Dict[str, Any] = dict(
         f=f,
         delta=orderers - bft_group_size(f),
         channel=ChannelConfig(
@@ -77,8 +87,11 @@ def run_scenario(
         request_timeout=30.0,  # a clean run must not trigger regency changes
         seed=seed,
     )
+    fields.update(config)
     obs = Observability()
-    service = build_ordering_service(config, observability=obs)
+    service = build_ordering_service(
+        OrderingServiceConfig(**fields), sim=sim, observability=obs
+    )
     tracer = MessageTracer(service.network) if trace else None
     generator = OpenLoopGenerator(
         sim=service.sim,
@@ -89,6 +102,8 @@ def run_scenario(
         duration=duration,
     )
     generator.start()
+    if arm is not None:
+        arm(service)
     # run past the submission window so in-flight envelopes drain
     service.run(duration + 1.0)
     obs.close()

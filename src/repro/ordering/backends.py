@@ -82,11 +82,11 @@ class WorkloadSpec:
         size = self.payload_size
         if index in set(self.oversized_at):
             size = self.absolute_max_bytes + 1
-        envelope = Envelope.raw(
-            self.channel_id, payload_size=size, submitter="client"
+        # the index is the id: the four backends are compared on the
+        # header chains of one and the same workload
+        return Envelope.raw(
+            self.channel_id, payload_size=size, submitter="client", envelope_id=index
         )
-        envelope.envelope_id = index  # pinned: identical digests everywhere
-        return envelope
 
 
 @dataclass

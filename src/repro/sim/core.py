@@ -17,8 +17,8 @@ Tie-break permutation (RaceSan)
 The default tie-break -- same-timestamp events fire in scheduling
 order -- is *one* legal serialization of simulated concurrency, not a
 guarantee protocol code may lean on.  Constructing a simulator with
-``tie_seed=N`` (or calling :func:`set_default_tie_seed` before the
-deployment is built) replaces the heap's ``seq`` key component with a
+``tie_seed=N`` (every deployment builder takes the simulator to build
+on) replaces the heap's ``seq`` key component with a
 seeded bijective mix of it, so every same-timestamp group pops in a
 per-seed shuffled order while distinct timestamps are untouched.  Each
 seed is still fully deterministic; ``None`` (the default) is byte-for-
@@ -45,7 +45,7 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, Iterator, Optional, Tuple
 
 #: Upper bound on the event free list; beyond this, fired pooled events
 #: are simply dropped for the garbage collector (keeps pathological
@@ -55,19 +55,6 @@ EVENT_POOL_MAX = 4096
 _heappush = heapq.heappush
 
 _MASK64 = (1 << 64) - 1
-
-#: Process-wide default tie seed; ``Simulator()`` picks it up so the
-#: RaceSan capture subprocess can enable permutation before scenario
-#: builders construct their own simulators.  ``None`` = historical
-#: scheduling order.
-_DEFAULT_TIE_SEED: Optional[int] = None
-
-
-def set_default_tie_seed(seed: Optional[int]) -> None:
-    """Set the tie seed newly constructed simulators default to."""
-    global _DEFAULT_TIE_SEED
-    _DEFAULT_TIE_SEED = seed
-
 
 def _tie_mixer(seed: int) -> Callable[[int], int]:
     """A keyed bijection on 64-bit ints (SplitMix64 finalizer).
@@ -248,12 +235,11 @@ class Simulator:
         self._pool: list[EventHandle] = []
         self._processed = 0
         self._running = False
+        self._id_streams: Dict[str, Iterator[int]] = {}
         #: seeded same-timestamp permutation (RaceSan); None = the
         #: historical scheduling-order tie-break
         self.tie_seed: Optional[int] = None
         self._tie_key: Optional[Callable[[int], int]] = None
-        if tie_seed is None:
-            tie_seed = _DEFAULT_TIE_SEED
         if tie_seed is not None:
             self.set_tie_seed(tie_seed)
 
@@ -268,6 +254,20 @@ class Simulator:
             raise SimulationError("cannot change tie_seed with events pending")
         self.tie_seed = seed
         self._tie_key = None if seed is None else _tie_mixer(seed)
+
+    def id_stream(self, name: str) -> Iterator[int]:
+        """The run's counter called ``name``: 0, 1, 2, ... in draw order.
+
+        Every identity a run mints -- envelope and transaction ids,
+        request uids -- is drawn from a stream of its simulator, so it
+        depends on the run's own history and on nothing else that
+        happened in the process.  Producers fetch their stream once and
+        call ``next`` on it; all producers of one name share one counter.
+        """
+        stream = self._id_streams.get(name)
+        if stream is None:
+            stream = self._id_streams[name] = itertools.count()
+        return stream
 
     # ------------------------------------------------------------------
     # scheduling

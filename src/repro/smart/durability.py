@@ -20,7 +20,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.crypto.hashing import sha256
 from repro.sim.storage import LogCorruption, frame_record, scan_records
-from repro.smart.messages import ClientRequest
+from repro.smart.messages import LOGGED_UID, ClientRequest
 
 
 @dataclass
@@ -207,6 +207,7 @@ class FileBackedLog(OperationLog):
                         sequence=r["seq"],
                         operation=self._decode_op(r["op"]),
                         size_bytes=r["size"],
+                        uid=LOGGED_UID,
                     )
                     for r in record["reqs"]
                 ]

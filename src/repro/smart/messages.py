@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 #: Serialized message header: type, sender, consensus id, regency, MAC.
 MESSAGE_HEADER_BYTES = 84
@@ -32,7 +32,23 @@ HASH_BYTES = 32
 
 RequestId = Tuple[int, int]  # (client_id, client_sequence)
 
-_request_uid = itertools.count()
+#: Uids of requests built by hand, outside any run (tests, a REPL);
+#: nothing that runs on a simulator draws from it -- see
+#: :func:`request_uids`.
+_handmade_uids = itertools.count()
+
+#: ``uid`` of a request read back from a log.  A uid orders *pending*
+#: requests by submission (``Synchronizer._select_value``); a logged
+#: request was decided, is never pending again, and its uid is not on
+#: disk -- so recovery mints none.
+LOGGED_UID = -1
+
+
+def request_uids(sim: Any) -> Iterator[int]:
+    """The stream a run on ``sim`` draws :attr:`ClientRequest.uid`
+    from: submission order across every proxy and relay of the run,
+    independent of what else the process hosted."""
+    return sim.id_stream("request")
 
 
 def batch_payload_bytes(batch: List["ClientRequest"]) -> int:
@@ -61,7 +77,7 @@ class ClientRequest:
     size_bytes: int = 0
     reconfig: bool = False
     submit_time: float = 0.0
-    uid: int = field(default_factory=lambda: next(_request_uid))
+    uid: int = field(default_factory=lambda: next(_handmade_uids))
     #: precomputed (client_id, sequence) -- read on every hot-path dedup
     request_id: RequestId = field(init=False, repr=False, compare=False)
 

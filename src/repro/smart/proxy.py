@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional
 from repro.crypto.hashing import sha256
 from repro.sim.core import Future, Simulator
 from repro.sim.network import Network
-from repro.smart.messages import ClientRequest, Reply
+from repro.smart.messages import ClientRequest, Reply, request_uids
 from repro.smart.view import View
 
 
@@ -82,6 +82,7 @@ class ServiceProxy:
         self.jitter_fraction = jitter_fraction
         self.rng = rng
         self._sequence = 0
+        self._uids = request_uids(sim)
         self._pending: Dict[int, _PendingInvocation] = {}
         self.replies_received = 0
         #: optional repro.obs.Observability hub (attached externally)
@@ -108,6 +109,7 @@ class ServiceProxy:
             size_bytes=size_bytes,
             reconfig=reconfig,
             submit_time=self.sim.now,
+            uid=next(self._uids),
         )
         invocation = _PendingInvocation(
             request=request,
@@ -131,6 +133,7 @@ class ServiceProxy:
             operation=operation,
             size_bytes=size_bytes,
             submit_time=self.sim.now,
+            uid=next(self._uids),
         )
         if self.obs is not None:
             self.obs.on_invoke(self.client_id, asynchronous=True)

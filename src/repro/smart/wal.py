@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.sim.storage import SimDisk, frame_payload, frame_record, scan_records
 from repro.smart.batching import RequestBatch
 from repro.smart.durability import Checkpoint, OperationLog, _jsonable
-from repro.smart.messages import ClientRequest
+from repro.smart.messages import LOGGED_UID, ClientRequest
 
 #: Canonical JSON (sorted keys, no whitespace) of the vote and regency
 #: records; ``cid`` and ``reg`` are integers, ``h`` is lowercase hex.
@@ -235,6 +235,7 @@ class ConsensusWAL(OperationLog):
                         operation=self._decode_op(op),
                         size_bytes=size,
                         reconfig=bool(rc),
+                        uid=LOGGED_UID,
                     )
                     for client, seq, op, size, rc in record["reqs"]
                 ]

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Tuple
 from repro.fabric.block import Block
 from repro.sim.core import Simulator
 from repro.sim.network import Network
-from repro.smart.messages import ClientRequest
+from repro.smart.messages import ClientRequest, request_uids
 from repro.smart.view import View
 from repro.smart2.messages import Subscribe
 
@@ -58,6 +58,7 @@ class HomeNodeRelay:
         self._subscribed_index = self._home_index
 
         self._sequence = 0
+        self._uids = request_uids(sim)
         #: rid -> (request, submitted_at, rotation offset)
         self._outstanding: Dict[Tuple[int, int], Tuple[ClientRequest, float, int]] = {}
         #: envelope id -> rids of every uncommitted request carrying it
@@ -90,6 +91,7 @@ class HomeNodeRelay:
             operation=operation,
             size_bytes=size_bytes,
             submit_time=self.sim.now,
+            uid=next(self._uids),
         )
         self._sequence += 1
         self._outstanding[request.request_id] = (request, self.sim.now, 0)

@@ -33,12 +33,12 @@ class DuplicateFlood(ApplicationProfile):
     _count: int = field(default=0, init=False)
     _current: Optional[Envelope] = field(default=None, init=False)
 
-    def make(self, rng, tenant, envelope_id=None):
+    def make(self, rng, tenant, ids):
         fresh = self._current is None or self._count % self.unique_every == 0
         self._count += 1
         if fresh:
             self._current = self._envelope(
-                self.channel, self.envelope_size, tenant, envelope_id
+                self.channel, self.envelope_size, tenant, ids
             )
             return self._current
         original = self._current
@@ -69,12 +69,12 @@ class OversizedSpam(ApplicationProfile):
     factor: float = 2.0
     oversize_fraction: float = 0.5
 
-    def make(self, rng, tenant, envelope_id=None):
+    def make(self, rng, tenant, ids):
         if rng.random() < self.oversize_fraction:
             size = int(self.ceiling * self.factor)
         else:
             size = self.envelope_size
-        return self._envelope(self.channel, size, tenant, envelope_id)
+        return self._envelope(self.channel, size, tenant, ids)
 
 
 def ConflictStorm(
@@ -110,5 +110,5 @@ class CensorshipTargetSpam(ApplicationProfile):
     envelope_size: int = 256
     victim: str = "victim"
 
-    def make(self, rng, tenant, envelope_id=None):
-        return self._envelope(self.channel, self.envelope_size, tenant, envelope_id)
+    def make(self, rng, tenant, ids):
+        return self._envelope(self.channel, self.envelope_size, tenant, ids)

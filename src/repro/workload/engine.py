@@ -23,17 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.fabric.envelope import Envelope, envelope_ids
 from repro.ordering.admission import jain_fairness
 from repro.sim.core import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.workload.arrivals import ArrivalProcess, make_arrivals
 from repro.workload.profiles import ApplicationProfile, RawProfile
-
-#: default pinned-envelope-id block per tenant: tenant i allocates ids
-#: [base + i*stride, base + (i+1)*stride) -- far above any workload the
-#: explorer pins ids 0..envelopes for
-DEFAULT_ID_BASE = 10_000_000
-DEFAULT_ID_STRIDE = 1_000_000
 
 
 @dataclass
@@ -86,18 +81,14 @@ class TenantStats:
 class _TenantState:
     """Runtime state of one tenant -- O(1) regardless of sessions."""
 
-    __slots__ = (
-        "spec", "arrival", "rng", "stats", "deadline", "next_id", "last_id"
-    )
+    __slots__ = ("spec", "arrival", "rng", "stats", "deadline")
 
-    def __init__(self, spec, arrival, rng, deadline, next_id):
+    def __init__(self, spec, arrival, rng, deadline):
         self.spec = spec
         self.arrival = arrival
         self.rng = rng
         self.stats = TenantStats()
         self.deadline = deadline
-        self.next_id = next_id  # None = process-global envelope ids
-        self.last_id = None
 
 
 @dataclass
@@ -148,9 +139,6 @@ class WorkloadEngine:
         streams: Optional[RandomStreams] = None,
         duration: float = 1.0,
         track_latency: bool = True,
-        pin_envelope_ids: bool = False,
-        id_base: int = DEFAULT_ID_BASE,
-        id_stride: int = DEFAULT_ID_STRIDE,
         max_latency_samples: int = 100_000,
     ):
         if not tenants:
@@ -165,11 +153,12 @@ class WorkloadEngine:
         self.track_latency = track_latency
         self.max_latency_samples = max_latency_samples
         self._stopped = False
+        self._ids = envelope_ids(sim)
         self._started_at: Optional[float] = None
         #: envelope_id -> (tenant state, submit time); O(in-flight)
         self._pending: Dict[int, tuple] = {}
         self._states: List[_TenantState] = []
-        for index, spec in enumerate(tenants):
+        for spec in tenants:
             if isinstance(spec.arrival, ArrivalProcess):
                 arrival = spec.arrival
             else:
@@ -178,8 +167,7 @@ class WorkloadEngine:
                     raise ValueError(f"tenant {spec.name!r}: rate must be positive")
                 arrival = make_arrivals(spec.arrival, rate)
             rng = self.streams.stream(spec.stream or f"workload/{spec.name}")
-            next_id = id_base + index * id_stride if pin_envelope_ids else None
-            self._states.append(_TenantState(spec, arrival, rng, 0.0, next_id))
+            self._states.append(_TenantState(spec, arrival, rng, 0.0))
 
     # ------------------------------------------------------------------
     @property
@@ -222,11 +210,7 @@ class WorkloadEngine:
             return
         spec = state.spec
         stats = state.stats
-        envelope = spec.profile.make(state.rng, spec.name, state.next_id)
-        if state.next_id is not None:
-            # duplicates reuse an id; only fresh identities advance it
-            if envelope.envelope_id == state.next_id:
-                state.next_id += 1
+        envelope = spec.profile.make(state.rng, spec.name, self._ids)
         if spec.frontend_index is not None:
             frontend = self.frontends[spec.frontend_index % len(self.frontends)]
         else:
@@ -383,10 +367,11 @@ class ClosedLoopDriver:
     def _submit_next(self) -> None:
         if self.submitted >= self.max_envelopes:
             return
-        from repro.fabric.envelope import Envelope
-
         envelope = Envelope.raw(
-            self.channel_id, self.envelope_size, submitter=self.submitter
+            self.channel_id,
+            self.envelope_size,
+            submitter=self.submitter,
+            envelope_id=next(envelope_ids(self.sim)),
         )
         self._outstanding[envelope.envelope_id] = envelope
         self.submitted += 1

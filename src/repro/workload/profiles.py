@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.fabric.envelope import Envelope
 
@@ -28,31 +28,24 @@ from repro.fabric.envelope import Envelope
 class ApplicationProfile:
     """Builds one tenant's envelopes.
 
-    ``make(rng, tenant, envelope_id)`` returns the next envelope; a
-    pinned ``envelope_id`` (or None for the process-global counter)
-    keeps explorer digests reproducible across in-process reruns.
+    ``make(rng, tenant, ids)`` returns the next envelope; a fresh
+    identity takes the next id of ``ids``, the run's stream
+    (:func:`repro.fabric.envelope.envelope_ids`), a replayed one draws
+    nothing.
     """
 
-    def make(
-        self, rng: Random, tenant: str, envelope_id: Optional[int] = None
-    ) -> Envelope:
+    def make(self, rng: Random, tenant: str, ids: Iterator[int]) -> Envelope:
         raise NotImplementedError
 
     def _envelope(
-        self,
-        channel: str,
-        size: int,
-        tenant: str,
-        envelope_id: Optional[int],
+        self, channel: str, size: int, tenant: str, ids: Iterator[int]
     ) -> Envelope:
-        if envelope_id is None:
-            return Envelope.raw(channel, size, submitter=tenant)
         return Envelope(
             channel_id=channel,
             transaction=None,
             payload_size=size,
             submitter=tenant,
-            envelope_id=envelope_id,
+            envelope_id=next(ids),
         )
 
 
@@ -63,8 +56,8 @@ class RawProfile(ApplicationProfile):
     channel: str = "channel0"
     envelope_size: int = 1024
 
-    def make(self, rng, tenant, envelope_id=None):
-        return self._envelope(self.channel, self.envelope_size, tenant, envelope_id)
+    def make(self, rng, tenant, ids):
+        return self._envelope(self.channel, self.envelope_size, tenant, ids)
 
 
 @dataclass
@@ -100,14 +93,14 @@ class TokenTransferProfile(ApplicationProfile):
                 keys.append(self.hot_keys + rng.randrange(self.cold_keys))
         return keys[0], keys[1]
 
-    def make(self, rng, tenant, envelope_id=None):
+    def make(self, rng, tenant, ids):
         src, dst = self.pick_keys(rng)
         hot = sum(1 for key in (src, dst) if key < self.hot_keys)
         self.envelopes += 1
         self.hot_touches += hot
         if hot:
             self.conflict_candidates += 1
-        return self._envelope(self.channel, self.envelope_size, tenant, envelope_id)
+        return self._envelope(self.channel, self.envelope_size, tenant, ids)
 
     def conflict_fraction(self) -> float:
         """Fraction of transfers touching at least one hot key."""
@@ -132,12 +125,12 @@ class ProvenanceProfile(ApplicationProfile):
     reads: int = field(default=0, init=False)
     envelopes: int = field(default=0, init=False)
 
-    def make(self, rng, tenant, envelope_id=None):
+    def make(self, rng, tenant, ids):
         depth = rng.randint(self.read_depth_min, self.read_depth_max)
         self.reads += depth
         self.envelopes += 1
         size = self.base_size + depth * self.per_read_bytes
-        return self._envelope(self.channel, size, tenant, envelope_id)
+        return self._envelope(self.channel, size, tenant, ids)
 
 
 @dataclass
@@ -150,9 +143,9 @@ class MultiChannelProfile(ApplicationProfile):
     #: relative channel weights (uniform when empty)
     weights: Sequence[float] = ()
 
-    def make(self, rng, tenant, envelope_id=None):
+    def make(self, rng, tenant, ids):
         if self.weights:
             channel = rng.choices(list(self.channels), weights=list(self.weights))[0]
         else:
             channel = self.channels[rng.randrange(len(self.channels))]
-        return self._envelope(channel, self.envelope_size, tenant, envelope_id)
+        return self._envelope(channel, self.envelope_size, tenant, ids)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import itertools
 import random
 import sys
 from typing import List, Optional, Tuple
@@ -14,6 +15,7 @@ from hypothesis.database import DirectoryBasedExampleDatabase
 import repro.crypto.hashing as hashing
 import repro.fabric.block as block_module
 import repro.fabric.envelope as envelope_module
+import repro.smart.messages as messages_module
 import repro.smart2.node as smart2_node
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
@@ -85,6 +87,20 @@ def count_hashes_by_tag(monkeypatch) -> collections.Counter:
         if getattr(module, "sha256", None) is real:
             monkeypatch.setattr(module, "sha256", counting)
     return calls
+
+
+@pytest.fixture
+def no_handmade_ids(monkeypatch):
+    """Fail the test if anything in it drew an envelope id, transaction
+    id or request uid from the defaults kept for objects built by hand:
+    what runs on a simulator takes its identities from that simulator
+    (docs/KERNEL.md, "Identities come from the run")."""
+    ids, uids = itertools.count(), itertools.count()
+    monkeypatch.setattr(envelope_module, "_handmade_ids", ids)
+    monkeypatch.setattr(messages_module, "_handmade_uids", uids)
+    yield
+    assert next(ids) == 0, "a run drew an envelope/tx id from module state"
+    assert next(uids) == 0, "a run drew a request uid from module state"
 
 
 class CounterApp(StateMachine):

@@ -1,12 +1,13 @@
-"""Tests for RaceSan, the schedule-race sanitizer.
+"""Tests for RaceSan, the tie-seed axis of the sanitizer harness
+(``repro.analysis.sanitizer``; the hash-seed axis is
+``tests/test_analysis_detsan.py``).
 
 The comparator and pinpointing are tested on synthesized records; the
 planted ``toy_race`` scenario (order-dependent by construction) proves
-the sanitizer actually detects schedule races.  In-process captures are
-only digest-compared for scenarios without process-global counters
-(``toy_race``) -- the protocol scenarios allocate global envelope ids,
-so their cross-run comparison lives in the subprocess driver, which
-the ``bench``-marked test exercises end to end.
+the sanitizer actually detects schedule races, in-process and through
+the CLI.  Every default row is then permuted K=4 times right here, in
+this process: a run's ids come from its own simulator, so sequential
+runs of a protocol scenario are comparable digest for digest.
 """
 
 import copy
@@ -15,14 +16,15 @@ import json
 import pytest
 
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.racesan import (
+from repro.analysis.sanitizer import (
+    DEFAULT_SCENARIOS,
     RECORD_SCHEMA,
-    RaceSanFinding,
+    Finding,
     _digest,
     _pinpoint,
     capture_record,
-    compare_records,
-    permutation_run,
+    compare_semantics,
+    tie_seed_run,
 )
 
 EVENTS = [
@@ -46,7 +48,7 @@ def record(semantics, events=EVENTS, tie_seed=None):
         "hash_seed": "1",
         "semantics": semantics,
         "events": events,
-        "digest": _digest(semantics),
+        "digests": {"semantics": _digest(semantics)},
     }
 
 
@@ -55,12 +57,12 @@ class TestComparator:
         semantics = {"ledgers": {"0": "ab"}, "delivered": 5}
         base = record(semantics)
         perm = record(copy.deepcopy(semantics), tie_seed=3)
-        assert compare_records(base, perm) == []
+        assert compare_semantics(base, perm) == []
 
     def test_divergence_is_racesan001_naming_keys_and_seed(self):
         base = record({"ledgers": {"0": "ab"}, "delivered": 5})
         perm = record({"ledgers": {"0": "cd"}, "delivered": 5}, tie_seed=2)
-        (finding,) = compare_records(base, perm)
+        (finding,) = compare_semantics(base, perm)
         assert finding.rule == "RACESAN001"
         assert "tie_seed=2" in finding.message
         assert "ledgers" in finding.message
@@ -71,7 +73,7 @@ class TestComparator:
         reordered[1], reordered[2] = reordered[2], reordered[1]
         base = record({"delivered": 5})
         perm = record({"delivered": 6}, events=reordered, tie_seed=1)
-        (finding,) = compare_records(base, perm)
+        (finding,) = compare_semantics(base, perm)
         # a same-timestamp reorder is the *expected* schedule shift --
         # it names where the runs part ways, not a separate defect
         assert "first schedule divergence" in finding.message
@@ -82,7 +84,7 @@ class TestComparator:
         changed[3] = [0.003, "Accept", "9", "0", "cid=9"]
         base = record({"delivered": 5})
         perm = record({"delivered": 6}, events=changed, tie_seed=1)
-        (finding,) = compare_records(base, perm)
+        (finding,) = compare_semantics(base, perm)
         assert "first trace divergence" in finding.message
 
     def test_pinpoint_absorbs_ulp_timing_wobble(self):
@@ -93,7 +95,7 @@ class TestComparator:
         assert _pinpoint(record({}), record({}, events=nudged)) is None
 
     def test_findings_render_with_rule_id(self):
-        finding = RaceSanFinding("RACESAN001", "semantics diverged")
+        finding = Finding("RACESAN001", "semantics diverged")
         assert finding.render().startswith("RACESAN001 ")
 
 
@@ -103,7 +105,7 @@ class TestToyRaceScenario:
     def test_permutation_changes_toy_race_outcome(self):
         base = capture_record("toy_race", duration=0.5)
         permuted = capture_record("toy_race", duration=0.5, tie_seed=1)
-        findings = compare_records(base, permuted)
+        findings = compare_semantics(base, permuted)
         assert [f.rule for f in findings] == ["RACESAN001"]
         assert "'toy_race'" in findings[0].message
 
@@ -114,7 +116,7 @@ class TestToyRaceScenario:
     def test_same_tie_seed_is_deterministic(self):
         first = capture_record("toy_race", duration=0.5, tie_seed=7)
         second = capture_record("toy_race", duration=0.5, tie_seed=7)
-        assert first["digest"] == second["digest"]
+        assert first["digests"] == second["digests"]
         assert first["semantics"]["order"] != list(range(8))
 
     def test_record_shape(self):
@@ -123,7 +125,7 @@ class TestToyRaceScenario:
         assert doc["scenario"]["name"] == "toy_race"
         assert doc["tie_seed"] == 3
         assert doc["events"]
-        assert doc["digest"] == _digest(doc["semantics"])
+        assert doc["digests"]["semantics"] == _digest(doc["semantics"])
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -135,7 +137,7 @@ class TestCaptureCli:
         out = tmp_path / "record.json"
         code = analysis_main(
             [
-                "racesan-capture",
+                "capture",
                 "--scenario",
                 "toy_race",
                 "--tie-seed",
@@ -150,24 +152,36 @@ class TestCaptureCli:
         assert doc["schema"] == RECORD_SCHEMA
         assert doc["tie_seed"] == 2
 
+    def test_racesan_verb_reports_the_planted_race(self, tmp_path, capsys):
+        report = tmp_path / "racesan.json"
+        code = analysis_main(
+            ["racesan", "--scenario", "toy_race", "-k", "2", "--json", str(report)]
+        )
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "RACESAN001 scenario 'toy_race'" in printed
+        doc = json.loads(report.read_text())
+        assert doc["sanitizer"] == "racesan" and not doc["clean"]
+        assert doc["finding_count"] == 2
+
 
 @pytest.mark.bench
-class TestSubprocessDriver:
-    """End-to-end: baseline + K permuted captures in fresh interpreters."""
+class TestTieAxis:
+    """Baseline + K permuted captures, in this process."""
 
     def test_toy_race_detected_end_to_end(self):
-        findings, baseline, digests = permutation_run(
-            "toy_race", permutations=2
-        )
-        assert baseline["tie_seed"] is None
-        assert len(digests) == 2
-        assert findings and all(
-            f.rule == "RACESAN001" for f in findings
-        )
+        findings, records = tie_seed_run("toy_race", permutations=2)
+        assert [r["tie_seed"] for r in records] == [None, 1, 2]
+        assert findings and all(f.rule == "RACESAN001" for f in findings)
 
-    def test_smoke_is_schedule_independent(self):
-        findings, baseline, digests = permutation_run(
-            "smoke", permutations=1, duration=0.25, rate=200.0
+    @pytest.mark.parametrize("scenario", DEFAULT_SCENARIOS)
+    def test_row_is_schedule_independent(self, scenario):
+        findings, records = tie_seed_run(
+            scenario, permutations=4, duration=0.25, rate=200.0
         )
         assert findings == []
-        assert digests == [baseline["digest"]]
+        baseline = records[0]
+        assert baseline["semantics"]["delivered"] == baseline["semantics"]["submitted"]
+        assert {r["digests"]["semantics"] for r in records} == {
+            baseline["digests"]["semantics"]
+        }

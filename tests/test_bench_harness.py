@@ -325,6 +325,7 @@ class TestSmokeSuite:
     """The `make bench-smoke` path: every registered benchmark's smoke
     matrix, one schema-valid document."""
 
+    @pytest.mark.usefixtures("no_handmade_ids")
     def test_full_smoke_suite(self, tmp_path):
         result = run_suite(list(REGISTRY), run_name="smoke", mode="smoke")
         path = str(tmp_path / "BENCH_smoke.json")

@@ -190,6 +190,15 @@ class TestBlock:
         assert block.envelopes[0].is_config
         assert block.header.previous_hash == GENESIS_PREVIOUS_HASH
 
+    def test_genesis_header_is_a_constant_of_the_channel_name(self):
+        """Two peers building block 0 of one channel get one header: the
+        config envelope's id is fixed, not drawn."""
+        assert genesis_block("c").header.digest() == genesis_block("c").header.digest()
+        assert genesis_block("c").header.digest().hex() == (
+            "20383237fae50bce8c2053d8157690470060aa42e37f97a2e5bde135ccb15cdb"
+        )
+        assert genesis_block("d").header.digest() != genesis_block("c").header.digest()
+
 
 class TestLedger:
     def _chain(self, count=3):

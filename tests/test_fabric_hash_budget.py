@@ -7,12 +7,10 @@ goldens and ``seam_pins.json`` only cover raw envelopes).  Both run
 the same seeded hot-key workload through :class:`SoloPipeline`.
 """
 
-import itertools
 import json
 import random
 from pathlib import Path
 
-import repro.fabric.envelope as envelope_module
 from tests.conftest import SoloPipeline, count_hashes_by_tag
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "fabric_path_seed0.json"
@@ -54,11 +52,10 @@ def fabric_path_fingerprint(pipeline: SoloPipeline) -> dict:
     }
 
 
-def test_fabric_path_bytes_match_golden(monkeypatch):
+def test_fabric_path_bytes_match_golden():
     """Recorded at the parent of the single-pass encoder / digest
-    caches; ids feed the digests, so the process-global counter is
-    replaced by a fresh one."""
-    monkeypatch.setattr(envelope_module, "_tx_counter", itertools.count())
+    caches, in a process whose id counter stood at zero; ids feed the
+    digests and come from the pipeline's own simulator."""
     pipeline = SoloPipeline(block_size=10, seed=0)
     run_hot_keys(pipeline, 200)
     fingerprint = fabric_path_fingerprint(pipeline)

@@ -75,18 +75,24 @@ class TestPersistence:
         assert reloaded.verify_chain()
         assert reloaded.last_hash == committer.ledger.last_hash
 
-    def test_reloaded_envelopes_keep_ids_and_digests(self, tmp_path):
+    def test_reloaded_envelopes_keep_ids_and_digests(self, tmp_path, monkeypatch):
         """Loading constructs every envelope and transaction *with* its
         saved id -- hashed fields are never written after construction
-        -- and draws nothing from the process-global id counter."""
+        -- and draws no id: not from the stream of the run that wrote
+        the ledger, not from the hand-built default."""
+        import itertools
+
         import repro.fabric.envelope as envelope_module
 
-        committer, _registry, _service = committed_pipeline()
+        handmade = itertools.count()
+        monkeypatch.setattr(envelope_module, "_handmade_ids", handmade)
+        committer, _registry, service = committed_pipeline()
         path = str(tmp_path / "chain.json")
         save_ledger(committer.ledger, path)
-        before = next(envelope_module._tx_counter)
         reloaded = load_ledger(path)
-        assert next(envelope_module._tx_counter) == before + 1
+        # five transactions in five envelopes: the run minted ten ids
+        assert next(envelope_module.envelope_ids(service.sim)) == 10
+        assert next(handmade) == 0
         saved = [e for block in committer.ledger for e in block.envelopes]
         loaded = [e for block in reloaded for e in block.envelopes]
         assert [e.envelope_id for e in loaded] == [e.envelope_id for e in saved]

@@ -16,10 +16,10 @@ import pathlib
 
 import pytest
 
-from repro.analysis.detsan import capture_record
+from repro.analysis.sanitizer import capture_record
 from repro.bench.figures import geo_latency_experiment, simulate_lan_throughput
 from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import Envelope
+from repro.fabric.envelope import Envelope, envelope_ids
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
@@ -75,26 +75,22 @@ class TestSeededReproducibility:
                     seed=seed,
                 )
             )
-            structure = []
-            service.frontends[0].on_block.append(
-                lambda b: structure.append(
-                    (b.number, [e.payload_size for e in b.envelopes])
-                )
-            )
+            ids = envelope_ids(service.sim)
             for i in range(20):
-                service.submit(Envelope.raw("ch0", 100 + i))
+                service.submit(Envelope.raw("ch0", 100 + i, envelope_id=next(ids)))
             service.run(3.0)
-            return structure, service.nodes[0].blocks_created
+            assert service.nodes[0].blocks_created == 4
+            return service.ledger_digests()
 
-        # envelope ids differ between runs (global counter), so compare
-        # the delivered structure: block numbers and payload sizes
+        # ids belong to the run, so the same seed gives the same ledger
+        # -- header chain over envelope digests -- run after run
         assert run(5) == run(5)
 
 
 class TestGoldenEquivalence:
     """The committed digests are the semantic contract of the kernel.
 
-    ``capture_record`` (the DetSan harness) runs the seeded smoke
+    ``capture_record`` (the sanitizer harness) runs the seeded smoke
     scenario with tracing on and digests three independent views:
     the full event stream (time/kind/src/dst/detail rows in emission
     order), the span tree, and the metrics snapshot.  The digests are
@@ -112,6 +108,7 @@ class TestGoldenEquivalence:
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         scenario = golden["scenario"]
         record = capture_record(
+            "smoke",
             seed=scenario["seed"],
             duration=scenario["duration"],
             rate=scenario["rate"],

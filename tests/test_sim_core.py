@@ -326,17 +326,6 @@ class TestTieBreakPermutation:
         with pytest.raises(SimulationError):
             sim.set_tie_seed(1)
 
-    def test_default_tie_seed_hook_inherited_and_reset(self):
-        from repro.sim.core import Simulator, set_default_tie_seed
-
-        set_default_tie_seed(2)
-        try:
-            inherited = Simulator()
-            assert inherited.tie_seed == 2
-        finally:
-            set_default_tie_seed(None)
-        assert Simulator().tie_seed is None
-
     def test_network_fifo_preserved_under_permutation(self):
         # the per-link FIFO clamp must survive the shuffle: two sends
         # on one connection arrive in send order under every tie seed

@@ -1,5 +1,7 @@
 """Tests for the open-loop workload package (repro.workload)."""
 
+import itertools
+
 import pytest
 
 from repro.fabric.channel import ChannelConfig
@@ -112,7 +114,7 @@ class TestProfiles:
     def test_raw_profile_pins_requested_id(self):
         rng = RandomStreams(1).stream("t")
         profile = RawProfile(channel="chX", envelope_size=321)
-        envelope = profile.make(rng, "acme", envelope_id=777)
+        envelope = profile.make(rng, "acme", itertools.count(777))
         assert envelope.channel_id == "chX"
         assert envelope.payload_size == 321
         assert envelope.submitter == "acme"
@@ -120,78 +122,87 @@ class TestProfiles:
 
     def test_token_transfer_counts_conflicts(self):
         rng = RandomStreams(2).stream("t")
+        ids = itertools.count()
         profile = TokenTransferProfile(hot_keys=4, cold_keys=10_000, hot_fraction=0.5)
         for _ in range(500):
-            profile.make(rng, "acme")
+            profile.make(rng, "acme", ids)
         assert profile.envelopes == 500
         # P(at least one hot key) = 1 - 0.25 = 0.75
         assert profile.conflict_fraction() == pytest.approx(0.75, abs=0.08)
 
     def test_token_transfer_all_cold_never_conflicts(self):
         rng = RandomStreams(2).stream("t")
+        ids = itertools.count()
         profile = TokenTransferProfile(hot_fraction=0.0)
         for _ in range(50):
-            profile.make(rng, "acme")
+            profile.make(rng, "acme", ids)
         assert profile.conflict_candidates == 0
 
     def test_provenance_size_tracks_read_depth(self):
         rng = RandomStreams(3).stream("t")
+        ids = itertools.count()
         profile = ProvenanceProfile(
             base_size=100, per_read_bytes=10, read_depth_min=2, read_depth_max=5
         )
-        sizes = {profile.make(rng, "acme").payload_size for _ in range(200)}
+        sizes = {profile.make(rng, "acme", ids).payload_size for _ in range(200)}
         assert sizes <= {120, 130, 140, 150}
         assert len(sizes) > 1
 
     def test_multi_channel_spreads_traffic(self):
         rng = RandomStreams(4).stream("t")
+        ids = itertools.count()
         profile = MultiChannelProfile(channels=("a", "b", "c"), envelope_size=64)
-        seen = {profile.make(rng, "acme").channel_id for _ in range(100)}
+        seen = {profile.make(rng, "acme", ids).channel_id for _ in range(100)}
         assert seen == {"a", "b", "c"}
 
     def test_multi_channel_respects_weights(self):
         rng = RandomStreams(4).stream("t")
+        ids = itertools.count()
         profile = MultiChannelProfile(channels=("a", "b"), weights=(1.0, 0.0))
-        seen = {profile.make(rng, "acme").channel_id for _ in range(50)}
+        seen = {profile.make(rng, "acme", ids).channel_id for _ in range(50)}
         assert seen == {"a"}
 
 
 class TestAdversarialProfiles:
     def test_duplicate_flood_replays_identity(self):
         rng = RandomStreams(5).stream("t")
+        ids = itertools.count()
         flood = DuplicateFlood(unique_every=4)
-        envelopes = [flood.make(rng, "mallory") for _ in range(8)]
-        ids = [e.envelope_id for e in envelopes]
-        assert ids[0] == ids[1] == ids[2] == ids[3]
-        assert ids[4] == ids[5] == ids[6] == ids[7]
-        assert ids[0] != ids[4]
+        envelopes = [flood.make(rng, "mallory", ids) for _ in range(8)]
+        # a replay draws nothing: two identities, two ids taken
+        assert [e.envelope_id for e in envelopes] == [0] * 4 + [1] * 4
+        assert next(ids) == 2
         # duplicates are distinct objects carrying the same identity
         assert envelopes[1] is not envelopes[0]
         assert envelopes[1].digest() == envelopes[0].digest()
 
     def test_oversized_spam_exceeds_ceiling(self):
         rng = RandomStreams(6).stream("t")
+        ids = itertools.count()
         spam = OversizedSpam(oversize_fraction=1.0)
-        envelope = spam.make(rng, "mallory")
+        envelope = spam.make(rng, "mallory", ids)
         assert envelope.payload_size > DEFAULT_MAX_PAYLOAD_BYTES
 
     def test_oversized_spam_mixes_cover_traffic(self):
         rng = RandomStreams(6).stream("t")
+        ids = itertools.count()
         spam = OversizedSpam(oversize_fraction=0.5, envelope_size=100)
-        sizes = {spam.make(rng, "mallory").payload_size for _ in range(100)}
+        sizes = {spam.make(rng, "mallory", ids).payload_size for _ in range(100)}
         assert sizes == {100, int(DEFAULT_MAX_PAYLOAD_BYTES * 2.0)}
 
     def test_conflict_storm_always_conflicts(self):
         rng = RandomStreams(7).stream("t")
+        ids = itertools.count()
         storm = ConflictStorm(hot_keys=2)
         for _ in range(100):
-            storm.make(rng, "mallory")
+            storm.make(rng, "mallory", ids)
         assert storm.conflict_fraction() == 1.0
 
     def test_censorship_spam_builds_plain_envelopes(self):
         rng = RandomStreams(8).stream("t")
+        ids = itertools.count()
         spam = CensorshipTargetSpam(envelope_size=128)
-        envelope = spam.make(rng, "mallory")
+        envelope = spam.make(rng, "mallory", ids)
         assert envelope.payload_size == 128
 
 
@@ -271,7 +282,7 @@ class TestWorkloadEngine:
         assert report.admitted + sum(report.rejected.values()) == report.offered
         assert report.shed_fraction > 0.5
 
-    def test_pinned_envelope_ids_do_not_collide_across_tenants(self):
+    def test_tenants_draw_ids_from_one_run_stream_in_order(self):
         service = small_service()
         engine = WorkloadEngine(
             service.sim,
@@ -282,9 +293,6 @@ class TestWorkloadEngine:
             ],
             streams=RandomStreams(14),
             duration=0.5,
-            pin_envelope_ids=True,
-            id_base=1000,
-            id_stride=100,
         )
         seen = []
         for frontend in service.frontends:
@@ -297,11 +305,8 @@ class TestWorkloadEngine:
             frontend.submit = probe
         engine.start()
         service.run(1.0)
-        a_ids = [i for i in seen if 1000 <= i < 1100]
-        b_ids = [i for i in seen if 1100 <= i < 1200]
-        assert len(a_ids) + len(b_ids) == len(seen)
-        assert a_ids == sorted(a_ids)
-        assert b_ids == sorted(b_ids)
+        assert len(seen) > 40
+        assert seen == list(range(len(seen)))
 
     def test_fixed_frontend_pinning(self):
         service = small_service()
