@@ -40,8 +40,9 @@ PROTO rules -- protocol invariants:
   ``sched``, ``asyncio``, ``time.sleep``) outside ``sim/core.py``:
   all concurrency must go through the deterministic simulator kernel.
   Also flags constructing (or aliasing for construction) raw
-  ``EventHandle`` objects outside the kernel: handles are pooled and
-  reused, so hand-built ones bypass the pool's lifecycle invariants.
+  ``EventHandle`` objects outside the kernel: only
+  ``Simulator.schedule`` makes one, together with the heap entry that
+  fires it, so a hand-built handle is a timer nothing will ever run.
   Importing ``EventHandle`` for type annotations stays legal.
 
 Order-insensitive aggregators accepted by DET003/DET004: ``sum``,
@@ -704,7 +705,7 @@ class FileChecker:
                 "PROTO003",
                 node,
                 "direct EventHandle(...) construction bypasses the "
-                "kernel's event pool; schedule through Simulator.post/"
+                "kernel's heap; schedule through Simulator.post/"
                 "post_at/schedule",
             )
 
@@ -723,7 +724,7 @@ class FileChecker:
                 "PROTO003",
                 node,
                 "aliasing EventHandle for direct construction bypasses "
-                "the kernel's event pool; schedule through Simulator."
+                "the kernel's heap; schedule through Simulator."
                 "post/post_at/schedule",
             )
 

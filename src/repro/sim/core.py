@@ -26,18 +26,19 @@ byte the historical order.  ``python -m repro.analysis racesan`` uses
 this to prove protocol outcomes are schedule-independent (see
 docs/ANALYSIS.md).
 
-Fast path
----------
+Two entry shapes
+----------------
 
-The heap stores ``(time, seq, handle)`` tuples so ordering is decided
-by C-level tuple comparison (``seq`` is unique, so the handle itself is
-never compared).  Hot senders that do not need cancellation use
-:meth:`Simulator.post` / :meth:`Simulator.post_at` /
-:meth:`Simulator.post_many`, which recycle :class:`EventHandle` objects
-through a free list (the *event pool*).  Pooled handles never escape
-the kernel, so a recycled handle can never alias an event some caller
-still holds a reference to; cancellable timers keep going through
-:meth:`Simulator.schedule`, whose handles are never recycled.
+The heap stores 4-tuples so ordering is decided by C-level tuple
+comparison (``seq`` is unique, so nothing after it is ever compared).
+A fire-and-forget event -- :meth:`Simulator.post` /
+:meth:`Simulator.post_at` / :meth:`Simulator.post_many`, and the push
+``Network.broadcast`` inlines -- *is* its heap entry,
+``(time, seq, fn, args)``: nothing is allocated besides the tuple and
+nothing exists that a caller could cancel.  A cancellable timer
+(:meth:`Simulator.schedule`) is the one thing that needs an object with
+identity: its entry is ``(time, seq, None, handle)`` and the run loop
+reads ``fn`` / ``args`` / ``cancelled`` off the :class:`EventHandle`.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ import gc
 import heapq
 import itertools
 from typing import Any, Callable, Dict, Generator, Iterable, Iterator, Optional, Tuple
-
-#: Upper bound on the event free list; beyond this, fired pooled events
-#: are simply dropped for the garbage collector (keeps pathological
-#: bursts from pinning memory forever).
-EVENT_POOL_MAX = 4096
 
 _heappush = heapq.heappush
 
@@ -81,12 +77,11 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A scheduled callback that can be cancelled before it fires.
 
-    ``pooled`` marks handles owned by the kernel's event pool: they are
-    created only by the ``post*`` fast paths, are never returned to
-    callers, and are recycled after firing.
+    Only :meth:`Simulator.schedule` creates one; the ``post*`` paths
+    put the callback on the heap directly.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "pooled")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
@@ -94,7 +89,6 @@ class EventHandle:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.pooled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
@@ -230,9 +224,10 @@ class Simulator:
 
     def __init__(self, tie_seed: Optional[int] = None):
         self.now: float = 0.0
-        self._heap: list[Tuple[float, int, EventHandle]] = []
+        #: ``(time, seq, fn, args)`` for a posted event,
+        #: ``(time, seq, None, handle)`` for a cancellable one
+        self._heap: list[Tuple[float, int, Optional[Callable[..., Any]], Any]] = []
         self._seq = itertools.count()
-        self._pool: list[EventHandle] = []
         self._processed = 0
         self._running = False
         self._id_streams: Dict[str, Iterator[int]] = {}
@@ -275,8 +270,7 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` simulated seconds.
 
-        Returns a cancellable handle; such handles are owned by the
-        caller and never recycled.
+        Returns a cancellable handle, owned by the caller.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
@@ -285,7 +279,7 @@ class Simulator:
         tie_key = self._tie_key
         if tie_key is not None:
             seq = tie_key(seq)
-        _heappush(self._heap, (time, seq, handle))
+        _heappush(self._heap, (time, seq, None, handle))
         return handle
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -296,55 +290,34 @@ class Simulator:
         """Run ``fn(*args)`` at the current time, after pending events."""
         return self.schedule(0.0, fn, *args)
 
-    # -- pooled fast path ----------------------------------------------
+    # -- fire-and-forget ---------------------------------------------
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, pooled event."""
+        """Fire-and-forget :meth:`schedule`: no handle, nothing to cancel."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
-        pool = self._pool
-        time = self.now + delay
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.fn = fn
-            handle.args = args
-            handle.cancelled = False
-        else:
-            handle = EventHandle(time, 0, fn, args)
-            handle.pooled = True
-        handle.seq = seq = next(self._seq)
+        seq = next(self._seq)
         tie_key = self._tie_key
         if tie_key is not None:
             seq = tie_key(seq)
-        _heappush(self._heap, (time, seq, handle))
+        _heappush(self._heap, (self.now + delay, seq, fn, args))
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no handle, pooled event."""
+        """Fire-and-forget :meth:`schedule_at`: no handle, nothing to cancel."""
         now = self.now
         if time < now:
             time = now
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.fn = fn
-            handle.args = args
-            handle.cancelled = False
-        else:
-            handle = EventHandle(time, 0, fn, args)
-            handle.pooled = True
-        handle.seq = seq = next(self._seq)
+        seq = next(self._seq)
         tie_key = self._tie_key
         if tie_key is not None:
             seq = tie_key(seq)
-        _heappush(self._heap, (time, seq, handle))
+        _heappush(self._heap, (time, seq, fn, args))
 
     def post_many(
         self, delay: float, fns: Iterable[Callable[..., Any]], *args: Any
     ) -> None:
         """Batch-schedule ``fn(*args)`` for every ``fn`` at ``now + delay``.
 
-        One pooled push per callback without per-call dispatch overhead;
+        One push per callback without per-call dispatch overhead;
         callbacks fire in iteration order (consecutive sequence numbers;
         under a ``tie_seed`` the batch is subject to the same seeded
         permutation as every other same-timestamp group).
@@ -352,25 +325,15 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
         time = self.now + delay
-        pool = self._pool
         heap = self._heap
         push = _heappush
         nextseq = self._seq.__next__
         tie_key = self._tie_key
         for fn in fns:
-            if pool:
-                handle = pool.pop()
-                handle.time = time
-                handle.fn = fn
-                handle.args = args
-                handle.cancelled = False
-            else:
-                handle = EventHandle(time, 0, fn, args)
-                handle.pooled = True
-            handle.seq = seq = nextseq()
+            seq = nextseq()
             if tie_key is not None:
                 seq = tie_key(seq)
-            push(heap, (time, seq, handle))
+            push(heap, (time, seq, fn, args))
 
     def spawn(self, gen: Generator, name: str = "process") -> Process:
         """Start a generator-based :class:`Process`."""
@@ -384,7 +347,9 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        return sum(1 for _, _, handle in self._heap if not handle.cancelled)
+        return sum(
+            1 for _, _, fn, arg in self._heap if fn is not None or not arg.cancelled
+        )
 
     @property
     def processed_events(self) -> int:
@@ -393,20 +358,15 @@ class Simulator:
     def step(self) -> bool:
         """Process the next event; returns ``False`` when idle."""
         heap = self._heap
-        pool = self._pool
         while heap:
-            time, _seq, handle = heapq.heappop(heap)
-            if handle.cancelled:
-                continue
-            self.now = time
-            fn, args = handle.fn, handle.args
-            if handle.pooled:
-                handle.fn = None
-                handle.args = ()
-                if len(pool) < EVENT_POOL_MAX:
-                    pool.append(handle)
-            else:
+            time, _seq, fn, args = heapq.heappop(heap)
+            if fn is None:
+                handle = args  # a cancellable timer: the fourth slot is its handle
+                if handle.cancelled:
+                    continue
+                fn, args = handle.fn, handle.args
                 handle.cancel()  # release references
+            self.now = time
             self._processed += 1
             fn(*args)
             return True
@@ -424,7 +384,6 @@ class Simulator:
         self._running = True
         processed = 0
         heap = self._heap
-        pool = self._pool
         pop = heapq.heappop
         # Pause cyclic GC for the duration of the loop: per-event garbage
         # is acyclic (tuples, messages) and freed by refcounting, while
@@ -440,51 +399,38 @@ class Simulator:
                 # per-event max_events and until-is-None tests are
                 # hoisted out of the loop
                 while heap:
-                    entry = heap[0]
-                    handle = entry[2]
-                    if handle.cancelled:
-                        pop(heap)
-                        continue
-                    if entry[0] > until:
+                    time, _seq, fn, args = heap[0]
+                    if fn is None:
+                        handle = args  # a cancellable timer
+                        if handle.cancelled:
+                            pop(heap)
+                            continue
+                        if time > until:
+                            break
+                        fn, args = handle.fn, handle.args
+                        handle.cancel()  # release references
+                    elif time > until:
                         break
                     pop(heap)
-                    self.now = entry[0]
-                    fn, args = handle.fn, handle.args
-                    if handle.pooled:
-                        handle.fn = None
-                        handle.args = ()
-                        if len(pool) < EVENT_POOL_MAX:
-                            pool.append(handle)
-                    else:
-                        handle.cancelled = True
-                        handle.fn = None
-                        handle.args = ()
+                    self.now = time
                     self._processed += 1
                     fn(*args)
             else:
                 while heap:
-                    entry = heap[0]
-                    handle = entry[2]
-                    if handle.cancelled:
+                    time, _seq, fn, args = heap[0]
+                    if fn is None and args.cancelled:
                         pop(heap)
                         continue
-                    if until is not None and entry[0] > until:
+                    if until is not None and time > until:
                         break
                     if max_events is not None and processed >= max_events:
                         break
-                    # inlined step() hot loop
                     pop(heap)
-                    self.now = entry[0]
-                    fn, args = handle.fn, handle.args
-                    if handle.pooled:
-                        handle.fn = None
-                        handle.args = ()
-                        if len(pool) < EVENT_POOL_MAX:
-                            pool.append(handle)
-                    else:
-                        handle.cancelled = True
-                        handle.fn = None
-                        handle.args = ()
+                    if fn is None:
+                        handle = args
+                        fn, args = handle.fn, handle.args
+                        handle.cancel()  # release references
+                    self.now = time
                     self._processed += 1
                     fn(*args)
                     processed += 1
@@ -506,7 +452,7 @@ class Simulator:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2].cancelled:
+            if entry[2] is None and entry[3].cancelled:
                 heapq.heappop(heap)
                 continue
             if entry[0] > deadline:

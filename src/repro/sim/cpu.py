@@ -20,6 +20,13 @@ A :class:`ThreadPool` bounds the number of tasks one component may keep
 in flight (the ordering node's 16 signing workers), while other
 components (the replication protocol's I/O threads) compete for the
 same cores via :meth:`CPU.set_background_load`.
+
+A task carries the callable that completes it.  The only event a task
+costs is the completion timer -- the instant simulated time has to
+reach; what happens *at* that instant (free the pool's worker, start
+the backlog, hand the signed block on) is a chain of plain calls made
+from the timer's handler, not further zero-delay events
+(docs/KERNEL.md, "Completions are calls, not events").
 """
 
 from __future__ import annotations
@@ -31,11 +38,12 @@ from repro.sim.core import EventHandle, Future, Simulator
 
 
 class _Task:
-    __slots__ = ("remaining", "future")
+    __slots__ = ("remaining", "done", "args")
 
-    def __init__(self, work: float, future: Future):
+    def __init__(self, work: float, done: Callable[..., Any], args: tuple):
         self.remaining = work
-        self.future = future
+        self.done = done
+        self.args = args
 
 
 class CPU:
@@ -109,7 +117,26 @@ class CPU:
 
         ``activity`` labels the work for resource attribution (e.g.
         ``"sign"``); the demanded core-seconds accumulate in
-        :attr:`activity_core_seconds`.
+        :attr:`activity_core_seconds`.  The returned future resolves at
+        the completion instant (for generator processes and tests; a
+        component that only needs to be called back uses
+        :class:`ThreadPool`).
+        """
+        future = self.sim.future()
+        self._start(work_core_seconds, activity, future.resolve, (None,))
+        return future
+
+    def _start(
+        self,
+        work_core_seconds: float,
+        activity: Optional[str],
+        done: Callable[..., Any],
+        args: tuple,
+    ) -> None:
+        """Run a task and call ``done(*args)`` at its completion instant.
+
+        ``done`` is never called from inside this method: a zero-work
+        task completes through one posted event.
         """
         if work_core_seconds < 0:
             raise ValueError("work must be non-negative")
@@ -117,18 +144,16 @@ class CPU:
             self.activity_core_seconds[activity] = (
                 self.activity_core_seconds.get(activity, 0.0) + work_core_seconds
             )
-        future = self.sim.future()
         if work_core_seconds == 0:
-            self.sim.call_soon(future.resolve, None)
-            return future
-        task = _Task(work_core_seconds, future)
+            self.sim.post(0.0, done, *args)
+            return
+        task = _Task(work_core_seconds, done, args)
         self._sync()
         if len(self._running) < self.hardware_threads:
             self._running.append(task)
         else:
             self._queued.append(task)
         self._reschedule()
-        return future
 
     @property
     def running_tasks(self) -> int:
@@ -148,7 +173,12 @@ class CPU:
     # internals
     # ------------------------------------------------------------------
     def _sync(self) -> None:
-        """Advance all running tasks to the current time."""
+        """Advance all running tasks to the current time.
+
+        Tasks that finish are completed here, by direct call, after the
+        CPU's own state is final for this instant (``_running`` rebuilt,
+        ``_queued`` promoted): a completion may submit again.
+        """
         now = self.sim.now
         dt = now - self._last_update
         self._last_update = now
@@ -165,11 +195,11 @@ class CPU:
             else:
                 still_running.append(task)
         self._running = still_running
-        for task in finished:
-            self.tasks_completed += 1
-            task.future.resolve(None)
         while self._queued and len(self._running) < self.hardware_threads:
             self._running.append(self._queued.popleft())
+        self.tasks_completed += len(finished)
+        for task in finished:
+            task.done(*task.args)
 
     def _reschedule(self) -> None:
         if self._completion_event is not None:
@@ -204,7 +234,9 @@ class ThreadPool:
         self.cpu = cpu
         self.workers = workers
         self._in_flight = 0
-        self._backlog: deque[tuple[float, Future, Optional[str]]] = deque()
+        self._backlog: deque[
+            tuple[float, Optional[str], Optional[Callable[..., Any]], tuple]
+        ] = deque()
         self.tasks_completed = 0
 
     def submit(
@@ -213,16 +245,16 @@ class ThreadPool:
         callback: Optional[Callable[..., Any]] = None,
         *args: Any,
         activity: Optional[str] = None,
-    ) -> Future:
-        """Run a task through the pool; optional callback on completion."""
-        future = self.cpu.sim.future()
-        if callback is not None:
-            future.add_callback(lambda _f: callback(*args))
+    ) -> None:
+        """Run a task through the pool; ``callback(*args)`` is called at
+        the instant it completes (never from inside ``submit``)."""
         if self._in_flight < self.workers:
-            self._dispatch(work_core_seconds, future, activity)
+            self._in_flight += 1
+            self.cpu._start(
+                work_core_seconds, activity, self._finish, (callback, args)
+            )
         else:
-            self._backlog.append((work_core_seconds, future, activity))
-        return future
+            self._backlog.append((work_core_seconds, activity, callback, args))
 
     @property
     def backlog(self) -> int:
@@ -232,17 +264,14 @@ class ThreadPool:
     def in_flight(self) -> int:
         return self._in_flight
 
-    def _dispatch(
-        self, work: float, future: Future, activity: Optional[str] = None
-    ) -> None:
-        self._in_flight += 1
-        inner = self.cpu.submit(work, activity=activity)
-        inner.add_callback(lambda _f: self._finish(future))
-
-    def _finish(self, future: Future) -> None:
-        self._in_flight -= 1
+    def _finish(self, callback: Optional[Callable[..., Any]], args: tuple) -> None:
+        """One worker is done: free it, start the next backlog entry on
+        it, then hand the result on."""
         self.tasks_completed += 1
-        future.resolve(None)
-        if self._backlog and self._in_flight < self.workers:
-            work, pending, activity = self._backlog.popleft()
-            self._dispatch(work, pending, activity)
+        if self._backlog:
+            work, activity, next_callback, next_args = self._backlog.popleft()
+            self.cpu._start(work, activity, self._finish, (next_callback, next_args))
+        else:
+            self._in_flight -= 1
+        if callback is not None:
+            callback(*args)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from math import inf as _INF, nextafter as _nextafter
 from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Protocol, Tuple
 
-from heapq import heappush as _heappush  # repro: allow[PROTO003] broadcast inlines the kernel's pooled post_at
+from heapq import heappush as _heappush  # repro: allow[PROTO003] broadcast inlines the kernel's post_at
 
-from repro.sim.core import EventHandle, Simulator
+from repro.sim.core import Simulator
 from repro.sim.randomness import RandomStreams
 
 NodeId = Hashable
@@ -458,18 +458,22 @@ class Network:
         sim = self.sim
         now = sim.now  # constant within the sending event
         deliver = self._deliver
-        # inlined Simulator.post_at (same pool, same seq numbering):
-        # one pooled heap push per destination without a function call
-        # or argument re-packing -- this loop is the hottest line in the
-        # whole simulator
-        pool = sim._pool
+        # inlined Simulator.post_at (same entry shape, same seq
+        # numbering): one heap push per destination without a function
+        # call or argument re-packing -- this loop is the hottest line
+        # in the whole simulator
         heap = sim._heap
         push = _heappush
         nextseq = sim._seq.__next__
         tie_key = sim._tie_key
-        new_handle = EventHandle  # repro: allow[PROTO003] broadcast inlines the kernel's pooled post_at
+        # inlined NIC.transmit: the NIC's three accumulators live in
+        # locals for the loop and are written back once after it (the
+        # same additions in the same order, so the same floats)
         nic = src_node.nic
         tx_duration = wire_bytes * 8.0 / nic.bandwidth_bps
+        next_free = nic._next_free
+        nic_bytes = nic.bytes_sent
+        nic_busy = nic.busy_seconds
         latency = self.latency
         # LAN deployments use ConstantLatency, whose delay ignores the
         # site pair -- inline its two-float formula and skip a method
@@ -501,23 +505,20 @@ class Network:
             if src == dst:
                 arrival = now + LOOPBACK_DELAY
             else:
-                # inlined NIC.transmit (same arithmetic, same state)
-                start = nic._next_free
-                if start < now:
-                    start = now
-                done = start + tx_duration
-                nic._next_free = done
-                nic.bytes_sent += wire_bytes
-                nic.busy_seconds += tx_duration
+                if next_free < now:
+                    next_free = now
+                next_free += tx_duration
+                nic_bytes += wire_bytes
+                nic_busy += tx_duration
                 if const_latency:
                     if lat_jitter <= 0.0:
-                        arrival = done + lat_base
+                        arrival = next_free + lat_base
                     else:
-                        arrival = done + lat_base * (
+                        arrival = next_free + lat_base * (
                             1.0 + lat_jitter * rng_random()
                         )
                 else:
-                    arrival = done + latency_delay(src_site, dst_node.site, rng)
+                    arrival = next_free + latency_delay(src_site, dst_node.site, rng)
             floor = last_arrival.get(dst, 0.0)
             if tie_key is not None:
                 # same ulp-bump as send(): FIFO survives the permutation
@@ -527,23 +528,16 @@ class Network:
                 arrival = floor
             last_arrival[dst] = arrival
             # post_at(arrival, deliver, src, dst, payload, epoch), inlined
-            if pool:
-                handle = pool.pop()
-                handle.time = arrival
-                handle.fn = deliver
-                handle.args = (src, dst, payload, dst_node.epoch)
-                handle.cancelled = False
-            else:
-                handle = new_handle(
-                    arrival, 0, deliver, (src, dst, payload, dst_node.epoch)
-                )
-                handle.pooled = True
-            handle.seq = seq = nextseq()
+            seq = nextseq()
             if tie_key is not None:
                 seq = tie_key(seq)
-            push(heap, (arrival, seq, handle))
-        # no user code runs between loop iterations (post_at only queues),
-        # so folding the counter updates after the loop is unobservable
+            push(heap, (arrival, seq, deliver, (src, dst, payload, dst_node.epoch)))
+        # no user code runs between loop iterations (post_at only queues;
+        # a LatencyModel reads no NIC or stats state), so folding the
+        # counter updates after the loop is unobservable
+        nic._next_free = next_free
+        nic.bytes_sent = nic_bytes
+        nic.busy_seconds = nic_busy
         stats.messages_sent += sent
         stats.messages_dropped += dropped
         stats.bytes_sent += bytes_sent

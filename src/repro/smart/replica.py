@@ -481,13 +481,14 @@ class ServiceReplica:
         if self.obs is not None:
             self.obs.on_request(self.replica_id, request, now)
         self.pending.add(request, now)
-        self._maybe_propose()
+        # once per request per replica: a follower and a busy leader
+        # stop here, on two attribute tests, without a call
+        if self.active_cid is None and self.is_leader:
+            self._maybe_propose()
 
     def _maybe_propose(self) -> None:
         """Leader-only: start the next consensus when idle."""
-        # runs once per request per replica: the attribute tests come
-        # first (a busy leader stops at the first, a follower at the
-        # second), the queue's __len__ last
+        # the attribute tests come first, the queue's __len__ last
         if self.active_cid is not None or not self.is_leader or not self.pending:
             return
         if self.synchronizer.changing_regency:

@@ -1,16 +1,17 @@
 """Property-based tests for the simulator kernel fast path.
 
-The kernel's fast paths (pooled ``post*`` scheduling, the inlined
-``broadcast`` hot loop) are pure re-encodings of the slow paths: these
-properties pin the invariants that make that true -- total and
-deterministic pop order, pool handles never aliasing live events, and
-per-link FIFO surviving batched scheduling and jitter.
+The kernel's fast paths (``post*`` events that are plain heap tuples,
+the inlined ``broadcast`` hot loop) are pure re-encodings of the slow
+paths: these properties pin the invariants that make that true -- total
+and deterministic pop order, every posted callback firing exactly once
+while a cancelled timer never does, and per-link FIFO surviving batched
+scheduling and jitter.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import EVENT_POOL_MAX, Simulator
+from repro.sim.core import Simulator
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.randomness import RandomStreams
 
@@ -22,7 +23,7 @@ class TestPopOrder:
     """Heap pop order is a total, deterministic order.
 
     Ties in time break by sequence number, i.e. by scheduling order --
-    for pooled and cancellable events alike, in any interleaving.
+    for posted and cancellable events alike, in any interleaving.
     """
 
     @given(st.lists(st.tuples(DELAYS, st.booleans()), min_size=1, max_size=50))
@@ -31,8 +32,8 @@ class TestPopOrder:
         def run_once():
             sim = Simulator()
             fired = []
-            for index, (delay, pooled) in enumerate(plan):
-                if pooled:
+            for index, (delay, posted) in enumerate(plan):
+                if posted:
                     sim.post(delay, fired.append, index)
                 else:
                     sim.schedule(delay, fired.append, index)
@@ -68,54 +69,107 @@ class TestPopOrder:
         assert first == run_once()
 
 
-class TestEventPool:
-    """Recycled handles never alias anything a caller can still see."""
+class TestEntryShapes:
+    """The two entry shapes under any interleaving.
+
+    A posted event is its heap tuple: it fires exactly once, with its
+    own arguments, and nothing a caller holds can cancel it.  A
+    cancellable timer is the handle ``schedule`` returned: cancelled, it
+    never fires and is counted nowhere.
+    """
 
     OPS = st.lists(
-        st.tuples(st.sampled_from(["post", "schedule", "step"]), DELAYS),
+        st.tuples(
+            st.sampled_from(["post", "post_at", "schedule", "cancel", "step"]),
+            DELAYS,
+            st.integers(min_value=0, max_value=10**6),
+        ),
         min_size=1,
         max_size=60,
     )
 
     @given(OPS)
-    @settings(max_examples=60)
-    def test_pool_disjoint_from_heap_and_caller_handles(self, ops):
+    @settings(max_examples=80)
+    def test_posts_fire_once_cancelled_timers_never(self, ops):
         sim = Simulator()
-        caller_handles = []
+        fired = []
+        posted = []  # tokens of post / post_at
+        handles = {}  # token -> handle, in schedule order
+        cancelled = set()
 
         def check():
-            pool_ids = {id(h) for h in sim._pool}
-            heap_ids = {id(entry[2]) for entry in sim._heap}
-            assert not pool_ids & heap_ids, "free-listed handle still queued"
-            assert not pool_ids & {id(h) for h in caller_handles}, (
-                "handle owned by a caller entered the pool"
-            )
-            assert len(sim._pool) <= EVENT_POOL_MAX
+            live = [t for t in handles if t not in cancelled and t not in fired]
+            unfired_posts = [t for t in posted if t not in fired]
+            assert sim.pending_events == len(live) + len(unfired_posts)
+            assert sim.processed_events == len(fired)
 
-        for op, delay in ops:
+        for token, (op, delay, pick) in enumerate(ops):
             if op == "post":
-                sim.post(delay, lambda: None)
+                assert sim.post(delay, fired.append, token) is None
+                posted.append(token)
+            elif op == "post_at":
+                assert sim.post_at(sim.now + delay, fired.append, token) is None
+                posted.append(token)
             elif op == "schedule":
-                caller_handles.append(sim.schedule(delay, lambda: None))
+                handles[token] = sim.schedule(delay, fired.append, token)
+            elif op == "cancel":
+                if handles:
+                    victim = list(handles)[pick % len(handles)]
+                    # cancelling a handle that already fired is a no-op
+                    if victim not in fired:
+                        cancelled.add(victim)
+                    handles[victim].cancel()
             else:
                 sim.step()
             check()
         while sim.step():
             check()
-        assert all(not h.pooled for h in caller_handles)
+        assert sim.pending_events == 0
+        assert len(fired) == len(set(fired)), "an event fired twice"
+        # every post and every timer left alone fired; no cancelled one did
+        assert set(fired) == (set(posted) | set(handles)) - cancelled
+
+    @given(OPS)
+    @settings(max_examples=40)
+    def test_run_and_step_fire_the_same_sequence(self, ops):
+        """``run()``, ``run(until=...)`` and a ``step()`` loop are three
+        spellings of one pop order, cancelled timers included."""
+
+        def build():
+            sim = Simulator()
+            fired = []
+            handles = []
+            for token, (op, delay, pick) in enumerate(ops):
+                if op in ("post", "post_at"):
+                    sim.post(delay, fired.append, token)
+                elif op == "schedule":
+                    handles.append(sim.schedule(delay, fired.append, token))
+                elif op == "cancel" and handles:
+                    handles[pick % len(handles)].cancel()
+            return sim, fired
+
+        sim, by_step = build()
+        while sim.step():
+            pass
+        sim, by_run = build()
+        sim.run()
+        sim, by_until = build()
+        sim.run(until=1.0)
+        assert by_step == by_run == by_until
+        assert sim.now == 1.0
 
     @given(st.integers(min_value=1, max_value=200))
     @settings(max_examples=30)
-    def test_reused_handle_never_fires_stale_payload(self, rounds):
-        """A recycled handle carries only its *new* callback: firing N
-        distinct posts through a pool of reused handles yields each
-        payload exactly once."""
+    def test_each_post_carries_its_own_payload(self, rounds):
+        """N posts of one callback, drained one at a time, yield each
+        payload exactly once, in order."""
         sim = Simulator()
         fired = []
         for index in range(rounds):
             sim.post(0.0, fired.append, index)
-            sim.run()  # drains; the handle returns to the pool each round
+            sim.run()
         assert fired == list(range(rounds))
+        assert sim.processed_events == rounds
 
 
 class TestPerLinkFifo:

@@ -592,14 +592,14 @@ class TestPerBatchBudgets:
         assert [r.counters.consensus_decided for r in service.replicas] == [3] * 4
         return service, profile
 
-    def test_a_client_request_costs_a_follower_five_frames(self, profiled):
+    def test_a_client_request_costs_a_follower_four_frames(self, profiled):
         """``Network._deliver -> ServiceReplica.deliver -> _on_request ->
-        PendingQueue.add -> _maybe_propose``, nothing else (nine before:
-        a dispatch lambda, ``is_leader``, ``View.leader_of``, ``View.n``
-        and the ``view`` property on top)."""
+        PendingQueue.add``, nothing else: a follower tests ``active_cid``
+        and ``is_leader`` in ``_on_request`` and never enters
+        ``_maybe_propose``."""
         service, profile = profiled
         assert len(profile.frames_per_request) == 3 * self.ENVELOPES
-        assert set(profile.frames_per_request) == {5}
+        assert set(profile.frames_per_request) == {4}
 
     def test_no_python_call_per_envelope_while_a_batch_executes(self, profiled):
         """Each of the four replicas executed one 400-request batch:

@@ -145,3 +145,131 @@ class TestThreadPool:
             pool_b.submit(1.0)
         sim.run()
         assert sim.now == pytest.approx(16.0 / 10.4, rel=1e-6)
+
+
+class TestCompletionsAreCalls:
+    """A task's only event is its completion timer: what happens at that
+    instant -- free the worker, start the backlog, call back -- is a
+    chain of calls from the timer's handler (docs/KERNEL.md)."""
+
+    def test_callbacks_fire_in_submission_order_at_the_completion_instant(
+        self, sim, cpu
+    ):
+        pool = ThreadPool(cpu, workers=2)
+        seen = []
+        for index in range(6):
+            pool.submit(1.0, lambda i: seen.append((i, sim.now)), index)
+        sim.run()
+        # two workers on eight cores: pairs finish at exactly 1.0, 2.0, 3.0
+        assert seen == [(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0), (4, 3.0), (5, 3.0)]
+
+    def test_one_event_per_completion_timer_not_three_per_task(self, sim, cpu):
+        pool = ThreadPool(cpu, workers=2)
+        seen = []
+        for index in range(6):
+            pool.submit(1.0, seen.append, index)
+        assert sim.processed_events == 0
+        sim.run()
+        assert seen == list(range(6))
+        # three completion instants, one timer each; the six tasks and
+        # their six callbacks add no event of their own
+        assert sim.processed_events == 3
+        assert pool.tasks_completed == cpu.tasks_completed == 6
+
+    def test_staggered_tasks_cost_one_event_each(self, sim, cpu):
+        pool = ThreadPool(cpu, workers=4)
+        seen = []
+        for index in range(4):
+            pool.submit(0.5 + index, lambda i: seen.append((i, sim.now)), index)
+        sim.run()
+        assert [i for i, _ in seen] == [0, 1, 2, 3]
+        assert [t for _, t in seen] == pytest.approx([0.5, 1.5, 2.5, 3.5])
+        assert sim.processed_events == 4
+
+    def test_callback_may_resubmit_to_the_same_pool(self, sim, cpu):
+        pool = ThreadPool(cpu, workers=1)
+        seen = []
+
+        def again(left):
+            seen.append((left, sim.now, pool.in_flight, pool.backlog))
+            if left:
+                pool.submit(1.0, again, left - 1)
+
+        pool.submit(1.0, again, 3)
+        pool.submit(1.0, seen.append, "queued behind the first")
+        sim.run()
+        # the worker freed by a completion takes the backlog before the
+        # callback runs, so a re-submission queues behind it
+        assert seen == [
+            (3, 1.0, 1, 0),
+            "queued behind the first",
+            (2, 3.0, 0, 0),
+            (1, 4.0, 0, 0),
+            (0, 5.0, 0, 0),
+        ]
+        assert pool.tasks_completed == 5
+        assert (pool.in_flight, pool.backlog) == (0, 0)
+        assert (cpu.running_tasks, cpu.queued_tasks) == (0, 0)
+
+    def test_callback_may_resubmit_while_other_tasks_finish_with_it(self, sim, cpu):
+        """Sixteen tasks finish in one ``_sync``; each callback submits
+        again while the others' completions are still to be called."""
+        pool = ThreadPool(cpu, workers=16)
+        seen = []
+
+        def first(index):
+            pool.submit(1.0, seen.append, index)
+
+        for index in range(16):
+            pool.submit(1.0, first, index)
+        sim.run()
+        assert seen == list(range(16))
+        assert sim.now == pytest.approx(2 * 16.0 / 10.4, rel=1e-6)
+        assert sim.processed_events == 2
+
+    def test_zero_work_does_not_call_back_inside_submit(self, sim, cpu):
+        pool = ThreadPool(cpu, workers=1)
+        seen = []
+        pool.submit(0.0, seen.append, "a")
+        pool.submit(0.0, seen.append, "b")  # behind "a": the worker is taken
+        assert seen == []
+        assert (pool.in_flight, pool.backlog) == (1, 1)
+        sim.run()
+        assert seen == ["a", "b"]
+        assert sim.now == 0.0
+        assert sim.processed_events == 2  # one posted event per task
+        assert pool.tasks_completed == 2
+
+    def test_cpu_submit_future_resolves_at_the_completion_instant(self, sim, cpu):
+        future = cpu.submit(2.0)
+        resolved_at = []
+        future.add_callback(lambda f: resolved_at.append(sim.now))
+        sim.run(until=1.999)
+        assert not future.done
+        sim.run()
+        assert future.done and resolved_at == [2.0]
+
+    def test_process_waits_on_cpu_future(self, sim, cpu):
+        def worker():
+            yield cpu.submit(1.0)
+            yield cpu.submit(0.0)
+            return sim.now
+
+        process = sim.spawn(worker())
+        sim.run()
+        assert process.result.value == 1.0
+
+    def test_two_pools_sharing_a_cpu_call_back_at_the_same_instant(self, sim, cpu):
+        pool_a = ThreadPool(cpu, workers=8)
+        pool_b = ThreadPool(cpu, workers=8)
+        seen = []
+        for index in range(8):
+            pool_a.submit(1.0, lambda i: seen.append(("a", i, sim.now)), index)
+            pool_b.submit(1.0, lambda i: seen.append(("b", i, sim.now)), index)
+        sim.run()
+        assert sim.now == pytest.approx(16.0 / 10.4, rel=1e-6)
+        # CPU order, i.e. submission order across both pools
+        assert [(p, i) for p, i, _ in seen] == [
+            (p, i) for i in range(8) for p in ("a", "b")
+        ]
+        assert {t for _, _, t in seen} == {sim.now}

@@ -89,13 +89,22 @@ def test_direction_follows_the_metric():
     assert as_higher["wins"] == 0 and not perf_pairs.claim_holds(as_higher)
 
 
+DIRECTIONS = {"host_cpu_s_per_sim_s": "lower", "sim_goodput_env_s": "higher",
+              "sim_events_per_env": "lower"}
+
+
 def test_a_moved_sim_metric_an_incorrect_run_or_new_failures_void_the_claim():
+    """Moved *for the worse*, that is (the next test is the other case)."""
     moved = pairs_of(PARENT, CHILD)
     moved[3]["child"]["metrics"]["sim_goodput_env_s"]["value"] = 999.0
-    summary = perf_pairs.summarize(moved, "host_cpu_s_per_sim_s", "lower")
-    assert summary["sim_mismatches"] == ["seed 3: sim_goodput_env_s"]
+    summary = perf_pairs.summarize(moved, "host_cpu_s_per_sim_s", "lower", DIRECTIONS)
+    assert summary["sim_moves"] == [
+        {"seed": 3, "metric": "sim_goodput_env_s", "parent": 1000.0, "child": 999.0,
+         "worse": True}
+    ]
+    assert not summary["sim_identical"] and not summary["sim_never_worse"]
     assert not perf_pairs.claim_holds(summary)
-    assert "seed 3: sim_goodput_env_s" in perf_pairs.render(summary, [])
+    assert "seed 3: `sim_goodput_env_s` 1000 -> 999 (worse)" in perf_pairs.render(summary, [])
 
     incorrect = perf_pairs.summarize(
         pairs_of(PARENT, CHILD, correct=False), "host_cpu_s_per_sim_s", "lower"
@@ -107,6 +116,33 @@ def test_a_moved_sim_metric_an_incorrect_run_or_new_failures_void_the_claim():
     )
     assert failing["failed"] == {"parent": 0, "child": 10}
     assert not failing["no_more_failures"] and not perf_pairs.claim_holds(failing)
+
+
+def test_a_sim_metric_that_moved_never_for_the_worse_is_listed_and_keeps_the_claim():
+    """A change that declares fewer events per envelope: every pair
+    differs, each is listed with both values, none voids the claim --
+    and the summary still does not call the runs identical."""
+    moved = pairs_of(PARENT, CHILD)
+    for pair in moved:
+        pair["parent"]["metrics"]["sim_events_per_env"] = {"value": 17.4458}
+        pair["child"]["metrics"]["sim_events_per_env"] = {"value": 15.4458}
+    summary = perf_pairs.summarize(moved, "host_cpu_s_per_sim_s", "lower", DIRECTIONS)
+    assert [(m["seed"], m["metric"], m["worse"]) for m in summary["sim_moves"]] == [
+        (seed, "sim_events_per_env", False) for seed in range(10)
+    ]
+    assert not summary["sim_identical"] and summary["sim_never_worse"]
+    assert perf_pairs.claim_holds(summary)
+    text = perf_pairs.render(summary, [])
+    assert "every sim_* identical within each pair: False; none worse in any pair: True" in text
+    assert "seed 9: `sim_events_per_env` 17.4458 -> 15.4458 (not worse)" in text
+    # one pair where it *rose* is enough to void it
+    moved[4]["child"]["metrics"]["sim_events_per_env"]["value"] = 17.5
+    worse = perf_pairs.summarize(moved, "host_cpu_s_per_sim_s", "lower", DIRECTIONS)
+    assert [m["seed"] for m in worse["sim_moves"] if m["worse"]] == [4]
+    assert not perf_pairs.claim_holds(worse)
+    # a moved metric the contract gives no direction for cannot pass as "not worse"
+    unknown = perf_pairs.summarize(moved, "host_cpu_s_per_sim_s", "lower")
+    assert all(m["worse"] for m in unknown["sim_moves"])
 
 
 def test_quartiles_of_one_run_and_the_table_rows():
@@ -203,12 +239,21 @@ def test_the_verdict_table_has_one_row_per_workload():
     assert len(table) == 2 + 3
     assert table[2] == (
         "| `smartbft_n10_sat` | claimed | 10 | 0.245 -> 0.1895 | -22.7% | 10 / 0 / 0 "
-        "| True | claim holds |"
+        "| True | True | claim holds |"
     )
     assert table[3] == (
-        "| `lan_n10_sat` | control | 3 | 0.1 -> 0.1 | +0.0% | 0 / 3 / 0 | True | within bound |"
+        "| `lan_n10_sat` | control | 3 | 0.1 -> 0.1 | +0.0% | 0 / 3 / 0 | True | True "
+        "| within bound |"
     )
-    assert table[4].endswith("| True | worse: `host_cpu_s_per_sim_s` |")
+    assert table[4].endswith("| True | True | worse: `host_cpu_s_per_sim_s` |")
+    # moved-never-worse and identical are two columns, not one
+    moved = pairs_of(PARENT, CHILD)
+    for pair in moved:
+        pair["child"]["metrics"]["sim_goodput_env_s"]["value"] = 1001.0
+    claimed = perf_pairs.verdict_row("lan_n10_sat", True, moved, END_TO_END)
+    assert perf_pairs.render_verdicts([claimed]).splitlines()[2].endswith(
+        "| False | True | claim holds |"
+    )
 
 
 def test_the_command_line_plans_claimed_rows_then_controls(monkeypatch, capsys):
@@ -243,7 +288,7 @@ def test_the_command_line_plans_claimed_rows_then_controls(monkeypatch, capsys):
     assert len(verdicts) == 1 + 2 + 7
     assert verdicts[3].startswith("| `smartbft_n10_sat` | claimed | 10 |")
     assert verdicts[3].endswith("| claim holds |")
-    assert all(line.endswith("| True | within bound |") for line in verdicts[4:])
+    assert all(line.endswith("| True | True | within bound |") for line in verdicts[4:])
     # two claimed workloads and no controls: two rows
     ran.clear()
     perf_pairs.main(["--parent", "HEAD", "--workload", "geo_wheat", "--workload",
