@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Protocol, Tuple
+from typing import Any, Protocol, Tuple
 
 #: Core-seconds for one ECDSA P-256 signature on one physical core of
 #: the paper's 2.27 GHz Xeon E5520.  Chosen so that 8 physical cores
@@ -27,6 +27,11 @@ DEFAULT_SIGN_COST = 8 * 1.3 / 8400.0  # ~1.24 ms
 #: nonce); the paper's frontends skip verification entirely, relying on
 #: 2f+1 matching blocks, so this constant mostly matters to peers.
 DEFAULT_VERIFY_COST = 1.45e-3
+
+#: SHA-256's block size and RFC 2104's inner / outer pad translations
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 class SignatureScheme(Protocol):
@@ -51,6 +56,13 @@ class SimulatedECDSA:
     unforgeable for any component that does not hold the key, which is
     the property the protocols rely on.  Signature size is padded to 64
     bytes to match ECDSA P-256 for network accounting.
+
+    The HMAC is RFC 2104's, from two SHA-256 states kept per private
+    key -- after the key block XOR ipad and after the key block XOR
+    opad -- so a MAC is two copies, two updates and two digests instead
+    of re-deriving both pads on every call: the bytes of
+    ``hmac.digest(key, message, "sha256")``.  :meth:`_mac` is the one
+    function ``sign`` and ``verify`` compute it with.
 
     Verifying is deterministic in ``(public, message, signature)``, and
     one block signature is checked by every node, frontend and peer of a
@@ -79,6 +91,8 @@ class SimulatedECDSA:
         self.verify_cost = verify_cost
         self._secrets: dict[bytes, bytes] = {}
         self._verified: dict[Tuple[bytes, bytes, bytes], None] = {}
+        #: private key -> SHA-256 states after its ipad and opad blocks
+        self._pads: dict[bytes, Tuple[Any, Any]] = {}
 
     def keygen(self, rng) -> Tuple[bytes, bytes]:
         secret = rng.getrandbits(256).to_bytes(32, "big")
@@ -86,8 +100,26 @@ class SimulatedECDSA:
         self._secrets[public] = secret
         return secret, public
 
+    def _mac(self, private: bytes, message: bytes) -> bytes:
+        """HMAC-SHA256 of ``message`` under ``private`` (RFC 2104)."""
+        pads = self._pads.get(private)
+        if pads is None:
+            key = private
+            if len(key) > _BLOCK:
+                key = hashlib.sha256(key).digest()
+            key = key.ljust(_BLOCK, b"\0")
+            pads = self._pads[private] = (
+                hashlib.sha256(key.translate(_IPAD)),
+                hashlib.sha256(key.translate(_OPAD)),
+            )
+        inner = pads[0].copy()
+        inner.update(message)
+        outer = pads[1].copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
     def sign(self, private: bytes, message: bytes) -> bytes:
-        mac = hmac.digest(private, message, "sha256")
+        mac = self._mac(private, message)
         return mac + mac  # pad to 64 bytes, ECDSA-sized
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:

@@ -70,6 +70,8 @@ class CPU:
         self._queued: deque[_Task] = deque()
         self._last_update = 0.0
         self._completion_event: Optional[EventHandle] = None
+        #: True while ``_sync`` calls completions (see there)
+        self._completing = False
         self._background_fraction = 0.0
         self.busy_core_seconds = 0.0
         self.tasks_completed = 0
@@ -177,7 +179,11 @@ class CPU:
 
         Tasks that finish are completed here, by direct call, after the
         CPU's own state is final for this instant (``_running`` rebuilt,
-        ``_queued`` promoted): a completion may submit again.
+        ``_queued`` promoted): a completion may submit again.  Every
+        caller of ``_sync`` reschedules the completion timer right after
+        it, so ``_reschedule`` does nothing while completions run: the
+        tasks they start are timed once, by that reschedule -- one timer
+        per completion instant, the last one scheduled, as before.
         """
         now = self.sim.now
         dt = now - self._last_update
@@ -198,10 +204,16 @@ class CPU:
         while self._queued and len(self._running) < self.hardware_threads:
             self._running.append(self._queued.popleft())
         self.tasks_completed += len(finished)
-        for task in finished:
-            task.done(*task.args)
+        self._completing = True
+        try:
+            for task in finished:
+                task.done(*task.args)
+        finally:
+            self._completing = False
 
     def _reschedule(self) -> None:
+        if self._completing:
+            return
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None

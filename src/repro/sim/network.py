@@ -43,10 +43,28 @@ class Endpoint(Protocol):
 
 
 class LatencyModel:
-    """Base class: propagation delay between two *sites*."""
+    """Base class: propagation delay between two *sites*.
+
+    A model is a base delay per site pair plus a jitter fraction: one
+    copy takes ``base`` seconds, or ``base * (1.0 + jitter_fraction *
+    u)`` with one uniform draw ``u`` from the network's RNG when the
+    fraction is positive.  :class:`Network` resolves the base once per
+    directed link (it is fixed for the link's life) and evaluates the
+    jitter inline per copy; :meth:`delay` is the same expression for
+    everyone else.  A subclass implements :meth:`base_delay` and sets
+    ``jitter_fraction``.
+    """
+
+    jitter_fraction: float = 0.0
+
+    def base_delay(self, src_site: str, dst_site: str) -> float:
+        raise NotImplementedError
 
     def delay(self, src_site: str, dst_site: str, rng) -> float:
-        raise NotImplementedError
+        base = self.base_delay(src_site, dst_site)
+        if self.jitter_fraction <= 0.0:
+            return base
+        return base * (1.0 + self.jitter_fraction * rng.random())
 
 
 class ConstantLatency(LatencyModel):
@@ -56,10 +74,8 @@ class ConstantLatency(LatencyModel):
         self.base = base
         self.jitter_fraction = jitter_fraction
 
-    def delay(self, src_site: str, dst_site: str, rng) -> float:
-        if self.jitter_fraction <= 0.0:
-            return self.base
-        return self.base * (1.0 + self.jitter_fraction * rng.random())
+    def base_delay(self, src_site: str, dst_site: str) -> float:
+        return self.base
 
 
 class MatrixLatency(LatencyModel):
@@ -83,17 +99,13 @@ class MatrixLatency(LatencyModel):
         self.jitter_fraction = jitter_fraction
         self.local_delay = local_delay
 
-    def delay(self, src_site: str, dst_site: str, rng) -> float:
+    def base_delay(self, src_site: str, dst_site: str) -> float:
         if src_site == dst_site:
-            base = self.matrix.get((src_site, dst_site), self.local_delay)
-        else:
-            try:
-                base = self.matrix[(src_site, dst_site)]
-            except KeyError:
-                raise KeyError(f"no latency entry for {src_site!r} -> {dst_site!r}")
-        if self.jitter_fraction <= 0.0:
-            return base
-        return base * (1.0 + self.jitter_fraction * rng.random())
+            return self.matrix.get((src_site, dst_site), self.local_delay)
+        try:
+            return self.matrix[(src_site, dst_site)]
+        except KeyError:
+            raise KeyError(f"no latency entry for {src_site!r} -> {dst_site!r}")
 
 
 class NIC:
@@ -133,19 +145,49 @@ class _Node:
     endpoint: Endpoint
     site: str
     nic: NIC
+    #: this sender's links by receiver id (the table outlives the
+    #: registration: see :meth:`Network.register`)
+    links: Dict[NodeId, "_Link"]
     crashed: bool = False
     #: bumped on every recovery so in-flight messages addressed to the
     #: pre-crash incarnation can be recognized and discarded
     epoch: int = 0
 
 
+#: the receiver of a link whose sender registered again: crashed, so the
+#: link's next copy resolves receiver and base delay from scratch
+_UNRESOLVED = _Node(endpoint=None, site="", nic=None, links={}, crashed=True)
+
+
+class _Link:
+    """One directed link, owned by its sender.
+
+    Holds only what is fixed for the link's life or belongs to the link:
+    the receiver's :class:`_Node`, the unjittered site-pair delay, the
+    FIFO floor (TCP in-order delivery: the latest arrival scheduled on
+    the link) and the bytes it carried.  What may change between calls
+    is not cached: NIC bandwidth and the jitter fraction are read per
+    call, the receiver's crash state and epoch through ``dst`` per copy.
+    A receiver that crashes or is unregistered is ``crashed``, which
+    sends the link's next copy back to the id lookup.
+    """
+
+    __slots__ = ("dst", "base", "floor", "bytes")
+
+    def __init__(self, dst: _Node, base: float, floor: float = 0.0, nbytes: int = 0):
+        self.dst = dst
+        self.base = base
+        self.floor = floor
+        self.bytes = nbytes
+
+
 class NetworkStats:
     """Aggregate traffic counters for one :class:`Network`.
 
-    Per-link byte counts are stored nested by source (``{src: {dst:
-    bytes}}``) because the sender hot loop updates them once per
-    destination; :attr:`bytes_by_link` flattens to the classic
-    ``{(src, dst): bytes}`` view on demand.
+    Per-link byte counts live on the links themselves;
+    :attr:`bytes_by_src` (``{src: {dst: bytes}}``) and
+    :attr:`bytes_by_link` (``{(src, dst): bytes}``) are read-only views
+    over them, built on demand.
     """
 
     __slots__ = (
@@ -153,22 +195,30 @@ class NetworkStats:
         "messages_delivered",
         "messages_dropped",
         "bytes_sent",
-        "bytes_by_src",
+        "_links",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, links: Dict[NodeId, Dict[NodeId, _Link]]) -> None:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
-        self.bytes_by_src: Dict[NodeId, Dict[NodeId, int]] = {}
+        self._links = links
+
+    @property
+    def bytes_by_src(self) -> Dict[NodeId, Dict[NodeId, int]]:
+        return {
+            src: {dst: link.bytes for dst, link in table.items()}
+            for src, table in self._links.items()
+            if table
+        }
 
     @property
     def bytes_by_link(self) -> Dict[Tuple[NodeId, NodeId], int]:
         return {
-            (src, dst): count
-            for src, inner in self.bytes_by_src.items()
-            for dst, count in inner.items()
+            (src, dst): link.bytes
+            for src, table in self._links.items()
+            for dst, link in table.items()
         }
 
 
@@ -217,20 +267,17 @@ class Network:
         self.default_bandwidth_bps = default_bandwidth_bps
         self.streams = streams or RandomStreams(0)
         self.overhead_bytes = overhead_bytes
-        self.stats = NetworkStats()
-        #: optional repro.obs hub; when set, every accepted send is
-        #: reported via ``obs.on_message`` (no-op otherwise)
-        self.obs = None
+        #: every sender's link table by sender id (see :meth:`register`)
+        self._links: Dict[NodeId, Dict[NodeId, _Link]] = {}
+        self.stats = NetworkStats(self._links)
+        self._obs = None
         self._nodes: Dict[NodeId, _Node] = {}
         self._blocked: set[Tuple[NodeId, NodeId]] = set()
         self._drop_rates: Dict[Tuple[NodeId, NodeId], float] = {}
         self._filters: list[MessageFilter] = []
+        #: derived: is any interceptor installed?  (see _refresh_mode)
+        self._intercepting = False
         self._rng = self.streams.stream("network")
-        #: per-link FIFO enforcement (TCP in-order delivery): latest
-        #: scheduled arrival per (src, dst)
-        # FIFO floor per directed link, nested by source ({src: {dst:
-        # last_arrival}}) so the sender hot loop avoids tuple keys
-        self._last_arrival: Dict[NodeId, Dict[NodeId, float]] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -242,14 +289,33 @@ class Network:
         site: str = "lan",
         bandwidth_bps: Optional[float] = None,
     ) -> None:
-        """Attach ``endpoint`` to the network as ``node_id`` at ``site``."""
+        """Attach ``endpoint`` to the network as ``node_id`` at ``site``.
+
+        An id registered before keeps its links' FIFO floors and byte
+        counts -- they belong to the link, not to the registration -- and
+        each of them resolves its receiver and base delay again at its
+        next copy, since the new incarnation may sit at another site.
+        """
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already registered")
         nic = NIC(self.sim, bandwidth_bps or self.default_bandwidth_bps)
-        self._nodes[node_id] = _Node(endpoint=endpoint, site=site, nic=nic)
+        links = self._links.get(node_id)
+        if links is None:
+            links = {}
+        else:
+            links = {
+                dst: _Link(_UNRESOLVED, 0.0, link.floor, link.bytes)
+                for dst, link in links.items()
+            }
+        self._links[node_id] = links
+        self._nodes[node_id] = _Node(endpoint=endpoint, site=site, nic=nic, links=links)
 
     def unregister(self, node_id: NodeId) -> None:
-        self._nodes.pop(node_id, None)
+        node = self._nodes.pop(node_id, None)
+        if node is not None:
+            # retired: a link into it goes back to the id lookup at its
+            # next copy (and finds a new incarnation, or nobody)
+            node.crashed = True
 
     def node_ids(self) -> Iterable[NodeId]:
         return self._nodes.keys()
@@ -288,11 +354,13 @@ class Network:
         self._blocked.add((a, b))
         if bidirectional:
             self._blocked.add((b, a))
+        self._refresh_mode()
 
     def unblock(self, a: NodeId, b: NodeId, bidirectional: bool = True) -> None:
         self._blocked.discard((a, b))
         if bidirectional:
             self._blocked.discard((b, a))
+        self._refresh_mode()
 
     def partition(self, *groups: Iterable[NodeId]) -> None:
         """Block all links between members of different groups."""
@@ -307,6 +375,7 @@ class Network:
         """Remove every blocked link and drop rule."""
         self._blocked.clear()
         self._drop_rates.clear()
+        self._refresh_mode()
 
     def is_blocked(self, a: NodeId, b: NodeId) -> bool:
         return (a, b) in self._blocked
@@ -325,106 +394,48 @@ class Network:
     def set_drop_rate(self, a: NodeId, b: NodeId, rate: float) -> None:
         """Drop messages on (a -> b) independently with probability ``rate``."""
         self._drop_rates[(a, b)] = rate
+        self._refresh_mode()
 
     def add_filter(self, fn: MessageFilter) -> None:
         """Install an interceptor (used to model Byzantine links/tests)."""
         self._filters.append(fn)
+        self._refresh_mode()
 
     def remove_filter(self, fn: MessageFilter) -> None:
         self._filters.remove(fn)
+        self._refresh_mode()
+
+    @property
+    def obs(self):
+        """Optional repro.obs hub; when set, every accepted copy is
+        reported via ``obs.on_message``."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, hub) -> None:
+        self._obs = hub
+        self._refresh_mode()
+
+    def _refresh_mode(self) -> None:
+        # recomputed wherever an interceptor is installed or removed, so
+        # the sending paths test one flag instead of four containers
+        self._intercepting = bool(
+            self._filters or self._drop_rates or self._blocked or self._obs is not None
+        )
 
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(self, src: NodeId, dst: NodeId, payload: Any, size_bytes: int = 0) -> None:
-        """Send ``payload`` from ``src`` to ``dst``.
+        """Send ``payload`` from ``src`` to ``dst``: a broadcast of one.
 
         Delivery time = egress queueing at ``src``'s NIC + transmission
         + propagation latency.  Self-sends bypass the NIC.
         """
-        stats = self.stats
-        stats.messages_sent += 1
-        nodes = self._nodes
-        src_node = nodes.get(src)
-        if src_node is None or src_node.crashed:
-            stats.messages_dropped += 1
-            return
-        dst_node = nodes.get(dst)
-        if dst_node is None or dst_node.crashed:
-            stats.messages_dropped += 1
-            return
-        link = (src, dst)
-        if self._blocked and link in self._blocked:
-            stats.messages_dropped += 1
-            return
-        if self._drop_rates:
-            drop_rate = self._drop_rates.get(link, 0.0)
-            if drop_rate > 0.0 and self._rng.random() < drop_rate:
-                stats.messages_dropped += 1
-                return
-        extra_delay = 0.0
-        copies = 1
-        copy_spacing = 0.0
-        bypass_fifo = False
-        if self._filters:
-            for fn in self._filters:
-                verdict = fn(src, dst, payload)
-                if verdict is None:
-                    stats.messages_dropped += 1
-                    return
-                if isinstance(verdict, Intercept):
-                    if verdict.drop:
-                        stats.messages_dropped += 1
-                        return
-                    payload = verdict.payload
-                    extra_delay += verdict.extra_delay
-                    copies = max(copies, verdict.copies)
-                    copy_spacing = max(copy_spacing, verdict.copy_spacing)
-                    bypass_fifo = bypass_fifo or verdict.bypass_fifo
-                else:
-                    payload = verdict
-
-        wire_bytes = size_bytes + self.overhead_bytes
-        if self.obs is not None:
-            self.obs.on_message(src, dst, payload, wire_bytes)
-        stats.bytes_sent += wire_bytes
-        bytes_by_src = stats.bytes_by_src
-        bytes_inner = bytes_by_src.get(src)
-        if bytes_inner is None:
-            bytes_inner = bytes_by_src[src] = {}
-        bytes_inner[dst] = bytes_inner.get(dst, 0) + wire_bytes
-
-        sim = self.sim
-        if src == dst:
-            arrival = sim.now + LOOPBACK_DELAY
+        if self._intercepting:
+            self._intercept(src, dst, payload, size_bytes)
         else:
-            arrival = src_node.nic.transmit(wire_bytes) + self.latency.delay(
-                src_node.site, dst_node.site, self._rng
-            )
-        if extra_delay:
-            arrival += extra_delay
-        if not bypass_fifo:
-            # connections deliver in order (TCP): jitter may not reorder
-            # messages on the same link
-            last_arrival = self._last_arrival.get(src)
-            if last_arrival is None:
-                last_arrival = self._last_arrival[src] = {}
-            floor = last_arrival.get(dst, 0.0)
-            if sim._tie_key is not None:
-                # under RaceSan's tie permutation a same-link arrival
-                # tie would let the shuffle break the FIFO contract;
-                # an ulp bump keeps the connection strictly ordered
-                if arrival <= floor:
-                    arrival = _nextafter(floor, _INF)
-            elif arrival < floor:
-                arrival = floor
-            last_arrival[dst] = arrival
-        epoch = dst_node.epoch
-        sim.post_at(arrival, self._deliver, src, dst, payload, epoch)
-        for i in range(1, copies):
-            sim.post_at(
-                arrival + i * copy_spacing, self._deliver, src, dst, payload, epoch
-            )
+            self.broadcast(src, (dst,), payload, size_bytes)
 
     def broadcast(
         self, src: NodeId, dsts: Iterable[NodeId], payload: Any, size_bytes: int = 0
@@ -435,16 +446,14 @@ class Network:
         in the number of receivers -- exactly the effect measured in
         Figure 7.
 
-        Semantically identical to calling :meth:`send` once per
-        destination (same stats, same RNG draws, same delivery order);
-        the source-side lookups are just hoisted out of the loop, since
-        most traffic in a BFT deployment is the vote broadcasts.
+        This loop is where a copy's arrival is computed whenever no
+        interceptor is installed (:meth:`send` is a broadcast of one);
+        with one installed every copy takes :meth:`_intercept`, the same
+        computation plus the fault effects, on the same link records.
         """
-        if self._filters or self._drop_rates or self._blocked or self.obs is not None:
-            # uncommon modes (fault injection, observability) keep the
-            # straightforward path -- one send per destination
+        if self._intercepting:
             for dst in dsts:
-                self.send(src, dst, payload, size_bytes)
+                self._intercept(src, dst, payload, size_bytes)
             return
         stats = self.stats
         nodes = self._nodes
@@ -468,40 +477,36 @@ class Network:
         tie_key = sim._tie_key
         # inlined NIC.transmit: the NIC's three accumulators live in
         # locals for the loop and are written back once after it (the
-        # same additions in the same order, so the same floats)
+        # same additions in the same order, so the same floats); the
+        # bandwidth is read per call, since a test may change it mid-run
         nic = src_node.nic
         tx_duration = wire_bytes * 8.0 / nic.bandwidth_bps
         next_free = nic._next_free
         nic_bytes = nic.bytes_sent
         nic_busy = nic.busy_seconds
-        latency = self.latency
-        # LAN deployments use ConstantLatency, whose delay ignores the
-        # site pair -- inline its two-float formula and skip a method
-        # call per destination (the RNG draw sequence is unchanged)
-        const_latency = type(latency) is ConstantLatency
-        if const_latency:
-            lat_base = latency.base
-            lat_jitter = latency.jitter_fraction
-        latency_delay = latency.delay
-        src_site = src_node.site
-        rng = self._rng
-        rng_random = rng.random
-        last_arrival = self._last_arrival.get(src)
-        if last_arrival is None:
-            last_arrival = self._last_arrival[src] = {}
-        bytes_inner = stats.bytes_by_src.get(src)
-        if bytes_inner is None:
-            bytes_inner = stats.bytes_by_src[src] = {}
+        # inlined LatencyModel.delay on the link's cached base: one draw
+        # per copy, in destination order, iff the jitter is positive
+        jitter = self.latency.jitter_fraction
+        rng_random = self._rng.random
+        links = src_node.links
         sent = dropped = 0
         bytes_sent = 0
         for dst in dsts:
             sent += 1
-            dst_node = nodes.get(dst)
-            if dst_node is None or dst_node.crashed:
-                dropped += 1
-                continue
+            try:
+                link = links[dst]
+            except KeyError:
+                link = None
+            if link is None or link.dst.crashed:
+                # the link's first copy, or its receiver crashed, was
+                # unregistered or re-registered since the last one
+                dst_node = nodes.get(dst)
+                if dst_node is None or dst_node.crashed:
+                    dropped += 1
+                    continue
+                link = self._open_link(src_node, dst, dst_node)
             bytes_sent += wire_bytes
-            bytes_inner[dst] = bytes_inner.get(dst, 0) + wire_bytes
+            link.bytes += wire_bytes
             if src == dst:
                 arrival = now + LOOPBACK_DELAY
             else:
@@ -510,30 +515,29 @@ class Network:
                 next_free += tx_duration
                 nic_bytes += wire_bytes
                 nic_busy += tx_duration
-                if const_latency:
-                    if lat_jitter <= 0.0:
-                        arrival = next_free + lat_base
-                    else:
-                        arrival = next_free + lat_base * (
-                            1.0 + lat_jitter * rng_random()
-                        )
+                if jitter <= 0.0:
+                    arrival = next_free + link.base
                 else:
-                    arrival = next_free + latency_delay(src_site, dst_node.site, rng)
-            floor = last_arrival.get(dst, 0.0)
-            if tie_key is not None:
-                # same ulp-bump as send(): FIFO survives the permutation
+                    arrival = next_free + link.base * (1.0 + jitter * rng_random())
+            # connections deliver in order (TCP): jitter may not reorder
+            # messages on the same link
+            floor = link.floor
+            if tie_key is None:
+                if arrival < floor:
+                    arrival = floor
+                seq = nextseq()
+            else:
+                # under RaceSan's tie permutation a same-link arrival tie
+                # would let the shuffle break the FIFO contract; an ulp
+                # bump keeps the connection strictly ordered
                 if arrival <= floor:
                     arrival = _nextafter(floor, _INF)
-            elif arrival < floor:
-                arrival = floor
-            last_arrival[dst] = arrival
+                seq = tie_key(nextseq())
+            link.floor = arrival
             # post_at(arrival, deliver, src, dst, payload, epoch), inlined
-            seq = nextseq()
-            if tie_key is not None:
-                seq = tie_key(seq)
-            push(heap, (arrival, seq, deliver, (src, dst, payload, dst_node.epoch)))
-        # no user code runs between loop iterations (post_at only queues;
-        # a LatencyModel reads no NIC or stats state), so folding the
+            push(heap, (arrival, seq, deliver, (src, dst, payload, link.dst.epoch)))
+        # no user code runs between loop iterations (post_at only queues,
+        # a link is opened from the latency model alone), so folding the
         # counter updates after the loop is unobservable
         nic._next_free = next_free
         nic.bytes_sent = nic_bytes
@@ -542,10 +546,105 @@ class Network:
         stats.messages_dropped += dropped
         stats.bytes_sent += bytes_sent
 
+    def _open_link(self, src_node: _Node, dst: NodeId, dst_node: _Node) -> _Link:
+        """Resolve ``src_node``'s link to ``dst`` for the receiver
+        ``dst_node``: create it at its first copy, re-point it after the
+        receiver's registration changed.  An unknown site pair raises
+        ``KeyError`` here, at the link's first send."""
+        base = self.latency.base_delay(src_node.site, dst_node.site)
+        links = src_node.links
+        link = links.get(dst)
+        if link is None:
+            link = links[dst] = _Link(dst_node, base)
+        else:
+            link.dst = dst_node
+            link.base = base
+        return link
+
+    def _intercept(self, src: NodeId, dst: NodeId, payload: Any, size_bytes: int) -> None:
+        """One copy under interceptors: blocked links, drop rates,
+        filters and the obs hub, then the arrival :meth:`broadcast`
+        computes, on the same link record."""
+        stats = self.stats
+        stats.messages_sent += 1
+        nodes = self._nodes
+        src_node = nodes.get(src)
+        if src_node is None or src_node.crashed:
+            stats.messages_dropped += 1
+            return
+        dst_node = nodes.get(dst)
+        if dst_node is None or dst_node.crashed:
+            stats.messages_dropped += 1
+            return
+        if (src, dst) in self._blocked:
+            stats.messages_dropped += 1
+            return
+        drop_rate = self._drop_rates.get((src, dst), 0.0)
+        if drop_rate > 0.0 and self._rng.random() < drop_rate:
+            stats.messages_dropped += 1
+            return
+        extra_delay = 0.0
+        copies = 1
+        copy_spacing = 0.0
+        bypass_fifo = False
+        for fn in self._filters:
+            verdict = fn(src, dst, payload)
+            if verdict is None:
+                stats.messages_dropped += 1
+                return
+            if isinstance(verdict, Intercept):
+                if verdict.drop:
+                    stats.messages_dropped += 1
+                    return
+                payload = verdict.payload
+                extra_delay += verdict.extra_delay
+                copies = max(copies, verdict.copies)
+                copy_spacing = max(copy_spacing, verdict.copy_spacing)
+                bypass_fifo = bypass_fifo or verdict.bypass_fifo
+            else:
+                payload = verdict
+
+        wire_bytes = size_bytes + self.overhead_bytes
+        if self._obs is not None:
+            self._obs.on_message(src, dst, payload, wire_bytes)
+        link = src_node.links.get(dst)
+        if link is None or link.dst is not dst_node:
+            link = self._open_link(src_node, dst, dst_node)
+        stats.bytes_sent += wire_bytes
+        link.bytes += wire_bytes
+
+        sim = self.sim
+        if src == dst:
+            arrival = sim.now + LOOPBACK_DELAY
+        else:
+            arrival = src_node.nic.transmit(wire_bytes) + self.latency.delay(
+                src_node.site, dst_node.site, self._rng
+            )
+        if extra_delay:
+            arrival += extra_delay
+        if not bypass_fifo:
+            # the FIFO floor of broadcast(), shared through the link
+            floor = link.floor
+            if sim._tie_key is not None:
+                if arrival <= floor:
+                    arrival = _nextafter(floor, _INF)
+            elif arrival < floor:
+                arrival = floor
+            link.floor = arrival
+        epoch = dst_node.epoch
+        sim.post_at(arrival, self._deliver, src, dst, payload, epoch)
+        for i in range(1, copies):
+            sim.post_at(
+                arrival + i * copy_spacing, self._deliver, src, dst, payload, epoch
+            )
+
     def _deliver(
         self, src: NodeId, dst: NodeId, payload: Any, epoch: Optional[int] = None
     ) -> None:
-        node = self._nodes.get(dst)
+        try:
+            node = self._nodes[dst]
+        except KeyError:  # unregistered while the copy was in flight
+            node = None
         if node is None or node.crashed:
             self.stats.messages_dropped += 1
             return

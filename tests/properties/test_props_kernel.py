@@ -4,15 +4,16 @@ The kernel's fast paths (``post*`` events that are plain heap tuples,
 the inlined ``broadcast`` hot loop) are pure re-encodings of the slow
 paths: these properties pin the invariants that make that true -- total
 and deterministic pop order, every posted callback firing exactly once
-while a cancelled timer never does, and per-link FIFO surviving batched
-scheduling and jitter.
+while a cancelled timer never does, per-link FIFO surviving batched
+scheduling and jitter, and the network's two sending paths (the
+``broadcast`` loop and the interceptor path) computing the same copies.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import Simulator
-from repro.sim.network import ConstantLatency, Network
+from repro.sim.network import ConstantLatency, MatrixLatency, Network
 from repro.sim.randomness import RandomStreams
 
 #: a handful of delays with forced collisions, so ties are common
@@ -219,26 +220,56 @@ class TestPerLinkFifo:
                 f"link {link} delivered out of send order"
             )
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=50_000), min_size=1, max_size=25),
-        st.integers(min_value=0, max_value=2**16),
+    SITES = ("east", "west", "south")
+    MATRIX = {("east", "west"): 0.03, ("east", "south"): 0.07, ("west", "south"): 0.05}
+    IDS = (0, 1, 2, "x")
+    OPS = st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["send", "send", "broadcast", "broadcast", "crash", "recover",
+                 "unregister", "register", "reregister", "advance"]
+            ),
+            st.sampled_from(IDS),
+            st.lists(st.sampled_from(IDS + ("ghost",)), max_size=5),
+            st.sampled_from([0, 1, 1500, 50_000]),
+            st.sampled_from([0.0, 1e-5, 0.001, 0.02]),
+        ),
+        min_size=1,
+        max_size=40,
     )
-    @settings(max_examples=40)
-    def test_fast_broadcast_equals_filtered_slow_path(self, sizes, seed):
-        """An always-pass filter forces broadcast() onto the per-dst
-        slow path; deliveries (payloads *and* timestamps) must be
-        identical to the inlined fast loop under the same seed."""
+
+    @given(OPS, st.sampled_from(["lan", "wan"]), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=80)
+    # a receiver, then a sender, returns at another site with copies in
+    # flight; a receiver returns after a crash and recovery moved its epoch
+    @example([("send", 0, [1], 0, 0.0), ("reregister", 1, [], 0, 0.0),
+              ("send", 0, [1], 0, 0.0)], "wan", 0)
+    @example([("send", 1, [0], 0, 0.0), ("reregister", 1, [], 0, 0.0),
+              ("send", 1, [0], 0, 0.0)], "wan", 0)
+    @example([("send", 0, [1], 0, 0.0), ("crash", 1, [], 0, 0.0),
+              ("recover", 1, [], 0, 0.0), ("reregister", 1, [], 0, 0.0),
+              ("send", 0, [1], 0, 0.0)], "lan", 0)
+    def test_fast_broadcast_equals_filtered_slow_path(self, ops, model, seed):
+        """The two sending paths are one computation.  An always-pass
+        filter sends every copy down the interceptor path; under any
+        interleaving of send / broadcast / crash / recover / unregister /
+        register (a returning id may come back at another site, with its
+        copies and the copies to it still in flight) on both latency
+        models with jitter, both networks deliver the same payloads at
+        the same instants in the same order and end with equal counters,
+        NIC state, ``bytes_by_link`` and RNG state."""
 
         def run(install_filter):
             sim = Simulator()
-            net = Network(
-                sim,
-                ConstantLatency(0.001, jitter_fraction=0.9),
-                streams=RandomStreams(seed),
-            )
+            if model == "lan":
+                latency = ConstantLatency(0.001, jitter_fraction=0.9)
+            else:
+                latency = MatrixLatency(self.MATRIX, jitter_fraction=0.5)
+            net = Network(sim, latency, streams=RandomStreams(seed))
             if install_filter:
                 net.add_filter(lambda src, dst, payload: payload)
             deliveries = []
+            incarnations = {}
 
             class Box:
                 def __init__(self, name):
@@ -247,11 +278,44 @@ class TestPerLinkFifo:
                 def deliver(self, src, payload):
                     deliveries.append((sim.now, src, self.name, payload))
 
-            for name in ("a", "b", "c", "d"):
-                net.register(name, Box(name))
-            for index, size in enumerate(sizes):
-                net.broadcast("a", ["b", "c", "d"], index, size_bytes=size)
+            def register(node, index):
+                incarnations[node] = incarnations.get(node, -1) + 1
+                site = self.SITES[(index + incarnations[node]) % len(self.SITES)]
+                net.register(node, Box((node, incarnations[node])), site=site,
+                             bandwidth_bps=1e8 * (index + 1))
+
+            for index, node in enumerate(self.IDS):
+                register(node, index)
+            for token, (op, node, dsts, size, delay) in enumerate(ops):
+                registered = node in net.node_ids()
+                if op == "send":
+                    net.send(node, (dsts or [node])[0], token, size_bytes=size)
+                elif op == "broadcast":
+                    net.broadcast(node, dsts, token, size_bytes=size)
+                elif op == "crash" and registered:
+                    net.crash(node)
+                elif op == "recover" and registered:
+                    net.recover(node)
+                elif op == "unregister":
+                    net.unregister(node)
+                elif op == "register" and not registered:
+                    register(node, token)
+                elif op == "reregister" and registered:
+                    net.unregister(node)
+                    register(node, token)
+                sim.run(until=sim.now + delay)
             sim.run()
-            return deliveries, net.stats.bytes_sent, net.stats.messages_sent
+            nics = {}
+            for node in sorted(net.node_ids(), key=str):
+                nic = net.nic_of(node)
+                nics[str(node)] = (nic.bytes_sent, nic.busy_seconds, nic._next_free)
+            stats = net.stats
+            counters = (
+                stats.messages_sent, stats.messages_delivered,
+                stats.messages_dropped, stats.bytes_sent,
+            )
+            return (
+                deliveries, counters, nics, stats.bytes_by_link, net._rng.random()
+            )
 
         assert run(install_filter=False) == run(install_filter=True)

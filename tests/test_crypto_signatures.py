@@ -1,5 +1,6 @@
 """Unit tests for the signature abstraction, key registry and MACs."""
 
+import hmac
 import random
 
 import pytest
@@ -54,6 +55,20 @@ class TestSimulatedECDSA:
     def test_signer_cost_exposed(self, scheme):
         signer, _ = make_keypair(scheme, random.Random(2))
         assert signer.sign_cost == DEFAULT_SIGN_COST
+
+    @pytest.mark.parametrize("key_size", [0, 1, 32, 63, 64, 65, 200])
+    def test_mac_from_pads_is_the_stdlib_hmac(self, scheme, key_size):
+        """The per-key pads reproduce ``hmac.digest`` byte for byte on
+        both sides of the 64-byte block (a longer key is hashed first),
+        on a first use and from the cached pads alike."""
+        rng = random.Random(key_size)
+        key = rng.randbytes(key_size)
+        for message in (b"", rng.randbytes(32), rng.randbytes(4096)):
+            expected = hmac.digest(key, message, "sha256")
+            assert scheme._mac(key, message) == expected
+            assert scheme._mac(key, message) == expected
+            assert scheme.sign(key, message) == expected + expected
+        assert list(scheme._pads) == [key]
 
 
 class TestKeyRegistry:

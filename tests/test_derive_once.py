@@ -21,7 +21,6 @@ fixes is resolved when the view is installed*.
 """
 
 import collections
-import hmac
 import json
 import random
 import sys
@@ -90,14 +89,17 @@ def run_service(orderer: str, f: int, envelopes: int, block_size: int, **config)
 
 
 def count_hmacs(monkeypatch) -> list:
+    """Every MAC the simulated scheme computes, as ``(key, message)``:
+    ``SimulatedECDSA._mac`` is the one function ``sign`` and a
+    verification miss compute one with."""
     calls = []
-    real = hmac.digest
+    real = SimulatedECDSA._mac
 
-    def counting(key, msg, digest):
+    def counting(self, key, msg):
         calls.append((key, msg))
-        return real(key, msg, digest)
+        return real(self, key, msg)
 
-    monkeypatch.setattr(hmac, "digest", counting)
+    monkeypatch.setattr(SimulatedECDSA, "_mac", counting)
     return calls
 
 

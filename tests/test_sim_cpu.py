@@ -1,5 +1,7 @@
 """Unit tests for the CPU / thread-pool model."""
 
+import collections
+
 import pytest
 
 from repro.sim import CPU, ThreadPool
@@ -226,6 +228,34 @@ class TestCompletionsAreCalls:
         assert seen == list(range(16))
         assert sim.now == pytest.approx(2 * 16.0 / 10.4, rel=1e-6)
         assert sim.processed_events == 2
+
+    def test_one_completion_timer_is_scheduled_per_completion_instant(
+        self, sim, cpu, monkeypatch
+    ):
+        """36 tasks on 16 workers complete at three instants.  The
+        backlog entries a completion starts leave the timer to the
+        reschedule after the completions (each scheduled one of its own
+        before, cancelled a moment later: 17 and 5 handles, not 1 and 1)."""
+        scheduled = collections.Counter()
+        real = sim.schedule
+
+        def counting(delay, fn, *args):
+            scheduled[sim.now] += 1
+            return real(delay, fn, *args)
+
+        monkeypatch.setattr(sim, "schedule", counting)
+        pool = ThreadPool(cpu, workers=16)
+        finished = []
+        for _ in range(36):
+            pool.submit(1.0, lambda: finished.append(sim.now))
+        assert scheduled == {0.0: 16}  # one per submission, outside any completion
+        sim.run()
+        instants = sorted(set(finished))
+        assert len(instants) == 3 and len(finished) == 36
+        assert sim.processed_events == 3
+        # the last instant leaves nothing running, so nothing to time
+        assert [scheduled[t] for t in instants] == [1, 1, 0]
+        assert sum(scheduled.values()) == 16 + 2
 
     def test_zero_work_does_not_call_back_inside_submit(self, sim, cpu):
         pool = ThreadPool(cpu, workers=1)

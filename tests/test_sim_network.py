@@ -244,6 +244,76 @@ class TestLatencyModels:
         assert sim.now >= 0.2
 
 
+class TestLinks:
+    """One record per directed link: what it caches and when it resolves."""
+
+    def test_a_missing_matrix_entry_raises_at_the_links_first_send(self, sim):
+        net = Network(sim, MatrixLatency({("east", "west"): 0.2}))
+        for name, site in [("a", "east"), ("b", "mars"), ("c", "mars")]:
+            net.register(name, Inbox(), site=site)
+        net.crash("b")
+        net.send("a", "b", "dropped before any delay is needed")
+        with pytest.raises(KeyError, match="no latency entry for 'east' -> 'mars'"):
+            net.broadcast("a", ["c"], "m")
+        with pytest.raises(KeyError):
+            net.send("a", "c", "m")
+        net.recover("b")
+        net.send("b", "c", "same site: the local delay")
+        assert net.stats.bytes_by_link == {("b", "c"): MESSAGE_OVERHEAD_BYTES}
+
+    def test_byte_views_cover_every_link_that_carried_a_copy(self, sim):
+        net = Network(sim, ConstantLatency(0.01), overhead_bytes=0)
+        wire(net, "a", "b", "c")
+        net.crash("c")
+        net.broadcast("a", ["a", "b", "c"], "m")  # zero bytes, one dropped
+        net.send("b", "a", "m", size_bytes=7)
+        assert net.stats.bytes_by_link == {("a", "a"): 0, ("a", "b"): 0, ("b", "a"): 7}
+        assert net.stats.bytes_by_src == {"a": {"a": 0, "b": 0}, "b": {"a": 7}}
+        # views, not state: editing one changes nothing
+        net.stats.bytes_by_src["a"]["b"] = 99
+        assert net.stats.bytes_by_link[("a", "b")] == 0
+
+    def test_a_returning_id_is_reached_at_its_new_site(self, sim):
+        net = Network(sim, MatrixLatency({("east", "west"): 0.2, ("east", "north"): 0.05}))
+        net.register("a", Inbox(), site="east")
+        net.register("b", Inbox(), site="west")
+        net.send("a", "b", "to the first b")
+        net.unregister("b")
+        later = Inbox()
+        net.register("b", later, site="north")
+        net.send("a", "b", "to the second b")
+        sim.run()
+        # both copies reach the new endpoint, each after its own delay,
+        # in send order (the FIFO floor belongs to the link)
+        assert later.messages == [("a", "to the first b"), ("a", "to the second b")]
+        assert net.stats.bytes_by_link == {("a", "b"): 2 * MESSAGE_OVERHEAD_BYTES}
+        net.send("a", "b", "fresh")
+        sent_at = sim.now
+        sim.run()
+        assert sim.now == pytest.approx(sent_at + 0.05, abs=1e-6)
+
+    def test_interceptor_flag_follows_every_installer(self, sim, net):
+        wire(net, "a", "b")
+        hub = object()
+        steps = [
+            (lambda: net.add_filter(print), True),
+            (lambda: net.remove_filter(print), False),
+            (lambda: net.set_drop_rate("a", "b", 0.0), True),
+            (net.heal, False),
+            (lambda: net.block("a", "b"), True),
+            (lambda: net.unblock("a", "b"), False),
+            (lambda: net.partition(["a"], ["b"]), True),
+            (net.heal, False),
+        ]
+        for install, expected in steps:
+            install()
+            assert net._intercepting is expected
+        net.obs = hub
+        assert net._intercepting and net.obs is hub
+        net.obs = None
+        assert not net._intercepting
+
+
 class TestNIC:
     def test_queue_delay_builds_up(self, sim):
         nic = NIC(sim, bandwidth_bps=8e6)  # 1 MB/s
