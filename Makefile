@@ -162,8 +162,9 @@ perf-quick:
 ## every other workload at N pairs and judges it against the bounds of
 ## BENCHMARK.json (within bound / unresolved / worse) -- the no-change
 ## table of a perf PR, one verdict row per workload
-## usage: make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [CONTROLS=N]
+## usage: make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [CONTROLS=N] [METRIC=<name>]
 perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) \
 		$(foreach name,$(WORKLOAD),--workload $(name)) \
-		--pairs $(PAIRS) $(if $(CONTROLS),--controls $(CONTROLS))
+		--pairs $(PAIRS) $(if $(CONTROLS),--controls $(CONTROLS)) \
+		$(if $(METRIC),--metric $(METRIC))

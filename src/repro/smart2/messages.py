@@ -130,15 +130,25 @@ class Heartbeat:
         return sha256("smart2-heartbeat", self.sender, self.view_number, self.seq)
 
 
-#: A prepared certificate carried inside a view change: the highest
-#: pre-prepare the sender prepared but did not see committed, plus the
-#: distinct prepare voters backing it.
+#: A prepared certificate carried inside a view change: a pre-prepare
+#: the sender prepared but did not see committed, plus the distinct
+#: prepare voters backing it.
 PreparedCert = Tuple["Preprepare", Tuple[int, ...]]
+
+
+def _cert_size(cert: PreparedCert) -> int:
+    return cert[0].wire_size() + 8 * len(cert[1])
 
 
 @dataclass(slots=True)
 class ViewChange:
-    """A node's signed vote to depose the current leader."""
+    """A node's signed vote to depose the current leader.
+
+    It carries a certificate for every round the sender prepared in its
+    proposal window, in sequence order: the first in ``prepared``, the
+    rest in ``prepared_after``.  With at most one the message is the
+    same as when a single proposal was in flight.
+    """
 
     kind = sys.intern("smart2.ViewChange")
 
@@ -149,13 +159,12 @@ class ViewChange:
     reason: str
     prepared: Optional[PreparedCert]
     signature: bytes = b""
+    prepared_after: Tuple[PreparedCert, ...] = ()
 
     def wire_size(self) -> int:
-        prepared = (
-            self.prepared[0].wire_size() + 8 * len(self.prepared[1])
-            if self.prepared is not None
-            else 0
-        )
+        prepared = _cert_size(self.prepared) if self.prepared is not None else 0
+        for cert in self.prepared_after:
+            prepared += _cert_size(cert)
         return MESSAGE_HEADER_BYTES + 24 + SIGNATURE_BYTES + prepared
 
     def signing_payload(self) -> bytes:

@@ -4,18 +4,22 @@ One class plays both roles that the paper's service splits between a
 BFT-SMaRt replica and its ordering-node application: consensus runs
 directly *on blocks*.
 
-Protocol (PBFT-shaped, one in-flight instance):
+Protocol (PBFT-shaped, up to :data:`PROPOSAL_WINDOW` instances in
+flight, decided in sequence order):
 
 1. clients (frontends) submit requests to any node; non-leaders
    forward them to the current leader;
 2. the leader runs the shared :class:`BlockCutter` and pre-prepares the
-   next block (sequence number, channel position, batch);
-3. every node prepares (hash echo), and -- once a quorum prepared --
-   signs the block header and broadcasts the signature as its COMMIT
-   vote;
-4. ``2f+1`` valid COMMIT signatures decide the block; the collected
-   votes *are* the block's signature quorum, and each subscribed
-   frontend receives exactly one copy.
+   next block (sequence number, channel position, batch), chained off
+   its own last *proposed* header, while fewer than
+   ``PROPOSAL_WINDOW`` of its proposals are undecided;
+3. every node prepares (hash echo) a pre-prepare that chains off the
+   one it accepted for the sequence before, and -- once a quorum
+   prepared -- signs the block header and broadcasts the signature as
+   its COMMIT vote;
+4. ``2f+1`` valid COMMIT signatures decide the block, applied in
+   sequence order; the collected votes *are* the block's signature
+   quorum, and each subscribed frontend receives exactly one copy.
 
 Leader rotation: the leader heartbeats (signed); followers suspect it
 on heartbeat timeout or when a forwarded request is not committed in
@@ -23,8 +27,9 @@ time (censorship).  ``f+1`` suspicions amplify; ``2f+1`` signed
 VIEW-CHANGE votes let the next leader install the view.  A deposed
 leader suspected by ``f+1`` distinct voters is blacklisted for
 ``blacklist_window`` views and skipped by the rotation.  Prepared
-certificates carried in VIEW-CHANGE votes are re-proposed by the new
-leader, which preserves safety across views exactly as in PBFT.
+certificates carried in VIEW-CHANGE votes -- one per prepared round of
+the window -- are re-proposed by the new leader, which preserves safety
+across views exactly as in PBFT.
 
 Fault-injection surface mirrors :class:`repro.smart.replica.ServiceReplica`
 (``crash``/``recover``/``faults``/``view``/``log``), so the explorer,
@@ -76,6 +81,12 @@ from repro.smart2.messages import (
 #: Decided blocks served per catch-up reply (the puller re-pulls).
 CATCHUP_BATCH = 64
 
+#: Proposals in flight: the leader proposes sequence ``s`` only while
+#: ``s < next_commit_seq + PROPOSAL_WINDOW``, and a follower accepts a
+#: pre-prepare only inside the same window (docs/SMARTBFT.md, "Proposal
+#: window").  A protocol constant, not a deployment setting.
+PROPOSAL_WINDOW = 8
+
 
 @lru_cache(maxsize=SHARED_DIGESTS, typed=True)
 def preprepare_payload(view_number: int, seq: int, header_digest: bytes) -> bytes:
@@ -109,11 +120,20 @@ class SmartFaultControls(FaultControls):
 
 @dataclass
 class _ChainState:
-    """Per-channel block chain position (tiny, like the paper's §5.2)."""
+    """Per-channel block chain position (tiny, like the paper's §5.2):
+    the committed one, and the one the next accepted pre-prepare takes
+    (the latest accepted header in the window, else the committed)."""
 
     cutter: BlockCutter
     next_number: int = 0
     previous_hash: bytes = GENESIS_PREVIOUS_HASH
+    tip_number: int = 0
+    tip_hash: bytes = GENESIS_PREVIOUS_HASH
+
+    def rewind(self) -> None:
+        """Drop the accepted, undecided headers from the tip."""
+        self.tip_number = self.next_number
+        self.tip_hash = self.previous_hash
 
 
 @dataclass
@@ -221,13 +241,22 @@ class SmartBFTNode:
         # consensus state
         self._rounds: Dict[int, _Round] = {}
         self.next_commit_seq = 0
-        self._proposing_seq: Optional[int] = None
         self._decisions: List[_Decision] = []
-        self._committed_ids: Set[Tuple[int, int]] = set()
+        #: request ids of committed batches and of the batches accepted in
+        #: the window (the replay check): the accepted ones leave it only
+        #: with their rounds, at a view install or a diverging catch-up
+        self._ordered_ids: Set[Tuple[int, int]] = set()
+        #: the sequence number the next accepted pre-prepare carries:
+        #: pre-prepares are accepted in sequence order, the leader's own
+        #: included, so the proposing/accepted rounds are
+        #: ``[next_commit_seq, _next_accept)``
+        self._next_accept = 0
+        #: seq -> a pre-prepare waiting for its predecessor's
+        self._held: Dict[int, Preprepare] = {}
 
         # request bookkeeping
         self._pending: Dict[Tuple[int, int], Tuple[ClientRequest, float]] = {}
-        #: cut batches waiting for the one in-flight proposal to end
+        #: cut batches waiting for room in the proposal window
         self._batch_queue: Deque[Tuple[str, List[ClientRequest]]] = deque()
         #: envelope id -> ingested requests carrying it, oldest first (a
         #: client may submit one id under several request ids)
@@ -373,9 +402,10 @@ class SmartBFTNode:
         }
         self._rounds = {}
         self.next_commit_seq = 0
-        self._proposing_seq = None
+        self._next_accept = 0
         self._decisions = []
-        self._committed_ids = set()
+        self._ordered_ids = set()
+        self._held = {}
         self._pending = {}
         self._batch_queue = deque()
         self._req_by_env = {}
@@ -423,7 +453,7 @@ class SmartBFTNode:
         if self.faults.censor_clients and request.client_id in self.faults.censor_clients:
             return  # Byzantine leader-side censorship
         rid = request.request_id
-        if rid in self._committed_ids:
+        if rid in self._ordered_ids and self._is_committed(rid):
             return
         if rid not in self._pending:
             self._pending[rid] = (request, self.sim.now)
@@ -432,9 +462,21 @@ class SmartBFTNode:
         elif not forwarded:
             self._send(self.leader, Forward(sender=self.replica_id, request=request))
 
+    def _is_committed(self, rid: Tuple[int, int]) -> bool:
+        """Whether ``rid``, known to be in ``_ordered_ids``, is in a
+        committed batch rather than an accepted one in the window."""
+        rounds = self._rounds
+        for seq in range(self.next_commit_seq, self._next_accept):
+            for request in rounds[seq].preprepare.batch:
+                if request.request_id == rid:
+                    return False
+        return True
+
     def _leader_ingest(self, request: ClientRequest) -> None:
         rid = request.request_id
-        if rid in self._committed_ids or rid in self._leader_seen:
+        if rid in self._leader_seen or (
+            rid in self._ordered_ids and self._is_committed(rid)
+        ):
             return
         envelope = request.operation
         if not isinstance(envelope, Envelope):
@@ -453,7 +495,8 @@ class SmartBFTNode:
             self._enqueue_batch(envelope.channel_id, batch)
         if len(state.cutter) > 0:
             self._arm_cut_timer(envelope.channel_id)
-        self._maybe_propose()
+        if self._batch_queue:
+            self._maybe_propose()
 
     def _enqueue_batch(self, channel_id: str, batch: List[Envelope]) -> None:
         if not batch:
@@ -490,28 +533,28 @@ class SmartBFTNode:
     # consensus: propose
     # ------------------------------------------------------------------
     def _maybe_propose(self) -> None:
-        if (
-            self.crashed
-            or self._changing
-            or not self.is_leader
-            or self._proposing_seq is not None
-            or not self._batch_queue
+        """Propose queued batches while the window has room."""
+        while (
+            self._batch_queue
+            and self._next_accept < self.next_commit_seq + PROPOSAL_WINDOW
+            and self.is_leader
+            and not self.crashed
         ):
-            return
-        channel_id, batch = self._batch_queue.popleft()
-        self._propose(channel_id, batch)
+            channel_id, batch = self._batch_queue.popleft()
+            self._propose(channel_id, batch)
 
     def _propose(self, channel_id: str, batch: List[ClientRequest]) -> None:
-        seq = self.next_commit_seq
+        """Pre-prepare ``batch`` at the next sequence number, chained off
+        this node's last proposed header on the channel."""
+        seq = self._next_accept
         state = self._channels[channel_id]
-        self._proposing_seq = seq
         message = Preprepare(
             sender=self.replica_id,
             view_number=self.view_number,
             seq=seq,
             channel_id=channel_id,
-            number=state.next_number,
-            previous_hash=state.previous_hash,
+            number=state.tip_number,
+            previous_hash=state.tip_hash,
             batch=batch,
         )
         header = BlockHeader(
@@ -530,32 +573,49 @@ class SmartBFTNode:
                 self.sim.now,
             )
         self._broadcast(message)
-        self._accept_preprepare(message, header)
+        self._accept_preprepare(message, header, state, [r.request_id for r in batch])
 
     def on_preprepare(self, src: int, msg: Preprepare) -> None:
         if self._changing or msg.view_number != self.view_number:
             return
         if msg.sender != src or src != self.leader:
             return
-        if msg.seq != self.next_commit_seq:
-            if msg.seq > self.next_commit_seq:
+        seq = msg.seq
+        if seq != self._next_accept:
+            if seq >= self.next_commit_seq + PROPOSAL_WINDOW:
                 # we are behind: fetch the decided prefix from the leader
                 self._send(src, BlockPull(
                     sender=self.replica_id, from_seq=self.next_commit_seq
                 ))
+            elif seq > self._next_accept and seq not in self._held:
+                # the predecessor's pre-prepare is late or lost: hold this
+                # one until it is accepted, and pull in case it was decided
+                if self._verified_header(msg) is not None:
+                    self._held[seq] = msg
+                    self._send(src, BlockPull(
+                        sender=self.replica_id, from_seq=self.next_commit_seq
+                    ))
             return
         state = self._channels.get(msg.channel_id)
         if state is None:
             return
-        if msg.number != state.next_number or msg.previous_hash != state.previous_hash:
+        if msg.number != state.tip_number or msg.previous_hash != state.tip_hash:
             return
         if not msg.batch:
             return
-        if not self._committed_ids.isdisjoint([r.request_id for r in msg.batch]):
+        rids = [r.request_id for r in msg.batch]
+        if not self._ordered_ids.isdisjoint(rids):
             return  # replayed request: an honest leader never does this
+        header = self._verified_header(msg)
+        if header is None:
+            return
+        self._accept_preprepare(msg, header, state, rids)
+
+    def _verified_header(self, msg: Preprepare) -> Optional[BlockHeader]:
+        """The header ``msg`` pre-prepares, if its sender signed it."""
         verifier = self._verifier_of(msg.sender)
         if verifier is None:
-            return
+            return None
         header = BlockHeader(
             number=msg.number,
             previous_hash=msg.previous_hash,
@@ -565,29 +625,53 @@ class SmartBFTNode:
             preprepare_payload(msg.view_number, msg.seq, header.digest()),
             msg.signature,
         ):
-            return
-        self._accept_preprepare(msg, header)
+            return None
+        return header
 
-    def _accept_preprepare(self, msg: Preprepare, header: BlockHeader) -> None:
-        round_ = self._rounds.get(msg.seq)
+    def _accept_preprepare(
+        self, msg: Preprepare, header: BlockHeader, state: _ChainState,
+        rids: List[Tuple[int, int]],
+    ) -> None:
+        seq = msg.seq
+        round_ = self._rounds.get(seq)
         if round_ is None:
-            round_ = self._rounds[msg.seq] = _Round()
-        if round_.preprepare is not None:
-            return  # already accepted one for this (view, seq)
+            round_ = self._rounds[seq] = _Round()
         round_.preprepare = msg
         round_.header = header
         digest = round_.digest = header.digest()
-        delay = self.log.log_write(msg.seq, msg.view_number, digest)
+        state.tip_number = header.number + 1
+        state.tip_hash = digest
+        self._next_accept = seq + 1
+        self._ordered_ids.update(rids)
+        delay = self.log.log_write(seq, msg.view_number, digest)
         prepare = Prepare(
             sender=self.replica_id,
             view_number=msg.view_number,
-            seq=msg.seq,
+            seq=seq,
             header_digest=digest,
         )
         if delay > 0:
             self.sim.schedule(delay, self._send_prepare, prepare, self._timer_epoch)
         else:
             self._send_prepare(prepare, self._timer_epoch)
+        if self._held:
+            self._release_held(seq + 1)
+
+    def _drop_accepted(self) -> None:
+        """Forget the accepted, undecided rounds: their requests leave the
+        replay check, and the next pre-prepare chains off committed state."""
+        for seq in range(self.next_commit_seq, self._next_accept):
+            self._ordered_ids.difference_update(
+                [r.request_id for r in self._rounds.pop(seq).preprepare.batch]
+            )
+        self._next_accept = self.next_commit_seq
+        for state in self._channels.values():
+            state.rewind()
+
+    def _release_held(self, seq: int) -> None:
+        held = self._held.pop(seq, None)
+        if held is not None:
+            self.on_preprepare(held.sender, held)
 
     def _send_prepare(self, prepare: Prepare, epoch: int) -> None:
         if epoch != self._timer_epoch or self.crashed:
@@ -731,16 +815,17 @@ class SmartBFTNode:
         state.previous_hash = decision.block.header.digest()
         self.log.append(decision.seq, decision.batch)
         self.next_commit_seq = decision.seq + 1
+        if self._next_accept < self.next_commit_seq:
+            # caught up past what this node accepted: chain off the decided
+            self._drop_accepted()
         self._decisions.append(decision)
         self.blocks_created += 1
         rids = [request.request_id for request in decision.batch]
-        self._committed_ids.update(rids)
-        self._leader_seen.difference_update(rids)
+        if self._leader_seen:
+            self._leader_seen.difference_update(rids)
         settle = self._pending.pop
         for rid in rids:
             settle(rid, None)
-        if self._proposing_seq == decision.seq:
-            self._proposing_seq = None
         if self.obs is not None:
             self.obs.on_block_signed(
                 self.name, decision.block, self.sim.now, self.sim.now
@@ -756,7 +841,8 @@ class SmartBFTNode:
             meters[0].record(now, 1.0)
             meters[1].record(now, float(len(decision.block.envelopes)))
         self._push_to_subscribers()
-        self._maybe_propose()
+        if self._batch_queue:
+            self._maybe_propose()
 
     # ------------------------------------------------------------------
     # dissemination: one signed copy per subscriber
@@ -867,17 +953,19 @@ class SmartBFTNode:
         self._resolve_leader()
         self._change_started = self.sim.now
         self._highest_vc_sent = target
-        prepared = None
-        round_ = self._rounds.get(self.next_commit_seq)
-        if round_ is not None and round_.prepared and round_.preprepare is not None:
-            prepared = (round_.preprepare, round_.prepared_voters)
+        certificates = []
+        for seq in range(self.next_commit_seq, self._next_accept):
+            round_ = self._rounds[seq]
+            if round_.prepared:
+                certificates.append((round_.preprepare, round_.prepared_voters))
         vote = ViewChange(
             sender=self.replica_id,
             new_view=target,
             last_seq=self.next_commit_seq - 1,
             suspected=self.leader,
             reason=reason,
-            prepared=prepared,
+            prepared=certificates[0] if certificates else None,
+            prepared_after=tuple(certificates[1:]),
         )
         vote.signature = self.identity.sign(vote.signing_payload())
         self.view_changes_sent += 1
@@ -1018,8 +1106,9 @@ class SmartBFTNode:
             for view, votes in sorted(self._view_changes.items())
             if view > msg.new_view
         }
+        self._drop_accepted()
         self._rounds = {}
-        self._proposing_seq = None
+        self._held = {}
         self.installed_views.append((msg.sender, msg.new_view))
         # leadership bookkeeping restarts from scratch in the new view
         self._leader_seen = set()
@@ -1044,18 +1133,36 @@ class SmartBFTNode:
                 self._send(self.leader, Forward(sender=self.replica_id, request=request))
 
     def _repropose_from_proof(self, msg: NewView) -> None:
-        """PBFT value selection: re-propose the highest prepared value."""
-        best: Optional[Preprepare] = None
+        """PBFT value selection, one sequence number at a time from
+        ``next_commit_seq`` up: re-propose the highest-view prepared
+        certificate.  Stop at the first sequence with none, or whose
+        header does not chain off the one re-proposed before it.
+
+        A block is applied somewhere only after its predecessor was, so
+        every predecessor of a decided block was prepared by ``2f+1``
+        nodes and has a certificate in any view-change quorum.  Its
+        requests are marked seen: re-ingesting the pending requests must
+        not cut them into a second block."""
+        best: Dict[int, Preprepare] = {}
         for vote in sorted(msg.proof, key=lambda v: v.sender):
-            if vote.prepared is None:
-                continue
-            candidate, _voters = vote.prepared
-            if candidate.seq != self.next_commit_seq:
-                continue
-            if best is None or candidate.view_number > best.view_number:
-                best = candidate
-        if best is not None:
-            self._propose(best.channel_id, list(best.batch))
+            certificates = vote.prepared_after
+            if vote.prepared is not None:
+                certificates = (vote.prepared,) + certificates
+            for candidate, _voters in certificates:
+                current = best.get(candidate.seq)
+                if current is None or candidate.view_number > current.view_number:
+                    best[candidate.seq] = candidate
+        while self._next_accept < self.next_commit_seq + PROPOSAL_WINDOW:
+            candidate = best.get(self._next_accept)
+            if candidate is None:
+                break
+            state = self._channels.get(candidate.channel_id)
+            if state is None or (candidate.number, candidate.previous_hash) != (
+                state.tip_number, state.tip_hash
+            ):
+                break
+            self._leader_seen.update([r.request_id for r in candidate.batch])
+            self._propose(candidate.channel_id, list(candidate.batch))
 
     # ------------------------------------------------------------------
     # catch-up
@@ -1103,6 +1210,15 @@ class SmartBFTNode:
                 block, self.registry, set(self.peer_names.values())
             ) < len(signers):
                 continue
+            round_ = self._rounds.get(seq)
+            if round_ is not None and round_.preprepare is not None and (
+                round_.digest != block.header.digest()
+            ):
+                # what this node accepted from here on chains off a block
+                # that was not decided
+                self._drop_accepted()
+            self._rounds.pop(seq, None)
+            self._ordered_ids.update([r.request_id for r in batch])
             self._commit_decision(
                 _Decision(
                     seq=seq,
@@ -1113,8 +1229,16 @@ class SmartBFTNode:
             )
             progressed = True
         if progressed:
-            # newly caught up: a pending view change may now be ours to
-            # lead, and the pusher may hold more decisions
+            # newly caught up: a round that gathered its commit quorum
+            # may have waited for what was pulled, a held pre-prepare may
+            # now chain off committed state, a pending view change may
+            # now be ours to lead, and the pusher may hold more decisions
+            self._apply_ready_decisions()
+            self._held = {
+                seq: held for seq, held in self._held.items()
+                if seq >= self._next_accept
+            }
+            self._release_held(self._next_accept)
             for view in sorted(self._view_changes):
                 self._try_lead(view)
             if len(msg.decisions) == CATCHUP_BATCH:

@@ -11,7 +11,10 @@ against a four-node cluster, asserting two paper-level properties:
    again (checked on every node's ``installed_views`` trace).
 
 Plus the standing safety invariants: no forks (all frontends deliver
-identical chains) and no duplicated or lost envelopes.
+identical chains) and no duplicated or lost envelopes -- also under a
+load past what one proposal in flight orders, where the leader keeps
+its proposal window full and, on half the seeds, crashes with prepared
+rounds that the next view must re-propose in order.
 """
 
 import random
@@ -21,6 +24,8 @@ import pytest
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering.service import OrderingServiceConfig, build_ordering_service
+from repro.smart2.messages import Commit
+from tests.test_smartbft_chain_pins import build_lan_service
 
 SEEDS = range(8)
 
@@ -130,3 +135,80 @@ def test_node_logs_agree(seed):
             assert merged.setdefault(cid, digest) == digest, (
                 f"seed {seed}: log disagreement at cid {cid}"
             )
+
+
+# ----------------------------------------------------------------------
+# the proposal window under load
+# ----------------------------------------------------------------------
+WINDOW_SEEDS = range(6)
+
+
+def _run_past_window_one_capacity(seed):
+    """n=4 on the LAN at 6-10 k env/s, more than one proposal in flight
+    orders (about 2.7 k env/s), every envelope submitted through
+    frontend 1.  On odd seeds the followers miss every COMMIT for the
+    last few milliseconds before the leader crashes mid-run with its
+    window full, so they change the view with prepared, undecided rounds
+    to re-propose; the old leader recovers 4 s later.  Returns the
+    service, the envelope ids each frontend delivered and the most
+    proposals any leader had undecided at once."""
+    rng = random.Random(seed)
+    service = build_lan_service(1, request_timeout=1.0)
+    deepest = [0]
+    for node in service.nodes:
+        def propose(channel_id, batch, node=node, inner=node._propose):
+            deepest[0] = max(deepest[0], node._next_accept - node.next_commit_seq + 1)
+            inner(channel_id, batch)
+
+        node._propose = propose
+    delivered = [[] for _ in service.frontends]
+    for frontend, ids in zip(service.frontends, delivered):
+        frontend.on_block.append(
+            lambda block, ids=ids: ids.extend(e.envelope_id for e in block.envelopes)
+        )
+    total = 400
+    rate = rng.uniform(6000.0, 10000.0)
+    for i in range(total):
+        envelope = Envelope(
+            channel_id="ch0", transaction=None, payload_size=1024, envelope_id=i
+        )
+        service.sim.schedule_at(0.05 + i / rate, service.submit, envelope, 1)
+    if seed % 2:
+        crash_at = 0.05 + rng.uniform(0.2, 0.8) * total / rate
+
+        def followers_miss_commits(src, dst, payload):
+            return None if isinstance(payload, Commit) and dst != 0 else payload
+
+        network = service.network
+        service.sim.schedule_at(
+            crash_at - rng.uniform(0.002, 0.01), network.add_filter, followers_miss_commits
+        )
+        service.sim.schedule_at(crash_at, service.crash_node, 0)
+        service.sim.schedule_at(crash_at, network.remove_filter, followers_miss_commits)
+        service.sim.schedule_at(crash_at + 4.0, service.recover_node, 0)
+    service.sim.run_until(
+        lambda: min(len(ids) for ids in delivered) >= total, 60.0
+    )
+    service.run(0.5)
+    return service, delivered, total, deepest[0]
+
+
+@pytest.mark.parametrize("seed", WINDOW_SEEDS)
+def test_a_full_window_orders_every_request_once_on_one_chain(seed):
+    service, delivered, total, deepest = _run_past_window_one_capacity(seed)
+    assert deepest >= 2, f"seed {seed}: never more than one proposal in flight"
+    for ids in delivered:
+        assert sorted(ids) == list(range(total)), f"seed {seed}: lost or duplicated"
+    assert len(set(service.ledger_digests().values())) == 1
+    chains = {}
+    for node in service.nodes:
+        for decision in node._decisions:
+            row = (decision.block.header.number, decision.block.header.digest())
+            assert chains.setdefault(decision.seq, row) == row, (
+                f"seed {seed}: nodes disagree at seq {decision.seq}"
+            )
+    if seed % 2:
+        assert all(node.view_number >= 1 for node in service.nodes[1:])
+        proof = service.nodes[1]._last_new_view.proof
+        certificates = max((v.prepared is not None) + len(v.prepared_after) for v in proof)
+        assert certificates >= 2, f"seed {seed}: the new view re-proposed {certificates}"

@@ -6,15 +6,18 @@ verbatim in spirit: plain voter sets, and ``View.has_quorum(voters)``
 -- a rebuilt ``set`` and a re-summed weight -- asked after every vote.
 Random vote sequences drive one follower through its real handlers
 (the simulator never runs, signing is synchronous): PREPAREs and
-COMMITs for two sequence numbers, from members and from a non-member,
-for the leader's header and for a competing digest, duplicated,
-equivocated, forged, before and after the pre-prepare and after the
-block was decided.  After every single vote
+COMMITs for two consecutive sequence numbers of the proposal window,
+from members and from a non-member, for the leader's header and for a
+competing digest, duplicated, equivocated, forged, before and after the
+pre-prepare and after the block was decided; the second pre-prepare
+may arrive before the first (it is held) and the second block may
+gather its commit quorum first (it waits).  After every single vote
 
 - every running weight passes ``is_quorum_weight`` exactly when the
   oracle's ``has_quorum`` over the recorded voters does,
-- the recorded voters, ``prepared``, ``prepared_voters`` and the
-  decision (with the signers it put into the block) equal the oracle's,
+- the recorded voters, ``prepared``, ``prepared_voters``,
+  ``committed`` and the decisions -- in sequence order, with the
+  signers each put into its block -- equal the oracle's,
 
 over a uniform n=4, a uniform n=7 and two WHEAT-weighted memberships.
 """
@@ -45,6 +48,7 @@ class OracleRound:
     commits: Dict[bytes, Set[int]] = field(default_factory=dict)
     prepared: bool = False
     prepared_voters: Tuple[int, ...] = ()
+    committed: bool = False
 
 
 class Oracle:
@@ -55,16 +59,26 @@ class Oracle:
         self.digests = digests  # seq -> the honest leader's header digest
         self.next_commit_seq = 0
         self.rounds: Dict[int, OracleRound] = {}
+        self.held: Set[int] = set()  # pre-prepares waiting for their predecessor
         self.decided: List[Tuple[int, Tuple[int, ...]]] = []  # (seq, signers)
 
     def _round(self, seq: int) -> OracleRound:
         return self.rounds.setdefault(seq, OracleRound())
 
+    def _accepted(self, seq: int) -> bool:
+        return seq in self.rounds and self.rounds[seq].header_known
+
     def preprepare(self, seq: int) -> None:
-        if seq != self.next_commit_seq or self._round(seq).header_known:
+        if seq < self.next_commit_seq or self._accepted(seq):
+            return
+        if seq > self.next_commit_seq and not self._accepted(seq - 1):
+            self.held.add(seq)
             return
         self._round(seq).header_known = True
         self.prepare(SUBJECT, seq, self.digests[seq])
+        if seq + 1 in self.held:
+            self.held.discard(seq + 1)
+            self.preprepare(seq + 1)
 
     def prepare(self, src: int, seq: int, digest: bytes) -> None:
         if seq < self.next_commit_seq:
@@ -89,11 +103,18 @@ class Oracle:
         if not round_.header_known:
             return
         voters = round_.commits.get(self.digests[seq], set())
-        if not self.view.has_quorum(voters):
+        if round_.committed or not self.view.has_quorum(voters):
             return
-        self.decided.append((seq, tuple(sorted(voters))))
-        del self.rounds[seq]
-        self.next_commit_seq = seq + 1
+        round_.committed = True
+        # decisions apply in sequence order; signers are read at apply time
+        while True:
+            seq = self.next_commit_seq
+            waiting = self.rounds.get(seq)
+            if waiting is None or not waiting.committed:
+                break
+            del self.rounds[seq]
+            self.decided.append((seq, tuple(sorted(waiting.commits[self.digests[seq]]))))
+            self.next_commit_seq = seq + 1
 
 
 def agree(node, oracle: Oracle) -> None:
@@ -113,7 +134,9 @@ def agree(node, oracle: Oracle) -> None:
         assert {d: set(votes) for d, votes in round_.commits.items()} == expected.commits
         assert round_.prepared == expected.prepared
         assert round_.prepared_voters == expected.prepared_voters
-        assert not round_.committed  # a committed round is applied and gone
+        # a committed round waits only for an undecided predecessor
+        assert round_.committed == expected.committed
+        assert not round_.committed or seq > node.next_commit_seq
         for tally, voters in (
             (round_.prepare_weight, round_.prepares),
             (round_.commit_weight, round_.commits),
@@ -125,8 +148,9 @@ def agree(node, oracle: Oracle) -> None:
 
 def vote_events(members: Tuple[int, ...]):
     """A shuffled honest run -- every member's PREPARE and COMMIT for
-    both blocks, each pre-prepare twice (one sent before its turn is
-    ignored) -- with up to 30 arbitrary votes shuffled in: repeats,
+    both blocks, each pre-prepare twice (the second pre-prepare sent
+    before the first is held) -- with up to 30 arbitrary votes shuffled
+    in: repeats,
     votes for the competing digest (a member that votes both ways
     counts under both), a non-member, forged signatures."""
     honest = [("preprepare", seq) for seq in SEQS for _ in range(2)] + [
@@ -170,6 +194,7 @@ def test_running_weights_answer_as_has_quorum_does(membership, data):
     rival = {seq: bytes([seq + 1]) * 32 for seq in SEQS}
 
     oracle = Oracle(view, digests)
+    held = waited = False
     for step in data.draw(vote_events(view.processes)):
         kind, seq = step[0], step[1]
         if kind == "preprepare":
@@ -191,7 +216,10 @@ def test_running_weights_answer_as_has_quorum_does(membership, data):
                 forged = signed_commit(service, src, 0, seq, rival[1 - seq])
                 node.deliver(src, Commit(src, 0, seq, digest, forged.signature))
         agree(node, oracle)
+        held = held or bool(oracle.held)
+        waited = waited or any(r.committed for r in oracle.rounds.values())
     event(f"blocks decided: {len(oracle.decided)}")
+    event(f"a pre-prepare held: {held}; a decision waited: {waited}")
 
 
 def test_the_strategy_reaches_decisions_and_equivocation():
@@ -232,3 +260,46 @@ def test_the_strategy_reaches_decisions_and_equivocation():
     assert flips == [(False, 0)] * 6 + [(True, 0)] * 2 + [(False, 1)] * 3
     assert oracle.decided == [(0, (1, 2, 3))]
     assert node._rounds == {}
+
+
+def test_the_window_holds_a_pre_prepare_and_a_decision():
+    """Two blocks in the window, everything out of order: the second
+    pre-prepare is held until the first arrives, and the second block,
+    decided first, waits for the first -- through the same harness."""
+    service = build()
+    node = service.nodes[SUBJECT]
+    first, header0 = signed_preprepare(
+        service, 0, 0, 0, 0, GENESIS_PREVIOUS_HASH, requests(range(4))
+    )
+    second, header1 = signed_preprepare(
+        service, 0, 0, 1, 1, header0.digest(), requests(range(4, 8))
+    )
+    digests = {0: header0.digest(), 1: header1.digest()}
+    oracle = Oracle(node.view, digests)
+    steps = [("preprepare", 1, None), ("preprepare", 0, None)]  # 1 held, then both
+    steps += [("prepare", src, seq) for seq in (1, 0) for src in (0, 1)]
+    steps += [("commit", src, 1) for src in (0, 1)]  # block 1 decided first: waits
+    steps += [("commit", src, 0) for src in (0, 1)]  # block 0 decided: both apply
+    trace = []
+    for kind, src, seq in steps:
+        if kind == "preprepare":
+            node.deliver(0, first if src == 0 else second)
+            oracle.preprepare(src)
+        elif kind == "prepare":
+            node.deliver(src, Prepare(src, 0, seq, digests[seq]))
+            oracle.prepare(src, seq, digests[seq])
+        else:
+            node.deliver(src, signed_commit(service, src, 0, seq, digests[seq]))
+            oracle.commit(src, seq, digests[seq])
+        agree(node, oracle)
+        trace.append((
+            tuple(sorted(seq for seq, r in node._rounds.items() if r.digest is not None)),
+            tuple(sorted(node._held)),
+            tuple(sorted(seq for seq, r in node._rounds.items() if r.committed)),
+            node.next_commit_seq,
+        ))
+    assert trace[0] == ((), (1,), (), 0)
+    assert trace[1] == ((0, 1), (), (), 0)
+    assert trace[7] == ((0, 1), (), (1,), 0)
+    assert trace[-1] == ((), (), (), 2)
+    assert oracle.decided == [(0, (0, 1, 2)), (1, (0, 1, 2))]

@@ -39,7 +39,7 @@ BLOCK_SIZE = 10
 ENVELOPES = 1200
 
 
-def build_lan_service(f: int):
+def build_lan_service(f: int, request_timeout: float = 30.0):
     """The LAN deployment of the perf benchmark's ``smartbft_n10_sat``
     (1 Gbps links, 8 cores, 16 signing workers), at any ``f``."""
     return build_ordering_service(
@@ -51,7 +51,7 @@ def build_lan_service(f: int):
             latency=lan_latency_model(),
             bandwidth_bps=1e9,
             smart_cpu_fraction=0.6,
-            request_timeout=30.0,
+            request_timeout=request_timeout,
             seed=0,
         )
     )

@@ -261,8 +261,9 @@ def test_the_command_line_plans_claimed_rows_then_controls(monkeypatch, capsys):
 
     contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
 
-    def canned_pairs(parent_root, workload, pairs, first_seed, seconds):
+    def canned_pairs(parent_root, workload, pairs, first_seed, seconds, metric):
         ran.append((workload, pairs, first_seed, seconds))
+        assert metric == "host_cpu_s_per_sim_s"
         canned = pairs_of(PARENT[:pairs], CHILD[:pairs] if workload == "smartbft_n10_sat"
                           else PARENT[:pairs])
         for pair in canned:  # a real run reports every metric of the contract
@@ -294,3 +295,98 @@ def test_the_command_line_plans_claimed_rows_then_controls(monkeypatch, capsys):
     perf_pairs.main(["--parent", "HEAD", "--workload", "geo_wheat", "--workload",
                      "lan_n10_sat", "--pairs", "3"])
     assert [(name, pairs) for name, pairs, _s, _t in ran] == [("geo_wheat", 3), ("lan_n10_sat", 3)]
+
+
+# ----------------------------------------------------------------------
+# --metric: a claim on any end-to-end metric
+# ----------------------------------------------------------------------
+GOODPUT_PARENT = [2408.0 + 0.5 * seed for seed in range(10)]
+GOODPUT_CHILD = [3000.0] * 10
+
+
+def goodput_pairs(parent, child, host_parent=PARENT, host_child=PARENT):
+    pairs = pairs_of(host_parent, host_child)
+    for pair, p, c in zip(pairs, parent, child):
+        pair["parent"]["metrics"]["sim_goodput_env_s"]["value"] = p
+        pair["child"]["metrics"]["sim_goodput_env_s"]["value"] = c
+    return pairs
+
+
+def test_a_sim_claim_must_win_every_pair():
+    """A ``sim_*`` metric is exact per seed: nine wins of ten hold a
+    host-time claim but not a claim on it."""
+    held = perf_pairs.verdict_row(
+        "a", True, goodput_pairs(GOODPUT_PARENT, GOODPUT_CHILD), END_TO_END,
+        "sim_goodput_env_s",
+    )
+    assert held["verdict"] == "claim holds"
+    assert held["summary"]["metric"] == "sim_goodput_env_s"
+    child = list(GOODPUT_CHILD)
+    child[4] = GOODPUT_PARENT[4] - 1.0  # one loss
+    nine = perf_pairs.verdict_row(
+        "a", True, goodput_pairs(GOODPUT_PARENT, child), END_TO_END, "sim_goodput_env_s"
+    )
+    assert nine["summary"]["wins"] == 9 and nine["summary"]["wins_nine_tenths"]
+    assert nine["verdict"].startswith("claim not met")
+    assert "every pair (an exact sim_* metric): False" in perf_pairs.render(nine["summary"], [])
+    # the same nine of ten on host time still holds
+    host = list(CHILD)
+    host[4] = 0.300
+    assert perf_pairs.claim_holds(
+        perf_pairs.summarize(pairs_of(PARENT, host), "host_cpu_s_per_sim_s", "lower")
+    )
+
+
+def test_a_claimed_row_judges_its_other_metrics_against_their_bounds():
+    """A goodput claim that costs host time: within the bound it is
+    named nowhere, past it the verdict says so beside the claim."""
+    within = perf_pairs.verdict_row(
+        "a", True,
+        goodput_pairs(GOODPUT_PARENT, GOODPUT_CHILD, QUIET * 3 + [0.1],
+                      [0.121, 0.122, 0.120] * 3 + [0.121]),
+        END_TO_END, "sim_goodput_env_s",
+    )
+    assert within["verdict"] == "claim holds"  # +21 % against 25 %
+    assert within["metrics"] == {
+        "host_cpu_s_per_sim_s": "within bound", "host_peak_rss_mb": "within bound",
+        "setup_s": "within bound",
+    }
+    costly = perf_pairs.verdict_row(
+        "a", True,
+        goodput_pairs(GOODPUT_PARENT, GOODPUT_CHILD, QUIET * 3 + [0.1], [0.130] * 10),
+        END_TO_END, "sim_goodput_env_s",
+    )
+    assert costly["verdict"] == "claim holds; worse: `host_cpu_s_per_sim_s`"
+    # and a host-time claim whose goodput fell past its bound says that
+    fell = pairs_of(PARENT, CHILD)
+    for pair in fell:
+        pair["child"]["metrics"]["sim_goodput_env_s"]["value"] = 900.0
+    row = perf_pairs.verdict_row("a", True, fell, END_TO_END)
+    assert row["verdict"] == "claim not met; worse: `sim_goodput_env_s`"
+
+
+def test_the_command_line_passes_the_metric_and_heads_the_table_with_it(
+    monkeypatch, capsys
+):
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    asked = []
+
+    def canned_pairs(parent_root, workload, pairs, first_seed, seconds, metric):
+        asked.append(metric)
+        canned = goodput_pairs(GOODPUT_PARENT, GOODPUT_CHILD)
+        for pair in canned:
+            for side in ("parent", "child"):
+                for entry in contract["end_to_end"]:
+                    pair[side]["metrics"].setdefault(entry["name"], {"value": 1.0})
+        return canned
+
+    monkeypatch.setattr(perf_pairs, "export_parent", lambda rev: REPO_ROOT / "no-such-export")
+    monkeypatch.setattr(perf_pairs, "run_pairs", canned_pairs)
+    perf_pairs.main(["--parent", "HEAD", "--workload", "smartbft_n10_sat",
+                     "--metric", "sim_goodput_env_s"])
+    assert asked == ["sim_goodput_env_s"]
+    out = capsys.readouterr().out
+    assert "`sim_goodput_env_s` over 10 pairs (better: higher):" in out
+    verdicts = out[out.index("## verdicts"):].splitlines()
+    assert "`sim_goodput_env_s` parent -> child" in verdicts[1]
+    assert verdicts[3].endswith("| claim holds |")
