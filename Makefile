@@ -163,6 +163,7 @@ perf-quick:
 ## BENCHMARK.json (within bound / unresolved / worse) -- the no-change
 ## table of a perf PR, one verdict row per workload
 ## usage: make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [CONTROLS=N] [METRIC=<name>]
+##        make perf-pairs PARENT=<rev> CONTROLS=N   (no claim: every workload a control)
 perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) \
 		$(foreach name,$(WORKLOAD),--workload $(name)) \

@@ -29,7 +29,7 @@ from repro.sim.cpu import CPU
 from repro.sim.monitor import StatsRegistry
 from repro.sim.network import ConstantLatency, LatencyModel, Network
 from repro.sim.randomness import RandomStreams
-from repro.sim.storage import DEFAULT_FSYNC_LATENCY, SECTOR_SIZE, SimDisk
+from repro.sim.storage import SimDisk
 from repro.smart.consensus import replica_log_digests
 from repro.smart.messages import ClientRequest
 from repro.smart.proxy import ServiceProxy
@@ -90,8 +90,6 @@ class OrderingServiceConfig:
     #: give every replica a consensus WAL on simulated stable storage,
     #: enabling crash-recovery with amnesia (see docs/RECOVERY.md)
     durable_wal: bool = False
-    fsync_latency: float = DEFAULT_FSYNC_LATENCY
-    sector_size: int = SECTOR_SIZE
     seed: int = 0
 
     @property
@@ -108,13 +106,10 @@ class OrderingServiceConfig:
         return channels
 
 
-def make_ordering_wal(config: OrderingServiceConfig) -> ConsensusWAL:
+def make_ordering_wal() -> ConsensusWAL:
     """A per-replica consensus WAL wired to the ordering-layer codec."""
-    disk = SimDisk(
-        fsync_latency=config.fsync_latency, sector_size=config.sector_size
-    )
     return ConsensusWAL(
-        disk,
+        SimDisk(),
         encode_op=encode_value,
         decode_op=decode_value,
         encode_state=encode_value,
@@ -378,7 +373,7 @@ def _bftsmart_machine(
                 tentative_execution=config.tentative_execution,
             )
         ),
-        log=make_ordering_wal(config) if config.durable_wal else None,
+        log=make_ordering_wal() if config.durable_wal else None,
         replier=ordering_replier,
     )
     return replica, node
@@ -427,7 +422,7 @@ def _smartbft_machine(service: OrderingService, index: int, site: str, **node_kw
         registry=service.registry,
         membership=service.view,
         peer_names=_orderer_names(service.view),
-        log=make_ordering_wal(config) if config.durable_wal else None,
+        log=make_ordering_wal() if config.durable_wal else None,
         request_timeout=config.request_timeout,
         heartbeat_interval=config.request_timeout / 4,
         **node_kwargs,

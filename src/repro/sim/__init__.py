@@ -29,7 +29,6 @@ from repro.sim.network import (
 )
 from repro.sim.randomness import RandomStreams
 from repro.sim.storage import (
-    LogCorruption,
     ScanResult,
     SimDisk,
     StorageFaults,
@@ -47,7 +46,6 @@ __all__ = [
     "Intercept",
     "LatencyModel",
     "LatencyRecorder",
-    "LogCorruption",
     "MatrixLatency",
     "MessageTracer",
     "NIC",

@@ -11,11 +11,10 @@ module models the disk a replica writes its WAL to:
   sector-aligned prefix of the unsynced suffix) or flipping a durable
   byte (*bit rot*).
 - :func:`frame_record` / :func:`frame_payload` / :func:`scan_records`
-  -- the shared CRC line framing used by both
-  :class:`~repro.smart.wal.ConsensusWAL` and
-  :class:`~repro.smart.durability.FileBackedLog`.  ``scan_records``
-  classifies damage as a torn tail (truncate and continue) or mid-log
-  corruption (loud failure).
+  -- the CRC line framing of :class:`~repro.smart.wal.ConsensusWAL`.
+  ``scan_records`` classifies damage as a torn tail (truncate and
+  continue) or mid-log corruption (the WAL flags its recovery
+  ``corrupt``; see docs/RECOVERY.md).
 
 The disk is deliberately simulator-free: it is pure state plus latency
 arithmetic, so callers decide how to account for the returned delays.
@@ -36,10 +35,6 @@ DEFAULT_FSYNC_LATENCY = 0.0005
 
 #: Default modeled sequential read bandwidth (bytes/second).
 DEFAULT_READ_BANDWIDTH = 2.0e9
-
-
-class LogCorruption(Exception):
-    """A durable log failed CRC verification mid-stream (not a torn tail)."""
 
 
 @dataclass

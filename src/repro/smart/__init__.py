@@ -19,7 +19,7 @@ geo-replication optimizations [23]:
 
 from repro.smart.batching import DEFAULT_MAX_BATCH, PendingQueue
 from repro.smart.consensus import ConsensusInstance, batch_hash
-from repro.smart.durability import Checkpoint, FileBackedLog, OperationLog
+from repro.smart.durability import Checkpoint, OperationLog
 from repro.smart.messages import (
     Accept,
     ClientRequest,
@@ -50,7 +50,6 @@ __all__ = [
     "ConsensusInstance",
     "ConsensusWAL",
     "DEFAULT_MAX_BATCH",
-    "FileBackedLog",
     "OperationLog",
     "PendingQueue",
     "Propose",

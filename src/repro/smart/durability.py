@@ -1,26 +1,22 @@
-"""Durable operation log and checkpoints.
+"""Operation log and checkpoints.
 
 Paper section 5.2: the ordering service's state is tiny (next block
 sequence number + previous block hash), so frequent checkpoints are
-cheap and the operation log stays short.  This module provides:
-
-- :class:`OperationLog` -- the in-memory decided-batch log with
-  checkpoint-based truncation, used by every replica;
-- :class:`FileBackedLog` -- the same interface persisted to disk in a
-  simple append-only record format, recoverable after a crash (used by
-  durability tests and available to deployments that want real
-  persistence).
+cheap and the operation log stays short.  :class:`OperationLog` is the
+in-memory decided-batch log with checkpoint-based truncation that every
+replica keeps.  Its durability hooks cost nothing here; the one durable
+model is its subclass :class:`~repro.smart.wal.ConsensusWAL`, which
+persists batches, checkpoints and consensus votes on a simulated disk
+and charges an fsync before every WRITE and ACCEPT.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.crypto.hashing import sha256
-from repro.sim.storage import LogCorruption, frame_record, scan_records
-from repro.smart.messages import LOGGED_UID, ClientRequest
+from repro.smart.messages import ClientRequest
 
 
 @dataclass
@@ -108,107 +104,3 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return repr(value)
-
-
-class FileBackedLog(OperationLog):
-    """An :class:`OperationLog` that survives process restarts.
-
-    Records are CRC-framed JSON lines (shared framing with the
-    consensus WAL, see :func:`repro.sim.storage.frame_record`):
-    ``{"cid": ..., "reqs": [...]}`` for batch entries and
-    ``{"checkpoint": cid, "state": ...}`` for checkpoints.  Operations
-    must be JSON-serializable (or convertible through the
-    ``encode_op``/``decode_op`` hooks).
-
-    Recovery tolerates a *torn tail* -- a partial or CRC-mismatched
-    final record from a crash mid-write -- by truncating the file at
-    the first bad byte.  Damage in the middle of the file (a bad record
-    followed by valid ones) cannot come from a torn write and raises
-    :class:`~repro.sim.storage.LogCorruption` instead.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        encode_op: Optional[Callable[[Any], Any]] = None,
-        decode_op: Optional[Callable[[Any], Any]] = None,
-    ):
-        super().__init__()
-        self.path = path
-        self._encode_op = encode_op or (lambda op: op)
-        self._decode_op = decode_op or (lambda op: op)
-        if os.path.exists(path):
-            self._recover()
-
-    def append(self, cid: int, batch: List[ClientRequest]) -> None:
-        super().append(cid, batch)
-        record = {
-            "cid": cid,
-            "reqs": [
-                {
-                    "client": r.client_id,
-                    "seq": r.sequence,
-                    "op": self._encode_op(r.operation),
-                    "size": r.size_bytes,
-                }
-                for r in batch
-            ],
-        }
-        self._write(record)
-
-    def set_checkpoint(self, checkpoint: Checkpoint) -> None:
-        super().set_checkpoint(checkpoint)
-        self._write(
-            {
-                "checkpoint": checkpoint.cid,
-                "state": _jsonable(checkpoint.state),
-                "hash": checkpoint.state_hash.hex(),
-            }
-        )
-
-    def _write(self, record: dict) -> None:
-        with open(self.path, "ab") as fh:
-            fh.write(frame_record(record))
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def _recover(self) -> None:
-        """Rebuild in-memory state from the on-disk record stream.
-
-        A torn tail is truncated in place; mid-file corruption raises
-        :class:`LogCorruption` so the operator (or recovery protocol)
-        can fall back to state transfer instead of trusting the log.
-        """
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        scan = scan_records(data)
-        if scan.error == "corrupt":
-            raise LogCorruption(
-                f"{self.path}: bad record followed by valid ones "
-                f"(first bad byte at offset {scan.valid_bytes})"
-            )
-        if scan.error == "torn":
-            with open(self.path, "r+b") as fh:
-                fh.truncate(scan.valid_bytes)
-        for record in scan.records:
-            if "checkpoint" in record:
-                OperationLog.set_checkpoint(
-                    self,
-                    Checkpoint(
-                        cid=record["checkpoint"],
-                        state=record["state"],
-                        state_hash=bytes.fromhex(record["hash"]),
-                    ),
-                )
-            else:
-                batch = [
-                    ClientRequest(
-                        client_id=r["client"],
-                        sequence=r["seq"],
-                        operation=self._decode_op(r["op"]),
-                        size_bytes=r["size"],
-                        uid=LOGGED_UID,
-                    )
-                    for r in record["reqs"]
-                ]
-                OperationLog.append(self, record["cid"], batch)

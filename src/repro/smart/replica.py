@@ -30,7 +30,6 @@ from repro.sim.network import Network
 from repro.smart.batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_BATCH_BYTES, PendingQueue
 from repro.smart.consensus import ConsensusInstance, batch_hash
 from repro.smart.durability import Checkpoint, OperationLog, state_digest
-from repro.smart.quorums import VoteSet
 from repro.smart.messages import (
     Accept,
     ClientRequest,
@@ -124,6 +123,11 @@ def _result_size(result: Any) -> int:
     return 16
 
 
+#: a vote this many instances past the last executed one means the
+#: replica fell behind: catch up by state transfer instead of voting
+STATE_TRANSFER_GAP = 20
+
+
 @dataclass
 class ReplicaConfig:
     """Tunables of one replica (defaults follow the paper)."""
@@ -133,14 +137,6 @@ class ReplicaConfig:
     request_timeout: float = 2.0
     checkpoint_period: int = 1000
     tentative_execution: bool = False
-    state_transfer_gap: int = 20
-    #: propose immediately on arrival; if False wait batch_delay to fill
-    eager_propose: bool = True
-    batch_delay: float = 0.0005
-    #: synchronous stable-storage write before the WRITE vote, seconds
-    #: (0 disables; models the durable-SMR cost of [3], paper §5.2 --
-    #: the ordering service's tiny state keeps this cheap)
-    disk_sync_delay: float = 0.0
 
 
 @dataclass
@@ -238,7 +234,6 @@ class ServiceReplica:
         # tentative execution bookkeeping: ordered (cid, undo token, batch)
         self._tentative_stack: List[Tuple[int, Any, List[ClientRequest]]] = []
         self._forwarded = False
-        self._batch_timer = None
 
         self.synchronizer = Synchronizer(self)
         self.state_transfer = StateTransfer(self)
@@ -417,9 +412,6 @@ class ServiceReplica:
         self._forwarded = False
         self._quarantine_regency = None
         self.recovery_stats = None
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
         if self._timeout_timer is not None:
             self._timeout_timer.cancel()
             self._timeout_timer = None
@@ -487,25 +479,12 @@ class ServiceReplica:
             self._maybe_propose()
 
     def _maybe_propose(self) -> None:
-        """Leader-only: start the next consensus when idle."""
+        """Leader-only: start the next consensus when idle, with
+        whatever is pending (BFT-SMaRt proposes eagerly)."""
         # the attribute tests come first, the queue's __len__ last
         if self.active_cid is not None or not self.is_leader or not self.pending:
             return
         if self.synchronizer.changing_regency:
-            return
-        if not self.config.eager_propose and len(self.pending) < self.config.max_batch:
-            if self._batch_timer is None:
-                self._batch_timer = self.sim.schedule(
-                    self.config.batch_delay, self._propose_now
-                )
-            return
-        self._propose_now()
-
-    def _propose_now(self) -> None:
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-        if not self.is_leader or self.active_cid is not None or not self.pending:
             return
         batch = self.pending.next_batch()
         if not batch:
@@ -594,10 +573,7 @@ class ServiceReplica:
         # durable SMR: the vote is logged to stable storage before it is
         # sent (paper §5.2, [3]), so an amnesiac restart can never
         # contradict it; the fsync cost defers the actual send
-        delay = max(
-            self.config.disk_sync_delay,
-            self.log.log_write(inst.cid, self.regency, value_hash),
-        )
+        delay = self.log.log_write(inst.cid, self.regency, value_hash)
         if delay > 0:
             self.sim.post(delay, self._send_write, inst, self.regency, value_hash)
         else:
@@ -613,56 +589,10 @@ class ServiceReplica:
         self._record_write(self.replica_id, inst, regency, value_hash)
 
     def _on_write(self, src: int, msg: Write) -> None:
-        # WRITE votes are the single most frequent message in the
-        # simulation; this inlines _check_gap / instance() /
-        # _record_write / VoteSet.add_has_quorum (all of which stay the
-        # canonical implementations for every other caller) to cut the
-        # call-frame overhead per vote.  Behaviour is identical.
-        cid = msg.cid
-        if cid <= self.last_executed:
+        if msg.cid <= self.last_executed:
             return
-        if cid > self.last_executed + self.config.state_transfer_gap:
-            self.state_transfer.start()
-        inst = self.instances.get(cid)
-        if inst is None:
-            inst = ConsensusInstance(cid, self.view)
-            self.instances[cid] = inst
-        regency = msg.regency
-        value_hash = msg.value_hash
-        votes = inst._writes.get(regency)
-        if votes is None:
-            votes = VoteSet(inst.view)
-            inst._writes[regency] = votes
-        # inlined VoteSet.add_has_quorum(src, value_hash)
-        weights = votes._weights
-        weight = votes.view.weights.get(src)
-        if weight is not None:
-            previous = votes._voted.get(src)
-            if previous is not None:
-                if previous != value_hash:
-                    votes.equivocators.add(src)
-            else:
-                votes._voted[src] = value_hash
-                voters = votes._votes.get(value_hash)
-                if voters is None:
-                    votes._votes[value_hash] = {src}
-                    weights[value_hash] = weight
-                else:
-                    voters.add(src)
-                    weights[value_hash] += weight
-        if regency != self.regency:
-            return
-        if (
-            votes.view.is_quorum_weight(weights.get(value_hash, 0.0))
-            or self.faults.skip_quorum_checks
-        ):
-            if self.obs is not None:
-                self.obs.on_write_quorum(self.replica_id, cid, self.sim.now)
-            if inst.write_certificate is None or inst.write_certificate.regency < regency:
-                inst.record_write_quorum(regency, value_hash, at=self.sim.now)
-            self._cast_accept(inst, value_hash)
-            if self.config.tentative_execution:
-                self._try_tentative(inst, value_hash, regency)
+        self._check_gap(msg.cid)
+        self._record_write(src, self.instance(msg.cid), msg.regency, msg.value_hash)
 
     def _record_write(
         self, voter: int, inst: ConsensusInstance, regency: int, value_hash: bytes
@@ -703,49 +633,10 @@ class ServiceReplica:
         self._record_accept(self.replica_id, inst, regency, value_hash)
 
     def _on_accept(self, src: int, msg: Accept) -> None:
-        # mirrors the _on_write fast path (see comment there); the
-        # canonical slow path is _record_accept below
-        cid = msg.cid
-        if cid <= self.last_executed:
+        if msg.cid <= self.last_executed:
             return
-        if cid > self.last_executed + self.config.state_transfer_gap:
-            self.state_transfer.start()
-        inst = self.instances.get(cid)
-        if inst is None:
-            inst = ConsensusInstance(cid, self.view)
-            self.instances[cid] = inst
-        regency = msg.regency
-        value_hash = msg.value_hash
-        votes = inst._accepts.get(regency)
-        if votes is None:
-            votes = VoteSet(inst.view)
-            inst._accepts[regency] = votes
-        # inlined VoteSet.add_has_quorum(src, value_hash)
-        weights = votes._weights
-        weight = votes.view.weights.get(src)
-        if weight is not None:
-            previous = votes._voted.get(src)
-            if previous is not None:
-                if previous != value_hash:
-                    votes.equivocators.add(src)
-            else:
-                votes._voted[src] = value_hash
-                voters = votes._votes.get(value_hash)
-                if voters is None:
-                    votes._votes[value_hash] = {src}
-                    weights[value_hash] = weight
-                else:
-                    voters.add(src)
-                    weights[value_hash] += weight
-        if not inst.decided and (
-            votes.view.is_quorum_weight(weights.get(value_hash, 0.0))
-            or self.faults.skip_quorum_checks
-        ):
-            if self.obs is not None:
-                self.obs.on_decided(self.replica_id, cid, self.sim.now)
-            inst.mark_decided(regency, value_hash, at=self.sim.now)
-            self.counters.consensus_decided += 1
-            self._try_execute()
+        self._check_gap(msg.cid)
+        self._record_accept(src, self.instance(msg.cid), msg.regency, msg.value_hash)
 
     def _record_accept(
         self, voter: int, inst: ConsensusInstance, regency: int, value_hash: bytes
@@ -1007,7 +898,7 @@ class ServiceReplica:
     # state transfer trigger
     # ------------------------------------------------------------------
     def _check_gap(self, cid: int) -> None:
-        if cid > self.last_executed + self.config.state_transfer_gap:
+        if cid > self.last_executed + STATE_TRANSFER_GAP:
             self.state_transfer.start()
 
     def _check_missed_decision(self) -> None:

@@ -1,13 +1,8 @@
-"""Tests for the operation log, checkpoints and file-backed durability."""
+"""Tests for the operation log and checkpoints."""
 
 import pytest
 
-from repro.smart.durability import (
-    Checkpoint,
-    FileBackedLog,
-    OperationLog,
-    state_digest,
-)
+from repro.smart.durability import Checkpoint, OperationLog, state_digest
 from repro.smart.messages import ClientRequest
 
 
@@ -66,129 +61,3 @@ class TestStateDigest:
     def test_handles_nested_and_bytes(self):
         digest = state_digest({"chain": [b"\x00" * 32, ("x", 1)]})
         assert len(digest) == 32
-
-
-class TestFileBackedLog:
-    def test_survives_reload(self, tmp_path):
-        path = str(tmp_path / "ops.log")
-        log = FileBackedLog(path)
-        log.append(0, [request(0, "alpha"), request(1, "beta")])
-        log.append(1, [request(2, "gamma")])
-
-        reloaded = FileBackedLog(path)
-        assert len(reloaded) == 2
-        assert reloaded.last_cid == 1
-        batch0 = reloaded.entries[0][1]
-        assert [r.operation for r in batch0] == ["alpha", "beta"]
-        assert [r.request_id for r in batch0] == [(1, 0), (1, 1)]
-
-    def test_checkpoint_survives_reload(self, tmp_path):
-        path = str(tmp_path / "ops.log")
-        log = FileBackedLog(path)
-        for cid in range(4):
-            log.append(cid, [request(cid)])
-        state = {"total": 4}
-        log.set_checkpoint(
-            Checkpoint(cid=2, state=state, state_hash=state_digest(state))
-        )
-        reloaded = FileBackedLog(path)
-        assert reloaded.checkpoint is not None
-        assert reloaded.checkpoint.cid == 2
-        assert reloaded.checkpoint.state == {"total": 4}
-        assert [cid for cid, _ in reloaded.entries] == [3]
-
-    def test_fresh_file_empty(self, tmp_path):
-        log = FileBackedLog(str(tmp_path / "new.log"))
-        assert len(log) == 0
-        assert log.checkpoint is None
-
-    def test_custom_op_codec(self, tmp_path):
-        path = str(tmp_path / "ops.log")
-        log = FileBackedLog(
-            path,
-            encode_op=lambda op: {"v": op[0]},
-            decode_op=lambda data: (data["v"],),
-        )
-        log.append(0, [request(0, ("tuple-op",))])
-        reloaded = FileBackedLog(
-            path,
-            encode_op=lambda op: {"v": op[0]},
-            decode_op=lambda data: (data["v"],),
-        )
-        assert reloaded.entries[0][1][0].operation == ("tuple-op",)
-
-    def test_replica_with_file_log_recovers_history(self, tmp_path):
-        """End-to-end durability: a replica's log file can rebuild the
-        decided history after a process restart."""
-        from repro.sim import ConstantLatency, Network, Simulator
-        from repro.smart import ServiceProxy, ServiceReplica, View
-        from repro.smart.durability import FileBackedLog as FBL
-        from tests.conftest import CounterApp
-
-        sim = Simulator()
-        net = Network(sim, ConstantLatency(0.0005))
-        view = View(0, (0, 1, 2, 3), 1)
-        logs = [FBL(str(tmp_path / f"replica{i}.log")) for i in range(4)]
-        apps = [CounterApp() for _ in range(4)]
-        for i in range(4):
-            replica = ServiceReplica(sim, net, i, view, apps[i], log=logs[i])
-            net.register(i, replica)
-        proxy = ServiceProxy(sim, net, 1000, view)
-        futures = [proxy.invoke(i) for i in range(6)]
-        assert sim.drain(futures, 10.0)
-
-        # "restart": reload replica 0's log from disk and replay it
-        recovered = FBL(str(tmp_path / "replica0.log"))
-        replayed = CounterApp()
-        for _cid, batch in recovered.entries:
-            replayed.execute_batch(_cid, batch, 0)
-        assert replayed.history == apps[0].history
-
-
-class TestFileBackedLogDamage:
-    def _log_with_entries(self, tmp_path, count=3):
-        path = str(tmp_path / "ops.log")
-        log = FileBackedLog(path)
-        for cid in range(count):
-            log.append(cid, [request(cid)])
-        return path
-
-    def test_torn_tail_truncated_on_recovery(self, tmp_path):
-        """A partial final record (crash mid-write) is discarded and the
-        file is physically truncated to the valid prefix."""
-        path = self._log_with_entries(tmp_path)
-        with open(path, "r+b") as fh:
-            fh.seek(0, 2)
-            size = fh.tell()
-            fh.truncate(size - 7)  # cut into the final record
-
-        reloaded = FileBackedLog(path)
-        assert [cid for cid, _ in reloaded.entries] == [0, 1]
-        # the truncation is durable: a second reload is clean too
-        import os
-
-        assert os.path.getsize(path) < size - 7
-        again = FileBackedLog(path)
-        assert [cid for cid, _ in again.entries] == [0, 1]
-
-    def test_crc_mismatch_in_tail_truncated(self, tmp_path):
-        path = self._log_with_entries(tmp_path)
-        with open(path, "r+b") as fh:
-            fh.seek(-5, 2)
-            fh.write(b"X")  # corrupt the last record's payload
-
-        reloaded = FileBackedLog(path)
-        assert [cid for cid, _ in reloaded.entries] == [0, 1]
-
-    def test_midfile_corruption_raises(self, tmp_path):
-        from repro.sim.storage import LogCorruption
-
-        path = self._log_with_entries(tmp_path)
-        with open(path, "rb") as fh:
-            first_line_end = fh.read().find(b"\n")
-        with open(path, "r+b") as fh:
-            fh.seek(first_line_end - 3)
-            fh.write(b"X")  # bad record, valid records follow
-
-        with pytest.raises(LogCorruption):
-            FileBackedLog(path)

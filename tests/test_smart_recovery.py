@@ -12,7 +12,7 @@ from repro.faults.invariants import VoteRecorder, check_durable_logs
 from repro.obs import Observability
 from repro.ordering.wal_codec import decode_value, encode_value
 from repro.sim.storage import SimDisk, StorageFaults
-from repro.smart import ReconfigurationClient
+from repro.smart import ReconfigurationClient, default_replier
 from repro.smart.wal import ConsensusWAL
 from tests.conftest import Cluster
 
@@ -142,6 +142,52 @@ class TestAmnesiacRestart:
         spans = [s for s in hub.tracer.spans if s.name == "recovery"]
         assert len(spans) == 1
         assert not spans[0].open
+
+
+class TestLeaderReturnsBeforeItsSuccessorIsElected:
+    def test_requests_after_the_return_overtake_the_backlog(self):
+        """The order the ``leader_crash_wal`` benchmark shows
+        (docs/RECOVERY.md, "A leader that returns in time"), at 100
+        requests/s with a 0.5 s request timeout, so timeout ticks every
+        0.25 s.  The regency-0 leader crashes with amnesia at 0.5005 s
+        and is back at 1.5005 s, leading regency 0 again with an empty
+        queue.  At the 1.5 s tick the backlog the others queued during
+        the outage is 0.99 s old, short of the two timeouts that send
+        STOP.  So the requests sent after the return decide in regency
+        0, one by one, while the backlog waits for the 1.75 s tick to
+        install regency 1 and then decides in one batch."""
+        cluster = wal_cluster(request_timeout=0.5)
+        leader, witness = cluster.replicas[0], cluster.replicas[1]
+        decided = {}
+
+        def replier(replica, request, result, regency, tentative):
+            decided[request.operation] = (regency, replica.sim.now)
+            default_replier(replica, request, result, regency, tentative)
+
+        witness.replier = replier
+        proxy = cluster.proxy()
+        sent = [0.01 * (k + 1) for k in range(200)]
+        for k, at in enumerate(sent):
+            cluster.sim.schedule_at(at, proxy.invoke_async, k)
+        cluster.sim.schedule_at(0.5005, leader.crash, True)
+        cluster.sim.schedule_at(1.5005, leader.recover)
+        cluster.sim.run(until=1.7499)
+        assert witness.regency == 0 and leader.recovery_stats["rejoined_at"] < 1.51
+        cluster.sim.run(until=3.0)
+        assert witness.regency == 1
+
+        backlog = [k for k, at in enumerate(sent) if 0.5005 < at < 1.5005]
+        returned = [k for k, at in enumerate(sent) if 1.5005 < at < 1.745]
+        assert len(backlog) == 100 and len(returned) == 24
+        for k in returned:
+            regency, when = decided[k]
+            assert regency == 0 and when - sent[k] < 0.005
+        backlog_decided = {decided[k] for k in backlog}
+        assert len(backlog_decided) == 1  # one batch, in the new regency
+        ((regency, when),) = backlog_decided
+        assert regency == 1 and 1.75 < when < 1.76
+        assert decided[returned[-1]][1] < when
+        assert all(decided[k][0] == 1 for k, at in enumerate(sent) if at > 1.76)
 
 
 class TestRecoveryAndReconfiguration:

@@ -70,10 +70,31 @@ class TestConsensusWAL:
         assert recovery.checkpoint.cid == 0
         assert recovery.checkpoint.state == {"total": 12}
         assert [cid for cid, _ in recovery.entries] == [1]
+        [request_back] = recovery.entries[0][1]
+        assert (request_back.request_id, request_back.operation) == ((1, 2), 5)
         assert recovery.write_evidence == {2: {0: b"\x01" * 8, 1: b"\x02" * 8}}
         assert recovery.accept_evidence == {2: {0: b"\x01" * 8}}
         assert recovery.regency == 1
         assert fresh.last_cid == 1
+
+    def test_recover_of_a_fresh_disk_is_empty(self):
+        recovery = make_wal().recover()
+        assert (recovery.checkpoint, recovery.entries, recovery.records) == (None, [], 0)
+        assert (recovery.write_evidence, recovery.accept_evidence) == ({}, {})
+
+    def test_recover_decodes_through_the_op_codec(self):
+        def codec_wal(disk):
+            return ConsensusWAL(
+                disk,
+                encode_op=lambda op: {"v": op[0]},
+                decode_op=lambda data: (data["v"],),
+            )
+
+        wal = codec_wal(SimDisk())
+        wal.append(0, [request(0, ("tuple-op",))])
+        wal.log_regency(0)  # the fsync the batch rides
+        [(_cid, [back])] = codec_wal(wal.disk).recover().entries
+        assert back.operation == ("tuple-op",)
 
     def test_synced_votes_survive_lost_suffix(self):
         wal = make_wal()

@@ -2,8 +2,11 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -390,3 +393,51 @@ def test_the_command_line_passes_the_metric_and_heads_the_table_with_it(
     verdicts = out[out.index("## verdicts"):].splitlines()
     assert "`sim_goodput_env_s` parent -> child" in verdicts[1]
     assert verdicts[3].endswith("| claim holds |")
+
+
+# ----------------------------------------------------------------------
+# no claim: every workload a control row
+# ----------------------------------------------------------------------
+def test_with_no_workload_the_controls_are_every_workload_and_nothing_is_claimed(
+    monkeypatch, capsys
+):
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    ran = []
+
+    def canned_pairs(parent_root, workload, pairs, first_seed, seconds, metric):
+        ran.append((workload, pairs))
+        canned = pairs_of(QUIET[:pairs], QUIET[:pairs])
+        for pair in canned:
+            for side in ("parent", "child"):
+                for entry in contract["end_to_end"]:
+                    pair[side]["metrics"].setdefault(entry["name"], {"value": 1.0})
+        return canned
+
+    monkeypatch.setattr(perf_pairs, "export_parent", lambda rev: REPO_ROOT / "no-such-export")
+    monkeypatch.setattr(perf_pairs, "run_pairs", canned_pairs)
+    assert perf_pairs.main(["--parent", "HEAD", "--controls", "3"]) == 0
+    assert ran == [(entry["name"], 3) for entry in contract["workloads"]]
+    out = capsys.readouterr().out
+    assert out.startswith("## verdicts")  # no claimed row, so no claim section
+    rows = out.splitlines()[3:]
+    assert len(rows) == len(contract["workloads"])
+    assert all("| control | 3 |" in row and row.endswith("| within bound |") for row in rows)
+
+
+def test_neither_a_workload_nor_controls_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(perf_pairs, "export_parent", lambda rev: REPO_ROOT / "no-such-export")
+    for argv in (["--parent", "HEAD"], ["--parent", "HEAD", "--controls", "0"]):
+        with pytest.raises(SystemExit) as exit_:
+            perf_pairs.main(argv)
+        assert exit_.value.code == 2
+    assert "--controls N with no claim" in capsys.readouterr().err
+
+
+def test_the_makefile_runs_controls_without_a_workload():
+    """``make perf-pairs PARENT=<rev> CONTROLS=3``: an empty WORKLOAD
+    expands to no ``--workload`` at all."""
+    command = subprocess.run(
+        ["make", "-n", "perf-pairs", "PARENT=HEAD", "CONTROLS=3"],
+        cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    assert "--controls 3" in command and "--workload" not in command

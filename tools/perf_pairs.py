@@ -4,8 +4,10 @@
     python tools/perf_pairs.py --parent <rev> --workload <name> [--pairs 10]
                                [--workload <name> ...] [--controls N]
                                [--metric host_cpu_s_per_sim_s]
+    python tools/perf_pairs.py --parent <rev> --controls N
     make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [CONTROLS=N]
                     [METRIC=<name>]
+    make perf-pairs PARENT=<rev> CONTROLS=N
 
 The rule a host-time claim has to pass (the choosing-metrics guide,
 "Measuring in a small sandbox"): at least ten pairs of parent and
@@ -42,8 +44,11 @@ guide's section 6, step 5): *worse* when the child's median is worse
 than the parent's by more than the bound (or a larger share of
 operations failed), *unresolved* when it is not but either side's
 interquartile spread is wider than the bound and some child run reads
-no better than some parent run, *within bound* otherwise.  The last
-table printed has one verdict row per workload.  Stdlib only; it edits
+no better than some parent run, *within bound* otherwise.  With no
+``--workload`` the change claims nothing: ``--controls N`` then runs
+every workload as a control row (the evidence of a refactor that must
+move nothing), and giving neither option is an error.  The last table
+printed has one verdict row per workload.  Stdlib only; it edits
 nothing under ``benchmarks/perf/``.
 """
 
@@ -351,8 +356,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument(
-        "--workload", required=True, action="append", choices=names,
-        help="a workload the change claims a gain on (repeatable)",
+        "--workload", action="append", default=[], choices=names,
+        help="a workload the change claims a gain on (repeatable; none: no claim)",
     )
     parser.add_argument("--pairs", type=int, default=10, help="pairs per claimed workload")
     parser.add_argument(
@@ -366,6 +371,8 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=0, help="pair i runs seed first+i")
     parser.add_argument("--json", help="also write every run and the summaries here")
     args = parser.parse_args(argv)
+    if not args.workload and args.controls <= 0:
+        parser.error("name a claimed --workload, or run --controls N with no claim")
 
     plan = [(name, True, args.pairs) for name in dict.fromkeys(args.workload)]
     if args.controls > 0:
