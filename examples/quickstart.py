@@ -51,7 +51,7 @@ def main() -> None:
             assert service.registry.verifier_of(signer).verify(payload, signature)
     print("\nall block signatures verify; the chain links check out.")
 
-    latency = service.stats.latency(f"{frontend.name}.latency")
+    latency = service.stats.histogram(f"{frontend.name}.latency")
     print(f"ordering latency: median {latency.median * 1000:.1f} ms, "
           f"p90 {latency.p90 * 1000:.1f} ms over {latency.count} envelopes")
 

@@ -6,10 +6,10 @@ several times with one thing perturbed and compare what came out:
 
 - **DetSan** perturbs the interpreter's *hash seed*.  Two runs under
   different ``PYTHONHASHSEED`` values must agree byte for byte on every
-  view of the execution: the ``sim/trace`` message-level event stream,
-  the ``obs`` span tree and the metrics snapshot.  Within one process,
-  iterating a set of strings is repeatable, so this axis -- and only
-  this one -- needs a child interpreter per run.
+  view of the execution: the hub's message log (one ``network``-track
+  instant per send), the ``obs`` span tree and the metrics snapshot.
+  Within one process, iterating a set of strings is repeatable, so this
+  axis -- and only this one -- needs a child interpreter per run.
 - **RaceSan** perturbs the *schedule*.  The kernel orders
   same-timestamp events by a sequence number, which makes every run
   deterministic -- but a protocol whose outcome silently depends on that
@@ -154,8 +154,14 @@ def _service_row(
             "submitted": result.submitted,
         }
         events = [
-            [event.time, event.kind, str(event.src), str(event.dst), event.detail]
-            for event in result.trace.events
+            [
+                marker.time,
+                marker.name,
+                str(marker.args["src"]),
+                str(marker.args["dst"]),
+                marker.args["detail"],
+            ]
+            for marker in result.obs.tracer.instants
         ]
         return (
             semantics,

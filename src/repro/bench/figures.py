@@ -265,13 +265,13 @@ def geo_latency_experiment(
     generator.start()
     service.run(warmup)
     for index in range(len(service.frontends)):
-        service.stats.latency(f"{FRONTEND_ID_BASE + index}.latency").reset()
+        service.stats.histogram(f"{FRONTEND_ID_BASE + index}.latency").reset()
     service.run(duration + 2.0)  # drain the tail
 
     results: List[GeoLatencyResult] = []
     for index, region in enumerate(GEO_FRONTEND_SITES):
         name = FRONTEND_ID_BASE + index
-        recorder = service.stats.latency(f"{name}.latency")
+        recorder = service.stats.histogram(f"{name}.latency")
         meter = service.stats.meter(f"{name}.envelopes")
         results.append(
             GeoLatencyResult(
@@ -380,7 +380,7 @@ def wheat_ablation_point(
     generator.start()
     service.run(warmup)
     index = GEO_FRONTEND_SITES.index(frontend_region)
-    recorder = service.stats.latency(f"{FRONTEND_ID_BASE + index}.latency")
+    recorder = service.stats.histogram(f"{FRONTEND_ID_BASE + index}.latency")
     recorder.reset()
     service.run(duration + 2.0)
     return AblationResult(

@@ -46,7 +46,7 @@ from typing import (
 )
 
 from repro import __version__
-from repro.sim.monitor import StatsRegistry, summarize
+from repro.sim.monitor import summarize
 
 #: Version tag of the JSON result documents.  Bump on incompatible
 #: schema changes; :func:`validate_result` enforces it on load.
@@ -412,10 +412,10 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Execute one benchmark's matrix and summarize its metrics.
 
-    Per-repeat metric values are recorded through a
-    :class:`repro.sim.monitor.StatsRegistry` latency recorder per
-    metric, then summarized with the shared statistics helpers, so the
-    JSON numbers and the live instruments can never disagree.
+    Per-repeat metric values are collected per metric, in repeat order,
+    then summarized with the shared statistics helpers of
+    :mod:`repro.sim.monitor`, so the JSON numbers and the live
+    instruments can never disagree.
 
     With ``phases=True`` every repeat gets a fresh
     :class:`repro.obs.Observability` hub on its :class:`BenchContext`;
@@ -432,7 +432,7 @@ def run_benchmark(
 
     points: List[PointResult] = []
     for params in benchmark.points(mode):
-        stats = StatsRegistry()
+        samples: Dict[str, List[float]] = {}
         seeds: List[int] = []
         directions: Dict[str, str] = {}
         phase_samples: Dict[str, List[float]] = {}
@@ -459,7 +459,7 @@ def run_benchmark(
                     f"{benchmark.name}: run returned no metrics at {params}"
                 )
             for metric, value in metrics.items():
-                stats.latency(metric).record(float(value))
+                samples.setdefault(metric, []).append(float(value))
                 directions.setdefault(metric, benchmark.direction_of(metric))
             if obs is not None:
                 obs.close()
@@ -471,7 +471,7 @@ def run_benchmark(
                         breakdown.end_to_end_mean
                     )
         for metric in directions:
-            if stats.latency(metric).count != repeat_count:
+            if len(samples[metric]) != repeat_count:
                 raise ValueError(
                     f"{benchmark.name}: metric {metric!r} missing from some "
                     f"repeats at {params}"
@@ -480,8 +480,8 @@ def run_benchmark(
             metric: MetricSummary(
                 name=metric,
                 direction=directions[metric],
-                values=list(stats.latency(metric)._samples),
-                stats=summarize(stats.latency(metric)._samples),
+                values=samples[metric],
+                stats=summarize(samples[metric]),
             )
             for metric in sorted(directions)
         }

@@ -44,7 +44,7 @@ from repro.fabric.envelope import Envelope, envelope_ids
 from repro.fabric.orderers import KafkaCluster, KafkaOrderer, SoloOrderer
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 from repro.sim import ConstantLatency, Network, RandomStreams, Simulator
-from repro.sim.monitor import StatsRegistry
+from repro.sim.monitor import MetricsRegistry
 from repro.sim.storage import StorageFaults
 
 
@@ -406,7 +406,7 @@ def _run_solo(envelopes: int, envelope_size: int, block_size: int):
     network = Network(sim, ConstantLatency(0.0001))
     registry = KeyRegistry(scheme=SimulatedECDSA())
     channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5)
-    stats = StatsRegistry()
+    stats = MetricsRegistry()
     orderer = SoloOrderer(
         sim, network, "solo", registry.enroll("solo"), channel, stats=stats
     )
@@ -415,7 +415,7 @@ def _run_solo(envelopes: int, envelope_size: int, block_size: int):
     for _ in range(envelopes):
         orderer.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
     sim.run(until=5.0)
-    return stats.latency("solo.latency").median, orderer.blocks_created
+    return stats.histogram("solo.latency").median, orderer.blocks_created
 
 
 def _run_kafka(envelopes: int, envelope_size: int, block_size: int):
@@ -423,7 +423,7 @@ def _run_kafka(envelopes: int, envelope_size: int, block_size: int):
     network = Network(sim, ConstantLatency(0.0001))
     registry = KeyRegistry(scheme=SimulatedECDSA())
     channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5)
-    stats = StatsRegistry()
+    stats = MetricsRegistry()
     cluster = KafkaCluster(sim, network, num_brokers=3)
     orderer = KafkaOrderer(
         sim, network, "korderer0", registry.enroll("korderer0"), cluster, channel,
@@ -433,7 +433,7 @@ def _run_kafka(envelopes: int, envelope_size: int, block_size: int):
     for _ in range(envelopes):
         orderer.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
     sim.run(until=5.0)
-    return stats.latency("korderer0.latency").median, orderer.blocks_created
+    return stats.histogram("korderer0.latency").median, orderer.blocks_created
 
 
 def _run_bft(envelopes: int, envelope_size: int, block_size: int):
@@ -450,7 +450,7 @@ def _run_bft(envelopes: int, envelope_size: int, block_size: int):
     for _ in range(envelopes):
         service.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
     service.run(5.0)
-    recorder = service.stats.latency(f"{service.frontends[0].name}.latency")
+    recorder = service.stats.histogram(f"{service.frontends[0].name}.latency")
     return recorder.median, service.nodes[0].blocks_created
 
 
@@ -522,13 +522,17 @@ def recovery_time(ctx: BenchContext) -> Dict[str, float]:
     service.sim.run_until(
         lambda: service.total_delivered() >= envelopes, 60.0
     )
+    def recovery() -> dict:
+        # None until the restart begins
+        return {} if replica.recovery_stats is None else replica.recovery_stats
+
     # keep running until the restarted replica finishes its rejoin (its
     # state transfer may complete after the last client delivery)
     service.sim.run_until(
-        lambda: (replica.recovery_stats or {}).get("rejoined_at") is not None,
+        lambda: recovery().get("rejoined_at") is not None,
         service.sim.now + 30.0,
     )
-    stats = replica.recovery_stats or {}
+    stats = recovery()
     rejoined_at = stats.get("rejoined_at")
     started = stats.get("started", 0.0)
     replay_s = stats.get("replay_s", 0.0)

@@ -35,7 +35,7 @@ from repro.ordering.blockcutter import BlockCutter
 from repro.ordering.node import TimeToCut
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.sim.monitor import StatsRegistry
+from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import Network
 
 KAFKA_RECORD_OVERHEAD = 61
@@ -248,7 +248,7 @@ class KafkaOrderer:
         channel: ChannelConfig,
         cpu: Optional[CPU] = None,
         signing_workers: int = 16,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.network = network
@@ -258,7 +258,7 @@ class KafkaOrderer:
         self.channel = channel
         self.cutter = BlockCutter(channel)
         self.signing_pool = ThreadPool(cpu, signing_workers) if cpu else None
-        self.stats = stats or StatsRegistry()
+        self.stats = stats if stats is not None else MetricsRegistry()
         self.receivers: List[object] = []
         self.next_number = 0
         self.previous_hash = GENESIS_PREVIOUS_HASH
@@ -373,7 +373,7 @@ class KafkaOrderer:
         self.stats.meter(f"{self.name}.envelopes").record(
             now, float(len(block.envelopes))
         )
-        latency = self.stats.latency(f"{self.name}.latency")
+        latency = self.stats.histogram(f"{self.name}.latency")
         for envelope in block.envelopes:
             if isinstance(envelope, Envelope) and envelope.create_time is not None:
                 latency.record(now - envelope.create_time)

@@ -85,6 +85,3 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def record(self, line: str) -> None:
         self.trace.append(f"t={self.sim.now:.6f} {line}")
-
-    def trace_text(self) -> str:
-        return "\n".join(self.trace)

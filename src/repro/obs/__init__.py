@@ -1,7 +1,10 @@
-"""End-to-end observability: metrics registry, span tracing, exporters.
+"""End-to-end observability: the hub, span tracing, exporters.
 
-See docs/OBSERVABILITY.md for the naming conventions and span taxonomy,
-and ``python -m repro.obs report`` for the resource-attribution CLI.
+The metrics registry lives in :mod:`repro.sim.monitor` (every
+instrument owner already imports ``sim``); its names are re-exported
+here.  See docs/OBSERVABILITY.md for the naming conventions and span
+taxonomy, and ``python -m repro.obs report`` for the
+resource-attribution CLI.
 """
 
 from repro.obs.export import (
@@ -17,21 +20,14 @@ from repro.obs.observability import (
     Observability,
     PhaseBreakdown,
 )
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricNameError,
-    MetricsRegistry,
-)
 from repro.obs.spans import Instant, Span, SpanTracer
+from repro.sim.monitor import Counter, Gauge, MetricNameError, MetricsRegistry
 
 __all__ = [
     "MILESTONES",
     "PHASES",
     "Counter",
     "Gauge",
-    "Histogram",
     "Instant",
     "MetricNameError",
     "MetricsRegistry",

@@ -1,7 +1,7 @@
 """The observability hub: one object the whole deployment reports to.
 
 An :class:`Observability` instance bundles a
-:class:`~repro.obs.registry.MetricsRegistry` and a
+:class:`~repro.sim.monitor.MetricsRegistry` and a
 :class:`~repro.obs.spans.SpanTracer` and exposes the ``on_*`` hook
 methods that the instrumented components call.  Components hold
 ``self.obs = None`` by default and guard every call with
@@ -27,7 +27,10 @@ Span taxonomy (exported to Chrome trace / Perfetto):
 - track ``ordering`` -- one root span per block (``block ch#N``) with
   ``signing``, ``dissemination`` and ``match`` phase children;
 - track ``replica.<id>`` -- one ``sync r<target>`` span per regency
-  change attempt; a change that never completes shows up as an orphan.
+  change attempt; a change that never completes shows up as an orphan;
+- track ``network`` -- with ``messages=True``, the message log: one
+  instant per accepted send, named by the payload's kind, with ``src``,
+  ``dst`` and a ``detail`` probe (``cid=3``) as args.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.fabric.envelope import Envelope
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, SpanTracer
+from repro.sim.monitor import MetricsRegistry
 
 #: The milestone chain, in pipeline order.
 MILESTONES = (
@@ -94,12 +97,28 @@ class PhaseBreakdown:
         return sum(self.means().values())
 
 
-class Observability:
-    """Metrics + spans + the milestone pipeline, for one deployment."""
+def _describe(payload: Any) -> str:
+    """The message log's one-field summary of a payload."""
+    for attribute in ("cid", "next_regency", "sequence", "offset"):
+        value = getattr(payload, attribute, None)
+        if value is not None:
+            return f"{attribute}={value}"
+    return type(payload).__name__
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+
+class Observability:
+    """Metrics + spans + the milestone pipeline, for one deployment.
+
+    ``messages=True`` also keeps the message log: every send the
+    network accepts becomes an instant on the ``network`` track.
+    """
+
+    def __init__(
+        self, clock: Optional[Callable[[], float]] = None, messages: bool = False
+    ):
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer(clock)
+        self.messages = messages
         self._service: Any = None
         # milestone tables, all first-wins
         self._env: Dict[int, Dict[str, Any]] = {}            # envelope_id ->
@@ -192,7 +211,7 @@ class Observability:
     def on_reply(self, client_id: int, latency: float) -> None:
         self.registry.histogram(
             f"smart.proxy.{client_id}.invoke_latency"
-        ).observe(latency)
+        ).record(latency)
 
     # ------------------------------------------------------------------
     # replica hooks (consensus lifecycle)
@@ -269,7 +288,7 @@ class Observability:
         if inst is not None and "proposed" in inst:
             self.registry.histogram(
                 f"smart.replica.{replica_id}.consensus.write_quorum_wait"
-            ).observe(now - inst["proposed"])
+            ).record(now - inst["proposed"])
         if inst is not None:
             self._advance(inst, "write_quorum", now, "accept", "consensus")
 
@@ -284,7 +303,7 @@ class Observability:
             if "write_quorum" in inst:
                 self.registry.histogram(
                     f"smart.replica.{replica_id}.consensus.accept_quorum_wait"
-                ).observe(now - inst["write_quorum"])
+                ).record(now - inst["write_quorum"])
             self._advance(inst, "decided", now, None, "consensus")
 
     def on_executed(
@@ -362,7 +381,7 @@ class Observability:
         now: float,
     ) -> None:
         prefix = f"smart.replica.{replica_id}.recovery"
-        self.registry.histogram(f"{prefix}.replay_time").observe(replay_s)
+        self.registry.histogram(f"{prefix}.replay_time").record(replay_s)
         self.registry.counter(f"{prefix}.replayed_batches").increment(batches)
         if truncated_bytes:
             self.registry.counter(f"{prefix}.truncated_bytes").increment(
@@ -397,7 +416,7 @@ class Observability:
             if child is not None and child.open:
                 self.tracer.end(child, at=now)
             if root.open:
-                self.registry.histogram(f"{prefix}.rejoin_time").observe(
+                self.registry.histogram(f"{prefix}.rejoin_time").record(
                     now - root.start
                 )
                 self.tracer.end(root, at=now)
@@ -438,7 +457,7 @@ class Observability:
         self.registry.counter(f"ordering.node.{node_name}.blocks_signed").increment()
         self.registry.histogram(
             f"ordering.node.{node_name}.sign_time"
-        ).observe(now - cut_time)
+        ).record(now - cut_time)
         rec = self._blk.get((block.channel_id, block.header.number))
         if rec is not None:
             self._advance(rec, "signed", now, "dissemination", "ordering")
@@ -467,7 +486,7 @@ class Observability:
         if first is not None:
             self.registry.histogram(
                 f"ordering.frontend.{frontend_name}.match_wait"
-            ).observe(now - first)
+            ).record(now - first)
         rec = self._blk.get(key)
         if rec is not None:
             self._advance(rec, "delivered", now, None, "ordering")
@@ -482,11 +501,14 @@ class Observability:
     def on_message(
         self, src: Any, dst: Any, payload: Any, wire_bytes: int
     ) -> None:
+        kind = type(payload).__name__
         self.registry.counter("sim.network.messages_sent").increment()
         self.registry.counter("sim.network.bytes_sent").increment(wire_bytes)
-        self.registry.counter(
-            f"sim.network.kind.{type(payload).__name__}"
-        ).increment()
+        self.registry.counter(f"sim.network.kind.{kind}").increment()
+        if self.messages:
+            self.tracer.instant(
+                kind, "network", src=src, dst=dst, detail=_describe(payload)
+            )
 
     # ------------------------------------------------------------------
     # analysis

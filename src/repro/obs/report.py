@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.topology import lan_latency_model
 from repro.sim.core import Simulator
-from repro.sim.trace import MessageTracer
 from repro.smart.view import bft_group_size, max_faults
 from repro.fabric.channel import ChannelConfig
 from repro.obs.observability import PHASES, Observability
@@ -45,9 +44,6 @@ class ScenarioResult:
     service: OrderingService
     obs: Observability
     submitted: int
-    #: message-level trace, captured only when ``run_scenario`` is
-    #: called with ``trace=True`` (the DetSan double-run needs it)
-    trace: Optional[MessageTracer] = None
 
 
 def run_scenario(
@@ -69,7 +65,9 @@ def run_scenario(
     rows (:mod:`repro.analysis.sanitizer`) vary it through what is left:
     ``config`` replaces fields of the :class:`OrderingServiceConfig`
     below, ``arm`` is called on the built service before it runs (to
-    schedule a crash), ``sim`` is the simulator to build on.
+    schedule a crash), ``sim`` is the simulator to build on.  With
+    ``trace`` the hub also keeps the message log (``obs.tracer.instants``
+    on the ``network`` track), which the sanitizer's events view reads.
     """
     f = max_faults(orderers)
     fields: Dict[str, Any] = dict(
@@ -88,11 +86,10 @@ def run_scenario(
         seed=seed,
     )
     fields.update(config)
-    obs = Observability()
+    obs = Observability(messages=trace)
     service = build_ordering_service(
         OrderingServiceConfig(**fields), sim=sim, observability=obs
     )
-    tracer = MessageTracer(service.network) if trace else None
     generator = OpenLoopGenerator(
         sim=service.sim,
         frontends=service.frontends,
@@ -107,12 +104,7 @@ def run_scenario(
     # run past the submission window so in-flight envelopes drain
     service.run(duration + 1.0)
     obs.close()
-    return ScenarioResult(
-        service=service,
-        obs=obs,
-        submitted=generator.submitted,
-        trace=tracer,
-    )
+    return ScenarioResult(service=service, obs=obs, submitted=generator.submitted)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +116,7 @@ def _fmt_ms(value: float) -> str:
 
 def harness_end_to_end_mean(service: OrderingService) -> Optional[float]:
     """The existing bench-harness latency instrument (frontend 0)."""
-    recorder = service.stats.latency(f"{FRONTEND_ID_BASE}.latency")
+    recorder = service.stats.histogram(f"{FRONTEND_ID_BASE}.latency")
     if recorder.count == 0:
         return None
     return recorder.mean

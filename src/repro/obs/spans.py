@@ -1,10 +1,12 @@
 """Span-based tracing: nested, timed intervals on named tracks.
 
-The structured upgrade of :mod:`repro.sim.trace`'s flat
-:class:`~repro.sim.trace.TraceEvent`: a :class:`Span` is an interval
+The repository's one tracer.  A :class:`Span` is an interval
 ``[start, end]`` on a *track* (one per replica, ordering node,
 frontend, or logical subsystem such as ``consensus``), optionally
-nested under a parent span.
+nested under a parent span; an :class:`Instant` is a zero-duration
+marker on a track -- the message log is one instant per send on the
+``network`` track (:class:`repro.obs.Observability`, ``messages=True``).
+Span trees (:meth:`SpanTracer.tree`) ignore instants.
 
 Two nesting styles coexist:
 
@@ -181,9 +183,6 @@ class SpanTracer:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def open_spans(self) -> List[Span]:
-        return [span for span in self.spans if span.open]
-
     def orphans(self) -> List[Span]:
         """Spans flagged as orphaned (never properly completed)."""
         return list(self._orphans)

@@ -38,7 +38,7 @@ from repro.fabric.orderers.kafka import KafkaCluster, KafkaOrderer
 from repro.fabric.orderers.solo import SoloOrderer
 from repro.ordering.service import OrderingServiceConfig, build_ordering_service
 from repro.sim.core import Simulator
-from repro.sim.monitor import StatsRegistry
+from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.randomness import RandomStreams
 from repro.smart.view import one_correct_size
@@ -148,7 +148,7 @@ def _stand_up_cft(backend: str, spec: WorkloadSpec) -> _StandUp:
     network = Network(
         sim, ConstantLatency(0.0001), default_bandwidth_bps=1e9, streams=streams
     )
-    stats = StatsRegistry()
+    stats = MetricsRegistry()
     registry = KeyRegistry(scheme=SimulatedECDSA(), rng=streams.stream("keys"))
     identity = registry.enroll("orderer0", org="ordererorg0")
     channel = spec.channel_config()

@@ -30,7 +30,7 @@ from repro.fabric.blockpolicy import valid_signers
 from repro.fabric.envelope import Envelope, check_payload_size, payload_length
 from repro.ordering.admission import AdmissionController, Rejected
 from repro.sim.core import Simulator
-from repro.sim.monitor import StatsRegistry
+from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import Network
 from repro.smart.view import View, byzantine_majority_size, one_correct_size
 
@@ -151,7 +151,7 @@ class Frontend:
         relay,
         acceptance,
         orderer_names: Optional[Set[str]] = None,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
         max_envelope_bytes: Optional[Union[int, Mapping[str, int]]] = None,
         admission: Optional[AdmissionController] = None,
     ):
@@ -161,7 +161,7 @@ class Frontend:
         self.relay = relay
         self.acceptance = acceptance
         self.orderer_names = orderer_names or set()
-        self.stats = stats or StatsRegistry()
+        self.stats = stats if stats is not None else MetricsRegistry()
         #: Fabric's AbsoluteMaxBytes ceiling -- one int for every
         #: channel or a per-channel mapping; None disables the check
         self.max_envelope_bytes = max_envelope_bytes
@@ -327,7 +327,7 @@ class Frontend:
         if blocks is None:
             blocks = self._blocks_meter = self.stats.meter(f"{self.name}.blocks")
             self._envelopes_meter = self.stats.meter(f"{self.name}.envelopes")
-            self._latency_recorder = self.stats.latency(f"{self.name}.latency")
+            self._latency_recorder = self.stats.histogram(f"{self.name}.latency")
         blocks.record(now, 1.0)
         self._envelopes_meter.record(now, float(len(block.envelopes)))
         self._latency_recorder.extend(

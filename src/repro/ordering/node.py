@@ -35,7 +35,7 @@ from repro.fabric.envelope import Envelope
 from repro.ordering.blockcutter import BlockCutter
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.sim.monitor import StatsRegistry
+from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import Network
 from repro.smart.messages import ClientRequest
 from repro.smart.replica import StateMachine
@@ -74,7 +74,7 @@ class BFTOrderingNode(StateMachine):
         cpu: Optional[CPU] = None,
         signing_workers: int = 16,
         sign_cost: Optional[float] = None,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
         ttc_submitter: Optional[Callable[[TimeToCut], None]] = None,
         double_sign: bool = False,
         net_id: Optional[object] = None,

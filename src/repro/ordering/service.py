@@ -26,7 +26,7 @@ from repro.ordering.node import BFTOrderingNode, TimeToCut
 from repro.ordering.wal_codec import decode_value, encode_value
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
-from repro.sim.monitor import StatsRegistry
+from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import ConstantLatency, LatencyModel, Network
 from repro.sim.randomness import RandomStreams
 from repro.sim.storage import SimDisk
@@ -147,7 +147,7 @@ class OrderingService:
     replicas: List[Any]
     nodes: List[Any]
     frontends: List[Frontend]
-    stats: StatsRegistry
+    stats: MetricsRegistry
     cpus: List[Optional[CPU]]
     #: optional repro.obs.Observability hub wired through every component
     observability: Optional[Any] = None
@@ -523,7 +523,7 @@ def build_ordering_service(
         replicas=[],
         nodes=[],
         frontends=[],
-        stats=StatsRegistry(),
+        stats=MetricsRegistry(),
         cpus=[],
         observability=observability,
     )

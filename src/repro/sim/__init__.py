@@ -10,15 +10,28 @@ five regions).  It provides:
   latency, NIC bandwidth with egress queueing, partitions and loss;
 - :mod:`repro.sim.cpu` -- a processor-sharing multicore CPU model with
   hyper-threading, plus thread pools;
-- :mod:`repro.sim.monitor` -- counters, latency recorders and
-  throughput meters used by the benchmark harness;
+- :mod:`repro.sim.monitor` -- counters, gauges, latency recorders and
+  throughput meters, and the one hierarchical registry that names
+  them (``StatsRegistry`` is its earlier name);
 - :mod:`repro.sim.randomness` -- named, seeded random streams so every
-  experiment is reproducible bit-for-bit.
+  experiment is reproducible bit-for-bit;
+- :mod:`repro.sim.storage` -- simulated stable storage for the WALs.
+
+The message log lives on the observability hub: an
+``Observability(messages=True)`` records one instant per send
+(:mod:`repro.obs.observability`).
 """
 
 from repro.sim.core import EventHandle, Future, Process, Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.sim.monitor import Counter, LatencyRecorder, StatsRegistry, ThroughputMeter
+from repro.sim.monitor import (
+    Counter,
+    Gauge,
+    LatencyRecorder,
+    MetricsRegistry,
+    StatsRegistry,
+    ThroughputMeter,
+)
 from repro.sim.network import (
     NIC,
     ConstantLatency,
@@ -35,7 +48,6 @@ from repro.sim.storage import (
     frame_record,
     scan_records,
 )
-from repro.sim.trace import MessageTracer, TraceEvent
 
 __all__ = [
     "CPU",
@@ -43,11 +55,12 @@ __all__ = [
     "Counter",
     "EventHandle",
     "Future",
+    "Gauge",
     "Intercept",
     "LatencyModel",
     "LatencyRecorder",
     "MatrixLatency",
-    "MessageTracer",
+    "MetricsRegistry",
     "NIC",
     "Network",
     "Process",
@@ -59,7 +72,6 @@ __all__ = [
     "StorageFaults",
     "ThreadPool",
     "ThroughputMeter",
-    "TraceEvent",
     "frame_record",
     "scan_records",
 ]

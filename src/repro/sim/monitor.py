@@ -1,19 +1,38 @@
-"""Measurement instruments for simulated experiments.
+"""Measurement instruments and the one registry that names them.
 
 These mirror what the paper measures: throughput at the leader ordering
 node (transactions and blocks per second) and client-observed latency
 percentiles at each frontend.  The module-level helpers
 (:func:`percentile_of_sorted`, :func:`sample_stdev`, :func:`summarize`)
 are shared with the benchmark harness (:mod:`repro.bench.harness`),
-which records per-repeat metric samples through these instruments and
-emits the same summary statistics into its JSON result schema.
+which emits the same summary statistics into its JSON result schema.
+
+A :class:`MetricsRegistry` holds instruments of four kinds --
+:class:`Counter`, :class:`Gauge`, :class:`LatencyRecorder` (the
+``histogram``) and :class:`ThroughputMeter` (the ``meter``) -- under
+dot-separated hierarchical names (``smart.replica.3.consensus.
+write_quorum_wait``, ``1000.latency``), so a report can slice it by
+subsystem prefix.  A deployment keeps one always-on registry
+(``OrderingService.stats``) and an attached observability hub keeps
+its own (``Observability.registry``).
+
+Naming semantics (enforced, tested):
+
+- a name is one or more non-empty dot-separated segments of
+  ``[A-Za-z0-9_-]``;
+- a registered name owns its *kind*: asking for ``x.y`` as a counter
+  after it was created as a histogram raises :class:`MetricNameError`;
+- a registered leaf cannot also be an interior node: once ``a.b``
+  exists, creating ``a.b.c`` (or vice versa) raises, keeping the
+  hierarchy a proper tree.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Type, Union
 
 
 def percentile_of_sorted(data: Sequence[float], p: float) -> float:
@@ -68,22 +87,64 @@ def summarize(samples: Iterable[float]) -> Dict[str, float]:
     }
 
 
+class MetricNameError(ValueError):
+    """An instrument name collides with an existing registration."""
+
+
 class Counter:
-    """A monotonically increasing event counter."""
+    """A monotonically increasing counter."""
+
+    kind = "counter"
 
     def __init__(self, name: str = "counter"):
         self.name = name
-        self.value = 0
+        self.value = 0.0
 
-    def increment(self, amount: int = 1) -> None:
+    def increment(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
         self.value += amount
+
+    def snapshot(self) -> float:
+        return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Counter {self.name}={self.value}>"
 
 
+class Gauge:
+    """A point-in-time value: set directly or tracked via a callback."""
+
+    kind = "gauge"
+
+    def __init__(self, name: str):
+        self.name = name
+        self._value = 0.0
+        self._fn: Optional[Callable[[], float]] = None
+
+    def set(self, value: float) -> None:
+        self._fn = None
+        self._value = value
+
+    def track(self, fn: Callable[[], float]) -> None:
+        """Make the gauge read ``fn()`` at every observation."""
+        self._fn = fn
+
+    @property
+    def value(self) -> float:
+        if self._fn is not None:
+            return float(self._fn())
+        return self._value
+
+    def snapshot(self) -> float:
+        return self.value
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<Gauge {self.name}={self.value}>"
+
+
 class LatencyRecorder:
-    """Collects individual latency samples; reports percentiles.
+    """The histogram: collects individual samples; reports percentiles.
 
     Samples are appended in O(1) and kept in *insertion order*; the
     sorted view needed by percentile queries is a separate cached list,
@@ -93,6 +154,8 @@ class LatencyRecorder:
     percentile had been queried mid-run -- see
     ``tests/test_sim_monitor.py``.)
     """
+
+    kind = "histogram"
 
     def __init__(self, name: str = "latency"):
         self.name = name
@@ -191,6 +254,8 @@ class LatencyRecorder:
             "max": self.maximum,
         }
 
+    snapshot = summary
+
 
 class ThroughputMeter:
     """Counts weighted events over time and reports rates.
@@ -199,6 +264,8 @@ class ThroughputMeter:
     ``rate(start, end)`` gives events/second over a window, allowing
     warm-up trimming exactly like the paper's 5-minute runs.
     """
+
+    kind = "meter"
 
     def __init__(self, name: str = "throughput"):
         self.name = name
@@ -229,38 +296,114 @@ class ThroughputMeter:
         hi = bisect_right(times, end)
         return sum(self._weights[lo:hi]) / (end - start)
 
-    @property
-    def first_time(self) -> Optional[float]:
-        return self._times[0] if self._times else None
-
-    @property
-    def last_time(self) -> Optional[float]:
-        return self._times[-1] if self._times else None
+    def snapshot(self) -> Dict[str, float]:
+        return {"total": self.total, "rate": self.rate()}
 
 
-class StatsRegistry:
-    """A named bag of instruments shared by an experiment's components."""
+Instrument = Union[Counter, Gauge, LatencyRecorder, ThroughputMeter]
+
+_NAME = re.compile(r"[A-Za-z0-9_-]+(?:\.[A-Za-z0-9_-]+)*")
+
+
+class MetricsRegistry:
+    """One hierarchical bag of instruments, shared by the components
+    that report into it."""
 
     def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-        self._latencies: Dict[str, LatencyRecorder] = {}
-        self._meters: Dict[str, ThroughputMeter] = {}
+        self._instruments: Dict[str, Instrument] = {}
+        self._interior: set[str] = set()
+
+    # ------------------------------------------------------------------
+    # registration
+    # ------------------------------------------------------------------
+    def _claim(self, name: str, cls: Type[Instrument]) -> Any:
+        """The instrument registered as ``name``, created as a ``cls``
+        on the first lookup; a repeated lookup constructs nothing."""
+        existing = self._instruments.get(name)
+        if existing is not None:
+            if existing.kind != cls.kind:
+                raise MetricNameError(
+                    f"{name!r} is already a {existing.kind}, "
+                    f"cannot re-register as a {cls.kind}"
+                )
+            return existing
+        if _NAME.fullmatch(name) is None:
+            raise MetricNameError(
+                f"invalid metric name {name!r}: segments must be non-empty "
+                "[A-Za-z0-9_-], dot-separated"
+            )
+        if name in self._interior:
+            raise MetricNameError(
+                f"{name!r} is an interior node of the metric tree "
+                "(longer names exist under it); leaves only"
+            )
+        prefixes = []
+        cut = name.rfind(".")
+        while cut > 0:
+            prefix = name[:cut]
+            if prefix in self._instruments:
+                raise MetricNameError(
+                    f"cannot register {name!r}: {prefix!r} is already a "
+                    f"{self._instruments[prefix].kind} leaf"
+                )
+            prefixes.append(prefix)
+            cut = name.rfind(".", 0, cut)
+        self._interior.update(prefixes)
+        instrument = self._instruments[name] = cls(name)
+        return instrument
 
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter(name))
+        return self._claim(name, Counter)
 
-    def latency(self, name: str) -> LatencyRecorder:
-        return self._latencies.setdefault(name, LatencyRecorder(name))
+    def gauge(self, name: str) -> Gauge:
+        return self._claim(name, Gauge)
+
+    def histogram(self, name: str) -> LatencyRecorder:
+        return self._claim(name, LatencyRecorder)
 
     def meter(self, name: str) -> ThroughputMeter:
-        return self._meters.setdefault(name, ThroughputMeter(name))
+        return self._claim(name, ThroughputMeter)
 
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        report: Dict[str, Dict[str, float]] = {}
-        for name, counter in sorted(self._counters.items()):
-            report[name] = {"count": float(counter.value)}
-        for name, recorder in sorted(self._latencies.items()):
-            report[name] = recorder.summary()
-        for name, meter in sorted(self._meters.items()):
-            report[name] = {"total": meter.total, "rate": meter.rate()}
-        return report
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
+    def __contains__(self, name: str) -> bool:
+        return name in self._instruments
+
+    def __len__(self) -> int:
+        return len(self._instruments)
+
+    def names(self) -> Iterable[str]:
+        return sorted(self._instruments)
+
+    def get(self, name: str) -> Optional[Instrument]:
+        return self._instruments.get(name)
+
+    def subtree(self, prefix: str) -> Dict[str, Instrument]:
+        """Every instrument at or under ``prefix`` (dot-boundary aware)."""
+        dotted = prefix + "."
+        return {
+            name: instrument
+            for name, instrument in sorted(self._instruments.items())
+            if name == prefix or name.startswith(dotted)
+        }
+
+    def snapshot(self, prefix: str = "") -> Dict[str, Any]:
+        """Flat ``{name: value-or-summary}`` view, optionally filtered."""
+        chosen = self.subtree(prefix) if prefix else dict(sorted(self._instruments.items()))
+        return {name: instrument.snapshot() for name, instrument in chosen.items()}
+
+    def tree(self) -> Dict[str, Any]:
+        """Nested-dict view of the hierarchy (leaves are snapshots)."""
+        root: Dict[str, Any] = {}
+        for name, instrument in sorted(self._instruments.items()):
+            node = root
+            segments = name.split(".")
+            for segment in segments[:-1]:
+                node = node.setdefault(segment, {})
+            node[segments[-1]] = instrument.snapshot()
+        return root
+
+
+#: the always-on registry's earlier name, kept for ``benchmarks/perf``
+StatsRegistry = MetricsRegistry

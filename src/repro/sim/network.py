@@ -320,9 +320,6 @@ class Network:
     def node_ids(self) -> Iterable[NodeId]:
         return self._nodes.keys()
 
-    def site_of(self, node_id: NodeId) -> str:
-        return self._nodes[node_id].site
-
     def nic_of(self, node_id: NodeId) -> NIC:
         return self._nodes[node_id].nic
 
@@ -382,14 +379,6 @@ class Network:
 
     def blocked_links(self) -> set[Tuple[NodeId, NodeId]]:
         return set(self._blocked)
-
-    def crashed_nodes(self) -> list[NodeId]:
-        # node ids mix ints and strings; sort on str for a total order
-        return [
-            nid
-            for nid, node in sorted(self._nodes.items(), key=lambda kv: str(kv[0]))
-            if node.crashed
-        ]
 
     def set_drop_rate(self, a: NodeId, b: NodeId, rate: float) -> None:
         """Drop messages on (a -> b) independently with probability ``rate``."""

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.core import Simulator
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import Network
 from repro.smart.batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_BATCH_BYTES, PendingQueue
 from repro.smart.consensus import ConsensusInstance, batch_hash
@@ -156,9 +155,6 @@ class FaultControls:
     mute: bool = False
     suppress_sync: bool = False
 
-    def any_active(self) -> bool:
-        return self.skip_quorum_checks or self.mute or self.suppress_sync
-
     def reset(self) -> None:
         self.skip_quorum_checks = False
         self.mute = False
@@ -192,7 +188,6 @@ class ServiceReplica:
         config: Optional[ReplicaConfig] = None,
         log: Optional[OperationLog] = None,
         replier: Replier = default_replier,
-        stats: Optional[StatsRegistry] = None,
     ):
         from repro.smart.statetransfer import StateTransfer
         from repro.smart.synchronization import Synchronizer
@@ -206,7 +201,6 @@ class ServiceReplica:
         self.config = config or ReplicaConfig()
         self.log = log if log is not None else OperationLog()
         self.replier = replier
-        self.stats = stats
         self.counters = ReplicaCounters()
         self.faults = FaultControls()
         #: optional repro.obs hub (attached by Observability.attach)

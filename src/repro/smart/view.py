@@ -112,7 +112,6 @@ class View:
         # hottest consensus path: one quorum check per WRITE/ACCEPT)
         weights = self.weights.values()
         object.__setattr__(self, "_vmax", max(weights))
-        object.__setattr__(self, "_vmin", min(weights))
         object.__setattr__(self, "_total_weight", sum(weights))
         object.__setattr__(
             self, "_quorum_threshold", (self._total_weight + self.f * self._vmax) / 2.0
@@ -125,10 +124,6 @@ class View:
     @property
     def vmax(self) -> float:
         return self._vmax
-
-    @property
-    def vmin(self) -> float:
-        return self._vmin
 
     @property
     def total_weight(self) -> float:
@@ -150,12 +145,6 @@ class View:
 
     def is_quorum_weight(self, weight: float) -> bool:
         return weight > self._quorum_threshold + 1e-9
-
-    @property
-    def certificate_size(self) -> int:
-        """Replica count that always suffices for a quorum (f+1 slowest
-        excluded); used for sizing unweighted certificates."""
-        return classic_quorum(self.n, self.f)
 
     def leader_of(self, regency: int) -> int:
         return self.processes[regency % self.n]

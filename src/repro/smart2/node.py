@@ -59,7 +59,7 @@ from repro.fabric.envelope import Envelope
 from repro.ordering.blockcutter import BlockCutter
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.sim.monitor import StatsRegistry
+from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import Network
 from repro.smart.durability import OperationLog
 from repro.smart.messages import ClientRequest
@@ -109,9 +109,6 @@ class SmartFaultControls(FaultControls):
     """
 
     censor_clients: Set[int] = field(default_factory=set)
-
-    def any_active(self) -> bool:
-        return bool(self.censor_clients) or super().any_active()
 
     def reset(self) -> None:
         super().reset()
@@ -191,7 +188,7 @@ class SmartBFTNode:
         cpu: Optional[CPU] = None,
         signing_workers: int = 16,
         sign_cost: Optional[float] = None,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
         request_timeout: float = 2.0,
         heartbeat_interval: float = 0.5,
         blacklist_window: Optional[int] = None,

@@ -73,10 +73,6 @@ class TenantStats:
     rejected: Dict[str, int] = field(default_factory=dict)
     latencies: List[float] = field(default_factory=list)
 
-    @property
-    def rejected_total(self) -> int:
-        return sum(self.rejected.values())
-
 
 class _TenantState:
     """Runtime state of one tenant -- O(1) regardless of sessions."""
@@ -106,19 +102,6 @@ class WorkloadReport:
     fairness: float
     shed_fraction: float
     per_tenant: Dict[str, TenantStats]
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "offered": float(self.offered),
-            "admitted": float(self.admitted),
-            "committed": float(self.committed),
-            "rejected": float(sum(self.rejected.values())),
-            "goodput_per_s": self.goodput_per_s,
-            "p50_latency_s": self.p50_latency_s,
-            "p99_latency_s": self.p99_latency_s,
-            "fairness": self.fairness,
-            "shed_fraction": self.shed_fraction,
-        }
 
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:

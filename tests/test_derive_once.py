@@ -638,12 +638,12 @@ class TestPerBatchBudgets:
         # the two throughput meters of a frontend and of a node, per block
         assert profile.monitor_calls["record"] == 2 * delivered + 2 * signed
         recorders = [
-            service.stats.latency(f"{fe.name}.latency") for fe in service.frontends
+            service.stats.histogram(f"{fe.name}.latency") for fe in service.frontends
         ]
         assert [r.count for r in recorders] == [self.ENVELOPES] * 2
         # nothing else ran in sim/monitor.py but the lazy instrument lookups
         assert set(profile.monitor_calls) <= {
-            "extend", "record", "meter", "latency", "__init__"
+            "extend", "record", "meter", "histogram", "_claim", "__init__"
         }
 
 

@@ -8,7 +8,8 @@ kind.
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricNameError, MetricsRegistry
+from repro.obs import Counter, Gauge, MetricNameError, MetricsRegistry
+from repro.sim.monitor import LatencyRecorder, ThroughputMeter
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ class TestInstruments:
     def test_histogram_summary(self, registry):
         hist = registry.histogram("h")
         for v in (1.0, 2.0, 3.0):
-            hist.observe(v)
+            hist.record(v)
         summary = hist.snapshot()
         assert summary["count"] == 3
         assert summary["mean"] == pytest.approx(2.0)
@@ -57,6 +58,27 @@ class TestInstruments:
 class TestRegistration:
     def test_same_name_same_kind_returns_same_instrument(self, registry):
         assert registry.counter("x.y") is registry.counter("x.y")
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram", "meter"])
+    def test_a_repeated_lookup_constructs_nothing(self, registry, monkeypatch, kind):
+        """Owners look instruments up per block and the hub per message:
+        finding one must not build a throwaway instrument first."""
+        lookup = getattr(registry, kind)
+        first = lookup("x.y")
+        cls = type(first)
+        built = []
+        original = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(cls)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+        assert lookup("x.y") is first
+        other = "gauge" if kind == "counter" else "counter"
+        with pytest.raises(MetricNameError):  # a collision is caught unbuilt too
+            getattr(registry, other)("x.y")
+        assert built == []
 
     def test_kind_collision_raises(self, registry):
         registry.counter("x.y")
@@ -93,7 +115,8 @@ class TestRegistration:
     def test_kinds_tagged(self, registry):
         assert isinstance(registry.counter("c"), Counter)
         assert isinstance(registry.gauge("g"), Gauge)
-        assert isinstance(registry.histogram("h"), Histogram)
+        assert isinstance(registry.histogram("h"), LatencyRecorder)
+        assert isinstance(registry.meter("m"), ThroughputMeter)
 
 
 class TestQueries:

@@ -44,6 +44,41 @@ class TestGoldenDeterminism:
         assert result.obs.registry.snapshot() == rerun.obs.registry.snapshot()
 
 
+class TestPureObserver:
+    """Attaching the hub, with or without the message log, changes
+    nothing the simulation does: the same events run and the same
+    ledgers come out.  With no hub attached the network takes its
+    uninstrumented path."""
+
+    EVENTS = {"bftsmart": 6561, "smartbft": 1042}
+
+    @staticmethod
+    def unobserved(monkeypatch, orderer):
+        from repro.obs import Observability
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Observability, "attach", lambda self, service: self)
+            result = run_scenario(orderer=orderer, **SCENARIO)
+        service = result.service
+        components = service.replicas + service.nodes + service.frontends
+        assert service.network.obs is None and not service.network._intercepting
+        assert all(component.obs is None for component in components)
+        assert service.total_delivered() > 0
+        return service
+
+    @pytest.mark.parametrize("orderer", sorted(EVENTS))
+    def test_the_hub_moves_nothing(self, monkeypatch, orderer):
+        bare = self.unobserved(monkeypatch, orderer)
+        for trace in (False, True):
+            observed = run_scenario(orderer=orderer, trace=trace, **SCENARIO)
+            service = observed.service
+            assert service.network._intercepting
+            assert bool(observed.obs.tracer.instants) is trace
+            assert service.sim.processed_events == bare.sim.processed_events
+            assert service.ledger_digests() == bare.ledger_digests()
+        assert bare.sim.processed_events == self.EVENTS[orderer]
+
+
 class TestCrossCheck:
     def test_phase_sum_matches_harness_latency(self, result):
         ok, line = cross_check(result)

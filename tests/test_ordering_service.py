@@ -81,7 +81,7 @@ class TestBlockFlow:
         for _ in range(10):
             service.submit(Envelope.raw("ch0", 64))
         service.run(3.0)
-        recorder = service.stats.latency(f"{service.frontends[0].name}.latency")
+        recorder = service.stats.histogram(f"{service.frontends[0].name}.latency")
         assert recorder.count == 10
         assert recorder.median > 0
 

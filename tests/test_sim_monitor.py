@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.fabric.channel import ChannelConfig
 from repro.sim.monitor import (
     Counter,
     LatencyRecorder,
@@ -280,16 +281,34 @@ class TestThroughputMeter:
 
 
 class TestStatsRegistry:
+    """``StatsRegistry`` is the one registry under its earlier name."""
+
     def test_same_name_same_instrument(self):
         registry = StatsRegistry()
         assert registry.counter("x") is registry.counter("x")
-        assert registry.latency("y") is registry.latency("y")
+        assert registry.histogram("y") is registry.histogram("y")
         assert registry.meter("z") is registry.meter("z")
 
     def test_summary_contains_all(self):
         registry = StatsRegistry()
         registry.counter("c").increment()
-        registry.latency("l").record(1.0)
+        registry.histogram("l").record(1.0)
         registry.meter("m").record(0.0, 1.0)
-        summary = registry.summary()
-        assert set(summary) == {"c", "l", "m"}
+        snapshot = registry.snapshot()
+        assert set(snapshot) == {"c", "l", "m"}
+        assert snapshot["c"] == 1.0
+        assert snapshot["l"] == registry.histogram("l").summary()
+        assert snapshot["m"] == {"total": 1.0, "rate": 0.0}
+
+    def test_an_empty_registry_is_still_a_registry(self):
+        """An empty registry is falsy (it has a length), so an owner
+        must test it with ``is not None``: with ``or`` it would keep a
+        private registry and the service's meters would read zero."""
+        from repro.fabric.orderers.solo import SoloOrderer
+        from repro.ordering.frontend import Frontend
+
+        shared = StatsRegistry()
+        assert not shared
+        frontend = Frontend(None, None, 1000, relay=None, acceptance=None, stats=shared)
+        solo = SoloOrderer(None, None, "solo", None, ChannelConfig("ch0"), stats=shared)
+        assert frontend.stats is shared and solo.stats is shared

@@ -1,57 +1,42 @@
-"""Tests for the protocol tracer."""
+"""Tests for the message log: the hub's ``network``-track instants."""
 
 
-from repro.sim.trace import MessageTracer, _describe
+from repro.obs import Observability
+from repro.obs.observability import _describe
 from tests.conftest import Cluster
 
 
 class TestMessageTracer:
-    def run_traced(self, kinds=None, **tracer_kwargs):
+    """An ``Observability(messages=True)`` hub logs every send the
+    network accepts, from the network's one observer hook."""
+
+    def run_traced(self):
         cluster = Cluster()
-        tracer = MessageTracer(cluster.network, kinds=kinds, **tracer_kwargs)
+        hub = Observability(clock=lambda: cluster.sim.now, messages=True)
+        cluster.network.obs = hub
         proxy = cluster.proxy()
         future = proxy.invoke(1)
         assert cluster.drain([future])
         cluster.run(0.5)
-        return cluster, tracer
+        return cluster, hub.tracer.instants
 
     def test_captures_all_kinds_by_default(self):
-        _cluster, tracer = self.run_traced()
-        summary = tracer.summary()
-        assert {"ClientRequest", "Propose", "Write", "Accept", "Reply"} <= set(summary)
-
-    def test_kind_filter(self):
-        _cluster, tracer = self.run_traced(kinds={"Propose"})
-        assert set(tracer.summary()) == {"Propose"}
-        assert tracer.count("Propose") == 3
-        assert tracer.count() == 3
+        _cluster, log = self.run_traced()
+        kinds = {marker.name for marker in log}
+        assert {"ClientRequest", "Propose", "Write", "Accept", "Reply"} <= kinds
+        assert {marker.track for marker in log} == {"network"}
 
     def test_events_time_ordered(self):
-        _cluster, tracer = self.run_traced()
-        times = [event.time for event in tracer.events]
+        _cluster, log = self.run_traced()
+        times = [marker.time for marker in log]
         assert times == sorted(times)
 
-    def test_between_window(self):
-        _cluster, tracer = self.run_traced()
-        all_events = tracer.events
-        window = tracer.between(all_events[0].time, all_events[-1].time)
-        assert len(window) == len(all_events)
-        assert tracer.between(999.0, 1000.0) == []
-
-    def test_involving(self):
-        _cluster, tracer = self.run_traced(kinds={"Write"})
-        for event in tracer.involving(2):
-            assert 2 in (event.src, event.dst)
-        assert len(tracer.involving(2)) == 6  # 3 sent + 3 received
-
-    def test_capacity_limit(self):
-        _cluster, tracer = self.run_traced(capacity=5)
-        assert len(tracer.events) == 5
-        assert tracer.dropped > 0
-
     def test_detail_extraction(self):
-        _cluster, tracer = self.run_traced(kinds={"Propose"})
-        assert tracer.events[0].detail == "cid=0"
+        _cluster, log = self.run_traced()
+        proposes = [marker for marker in log if marker.name == "Propose"]
+        assert len(proposes) == 3
+        assert proposes[0].args["detail"] == "cid=0"
+        assert proposes[0].args["src"] == 0
 
     def test_describe_probes_known_attributes(self):
         class WithCid:
@@ -66,24 +51,13 @@ class TestMessageTracer:
         assert _describe(Opaque()) == "Opaque"
         assert _describe("payload") == "str"
 
-    def test_timeline_rendering(self):
-        _cluster, tracer = self.run_traced(kinds={"Propose", "Write"})
-        text = tracer.timeline(limit=5)
-        assert "Propose" in text
-        assert "->" in text
-        assert "more events" in text  # truncation marker
-
-    def test_sequence_diagram(self):
-        _cluster, tracer = self.run_traced(kinds={"Propose"})
-        diagram = tracer.sequence_diagram(participants=[0, 1, 2, 3])
-        assert "Propose" in diagram
-        assert ">" in diagram or "<" in diagram
-
     def test_detach_stops_capture(self):
         cluster = Cluster()
-        tracer = MessageTracer(cluster.network)
-        tracer.detach()
+        hub = Observability(clock=lambda: cluster.sim.now, messages=True)
+        cluster.network.obs = hub
+        cluster.network.obs = None
         proxy = cluster.proxy()
         future = proxy.invoke(1)
         assert cluster.drain([future])
-        assert tracer.count() == 0
+        assert hub.tracer.instants == []
+        assert not cluster.network._intercepting
