@@ -183,31 +183,37 @@ def _withhold_regency0_votes(service, byzantine: int, starved: int) -> None:
     service.network.add_filter(withhold)
 
 
-def record_n4_equivocation() -> dict:
+def build_n4_equivocation():
     service = build_service(1, max_batch=8, request_timeout=0.3)
     _equivocate(service, 0)
     _withhold_regency0_votes(service, 0, starved=3)
     _submit(service, range(96), 0.02, 400.0)
-    return _run_recording(service, 2.5)
+    return service
 
 
-def record_n10() -> dict:
+def build_n10():
     service = build_service(3, max_batch=N10_BATCH, request_timeout=30.0)
     _submit(service, range(N10_ENVELOPES), 0.02, N10_RATE)
-    return _run_recording(service, 1.0)
+    return service
 
 
-RECORDERS = {"n4_equivocation": record_n4_equivocation, "n10": record_n10}
+#: the two seeded runs: how to build each, and how long it runs
+RUNS = {"n4_equivocation": (build_n4_equivocation, 2.5), "n10": (build_n10, 1.0)}
+
+
+def record(run: str) -> dict:
+    build, duration = RUNS[run]
+    return _run_recording(build(), duration)
 
 
 def encode(recording: dict) -> str:
     return json.dumps(recording, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@pytest.mark.parametrize("run", sorted(RECORDERS))
+@pytest.mark.parametrize("run", sorted(RUNS))
 def test_votes_counted_are_pinned(run):
     golden = json.loads(GOLDEN.read_text())
-    assert encode(RECORDERS[run]()) == encode(golden[run])
+    assert encode(record(run)) == encode(golden[run])
 
 
 def test_the_pinned_runs_exercise_what_they_claim():
@@ -232,6 +238,6 @@ def test_the_pinned_runs_exercise_what_they_claim():
 
 if __name__ == "__main__":
     print(
-        encode({name: recorder() for name, recorder in sorted(RECORDERS.items())}),
+        encode({run: record(run) for run in sorted(RUNS)}),
         end="",
     )
