@@ -37,7 +37,7 @@ HYPOTHESIS_PROFILE ?= tier1
 
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
-.PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs
+.PHONY: test lint analyze flow msgflow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run);
 ## property tests run under the derandomized, database-less hypothesis
@@ -62,6 +62,13 @@ analyze:
 flow:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.analysis flow \
 		--json $(FLOW_OUT) --graph $(FLOW_GRAPH)
+
+## rewrite the committed message-flow graph (docs/msgflow.dot) after a
+## change to the protocol messages; tests/test_analysis_flow.py fails
+## while it is stale
+msgflow:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.analysis flow \
+		--dot docs/msgflow.dot
 
 ## runtime determinism sanitizer: double-run every default scenario
 ## row (src/repro/analysis/sanitizer.py::SCENARIOS) in child

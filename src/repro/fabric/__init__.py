@@ -3,7 +3,8 @@
 Implements the HLF v1.0 transaction flow of paper section 3:
 
 1. clients send chaincode proposals to *endorsing peers*
-   (:mod:`repro.fabric.endorser`), which simulate the transaction
+   (:mod:`repro.fabric.endorser`) -- the fewest whose organizations
+   satisfy the endorsement policy -- which simulate the transaction
    against their current state (:mod:`repro.fabric.statedb`,
    :mod:`repro.fabric.chaincode`) and sign the resulting read/write
    sets;
@@ -16,7 +17,8 @@ Implements the HLF v1.0 transaction flow of paper section 3:
    transaction (endorsement policy + MVCC read-set check), mark it
    valid or invalid, apply valid write sets, and append the block to
    the channel ledger (:mod:`repro.fabric.ledger`);
-5. clients are notified of commitment and validity.
+5. clients are notified of commitment and validity, one filtered
+   block event per committed block.
 
 The stock ordering services HLF shipped with -- *solo* and the
 Kafka-based crash-fault-tolerant cluster -- live in

@@ -2,13 +2,15 @@
 
 These are the messages that flow *around* the ordering service:
 proposal round-trips between clients and endorsing peers, envelope
-submission to an ordering service, block delivery to peers, and commit
-events back to clients (paper Figure 2).
+submission to an ordering service, block delivery to peers, and one
+filtered block event per committed block back to each submitting
+client (paper Figure 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.fabric.block import Block
 from repro.fabric.envelope import ChaincodeProposal, Envelope, ProposalResponse
@@ -85,9 +87,32 @@ class BlockResponse:
         return FABRIC_MESSAGE_OVERHEAD + sum(b.wire_size() for b in self.blocks)
 
 
+#: Bytes per transaction entry of a :class:`FilteredBlock`: the ids and
+#: the validation code, no payload.
+FILTERED_TRANSACTION_SIZE = 16
+
+
+@dataclass(slots=True)
+class FilteredBlock:
+    """Committing peer -> client: one committed block, filtered down to
+    the ``(tx_id, envelope_id, validation code)`` of each transaction
+    the client submitted in it (HLF's filtered block event)."""
+
+    block_number: int
+    peer: str
+    commit_time: float
+    transactions: List[Tuple[int, int, str]]
+
+    def wire_size(self) -> int:
+        return FABRIC_MESSAGE_OVERHEAD + FILTERED_TRANSACTION_SIZE * len(
+            self.transactions
+        )
+
+
 @dataclass(slots=True)
 class CommitEvent:
-    """Committing peer -> client: your transaction is in the chain."""
+    """One transaction's outcome at one committing peer: what the
+    client's future resolves with, unpacked from a :class:`FilteredBlock`."""
 
     tx_id: int
     envelope_id: int
@@ -95,6 +120,3 @@ class CommitEvent:
     validation_code: str
     peer: str
     commit_time: float = 0.0
-
-    def wire_size(self) -> int:
-        return FABRIC_MESSAGE_OVERHEAD

@@ -3,9 +3,22 @@
 ``submit_transaction`` performs steps 1-4 of the HLF protocol: send the
 proposal to endorsing peers, verify and match their responses, check
 the endorsement policy client-side, assemble the signed envelope, and
-broadcast it to the ordering service.  The returned future resolves
-with the :class:`~repro.fabric.api.CommitEvent` from the first
-committing peer to report the transaction in the chain (step 6).
+broadcast it to the ordering service.
+
+The proposal first goes only to the smallest set of endorsers whose
+organizations can satisfy the policy, the first such set in configured
+order (arXiv:1801.10228 §3.2: endorsements are collected *until* they
+satisfy the policy).  The client widens to every remaining endorser
+when that round cannot satisfy the policy -- a failure, rw-sets that do
+not match, or no answer within :data:`PROPOSAL_TIMEOUT`.  When no set
+of endorsers can cover the policy, the proposal goes to all of them.
+:class:`EndorsementError` comes only once every endorser asked has
+answered.
+
+Committing peers report once per block (one
+:class:`~repro.fabric.api.FilteredBlock` per peer); the returned future
+resolves with the :class:`~repro.fabric.api.CommitEvent` of the first
+peer to report the transaction in the chain (step 6).
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.crypto.keys import Identity, KeyRegistry
 from repro.fabric.api import (
     CommitEvent,
+    FilteredBlock,
     ProposalMessage,
     ProposalResponseMessage,
     SubmitEnvelope,
@@ -29,9 +43,14 @@ from repro.fabric.envelope import (
     Transaction,
     envelope_ids,
 )
-from repro.fabric.policy import EndorsementPolicy
-from repro.sim.core import Future, Simulator
+from repro.fabric.policy import EndorsementPolicy, minimal_cover
+from repro.sim.core import EventHandle, Future, Simulator
 from repro.sim.network import Network
+
+#: Simulated seconds the client waits for the answers of its first
+#: endorsement round before it sends the proposal to the remaining
+#: endorsers too.
+PROPOSAL_TIMEOUT = 1.0
 
 
 class EndorsementError(Exception):
@@ -42,11 +61,14 @@ class EndorsementError(Exception):
 class _PendingTransaction:
     proposal: ChaincodeProposal
     policy: EndorsementPolicy
+    #: every endorser the transaction may be proposed to
     endorsers: List[str]
+    #: the endorsers it was proposed to so far
+    asked: List[str]
     future: Future
     responses: Dict[str, ProposalResponse] = field(default_factory=dict)
-    envelope: Optional[Envelope] = None
-    submitted: bool = False
+    #: the proposal timeout of the first round, while one is running
+    timer: Optional[EventHandle] = None
     is_query: bool = False
 
 
@@ -74,9 +96,9 @@ class FabricClient:
         self.envelope_size = envelope_size
         self._nonce = itertools.count()
         self._ids = envelope_ids(sim)
+        #: transactions still collecting endorsements, by proposal digest
         self._pending: Dict[bytes, _PendingTransaction] = {}
         self._awaiting_commit: Dict[int, _PendingTransaction] = {}
-        self.commits_seen: List[CommitEvent] = []
         network.register(identity.name, self)
 
     # ------------------------------------------------------------------
@@ -101,18 +123,21 @@ class FabricClient:
             nonce=next(self._nonce),
             timestamp=self.sim.now,
         )
+        policy = policy or self.default_policy
+        endorsers = list(endorsers or self.endorsers)
+        # the first round: a policy-minimal set, or everyone if none covers
+        asked = minimal_cover(policy, endorsers, self._org_of) or endorsers
         pending = _PendingTransaction(
             proposal=proposal,
-            policy=policy or self.default_policy,
-            endorsers=list(endorsers or self.endorsers),
+            policy=policy,
+            endorsers=endorsers,
+            asked=asked,
             future=self.sim.future(),
         )
         self._pending[proposal.digest()] = pending
-        message = ProposalMessage(proposal=proposal, reply_to=self.identity.name)
-        for endorser in pending.endorsers:
-            self.network.send(
-                self.identity.name, endorser, message, message.wire_size()
-            )
+        self._propose(pending, asked)
+        if len(asked) < len(endorsers):
+            pending.timer = self.sim.schedule(PROPOSAL_TIMEOUT, self._widen, pending)
         return pending.future
 
     def query(
@@ -133,19 +158,51 @@ class FabricClient:
             nonce=next(self._nonce),
             timestamp=self.sim.now,
         )
+        asked = [endorser or self.endorsers[0]]
         pending = _PendingTransaction(
             proposal=proposal,
             policy=self.default_policy,
-            endorsers=[endorser or self.endorsers[0]],
+            endorsers=asked,
+            asked=asked,
             future=self.sim.future(),
+            is_query=True,  # never sent for ordering
         )
-        pending.is_query = True  # never sent for ordering
         self._pending[proposal.digest()] = pending
-        message = ProposalMessage(proposal=proposal, reply_to=self.identity.name)
-        self.network.send(
-            self.identity.name, pending.endorsers[0], message, message.wire_size()
-        )
+        self._propose(pending, asked)
         return pending.future
+
+    # ------------------------------------------------------------------
+    # endorsement rounds
+    # ------------------------------------------------------------------
+    def _org_of(self, endorser: str) -> Optional[str]:
+        if endorser not in self.registry:
+            return None
+        return self.registry.org_of(endorser)
+
+    def _propose(self, pending: _PendingTransaction, endorsers: List[str]) -> None:
+        message = ProposalMessage(proposal=pending.proposal, reply_to=self.identity.name)
+        size = message.wire_size()
+        for endorser in endorsers:
+            self.network.send(self.identity.name, endorser, message, size)
+
+    def _widen(self, pending: _PendingTransaction) -> None:
+        """Propose to every endorser not asked yet: the first round
+        timed out, or its answers cannot satisfy the policy."""
+        self._stop_timer(pending)
+        rest = [e for e in pending.endorsers if e not in pending.asked]
+        pending.asked = pending.endorsers
+        self._propose(pending, rest)
+
+    @staticmethod
+    def _stop_timer(pending: _PendingTransaction) -> None:
+        if pending.timer is not None:
+            pending.timer.cancel()
+            pending.timer = None
+
+    def _settle(self, pending: _PendingTransaction) -> None:
+        """Endorsement is over: later responses are dropped unverified."""
+        self._stop_timer(pending)
+        self._pending.pop(pending.proposal.digest(), None)
 
     # ------------------------------------------------------------------
     # network delivery
@@ -153,10 +210,11 @@ class FabricClient:
     def deliver(self, src, message) -> None:
         if isinstance(message, ProposalResponseMessage):
             self._on_response(message.response)
-        elif isinstance(message, CommitEvent):
-            self._on_commit(message)
+        elif isinstance(message, FilteredBlock):
+            self._on_filtered_block(message)
 
     def _on_response(self, response: ProposalResponse) -> None:
+        # unknown, or no longer collecting endorsements: dropped unverified
         pending = self._pending.get(response.proposal_digest)
         if pending is None:
             return
@@ -165,12 +223,11 @@ class FabricClient:
         pending.responses[response.endorser] = response
         if pending.is_query:
             # query mode: first verified response resolves the future
-            if not pending.future.done:
-                if response.success:
-                    pending.future.resolve(response.result)
-                else:
-                    pending.future.fail(EndorsementError(str(response.result)))
-                self._pending.pop(response.proposal_digest, None)
+            if response.success:
+                pending.future.resolve(response.result)
+            else:
+                pending.future.fail(EndorsementError(str(response.result)))
+            self._pending.pop(response.proposal_digest, None)
             return
         self._try_assemble(pending)
 
@@ -182,17 +239,9 @@ class FabricClient:
 
     def _try_assemble(self, pending: _PendingTransaction) -> None:
         """Step 3: match responses, check the policy, build the envelope."""
-        if pending.submitted or pending.is_query:
-            return
         successes = [
             r for _, r in sorted(pending.responses.items()) if r.success
         ]
-        if not successes:
-            if len(pending.responses) == len(pending.endorsers):
-                failure = pending.responses[min(pending.responses)]
-                pending.future.fail(EndorsementError(str(failure.result)))
-                self._pending.pop(pending.proposal.digest(), None)
-            return
         # group by identical (read set, write set, result)
         groups: Dict[bytes, List[ProposalResponse]] = {}
         for response in successes:
@@ -203,18 +252,26 @@ class FabricClient:
             if pending.policy.satisfied_by(orgs):
                 self._assemble_and_submit(pending, matching)
                 return
-        if len(pending.responses) == len(pending.endorsers):
+        if len(pending.responses) < len(pending.asked):
+            return  # the round is still open
+        if len(pending.asked) < len(pending.endorsers):
+            self._widen(pending)
+            return
+        self._settle(pending)
+        if successes:
             pending.future.fail(
                 EndorsementError(
                     "endorsement policy unsatisfiable with matching responses"
                 )
             )
-            self._pending.pop(pending.proposal.digest(), None)
+        else:
+            failure = pending.responses[min(pending.responses)]
+            pending.future.fail(EndorsementError(str(failure.result)))
 
     def _assemble_and_submit(
         self, pending: _PendingTransaction, matching: List[ProposalResponse]
     ) -> None:
-        pending.submitted = True
+        self._settle(pending)
         sample = matching[0]
         transaction = Transaction(
             proposal=pending.proposal,
@@ -238,7 +295,6 @@ class FabricClient:
             create_time=self.sim.now,
         )
         envelope.signature = self.identity.sign(envelope.digest())
-        pending.envelope = envelope
         self._awaiting_commit[transaction.tx_id] = pending
         submit = SubmitEnvelope(envelope)
         self.network.send(
@@ -254,11 +310,19 @@ class FabricClient:
         args = sum(len(repr(a)) for a in transaction.proposal.args)
         return 256 + rwset + endorsements + args
 
-    def _on_commit(self, event: CommitEvent) -> None:
-        self.commits_seen.append(event)
-        pending = self._awaiting_commit.pop(event.tx_id, None)
-        if pending is None:
-            return
-        self._pending.pop(pending.proposal.digest(), None)
-        if not pending.future.done:
-            pending.future.resolve(event)
+    def _on_filtered_block(self, event: FilteredBlock) -> None:
+        """Resolve every transaction of ours the block reports; a later
+        peer's report of the same transaction finds nothing waiting."""
+        for tx_id, envelope_id, code in event.transactions:
+            pending = self._awaiting_commit.pop(tx_id, None)
+            if pending is not None:
+                pending.future.resolve(
+                    CommitEvent(
+                        tx_id=tx_id,
+                        envelope_id=envelope_id,
+                        block_number=event.block_number,
+                        validation_code=code,
+                        peer=event.peer,
+                        commit_time=event.commit_time,
+                    )
+                )

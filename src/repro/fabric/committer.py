@@ -12,16 +12,22 @@ every envelope:
 Invalid transactions are still appended to the ledger (marked invalid,
 useful to expose malicious clients) but their writes are discarded.
 Valid writes commit at version ``(block, tx_index)``.
+
+Once a block is committed, the peer sends each client that submitted a
+transaction in it one :class:`~repro.fabric.api.FilteredBlock` (HLF's
+filtered block event): that client's ``(tx_id, envelope_id, code)``
+entries, in block order -- one message per client per block, not one
+per transaction.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.keys import KeyRegistry
-from repro.fabric.api import BlockDelivery, BlockRequest, BlockResponse, CommitEvent
+from repro.fabric.api import BlockDelivery, BlockRequest, BlockResponse, FilteredBlock
 from repro.fabric.block import Block
 from repro.fabric.blockpolicy import BlockValidityPolicy, SignatureCountPolicy
 from repro.fabric.channel import ChannelConfig
@@ -261,15 +267,20 @@ class CommittingPeer:
         return self.block_policy.check(block)
 
     def _notify_clients(self, record: CommitRecord) -> None:
+        """One filtered block per submitting client, clients in order of
+        their first transaction in the block."""
+        clients: List[object] = []
+        entries: Dict[object, List[Tuple[int, int, str]]] = {}
         for envelope, code in zip(record.block.envelopes, record.codes):
             if envelope.transaction is None or not envelope.submitter:
                 continue
-            event = CommitEvent(
-                tx_id=envelope.transaction.tx_id,
-                envelope_id=envelope.envelope_id,
-                block_number=record.block.header.number,
-                validation_code=code.value,
-                peer=self.name,
-                commit_time=self.sim.now,
+            if envelope.submitter not in entries:
+                clients.append(envelope.submitter)
+                entries[envelope.submitter] = []
+            entries[envelope.submitter].append(
+                (envelope.transaction.tx_id, envelope.envelope_id, code.value)
             )
-            self.network.send(self.name, envelope.submitter, event, event.wire_size())
+        number, now = record.block.header.number, self.sim.now
+        for client in clients:
+            event = FilteredBlock(number, self.name, now, entries[client])
+            self.network.send(self.name, client, event, event.wire_size())

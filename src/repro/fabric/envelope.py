@@ -275,8 +275,9 @@ def _response_hash(
     result_repr: str,
     success: bool,
 ) -> bytes:
-    """``response`` hash by everything it hashes: both endorsers sign,
-    the client groups and every committing peer checks the same payload.
+    """``response`` hash by everything it hashes: the endorsers sign,
+    the client verifies and groups and every committing peer checks the
+    same payload.
     ``typed`` because the canonical encoding tells ``True`` from ``1``
     where a dict key does not."""
     return sha256(

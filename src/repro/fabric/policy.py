@@ -8,7 +8,8 @@ with *valid* signatures on the transaction.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Sequence
+import itertools
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence
 
 
 class EndorsementPolicy:
@@ -71,3 +72,22 @@ def And(*subpolicies: EndorsementPolicy) -> OutOf:
 def Or(*subpolicies: EndorsementPolicy) -> OutOf:
     """Any one sub-policy suffices."""
     return OutOf(1, *subpolicies)
+
+
+def minimal_cover(
+    policy: EndorsementPolicy,
+    endorsers: Sequence[str],
+    org_of: Callable[[str], Optional[str]],
+) -> Optional[List[str]]:
+    """The smallest subset of ``endorsers`` whose orgs satisfy ``policy``.
+
+    Among subsets of one size the first in configured order wins (the
+    order ``itertools.combinations`` yields them), so the choice is
+    deterministic.  ``None`` when even all of them cannot satisfy it.
+    """
+    orgs = [org_of(endorser) for endorser in endorsers]
+    for size in range(1, len(endorsers) + 1):
+        for chosen in itertools.combinations(range(len(endorsers)), size):
+            if policy.satisfied_by(orgs[index] for index in chosen):
+                return [endorsers[index] for index in chosen]
+    return None

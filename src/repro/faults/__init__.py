@@ -61,6 +61,7 @@ from repro.faults.invariants import (
     check_log_agreement,
     check_no_silent_drop,
     check_ordering_service,
+    check_serializability,
 )
 from repro.faults.scenario import FaultEvent, Scenario
 from repro.smart.consensus import replica_log_digests
@@ -103,6 +104,7 @@ __all__ = [
     "check_log_agreement",
     "check_no_silent_drop",
     "check_ordering_service",
+    "check_serializability",
     "explore",
     "replica_log_digests",
     "run_schedule",

@@ -13,7 +13,11 @@ The checks mirror what the paper's fault model promises:
   peers' (subsumed by the log-agreement check, which runs after
   crash/recover schedules too);
 - **liveness** -- once faults heal, every submitted envelope is
-  eventually ordered and delivered.
+  eventually ordered and delivered;
+- **serializability** (the Fabric path) -- every transaction a
+  committing peer marks valid read the latest committed version of each
+  key, every MVCC conflict read a stale one, and peers at one height
+  hold the same world state.
 
 Checkers return :class:`Violation` lists instead of asserting, so the
 schedule explorer can aggregate, report and shrink.
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.fabric.api import BlockDelivery
+from repro.fabric.committer import ValidationCode
 from repro.smart.messages import Accept, Write
 
 
@@ -243,6 +248,79 @@ def check_frontend_agreement(frontends: Sequence) -> List[Violation]:
                             f"different chains on channel {channel!r}",
                         )
                     )
+    return violations
+
+
+# ----------------------------------------------------------------------
+# the Fabric path: serializability
+# ----------------------------------------------------------------------
+def _replay_violations(peer) -> List[Violation]:
+    """Replay ``peer``'s commits in block order against the versions the
+    valid writes before each transaction left."""
+    violations: List[Violation] = []
+    versions: Dict[str, tuple] = {}  # key -> version of its last valid write
+    for record in peer.commits:
+        number = record.block.header.number
+        for index, (envelope, code) in enumerate(zip(record.block.envelopes, record.codes)):
+            tx = envelope.transaction
+            if tx is None:
+                continue
+            stale = [
+                key
+                for key, version in sorted(tx.read_set.reads.items())
+                if (tuple(version) if version is not None else None) != versions.get(key)
+            ]
+            where = f"peer {peer.name}: block {number} transaction {index}"
+            if code is ValidationCode.VALID:
+                if stale:
+                    violations.append(
+                        Violation(
+                            "serializability",
+                            f"{where} is VALID but read {stale[0]!r} at "
+                            f"{tx.read_set.reads[stale[0]]}, not at its last "
+                            f"valid write {versions.get(stale[0])}",
+                        )
+                    )
+                for key, value in sorted(tx.write_set.writes.items()):
+                    if value is None:
+                        versions.pop(key, None)  # a delete
+                    else:
+                        versions[key] = (number, index)
+            elif code is ValidationCode.MVCC_READ_CONFLICT and not stale:
+                violations.append(
+                    Violation(
+                        "serializability",
+                        f"{where} is an MVCC_READ_CONFLICT but read every key "
+                        f"at its last valid write",
+                    )
+                )
+    return violations
+
+
+def check_serializability(peers: Sequence) -> List[Violation]:
+    """Replay each committing peer's ledger in block order:
+
+    - every ``VALID`` transaction read, for each key, exactly the version
+      of the last ``VALID`` write before it, or ``None`` if there was none;
+    - every ``MVCC_READ_CONFLICT`` transaction read some other version;
+    - peers at the same ledger height hold equal world state.
+    """
+    violations: List[Violation] = []
+    for peer in peers:
+        violations.extend(_replay_violations(peer))
+    for i, peer_a in enumerate(peers):
+        for peer_b in peers[i + 1 :]:
+            if (
+                peer_a.ledger.height == peer_b.ledger.height
+                and peer_a.state.snapshot() != peer_b.state.snapshot()
+            ):
+                violations.append(
+                    Violation(
+                        "serializability",
+                        f"peers {peer_a.name} and {peer_b.name} are both at "
+                        f"height {peer_a.ledger.height} with different world state",
+                    )
+                )
     return violations
 
 

@@ -235,13 +235,13 @@ class SoloPipeline:
     installed.  Nothing but the Fabric path hashes here, so per-
     transaction hash counts and ledger bytes can be pinned exactly."""
 
-    def __init__(self, block_size: int = 10, seed: int = 0):
+    def __init__(self, block_size: int = 10, seed: int = 0, policy=None):
         self.sim = Simulator()
         self.network = Network(self.sim, ConstantLatency(0.0005))
         self.registry = KeyRegistry(
             scheme=SimulatedECDSA(), rng=random.Random(seed)
         )
-        policy = Or(SignedBy("org1"), SignedBy("org2"))
+        policy = policy or Or(SignedBy("org1"), SignedBy("org2"))
         channel = ChannelConfig(
             "ch0",
             max_message_count=block_size,
@@ -253,7 +253,8 @@ class SoloPipeline:
         )
         self.network.register("solo", self.orderer)
         self.committers = []
-        endorsers = []
+        #: the endorsing peers, org1's first (the client's configured order)
+        self.endorsers = []
         for org in ("org1", "org2"):
             peer = f"peer-{org}"
             self.registry.enroll(peer, org=org)
@@ -269,28 +270,25 @@ class SoloPipeline:
             self.network.register(peer, committer)
             self.orderer.attach_receiver(peer)
             self.committers.append(committer)
-            endorser = f"endorser-{org}"
-            self.network.register(
-                endorser,
-                EndorsingPeer(
-                    self.network,
-                    endorser,
-                    self.registry.enroll(endorser, org=org),
-                    state_provider=lambda _channel, c=committer: c.state,
-                    chaincodes={
-                        "kv": KVChaincode(),
-                        "asset-transfer": AssetTransferChaincode(),
-                        "smallbank": SmallBankChaincode(),
-                    },
-                ),
+            endorser = EndorsingPeer(
+                self.network,
+                f"endorser-{org}",
+                self.registry.enroll(f"endorser-{org}", org=org),
+                state_provider=lambda _channel, c=committer: c.state,
+                chaincodes={
+                    "kv": KVChaincode(),
+                    "asset-transfer": AssetTransferChaincode(),
+                    "smallbank": SmallBankChaincode(),
+                },
             )
-            endorsers.append(endorser)
+            self.network.register(endorser.name, endorser)
+            self.endorsers.append(endorser)
         self.client = FabricClient(
             self.sim,
             self.network,
             self.registry.enroll("client0", org="clients"),
             self.registry,
-            endorsers=endorsers,
+            endorsers=[endorser.name for endorser in self.endorsers],
             orderer_endpoint="solo",
             default_policy=policy,
         )

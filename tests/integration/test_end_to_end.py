@@ -20,6 +20,7 @@ from repro.fabric import (
     SmallBankChaincode,
 )
 from repro.fabric.client import EndorsementError
+from repro.faults.invariants import check_serializability
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 
 
@@ -102,7 +103,10 @@ class Pipeline:
 
 @pytest.fixture
 def pipeline():
-    return Pipeline()
+    """The pipeline; every test using it ends serializable."""
+    pipeline = Pipeline()
+    yield pipeline
+    assert check_serializability(pipeline.committers) == []
 
 
 class TestFullFlow:

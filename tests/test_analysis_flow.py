@@ -94,10 +94,11 @@ class TestRepoIsClean:
         # the graph actually covered the protocol surface
         assert len(analyzer.messages) > 20
         assert len(analyzer._reached) > 50
-        # ... and the committed snapshot of it is current (regenerate
-        # with `python -m repro.analysis flow --dot docs/msgflow.dot`)
+        # ... and the committed snapshot of it is current
         committed = (REPO_ROOT / "docs" / "msgflow.dot").read_text()
-        assert graph_to_dot(analyzer) == committed
+        assert graph_to_dot(analyzer) == committed, (
+            "docs/msgflow.dot is stale: regenerate it with `make msgflow`"
+        )
 
     def test_cli_exits_zero_on_repo(self, capsys):
         assert analysis_main(["flow"]) == 0

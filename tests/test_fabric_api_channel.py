@@ -6,7 +6,7 @@ from repro.fabric.api import (
     BlockDelivery,
     BlockRequest,
     BlockResponse,
-    CommitEvent,
+    FilteredBlock,
     ProposalMessage,
     ProposalResponseMessage,
     SubmitEnvelope,
@@ -72,7 +72,7 @@ class TestApiWireSizes:
 
     def test_control_messages_small(self):
         assert BlockRequest("ch0", 0, 5, "peer").wire_size() < 300
-        assert CommitEvent(1, 1, 0, "VALID", "peer").wire_size() < 300
+        assert FilteredBlock(0, "peer", 0.0, [(1, 1, "VALID")]).wire_size() < 300
 
 
 class TestChannelConfig:

@@ -32,18 +32,20 @@ class TestClientEdgeCases:
             _ = future.value
 
     def test_unverifiable_endorser_response_ignored(self):
-        """Responses with bad signatures never count toward assembly."""
+        """Responses with bad signatures never count toward assembly:
+        the first choice's forged answer leaves its round unanswered,
+        and the proposal timeout widens it to endorser1."""
         pipeline = self._pipeline()
         from repro.fabric.api import ProposalResponseMessage
 
         def forge(src, dst, payload):
-            if isinstance(payload, ProposalResponseMessage) and src == "endorser1":
+            if isinstance(payload, ProposalResponseMessage) and src == "endorser0":
                 payload.response.signature = b"\x00" * 64
             return payload
 
         pipeline.network.add_filter(forge)
         client = pipeline.client("alice")
-        # Or-policy: endorser0 alone still satisfies it
+        # Or-policy: endorser1 alone still satisfies it
         future = client.submit_transaction("ch0", "kv", "put", ("k", "v"))
         assert pipeline.drain([future])
         assert future.value.validation_code == "VALID"
@@ -53,7 +55,7 @@ class TestClientEdgeCases:
             .envelopes[0]
             .transaction
         )
-        assert {e.endorser for e in tx.endorsements} == {"endorser0"}
+        assert {e.endorser for e in tx.endorsements} == {"endorser1"}
 
     def test_envelope_size_override(self):
         pipeline = self._pipeline()

@@ -17,8 +17,10 @@ from repro.faults import (
     check_history_prefixes,
     check_liveness,
     check_log_agreement,
+    check_serializability,
     replica_log_digests,
 )
+from repro.fabric.committer import ValidationCode
 from tests.conftest import Cluster
 
 pytestmark = pytest.mark.faults
@@ -299,3 +301,65 @@ class TestNoSilentDrop:
         service.sim.run(until=5.0)
         (violation,) = check_no_silent_drop(recorder)
         assert violation.invariant == "no-silent-drop"
+
+
+class TestSerializability:
+    """The Fabric path's checker: clean on the seeded hot-key run of
+    ``test_fabric_hash_budget.py``, and it fires once the committer's
+    MVCC check is switched off."""
+
+    @staticmethod
+    def _hot_key_run():
+        from tests.conftest import SoloPipeline
+        from tests.test_fabric_hash_budget import run_hot_keys
+
+        pipeline = SoloPipeline(block_size=10, seed=0)
+        run_hot_keys(pipeline, 120)
+        return pipeline
+
+    @staticmethod
+    def _codes(peer):
+        return [code for record in peer.commits for code in record.codes]
+
+    def test_clean_run_passes(self):
+        pipeline = self._hot_key_run()
+        assert ValidationCode.MVCC_READ_CONFLICT in self._codes(pipeline.committers[0])
+        assert check_serializability(pipeline.committers) == []
+
+    def test_fires_without_the_mvcc_check(self, monkeypatch):
+        from repro.fabric import committer
+
+        validate_block = committer.validate_block
+
+        def without_mvcc(*args, **kwargs):
+            return [
+                ValidationCode.VALID
+                if code is ValidationCode.MVCC_READ_CONFLICT
+                else code
+                for code in validate_block(*args, **kwargs)
+            ]
+
+        monkeypatch.setattr(committer, "validate_block", without_mvcc)
+        pipeline = self._hot_key_run()
+        assert ValidationCode.MVCC_READ_CONFLICT not in self._codes(pipeline.committers[0])
+        violations = check_serializability(pipeline.committers)
+        assert violations
+        assert all(v.invariant == "serializability" for v in violations)
+        assert "is VALID but read" in violations[0].detail
+
+    def test_flags_a_conflict_that_read_the_latest_version(self):
+        pipeline = self._hot_key_run()
+        peer = pipeline.committers[0]
+        peer.commits[0].codes[0] = ValidationCode.MVCC_READ_CONFLICT
+        violations = check_serializability([peer])
+        # the put read nothing; later readers of its key now read a
+        # version the replay no longer holds
+        assert "block 0 transaction 0 is an MVCC_READ_CONFLICT" in violations[0].detail
+        assert all("is VALID but read 'k0'" in v.detail for v in violations[1:])
+
+    def test_flags_peers_with_different_state_at_one_height(self):
+        pipeline = self._hot_key_run()
+        first, second = pipeline.committers
+        second.state.apply_write("k0", 99, (999, 0))
+        (violation,) = check_serializability([first, second])
+        assert "different world state" in violation.detail
