@@ -104,8 +104,9 @@ class Block:
     def data_size(self) -> int:
         size = self._data_size
         if size < 0:
+            # a list, not a generator: no Python frame per envelope
             size = self._data_size = sum(
-                e.payload_size + ENVELOPE_FRAMING for e in self.envelopes
+                [e.payload_size + ENVELOPE_FRAMING for e in self.envelopes]
             )
         return size
 

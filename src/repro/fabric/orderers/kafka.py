@@ -11,9 +11,10 @@ structure:
 - :class:`KafkaCluster` -- the ZooKeeper/controller stand-in: detects
   a crashed leader and promotes the most up-to-date surviving broker;
 - :class:`KafkaOrderer` -- a Fabric orderer node: produces envelopes
-  to the leader broker, consumes the committed stream, cuts blocks
-  (same :class:`~repro.ordering.blockcutter.BlockCutter` as the BFT
-  service), signs and delivers them.
+  to the leader broker, consumes the committed stream, cuts blocks,
+  signs and delivers them -- the block pipeline and TimeToCut machine
+  of :mod:`repro.ordering.blockcutter`, as the BFT service's nodes run
+  it, with the partition as the total order.
 
 This service tolerates *crash* faults only -- a Byzantine leader
 broker can fork the log and make orderers cut conflicting blocks, a
@@ -24,15 +25,20 @@ service.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Set
 
 from repro.crypto.keys import Identity
-from repro.fabric.api import BlockDelivery, SubmitEnvelope
-from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader, compute_data_hash
+from repro.fabric.api import SubmitEnvelope
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering.blockcutter import BlockCutter
-from repro.ordering.node import TimeToCut
+from repro.ordering.blockcutter import (
+    BlockCutter,
+    BlockWriter,
+    ChannelState,
+    TimeToCut,
+    TimeToCutMachine,
+)
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
 from repro.sim.monitor import MetricsRegistry
@@ -253,21 +259,34 @@ class KafkaOrderer:
         self.sim = sim
         self.network = network
         self.name = name
-        self.identity = identity
         self.cluster = cluster
         self.channel = channel
-        self.cutter = BlockCutter(channel)
-        self.signing_pool = ThreadPool(cpu, signing_workers) if cpu else None
+        self.state = ChannelState(cutter=BlockCutter(channel))
         self.stats = stats if stats is not None else MetricsRegistry()
         self.receivers: List[object] = []
-        self.next_number = 0
-        self.previous_hash = GENESIS_PREVIOUS_HASH
+        self.writer = BlockWriter(
+            sim, network, name, identity, self.receivers,
+            signing_pool=ThreadPool(cpu, signing_workers) if cpu else None,
+            stats=self.stats, record_latency=True,
+        )
+        channels = {channel.channel_id: self.state}
+        self.ttc = TimeToCutMachine(sim, channels, self.writer, partial(self._produce, size=24))
         self.next_offset = 0
         self._buffered: Dict[int, Any] = {}
-        self.blocks_created = 0
-        self._ttc_pending = False
         network.register(name, self)
         cluster.subscribe(name)
+
+    @property
+    def next_number(self) -> int:
+        return self.state.chain.number
+
+    @property
+    def previous_hash(self) -> bytes:
+        return self.state.chain.previous_hash
+
+    @property
+    def blocks_created(self) -> int:
+        return self.writer.blocks_created
 
     def attach_receiver(self, receiver_id: object) -> None:
         if receiver_id not in self.receivers:
@@ -284,7 +303,10 @@ class KafkaOrderer:
         """Produce an envelope into the Kafka partition."""
         if envelope.create_time is None:
             envelope.create_time = self.sim.now
-        produce = Produce(envelope, envelope.payload_size)
+        self._produce(envelope, envelope.payload_size)
+
+    def _produce(self, record: Any, size: int) -> None:
+        produce = Produce(record, size)
         self.network.send(
             self.name, self.cluster.leader_name, produce, produce.wire_size()
         )
@@ -295,85 +317,7 @@ class KafkaOrderer:
         while self.next_offset in self._buffered:
             record = self._buffered.pop(self.next_offset)
             self.next_offset += 1
-            self._process(record)
-
-    def _process(self, record: Any) -> None:
-        if isinstance(record, TimeToCut):
-            self._ttc_pending = False
-            if record.target_height == self.next_number and len(self.cutter) > 0:
-                self._create_block(self.cutter.cut())
-            elif len(self.cutter) > 0:
-                # stale TTC (a block was cut after it was produced); the
-                # still-pending partial batch needs a fresh timer
-                self._ttc_pending = True
-                self.sim.schedule(
-                    self.channel.batch_timeout, self._submit_ttc, self.next_number
-                )
-            return
-        batches = self.cutter.ordered(record)
-        for batch in batches:
-            self._create_block(batch)
-        if not batches and len(self.cutter) > 0 and not self._ttc_pending:
-            self._ttc_pending = True
-            self.sim.schedule(
-                self.channel.batch_timeout, self._submit_ttc, self.next_number
-            )
-
-    def _submit_ttc(self, target: int) -> None:
-        if not self._ttc_pending:
-            return
-        if self.next_number != target:
-            # blocks were cut since this timer was armed; if a partial
-            # batch remains, restart the countdown at the current height
-            # (returning here with _ttc_pending still set used to wedge
-            # the tail of the stream forever)
-            if len(self.cutter) > 0:
-                self.sim.schedule(
-                    self.channel.batch_timeout, self._submit_ttc, self.next_number
-                )
+            if isinstance(record, TimeToCut):
+                self.ttc.on_ttc(record)
             else:
-                self._ttc_pending = False
-            return
-        ttc = TimeToCut(self.channel.channel_id, target)
-        produce = Produce(ttc, 24)
-        self.network.send(
-            self.name, self.cluster.leader_name, produce, produce.wire_size()
-        )
-
-    def _create_block(self, batch: List[Envelope]) -> None:
-        if not batch:
-            return
-        header = BlockHeader(
-            number=self.next_number,
-            previous_hash=self.previous_hash,
-            data_hash=compute_data_hash(batch),
-        )
-        self.next_number += 1
-        self.previous_hash = header.digest()
-        block = Block(
-            header=header, envelopes=batch, channel_id=self.channel.channel_id
-        )
-        self.blocks_created += 1
-        if self.signing_pool is not None:
-            self.signing_pool.submit(
-                self.identity.signer.sign_cost, self._sign_and_send, block
-            )
-        else:
-            self._sign_and_send(block)
-
-    def _sign_and_send(self, block: Block) -> None:
-        block.signatures[self.name] = self.identity.sign(
-            block.header.signing_payload()
-        )
-        delivery = BlockDelivery(block=block, source=self.name)
-        self.network.broadcast(
-            self.name, self.receivers, delivery, delivery.wire_size()
-        )
-        now = self.sim.now
-        self.stats.meter(f"{self.name}.envelopes").record(
-            now, float(len(block.envelopes))
-        )
-        latency = self.stats.histogram(f"{self.name}.latency")
-        for envelope in block.envelopes:
-            if isinstance(envelope, Envelope) and envelope.create_time is not None:
-                latency.record(now - envelope.create_time)
+                self.ttc.order(self.channel.channel_id, self.state, (record,))

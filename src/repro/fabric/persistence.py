@@ -31,7 +31,7 @@ from repro.fabric.ledger import Ledger
 FORMAT_VERSION = 1
 
 
-def _transaction_to_dict(tx: Transaction) -> Dict[str, Any]:
+def transaction_to_dict(tx: Transaction) -> Dict[str, Any]:
     return {
         "tx_id": tx.tx_id,
         "proposal": {
@@ -57,7 +57,7 @@ def _transaction_to_dict(tx: Transaction) -> Dict[str, Any]:
     }
 
 
-def _transaction_from_dict(data: Dict[str, Any]) -> Transaction:
+def transaction_from_dict(data: Dict[str, Any]) -> Transaction:
     proposal = ChaincodeProposal(
         channel_id=data["proposal"]["channel_id"],
         chaincode_id=data["proposal"]["chaincode_id"],
@@ -90,7 +90,9 @@ def _transaction_from_dict(data: Dict[str, Any]) -> Transaction:
     )
 
 
-def envelope_to_dict(envelope: Envelope) -> Dict[str, Any]:
+def envelope_to_dict(envelope: Envelope, encode_transaction=transaction_to_dict) -> Dict[str, Any]:
+    """The one JSON form of an envelope (the consensus WAL passes its
+    own ``encode_transaction``, which also takes non-Fabric payloads)."""
     return {
         "channel_id": envelope.channel_id,
         "payload_size": envelope.payload_size,
@@ -99,18 +101,18 @@ def envelope_to_dict(envelope: Envelope) -> Dict[str, Any]:
         "is_config": envelope.is_config,
         "envelope_id": envelope.envelope_id,
         "transaction": (
-            _transaction_to_dict(envelope.transaction)
+            encode_transaction(envelope.transaction)
             if envelope.transaction is not None
             else None
         ),
     }
 
 
-def envelope_from_dict(data: Dict[str, Any]) -> Envelope:
+def envelope_from_dict(data: Dict[str, Any], decode_transaction=transaction_from_dict) -> Envelope:
     return Envelope(
         channel_id=data["channel_id"],
         transaction=(
-            _transaction_from_dict(data["transaction"])
+            decode_transaction(data["transaction"])
             if data["transaction"] is not None
             else None
         ),

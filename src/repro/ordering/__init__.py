@@ -14,9 +14,9 @@ from repro.ordering.admission import (
     Rejected,
     jain_fairness,
 )
-from repro.ordering.blockcutter import BlockCutter
+from repro.ordering.blockcutter import BlockCutter, TimeToCut
 from repro.ordering.frontend import Frontend, MatchingCopies, SignedQuorum
-from repro.ordering.node import BFTOrderingNode, TimeToCut
+from repro.ordering.node import BFTOrderingNode
 from repro.ordering.service import (
     OrderingService,
     OrderingServiceConfig,

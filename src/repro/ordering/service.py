@@ -22,7 +22,8 @@ from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering.admission import AdmissionConfig, AdmissionController, Rejected
 from repro.ordering.frontend import Frontend, MatchingCopies, SignedQuorum
-from repro.ordering.node import BFTOrderingNode, TimeToCut
+from repro.ordering.blockcutter import TimeToCut
+from repro.ordering.node import BFTOrderingNode
 from repro.ordering.wal_codec import decode_value, encode_value
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
@@ -314,6 +315,11 @@ class OrderingService:
             for frontend in self.frontends:
                 frontend.relay.update_view(new_view)
                 frontend.acceptance.f = new_view.f
+            # every node's TimeToCuts, the new node's included, go to
+            # the new membership too
+            for member in self.nodes:
+                if member.ttc_proxy is not None:
+                    member.ttc_proxy.update_view(new_view)
 
         future.add_callback(_activate)
         return future, node
@@ -352,11 +358,11 @@ def _bftsmart_machine(
     if config.enable_batch_timeout:
         # deterministic batch timeouts: the node submits TTCs through a
         # lightweight internal proxy living on its own machine
-        ttc_proxy = ServiceProxy(
+        ttc_proxy = node.ttc_proxy = ServiceProxy(
             service.sim, service.network, TTC_ID_BASE + index, view, register=False
         )
         service.network.register(TTC_ID_BASE + index, ttc_proxy, site=site)
-        node.ttc_submitter = lambda ttc: ttc_proxy.invoke_async(ttc, size_bytes=24)
+        node.ttc.submit = lambda ttc: ttc_proxy.invoke_async(ttc, size_bytes=24)
     replica = ServiceReplica(
         sim=service.sim,
         network=service.network,

@@ -2,7 +2,7 @@
 
 The consensus WAL persists records as JSON lines, but the ordering
 service's operations (:class:`~repro.fabric.envelope.Envelope`,
-:class:`~repro.ordering.node.TimeToCut`,
+:class:`~repro.ordering.blockcutter.TimeToCut`,
 :class:`~repro.smart.reconfiguration.ReconfigOp`) and its application
 state (which nests envelopes and raw hash bytes) are not JSON types.
 This module provides the lossless round-trip used by
@@ -11,11 +11,13 @@ This module provides the lossless round-trip used by
 
 Tagged encodings (tags chosen to be impossible keys of real payloads)::
 
-    bytes     -> {"__b": hex}
-    tuple     -> {"__t": [...]}
-    Envelope  -> {"__env": {...}}
-    TimeToCut -> {"__ttc": [channel_id, target_height]}
-    ReconfigOp-> {"__rc": [action, replica_id]}
+    bytes       -> {"__b": hex}
+    tuple       -> {"__t": [...]}
+    Envelope    -> {"__env": {...}}   fabric.persistence's envelope dict
+                                      plus create_time
+    Transaction -> {"__tx": {...}}    fabric.persistence's transaction dict
+    TimeToCut   -> {"__ttc": [channel_id, target_height]}
+    ReconfigOp  -> {"__rc": [action, replica_id]}
 
 Unknown object types raise ``TypeError`` loudly: silently degrading a
 durable record (e.g. via ``repr``) would corrupt recovery.
@@ -25,8 +27,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.fabric.envelope import Envelope
-from repro.ordering.node import TimeToCut
+from repro.fabric.envelope import Envelope, Transaction
+from repro.fabric.persistence import (
+    envelope_from_dict,
+    envelope_to_dict,
+    transaction_from_dict,
+    transaction_to_dict,
+)
+from repro.ordering.blockcutter import TimeToCut
 from repro.smart.reconfiguration import ReconfigOp
 
 
@@ -43,18 +51,11 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, Envelope):
-        return {
-            "__env": {
-                "channel_id": value.channel_id,
-                "transaction": encode_value(value.transaction),
-                "payload_size": value.payload_size,
-                "submitter": value.submitter,
-                "signature": value.signature.hex(),
-                "is_config": value.is_config,
-                "envelope_id": value.envelope_id,
-                "create_time": value.create_time,
-            }
-        }
+        fields = envelope_to_dict(value, encode_transaction=encode_value)
+        fields["create_time"] = value.create_time
+        return {"__env": fields}
+    if isinstance(value, Transaction):
+        return {"__tx": transaction_to_dict(value)}
     if isinstance(value, TimeToCut):
         return {"__ttc": [value.channel_id, value.target_height]}
     if isinstance(value, ReconfigOp):
@@ -73,16 +74,11 @@ def decode_value(value: Any) -> Any:
             return tuple(decode_value(v) for v in value["__t"])
         if "__env" in value and len(value) == 1:
             fields = value["__env"]
-            return Envelope(
-                channel_id=fields["channel_id"],
-                transaction=decode_value(fields["transaction"]),
-                payload_size=fields["payload_size"],
-                submitter=fields["submitter"],
-                signature=bytes.fromhex(fields["signature"]),
-                is_config=fields["is_config"],
-                envelope_id=fields["envelope_id"],
-                create_time=fields["create_time"],
-            )
+            envelope = envelope_from_dict(fields, decode_transaction=decode_value)
+            envelope.create_time = fields["create_time"]
+            return envelope
+        if "__tx" in value and len(value) == 1:
+            return transaction_from_dict(value["__tx"])
         if "__ttc" in value and len(value) == 1:
             channel_id, target_height = value["__ttc"]
             return TimeToCut(channel_id=channel_id, target_height=target_height)

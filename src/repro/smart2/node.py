@@ -47,16 +47,10 @@ from repro.crypto.hashing import sha256
 from repro.crypto.keys import Identity, KeyRegistry
 from repro.crypto.signatures import Verifier
 from repro.fabric.api import BlockDelivery
-from repro.fabric.block import (
-    GENESIS_PREVIOUS_HASH,
-    SHARED_DIGESTS,
-    Block,
-    BlockHeader,
-    compute_data_hash,
-)
+from repro.fabric.block import SHARED_DIGESTS, Block, BlockHeader
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering.blockcutter import BlockCutter
+from repro.ordering.blockcutter import BlockCutter, ChainPosition
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
 from repro.sim.monitor import MetricsRegistry
@@ -122,15 +116,13 @@ class _ChainState:
     (the latest accepted header in the window, else the committed)."""
 
     cutter: BlockCutter
-    next_number: int = 0
-    previous_hash: bytes = GENESIS_PREVIOUS_HASH
-    tip_number: int = 0
-    tip_hash: bytes = GENESIS_PREVIOUS_HASH
+    committed: ChainPosition = field(default_factory=ChainPosition)
+    tip: ChainPosition = field(default_factory=ChainPosition)
 
     def rewind(self) -> None:
         """Drop the accepted, undecided headers from the tip."""
-        self.tip_number = self.next_number
-        self.tip_hash = self.previous_hash
+        self.tip.number = self.committed.number
+        self.tip.previous_hash = self.committed.previous_hash
 
 
 @dataclass
@@ -545,19 +537,15 @@ class SmartBFTNode:
         this node's last proposed header on the channel."""
         seq = self._next_accept
         state = self._channels[channel_id]
+        header = state.tip.header([r.operation for r in batch])
         message = Preprepare(
             sender=self.replica_id,
             view_number=self.view_number,
             seq=seq,
             channel_id=channel_id,
-            number=state.tip_number,
-            previous_hash=state.tip_hash,
+            number=header.number,
+            previous_hash=header.previous_hash,
             batch=batch,
-        )
-        header = BlockHeader(
-            number=message.number,
-            previous_hash=message.previous_hash,
-            data_hash=compute_data_hash([r.operation for r in batch]),
         )
         message.signature = self.identity.sign(
             preprepare_payload(message.view_number, seq, header.digest())
@@ -596,7 +584,7 @@ class SmartBFTNode:
         state = self._channels.get(msg.channel_id)
         if state is None:
             return
-        if msg.number != state.tip_number or msg.previous_hash != state.tip_hash:
+        if msg.number != state.tip.number or msg.previous_hash != state.tip.previous_hash:
             return
         if not msg.batch:
             return
@@ -613,10 +601,8 @@ class SmartBFTNode:
         verifier = self._verifier_of(msg.sender)
         if verifier is None:
             return None
-        header = BlockHeader(
-            number=msg.number,
-            previous_hash=msg.previous_hash,
-            data_hash=compute_data_hash([r.operation for r in msg.batch]),
+        header = ChainPosition(msg.number, msg.previous_hash).header(
+            [r.operation for r in msg.batch]
         )
         if not verifier.verify(
             preprepare_payload(msg.view_number, msg.seq, header.digest()),
@@ -636,8 +622,7 @@ class SmartBFTNode:
         round_.preprepare = msg
         round_.header = header
         digest = round_.digest = header.digest()
-        state.tip_number = header.number + 1
-        state.tip_hash = digest
+        state.tip.advance(header)
         self._next_accept = seq + 1
         self._ordered_ids.update(rids)
         delay = self.log.log_write(seq, msg.view_number, digest)
@@ -808,8 +793,7 @@ class SmartBFTNode:
     def _commit_decision(self, decision: _Decision) -> None:
         """Apply one decided block (from consensus or catch-up)."""
         state = self._channels[decision.channel_id]
-        state.next_number = decision.block.header.number + 1
-        state.previous_hash = decision.block.header.digest()
+        state.committed.advance(decision.block.header)
         self.log.append(decision.seq, decision.batch)
         self.next_commit_seq = decision.seq + 1
         if self._next_accept < self.next_commit_seq:
@@ -1155,7 +1139,7 @@ class SmartBFTNode:
                 break
             state = self._channels.get(candidate.channel_id)
             if state is None or (candidate.number, candidate.previous_hash) != (
-                state.tip_number, state.tip_hash
+                state.tip.number, state.tip.previous_hash
             ):
                 break
             self._leader_seen.update([r.request_id for r in candidate.batch])
@@ -1190,8 +1174,8 @@ class SmartBFTNode:
             if state is None:
                 continue
             if (
-                block.header.number != state.next_number
-                or block.header.previous_hash != state.previous_hash
+                block.header.number != state.committed.number
+                or block.header.previous_hash != state.committed.previous_hash
             ):
                 continue
             if not block.verify_data():

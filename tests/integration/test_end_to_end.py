@@ -20,6 +20,7 @@ from repro.fabric import (
     SmallBankChaincode,
 )
 from repro.fabric.client import EndorsementError
+from repro.fabric.envelope import Envelope
 from repro.faults.invariants import check_serializability
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 
@@ -27,7 +28,7 @@ from repro.ordering import OrderingServiceConfig, build_ordering_service
 class Pipeline:
     """A complete two-org HLF network over a 4-node BFT service."""
 
-    def __init__(self, max_count=2, policy=None):
+    def __init__(self, max_count=2, policy=None, durable_wal=False):
         self.policy = policy or Or(SignedBy("org1"), SignedBy("org2"))
         channel = ChannelConfig(
             "ch0",
@@ -41,6 +42,7 @@ class Pipeline:
             num_frontends=1,
             physical_cores=None,
             enable_batch_timeout=True,
+            durable_wal=durable_wal,
         )
         self.service = build_ordering_service(config)
         self.sim = self.service.sim
@@ -208,6 +210,27 @@ class TestFullFlow:
         state = pipeline.committers[0].state
         total = sum(state.get_value(f"acct/acct{i}") for i in range(4))
         assert total == 400
+
+    def test_durable_wal_logs_fabric_transactions(self):
+        """Every replica's consensus WAL logs the decided Fabric
+        envelope, and recovering the WAL returns it with its digest."""
+        pipeline = Pipeline(durable_wal=True)
+        client = pipeline.client("alice")
+        future = client.submit_transaction("ch0", "kv", "put", ("k", "v"))
+        assert pipeline.drain([future])
+        assert future.value.validation_code == "VALID"
+        (block,) = list(pipeline.committers[0].ledger)
+        (ordered,) = block.envelopes
+        assert ordered.transaction is not None
+        for replica in pipeline.service.replicas:
+            recovered = [
+                request.operation
+                for _cid, batch in replica.log.recover().entries
+                for request in batch
+                if isinstance(request.operation, Envelope)
+            ]
+            assert [envelope.digest() for envelope in recovered] == [ordered.digest()]
+            assert recovered[0].transaction.digest() == ordered.transaction.digest()
 
     def test_ordering_node_crash_mid_pipeline(self, pipeline):
         client = pipeline.client("alice")

@@ -24,7 +24,7 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering.blockcutter import BlockCutter
+from repro.ordering.blockcutter import BlockCutter, BlockWriter, TimeToCutMachine
 from repro.ordering.node import BFTOrderingNode, TimeToCut
 from repro.sim import ConstantLatency, Network, Simulator
 from repro.sim.monitor import LatencyRecorder
@@ -63,7 +63,8 @@ def ordered_one_by_one(cutter: BlockCutter, envelope: Envelope) -> List[List[Env
 
 
 class PerEnvelopeNode(BFTOrderingNode):
-    """``BFTOrderingNode`` with the per-envelope execute path."""
+    """``BFTOrderingNode`` with the per-envelope execute path, on the
+    shared block writer and TimeToCut machine."""
 
     def execute_batch(self, cid, requests, regency, tentative=False):
         results: List[Any] = []
@@ -72,7 +73,7 @@ class PerEnvelopeNode(BFTOrderingNode):
             if isinstance(operation, Envelope):
                 results.append(self._handle_envelope(operation))
             elif isinstance(operation, TimeToCut):
-                results.append(self._handle_ttc(operation))
+                results.append(self.ttc.on_ttc(operation))
             else:
                 results.append({"status": "BAD_REQUEST"})
         return results
@@ -84,11 +85,11 @@ class PerEnvelopeNode(BFTOrderingNode):
         self.envelopes_processed += 1
         batches = ordered_one_by_one(state.cutter, envelope)
         for batch in batches:
-            self._create_block(envelope.channel_id, state, batch)
+            self.writer.write(state.chain.append(batch, envelope.channel_id))
         if batches:
             state.ttc_pending = False
         if len(state.cutter) > 0:
-            self._arm_cut_timer(envelope.channel_id, state)
+            self.ttc.arm(envelope.channel_id, state)
         return {"status": "ACK", "channel": envelope.channel_id}
 
 
@@ -316,9 +317,9 @@ class NodeUnderTest:
             return schedule(delay, fn, *args)
 
         self.sim.schedule = logged_schedule
-        sign_and_send = self.node._sign_and_send
+        sign_and_send = self.node.writer._sign_and_send
 
-        def logged_sign_and_send(block, cut_time=None):
+        def logged_sign_and_send(block, cut_time):
             self.log.append(
                 (
                     "block",
@@ -331,7 +332,7 @@ class NodeUnderTest:
             )
             sign_and_send(block, cut_time)
 
-        self.node._sign_and_send = logged_sign_and_send
+        self.node.writer._sign_and_send = logged_sign_and_send
 
     def submit_ttc(self, ttc: TimeToCut) -> None:
         self.log.append(("ttc", self.sim.now, ttc))
@@ -339,8 +340,8 @@ class NodeUnderTest:
     def state(self):
         return {
             channel_id: (
-                state.next_number,
-                state.previous_hash,
+                state.chain.number,
+                state.chain.previous_hash,
                 state.ttc_pending,
                 state.ttc_epoch,
                 cutter_state(state.cutter),
@@ -639,9 +640,10 @@ class TestRecorderExtend:
 def test_oracles_match_the_documented_signatures():
     """The oracles override what they replace and nothing else."""
     assert PerEnvelopeNode.execute_batch is not BFTOrderingNode.execute_batch
-    assert PerEnvelopeNode._create_block is BFTOrderingNode._create_block
-    assert PerEnvelopeNode._handle_ttc is BFTOrderingNode._handle_ttc
-    assert PerEnvelopeNode._arm_cut_timer is BFTOrderingNode._arm_cut_timer
+    oracle = NodeUnderTest(PerEnvelopeNode, (1, 1), 1024, True).node
+    batched = NodeUnderTest(BFTOrderingNode, (1, 1), 1024, True).node
+    assert type(oracle.writer) is type(batched.writer) is BlockWriter
+    assert type(oracle.ttc) is type(batched.ttc) is TimeToCutMachine
     assert PerRequestReplica._execute_batch is not ServiceReplica._execute_batch
     assert PerRequestReplica._confirm_batch is ServiceReplica._confirm_batch
     assert PerRequestReplica._rollback_tentative is ServiceReplica._rollback_tentative

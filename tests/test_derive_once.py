@@ -608,7 +608,12 @@ class TestPerBatchBudgets:
         the node and the queue are entered once per batch, per channel
         run and per cut block -- never once per envelope (per replica,
         2 000 calls into the node and 1 200 into the queue before)."""
-        from repro.ordering.blockcutter import BlockCutter
+        from repro.ordering.blockcutter import (
+            BlockCutter,
+            BlockWriter,
+            ChainPosition,
+            TimeToCutMachine,
+        )
         from repro.ordering.node import BFTOrderingNode
         from repro.smart.batching import PendingQueue
 
@@ -618,13 +623,23 @@ class TestPerBatchBudgets:
         per_replica = {
             name: calls / 4
             for name, calls in calls_into(
-                profile, BFTOrderingNode, PendingQueue, BlockCutter
+                profile,
+                BFTOrderingNode,
+                TimeToCutMachine,
+                ChainPosition,
+                BlockWriter,
+                PendingQueue,
+                BlockCutter,
             ).items()
         }
         assert per_replica == {
             "BFTOrderingNode.execute_batch": 1,
             "BFTOrderingNode._order_run": 1,
-            "BFTOrderingNode._create_block": blocks,  # signed later, by the pool
+            "TimeToCutMachine.order": 1,
+            "ChainPosition.append": blocks,
+            "ChainPosition.header": blocks,
+            "ChainPosition.advance": blocks,
+            "BlockWriter.write": blocks,  # signed later, by the pool
             "BlockCutter.ordered_run": blocks + 1,  # to each cut, then the rest
             "BlockCutter.cut": blocks,
             "PendingQueue.remove_all": 1,
@@ -645,6 +660,94 @@ class TestPerBatchBudgets:
         assert set(profile.monitor_calls) <= {
             "extend", "record", "meter", "histogram", "_claim", "__init__"
         }
+
+
+class BlockTailProfile:
+    """A ``sys.setprofile`` hook counting the Python frames entered
+    inside each ``BlockWriter.write`` (the call's own frame included)
+    and every call into ``sim/monitor.py``."""
+
+    def __init__(self):
+        from repro.ordering.blockcutter import BlockWriter
+
+        self.write_code = BlockWriter.write.__code__
+        self.monitor_file = monitor_module.__file__
+        #: Python frames per written block, in write order
+        self.frames_per_block = []
+        self.monitor_calls = collections.Counter()
+        self._write = None
+
+    def __call__(self, frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if self._write is not None:
+                self.frames_per_block[-1] += 1
+            elif code is self.write_code:
+                self._write = frame
+                self.frames_per_block.append(1)
+            if code.co_filename == self.monitor_file:
+                self.monitor_calls[code.co_name] += 1
+        elif event == "return" and frame is self._write:
+            self._write = None
+
+
+def run_cft_orderer(backend: str, envelopes: int, block_size: int):
+    """``envelopes`` submitted at once to a solo or Kafka orderer (no
+    CPU model, so every block is signed inside its ``write``), profiled
+    from the first submission to the last block."""
+    from repro.fabric.orderers.kafka import KafkaCluster, KafkaOrderer
+    from repro.fabric.orderers.solo import SoloOrderer
+    from repro.sim import ConstantLatency, Network, Simulator
+
+    sim = Simulator()
+    network = Network(sim, ConstantLatency(0.0001))
+    identity = KeyRegistry(scheme=SimulatedECDSA()).enroll("orderer0", org="ord")
+    channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=10.0)
+    if backend == "solo":
+        orderer = SoloOrderer(sim, network, "orderer0", identity, channel)
+        network.register("orderer0", orderer)
+    else:
+        cluster = KafkaCluster(sim, network, num_brokers=3)
+        orderer = KafkaOrderer(sim, network, "orderer0", identity, cluster, channel)
+    network.register("sink", SimpleNamespace(deliver=lambda src, message: None))
+    orderer.attach_receiver("sink")
+    profile = BlockTailProfile()
+    sys.setprofile(profile)
+    try:
+        for i in range(envelopes):
+            orderer.submit(
+                Envelope(channel_id="ch0", transaction=None, payload_size=256, envelope_id=i)
+            )
+        sim.run(until=1.0)
+    finally:
+        sys.setprofile(None)
+    assert orderer.blocks_created == envelopes // block_size
+    return orderer, profile
+
+
+class TestCftBlockTail:
+    """Solo and Kafka write their blocks through the shared writer: one
+    ``write`` per block, and what it costs in Python calls does not
+    grow with the envelopes in the block (the per-envelope latency
+    ``record`` loop is one ``extend``)."""
+
+    @pytest.mark.parametrize("backend", ["solo", "kafka"])
+    def test_one_writer_call_per_block_and_none_per_envelope(self, backend):
+        small_orderer, small = run_cft_orderer(backend, 40, 4)
+        large_orderer, large = run_cft_orderer(backend, 160, 16)
+        assert len(small.frames_per_block) == small_orderer.blocks_created == 10
+        assert len(large.frames_per_block) == large_orderer.blocks_created == 10
+        # the first block also looks its instruments up
+        assert large.frames_per_block == small.frames_per_block
+        assert len(set(small.frames_per_block[1:])) == 1
+        for profile in (small, large):
+            assert profile.monitor_calls["record"] == 10  # the envelopes meter
+            assert profile.monitor_calls["extend"] == 10  # the latency histogram
+            assert set(profile.monitor_calls) <= {
+                "extend", "record", "meter", "histogram", "_claim", "__init__"
+            }
+        latency = large_orderer.stats.histogram("orderer0.latency")
+        assert latency.count == 160
 
 
 class TestCachedLeaderFlag:

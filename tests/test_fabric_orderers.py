@@ -120,6 +120,32 @@ class TestKafkaOrderer:
         assert nodes[1].blocks_created == 1
         assert nodes[0].previous_hash == nodes[1].previous_hash
 
+    def test_lost_time_to_cut_is_resubmitted(self, env):
+        """A TTC ``Produce`` lost on the way to the leader broker does
+        not wedge the partial tail: the orderer submits it again every
+        batch timeout until the height is cut."""
+        from repro.fabric.orderers.kafka import Produce
+        from repro.ordering import TimeToCut
+
+        sim, network, _r = env
+        _cluster, nodes, sink = self._kafka(env, orderers=1)
+        dropped = []
+
+        def drop_first_ttc(src, dst, payload):
+            if isinstance(payload, Produce) and isinstance(payload.record, TimeToCut):
+                if not dropped:
+                    dropped.append(payload.record)
+                    return None
+            return payload
+
+        network.add_filter(drop_first_ttc)
+        for _ in range(7):
+            nodes[0].submit(Envelope.raw("ch0", 100))
+        sim.run(until=3.0)
+        assert dropped == [TimeToCut("ch0", 1)]
+        assert nodes[0].blocks_created == 2
+        assert [len(block.envelopes) for block in sink.blocks] == [5, 2]
+
     def test_leader_broker_crash_tolerated(self, env):
         sim, _n, _r = env
         cluster, nodes, _sink = self._kafka(env)

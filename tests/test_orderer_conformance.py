@@ -48,6 +48,20 @@ BYTES_BOUND = WorkloadSpec(
     seed=4,
 )
 
+#: arrivals straddle batch_timeout: 500 KB envelopes queue on the
+#: links of the replicated backends, so a height fills by count just
+#: after its TimeToCut was submitted -- the TTC is ordered stale, with
+#: envelopes left over -- and the 2-envelope tail is cut by timeout
+STRADDLE = WorkloadSpec(
+    num_envelopes=11,
+    payload_size=500_000,
+    preferred_max_bytes=2_000_000,
+    block_size=3,
+    inter_arrival=0.001,
+    batch_timeout=0.024,
+    seed=5,
+)
+
 _RUNS = {}
 
 
@@ -62,7 +76,9 @@ def get_run(backend: str, spec: WorkloadSpec):
 # identical committed-block semantics
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("spec", [STANDARD, BYTES_BOUND], ids=["standard", "bytes"])
+@pytest.mark.parametrize(
+    "spec", [STANDARD, BYTES_BOUND, STRADDLE], ids=["standard", "bytes", "straddle"]
+)
 def test_backend_commits_workload(backend, spec):
     run = get_run(backend, spec)
     assert run.finished, f"{backend} did not commit the workload in time"
@@ -71,7 +87,9 @@ def test_backend_commits_workload(backend, spec):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("spec", [STANDARD, BYTES_BOUND], ids=["standard", "bytes"])
+@pytest.mark.parametrize(
+    "spec", [STANDARD, BYTES_BOUND, STRADDLE], ids=["standard", "bytes", "straddle"]
+)
 def test_chain_identical_across_backends(backend, spec):
     """The whole point: byte-identical header chains on every backend."""
     reference = get_run("solo", spec)
@@ -113,6 +131,29 @@ def test_preferred_max_bytes_cutting(backend):
     sizes = [len(block) for block in run.committed_envelope_ids]
     # 300-byte payloads against a 1000-byte ceiling: 3 envelopes per block
     assert sizes == [3, 3, 3, 3]
+
+
+def ordered_ttc_targets(run) -> list:
+    """The target height of every TimeToCut the backend ordered."""
+    from repro.ordering import TimeToCut
+
+    if run.backend == "kafka":
+        records = run.extras["cluster"].leader.log
+    else:
+        replica = run.extras["service"].replicas[0]
+        records = [r.operation for _cid, batch in replica.log.entries for r in batch]
+    return [r.target_height for r in records if isinstance(r, TimeToCut)]
+
+
+@pytest.mark.parametrize("backend", ["kafka", "bftsmart"])
+def test_count_cut_overtakes_a_submitted_time_to_cut(backend):
+    """STRADDLE really takes the stale-TTC path: a TTC is ordered for a
+    height that then filled by count, with envelopes left over."""
+    run = get_run(backend, STRADDLE)
+    sizes = [len(block) for block in run.committed_envelope_ids]
+    assert sizes == [3, 3, 3, 2]
+    overtaken = [h for h in ordered_ttc_targets(run) if sizes[h] == STRADDLE.block_size]
+    assert overtaken and max(overtaken) < len(sizes) - 1
 
 
 def test_no_fork_across_backends():

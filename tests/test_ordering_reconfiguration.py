@@ -87,3 +87,26 @@ class TestAddOrderingNode:
         assert all(
             node.blocks_created == 2 for node in service.nodes
         )
+
+
+class TestBatchTimeoutAfterJoin:
+    def test_time_to_cut_reaches_the_new_membership(self):
+        """After a join, every node's TimeToCut proxy (the new node's
+        too) sends to the new view, and a partial batch is cut by
+        timeout at the same height, into the same header, everywhere."""
+        service = build(enable_batch_timeout=True)
+        future, joined = service.add_node()
+        assert service.sim.drain([future], service.sim.now + 20.0)
+        service.run(0.5)  # let the activation callback fire
+        new_view = service.replicas[0].view
+        assert new_view.n == 5
+        assert [node.ttc_proxy.view for node in service.nodes] == [new_view] * 5
+        for _ in range(3):  # below max_message_count: only a timeout cuts
+            service.submit(Envelope.raw("ch0", 64))
+        service.run(3.0)
+        states = [node.get_state()["ch0"] for node in service.nodes]
+        assert [state["next_number"] for state in states] == [1] * 5
+        assert len({state["previous_hash"] for state in states}) == 1
+        assert all(state["pending"] == [] for state in states)
+        assert joined.blocks_created == 1
+        assert service.frontends[0].blocks_delivered == 1
