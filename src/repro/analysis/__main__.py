@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         "--scenario",
         dest="scenarios",
         action="append",
-        choices=list(sanitizer.SCENARIOS),
+        choices=sanitizer.SCENARIO_NAMES,
         default=None,
         help="scenario to permute (repeatable; default: every default row)",
     )
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         "capture", help="one scenario run to a JSON record"
     )
     capture.add_argument(
-        "--scenario", default="smoke", choices=list(sanitizer.SCENARIOS)
+        "--scenario", default="smoke", choices=sanitizer.SCENARIO_NAMES
     )
     _add_run_args(capture, sanitizer.RACESAN_RATE)  # capture_record's own
     capture.add_argument("--tie-seed", dest="tie_seed", type=int, default=None)

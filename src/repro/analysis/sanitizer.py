@@ -47,11 +47,14 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.report import SMOKE, run_scenario
+from repro.ordering.backends import OpenLoop, ScenarioRow
 from repro.sim.core import Simulator
+from repro.sim.network import ConstantLatency
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC_ROOT = REPO_ROOT / "src"
@@ -105,75 +108,47 @@ def _digest(value: Any) -> str:
 Views = Tuple[Dict[str, Any], List[List[Any]], List[Any], Dict[str, Any]]
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One row: what is run, and whether the verbs run it by default."""
-
-    summary: str
-    run: Callable[[Simulator, int, float, float], Views]
-    default: bool = True
-
-
-def _service_row(
-    crash: Optional[int] = None, rejoin: bool = False, **config: Any
-) -> Callable[[Simulator, int, float, float], Views]:
-    """The LAN smoke deployment (``obs/report.run_scenario``) with
-    ``config`` fields replaced; replica ``crash`` goes down at 0.4 of the
-    load window -- with amnesia, to replay its WAL and state-transfer
-    back at 0.7, when ``rejoin`` is set."""
-
-    def run(sim: Simulator, seed: int, duration: float, rate: float) -> Views:
-        from repro.obs.report import run_scenario
-
-        def arm(service) -> None:
-            if crash is not None:
-                sim.post_at(duration * 0.4, service.crash_node, crash, rejoin)
-            if rejoin:
-                sim.post_at(duration * 0.7, service.recover_node, crash)
-
-        result = run_scenario(
-            seed=seed,
-            duration=duration,
-            rate=rate,
-            trace=True,
-            sim=sim,
-            arm=arm,
-            **config,
-        )
-        service = result.service
-        semantics = {
-            "ledgers": {
-                str(name): digest.hex()
-                for name, digest in service.ledger_digests().items()
-            },
-            "replica_logs": {
-                str(replica): {str(cid): h.hex() for cid, h in entries.items()}
-                for replica, entries in service.replica_log_digests().items()
-            },
-            "delivered": service.total_delivered(),
-            "submitted": result.submitted,
-        }
-        events = [
-            [
-                marker.time,
-                marker.name,
-                str(marker.args["src"]),
-                str(marker.args["dst"]),
-                marker.args["detail"],
-            ]
-            for marker in result.obs.tracer.instants
+def _row_views(row: ScenarioRow, sim: Simulator) -> Views:
+    """Run ``row`` through ``obs/report.run_scenario`` with the message
+    log on, and read its four views."""
+    result = run_scenario(row, trace=True, sim=sim)
+    service = result.service
+    semantics = {
+        "ledgers": {
+            str(name): digest.hex()
+            for name, digest in service.ledger_digests().items()
+        },
+        "replica_logs": {
+            str(replica): {str(cid): h.hex() for cid, h in entries.items()}
+            for replica, entries in service.replica_log_digests().items()
+        },
+        "delivered": service.total_delivered(),
+        "submitted": result.submitted,
+    }
+    events = [
+        [
+            marker.time,
+            marker.name,
+            str(marker.args["src"]),
+            str(marker.args["dst"]),
+            marker.args["detail"],
         ]
-        return (
-            semantics,
-            events,
-            result.obs.tracer.tree(),
-            result.obs.registry.snapshot(),
-        )
+        for marker in result.obs.tracer.instants
+    ]
+    return (
+        semantics,
+        events,
+        result.obs.tracer.tree(),
+        result.obs.registry.snapshot(),
+    )
 
-    return run
+
+#: the planted race, order-dependent by construction: proves the
+#: sanitizer has teeth (never a default)
+TOY_RACE = "toy_race"
 
 
-def _toy_race(sim: Simulator, seed: int, duration: float, rate: float) -> Views:
+def _toy_race(sim: Simulator) -> Views:
     """Same-timestamp events append to a shared list, so the final order
     *is* the tie order -- the bug class RaceSan exists to catch."""
     order: List[int] = []
@@ -188,35 +163,32 @@ def _toy_race(sim: Simulator, seed: int, duration: float, rate: float) -> Views:
 #: window that follows the load (the smoke rows wait 30 s: no timeout)
 _CRASH_DETECTION = 0.25
 
-SCENARIOS: Dict[str, Scenario] = {
-    "smoke": Scenario("4-node bftsmart LAN deployment, no fault", _service_row()),
-    "recovery": Scenario(
-        "smoke + durable WAL; a follower crashes with amnesia and rejoins "
-        "through WAL replay and state transfer",
-        _service_row(crash=3, rejoin=True, durable_wal=True),
+#: name -> row; a capture replaces the row's seed and its open loop's
+#: rate and duration with the verb's
+SCENARIOS: Dict[str, ScenarioRow] = {
+    # 4-node bftsmart LAN deployment, no fault
+    "smoke": SMOKE,
+    # smoke + durable WAL; a follower crashes with amnesia and rejoins
+    # through WAL replay and state transfer
+    "recovery": replace(SMOKE, durable_wal=True, crash=3, rejoin=True),
+    # smoke; the leader crashes for good, forcing a regency change
+    "leader_crash": replace(SMOKE, crash=0, request_timeout=_CRASH_DETECTION),
+    # the smoke deployment on the smartbft backend, no fault
+    "smartbft": replace(SMOKE, backend="smartbft"),
+    # smartbft; the leader crashes for good, forcing a view change
+    "smartbft_leader_crash": replace(
+        SMOKE, backend="smartbft", crash=0, request_timeout=_CRASH_DETECTION
     ),
-    "leader_crash": Scenario(
-        "smoke; the leader crashes for good, forcing a regency change",
-        _service_row(crash=0, request_timeout=_CRASH_DETECTION),
-    ),
-    "smartbft": Scenario(
-        "the smoke deployment on the smartbft backend, no fault",
-        _service_row(orderer="smartbft"),
-    ),
-    "smartbft_leader_crash": Scenario(
-        "smartbft; the leader crashes for good, forcing a view change",
-        _service_row(
-            crash=0, orderer="smartbft", request_timeout=_CRASH_DETECTION
-        ),
-    ),
-    "toy_race": Scenario(
-        "planted race, order-dependent by construction: proves the "
-        "sanitizer has teeth",
-        _toy_race,
-        default=False,
-    ),
+    # smoke on a constant-latency network: copies sent at one instant
+    # arrive at one instant, so the tie permutations reorder deliveries
+    "smoke_constant_latency": replace(SMOKE, latency=ConstantLatency(0.0001)),
 }
-DEFAULT_SCENARIOS = tuple(name for name, row in SCENARIOS.items() if row.default)
+#: rows the verbs run only when named (telemetry_seed0.json pins every
+#: default row)
+_OPT_IN = ("smoke_constant_latency",)
+DEFAULT_SCENARIOS = tuple(name for name in SCENARIOS if name not in _OPT_IN)
+#: every name ``--scenario`` accepts
+SCENARIO_NAMES = (*SCENARIOS, TOY_RACE)
 
 
 def capture_record(
@@ -231,12 +203,16 @@ def capture_record(
     Events are ``[time, kind, src, dst, detail]`` rows in emission
     order; digests are sha256 over the canonical (sorted-keys) JSON.
     """
-    row = SCENARIOS.get(scenario)
-    if row is None:
+    sim = Simulator(tie_seed=tie_seed)
+    if scenario == TOY_RACE:
+        views = _toy_race(sim)
+    elif scenario in SCENARIOS:
+        row = SCENARIOS[scenario]
+        load = OpenLoop(rate, duration, row.load.envelope_size)
+        views = _row_views(replace(row, seed=seed, load=load), sim)
+    else:
         raise ValueError(f"unknown scenario {scenario!r}")
-    semantics, events, span_tree, metrics = row.run(
-        Simulator(tie_seed=tie_seed), seed, duration, rate
-    )
+    semantics, events, span_tree, metrics = views
     record = {
         "schema": RECORD_SCHEMA,
         "scenario": {

@@ -2,7 +2,7 @@
 
 Importing this module populates :data:`repro.bench.harness.REGISTRY`
 with one declarative benchmark per table/figure of the evaluation (plus
-our ablations and the orderer baselines).  The former
+our ablations and the four-backend bake-off).  The former
 ``benchmarks/bench_*.py`` sweep loops are all expressed here as
 parameter matrices; the pytest wrappers under ``benchmarks/`` run these
 registry entries through the harness and assert the paper's shape
@@ -17,6 +17,7 @@ bit-identical for identical seeds — which is what lets a committed
 
 from __future__ import annotations
 
+import statistics
 from typing import Dict
 
 from repro.bench.figures import (
@@ -37,14 +38,15 @@ from repro.bench.model import (
     SignatureThroughputModel,
     eq1_bound,
 )
-from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import Envelope, envelope_ids
-from repro.fabric.orderers import KafkaCluster, KafkaOrderer, SoloOrderer
 from repro.ordering import OrderingServiceConfig, build_ordering_service
-from repro.sim import ConstantLatency, Network, RandomStreams, Simulator
-from repro.sim.monitor import MetricsRegistry
+from repro.ordering.backends import (
+    ScenarioRow,
+    SpacedLoad,
+    run_backend_workload,
+    stand_up,
+)
+from repro.sim import RandomStreams
 from repro.sim.storage import StorageFaults
 
 
@@ -399,65 +401,6 @@ def ablation_batching(ctx: BenchContext) -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# Baselines: solo and Kafka-CFT orderers vs the BFT service
-# ----------------------------------------------------------------------
-def _run_solo(envelopes: int, envelope_size: int, block_size: int):
-    sim = Simulator()
-    network = Network(sim, ConstantLatency(0.0001))
-    registry = KeyRegistry(scheme=SimulatedECDSA())
-    channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5)
-    stats = MetricsRegistry()
-    orderer = SoloOrderer(
-        sim, network, "solo", registry.enroll("solo"), channel, stats=stats
-    )
-    network.register("solo", orderer)
-    ids = envelope_ids(sim)
-    for _ in range(envelopes):
-        orderer.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
-    sim.run(until=5.0)
-    return stats.histogram("solo.latency").median, orderer.blocks_created
-
-
-def _run_kafka(envelopes: int, envelope_size: int, block_size: int):
-    sim = Simulator()
-    network = Network(sim, ConstantLatency(0.0001))
-    registry = KeyRegistry(scheme=SimulatedECDSA())
-    channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5)
-    stats = MetricsRegistry()
-    cluster = KafkaCluster(sim, network, num_brokers=3)
-    orderer = KafkaOrderer(
-        sim, network, "korderer0", registry.enroll("korderer0"), cluster, channel,
-        stats=stats,
-    )
-    ids = envelope_ids(sim)
-    for _ in range(envelopes):
-        orderer.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
-    sim.run(until=5.0)
-    return stats.histogram("korderer0.latency").median, orderer.blocks_created
-
-
-def _run_bft(envelopes: int, envelope_size: int, block_size: int):
-    config = OrderingServiceConfig(
-        f=1,
-        channel=ChannelConfig(
-            "ch0", max_message_count=block_size, batch_timeout=0.5
-        ),
-        physical_cores=None,
-        latency=ConstantLatency(0.0001),
-    )
-    service = build_ordering_service(config)
-    ids = envelope_ids(service.sim)
-    for _ in range(envelopes):
-        service.submit(Envelope.raw("ch0", envelope_size, envelope_id=next(ids)))
-    service.run(5.0)
-    recorder = service.stats.histogram(f"{service.frontends[0].name}.latency")
-    return recorder.median, service.nodes[0].blocks_created
-
-
-_BASELINE_RUNNERS = {"solo": _run_solo, "kafka": _run_kafka, "bft": _run_bft}
-
-
-# ----------------------------------------------------------------------
 # Recovery: crash-amnesia restart over the consensus WAL
 # ----------------------------------------------------------------------
 @REGISTRY.register(
@@ -489,23 +432,20 @@ _BASELINE_RUNNERS = {"solo": _run_solo, "kafka": _run_kafka, "bft": _run_bft}
 )
 def recovery_time(ctx: BenchContext) -> Dict[str, float]:
     envelopes = ctx["envelopes"]
-    config = OrderingServiceConfig(
-        f=1,
-        channel=ChannelConfig(
-            "ch0", max_message_count=ctx["block_size"], batch_timeout=0.25
-        ),
-        num_frontends=1,
-        physical_cores=None,
-        enable_batch_timeout=True,
+    row = ScenarioRow(
+        block_size=ctx["block_size"],
+        request_timeout=2.0,
         durable_wal=True,
         seed=ctx.seed,
+        load=SpacedLoad(
+            envelopes,
+            payload_size=ctx["payload_size"],
+            start=0.1,
+            spacing=1.5 / envelopes,
+            submitter="",
+        ),
     )
-    service = build_ordering_service(config, observability=ctx.obs)
-    spacing = 1.5 / envelopes
-    ids = envelope_ids(service.sim)
-    for i in range(envelopes):
-        envelope = Envelope.raw("ch0", ctx["payload_size"], envelope_id=next(ids))
-        service.sim.schedule_at(0.1 + i * spacing, service.submit, envelope, 0)
+    service = stand_up(row, observability=ctx.obs).service
 
     replica = service.replicas[1]
     streams = RandomStreams(ctx.seed)
@@ -547,33 +487,6 @@ def recovery_time(ctx: BenchContext) -> Dict[str, float]:
     }
 
 
-@REGISTRY.register(
-    name="baseline_orderers",
-    description="§3 baselines: solo and Kafka-CFT orderers vs the BFT "
-    "ordering service on the same LAN workload.",
-    matrix={
-        "orderer": ("solo", "kafka", "bft"),
-        "envelopes": (2000,),
-        "envelope_size": (1024,),
-        "block_size": (10,),
-    },
-    smoke_matrix={
-        "orderer": ("solo", "kafka", "bft"),
-        "envelopes": (600,),
-        "envelope_size": (1024,),
-        "block_size": (10,),
-    },
-    directions={"median_latency_s": "lower", "blocks": "higher"},
-    tags=("baselines", "lan"),
-)
-def baseline_orderers(ctx: BenchContext) -> Dict[str, float]:
-    runner = _BASELINE_RUNNERS[ctx["orderer"]]
-    median, blocks = runner(
-        ctx["envelopes"], ctx["envelope_size"], ctx["block_size"]
-    )
-    return {"median_latency_s": median, "blocks": float(blocks)}
-
-
 # ----------------------------------------------------------------------
 # Bake-off: all four ordering backends on one workload
 # ----------------------------------------------------------------------
@@ -604,20 +517,18 @@ def baseline_orderers(ctx: BenchContext) -> Dict[str, float]:
         "dissemination_bytes_per_block": "lower",
         "dissemination_bytes": "lower",
         "blocks": "higher",
+        "median_latency_s": "lower",
     },
     tags=("bakeoff", "lan", "smartbft"),
 )
 def bakeoff_orderers(ctx: BenchContext) -> Dict[str, float]:
-    from repro.ordering.backends import WorkloadSpec, run_backend_workload
-
-    spec = WorkloadSpec(
-        num_envelopes=ctx["envelopes"],
-        payload_size=ctx["envelope_size"],
+    row = ScenarioRow(
         block_size=ctx["block_size"],
         f=ctx["f"],
         seed=ctx.seed,
+        load=SpacedLoad(ctx["envelopes"], payload_size=ctx["envelope_size"]),
     )
-    run = run_backend_workload(ctx["orderer"], spec)
+    run = run_backend_workload(ctx["orderer"], row)
     blocks = len(run.committed_blocks)
     return {
         "dissemination_bytes_per_block": (
@@ -625,6 +536,8 @@ def bakeoff_orderers(ctx: BenchContext) -> Dict[str, float]:
         ),
         "dissemination_bytes": float(run.dissemination_bytes),
         "blocks": float(blocks),
+        # submit to commit at the one committing peer, on every backend
+        "median_latency_s": statistics.median(run.commit_latencies),
     }
 
 

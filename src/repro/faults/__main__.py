@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from repro.faults.explorer import (
+    FAULT_WINDOW,
     PROFILES,
     ExplorerConfig,
     run_seed,
@@ -63,12 +64,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExplorerConfig:
+def config_from_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> ExplorerConfig:
+    """The run's config; bad input exits through ``parser.error``."""
     f = args.f
     if args.n is not None:
         if (args.n - 1) % 3:
-            raise SystemExit(f"--n must be 3f+1 (got {args.n})")
+            parser.error(f"--n must be 3f+1 (got {args.n})")
         f = (args.n - 1) // 3
+    if args.envelopes < 1:
+        parser.error(f"--envelopes must be at least 1 (got {args.envelopes})")
+    if args.heal_at <= FAULT_WINDOW[1]:
+        parser.error(
+            "--heal-at must be later than the fault window's end, "
+            f"t={FAULT_WINDOW[1]} (got {args.heal_at})"
+        )
     return ExplorerConfig(
         f=f,
         envelopes=args.envelopes,
@@ -80,8 +91,9 @@ def config_from_args(args: argparse.Namespace) -> ExplorerConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cfg = config_from_args(parser, args)
     if args.seed is not None:
         seeds = [args.seed]
     else:

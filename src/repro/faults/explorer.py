@@ -16,12 +16,10 @@ schedule can additionally be *shrunk* to a locally-minimal fault trace
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import sha256_hex
-from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import Envelope
 from repro.faults.actions import (
     ATTACKER_ID_BASE,
     FLOOD_ID_BASE,
@@ -49,12 +47,14 @@ from repro.faults.invariants import (
 from repro.faults.scenario import FaultEvent, Scenario
 from repro.smart.view import bft_group_size
 from repro.ordering.admission import AdmissionConfig
-from repro.ordering.service import (
-    FRONTEND_ID_BASE,
-    OrderingServiceConfig,
-    build_ordering_service,
-)
+from repro.ordering.backends import ScenarioRow, SpacedLoad, stand_up
+from repro.ordering.service import FRONTEND_ID_BASE
 from repro.sim.randomness import RandomStreams
+
+
+#: fault events start within this window (seconds); the honest load is
+#: offered over [0.1, 1.6]
+FAULT_WINDOW = (0.2, 2.4)
 
 
 @dataclass
@@ -62,32 +62,15 @@ class ExplorerConfig:
     """Knobs of one exploration run (defaults: f=1, n=4, LAN)."""
 
     f: int = 1
-    channel: str = "ch0"
     envelopes: int = 24
-    payload_size: int = 256
-    block_size: int = 4
-    batch_timeout: float = 0.25
-    num_frontends: int = 2
-    request_timeout: float = 0.5
-    #: envelope submissions spread over [load_start, load_start + load_window]
-    load_start: float = 0.1
-    load_window: float = 1.5
-    #: fault events sampled within this window
-    fault_window: Tuple[float, float] = (0.2, 2.4)
+    #: every fault stops here; must be later than ``FAULT_WINDOW``'s end
     heal_at: float = 3.0
     #: absolute simulated-time budget to reach quiescence
     deadline: float = 60.0
-    min_events: int = 1
     max_events: int = 4
     #: a row of :data:`PROFILES`: the schedule space sampled and the
     #: deployment, recorders and invariants it is run against
     profile: str = "default"
-    #: admission-control knobs of the overload profile (per tenant and
-    #: per frontend; generous enough that the honest workload passes
-    #: untouched while floods are shed explicitly)
-    admission_rate: float = 200.0
-    admission_burst: float = 50.0
-    admission_window: int = 256
 
     @property
     def n(self) -> int:
@@ -117,10 +100,10 @@ class RunResult:
 # ----------------------------------------------------------------------
 # fault kinds: how each is sampled, and how often per schedule
 # ----------------------------------------------------------------------
-def _sample_action(kind: str, rng, cfg: ExplorerConfig, index: int, used: int):
-    """Draw one ``kind`` fault from the schedule stream.  The order of
-    draws within a kind is fixed: seeds are pinned on it."""
-    n = cfg.n
+def _sample_action(kind: str, rng, n: int, row: ScenarioRow, index: int, used: int):
+    """Draw one ``kind`` fault against ``row``'s ``n`` replicas from the
+    schedule stream.  The order of draws within a kind is fixed: seeds
+    are pinned on it."""
     if kind in ("drop", "delay", "duplicate", "reorder"):
         src, dst = rng.sample(range(n), 2)
         match = Match(src=src, dst=dst)
@@ -152,20 +135,20 @@ def _sample_action(kind: str, rng, cfg: ExplorerConfig, index: int, used: int):
     if kind == "censor":
         # a node silently dropping one frontend's requests -- the fault
         # SmartBFT's leader rotation and censorship blacklist must survive
-        client = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
+        client = FRONTEND_ID_BASE + rng.randrange(row.num_frontends)
         return CensorClients(rng.randrange(n), {client})
     if kind == "flood":
         # an attacker injecting duplicate-heavy submissions into one
         # frontend at hundreds to thousands of envelopes per second;
         # the ``used``-th flood gets its own attacker id and a block
         # of envelope ids disjoint from the honest load's 0..n-1
-        target = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
+        target = FRONTEND_ID_BASE + rng.randrange(row.num_frontends)
         rate = round(rng.uniform(400.0, 2000.0), 1)
         return FloodClient(
             target,
             rate=rate,
-            channel=cfg.channel,
-            payload_size=cfg.payload_size,
+            channel=row.channel,
+            payload_size=row.load.payload_size,
             submitter=f"mallory{used}",
             unique_every=rng.randint(1, 6),
             id_base=FLOOD_ID_BASE + used * 1_000_000,
@@ -190,6 +173,19 @@ _BUDGETS = {
 }
 
 
+def _honest_load(envelopes: int) -> SpacedLoad:
+    """Evenly spaced over [0.1, 1.6], round-robin over the frontends,
+    each envelope named by its index in the offered load (violation
+    reports and the submission recorder speak in these ids)."""
+    return SpacedLoad(envelopes, start=0.1, spacing=1.5 / envelopes, submitter="")
+
+
+#: what every profile's schedules run against unless it says otherwise:
+#: n=3f+1 BFT-SMaRt replicas behind two frontends, count- and
+#: timeout-cut blocks of 4
+_DEPLOYMENT = ScenarioRow(num_frontends=2, load=_honest_load(24))
+
+
 @dataclass(frozen=True)
 class Profile:
     """A schedule space and what its schedules are run against."""
@@ -203,13 +199,11 @@ class Profile:
     kinds: Tuple[str, ...]
     #: kind of every schedule's first event (not drawn), if any
     lead: Optional[str] = None
-    orderer: str = "bftsmart"
-    durable_wal: bool = False
-    #: admission control on (``ExplorerConfig.admission_*``): load may
-    #: be refused, so every submission's verdict is recorded, the run
-    #: ends when every *admitted* envelope is committed rather than
-    #: every offered one, and no-silent-drop is checked
-    admission: bool = False
+    #: the deployment; with admission control on, load may be refused,
+    #: so every submission's verdict is recorded, the run ends when
+    #: every *admitted* envelope is committed rather than every offered
+    #: one, and no-silent-drop is checked
+    row: ScenarioRow = _DEPLOYMENT
     #: record WRITE/ACCEPT votes; check no-equivocation-by-amnesia
     record_votes: bool = False
     #: everything submitted must be delivered once faults heal
@@ -241,7 +235,7 @@ PROFILES: Dict[str, Profile] = {
         stream="fault-schedule/recovery",
         kinds=_MESSAGE_KINDS + ("crash_restart", "partition"),
         lead="crash_restart",
-        durable_wal=True,
+        row=replace(_DEPLOYMENT, durable_wal=True),
         record_votes=True,
     ),
     # ``censor`` is the signature Byzantine fault; the BFT-SMaRt-specific
@@ -256,7 +250,7 @@ PROFILES: Dict[str, Profile] = {
         stream="fault-schedule/smartbft",
         kinds=_MESSAGE_KINDS + ("crash", "partition", "censor"),
         lead="censor",
-        orderer="smartbft",
+        row=replace(_DEPLOYMENT, backend="smartbft"),
     ),
     # ``flood`` is the signature fault; the Byzantine replica kinds are
     # excluded so every violation under overload is attributable to the
@@ -268,7 +262,14 @@ PROFILES: Dict[str, Profile] = {
         stream="fault-schedule/overload",
         kinds=("flood",) + _MESSAGE_KINDS + ("crash", "partition"),
         lead="flood",
-        admission=True,
+        # per tenant and per frontend; generous enough that the honest
+        # load passes untouched while floods are shed explicitly
+        row=replace(
+            _DEPLOYMENT,
+            admission=AdmissionConfig(
+                tenant_rate=200.0, tenant_burst=50.0, max_in_flight=256
+            ),
+        ),
         expect_live=False,
     ),
 }
@@ -289,7 +290,7 @@ def sample_schedule(seed: int, cfg: Optional[ExplorerConfig] = None) -> List[Fau
     cfg = cfg or ExplorerConfig()
     profile = profile_of(cfg)
     rng = RandomStreams(seed).stream(profile.stream)
-    count = rng.randint(cfg.min_events, cfg.max_events)
+    count = rng.randint(1, cfg.max_events)
     used: Dict[str, int] = {}
     events: List[FaultEvent] = []
     for index in range(count):
@@ -297,15 +298,15 @@ def sample_schedule(seed: int, cfg: Optional[ExplorerConfig] = None) -> List[Fau
             kind = profile.lead
         else:
             kind = rng.choice(profile.kinds)
-        at = round(rng.uniform(*cfg.fault_window), 3)
+        at = round(rng.uniform(*FAULT_WINDOW), 3)
         duration = round(rng.uniform(0.4, 1.5), 3)
         budget = _BUDGETS.get(kind)
         spent = used.get(budget, 0)
         if budget is not None:
             used[budget] = spent + 1
-            if spent >= (cfg.num_frontends if budget == "flood" else 1):
+            if spent >= (profile.row.num_frontends if budget == "flood" else 1):
                 kind = "delay"
-        action = _sample_action(kind, rng, cfg, index, spent)
+        action = _sample_action(kind, rng, cfg.n, profile.row, index, spent)
         events.append(FaultEvent(at=at, action=action, duration=duration))
     events.sort(key=lambda e: e.at)
     return events
@@ -318,63 +319,29 @@ def run_schedule(
     invariants."""
     cfg = cfg or ExplorerConfig()
     profile = profile_of(cfg)
-    service = build_ordering_service(
-        OrderingServiceConfig(
-            orderer=profile.orderer,
-            f=cfg.f,
-            channel=ChannelConfig(
-                cfg.channel,
-                max_message_count=cfg.block_size,
-                batch_timeout=cfg.batch_timeout,
-            ),
-            num_frontends=cfg.num_frontends,
-            physical_cores=None,
-            request_timeout=cfg.request_timeout,
-            enable_batch_timeout=True,
-            durable_wal=profile.durable_wal,
-            seed=seed,
-            admission=(
-                AdmissionConfig(
-                    tenant_rate=cfg.admission_rate,
-                    tenant_burst=cfg.admission_burst,
-                    max_in_flight=cfg.admission_window,
-                )
-                if profile.admission
-                else None
-            ),
-        )
+    row = replace(
+        profile.row, f=cfg.f, seed=seed, load=_honest_load(cfg.envelopes)
     )
-    recorder = BlockRecorder(service.network)
-    vote_recorder = VoteRecorder(service.network) if profile.record_votes else None
-    submissions = SubmissionRecorder(service.frontends) if profile.admission else None
-    injector = FaultInjector(service.network, service.replicas, seed=seed)
-    Scenario(events, heal_at=cfg.heal_at).install(injector)
 
-    # the workload: evenly spaced envelopes, round-robin over frontends,
-    # each named by its index in the offered load (violation reports and
-    # the submission recorder speak in these ids)
-    spacing = cfg.load_window / cfg.envelopes
-    for i in range(cfg.envelopes):
-        envelope = Envelope(
-            channel_id=cfg.channel,
-            transaction=None,
-            payload_size=cfg.payload_size,
-            envelope_id=i,
-        )
-        service.sim.schedule_at(
-            cfg.load_start + i * spacing,
-            service.submit,
-            envelope,
-            i % cfg.num_frontends,
-        )
+    def arm(up):
+        service = up.service
+        blocks = BlockRecorder(service.network)
+        votes = VoteRecorder(service.network) if profile.record_votes else None
+        submissions = SubmissionRecorder(service.frontends) if row.admission else None
+        injector = FaultInjector(service.network, service.replicas, seed=seed)
+        Scenario(events, heal_at=cfg.heal_at).install(injector)
+        return blocks, votes, submissions, injector
+
+    up = stand_up(row, arm)
+    service = up.service
+    recorder, vote_recorder, submissions, injector = up.armed
 
     if submissions is not None:
         # some honest envelopes are legitimately (and explicitly)
         # rejected, so "delivered >= offered" is the wrong finish line:
         # run until the floods healed and every *admitted* envelope has
         # been committed
-        load_end = cfg.load_start + cfg.load_window
-        quiesce_at = max(load_end, cfg.heal_at) + 0.001
+        quiesce_at = max(row.load.end, cfg.heal_at) + 0.001
         service.sim.run_until(
             lambda: service.sim.now >= quiesce_at
             and not submissions.unresolved_ids(),

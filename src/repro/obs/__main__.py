@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.report import cross_check, render_report, run_scenario
+from repro.obs.report import SMOKE, cross_check, render_report, run_scenario
+from repro.ordering.backends import OpenLoop
+from repro.smart.view import bft_group_size, max_faults
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -39,15 +42,21 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block-size", type=int, default=10)
 
 
-def cmd_report(args) -> int:
-    result = run_scenario(
+def _row(args):
+    """The smoke row with the command line's fields replaced."""
+    f = max_faults(args.orderers)
+    return replace(
+        SMOKE,
         seed=args.seed,
-        orderers=args.orderers,
-        duration=args.duration,
-        rate=args.rate,
-        envelope_size=args.envelope_size,
+        f=f,
+        delta=args.orderers - bft_group_size(f),
         block_size=args.block_size,
+        load=OpenLoop(args.rate, args.duration, args.envelope_size),
     )
+
+
+def cmd_report(args) -> int:
+    result = run_scenario(_row(args))
     print(render_report(result, cid=args.cid))
     if args.trace:
         path = write_chrome_trace(chrome_trace(result.obs.tracer), args.trace)
@@ -60,14 +69,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    result = run_scenario(
-        seed=args.seed,
-        orderers=args.orderers,
-        duration=args.duration,
-        rate=args.rate,
-        envelope_size=args.envelope_size,
-        block_size=args.block_size,
-    )
+    result = run_scenario(_row(args))
     path = write_chrome_trace(chrome_trace(result.obs.tracer), args.out)
     print(f"[chrome trace validated and written to {path}]")
     return 0

@@ -17,20 +17,13 @@ attached and prints the paper-style resource-attribution report:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.bench.topology import lan_latency_model
-from repro.sim.core import Simulator
-from repro.smart.view import bft_group_size, max_faults
-from repro.fabric.channel import ChannelConfig
 from repro.obs.observability import PHASES, Observability
-from repro.ordering.service import (
-    FRONTEND_ID_BASE,
-    OrderingService,
-    OrderingServiceConfig,
-    build_ordering_service,
-)
-from repro.workload import OpenLoopGenerator
+from repro.ordering.backends import OpenLoop, ScenarioRow, stand_up
+from repro.ordering.service import FRONTEND_ID_BASE, OrderingService
+from repro.sim.core import Simulator
 
 #: Maximum relative disagreement between the phase sum and the bench
 #: harness's end-to-end mean before the report (and CI) fails.
@@ -46,65 +39,39 @@ class ScenarioResult:
     submitted: int
 
 
-def run_scenario(
-    seed: int = 0,
-    orderers: int = 4,
-    duration: float = 2.0,
-    rate: float = 500.0,
-    envelope_size: int = 1024,
-    block_size: int = 10,
-    trace: bool = False,
-    sim: Optional[Simulator] = None,
-    arm: Optional[Callable[[OrderingService], None]] = None,
-    **config: Any,
-) -> ScenarioResult:
-    """Drive a seeded ``orderers``-node LAN deployment at a moderate
-    load with the hub attached, then close tracing.
+#: the smoke deployment: 4 BFT-SMaRt nodes on the section 6.2 LAN with
+#: the CPU model on, one frontend, an open loop of 1 KiB envelopes at a
+#: moderate rate; no batch timeout, and a request timeout long enough
+#: that a clean run never changes regency
+SMOKE = ScenarioRow(
+    channel="channel0",
+    block_size=10,
+    batch_timeout=10.0,
+    enable_batch_timeout=False,
+    request_timeout=30.0,
+    latency=lan_latency_model(),
+    cpu=True,
+    load=OpenLoop(rate=500.0, duration=2.0),
+)
 
-    This is the one stand-up of the smoke deployment.  The sanitizer
-    rows (:mod:`repro.analysis.sanitizer`) vary it through what is left:
-    ``config`` replaces fields of the :class:`OrderingServiceConfig`
-    below, ``arm`` is called on the built service before it runs (to
-    schedule a crash), ``sim`` is the simulator to build on.  With
-    ``trace`` the hub also keeps the message log (``obs.tracer.instants``
-    on the ``network`` track), which the sanitizer's events view reads.
+
+def run_scenario(
+    row: ScenarioRow = SMOKE, trace: bool = False, sim: Optional[Simulator] = None
+) -> ScenarioResult:
+    """Drive ``row`` with the hub attached, past the end of its open
+    loop so in-flight envelopes drain, then close tracing.
+
+    The sanitizer rows (:mod:`repro.analysis.sanitizer`) are fields of
+    :data:`SMOKE` replaced; ``sim`` is the simulator to build on.  With
+    ``trace`` the hub also keeps the message log
+    (``obs.tracer.instants`` on the ``network`` track), which the
+    sanitizer's events view reads.
     """
-    f = max_faults(orderers)
-    fields: Dict[str, Any] = dict(
-        f=f,
-        delta=orderers - bft_group_size(f),
-        channel=ChannelConfig(
-            "channel0", max_message_count=block_size, batch_timeout=10.0
-        ),
-        num_frontends=1,
-        latency=lan_latency_model(),
-        physical_cores=8,
-        hardware_threads=16,
-        signing_workers=16,
-        smart_cpu_fraction=0.6,
-        request_timeout=30.0,  # a clean run must not trigger regency changes
-        seed=seed,
-    )
-    fields.update(config)
     obs = Observability(messages=trace)
-    service = build_ordering_service(
-        OrderingServiceConfig(**fields), sim=sim, observability=obs
-    )
-    generator = OpenLoopGenerator(
-        sim=service.sim,
-        frontends=service.frontends,
-        channel_id="channel0",
-        envelope_size=envelope_size,
-        rate_per_second=rate,
-        duration=duration,
-    )
-    generator.start()
-    if arm is not None:
-        arm(service)
-    # run past the submission window so in-flight envelopes drain
-    service.run(duration + 1.0)
+    up = stand_up(row, sim=sim, observability=obs)
+    up.service.run(row.load.duration + 1.0)
     obs.close()
-    return ScenarioResult(service=service, obs=obs, submitted=generator.submitted)
+    return ScenarioResult(service=up.service, obs=obs, submitted=up.submitted)
 
 
 # ----------------------------------------------------------------------

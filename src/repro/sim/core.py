@@ -96,11 +96,6 @@ class EventHandle:
         self.fn = None
         self.args = ()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        # kept for compatibility: heap entries are tuples, so the kernel
-        # itself never compares handles (seq ties are impossible)
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"

@@ -167,3 +167,25 @@ class TestOverloadProfile:
         default = [e.describe() for e in sample_schedule(3)]
         _ = sample_schedule(3, ExplorerConfig(profile="overload"))
         assert [e.describe() for e in sample_schedule(3)] == default
+
+
+class TestCli:
+    """``python -m repro.faults`` refuses input it cannot run with a
+    usage error (exit 2), not a traceback."""
+
+    @staticmethod
+    def usage_error(capsys, *argv):
+        from repro.faults.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seeds", "3", *argv])
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    def test_heal_before_the_fault_window_ends_is_refused(self, capsys):
+        err = self.usage_error(capsys, "--heal-at", "1.0")
+        assert "fault window's end, t=2.4" in err
+
+    def test_zero_envelopes_is_refused(self, capsys):
+        err = self.usage_error(capsys, "--envelopes", "0")
+        assert "at least 1" in err

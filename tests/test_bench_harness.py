@@ -116,7 +116,7 @@ class TestRegistry:
             "conclusion",
             "ablation_wheat",
             "ablation_batching",
-            "baseline_orderers",
+            "bakeoff_orderers",
         }
         assert expected <= set(REGISTRY.names())
 

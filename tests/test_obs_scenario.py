@@ -7,6 +7,7 @@ nondeterminism.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,25 +15,27 @@ from repro.obs import validate_chrome_trace, chrome_trace
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import (
     CROSS_CHECK_TOLERANCE,
+    SMOKE,
     cross_check,
     harness_end_to_end_mean,
     render_report,
     run_scenario,
 )
+from repro.ordering.backends import OpenLoop
 
 pytestmark = pytest.mark.bench
 
-SCENARIO = dict(seed=0, duration=0.5, rate=400.0)
+ROW = replace(SMOKE, load=OpenLoop(rate=400.0, duration=0.5))
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scenario(**SCENARIO)
+    return run_scenario(ROW)
 
 
 class TestGoldenDeterminism:
     def test_identical_span_trees_across_runs(self, result):
-        rerun = run_scenario(**SCENARIO)
+        rerun = run_scenario(ROW)
         first = result.obs.tracer.tree()
         second = rerun.obs.tracer.tree()
         assert json.dumps(first, sort_keys=True) == json.dumps(
@@ -40,7 +43,7 @@ class TestGoldenDeterminism:
         )
 
     def test_identical_metric_snapshots_across_runs(self, result):
-        rerun = run_scenario(**SCENARIO)
+        rerun = run_scenario(ROW)
         assert result.obs.registry.snapshot() == rerun.obs.registry.snapshot()
 
 
@@ -58,7 +61,7 @@ class TestPureObserver:
 
         with monkeypatch.context() as patch:
             patch.setattr(Observability, "attach", lambda self, service: self)
-            result = run_scenario(orderer=orderer, **SCENARIO)
+            result = run_scenario(replace(ROW, backend=orderer))
         service = result.service
         components = service.replicas + service.nodes + service.frontends
         assert service.network.obs is None and not service.network._intercepting
@@ -70,7 +73,7 @@ class TestPureObserver:
     def test_the_hub_moves_nothing(self, monkeypatch, orderer):
         bare = self.unobserved(monkeypatch, orderer)
         for trace in (False, True):
-            observed = run_scenario(orderer=orderer, trace=trace, **SCENARIO)
+            observed = run_scenario(replace(ROW, backend=orderer), trace=trace)
             service = observed.service
             assert service.network._intercepting
             assert bool(observed.obs.tracer.instants) is trace

@@ -29,7 +29,8 @@ from repro.fabric.committer import CommittingPeer
 from repro.fabric.envelope import Envelope
 from repro.ordering.backends import (
     BACKENDS,
-    WorkloadSpec,
+    ScenarioRow,
+    SpacedLoad,
     run_backend_workload,
 )
 from repro.sim.core import Simulator
@@ -37,38 +38,35 @@ from repro.sim.network import ConstantLatency, Network
 from repro.smart.view import byzantine_majority_size, one_correct_size
 
 #: count-driven cutting + an oversized reject + a timeout-cut tail
-STANDARD = WorkloadSpec(num_envelopes=24, block_size=4, oversized_at=(5,), seed=3)
+STANDARD = ScenarioRow(block_size=4, seed=3, load=SpacedLoad(24, oversized_at=(5,)))
 
 #: byte-driven cutting: PreferredMaxBytes binds before the count does
-BYTES_BOUND = WorkloadSpec(
-    num_envelopes=12,
-    payload_size=300,
+BYTES_BOUND = ScenarioRow(
     block_size=10,
     preferred_max_bytes=1000,
     seed=4,
+    load=SpacedLoad(12, payload_size=300),
 )
 
 #: arrivals straddle batch_timeout: 500 KB envelopes queue on the
 #: links of the replicated backends, so a height fills by count just
 #: after its TimeToCut was submitted -- the TTC is ordered stale, with
 #: envelopes left over -- and the 2-envelope tail is cut by timeout
-STRADDLE = WorkloadSpec(
-    num_envelopes=11,
-    payload_size=500_000,
-    preferred_max_bytes=2_000_000,
+STRADDLE = ScenarioRow(
     block_size=3,
-    inter_arrival=0.001,
+    preferred_max_bytes=2_000_000,
     batch_timeout=0.024,
     seed=5,
+    load=SpacedLoad(11, payload_size=500_000, spacing=0.001),
 )
 
 _RUNS = {}
 
 
-def get_run(backend: str, spec: WorkloadSpec):
-    key = (backend, id(spec))
+def get_run(backend: str, row: ScenarioRow):
+    key = (backend, id(row))
     if key not in _RUNS:
-        _RUNS[key] = run_backend_workload(backend, spec)
+        _RUNS[key] = run_backend_workload(backend, row)
     return _RUNS[key]
 
 
@@ -77,23 +75,23 @@ def get_run(backend: str, spec: WorkloadSpec):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "spec", [STANDARD, BYTES_BOUND, STRADDLE], ids=["standard", "bytes", "straddle"]
+    "row", [STANDARD, BYTES_BOUND, STRADDLE], ids=["standard", "bytes", "straddle"]
 )
-def test_backend_commits_workload(backend, spec):
-    run = get_run(backend, spec)
+def test_backend_commits_workload(backend, row):
+    run = get_run(backend, row)
     assert run.finished, f"{backend} did not commit the workload in time"
-    expected = spec.num_envelopes - len(set(spec.oversized_at))
+    expected = row.load.count - len(set(row.load.oversized_at))
     assert len(run.committed_flat_ids) == expected
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "spec", [STANDARD, BYTES_BOUND, STRADDLE], ids=["standard", "bytes", "straddle"]
+    "row", [STANDARD, BYTES_BOUND, STRADDLE], ids=["standard", "bytes", "straddle"]
 )
-def test_chain_identical_across_backends(backend, spec):
+def test_chain_identical_across_backends(backend, row):
     """The whole point: byte-identical header chains on every backend."""
-    reference = get_run("solo", spec)
-    run = get_run(backend, spec)
+    reference = get_run("solo", row)
+    run = get_run(backend, row)
     assert run.header_digests == reference.header_digests
     assert run.committed_envelope_ids == reference.committed_envelope_ids
 

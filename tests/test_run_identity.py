@@ -10,14 +10,16 @@ are held to that in ``tests/test_bench_harness.py`` through the same
 ``no_handmade_ids`` fixture.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.sanitizer import DEFAULT_SCENARIOS, capture_record
 from repro.fabric.channel import ChannelConfig
 from repro.faults.explorer import PROFILES, ExplorerConfig, run_seed
-from repro.obs.report import run_scenario
+from repro.obs.report import SMOKE, run_scenario
 from repro.ordering import OrderingServiceConfig, build_ordering_service
-from repro.ordering.backends import BACKENDS, run_backend_workload
+from repro.ordering.backends import BACKENDS, OpenLoop, run_backend_workload
 from repro.sim.randomness import RandomStreams
 from repro.workload import DuplicateFlood, RawProfile, TenantSpec, WorkloadEngine
 
@@ -60,7 +62,7 @@ def engine_on_fresh_service(seed: int):
 
 @pytest.mark.usefixtures("no_handmade_ids")
 def test_no_run_path_draws_from_module_state():
-    run_scenario(duration=0.2, rate=200.0, trace=True)
+    run_scenario(replace(SMOKE, load=OpenLoop(rate=200.0, duration=0.2)), trace=True)
     for profile in PROFILES:
         assert run_seed(1, ExplorerConfig(profile=profile)).ok
     for backend in BACKENDS:

@@ -41,7 +41,7 @@ def record_sanitizer_rows() -> dict:
 
 
 def record_report() -> dict:
-    result = run_scenario(seed=0)
+    result = run_scenario()
     return {
         "report_sha256": _sha256(render_report(result)),
         "chrome_trace_sha256": _sha256(
