@@ -27,3 +27,9 @@ def test_bakeoff_latency_comparison(bench_result):
         # but all stay in the same order of magnitude on a LAN
         assert solo <= kafka <= bft, (f, solo, kafka, bft)
         assert bft < 0.05
+        # one block cutter and one batch-timer rule: the same blocks
+        blocks = {
+            orderer: result.value("blocks", orderer=orderer, f=f)
+            for orderer in ("solo", "kafka", "bftsmart", "smartbft")
+        }
+        assert len(set(blocks.values())) == 1, (f, blocks)

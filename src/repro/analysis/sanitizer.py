@@ -163,6 +163,8 @@ def _toy_race(sim: Simulator) -> Views:
 #: window that follows the load (the smoke rows wait 30 s: no timeout)
 _CRASH_DETECTION = 0.25
 
+_LEADER_CRASH = replace(SMOKE, crash=0, request_timeout=_CRASH_DETECTION)
+
 #: name -> row; a capture replaces the row's seed and its open loop's
 #: rate and duration with the verb's
 SCENARIOS: Dict[str, ScenarioRow] = {
@@ -172,12 +174,17 @@ SCENARIOS: Dict[str, ScenarioRow] = {
     # through WAL replay and state transfer
     "recovery": replace(SMOKE, durable_wal=True, crash=3, rejoin=True),
     # smoke; the leader crashes for good, forcing a regency change
-    "leader_crash": replace(SMOKE, crash=0, request_timeout=_CRASH_DETECTION),
+    "leader_crash": _LEADER_CRASH,
     # the smoke deployment on the smartbft backend, no fault
     "smartbft": replace(SMOKE, backend="smartbft"),
     # smartbft; the leader crashes for good, forcing a view change
     "smartbft_leader_crash": replace(
         SMOKE, backend="smartbft", crash=0, request_timeout=_CRASH_DETECTION
+    ),
+    # leader_crash at n=10 with 4 KB envelopes: a regency change under a
+    # backlog that outlasts the sync timeout unless SYNC stays small
+    "leader_crash_n10": replace(
+        _LEADER_CRASH, f=3, load=replace(_LEADER_CRASH.load, envelope_size=4096)
     ),
     # smoke on a constant-latency network: copies sent at one instant
     # arrive at one instant, so the tie permutations reorder deliveries
@@ -185,7 +192,7 @@ SCENARIOS: Dict[str, ScenarioRow] = {
 }
 #: rows the verbs run only when named (telemetry_seed0.json pins every
 #: default row)
-_OPT_IN = ("smoke_constant_latency",)
+_OPT_IN = ("leader_crash_n10", "smoke_constant_latency")
 DEFAULT_SCENARIOS = tuple(name for name in SCENARIOS if name not in _OPT_IN)
 #: every name ``--scenario`` accepts
 SCENARIO_NAMES = (*SCENARIOS, TOY_RACE)

@@ -4,8 +4,9 @@ HLF ships this for development/testing (paper section 3: "a single
 point of failure").  It shares the block cutter, chain position and
 block writer of :mod:`repro.ordering.blockcutter` with the other
 orderers, so throughput comparisons isolate the cost of replication.
-Its batch timeout is a plain local timer: with no total order to agree
-on, there is nothing to make deterministic.
+Its batch timeout is a plain local timer, armed by the first envelope
+left pending and reset by every cut: with no total order to agree on,
+there is nothing to make deterministic.
 """
 
 from __future__ import annotations
@@ -89,7 +90,11 @@ class SoloOrderer:
         batches = self.cutter.ordered(envelope)
         for batch in batches:
             self._write(batch)
-        if not batches and len(self.cutter) > 0 and self._cut_timer is None:
+        if batches and self._cut_timer is not None:
+            # as in Fabric's solo, a cut resets the batch timer
+            self._cut_timer.cancel()
+            self._cut_timer = None
+        if len(self.cutter) > 0 and self._cut_timer is None:
             self._cut_timer = self.sim.schedule(
                 self.channel.batch_timeout, self._timeout_cut
             )

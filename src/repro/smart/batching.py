@@ -88,6 +88,14 @@ class PendingQueue:
     def peek_all(self) -> List[ClientRequest]:
         return [request for request, _arrival in self._queue.values()]
 
+    def restart_clocks(self, now: float) -> None:
+        """Re-stamp every pending request as arrived at ``now``, keeping
+        FIFO order: a newly installed leader gets a full request timeout
+        for the backlog it inherited."""
+        self._queue = OrderedDict(
+            (rid, (request, now)) for rid, (request, _arrival) in self._queue.items()
+        )
+
     def next_batch(self) -> List[ClientRequest]:
         """Drain up to the batch limits, preserving FIFO order."""
         batch = RequestBatch()

@@ -8,17 +8,23 @@ timeout), replicas vote to abandon the current *regency*:
    change, but a justified change cannot be stopped).
 2. On collecting ``2f+1`` STOPs a replica *installs* regency ``r+1``
    and sends STOPDATA to the new leader (``processes[(r+1) mod n]``),
-   reporting its last executed instance and, if it observed a WRITE
-   quorum for the in-flight instance, that write certificate.
+   reporting its last executed instance, its pending requests and, if
+   it observed a WRITE quorum for the in-flight instance, that write
+   certificate.
 3. The new leader collects ``n-f`` STOPDATAs and picks the *safe*
    value: the write-certified value from the highest regency if any
    certificate exists (such a value may already have been decided by
    someone, so it must be retained), otherwise a fresh batch of the
    reported pending requests.  It broadcasts SYNC carrying the value
-   and the STOPDATA proofs.
+   and the STOPDATAs as proofs -- each one's sender, regency, last
+   executed cid and write certificate, without its pending requests,
+   which only the leader's value selection reads.
 4. Replicas validate SYNC against the proofs and adopt the value as
    the proposal for the open instance in the new regency; the normal
-   WRITE/ACCEPT phases then finish it.
+   WRITE/ACCEPT phases then finish it.  Installing the regency restarts
+   the clocks of the pending requests, so the new leader gets a full
+   request timeout for the backlog it inherited instead of being
+   deposed for its predecessor's delay.
 
 With WHEAT's tentative execution, a replica whose tentative value
 differs from the SYNC value rolls back before re-executing (paper
@@ -27,6 +33,7 @@ section 4's stated cost of the optimization).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.smart.consensus import batch_hash
@@ -223,7 +230,9 @@ class Synchronizer:
             cid=open_cid,
             batch=batch,
             value_hash=value_hash,
-            proofs=[report for _, report in sorted(reports.items())],
+            # only value selection reads the backlog; (n-f) backlogs per
+            # replica can outlast the sync timeout
+            proofs=[replace(report, pending=[]) for _, report in sorted(reports.items())],
         )
         others = [p for p in replica.view.processes if p != replica.replica_id]
         replica.network.broadcast(replica.replica_id, others, sync, sync.wire_size())
@@ -277,6 +286,9 @@ class Synchronizer:
             replica.obs.on_sync_completed(replica.replica_id, msg.regency, replica.sim.now)
         self._stop_sent = {r for r in self._stop_sent if r > msg.regency}
         replica._forwarded = False
+        # stale arrival times would depose the new leader before it can
+        # propose what it inherited
+        replica.pending.restart_clocks(replica.sim.now)
 
         if msg.cid <= replica.last_executed:
             # we already executed the open instance; just resume

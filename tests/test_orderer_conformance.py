@@ -60,6 +60,10 @@ STRADDLE = ScenarioRow(
     load=SpacedLoad(11, payload_size=500_000, spacing=0.001),
 )
 
+#: arrivals outlast batch_timeout: every count cut resets the batch
+#: timer, so only the 2-envelope tail is cut by timeout
+OUTLAST = ScenarioRow(block_size=4, seed=6, load=SpacedLoad(50, spacing=0.006))
+
 _RUNS = {}
 
 
@@ -75,7 +79,9 @@ def get_run(backend: str, row: ScenarioRow):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "row", [STANDARD, BYTES_BOUND, STRADDLE], ids=["standard", "bytes", "straddle"]
+    "row",
+    [STANDARD, BYTES_BOUND, STRADDLE, OUTLAST],
+    ids=["standard", "bytes", "straddle", "outlast"],
 )
 def test_backend_commits_workload(backend, row):
     run = get_run(backend, row)
@@ -86,10 +92,21 @@ def test_backend_commits_workload(backend, row):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "row", [STANDARD, BYTES_BOUND, STRADDLE], ids=["standard", "bytes", "straddle"]
+    "row",
+    [STANDARD, BYTES_BOUND, STRADDLE, OUTLAST],
+    ids=["standard", "bytes", "straddle", "outlast"],
 )
-def test_chain_identical_across_backends(backend, row):
+def test_chain_identical_across_backends(backend, row, request):
     """The whole point: byte-identical header chains on every backend."""
+    if backend == "smartbft" and row is OUTLAST:
+        request.applymarker(
+            pytest.mark.xfail(
+                strict=True,
+                reason="the SmartBFT leader's batch timer is armed once and "
+                "not reset by a count cut, so it cuts a partial block "
+                "batch_timeout after it was armed (ROADMAP item 6)",
+            )
+        )
     reference = get_run("solo", row)
     run = get_run(backend, row)
     assert run.header_digests == reference.header_digests

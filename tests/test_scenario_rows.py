@@ -14,6 +14,7 @@ import pathlib
 import pytest
 
 from repro.analysis.sanitizer import DEFAULT_SCENARIOS, SCENARIOS, run_racesan
+from repro.obs.report import run_scenario
 from repro.ordering.backends import BACKENDS, ScenarioRow, stand_up
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -108,3 +109,13 @@ def test_constant_latency_row_is_one_entry_and_race_free():
     assert "smoke_constant_latency" in SCENARIOS
     assert "smoke_constant_latency" not in DEFAULT_SCENARIOS
     assert run_racesan(["smoke_constant_latency"], permutations=4) == 0
+
+
+def test_leader_crash_at_n10_is_one_entry_and_recovers():
+    """Failover at scale: the leader_crash row at f=3 with 4 KB
+    envelopes delivers everything after a single regency change."""
+    assert "leader_crash_n10" not in DEFAULT_SCENARIOS
+    result = run_scenario(SCENARIOS["leader_crash_n10"])
+    service = result.service
+    assert service.total_delivered() == result.submitted == 1000
+    assert [r.counters.regency_changes for r in service.replicas[1:]] == [1] * 9

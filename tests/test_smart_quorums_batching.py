@@ -111,6 +111,15 @@ class TestPendingQueue:
         queue.add(request(seq=1), 4.0)
         assert queue.oldest_age(5.0) == pytest.approx(4.0)
 
+    def test_restart_clocks_keeps_order(self):
+        queue = PendingQueue()
+        first, second = request(seq=0), request(seq=1)
+        queue.add(first, 1.0)
+        queue.add(second, 4.0)
+        queue.restart_clocks(6.0)
+        assert queue.oldest_age(7.0) == pytest.approx(1.0)
+        assert queue.peek_all() == [first, second]
+
     def test_remove(self):
         queue = PendingQueue()
         r = request()

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.bench.topology import lan_latency_model
+from repro.ordering.backends import ScenarioRow, SpacedLoad, stand_up
+from repro.smart.messages import Sync
 from tests.conftest import Cluster
 
 
@@ -143,3 +146,68 @@ class TestRegencyBookkeeping:
         # more traffic should not trigger further changes
         assert cluster.drain([proxy.invoke(3), proxy.invoke(4)], deadline=10.0)
         assert cluster.replicas[1].regency == regency_after
+
+
+class TestFailoverUnderBacklog:
+    """The leader crashes (with amnesia, WAL on) under a 4 KB backlog.
+
+    The leader change must cost the new leader one value per replica,
+    not every replica's backlog per replica, and the new leader must
+    get a full request timeout for the requests it inherited; otherwise
+    SYNCs outlast the sync timeout and regencies churn for good.
+    """
+
+    @staticmethod
+    def row(f, count):
+        return ScenarioRow(
+            f=f,
+            block_size=10,
+            durable_wal=True,
+            crash=0,
+            rejoin=True,
+            request_timeout=0.5,
+            latency=lan_latency_model(),
+            load=SpacedLoad(count=count, payload_size=4096, spacing=0.001),
+        )
+
+    @staticmethod
+    def run(row, syncs=None):
+        def arm(up):
+            if syncs is not None:
+                def record(src, dst, payload):
+                    if isinstance(payload, Sync):
+                        syncs.append(payload)
+                    return payload
+
+                up.network.add_filter(record)
+
+        up = stand_up(row, arm)
+        service = up.service
+        up.sim.run_until(
+            lambda: service.total_delivered() >= row.load.count, deadline=20.0
+        )
+        return up
+
+    @pytest.fixture(scope="class")
+    def n4(self):
+        syncs = []
+        up = self.run(self.row(f=1, count=3000), syncs)
+        return up, syncs
+
+    def test_n4_recovers_with_one_regency_change(self, n4):
+        up, _syncs = n4
+        service = up.service
+        assert service.total_delivered() == 3000
+        assert up.sim.now < 3.1
+        assert [r.counters.regency_changes for r in service.replicas[1:]] == [1, 1, 1]
+
+    def test_sync_proofs_carry_no_pending_requests(self, n4):
+        _up, syncs = n4
+        assert syncs
+        assert all(not proof.pending for sync in syncs for proof in sync.proofs)
+
+    def test_n10_makes_at_most_one_regency_change(self):
+        up = self.run(self.row(f=3, count=4000))
+        service = up.service
+        assert service.total_delivered() == 4000
+        assert max(r.counters.regency_changes for r in service.replicas) == 1
