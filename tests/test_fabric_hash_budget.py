@@ -4,17 +4,21 @@ Two regressions a clock cannot catch per commit: the number of
 canonical hashes a transaction costs on its way from proposal to
 commit (an exact count), and the bytes the path produces (the DetSan
 goldens and ``seam_pins.json`` only cover raw envelopes).  Both run
-the same seeded hot-key workload through :class:`SoloPipeline`.
+the same seeded hot-key workload through :class:`SoloPipeline`; the
+bytes are also pinned over the BFT-SMaRt service, with and without its
+durable WAL.
 """
 
 import json
 import random
 from pathlib import Path
 
+import pytest
+
 from repro.faults.invariants import check_serializability
 from tests.conftest import SoloPipeline, count_hashes_by_tag
 
-GOLDEN = Path(__file__).parent / "data" / "golden" / "fabric_path_seed0.json"
+GOLDENS = Path(__file__).parent / "data" / "golden"
 
 HOT_KEYS = 16
 
@@ -53,17 +57,62 @@ def fabric_path_fingerprint(pipeline: SoloPipeline) -> dict:
     }
 
 
-def test_fabric_path_bytes_match_golden():
-    """Recorded at the parent of the single-pass encoder / digest
-    caches, in a process whose id counter stood at zero; ids feed the
-    digests and come from the pipeline's own simulator."""
-    pipeline = SoloPipeline(block_size=10, seed=0)
-    run_hot_keys(pipeline, 200)
+class _BFTPipeline:
+    """The BFT-SMaRt pipeline of the end-to-end tests, one client."""
+
+    def __init__(self, durable_wal: bool):
+        from tests.integration.test_end_to_end import Pipeline
+
+        self.pipeline = Pipeline(durable_wal=durable_wal)
+        self.sim = self.pipeline.sim
+        self.committers = self.pipeline.committers
+        self.client = self.pipeline.client("client0")
+
+    def submit(self, chaincode_id, function, *args):
+        return self.client.submit_transaction("ch0", chaincode_id, function, args)
+
+    def drain(self, futures, deadline=30.0):
+        done = self.sim.drain(futures, self.sim.now + deadline)
+        self.sim.run(until=self.sim.now + 0.5)
+        return done
+
+
+#: pipeline, transactions, golden file and its entry (None: the whole file)
+FABRIC_PATHS = {
+    "solo": (
+        lambda: SoloPipeline(block_size=10, seed=0), 200, "fabric_path_seed0.json", None
+    ),
+    "bftsmart": (
+        lambda: _BFTPipeline(durable_wal=False),
+        100,
+        "fabric_path_bftsmart_seed0.json",
+        "durable_wal=False",
+    ),
+    "bftsmart-durable_wal": (
+        lambda: _BFTPipeline(durable_wal=True),
+        100,
+        "fabric_path_bftsmart_seed0.json",
+        "durable_wal=True",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", FABRIC_PATHS)
+def test_fabric_path_bytes_match_golden(path):
+    """The solo golden was recorded at the parent of the single-pass
+    encoder / digest caches, the BFT-SMaRt one on the hand-built
+    pipeline the stand-up replaced, each in a process whose id counter
+    stood at zero; ids feed the digests and come from the pipeline's
+    own simulator."""
+    build, transactions, golden, entry = FABRIC_PATHS[path]
+    pipeline = build()
+    run_hot_keys(pipeline, transactions)
     assert check_serializability(pipeline.committers) == []
     fingerprint = fabric_path_fingerprint(pipeline)
     codes = [code for block in fingerprint["codes"] for code in block]
-    assert len(codes) == 200 and "MVCC_READ_CONFLICT" in codes
-    assert fingerprint == json.loads(GOLDEN.read_text())
+    assert len(codes) == transactions and "MVCC_READ_CONFLICT" in codes
+    expected = json.loads((GOLDENS / golden).read_text())
+    assert fingerprint == (expected if entry is None else expected[entry])
 
 
 def test_hash_budget_per_transaction(monkeypatch):
