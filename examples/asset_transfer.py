@@ -11,78 +11,34 @@ recorded (but not executed) on the ledger.
 Run:  python examples/asset_transfer.py
 """
 
-from repro import OrderingServiceConfig, build_ordering_service
-from repro.fabric import (
-    AssetTransferChaincode,
-    ChannelConfig,
-    CommittingPeer,
-    EndorsingPeer,
-    FabricClient,
-    KVChaincode,
-    Or,
-    SignedBy,
+from repro.fabric import AssetTransferChaincode, KVChaincode, Or, SignedBy
+from repro.ordering.backends import ScenarioRow, SpacedLoad, stand_up
+
+#: 4 BFT-SMaRt nodes ordering one channel; either organization's
+#: endorsement suffices
+TRADE = ScenarioRow(
+    backend="bftsmart",
+    channel="trade-channel",
+    block_size=3,
+    batch_timeout=0.3,
+    endorsement_policy=Or(SignedBy("org1"), SignedBy("org2")),
+    load=SpacedLoad(count=0),
 )
 
 
 def build_network():
-    policy = Or(SignedBy("org1"), SignedBy("org2"))
-    channel = ChannelConfig(
-        "trade-channel",
-        max_message_count=3,
-        batch_timeout=0.3,
-        endorsement_policy=policy,
-    )
-    service = build_ordering_service(
-        OrderingServiceConfig(
-            f=1, channel=channel, physical_cores=None, enable_batch_timeout=True
-        )
-    )
-    sim, network, registry = service.sim, service.network, service.registry
-    orderer_names = {node.name for node in service.nodes}
-
-    committers, endorsers = [], []
-    for i, org in enumerate(("org1", "org2")):
-        peer_name = f"peer-{org}"
-        registry.enroll(peer_name, org=org)
-        committer = CommittingPeer(
-            sim, network, peer_name, channel,
-            registry=registry,
-            orderer_names=orderer_names,
-            required_block_signatures=2,  # f+1 valid orderer signatures
-        )
-        network.register(peer_name, committer)
-        service.frontends[0].attach_peer(peer_name)
-        committers.append(committer)
-
-        endorser_name = f"endorser-{org}"
-        identity = registry.enroll(endorser_name, org=org)
-        endorser = EndorsingPeer(
-            network, endorser_name, identity,
-            state_provider=lambda _ch, c=committer: c.state,
-            chaincodes={
-                "asset-transfer": AssetTransferChaincode(),
-                "kv": KVChaincode(),
-            },
-        )
-        network.register(endorser_name, endorser)
-        endorsers.append(endorser)
-
-    def make_client(name):
-        identity = registry.enroll(name, org="clients")
-        return FabricClient(
-            sim, network, identity, registry,
-            endorsers=[e.name for e in endorsers],
-            orderer_endpoint=service.frontends[0].name,
-            default_policy=policy,
-        )
-
-    return service, committers, make_client
+    """One endorsing + committing peer per organization."""
+    up = stand_up(TRADE)
+    chaincodes = {"asset-transfer": AssetTransferChaincode(), "kv": KVChaincode()}
+    for org in ("org1", "org2"):
+        up.add_peer(f"peer-{org}", org, chaincodes)
+    return up
 
 
 def main() -> None:
-    service, committers, make_client = build_network()
-    sim = service.sim
-    alice, bob = make_client("alice"), make_client("bob")
+    up = build_network()
+    sim, committers = up.sim, up.committers
+    alice, bob = up.client("alice"), up.client("bob")
 
     print("1. alice creates two assets ...")
     futures = [

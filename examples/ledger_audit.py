@@ -13,60 +13,34 @@ import json
 import os
 import tempfile
 
+from repro.fabric import KVChaincode, SignedBy
 from repro.fabric.audit import audit_ledger, compare_ledgers
 from repro.fabric.persistence import load_ledger, save_ledger
+from repro.ordering.backends import ScenarioRow, SpacedLoad, stand_up
 
 
 def build_committed_chain():
-    """Borrow the persistence test's pipeline: 5 real transactions."""
-    from repro.fabric import (
-        ChannelConfig, CommittingPeer, EndorsingPeer, FabricClient,
-        KVChaincode, SignedBy,
-    )
-    from repro.ordering import OrderingServiceConfig, build_ordering_service
-
-    policy = SignedBy("org1")
-    channel = ChannelConfig(
-        "ch0", max_message_count=2, batch_timeout=0.3, endorsement_policy=policy
-    )
-    service = build_ordering_service(
-        OrderingServiceConfig(
-            f=1, channel=channel, physical_cores=None, enable_batch_timeout=True
+    """5 real transactions over BFT-SMaRt: one org1 peer, blocks of two."""
+    up = stand_up(
+        ScenarioRow(
+            block_size=2,
+            batch_timeout=0.3,
+            endorsement_policy=SignedBy("org1"),
+            load=SpacedLoad(count=0),
         )
     )
-    sim, network, registry = service.sim, service.network, service.registry
-    registry.enroll("peer0", org="org1")
-    committer = CommittingPeer(
-        sim, network, "peer0", channel, registry=registry,
-        orderer_names={n.name for n in service.nodes},
-        required_block_signatures=2,
-    )
-    network.register("peer0", committer)
-    service.frontends[0].attach_peer("peer0")
-    identity = registry.enroll("endorser0", org="org1")
-    endorser = EndorsingPeer(
-        network, "endorser0", identity,
-        state_provider=lambda _ch: committer.state,
-        chaincodes={"kv": KVChaincode()},
-    )
-    network.register("endorser0", endorser)
-    client = FabricClient(
-        sim, network, registry.enroll("alice", org="clients"), registry,
-        endorsers=["endorser0"],
-        orderer_endpoint=service.frontends[0].name,
-        default_policy=policy,
-    )
+    committer = up.add_peer("peer0", "org1", {"kv": KVChaincode()})
+    client = up.client("alice")
     futures = [
         client.submit_transaction("ch0", "kv", "put", (f"key{i}", {"n": i}))
         for i in range(5)
     ]
-    sim.drain(futures, 30.0)
-    return committer, registry, service
+    up.sim.drain(futures, 30.0)
+    return committer, up.registry, up.orderer_names
 
 
 def main() -> None:
-    committer, registry, service = build_committed_chain()
-    orderer_names = {node.name for node in service.nodes}
+    committer, registry, orderer_names = build_committed_chain()
 
     workdir = tempfile.mkdtemp(prefix="repro-ledger-")
     path = os.path.join(workdir, "peer0-chain.json")

@@ -127,8 +127,8 @@ class MessageClass:
     handlers: List[str] = field(default_factory=list)
     #: ``path:line`` construction sites
     senders: List[str] = field(default_factory=list)
-    #: names of message classes this one rides inside
-    embedded_in: Set[str] = field(default_factory=set)
+    #: idents of message classes this one rides inside
+    embedded_in: Set[Tuple[str, str]] = field(default_factory=set)
 
     @property
     def ident(self) -> Tuple[str, str]:
@@ -342,7 +342,7 @@ class FlowAnalyzer:
                     continue
                 inner = self._resolve_class(info, sub.func.id)
                 if inner is not None and inner != ident:
-                    self.messages[inner].embedded_in.add(node.func.id)
+                    self.messages[inner].embedded_in.add(ident)
 
     # -- dispatch extraction -------------------------------------------
     def analyze_dispatch(self) -> None:
@@ -1259,7 +1259,7 @@ def graph_to_json_dict(analyzer: FlowAnalyzer) -> Dict[str, object]:
                 "handlers": sorted(msg.handlers),
                 "senders": sorted(msg.senders),
                 "embedded": sorted(
-                    msg.embedded_in
+                    {name for _module, name in msg.embedded_in}
                     | (msg.field_types & {m.name for m in analyzer.messages.values()})
                 ),
             }
@@ -1300,9 +1300,9 @@ def graph_to_dot(analyzer: FlowAnalyzer) -> str:
             )
             lines.append(f'  {sid} [shape=note, label="{sender}"];')
             lines.append(f"  {sid} -> {mid} [style=dashed];")
-        for outer in sorted(msg.embedded_in):
+        for outer in sorted(msg.embedded_in):  # (module, name), as mid
             lines.append(
-                f'  {mid} -> {outer.replace(".", "_")} '
+                f'  {mid} -> {".".join(outer).replace(".", "_")} '
                 "[style=dotted, label=embedded];"
             )
     lines.append("}")

@@ -5,8 +5,8 @@ Every ordering backend hands blocks to the same
 *trustworthy* differs by backend:
 
 - **solo / Kafka** orderers are trusted individually (crash-fault
-  model): any well-formed block is accepted
-  (:class:`AcceptAllBlocks`);
+  model): a block needs only its one orderer's valid signature
+  (:class:`SignatureCountPolicy` of 1);
 - **BFT-SMaRt** frontends gather ``2f+1`` matching block copies and
   merge their signatures, so the committer only needs ``f+1`` valid
   signatures to know a correct node vouched for the block
@@ -37,16 +37,6 @@ class BlockValidityPolicy:
 
     def describe(self) -> str:
         return type(self).__name__
-
-
-class AcceptAllBlocks(BlockValidityPolicy):
-    """Crash-fault backends (solo, Kafka): the orderer is trusted."""
-
-    def check(self, block: Block) -> bool:
-        return True
-
-    def describe(self) -> str:
-        return "accept-all"
 
 
 def valid_signers(
@@ -94,8 +84,8 @@ class SignatureCountPolicy(BlockValidityPolicy):
     The BFT-SMaRt committer policy (paper section 5.1): the frontend's
     ``2f+1`` copy matching already happened upstream, and the merged
     block carries at least ``f+1`` honest signatures, so peers check a
-    configured count.  ``required <= 0`` disables the check (the
-    historic ``required_block_signatures=0`` default).
+    configured count.  ``required <= 0`` accepts every block (the
+    committer's default).
     """
 
     def __init__(

@@ -7,11 +7,12 @@ fault explorer's profiles, the sanitizers' scenarios and the
 conformance battery's workloads are tables of rows, and each harness
 keeps only its own checks.
 
-The battery (:func:`run_backend_workload`) replays one row through any
-backend and commits the output through the same
-:class:`~repro.fabric.committer.CommittingPeer`, armed with the
-backend's block-validity policy.  Raw envelopes hash by their pinned
-ids and all backends share the :class:`BlockCutter`, so a correct run
+A Fabric deployment is a row too, its peers and clients attached by
+:meth:`StandUp.add_peer` and :meth:`StandUp.client`.  The battery
+(:func:`run_backend_workload`) replays one row through any backend and
+commits the output through one such peer, armed with the backend's
+block-validity policy.  Raw envelopes hash by their pinned ids and all
+backends share the :class:`BlockCutter`, so a correct run
 produces the *byte-identical* header chain on every backend
 (``tests/test_orderer_conformance.py``).  It also accounts
 **dissemination bandwidth** -- bytes from the ordering service to its
@@ -30,15 +31,18 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import Block
 from repro.fabric.blockpolicy import (
-    AcceptAllBlocks,
+    BlockValidityPolicy,
     SignatureCountPolicy,
     SignatureQuorumPolicy,
 )
 from repro.fabric.channel import ChannelConfig
+from repro.fabric.client import FabricClient
 from repro.fabric.committer import CommittingPeer
+from repro.fabric.endorser import EndorsingPeer
 from repro.fabric.envelope import Envelope, OversizedPayloadError, check_payload_size
 from repro.fabric.orderers.kafka import KafkaCluster, KafkaOrderer
 from repro.fabric.orderers.solo import SoloOrderer
+from repro.fabric.policy import EndorsementPolicy, SignedBy
 from repro.ordering.admission import AdmissionConfig
 from repro.ordering.service import (
     OrderingService,
@@ -164,6 +168,9 @@ class ScenarioRow:
     crash: Optional[int] = None
     rejoin: bool = False
     load: Union[SpacedLoad, OpenLoop] = SpacedLoad()
+    #: what the channel's transactions need endorsed, unless their
+    #: chaincode says otherwise
+    endorsement_policy: EndorsementPolicy = SignedBy("org0")
 
     def channel_config(self) -> ChannelConfig:
         return ChannelConfig(
@@ -172,13 +179,14 @@ class ScenarioRow:
             preferred_max_bytes=self.preferred_max_bytes,
             absolute_max_bytes=ABSOLUTE_MAX_BYTES,
             batch_timeout=self.batch_timeout,
+            endorsement_policy=self.endorsement_policy,
         )
 
 
 @dataclass
 class StandUp:
-    """A row stood up: where its load is submitted, where a committing
-    peer attaches, which links carry block dissemination."""
+    """A row stood up: where its load is submitted, where its Fabric
+    peers and clients attach, which links carry block dissemination."""
 
     row: ScenarioRow
     sim: Simulator
@@ -188,7 +196,12 @@ class StandUp:
     #: ``(envelope, frontend index)``; raises OversizedPayloadError past
     #: AbsoluteMaxBytes
     submit: Callable[[Envelope, int], Any]
-    attach_peer: Callable[[str], None]
+    #: subscribes a network id to the delivered blocks
+    attach: Callable[[str], None]
+    #: what a committing peer requires of a block from this backend
+    block_policy: BlockValidityPolicy
+    #: where Fabric clients submit: the CFT orderer, or frontend 0
+    ingress: Any
     #: (src, dst) network links whose bytes are dissemination
     delivery_links: List[Tuple[Any, Any]]
     #: the BFT deployment (None for the CFT orderers)
@@ -198,6 +211,8 @@ class StandUp:
     armed: Any = None
     rejected: int = 0
     generator: Optional[OpenLoopGenerator] = None
+    committers: List[CommittingPeer] = field(default_factory=list)
+    endorsers: List[EndorsingPeer] = field(default_factory=list)
 
     @property
     def submitted(self) -> int:
@@ -205,6 +220,38 @@ class StandUp:
         if self.generator is not None:
             return self.generator.submitted
         return self.row.load.count - self.rejected
+
+    def add_peer(
+        self, name: str, org: str = "org0", chaincodes: Optional[Dict[str, Any]] = None
+    ) -> CommittingPeer:
+        """A committing peer ``name`` subscribed to the delivered blocks;
+        given ``chaincodes``, also an endorsing peer ``endorser<i>`` of
+        ``org`` that simulates against this peer's world state."""
+        peer = CommittingPeer(
+            self.sim, self.network, name, self.row.channel_config(),
+            registry=self.registry, orderer_names=self.orderer_names,
+            block_policy=self.block_policy,
+        )
+        self.network.register(name, peer)
+        self.attach(name)
+        self.committers.append(peer)
+        if chaincodes is not None:
+            endorser_name = f"endorser{len(self.endorsers)}"
+            endorser = EndorsingPeer(
+                self.network, endorser_name, self.registry.enroll(endorser_name, org),
+                state_provider=lambda _channel: peer.state, chaincodes=chaincodes,
+            )
+            self.network.register(endorser_name, endorser)
+            self.endorsers.append(endorser)
+        return peer
+
+    def client(self, name: str) -> FabricClient:
+        """A client (org ``clients``) of every endorser added so far."""
+        return FabricClient(
+            self.sim, self.network, self.registry.enroll(name, org="clients"),
+            self.registry, endorsers=[endorser.name for endorser in self.endorsers],
+            orderer_endpoint=self.ingress, default_policy=self.row.endorsement_policy,
+        )
 
 
 def _stand_up_cft(
@@ -216,7 +263,10 @@ def _stand_up_cft(
         raise ValueError("the observability hub attaches to a BFT service only")
     streams = RandomStreams(row.seed)
     network = Network(
-        sim, ConstantLatency(0.0001), default_bandwidth_bps=1e9, streams=streams
+        sim,
+        row.latency or ConstantLatency(0.0001),
+        default_bandwidth_bps=1e9,
+        streams=streams,
     )
     stats = MetricsRegistry()
     registry = KeyRegistry(scheme=SimulatedECDSA(), rng=streams.stream("keys"))
@@ -242,14 +292,18 @@ def _stand_up_cft(
         check_payload_size(envelope.payload_ref(), ABSOLUTE_MAX_BYTES)
         orderer.submit(envelope)
 
+    names = {"orderer0"}
     return StandUp(
         row=row,
         sim=sim,
         network=network,
         registry=registry,
-        orderer_names={"orderer0"},
+        orderer_names=names,
         submit=submit,
-        attach_peer=orderer.attach_receiver,
+        attach=orderer.attach_receiver,
+        # the orderer's signature, as Fabric's block validation policy asks
+        block_policy=SignatureCountPolicy(1, registry, names),
+        ingress="orderer0",
         delivery_links=[("orderer0", PEER_NAME)],
         extras=extras,
     )
@@ -277,42 +331,35 @@ def _stand_up_bft(
     )
     service = build_ordering_service(config, sim=sim, observability=observability)
     frontend = service.frontends[0]
+    registry, names = service.registry, {node.name for node in service.nodes}
+    if row.backend == "smartbft":  # one block copy carries its own 2f+1 quorum
+        policy = SignatureQuorumPolicy(row.f, registry, names)
+    else:  # frontends matched 2f+1 copies: f+1 valid signatures suffice
+        policy = SignatureCountPolicy(one_correct_size(row.f), registry, names)
     return StandUp(
         row=row,
         sim=service.sim,
         network=service.network,
-        registry=service.registry,
-        orderer_names={node.name for node in service.nodes},
+        registry=registry,
+        orderer_names=names,
         # through the service, so a hook on a frontend's ``submit``
         # installed after stand-up still sees every envelope
         submit=service.submit,
-        attach_peer=frontend.attach_peer,
+        attach=frontend.attach_peer,
+        block_policy=policy,
+        ingress=frontend.name,
         delivery_links=[(i, frontend.name) for i in range(config.n)],
         service=service,
         extras={"service": service},
     )
 
 
-#: backend -> (stand-up, the committer-side block-validity policy the
-#: backend warrants, from ``(f, registry, orderer_names)``); every
-#: ordering backend the repository implements
+#: backend -> stand-up; every ordering backend the repository implements
 _HARNESS = {
-    "solo": (_stand_up_cft, lambda f, registry, names: AcceptAllBlocks()),
-    "kafka": (_stand_up_cft, lambda f, registry, names: AcceptAllBlocks()),
-    # frontends matched 2f+1 copies upstream; f+1 valid signatures
-    # prove a correct node vouched for the merged block
-    "bftsmart": (
-        _stand_up_bft,
-        lambda f, registry, names: SignatureCountPolicy(
-            one_correct_size(f), registry=registry, orderer_names=names
-        ),
-    ),
-    "smartbft": (
-        _stand_up_bft,
-        lambda f, registry, names: SignatureQuorumPolicy(
-            f, registry=registry, orderer_names=names
-        ),
-    ),
+    "solo": _stand_up_cft,
+    "kafka": _stand_up_cft,
+    "bftsmart": _stand_up_bft,
+    "smartbft": _stand_up_bft,
 }
 BACKENDS = tuple(_HARNESS)
 
@@ -335,9 +382,7 @@ def stand_up(
     """
     if row.backend not in _HARNESS:
         raise ValueError(f"unknown backend {row.backend!r}; expected one of {BACKENDS}")
-    up = _HARNESS[row.backend][0](
-        row, Simulator() if sim is None else sim, observability
-    )
+    up = _HARNESS[row.backend](row, Simulator() if sim is None else sim, observability)
     if arm is not None:
         up.armed = arm(up)
     row.load.start_on(up)
@@ -397,22 +442,7 @@ def run_backend_workload(
     then one more second."""
     row = replace(row or ScenarioRow(), backend=backend)
     load = row.load
-
-    def attach_peer(up: StandUp) -> CommittingPeer:
-        peer = CommittingPeer(
-            up.sim,
-            up.network,
-            PEER_NAME,
-            row.channel_config(),
-            registry=up.registry,
-            orderer_names=up.orderer_names,
-            block_policy=_HARNESS[backend][1](row.f, up.registry, up.orderer_names),
-        )
-        up.network.register(PEER_NAME, peer)
-        up.attach_peer(PEER_NAME)
-        return peer
-
-    up = stand_up(row, attach_peer)
+    up = stand_up(row, lambda up: up.add_peer(PEER_NAME))
     sim, network, peer = up.sim, up.network, up.armed
     expected = load.count - len(set(load.oversized_at))
     # run_until evaluates its predicate after every event: count commits

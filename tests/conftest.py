@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import collections
 import itertools
-import random
 import sys
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import pytest
@@ -17,20 +17,14 @@ import repro.fabric.block as block_module
 import repro.fabric.envelope as envelope_module
 import repro.smart.messages as messages_module
 import repro.smart2.node as smart2_node
-from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric import (
     AssetTransferChaincode,
-    ChannelConfig,
-    CommittingPeer,
-    EndorsingPeer,
-    FabricClient,
     KVChaincode,
     Or,
     SignedBy,
     SmallBankChaincode,
 )
-from repro.fabric.orderers import SoloOrderer
+from repro.ordering.backends import ScenarioRow, SpacedLoad, stand_up
 from repro.sim import ConstantLatency, Network, Simulator
 from repro.smart import (
     ReplicaConfig,
@@ -228,73 +222,44 @@ def network(sim):
     return Network(sim, ConstantLatency(0.0005))
 
 
-class SoloPipeline:
-    """The whole endorse -> order -> validate -> commit path at its
-    smallest: two organisations (an endorsing and a committing peer
-    each), the solo orderer and one client, all three sample chaincodes
-    installed.  Nothing but the Fabric path hashes here, so per-
-    transaction hash counts and ledger bytes can be pinned exactly."""
+#: the Fabric path at its smallest: the solo orderer on a 0.5 ms LAN,
+#: blocks of ten, either organisation endorsing.  Nothing but the Fabric
+#: path hashes here, so per-transaction hash counts and ledger bytes can
+#: be pinned exactly.
+SOLO_FABRIC = ScenarioRow(
+    backend="solo",
+    block_size=10,
+    batch_timeout=0.2,
+    latency=ConstantLatency(0.0005),
+    endorsement_policy=Or(SignedBy("org1"), SignedBy("org2")),
+    load=SpacedLoad(count=0),
+)
+#: the same path over the paper's service: 4 BFT-SMaRt nodes, blocks of two
+BFT_FABRIC = replace(
+    SOLO_FABRIC, backend="bftsmart", block_size=2, batch_timeout=0.4, latency=None
+)
 
-    def __init__(self, block_size: int = 10, seed: int = 0, policy=None):
-        self.sim = Simulator()
-        self.network = Network(self.sim, ConstantLatency(0.0005))
-        self.registry = KeyRegistry(
-            scheme=SimulatedECDSA(), rng=random.Random(seed)
-        )
-        policy = policy or Or(SignedBy("org1"), SignedBy("org2"))
-        channel = ChannelConfig(
-            "ch0",
-            max_message_count=block_size,
-            batch_timeout=0.2,
-            endorsement_policy=policy,
-        )
-        self.orderer = SoloOrderer(
-            self.sim, self.network, "solo", self.registry.enroll("solo"), channel
-        )
-        self.network.register("solo", self.orderer)
-        self.committers = []
-        #: the endorsing peers, org1's first (the client's configured order)
-        self.endorsers = []
-        for org in ("org1", "org2"):
-            peer = f"peer-{org}"
-            self.registry.enroll(peer, org=org)
-            committer = CommittingPeer(
-                self.sim,
-                self.network,
-                peer,
-                channel,
-                registry=self.registry,
-                orderer_names={"solo"},
-                required_block_signatures=1,
-            )
-            self.network.register(peer, committer)
-            self.orderer.attach_receiver(peer)
-            self.committers.append(committer)
-            endorser = EndorsingPeer(
-                self.network,
-                f"endorser-{org}",
-                self.registry.enroll(f"endorser-{org}", org=org),
-                state_provider=lambda _channel, c=committer: c.state,
-                chaincodes={
-                    "kv": KVChaincode(),
-                    "asset-transfer": AssetTransferChaincode(),
-                    "smallbank": SmallBankChaincode(),
-                },
-            )
-            self.network.register(endorser.name, endorser)
-            self.endorsers.append(endorser)
-        self.client = FabricClient(
-            self.sim,
-            self.network,
-            self.registry.enroll("client0", org="clients"),
-            self.registry,
-            endorsers=[endorser.name for endorser in self.endorsers],
-            orderer_endpoint="solo",
-            default_policy=policy,
-        )
+
+class FabricNetwork:
+    """``row``'s orderer with two organisations (an endorsing and a
+    committing peer each, all three sample chaincodes installed) and
+    one client, ``client0``."""
+
+    def __init__(self, row: ScenarioRow = SOLO_FABRIC):
+        chaincodes = {
+            "kv": KVChaincode(),
+            "asset-transfer": AssetTransferChaincode(),
+            "smallbank": SmallBankChaincode(),
+        }
+        self.up = up = stand_up(row)
+        for index, org in enumerate(("org1", "org2")):
+            up.add_peer(f"peer{index}", org, chaincodes)
+        self.sim, self.network, self.registry = up.sim, up.network, up.registry
+        self.service, self.committers, self.endorsers = up.service, up.committers, up.endorsers
+        self.client = up.client("client0")
 
     def submit(self, chaincode_id: str, function: str, *args):
-        return self.client.submit_transaction("ch0", chaincode_id, function, args)
+        return self.client.submit_transaction(self.up.row.channel, chaincode_id, function, args)
 
     def drain(self, futures, deadline: float = 30.0) -> bool:
         """Run until every future resolved, then until the slower peer

@@ -6,114 +6,30 @@ validate (policy + MVCC) and commit, and clients receive events --
 paper Figure 2, all six steps.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.fabric import (
-    AssetTransferChaincode,
-    ChannelConfig,
-    CommittingPeer,
-    EndorsingPeer,
-    FabricClient,
-    KVChaincode,
-    Or,
-    SignedBy,
-    SmallBankChaincode,
-)
+from repro.fabric import And, SignedBy
 from repro.fabric.client import EndorsementError
 from repro.fabric.envelope import Envelope
 from repro.faults.invariants import check_serializability
-from repro.ordering import OrderingServiceConfig, build_ordering_service
-
-
-class Pipeline:
-    """A complete two-org HLF network over a 4-node BFT service."""
-
-    def __init__(self, max_count=2, policy=None, durable_wal=False):
-        self.policy = policy or Or(SignedBy("org1"), SignedBy("org2"))
-        channel = ChannelConfig(
-            "ch0",
-            max_message_count=max_count,
-            batch_timeout=0.4,
-            endorsement_policy=self.policy,
-        )
-        config = OrderingServiceConfig(
-            f=1,
-            channel=channel,
-            num_frontends=1,
-            physical_cores=None,
-            enable_batch_timeout=True,
-            durable_wal=durable_wal,
-        )
-        self.service = build_ordering_service(config)
-        self.sim = self.service.sim
-        self.network = self.service.network
-        self.registry = self.service.registry
-        orderer_names = {node.name for node in self.service.nodes}
-
-        self.committers = []
-        for i in range(2):
-            name = f"peer{i}"
-            self.registry.enroll(name, org=f"org{i + 1}")
-            committer = CommittingPeer(
-                self.sim,
-                self.network,
-                name,
-                channel,
-                registry=self.registry,
-                orderer_names=orderer_names,
-                required_block_signatures=2,  # f+1
-            )
-            self.network.register(name, committer)
-            self.service.frontends[0].attach_peer(name)
-            self.committers.append(committer)
-
-        self.endorsers = []
-        chaincodes = {
-            "kv": KVChaincode(),
-            "asset-transfer": AssetTransferChaincode(),
-            "smallbank": SmallBankChaincode(),
-        }
-        for i in range(2):
-            name = f"endorser{i}"
-            identity = self.registry.enroll(name, org=f"org{i + 1}")
-            committer = self.committers[i]
-            endorser = EndorsingPeer(
-                self.network,
-                name,
-                identity,
-                state_provider=lambda _ch, c=committer: c.state,
-                chaincodes=dict(chaincodes),
-            )
-            self.network.register(name, endorser)
-            self.endorsers.append(endorser)
-
-    def client(self, name, org="clients"):
-        identity = self.registry.enroll(name, org=org)
-        return FabricClient(
-            self.sim,
-            self.network,
-            identity,
-            self.registry,
-            endorsers=["endorser0", "endorser1"],
-            orderer_endpoint=self.service.frontends[0].name,
-            default_policy=self.policy,
-        )
-
-    def drain(self, futures, deadline=30.0):
-        return self.sim.drain(futures, self.sim.now + deadline)
+from repro.ordering.backends import BACKENDS
+from tests.conftest import BFT_FABRIC, SOLO_FABRIC, FabricNetwork
+from tests.test_fabric_hash_budget import run_hot_keys
 
 
 @pytest.fixture
 def pipeline():
     """The pipeline; every test using it ends serializable."""
-    pipeline = Pipeline()
+    pipeline = FabricNetwork(BFT_FABRIC)
     yield pipeline
     assert check_serializability(pipeline.committers) == []
 
 
 class TestFullFlow:
     def test_transaction_commits_end_to_end(self, pipeline):
-        client = pipeline.client("alice")
+        client = pipeline.up.client("alice")
         future = client.submit_transaction("ch0", "kv", "put", ("k", "v"))
         assert pipeline.drain([future])
         event = future.value
@@ -123,7 +39,7 @@ class TestFullFlow:
             assert committer.ledger.verify_chain()
 
     def test_asset_lifecycle(self, pipeline):
-        client = pipeline.client("alice")
+        client = pipeline.up.client("alice")
         created = client.submit_transaction(
             "ch0", "asset-transfer", "create", ("car1", "alice", 900)
         )
@@ -138,7 +54,7 @@ class TestFullFlow:
         assert query.value["owner"] == "bob"
 
     def test_both_peers_converge(self, pipeline):
-        client = pipeline.client("alice")
+        client = pipeline.up.client("alice")
         futures = [
             client.submit_transaction("ch0", "kv", "put", (f"k{i}", i))
             for i in range(6)
@@ -153,8 +69,8 @@ class TestFullFlow:
         """Two clients race a read-modify-write on the same key; the
         loser lands in the chain marked INVALID and its write is
         discarded (paper §3 step 5-6)."""
-        alice = pipeline.client("alice")
-        bob = pipeline.client("bob")
+        alice = pipeline.up.client("alice")
+        bob = pipeline.up.client("bob")
         setup = alice.submit_transaction("ch0", "kv", "put", ("counter", 0))
         assert pipeline.drain([setup])
         # both increment concurrently from the same snapshot
@@ -170,8 +86,8 @@ class TestFullFlow:
     def test_invalid_transactions_stay_on_ledger(self, pipeline):
         """Invalid transactions are recorded (identifying misbehaving
         clients) but not executed."""
-        alice = pipeline.client("alice")
-        bob = pipeline.client("bob")
+        alice = pipeline.up.client("alice")
+        bob = pipeline.up.client("bob")
         setup = alice.submit_transaction("ch0", "kv", "put", ("x", 0))
         assert pipeline.drain([setup])
         futures = [
@@ -183,7 +99,7 @@ class TestFullFlow:
         assert total_txs == 3  # all three are in the chain
 
     def test_endorsement_failure_reported_to_client(self, pipeline):
-        client = pipeline.client("alice")
+        client = pipeline.up.client("alice")
         future = client.submit_transaction(
             "ch0", "asset-transfer", "read", ("ghost",)
         )
@@ -192,7 +108,7 @@ class TestFullFlow:
             _ = future.value
 
     def test_smallbank_transfers_conserve_money(self, pipeline):
-        client = pipeline.client("bank")
+        client = pipeline.up.client("bank")
         opens = [
             client.submit_transaction("ch0", "smallbank", "open", (f"acct{i}", 100))
             for i in range(4)
@@ -214,8 +130,8 @@ class TestFullFlow:
     def test_durable_wal_logs_fabric_transactions(self):
         """Every replica's consensus WAL logs the decided Fabric
         envelope, and recovering the WAL returns it with its digest."""
-        pipeline = Pipeline(durable_wal=True)
-        client = pipeline.client("alice")
+        pipeline = FabricNetwork(replace(BFT_FABRIC, durable_wal=True))
+        client = pipeline.up.client("alice")
         future = client.submit_transaction("ch0", "kv", "put", ("k", "v"))
         assert pipeline.drain([future])
         assert future.value.validation_code == "VALID"
@@ -233,7 +149,7 @@ class TestFullFlow:
             assert recovered[0].transaction.digest() == ordered.transaction.digest()
 
     def test_ordering_node_crash_mid_pipeline(self, pipeline):
-        client = pipeline.client("alice")
+        client = pipeline.up.client("alice")
         first = client.submit_transaction("ch0", "kv", "put", ("a", 1))
         assert pipeline.drain([first])
         pipeline.service.crash_node(3)  # non-leader ordering node
@@ -242,10 +158,10 @@ class TestFullFlow:
         assert second.value.validation_code == "VALID"
 
     def test_stricter_policy_requires_both_orgs(self):
-        from repro.fabric import And
-
-        pipeline = Pipeline(policy=And(SignedBy("org1"), SignedBy("org2")))
-        client = pipeline.client("alice")
+        pipeline = FabricNetwork(
+            replace(BFT_FABRIC, endorsement_policy=And(SignedBy("org1"), SignedBy("org2")))
+        )
+        client = pipeline.up.client("alice")
         future = client.submit_transaction("ch0", "kv", "put", ("k", "v"))
         assert pipeline.drain([future])
         assert future.value.validation_code == "VALID"
@@ -254,3 +170,18 @@ class TestFullFlow:
             future.value.block_number
         ).envelopes[0].transaction
         assert {e.org for e in tx.endorsements} == {"org1", "org2"}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_hot_keys_serializable_on_every_orderer(backend):
+    """The seeded hot-key workload through each of the four orderers:
+    every transaction gets a validation code, both peers hold the same
+    chain and state, and what committed is serializable."""
+    pipeline = FabricNetwork(replace(SOLO_FABRIC, backend=backend))
+    run_hot_keys(pipeline, 100)
+    assert check_serializability(pipeline.committers) == []
+    first, second = pipeline.committers
+    assert first.ledger.last_hash == second.ledger.last_hash
+    assert first.state.snapshot() == second.state.snapshot()
+    codes = [code.value for record in first.commits for code in record.codes]
+    assert len(codes) == 100 and "MVCC_READ_CONFLICT" in codes

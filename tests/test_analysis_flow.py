@@ -299,6 +299,45 @@ class TestArtifacts:
         dot = graph_to_dot(analyzer)
         assert "Vote" in dot and "->" in dot
 
+    def test_embedded_edge_ends_at_a_declared_node(self, tmp_path):
+        """A message built inside another's constructor rides embedded:
+        its edge points at the outer message's node, never at a bare
+        class name."""
+        plant(
+            tmp_path,
+            textwrap.dedent(
+                """\
+                class Inner:
+                    def wire_size(self):
+                        return 8
+
+
+                class Outer:
+                    def wire_size(self):
+                        return 16
+
+
+                class Node:
+                    def deliver(self, src, message):
+                        if isinstance(message, Outer):
+                            pass
+
+
+                def send(net):
+                    net.send(Outer(Inner()))
+                """
+            ),
+        )
+        _, analyzer = analyze_flow(["scratch.py"], root=tmp_path)
+        dot = graph_to_dot(analyzer)
+        declared = {
+            line.split()[0] for line in dot.splitlines() if "[shape=" in line
+        }
+        (edge,) = [line for line in dot.splitlines() if "label=embedded" in line]
+        source, _arrow, target = edge.split()[:3]
+        assert (source, target) == ("scratch_Inner", "scratch_Outer")
+        assert {source, target} <= declared
+
 
 class TestCliCatalog:
     def test_rules_listing_includes_flow_family(self, capsys):

@@ -4,7 +4,6 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, make_block
 from repro.fabric.blockpolicy import (
-    AcceptAllBlocks,
     SignatureCountPolicy,
     SignatureQuorumPolicy,
     count_valid_signatures,
@@ -30,10 +29,11 @@ def _sign(block, identities):
 
 
 def test_accept_all_ignores_signatures():
+    """A count of zero, the committer's default, accepts every block."""
     _registry, _identities, block = _harness()
-    policy = AcceptAllBlocks()
+    policy = SignatureCountPolicy(0)
     assert policy.check(block)  # zero signatures
-    assert policy.describe() == "accept-all"
+    assert policy.describe() == "signature-count>=0"
 
 
 def test_count_valid_signatures_verifies_each():

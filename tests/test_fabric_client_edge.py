@@ -1,15 +1,17 @@
 """Edge cases of the Fabric client SDK and CPU-model timing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim import CPU, Simulator
 
 
 class TestClientEdgeCases:
-    def _pipeline(self):
-        from tests.integration.test_end_to_end import Pipeline
+    def _pipeline(self, **fields):
+        from tests.conftest import BFT_FABRIC, FabricNetwork
 
-        return Pipeline()
+        return FabricNetwork(replace(BFT_FABRIC, **fields))
 
     def test_mismatched_endorsements_fail_policy(self):
         """If the two endorsers return *different* rw-sets (state
@@ -17,14 +19,15 @@ class TestClientEdgeCases:
         an AND policy and the client reports failure."""
         from repro.fabric import And, SignedBy
         from repro.fabric.client import EndorsementError
-        from tests.integration.test_end_to_end import Pipeline
 
-        pipeline = Pipeline(policy=And(SignedBy("org1"), SignedBy("org2")))
+        pipeline = self._pipeline(
+            endorsement_policy=And(SignedBy("org1"), SignedBy("org2"))
+        )
         # desynchronize endorser1's world state: both endorsements
         # succeed but with different read-sets/results, so no matching
         # group can satisfy AND(org1, org2)
         pipeline.committers[1].state.apply_write("k", 100, (9, 9))
-        client = pipeline.client("alice")
+        client = pipeline.up.client("alice")
         future = client.submit_transaction("ch0", "kv", "increment", ("k",))
         pipeline.drain([future], deadline=15.0)
         assert future.done
@@ -44,7 +47,7 @@ class TestClientEdgeCases:
             return payload
 
         pipeline.network.add_filter(forge)
-        client = pipeline.client("alice")
+        client = pipeline.up.client("alice")
         # Or-policy: endorser1 alone still satisfies it
         future = client.submit_transaction("ch0", "kv", "put", ("k", "v"))
         assert pipeline.drain([future])
@@ -68,7 +71,7 @@ class TestClientEdgeCases:
             identity,
             pipeline.registry,
             endorsers=["endorser0"],
-            orderer_endpoint=pipeline.service.frontends[0].name,
+            orderer_endpoint=pipeline.up.ingress,
             default_policy=SignedBy("org1"),
             envelope_size=4096,
         )

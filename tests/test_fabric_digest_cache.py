@@ -25,7 +25,7 @@ from repro.fabric.envelope import (
     WriteSet,
 )
 from repro.fabric.statedb import VersionedKVStore
-from tests.conftest import SoloPipeline
+from tests.conftest import SOLO_FABRIC, FabricNetwork
 
 
 def proposal(function="put", args=("k", "v"), chaincode="kv", nonce=0):
@@ -298,7 +298,7 @@ class TestCoherenceAudit:
         (asset-transfer writes dicts and returns them as results, and
         later transactions read those dicts back out of the state),
         then recompute every leaf digest from the definitions."""
-        pipeline = SoloPipeline(block_size=3)
+        pipeline = FabricNetwork(dataclasses.replace(SOLO_FABRIC, block_size=3))
         calls = [
             ("kv", "put", "colour", {"rgb": [1, 2, 3]}),
             ("kv", "increment", "counter"),

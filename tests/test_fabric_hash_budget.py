@@ -4,26 +4,27 @@ Two regressions a clock cannot catch per commit: the number of
 canonical hashes a transaction costs on its way from proposal to
 commit (an exact count), and the bytes the path produces (the DetSan
 goldens and ``seam_pins.json`` only cover raw envelopes).  Both run
-the same seeded hot-key workload through :class:`SoloPipeline`; the
-bytes are also pinned over the BFT-SMaRt service, with and without its
-durable WAL.
+the same seeded hot-key workload through :class:`FabricNetwork` on the
+solo orderer; the bytes are also pinned over the BFT-SMaRt service,
+with and without its durable WAL.
 """
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.faults.invariants import check_serializability
-from tests.conftest import SoloPipeline, count_hashes_by_tag
+from tests.conftest import BFT_FABRIC, SOLO_FABRIC, FabricNetwork, count_hashes_by_tag
 
 GOLDENS = Path(__file__).parent / "data" / "golden"
 
 HOT_KEYS = 16
 
 
-def run_hot_keys(pipeline: SoloPipeline, transactions: int, seed: int = 0):
+def run_hot_keys(pipeline: FabricNetwork, transactions: int, seed: int = 0):
     """One transaction per simulated millisecond: create ``HOT_KEYS``
     keys, then increment seeded-random ones -- several in flight per
     block, so some read versions are stale by validation (MVCC)."""
@@ -43,7 +44,7 @@ def run_hot_keys(pipeline: SoloPipeline, transactions: int, seed: int = 0):
     assert pipeline.drain(futures)
 
 
-def fabric_path_fingerprint(pipeline: SoloPipeline) -> dict:
+def fabric_path_fingerprint(pipeline: FabricNetwork) -> dict:
     first, second = pipeline.committers
     assert first.ledger.last_hash == second.ledger.last_hash
     assert first.state.snapshot() == second.state.snapshot()
@@ -57,39 +58,12 @@ def fabric_path_fingerprint(pipeline: SoloPipeline) -> dict:
     }
 
 
-class _BFTPipeline:
-    """The BFT-SMaRt pipeline of the end-to-end tests, one client."""
-
-    def __init__(self, durable_wal: bool):
-        from tests.integration.test_end_to_end import Pipeline
-
-        self.pipeline = Pipeline(durable_wal=durable_wal)
-        self.sim = self.pipeline.sim
-        self.committers = self.pipeline.committers
-        self.client = self.pipeline.client("client0")
-
-    def submit(self, chaincode_id, function, *args):
-        return self.client.submit_transaction("ch0", chaincode_id, function, args)
-
-    def drain(self, futures, deadline=30.0):
-        done = self.sim.drain(futures, self.sim.now + deadline)
-        self.sim.run(until=self.sim.now + 0.5)
-        return done
-
-
-#: pipeline, transactions, golden file and its entry (None: the whole file)
+#: row, transactions, golden file and its entry (None: the whole file)
 FABRIC_PATHS = {
-    "solo": (
-        lambda: SoloPipeline(block_size=10, seed=0), 200, "fabric_path_seed0.json", None
-    ),
-    "bftsmart": (
-        lambda: _BFTPipeline(durable_wal=False),
-        100,
-        "fabric_path_bftsmart_seed0.json",
-        "durable_wal=False",
-    ),
+    "solo": (SOLO_FABRIC, 200, "fabric_path_seed0.json", None),
+    "bftsmart": (BFT_FABRIC, 100, "fabric_path_bftsmart_seed0.json", "durable_wal=False"),
     "bftsmart-durable_wal": (
-        lambda: _BFTPipeline(durable_wal=True),
+        replace(BFT_FABRIC, durable_wal=True),
         100,
         "fabric_path_bftsmart_seed0.json",
         "durable_wal=True",
@@ -104,8 +78,8 @@ def test_fabric_path_bytes_match_golden(path):
     pipeline the stand-up replaced, each in a process whose id counter
     stood at zero; ids feed the digests and come from the pipeline's
     own simulator."""
-    build, transactions, golden, entry = FABRIC_PATHS[path]
-    pipeline = build()
+    row, transactions, golden, entry = FABRIC_PATHS[path]
+    pipeline = FabricNetwork(row)
     run_hot_keys(pipeline, transactions)
     assert check_serializability(pipeline.committers) == []
     fingerprint = fabric_path_fingerprint(pipeline)
@@ -121,7 +95,7 @@ def test_hash_budget_per_transaction(monkeypatch):
     transaction anywhere on the path fails here, without a clock."""
     calls = count_hashes_by_tag(monkeypatch)
     transactions = 120
-    pipeline = SoloPipeline(block_size=10, seed=0)
+    pipeline = FabricNetwork()
     run_hot_keys(pipeline, transactions)
     assert check_serializability(pipeline.committers) == []
     assert len(pipeline.transactions(0)) == len(pipeline.transactions(1)) == transactions

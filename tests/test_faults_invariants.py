@@ -310,10 +310,10 @@ class TestSerializability:
 
     @staticmethod
     def _hot_key_run():
-        from tests.conftest import SoloPipeline
+        from tests.conftest import FabricNetwork
         from tests.test_fabric_hash_budget import run_hot_keys
 
-        pipeline = SoloPipeline(block_size=10, seed=0)
+        pipeline = FabricNetwork()
         run_hot_keys(pipeline, 120)
         return pipeline
 

@@ -19,7 +19,6 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import make_block
 from repro.fabric.blockpolicy import (
-    AcceptAllBlocks,
     SignatureCountPolicy,
     SignatureQuorumPolicy,
     count_valid_signatures,
@@ -283,13 +282,35 @@ def test_committer_rejects_outsider_signatures():
     assert peer.rejected_blocks == 1
 
 
+@pytest.mark.parametrize("backend", ["solo", "kafka"])
+@pytest.mark.parametrize("signature", ["orderer", "stripped", "forged"])
+def test_cft_peer_checks_the_orderers_signature(backend, signature):
+    """The battery's solo and Kafka peer commits the next block only
+    under the orderer's own valid signature, as a Fabric peer's block
+    validation policy requires."""
+    run = run_backend_workload(backend, ScenarioRow(load=SpacedLoad(4)))
+    peer = run.peer
+    height, rejected = peer.ledger.height, peer.rejected_blocks
+    envelope = Envelope.raw("ch0", payload_size=64, submitter="c", envelope_id=99)
+    block = make_block(height, peer.ledger.last_hash, [envelope], channel_id="ch0")
+    if signature == "orderer":
+        orderer = peer.registry.get("orderer0")
+        block.signatures["orderer0"] = orderer.sign(block.header.signing_payload())
+    elif signature == "forged":
+        block.signatures["orderer0"] = b"\x00" * 64
+    peer.receive_block(block)
+    if signature == "orderer":
+        assert (peer.ledger.height, peer.rejected_blocks) == (height + 1, rejected)
+    else:
+        assert (peer.ledger.height, peer.rejected_blocks) == (height, rejected + 1)
+
+
 def test_count_policy_matches_legacy_committer_behaviour():
     """The refactor is behaviour-preserving for existing call sites."""
     _sim, _registry, identities, _peer = _quorum_harness(f=1)
     block = _signed_block(identities, identities[:2])
     registry = _registry
     names = {i.name for i in identities}
-    assert AcceptAllBlocks().check(block)
     assert SignatureCountPolicy(0).check(block)  # disabled check
     assert SignatureCountPolicy(2, registry, names).check(block)
     assert not SignatureCountPolicy(3, registry, names).check(block)

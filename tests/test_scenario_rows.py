@@ -15,7 +15,14 @@ import pytest
 
 from repro.analysis.sanitizer import DEFAULT_SCENARIOS, SCENARIOS, run_racesan
 from repro.obs.report import run_scenario
-from repro.ordering.backends import BACKENDS, ScenarioRow, stand_up
+from repro.ordering.backends import (
+    BACKENDS,
+    ScenarioRow,
+    SpacedLoad,
+    run_backend_workload,
+    stand_up,
+)
+from repro.sim.network import ConstantLatency
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -119,3 +126,16 @@ def test_leader_crash_at_n10_is_one_entry_and_recovers():
     service = result.service
     assert service.total_delivered() == result.submitted == 1000
     assert [r.counters.regency_changes for r in service.replicas[1:]] == [1] * 9
+
+
+def test_cft_rows_honour_their_latency():
+    """A solo row on a 0.5 ms LAN commits each envelope 0.4 ms later
+    than on the default 0.1 ms one: the orderer-to-peer hop."""
+    load = SpacedLoad(8)
+    fast = run_backend_workload("solo", ScenarioRow(load=load))
+    slow = run_backend_workload(
+        "solo", ScenarioRow(latency=ConstantLatency(0.0005), load=load)
+    )
+    assert len(slow.commit_latencies) == len(fast.commit_latencies) == 8
+    for slower, faster in zip(slow.commit_latencies, fast.commit_latencies):
+        assert slower - faster == pytest.approx(0.0004)
