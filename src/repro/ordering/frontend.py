@@ -43,7 +43,10 @@ class MatchingCopies:
     signatures for the peers downstream, so the copies' signatures are
     merged onto the accepted block.  With ``verify_signatures`` each
     copy must carry its sender's valid signature and ``f+1`` matching
-    copies suffice (footnote 8).
+    copies suffice (footnote 8).  Copies are matched by header, so the
+    body comes from the first copy, in sender order, whose envelopes
+    hash to the header's ``data_hash``: at least one of the matching
+    copies is from a correct node.
     """
 
     def __init__(
@@ -81,18 +84,19 @@ class MatchingCopies:
         copies[source] = block
         if len(copies) < self.copies_needed:
             return None
+        ordered = sorted(copies.items())
+        body = next((copy for _, copy in ordered if copy.verify_data()), None)
+        if body is None:
+            return None  # no matching copy carries its header's body yet
         del self._copies[key]
-        merged: Optional[Block] = None
-        for _, copy in sorted(copies.items()):
-            if merged is None:
-                merged = Block(
-                    header=copy.header,
-                    envelopes=copy.envelopes,
-                    signatures=dict(copy.signatures),
-                    channel_id=copy.channel_id,
-                )
-            else:
-                merged.signatures.update(copy.signatures)
+        merged = Block(
+            header=body.header,
+            envelopes=body.envelopes,
+            signatures={},
+            channel_id=body.channel_id,
+        )
+        for _, copy in ordered:
+            merged.signatures.update(copy.signatures)
         return merged
 
 
@@ -103,7 +107,8 @@ class SignedQuorum:
     proves consensus, so dissemination drops from ``n`` full copies to
     one copy plus ``2f+1`` signatures (``docs/SMARTBFT.md`` quantifies
     this).  The quorum is the view's, so weighted memberships are
-    judged by weight, not by count.
+    judged by weight, not by count.  The signatures cover the header
+    only, so the copy's envelopes must hash to its ``data_hash``.
     """
 
     def __init__(
@@ -117,7 +122,7 @@ class SignedQuorum:
         self._id_by_name = {name: pid for pid, name in node_names.items()}
 
     def valid(self, source: str, block: Block) -> bool:
-        if self.registry is None:
+        if self.registry is None or not block.verify_data():
             return False
         ids = self._id_by_name
         return self.view.has_quorum(

@@ -1,4 +1,4 @@
-"""Request batching at the leader.
+"""Request batching at the leader, and the table of executed requests.
 
 BFT-SMaRt amortizes consensus over batches: the leader drains its
 pending-request queue into a batch of at most ``max_batch`` requests
@@ -8,7 +8,7 @@ pending-request queue into a batch of at most ``max_batch`` requests
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.smart.messages import ClientRequest, RequestId
 
@@ -113,3 +113,75 @@ class PendingQueue:
             room -= 1
         self.remove_all(batch)
         return batch
+
+
+class ExecutedRequests:
+    """The exact set of executed request ids, in O(clients + gaps) memory.
+
+    Per client a low watermark -- every sequence below it is in the
+    table -- plus a plain set of the ids above it (BFT-SMaRt keeps
+    per-client sequence state the same way).  Membership stays exact:
+    asynchronous clients keep many sequences outstanding, so after a
+    leader change a lower sequence may be ordered after a higher one;
+    it waits above the watermark until the gap fills.  Sequences are
+    non-negative, as :class:`~repro.smart.proxy.ServiceProxy` and the
+    SmartBFT relay number them from 0.
+
+    The representation is canonical -- ``low`` holds only watermarks
+    above 0, ``above`` only ids past their client's watermark -- so two
+    tables holding the same ids compare equal.  Hot paths read ``low``
+    and ``above`` directly instead of calling :meth:`__contains__`:
+    ``rid in above or rid[1] < low.get(rid[0], 0)``.
+    """
+
+    __slots__ = ("low", "above")
+
+    def __init__(self, ids: Iterable[RequestId] = ()):
+        #: client -> first sequence not (yet) in the table
+        self.low: Dict[int, int] = {}
+        #: ids past their client's watermark
+        self.above: Set[RequestId] = set()
+        self.update(ids)
+
+    def __contains__(self, rid: RequestId) -> bool:
+        return rid in self.above or rid[1] < self.low.get(rid[0], 0)
+
+    def isdisjoint(self, ids: Collection[RequestId]) -> bool:
+        if not self.above.isdisjoint(ids):
+            return False
+        watermark = self.low.get
+        for client, sequence in ids:
+            if sequence < watermark(client, 0):
+                return False
+        return True
+
+    def update(self, ids: Iterable[RequestId]) -> None:
+        """Add ``ids``; the watermark of a client moves past every
+        sequence that is now contiguous from it."""
+        low = self.low
+        above = self.above
+        watermark = low.get
+        for rid in ids:
+            client, sequence = rid
+            mark = watermark(client, 0)
+            if sequence == mark:
+                mark += 1
+                while (client, mark) in above:
+                    above.remove((client, mark))
+                    mark += 1
+                low[client] = mark
+            elif sequence > mark:
+                above.add(rid)
+
+    def add(self, rid: RequestId) -> None:
+        self.update((rid,))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutedRequests):
+            return NotImplemented
+        return self.low == other.low and self.above == other.above
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ExecutedRequests(low={self.low!r}, above={sorted(self.above)!r})"

@@ -26,7 +26,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.core import Simulator
 from repro.sim.network import Network
-from repro.smart.batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_BATCH_BYTES, PendingQueue
+from repro.smart.batching import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_BATCH_BYTES,
+    ExecutedRequests,
+    PendingQueue,
+)
 from repro.smart.consensus import ConsensusInstance, batch_hash
 from repro.smart.durability import Checkpoint, OperationLog, state_digest
 from repro.smart.messages import (
@@ -223,7 +228,7 @@ class ServiceReplica:
         # every executed request; dedup is by exact id because async
         # clients keep many sequences outstanding at once
         self._last_reply: Dict[int, Tuple[int, Any, int]] = {}
-        self._executed_ids: set[RequestId] = set()
+        self._executed_ids = ExecutedRequests()
 
         # tentative execution bookkeeping: ordered (cid, undo token, batch)
         self._tentative_stack: List[Tuple[int, Any, List[ClientRequest]]] = []
@@ -401,7 +406,7 @@ class ServiceReplica:
         self.instances = {}
         self.pending = PendingQueue(self.config.max_batch, self.config.max_batch_bytes)
         self._last_reply = {}
-        self._executed_ids = set()
+        self._executed_ids = ExecutedRequests()
         self._tentative_stack = []
         self._forwarded = False
         self._quarantine_regency = None
@@ -456,7 +461,12 @@ class ServiceReplica:
     # client requests and proposing
     # ------------------------------------------------------------------
     def _on_request(self, src, request: ClientRequest) -> None:
-        if request.request_id in self._executed_ids:
+        # the table's membership test, inlined: once per request per replica
+        executed = self._executed_ids
+        if (
+            request.request_id in executed.above
+            or request.sequence < executed.low.get(request.client_id, 0)
+        ):
             self.counters.duplicate_requests += 1
             cached = self._last_reply.get(request.client_id)
             if cached is not None and request.sequence == cached[0]:
@@ -720,16 +730,27 @@ class ServiceReplica:
                 break
 
     def _confirm_batch(self, batch: List[ClientRequest], regency: int) -> None:
-        """Bookkeeping when a tentative execution is confirmed final."""
-        for request in batch:
-            rid = request.request_id
-            if rid in self._executed_ids:
-                continue
-            self.counters.requests_executed += 1
-            self._executed_ids.add(rid)
-            cached = self._last_reply.get(request.client_id)
+        """Bookkeeping when a tentative execution is confirmed final:
+        each id not executed before counts once."""
+        executed = self._executed_ids
+        ids = [request.request_id for request in batch]
+        if executed.isdisjoint(ids) and len(set(ids)) == len(ids):
+            fresh = batch
+        else:
+            fresh = []
+            seen: set[RequestId] = set()
+            for request in batch:
+                rid = request.request_id
+                if rid not in executed and rid not in seen:
+                    seen.add(rid)
+                    fresh.append(request)
+        executed.update(ids)
+        self.counters.requests_executed += len(fresh)
+        last_reply = self._last_reply
+        for request in fresh:
+            cached = last_reply.get(request.client_id)
             if cached is None or request.sequence >= cached[0]:
-                self._last_reply[request.client_id] = (request.sequence, None, regency)
+                last_reply[request.client_id] = (request.sequence, None, regency)
 
     def _execute_batch(
         self,
@@ -760,7 +781,7 @@ class ServiceReplica:
                 )
         if not tentative:
             # booked for the whole batch at once (no replier reads
-            # either); the ids filtered out above are in the set already
+            # either); the ids filtered out above are in the table already
             self.counters.requests_executed += len(to_run)
             executed.update(ids)
         self._answer(normal, results, regency, tentative)

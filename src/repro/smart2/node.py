@@ -55,6 +55,7 @@ from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
 from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import Network
+from repro.smart.batching import ExecutedRequests
 from repro.smart.durability import OperationLog
 from repro.smart.messages import ClientRequest
 from repro.smart.replica import FaultControls
@@ -231,10 +232,13 @@ class SmartBFTNode:
         self._rounds: Dict[int, _Round] = {}
         self.next_commit_seq = 0
         self._decisions: List[_Decision] = []
-        #: request ids of committed batches and of the batches accepted in
-        #: the window (the replay check): the accepted ones leave it only
-        #: with their rounds, at a view install or a diverging catch-up
-        self._ordered_ids: Set[Tuple[int, int]] = set()
+        #: the replay check is the ids of committed batches plus those of
+        #: the batches accepted in the window; an accepted round's ids
+        #: leave ``_accepted_ids`` with the round -- into the committed
+        #: table when it commits, or at a view install or a diverging
+        #: catch-up
+        self._committed_ids = ExecutedRequests()
+        self._accepted_ids: Set[Tuple[int, int]] = set()
         #: the sequence number the next accepted pre-prepare carries:
         #: pre-prepares are accepted in sequence order, the leader's own
         #: included, so the proposing/accepted rounds are
@@ -393,7 +397,8 @@ class SmartBFTNode:
         self.next_commit_seq = 0
         self._next_accept = 0
         self._decisions = []
-        self._ordered_ids = set()
+        self._committed_ids = ExecutedRequests()
+        self._accepted_ids = set()
         self._held = {}
         self._pending = {}
         self._batch_queue = deque()
@@ -442,7 +447,8 @@ class SmartBFTNode:
         if self.faults.censor_clients and request.client_id in self.faults.censor_clients:
             return  # Byzantine leader-side censorship
         rid = request.request_id
-        if rid in self._ordered_ids and self._is_committed(rid):
+        committed = self._committed_ids
+        if rid in committed.above or rid[1] < committed.low.get(rid[0], 0):
             return
         if rid not in self._pending:
             self._pending[rid] = (request, self.sim.now)
@@ -451,21 +457,9 @@ class SmartBFTNode:
         elif not forwarded:
             self._send(self.leader, Forward(sender=self.replica_id, request=request))
 
-    def _is_committed(self, rid: Tuple[int, int]) -> bool:
-        """Whether ``rid``, known to be in ``_ordered_ids``, is in a
-        committed batch rather than an accepted one in the window."""
-        rounds = self._rounds
-        for seq in range(self.next_commit_seq, self._next_accept):
-            for request in rounds[seq].preprepare.batch:
-                if request.request_id == rid:
-                    return False
-        return True
-
     def _leader_ingest(self, request: ClientRequest) -> None:
         rid = request.request_id
-        if rid in self._leader_seen or (
-            rid in self._ordered_ids and self._is_committed(rid)
-        ):
+        if rid in self._leader_seen or rid in self._committed_ids:
             return
         envelope = request.operation
         if not isinstance(envelope, Envelope):
@@ -589,7 +583,9 @@ class SmartBFTNode:
         if not msg.batch:
             return
         rids = [r.request_id for r in msg.batch]
-        if not self._ordered_ids.isdisjoint(rids):
+        if not (
+            self._accepted_ids.isdisjoint(rids) and self._committed_ids.isdisjoint(rids)
+        ):
             return  # replayed request: an honest leader never does this
         header = self._verified_header(msg)
         if header is None:
@@ -624,7 +620,7 @@ class SmartBFTNode:
         digest = round_.digest = header.digest()
         state.tip.advance(header)
         self._next_accept = seq + 1
-        self._ordered_ids.update(rids)
+        self._accepted_ids.update(rids)
         delay = self.log.log_write(seq, msg.view_number, digest)
         prepare = Prepare(
             sender=self.replica_id,
@@ -643,7 +639,7 @@ class SmartBFTNode:
         """Forget the accepted, undecided rounds: their requests leave the
         replay check, and the next pre-prepare chains off committed state."""
         for seq in range(self.next_commit_seq, self._next_accept):
-            self._ordered_ids.difference_update(
+            self._accepted_ids.difference_update(
                 [r.request_id for r in self._rounds.pop(seq).preprepare.batch]
             )
         self._next_accept = self.next_commit_seq
@@ -785,6 +781,7 @@ class SmartBFTNode:
                 channel_id=msg.channel_id,
             )
             del self._rounds[seq]
+            self._accepted_ids.difference_update([r.request_id for r in msg.batch])
             self._commit_decision(
                 _Decision(seq=seq, channel_id=msg.channel_id, block=block,
                           batch=list(msg.batch))
@@ -802,6 +799,7 @@ class SmartBFTNode:
         self._decisions.append(decision)
         self.blocks_created += 1
         rids = [request.request_id for request in decision.batch]
+        self._committed_ids.update(rids)
         if self._leader_seen:
             self._leader_seen.difference_update(rids)
         settle = self._pending.pop
@@ -1192,14 +1190,16 @@ class SmartBFTNode:
             ) < len(signers):
                 continue
             round_ = self._rounds.get(seq)
-            if round_ is not None and round_.preprepare is not None and (
-                round_.digest != block.header.digest()
-            ):
-                # what this node accepted from here on chains off a block
-                # that was not decided
-                self._drop_accepted()
+            if round_ is not None and round_.preprepare is not None:
+                if round_.digest != block.header.digest():
+                    # what this node accepted from here on chains off a
+                    # block that was not decided
+                    self._drop_accepted()
+                else:
+                    self._accepted_ids.difference_update(
+                        [r.request_id for r in round_.preprepare.batch]
+                    )
             self._rounds.pop(seq, None)
-            self._ordered_ids.update([r.request_id for r in batch])
             self._commit_decision(
                 _Decision(
                     seq=seq,

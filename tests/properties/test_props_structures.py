@@ -9,7 +9,7 @@ from repro.fabric.envelope import Envelope
 from repro.fabric.ledger import Ledger
 from repro.fabric.statedb import VersionedKVStore
 from repro.ordering.blockcutter import BlockCutter
-from repro.smart.batching import PendingQueue
+from repro.smart.batching import ExecutedRequests, PendingQueue
 from repro.smart.messages import ClientRequest
 
 
@@ -106,6 +106,41 @@ class TestPendingQueueProperties:
             assert 0 < len(batch) <= 7
             drained.extend(r.request_id for r in batch)
         assert drained == expected
+
+
+#: a small id space: batches repeat ids, run out of order and leave gaps
+#: below sequence 12 that no later batch fills
+request_ids = st.tuples(st.integers(0, 3), st.integers(0, 12))
+
+
+class TestExecutedRequestsProperties:
+    @given(
+        st.lists(st.lists(request_ids, max_size=8), max_size=12),
+        st.lists(request_ids, max_size=10),
+    )
+    @settings(max_examples=150)
+    def test_answers_exactly_as_a_plain_set(self, batches, probes):
+        table = ExecutedRequests()
+        reference = set()
+        for batch in batches:
+            assert table.isdisjoint(batch) == reference.isdisjoint(batch)
+            for rid in probes + batch:
+                assert (rid in table) == (rid in reference)
+            table.update(batch)
+            reference.update(batch)
+            for rid in probes + batch:
+                assert (rid in table) == (rid in reference)
+        # canonical: only ids past their client's watermark are held, so
+        # the same ids added in any order give an equal table
+        for client, sequence in table.above:
+            assert sequence > table.low.get(client, 0)
+        assert all(mark > 0 for mark in table.low.values())
+        assert table == ExecutedRequests(sorted(reference, reverse=True))
+        one_by_one = ExecutedRequests()
+        for rid in sorted(reference):
+            one_by_one.add(rid)
+        assert one_by_one == table
+        assert (table == ExecutedRequests()) == (not reference)
 
 
 class TestStateDB:

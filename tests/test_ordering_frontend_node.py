@@ -216,6 +216,28 @@ class TestMatchingCopies:
         assert len(delivered) == 1
         assert len(delivered[0].signatures) == 3
 
+    def test_the_body_comes_from_a_copy_that_matches_its_header(self, env):
+        """o0 sends the correct header and its valid signature with the
+        envelopes swapped: the copy still matches by header, but the
+        delivered body is the first one that hashes to ``data_hash``."""
+        _sim, _network, registry = env
+        identities = enroll_orderers(registry)
+        frontend = make_frontend(env)
+        delivered = []
+        frontend.on_block.append(delivered.append)
+        envelopes = [Envelope.raw("ch0", 10), Envelope.raw("ch0", 20)]
+        args = (0, GENESIS_PREVIOUS_HASH, envelopes, "ch0")
+        swapped = signed_copy(args, identities[0])
+        swapped.envelopes = swapped.envelopes[::-1]
+        assert not swapped.verify_data()
+        frontend._on_block_copy("o0", swapped)
+        for identity in identities[1:3]:
+            frontend._on_block_copy(identity.name, signed_copy(args, identity))
+        assert len(delivered) == 1
+        assert delivered[0].verify_data()
+        assert delivered[0].envelopes == envelopes
+        assert sorted(delivered[0].signatures) == ["o0", "o1", "o2"]
+
     def test_verify_mode_needs_only_f_plus_1(self, env):
         sim, network, registry = env
         identities = enroll_orderers(registry)
@@ -260,6 +282,17 @@ class TestSignedQuorum:
         copy = signed_copy(self.ARGS, *identities[:3])
         frontend._on_block_copy("o3", copy)
         assert delivered == [copy]
+
+    def test_a_quorum_over_the_header_does_not_vouch_for_a_swapped_body(self, env):
+        _sim, _network, registry = env
+        identities = enroll_orderers(registry)
+        frontend = make_frontend(env, "home+quorum")
+        envelopes = [Envelope.raw("ch0", 10), Envelope.raw("ch0", 20)]
+        copy = signed_copy((0, GENESIS_PREVIOUS_HASH, envelopes, "ch0"), *identities[:3])
+        copy.envelopes = envelopes[::-1]
+        frontend._on_block_copy("o0", copy)
+        assert frontend.blocks_delivered == 0
+        assert frontend.rejected_blocks == 1
 
     def test_too_few_signatures_rejected(self, env):
         _sim, _network, registry = env

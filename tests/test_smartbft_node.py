@@ -30,6 +30,7 @@ import pytest
 
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader, compute_data_hash
 from repro.fabric.envelope import Envelope
+from repro.smart.batching import ExecutedRequests
 from repro.smart.messages import ClientRequest
 from repro.smart2.messages import (
     BlockPull, BlockPush, Commit, NewView, Prepare, Preprepare, ViewChange,
@@ -254,7 +255,8 @@ class TestLeaderQueues:
         for request in requests(range(40)):
             leader.deliver(1000, request)
         assert len(leader._batch_queue) == 10 - PROPOSAL_WINDOW and leader._req_by_env == {}
-        assert len(leader._ordered_ids) == 4 * PROPOSAL_WINDOW
+        assert len(leader._accepted_ids) == 4 * PROPOSAL_WINDOW
+        assert leader._committed_ids == ExecutedRequests()
         leader.deliver(1000, requests([40])[0])  # waits in the cutter
         assert list(leader._req_by_env) == [40]
         proof = tuple(signed_view_change(service, sender, 1, 0) for sender in (1, 2, 3))
@@ -265,7 +267,8 @@ class TestLeaderQueues:
         leader.deliver(1, announcement)
         assert leader.view_number == 1 and not leader.is_leader
         assert not leader._batch_queue and not leader._req_by_env
-        assert not leader._rounds and not leader._ordered_ids
+        assert not leader._rounds and not leader._accepted_ids
+        assert leader._committed_ids == ExecutedRequests()
         leader._batch_queue.append((CHANNEL, requests([99])))  # still a deque
         assert leader._batch_queue.popleft()[0] == CHANNEL
         leader._batch_queue.append((CHANNEL, requests([99])))
