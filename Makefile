@@ -37,7 +37,7 @@ HYPOTHESIS_PROFILE ?= tier1
 
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
-.PHONY: test lint analyze flow msgflow detsan racesan ci faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs
+.PHONY: test lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run);
 ## property tests run under the derandomized, database-less hypothesis
@@ -86,7 +86,13 @@ racesan:
 		--permutations $(RACESAN_K) --json $(RACESAN_OUT)
 
 ## everything CI's per-commit job runs, in order
-ci: lint analyze flow racesan test faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check perf-quick bench-report
+ci: lint analyze flow racesan test faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check perf-quick bench-report obs-report
+
+## observability acceptance: the telemetry report of one run plus its
+## Chrome trace (docs/OBSERVABILITY.md); writes obs-trace.json
+obs-report:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.obs report --duration 1.0 \
+		--trace obs-trace.json
 
 ## quick confidence check: 5 explorer seeds (runs in seconds)
 faults-smoke:

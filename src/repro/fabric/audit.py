@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.crypto.keys import KeyRegistry
-from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block
+from repro.fabric.block import GENESIS_PREVIOUS_HASH
+from repro.fabric.blockpolicy import valid_signers
 from repro.fabric.ledger import Ledger
 
 
@@ -72,22 +73,17 @@ def audit_ledger(
     for number, block in enumerate(ledger):
         chain_ok = block.header.number == number and block.header.previous_hash == previous
         data_ok = block.verify_data()
-        valid = invalid = unknown = 0
+        valid, invalid, unknown = len(block.signatures), 0, 0
         if registry is not None:
-            payload = block.header.signing_payload()
-            for signer, signature in sorted(block.signatures.items()):
-                if orderer_names is not None and signer not in orderer_names:
-                    unknown += 1
-                    continue
-                if signer not in registry:
-                    unknown += 1
-                    continue
-                if registry.verifier_of(signer).verify(payload, signature):
-                    valid += 1
-                else:
-                    invalid += 1
-        else:
-            valid = len(block.signatures)
+            known = [
+                signer
+                for signer in block.signatures
+                if signer in registry
+                and (orderer_names is None or signer in orderer_names)
+            ]
+            # (an empty name filter would mean "every signer")
+            valid = len(valid_signers(block, registry, known)) if known else 0
+            invalid, unknown = len(known) - valid, len(block.signatures) - len(known)
         report.records.append(
             BlockAuditRecord(
                 number=number,
@@ -137,14 +133,3 @@ def compare_ledgers(ledgers: Dict[str, Ledger]) -> ForkReport:
                 diverging_peers=digests,
             )
     return ForkReport(common_height=common_height, fork_at=None)
-
-
-def signature_coverage(block: Block, registry: KeyRegistry) -> int:
-    """Count the valid ordering-node signatures on one block."""
-    payload = block.header.signing_payload()
-    return sum(
-        1
-        for signer, signature in block.signatures.items()
-        if signer in registry
-        and registry.verifier_of(signer).verify(payload, signature)
-    )

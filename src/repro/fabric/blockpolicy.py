@@ -1,4 +1,4 @@
-"""Per-backend block-validity policies for committing peers.
+"""Block-validity policies: one signed-quorum rule, one signature walk.
 
 Every ordering backend hands blocks to the same
 :class:`~repro.fabric.committer.CommittingPeer`, but what makes a block
@@ -12,21 +12,21 @@ Every ordering backend hands blocks to the same
   signatures to know a correct node vouched for the block
   (:class:`SignatureCountPolicy`);
 - **SmartBFT-style** nodes disseminate a *single* copy carrying a
-  ``2f+1`` signature quorum, so the committer itself verifies the
-  quorum (:class:`SignatureQuorumPolicy`).
+  signature quorum, which the committer, the frontend and a node
+  catching up all verify by one rule (:class:`SignedQuorum`).
 
-Factoring this into policy objects gives all backends one verified
-entry point (``CommittingPeer.receive_block``) instead of the historic
-copy-matching assumption baked into the committer.
+:func:`valid_signers` is the only code that verifies an ordering
+node's signature on a block.
 """
 
 from __future__ import annotations
 
-from typing import Container, List, Optional, Set
+from itertools import accumulate
+from typing import Container, List, Mapping, Optional, Set
 
 from repro.crypto.keys import KeyRegistry
 from repro.fabric.block import Block
-from repro.smart.view import byzantine_majority_size
+from repro.smart.view import View
 
 
 class BlockValidityPolicy:
@@ -51,22 +51,17 @@ def valid_signers(
     verified and every attached signature counts -- callers opt into
     that weaker mode explicitly by passing ``registry=None``.
     """
-    if registry is None:
-        return [
-            name
-            for name in block.signatures
-            if not orderer_names or name in orderer_names
-        ]
     payload = block.header.signing_payload()
-    valid = []
-    for signer, signature in sorted(block.signatures.items()):
-        if orderer_names and signer not in orderer_names:
-            continue
-        if signer not in registry:
-            continue
-        if registry.verifier_of(signer).verify(payload, signature):
-            valid.append(signer)
-    return valid
+    return [
+        signer
+        for signer, signature in sorted(block.signatures.items())
+        if (not orderer_names or signer in orderer_names)
+        and (
+            registry is None
+            or signer in registry
+            and registry.verifier_of(signer).verify(payload, signature)
+        )
+    ]
 
 
 def count_valid_signatures(
@@ -99,42 +94,65 @@ class SignatureCountPolicy(BlockValidityPolicy):
         self.orderer_names = orderer_names or set()
 
     def check(self, block: Block) -> bool:
-        if self.required <= 0:
-            return True
-        return (
-            count_valid_signatures(block, self.registry, self.orderer_names)
-            >= self.required
+        return self.required <= 0 or (
+            count_valid_signatures(block, self.registry, self.orderer_names) >= self.required
         )
 
     def describe(self) -> str:
         return f"signature-count>={self.required}"
 
 
-class SignatureQuorumPolicy(BlockValidityPolicy):
-    """A Byzantine-majority signature quorum travels *on* the block.
+class SignedQuorum(BlockValidityPolicy):
+    """Trust a block iff its verified signers form a quorum of ``view``.
 
-    The SmartBFT committer policy (arXiv:2107.06922): a single block
-    copy is only trustworthy if it carries ``2f+1`` valid signatures
-    from distinct ordering nodes, which guarantees a majority of the
-    correct nodes agreed on exactly this block.
+    The SmartBFT rule (arXiv:2107.06922): one copy carries the proof of
+    consensus.  The quorum is ``View.has_quorum``'s, so a WHEAT-weighted
+    membership is judged by weight and an equal-weight ``3f+1`` group
+    needs ``2f+1`` signers.  The signatures cover the header only, so
+    the envelopes must hash to the header's ``data_hash``.  One rule for a
+    committing peer (:meth:`check`), a frontend's acceptance
+    (:meth:`valid`, :meth:`offer`) and a SmartBFT node's catch-up.
     """
 
     def __init__(
         self,
-        f: int,
-        registry: Optional[KeyRegistry] = None,
-        orderer_names: Optional[Set[str]] = None,
+        view: View,
+        registry: Optional[KeyRegistry],
+        node_names: Mapping[int, str],
     ):
-        self.f = f
-        self.quorum = byzantine_majority_size(f)
+        self.view = view
         self.registry = registry
-        self.orderer_names = orderer_names or set()
+        self._id_by_name = {name: pid for pid, name in node_names.items()}
+
+    @classmethod
+    def equal_weight(cls, f: int, registry, orderer_names) -> "SignedQuorum":
+        """The rule over the named orderers, one vote each."""
+        names = dict(enumerate(sorted(orderer_names)))
+        return cls(View(0, tuple(names), f), registry, names)
 
     def check(self, block: Block) -> bool:
-        return (
-            count_valid_signatures(block, self.registry, self.orderer_names)
-            >= self.quorum
+        if not block.verify_data():
+            return False
+        ids = self._id_by_name
+        return self.view.has_quorum(
+            [ids[name] for name in valid_signers(block, self.registry, ids)]
         )
+
+    def valid(self, source: str, block: Block) -> bool:
+        return self.check(block)
+
+    def offer(self, source: str, block: Block) -> Optional[Block]:
+        return block
+
+    @property
+    def quorum(self) -> int:
+        """The fewest signers that can form a quorum (the heaviest)."""
+        running = accumulate(sorted(self.view.weights.values(), reverse=True))
+        return 1 + next(i for i, w in enumerate(running) if self.view.is_quorum_weight(w))
 
     def describe(self) -> str:
         return f"signature-quorum>={self.quorum}"
+
+
+#: ``SignatureQuorumPolicy(f, registry, names)``: the equal-weight rule
+SignatureQuorumPolicy = SignedQuorum.equal_weight

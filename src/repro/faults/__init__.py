@@ -19,7 +19,7 @@ The package has four layers:
 from repro.faults.actions import (
     ANY,
     BlockLink,
-    CensorClient,
+    CensorClients,
     Corrupt,
     CorruptWrites,
     CrashReplica,
@@ -70,7 +70,7 @@ __all__ = [
     "ANY",
     "BlockLink",
     "BlockRecorder",
-    "CensorClient",
+    "CensorClients",
     "Corrupt",
     "CorruptWrites",
     "CrashReplica",

@@ -23,7 +23,6 @@ from repro.sim.network import Intercept
 from repro.smart.consensus import batch_hash
 from repro.smart.messages import (
     ClientRequest,
-    ForwardedRequest,
     Propose,
     Write,
     request_uids,
@@ -378,46 +377,16 @@ class EquivocatePropose(FilterFault):
         )
 
 
-class CensorClient(FilterFault):
-    """A Byzantine leader silently drops one client's requests.
-
-    Both direct submissions and peer forwards addressed to ``at`` are
-    censored; request forwarding plus the regency change must defeat it.
-    """
-
-    def __init__(self, client_id: int, at):
-        super().__init__()
-        self.client_id = client_id
-        self.at = at
-
-    def _filter(self, ctx):
-        def fn(src, dst, payload):
-            if dst != self.at:
-                return payload
-            if isinstance(payload, ClientRequest) and payload.client_id == self.client_id:
-                return None
-            if (
-                isinstance(payload, ForwardedRequest)
-                and payload.request.client_id == self.client_id
-            ):
-                return None
-            return payload
-
-        return fn
-
-    def describe(self) -> str:
-        return f"censor client={self.client_id} at={self.at}"
-
-
 class CensorClients(FaultAction):
-    """A SmartBFT node silently ignores requests from ``client_ids``.
+    """A replica silently ignores requests from ``client_ids``.
 
-    Unlike :class:`CensorClient` (a network filter around a BFT-SMaRt
-    leader), this flips the ``censor_clients`` switch of a
-    :class:`repro.smart2.node.SmartFaultControls`: the node drops the
-    clients' requests *at ingest*, whether submitted directly or
-    forwarded by a peer.  Follower censorship timers plus the rotation
-    blacklist must defeat it.
+    Flips the ``censor_clients`` switch of the shared
+    :class:`repro.smart.replica.FaultControls`, so it serves both
+    backends: a BFT-SMaRt replica or a SmartBFT node drops the clients'
+    requests *at ingest*, whether submitted directly or forwarded by a
+    peer.  Request forwarding plus the regency change (BFT-SMaRt) or
+    follower censorship timers plus the rotation blacklist (SmartBFT)
+    must defeat it.
     """
 
     def __init__(self, replica_id, client_ids: Iterable):

@@ -8,6 +8,7 @@ bridges HLF peers to the ordering cluster -- one for every BFT backend
 backend table (:mod:`repro.ordering.service`).
 """
 
+from repro.fabric.blockpolicy import SignedQuorum
 from repro.ordering.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -15,7 +16,7 @@ from repro.ordering.admission import (
     jain_fairness,
 )
 from repro.ordering.blockcutter import BlockCutter, TimeToCut
-from repro.ordering.frontend import Frontend, MatchingCopies, SignedQuorum
+from repro.ordering.frontend import Frontend, MatchingCopies
 from repro.ordering.node import BFTOrderingNode
 from repro.ordering.service import (
     OrderingService,

@@ -30,11 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import Block
-from repro.fabric.blockpolicy import (
-    BlockValidityPolicy,
-    SignatureCountPolicy,
-    SignatureQuorumPolicy,
-)
+from repro.fabric.blockpolicy import BlockValidityPolicy, SignatureCountPolicy
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.client import FabricClient
 from repro.fabric.committer import CommittingPeer
@@ -53,7 +49,6 @@ from repro.sim.core import Simulator
 from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import ConstantLatency, LatencyModel, Network
 from repro.sim.randomness import RandomStreams
-from repro.smart.view import one_correct_size
 from repro.workload import OpenLoopGenerator
 
 #: network id of the harness's committing peer
@@ -331,22 +326,17 @@ def _stand_up_bft(
     )
     service = build_ordering_service(config, sim=sim, observability=observability)
     frontend = service.frontends[0]
-    registry, names = service.registry, {node.name for node in service.nodes}
-    if row.backend == "smartbft":  # one block copy carries its own 2f+1 quorum
-        policy = SignatureQuorumPolicy(row.f, registry, names)
-    else:  # frontends matched 2f+1 copies: f+1 valid signatures suffice
-        policy = SignatureCountPolicy(one_correct_size(row.f), registry, names)
     return StandUp(
         row=row,
         sim=service.sim,
         network=service.network,
-        registry=registry,
-        orderer_names=names,
+        registry=service.registry,
+        orderer_names={node.name for node in service.nodes},
         # through the service, so a hook on a frontend's ``submit``
         # installed after stand-up still sees every envelope
         submit=service.submit,
         attach=frontend.attach_peer,
-        block_policy=policy,
+        block_policy=service.block_policy(),
         ingress=frontend.name,
         delivery_links=[(i, frontend.name) for i in range(config.n)],
         service=service,

@@ -9,9 +9,10 @@ serves every BFT ordering backend.  It owns what they share:
    to the backend's **relay**, a consensus client that never blocks on
    replies;
 2. **acceptance** -- every block copy an ordering node sends back is
-   offered to the backend's **acceptance rule**
-   (:class:`MatchingCopies`, :class:`SignedQuorum`), which says when a
-   block may be trusted;
+   offered to the backend's **acceptance rule** -- BFT-SMaRt's
+   :class:`MatchingCopies`, or SmartBFT's
+   :class:`~repro.fabric.blockpolicy.SignedQuorum`, the same rule its
+   committing peers apply -- which says when a block may be trusted;
 3. **delivery** -- trusted blocks are released strictly in order to
    the committing peers attached to the frontend, folded into the
    ledger digest chain, and timed per envelope (the ordering latency
@@ -26,13 +27,14 @@ from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyRegistry
 from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import Block
-from repro.fabric.blockpolicy import valid_signers
+# SmartBFT's acceptance rule is the committers' block policy, re-exported
+from repro.fabric.blockpolicy import SignedQuorum, valid_signers  # noqa: F401
 from repro.fabric.envelope import Envelope, check_payload_size, payload_length
 from repro.ordering.admission import AdmissionController, Rejected
 from repro.sim.core import Simulator
 from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import Network
-from repro.smart.view import View, byzantine_majority_size, one_correct_size
+from repro.smart.view import byzantine_majority_size, one_correct_size
 
 
 class MatchingCopies:
@@ -98,39 +100,6 @@ class MatchingCopies:
         for _, copy in ordered:
             merged.signatures.update(copy.signatures)
         return merged
-
-
-class SignedQuorum:
-    """Trust a single copy iff it carries a valid signature quorum.
-
-    The SmartBFT rule (arXiv:2107.06922): the block's own metadata
-    proves consensus, so dissemination drops from ``n`` full copies to
-    one copy plus ``2f+1`` signatures (``docs/SMARTBFT.md`` quantifies
-    this).  The quorum is the view's, so weighted memberships are
-    judged by weight, not by count.  The signatures cover the header
-    only, so the copy's envelopes must hash to its ``data_hash``.
-    """
-
-    def __init__(
-        self,
-        view: View,
-        registry: Optional[KeyRegistry],
-        node_names: Mapping[int, str],
-    ):
-        self.view = view
-        self.registry = registry
-        self._id_by_name = {name: pid for pid, name in node_names.items()}
-
-    def valid(self, source: str, block: Block) -> bool:
-        if self.registry is None or not block.verify_data():
-            return False
-        ids = self._id_by_name
-        return self.view.has_quorum(
-            [ids[name] for name in valid_signers(block, self.registry, ids)]
-        )
-
-    def offer(self, source: str, block: Block) -> Optional[Block]:
-        return block
 
 
 class Frontend:

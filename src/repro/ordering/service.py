@@ -6,9 +6,9 @@ with a signing thread pool) and a set of frontends, over a simulated
 LAN or WAN.  The consensus module is pluggable the way Fabric means it
 to be (arXiv:1801.10228): everything here is shared, and
 ``OrderingServiceConfig.orderer`` picks a row of :data:`BACKENDS` that
-says how the backend builds one machine and what its frontends relay
-through and trust.  Used by integration tests, the examples and the
-benchmark harness.
+says how the backend builds one machine, what its frontends relay
+through and trust, and what a committing peer behind them trusts.
+Used by integration tests, the examples and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -18,10 +18,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
+from repro.fabric.blockpolicy import (
+    BlockValidityPolicy,
+    SignatureCountPolicy,
+    SignedQuorum,
+)
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering.admission import AdmissionConfig, AdmissionController, Rejected
-from repro.ordering.frontend import Frontend, MatchingCopies, SignedQuorum
+from repro.ordering.frontend import Frontend, MatchingCopies
 from repro.ordering.blockcutter import TimeToCut
 from repro.ordering.node import BFTOrderingNode
 from repro.ordering.wal_codec import decode_value, encode_value
@@ -35,7 +40,7 @@ from repro.smart.consensus import replica_log_digests
 from repro.smart.messages import ClientRequest
 from repro.smart.proxy import ServiceProxy
 from repro.smart.replica import ReplicaConfig, ServiceReplica, default_replier
-from repro.smart.view import View, bft_group_size, binary_weights
+from repro.smart.view import View, bft_group_size, binary_weights, one_correct_size
 from repro.smart.wal import ConsensusWAL
 
 #: network-id base for frontends (BFT-SMaRt client ids)
@@ -204,6 +209,10 @@ class OrderingService:
         deliver the same blocks, so one meter suffices for liveness)."""
         return int(self.stats.meter(f"{FRONTEND_ID_BASE}.envelopes").total)
 
+    def block_policy(self) -> BlockValidityPolicy:
+        """What a committing peer behind the frontends trusts."""
+        return BACKENDS[self.config.orderer].block_policy(self)
+
     def run(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
 
@@ -340,8 +349,11 @@ class Backend:
     #: through ``service._add_frontend(client_id, site, relay,
     #: acceptance)`` and connect it to the cluster's block stream
     frontend: Callable[..., None]
+    #: ``(service) -> BlockValidityPolicy``: what a committing peer
+    #: behind the frontends trusts
+    block_policy: Callable[..., BlockValidityPolicy]
     #: membership can change at runtime (``add_node``/``admin_proxy``)
-    reconfigurable: bool
+    reconfigurable: bool = False
 
 
 def _bftsmart_machine(
@@ -450,14 +462,22 @@ def _smartbft_frontend(
         service.view,
         request_timeout=service.config.request_timeout,
     )
-    frontend = service._add_frontend(
-        client_id,
-        site,
-        relay,
-        SignedQuorum(service.view, service.registry, _orderer_names(service.view)),
-    )
+    frontend = service._add_frontend(client_id, site, relay, _signed_quorum(service))
     frontend.on_block.append(relay.on_block)
     relay.start()
+
+
+def _merged_copies(service: OrderingService) -> SignatureCountPolicy:
+    """The frontends matched ``2f+1`` copies and merged their
+    signatures, so ``f+1`` valid ones show a correct node vouched."""
+    names = {node.name for node in service.nodes}
+    return SignatureCountPolicy(one_correct_size(service.config.f), service.registry, names)
+
+
+def _signed_quorum(service: OrderingService) -> SignedQuorum:
+    """One copy is trusted iff its verified signers form a quorum of
+    the view: the frontends' acceptance rule and the peers' policy."""
+    return SignedQuorum(service.view, service.registry, _orderer_names(service.view))
 
 
 def _orderer_names(view: View) -> Dict[int, str]:
@@ -468,9 +488,9 @@ def _orderer_names(view: View) -> Dict[int, str]:
 #: every BFT ordering backend ``OrderingServiceConfig.orderer`` can name
 BACKENDS: Dict[str, Backend] = {
     # the paper's service: repro.smart replicas + repro.ordering nodes
-    "bftsmart": Backend(_bftsmart_machine, _bftsmart_frontend, reconfigurable=True),
+    "bftsmart": Backend(_bftsmart_machine, _bftsmart_frontend, _merged_copies, reconfigurable=True),
     # the successor design (arXiv:2107.06922): repro.smart2
-    "smartbft": Backend(_smartbft_machine, _smartbft_frontend, reconfigurable=False),
+    "smartbft": Backend(_smartbft_machine, _smartbft_frontend, _signed_quorum),
 }
 
 

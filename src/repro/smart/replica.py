@@ -21,8 +21,8 @@ this class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.core import Simulator
 from repro.sim.network import Network
@@ -153,17 +153,21 @@ class FaultControls:
     (the safety mutation the fork invariant must catch); ``mute``
     silences outbound traffic while the replica keeps receiving;
     ``suppress_sync`` makes the replica refuse to vote for or join
-    regency changes (a liveness attack on the synchronization phase).
+    regency changes (a liveness attack on the synchronization phase);
+    ``censor_clients`` makes it silently ignore those clients' requests,
+    submitted directly or forwarded by a peer (leader-side censorship).
     """
 
     skip_quorum_checks: bool = False
     mute: bool = False
     suppress_sync: bool = False
+    censor_clients: Set[int] = field(default_factory=set)
 
     def reset(self) -> None:
         self.skip_quorum_checks = False
         self.mute = False
         self.suppress_sync = False
+        self.censor_clients = set()
 
 
 @dataclass
@@ -461,6 +465,8 @@ class ServiceReplica:
     # client requests and proposing
     # ------------------------------------------------------------------
     def _on_request(self, src, request: ClientRequest) -> None:
+        if self.faults.censor_clients and request.client_id in self.faults.censor_clients:
+            return  # Byzantine censorship
         # the table's membership test, inlined: once per request per replica
         executed = self._executed_ids
         if (

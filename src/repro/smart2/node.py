@@ -48,6 +48,7 @@ from repro.crypto.keys import Identity, KeyRegistry
 from repro.crypto.signatures import Verifier
 from repro.fabric.api import BlockDelivery
 from repro.fabric.block import SHARED_DIGESTS, Block, BlockHeader
+from repro.fabric.blockpolicy import SignedQuorum
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering.blockcutter import BlockCutter, ChainPosition
@@ -92,22 +93,6 @@ def preprepare_payload(view_number: int, seq: int, header_digest: bytes) -> byte
     triple, one of them does.  A different body is a different key.
     """
     return sha256("smart2-preprepare", view_number, seq, header_digest)
-
-
-@dataclass
-class SmartFaultControls(FaultControls):
-    """Byzantine switches of a SmartBFT node.
-
-    Adds leader-side *censorship* to the shared controls: a censoring
-    leader silently drops requests (direct or forwarded) from the
-    client ids in ``censor_clients``.
-    """
-
-    censor_clients: Set[int] = field(default_factory=set)
-
-    def reset(self) -> None:
-        super().reset()
-        self.censor_clients = set()
 
 
 @dataclass
@@ -202,6 +187,8 @@ class SmartBFTNode:
         #: entry never goes stale; a pid that does not resolve *yet* is
         #: not remembered (peers enroll after this node is built)
         self._verifiers: Dict[int, Verifier] = {}
+        #: a pushed block is trusted by the frontends' and peers' rule
+        self._block_quorum = SignedQuorum(membership, registry, self.peer_names)
         self.log = log if log is not None else OperationLog()
         self.cpu = cpu
         self.signing_pool = ThreadPool(cpu, signing_workers) if cpu else None
@@ -215,7 +202,7 @@ class SmartBFTNode:
         self.blacklist_window = (
             blacklist_window if blacklist_window is not None else membership.n
         )
-        self.faults = SmartFaultControls()
+        self.faults = FaultControls()
         self.crashed = False
         self.obs = None
 
@@ -694,26 +681,31 @@ class SmartBFTNode:
             return
         round_.prepared = True
         round_.prepared_voters = tuple(sorted(round_.prepares[digest]))
-        delay = self.log.log_accept(seq, self.view_number, digest)
-        view_number = self.view_number
+        # the COMMIT leaves once it is signed *and* the ACCEPT record is
+        # durable, whichever is later (fsync-before-send)
+        durable_at = self.sim.now + self.log.log_accept(seq, self.view_number, digest)
         if self.signing_pool is not None and self.sign_cost > 0:
             self.signing_pool.submit(
                 self.sign_cost,
                 self._sign_and_commit,
                 seq,
-                view_number,
+                self.view_number,
                 digest,
+                durable_at,
                 activity="sign",
             )
-        elif delay > 0:
-            self.sim.schedule(
-                delay, self._sign_and_commit, seq, view_number, digest
-            )
         else:
-            self._sign_and_commit(seq, view_number, digest)
+            self._sign_and_commit(seq, self.view_number, digest, durable_at)
 
-    def _sign_and_commit(self, seq: int, view_number: int, digest: bytes) -> None:
+    def _sign_and_commit(
+        self, seq: int, view_number: int, digest: bytes, durable_at: float
+    ) -> None:
         if self.crashed or view_number != self.view_number or self._changing:
+            return
+        if durable_at > self.sim.now:  # the ACCEPT record is not durable yet
+            self.sim.post_at(
+                durable_at, self._sign_and_commit, seq, view_number, digest, durable_at
+            )
             return
         signature = self.identity.sign(digest)
         commit = Commit(
@@ -1162,8 +1154,6 @@ class SmartBFTNode:
         self._send(src, push)
 
     def on_blockpush(self, src: int, msg: BlockPush) -> None:
-        from repro.fabric.blockpolicy import count_valid_signatures
-
         progressed = False
         for seq, block, batch in msg.decisions:
             if seq != self.next_commit_seq:
@@ -1176,18 +1166,7 @@ class SmartBFTNode:
                 or block.header.previous_hash != state.committed.previous_hash
             ):
                 continue
-            if not block.verify_data():
-                continue
-            signers = [
-                pid
-                for pid, name in sorted(self.peer_names.items())
-                if name in block.signatures
-            ]
-            if not self.view.has_quorum(signers):
-                continue
-            if count_valid_signatures(
-                block, self.registry, set(self.peer_names.values())
-            ) < len(signers):
+            if not self._block_quorum.check(block):
                 continue
             round_ = self._rounds.get(seq)
             if round_ is not None and round_.preprepare is not None:

@@ -5,8 +5,9 @@ through a :class:`~repro.smart.proxy.ServiceProxy` and is pushed ``n``
 block copies, a SmartBFT frontend talks to ONE ordering node: it sends
 requests to its *home* node (which forwards to the current leader) and
 subscribes to that node's stream of decided blocks, each a single copy
-whose signature quorum the frontend's
-:class:`~repro.ordering.frontend.SignedQuorum` rule verifies.
+whose signature quorum the frontend's acceptance rule,
+:class:`~repro.fabric.blockpolicy.SignedQuorum` (the committing peers'
+rule too), verifies.
 
 Liveness against a crashed or censoring node comes from rotation: an
 envelope not committed within ``request_timeout`` is resubmitted to the

@@ -8,7 +8,7 @@ attempt by the leader.
 
 from repro.bench.figures import geo_latency_experiment
 from repro.bench.topology import aws_latency_model
-from repro.faults import CensorClient, Drop, FaultInjector, Match
+from repro.faults import CensorClients, Drop, FaultInjector, Match
 from tests.conftest import Cluster
 
 
@@ -118,7 +118,7 @@ class TestAdversarialNetworks:
         cluster = Cluster(request_timeout=0.4)
         victim = cluster.proxy(invoke_timeout=4.0, max_retries=30)
         injector = FaultInjector(cluster.network, cluster.replicas)
-        injector.start(CensorClient(victim.client_id, at=0))
+        injector.start(CensorClients(0, {victim.client_id}))
         future = victim.invoke(42)
         assert cluster.drain([future], deadline=90.0)
         assert future.value == 42

@@ -214,7 +214,7 @@ class TestBudgets:
         assert {node.blocks_created for node in service.nodes} == {blocks}
         assert {node.view_number for node in service.nodes} == {0}
         assert recounts["smart2"] == 0
-        assert recounts["ordering"] == 2 * blocks  # each frontend, each block
+        assert recounts["fabric"] == 2 * blocks  # each frontend, each block
         assert hashes["smart2-preprepare"] == blocks
         assert smart2_node.preprepare_payload.cache_info().hits == (n - 1) * blocks
         assert 0 < digests["smart2"] <= 3 * n * blocks

@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
-from repro.fabric.audit import audit_ledger, compare_ledgers, signature_coverage
+from repro.fabric.audit import audit_ledger, compare_ledgers
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, make_block
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
@@ -64,12 +64,6 @@ class TestAuditLedger:
         ledger = signed_chain(registry, ["orderer0", "orderer1", "orderer2"])
         report = audit_ledger(ledger)
         assert report.min_signatures == 3
-
-    def test_signature_coverage(self, registry):
-        ledger = signed_chain(registry, ["orderer0", "orderer1"])
-        block = ledger.get(0)
-        block.signatures["orderer2"] = b"\x00" * 64  # forged
-        assert signature_coverage(block, registry) == 2
 
 
 class TestCompareLedgers:

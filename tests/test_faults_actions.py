@@ -11,7 +11,7 @@ import pytest
 from repro.faults import (
     ANY,
     BlockLink,
-    CensorClient,
+    CensorClients,
     Corrupt,
     CorruptWrites,
     CrashReplica,
@@ -30,9 +30,11 @@ from repro.faults import (
     SkipQuorumChecks,
     SuppressSync,
 )
+from repro.ordering import OrderingServiceConfig, build_ordering_service
 from repro.sim import ConstantLatency, Network, Simulator
 from repro.smart.consensus import batch_hash
-from repro.smart.messages import ClientRequest, Propose, Write
+from repro.smart.messages import ClientRequest, ForwardedRequest, Propose, Write
+from repro.smart2.messages import Forward
 
 pytestmark = pytest.mark.faults
 
@@ -221,19 +223,35 @@ class TestEquivocatePropose:
         assert forged.value_hash == batch_hash(0, forged.batch)
 
 
-class TestCensorClient:
-    def test_requests_and_forwards_to_target_dropped(self, net):
-        sim, network, recorders = net
-        injector = FaultInjector(network, seed=0)
-        injector.start(CensorClient(client_id=42, at=0))
-        victim = ClientRequest(client_id=42, sequence=0, operation=1)
-        other = ClientRequest(client_id=7, sequence=0, operation=1)
-        network.send(3, 0, victim)
-        network.send(3, 0, other)
-        network.send(3, 1, victim)  # other destinations unaffected
-        drain(sim)
-        assert recorders[0].payloads() == [other]
-        assert recorders[1].payloads() == [victim]
+class TestCensorClients:
+    @pytest.mark.parametrize("orderer", ["bftsmart", "smartbft"])
+    def test_the_clients_direct_and_forwarded_requests_are_ignored(self, orderer):
+        """One switch on the shared ``FaultControls`` serves both
+        backends: the censoring replica ignores the censored client's
+        requests, sent directly or forwarded by a peer, keeps taking
+        every other client's, and stops censoring when the action stops."""
+        service = build_ordering_service(
+            OrderingServiceConfig(orderer=orderer, physical_cores=None)
+        )
+        replica = service.replicas[1]
+        forward = ForwardedRequest if orderer == "bftsmart" else Forward
+        pending = replica.pending if orderer == "bftsmart" else replica._pending
+        injector = FaultInjector(service.network, service.replicas)
+        action = injector.start(CensorClients(1, {42}))
+        victim, other = (
+            ClientRequest(client_id=client, sequence=0, operation=1)
+            for client in (42, 7)
+        )
+        replica.deliver(42, victim)
+        replica.deliver(2, forward(2, victim))
+        replica.deliver(7, other)
+        replica.deliver(2, forward(2, ClientRequest(client_id=7, sequence=1, operation=1)))
+        assert (42, 0) not in pending
+        assert (7, 0) in pending and (7, 1) in pending
+        injector.stop(action)
+        assert replica.faults.censor_clients == set()
+        replica.deliver(2, forward(2, victim))
+        assert (42, 0) in pending
 
 
 class TestPartitionAndBlock:

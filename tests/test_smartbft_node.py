@@ -561,3 +561,33 @@ class TestReproposedRequests:
         service.run(3.0)
         for node in service.nodes[1:]:
             assert [ids for _seq, _digest, ids in decided_headers(node)] == [[0, 1, 2, 3]]
+
+
+class TestDurableCommit:
+    @pytest.mark.parametrize("physical_cores", [None, 8])
+    def test_a_commit_leaves_only_once_its_accept_record_is_durable(self, physical_cores):
+        """fsync-before-send, as BFT-SMaRt's ACCEPT: with a CPU model the
+        signature is a pool job, and a 10 us one finishes long before the
+        500 us ACCEPT fsync -- the COMMIT still waits for the fsync."""
+        service = build(physical_cores=physical_cores, durable_wal=True, sign_cost=1e-5)
+        sim, node = service.sim, service.nodes[1]
+        durable, sent = {}, []
+        log_accept, broadcast = node.log.log_accept, node._broadcast
+
+        def logged(seq, view_number, digest):
+            delay = log_accept(seq, view_number, digest)
+            durable[seq] = sim.now + delay
+            return delay
+
+        def watched(message):
+            if isinstance(message, Commit):
+                sent.append((message.seq, sim.now))
+            broadcast(message)
+
+        node.log.log_accept, node._broadcast = logged, watched
+        for request in requests(range(8)):
+            service.submit(request.operation)
+        service.run(1.0)
+        assert [seq for seq, _at in sent] == [0, 1]
+        for seq, at in sent:
+            assert at >= durable[seq]
