@@ -115,6 +115,10 @@ class PendingQueue:
         return batch
 
 
+#: :meth:`ExecutedRequests.snapshot` of a table that holds nothing
+EMPTY_TABLE: Tuple[tuple, tuple] = ((), ())
+
+
 class ExecutedRequests:
     """The exact set of executed request ids, in O(clients + gaps) memory.
 
@@ -175,6 +179,20 @@ class ExecutedRequests:
 
     def add(self, rid: RequestId) -> None:
         self.update((rid,))
+
+    def snapshot(self) -> Tuple[tuple, tuple]:
+        """``(watermarks, above)`` as sorted ``(client, sequence)`` pairs:
+        immutable, JSON and canonically encodable, equal for equal tables
+        -- what a checkpoint, its WAL record and a ``StateReply`` carry."""
+        return tuple(sorted(self.low.items())), tuple(sorted(self.above))
+
+    @classmethod
+    def from_snapshot(cls, snapshot: Tuple[tuple, tuple]) -> "ExecutedRequests":
+        """Invert :meth:`snapshot` (JSON gives the pairs back as lists)."""
+        table = cls()
+        table.low = dict(snapshot[0])
+        table.above = {tuple(rid) for rid in snapshot[1]}
+        return table
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutedRequests):

@@ -9,6 +9,7 @@ used as the value-selection proof during the synchronization phase.
 
 from __future__ import annotations
 
+from dataclasses import astuple, is_dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.crypto.hashing import sha256
@@ -17,8 +18,25 @@ from repro.smart.quorums import VoteSet
 from repro.smart.view import View
 
 
+def operation_digest(operation: Any) -> bytes:
+    """The one content identity of a request's operation.  An object
+    with a ``digest()`` is its own (an ``Envelope``'s cached digest: what
+    a block's ``data_hash`` binds and SmartBFT's pre-prepare covers); a
+    dataclass (``TimeToCut``, ``ReconfigOp``) is its type name and
+    fields, any other value itself, in the canonical encoding, which
+    raises ``TypeError`` for what it cannot encode."""
+    digest = getattr(operation, "digest", None)
+    if digest is not None:
+        return digest()
+    if is_dataclass(operation):
+        return sha256("operation", type(operation).__name__, astuple(operation))
+    return sha256("operation", operation)
+
+
 def batch_hash(cid: int, batch: List[ClientRequest]) -> bytes:
-    """Canonical hash of a proposed batch (what WRITE/ACCEPT vote on).
+    """Canonical hash of a proposed batch (what WRITE/ACCEPT vote on):
+    each request's client, sequence, size and :func:`operation_digest`,
+    so two batches that differ in any operation never share a vote.
 
     When ``batch`` is a :class:`repro.smart.batching.RequestBatch` the
     digest is memoized per cid: inside one simulation every replica
@@ -31,7 +49,7 @@ def batch_hash(cid: int, batch: List[ClientRequest]) -> bytes:
         cached = cache.get(cid)
         if cached is not None:
             return cached
-    ids = [(r.client_id, r.sequence, r.size_bytes) for r in batch]
+    ids = [(r.client_id, r.sequence, r.size_bytes, operation_digest(r.operation)) for r in batch]
     digest = sha256("batch", cid, ids)
     if cache is not None:
         cache[cid] = digest
@@ -39,7 +57,8 @@ def batch_hash(cid: int, batch: List[ClientRequest]) -> bytes:
 
 
 def replica_log_digests(replicas: Iterable) -> Dict[Any, Dict[int, bytes]]:
-    """Per-replica ``cid -> batch hash`` maps from the operation logs."""
+    """Per-replica ``cid -> batch hash`` maps from the operation logs
+    (content-true: the hash binds every logged operation)."""
     return {
         replica.replica_id: {
             cid: batch_hash(cid, batch) for cid, batch in replica.log.entries

@@ -16,16 +16,20 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.crypto.hashing import sha256
+from repro.smart.batching import EMPTY_TABLE
 from repro.smart.messages import ClientRequest
 
 
 @dataclass
 class Checkpoint:
-    """A snapshot of application state after executing ``cid``."""
+    """A snapshot of application state after executing ``cid``, and of
+    the executed-request table, so a restored replica still skips what
+    was decided before ``cid``; ``state_hash`` covers both."""
 
     cid: int
     state: Any
     state_hash: bytes
+    executed: Tuple[tuple, tuple] = EMPTY_TABLE
 
 
 class OperationLog:
@@ -90,9 +94,10 @@ class OperationLog:
         return None
 
 
-def state_digest(state: Any) -> bytes:
-    """Canonical hash of an application-state snapshot."""
-    return sha256("state", _jsonable(state))
+def state_digest(state: Any, executed: Tuple[tuple, tuple] = EMPTY_TABLE) -> bytes:
+    """Canonical hash of an application-state snapshot and the
+    executed-request table that goes with it."""
+    return sha256("state", _jsonable(state), executed)
 
 
 def _jsonable(value: Any) -> Any:

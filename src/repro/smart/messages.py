@@ -296,6 +296,9 @@ class StateReply:
     last_cid: int
     view_snapshot: Any = None
     state_size: int = 1024
+    #: the checkpoint's ``ExecutedRequests.snapshot()``: covered by
+    #: ``state_hash``, carried inside the modelled ``state_size``
+    executed: Any = ((), ())
 
     def wire_size(self) -> int:
         log_bytes = sum(

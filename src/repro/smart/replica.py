@@ -351,6 +351,7 @@ class ServiceReplica:
             if recovery.checkpoint is not None:
                 self.app.set_state(recovery.checkpoint.state)
                 self.last_executed = recovery.checkpoint.cid
+                self._executed_ids = ExecutedRequests.from_snapshot(recovery.checkpoint.executed)
             if not corrupt:
                 # replay the decided suffix the WAL preserved
                 for cid, batch in recovery.entries:
@@ -881,10 +882,9 @@ class ServiceReplica:
     # ------------------------------------------------------------------
     def _take_checkpoint(self) -> None:
         state = self.app.get_state()
-        checkpoint = Checkpoint(
-            cid=self.last_executed, state=state, state_hash=state_digest(state)
-        )
-        self.log.set_checkpoint(checkpoint)
+        executed = self._executed_ids.snapshot()
+        digest = state_digest(state, executed)
+        self.log.set_checkpoint(Checkpoint(self.last_executed, state, digest, executed))
         self.counters.checkpoints += 1
 
     # ------------------------------------------------------------------

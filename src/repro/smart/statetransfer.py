@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Tuple
 
 
+from repro.smart.batching import ExecutedRequests
 from repro.smart.durability import Checkpoint, state_digest
 from repro.smart.messages import StateReply, StateRequest
 from repro.smart.view import one_correct_size
@@ -76,6 +77,7 @@ class StateTransfer:
             log=replica.log.entries_after(checkpoint.cid),
             last_cid=replica.last_executed,
             view_snapshot=replica.view,
+            executed=checkpoint.executed,
         )
         replica._send(src, reply, reply.wire_size())
 
@@ -108,15 +110,16 @@ class StateTransfer:
     # ------------------------------------------------------------------
     def _install(self, group: Dict[int, StateReply]) -> None:
         replica = self.replica
-        # double-check the claimed digest against the shipped state, and
-        # take the verified reply from the lowest replica id: the group
+        # double-check the claimed digest against the shipped state and
+        # executed-request table, and take the verified reply from the
+        # lowest replica id: the group
         # agrees on (checkpoint_cid, state_hash, last_cid), so any
         # verified member works, but the choice must not depend on dict
         # arrival order or the replay below diverges across seeds
         candidates = [
             reply
             for _, reply in sorted(group.items())
-            if state_digest(reply.state) == reply.state_hash
+            if state_digest(reply.state, reply.executed) == reply.state_hash
         ]
         if not candidates:
             return
@@ -124,11 +127,13 @@ class StateTransfer:
         if sample.checkpoint_cid > replica.last_executed:
             replica.app.set_state(sample.state)
             replica.last_executed = sample.checkpoint_cid
+            replica._executed_ids = ExecutedRequests.from_snapshot(sample.executed)
             replica.log.set_checkpoint(
                 Checkpoint(
                     cid=sample.checkpoint_cid,
                     state=sample.state,
                     state_hash=sample.state_hash,
+                    executed=sample.executed,
                 )
             )
         for cid, batch in sorted(sample.log, key=lambda entry: entry[0]):

@@ -15,6 +15,10 @@ durable.  A vote that reached the network therefore always survives a
 crash that loses the unsynced suffix, which is exactly the property the
 "no equivocation by amnesia" invariant checks.
 
+A ``ckpt`` record's ``executed`` is the checkpoint's
+:meth:`~repro.smart.batching.ExecutedRequests.snapshot`, left out while
+the table is empty.
+
 Decided-batch records deliberately ride the next vote's fsync (group
 commit): losing one costs a state-transfer round-trip on recovery but
 never safety.
@@ -23,7 +27,7 @@ Record format (one CRC-framed canonical-JSON line each, see
 :func:`repro.sim.storage.frame_record`)::
 
     {"t": "batch",  "cid": C, "reqs": [[client, seq, op, size, rc], ...]}
-    {"t": "ckpt",   "cid": C, "state": S, "hash": HEX}
+    {"t": "ckpt",   "cid": C, "state": S, "hash": HEX, "executed": [L, A]}
     {"t": "write",  "cid": C, "reg": R, "h": HEX}
     {"t": "accept", "cid": C, "reg": R, "h": HEX}
     {"t": "reg",    "reg": R}
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.storage import SimDisk, frame_payload, frame_record, scan_records
-from repro.smart.batching import RequestBatch
+from repro.smart.batching import EMPTY_TABLE, RequestBatch
 from repro.smart.durability import Checkpoint, OperationLog, _jsonable
 from repro.smart.messages import LOGGED_UID, ClientRequest
 
@@ -124,9 +128,9 @@ class ConsensusWAL(OperationLog):
         Inside one simulation the replicas of a decision execute the
         *same* :class:`RequestBatch` object, so the first WAL to log it
         leaves the frame on the object and the others reuse it.  The
-        share is by object identity plus ``(cid, encode_op)`` -- never
-        by value hash, which binds ``(client, sequence, size)`` only and
-        so cannot tell two batches with different operations apart.
+        share is by object identity plus ``(cid, encode_op)``, not by
+        value hash: the hash binds every operation too, but a share by
+        hash needs a table keyed by it, and identity needs none.
         Plain lists (batches rebuilt by :meth:`recover`, forged ones
         built by fault injections) and WALs with another codec always
         encode from scratch, and so does a replica more than
@@ -165,16 +169,15 @@ class ConsensusWAL(OperationLog):
 
     def set_checkpoint(self, checkpoint: Checkpoint) -> None:
         super().set_checkpoint(checkpoint)
-        self.disk.append(
-            frame_record(
-                {
-                    "t": "ckpt",
-                    "cid": checkpoint.cid,
-                    "state": self._encode_state(checkpoint.state),
-                    "hash": checkpoint.state_hash.hex(),
-                }
-            )
-        )
+        record = {
+            "t": "ckpt",
+            "cid": checkpoint.cid,
+            "state": self._encode_state(checkpoint.state),
+            "hash": checkpoint.state_hash.hex(),
+        }
+        if any(checkpoint.executed):
+            record["executed"] = checkpoint.executed
+        self.disk.append(frame_record(record))
         self.disk.sync()
 
     # ------------------------------------------------------------------
@@ -247,6 +250,7 @@ class ConsensusWAL(OperationLog):
                         cid=record["cid"],
                         state=self._decode_state(record["state"]),
                         state_hash=bytes.fromhex(record["hash"]),
+                        executed=record.get("executed", EMPTY_TABLE),
                     ),
                 )
             elif kind == "write":

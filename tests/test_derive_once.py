@@ -264,13 +264,13 @@ class TestFrameShareSoundness:
         assert tagged_again.disk.contents() == tagged.disk.contents()
 
     def test_same_hash_different_operations_is_still_a_conflict(self):
-        """``batch_hash`` binds (client, sequence, size) only, so these
-        two batches vote under one hash; a frame shared by that hash
-        would make the second log *look* like the first and hide the
-        conflict from ``check_durable_logs``."""
+        """Two batches that differ only in an operation: ``batch_hash``
+        tells them apart, and so must the frame share -- a frame shared
+        across them would make the second log *look* like the first and
+        hide the conflict from ``check_durable_logs``."""
         alice = RequestBatch([request(0, op="pay alice")])
         mallory = RequestBatch([request(0, op="pay mallory")])
-        assert batch_hash(5, alice) == batch_hash(5, mallory)
+        assert batch_hash(5, alice) != batch_hash(5, mallory)
         honest, victim = ordering_wal(), ordering_wal()
         honest.append(5, alice)
         victim.append(5, mallory)  # its own record, not alice's frame

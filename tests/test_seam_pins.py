@@ -1,7 +1,8 @@
 """Cross-commit pins for the ordering-service seam.
 
-Recorded once (``tests/data/golden/seam_pins.json``) and never
-regenerated by a refactor: a change to the frontend, the deployment
+Recorded once (``tests/data/golden/seam_pins.json``; ``python -m
+tests.test_seam_pins`` prints the recording) and never regenerated by
+a refactor: a change to the frontend, the deployment
 builder or the explorer's samplers that claims to be neutral must
 reproduce every value here byte for byte.
 
@@ -94,3 +95,14 @@ def test_explorer_profile_seeds_are_pinned(profile):
 def test_backend_event_stream_is_pinned(key):
     orderer, mode = key.split("/")
     assert backend_run(orderer, mode == "admission") == PINS["backend_runs"][key]
+
+
+if __name__ == "__main__":
+    recording = {
+        "backend_runs": {
+            key: backend_run(key.split("/")[0], key.endswith("/admission"))
+            for key in PINS["backend_runs"]
+        },
+        "explorer": {profile: explorer_digest(profile) for profile in PINS["explorer"]},
+    }
+    print(json.dumps(recording, sort_keys=True, indent=1))

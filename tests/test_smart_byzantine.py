@@ -6,8 +6,6 @@ the view, and network partitions.  Message-level attacks are expressed
 with the :mod:`repro.faults` DSL.
 """
 
-import pytest
-
 from repro.crypto.hashing import sha256
 from repro.faults import (
     CorruptWrites,
@@ -81,16 +79,15 @@ class TestForgedMessages:
         assert replica.counters.value_fetches == 1
         return replica, value_hash
 
-    def test_value_response_check_binds_ids_and_sizes_only(self):
-        """How far today's check goes: ``batch_hash`` covers (client,
-        sequence, size) of every request and nothing else, so a
-        ``ValueResponse`` is held to exactly those -- the operations
-        ride along unchecked (the xfail below states what should hold)."""
+    def test_value_response_check_binds_ids_sizes_and_ops(self):
+        """``batch_hash`` covers (client, sequence, size, operation
+        digest) of every request, so a ``ValueResponse`` is held to all
+        four: a lie in any of them is discarded."""
 
         def pay(to, client=9, seq=0, size=8):
             return [ClientRequest(client, seq, operation=to, size_bytes=size)]
 
-        assert batch_hash(0, pay("alice")) == batch_hash(0, pay("mallory"))
+        assert batch_hash(0, pay("alice")) != batch_hash(0, pay("mallory"))
         cluster = Cluster()
         replica, value_hash = self.decide_without_the_value(cluster, pay(5))
         for lie in (pay(-999, client=8), pay(-999, seq=1), pay(-999, size=9), []):
@@ -101,14 +98,6 @@ class TestForgedMessages:
         cluster.run(0.5)
         assert cluster.apps[1].history == [5]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="batch_hash binds (client_id, sequence, size_bytes) only, so a "
-        "lying ValueResponse (or an equivocating leader) can swap operations "
-        "under the quorum-voted hash; fix: bind Envelope.digest() / a canonical "
-        "op encoding into batch_hash, goldens regenerated in that PR (ROADMAP, "
-        "'Even out the safety net')",
-    )
     def test_value_response_with_swapped_operations_rejected(self):
         """A ``ValueResponse`` whose operations differ from the decided
         batch must be discarded like any other forged response."""
@@ -148,15 +137,21 @@ class TestForgedMessages:
         assert all(app.total == 0 for app in cluster.apps)
 
     def test_bad_batch_hash_in_propose_rejected(self):
-        cluster = Cluster()
         batch = [ClientRequest(client_id=9, sequence=0, operation=7)]
-        bogus = Propose(
-            sender=0, cid=0, regency=0, batch=batch, value_hash=sha256("lies")
-        )
-        cluster.replicas[1].deliver(0, bogus)
-        cluster.run(0.5)
-        inst = cluster.replicas[1].instances.get(0)
-        assert inst is None or 0 not in inst.write_sent
+        swapped = [ClientRequest(client_id=9, sequence=0, operation=-7)]
+        # a made-up hash, and the honest hash over a swapped operation
+        for proposed, claimed in (
+            (batch, sha256("lies")),
+            (swapped, batch_hash(0, batch)),
+        ):
+            cluster = Cluster()
+            bogus = Propose(
+                sender=0, cid=0, regency=0, batch=proposed, value_hash=claimed
+            )
+            cluster.replicas[1].deliver(0, bogus)
+            cluster.run(0.5)
+            inst = cluster.replicas[1].instances.get(0)
+            assert inst is None or 0 not in inst.write_sent
 
 
 class TestPartitions:

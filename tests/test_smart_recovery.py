@@ -8,8 +8,6 @@ pre-crash votes, quarantines itself on mid-log corruption, and rejoins
 
 import random
 
-import pytest
-
 from repro.faults.invariants import VoteRecorder, check_durable_logs
 from repro.obs import Observability
 from repro.ordering.wal_codec import decode_value, encode_value
@@ -146,16 +144,6 @@ class TestAmnesiacRestart:
         assert len(spans) == 1
         assert not spans[0].open
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a replica restored from a checkpoint knows only the request "
-        "ids executed after it (neither the checkpoint nor StateReply carries "
-        "the executed-request table), so it executes a pre-checkpoint request "
-        "a Byzantine leader re-proposes while replicas with full history skip "
-        "it; ROADMAP item 1's prefix invariant sees the divergence, and the fix "
-        "(the O(clients) table in the checkpoint and StateReply) moves "
-        "wal_image_seed3.json with item 1's goldens",
-    )
     def test_restored_replica_skips_a_re_proposed_pre_checkpoint_request(self):
         cluster = wal_cluster(checkpoint_period=4)
         leader, victim = cluster.replicas[0], cluster.replicas[1]
@@ -170,6 +158,29 @@ class TestAmnesiacRestart:
         assert cluster.apps[1].history == cluster.apps[0].history
 
         # request 0 was decided at cid 0, before the checkpoint
+        replayed = ClientRequest(proxy.client_id, 0, operation=1000)
+        leader.pending.add(replayed, cluster.sim.now)
+        leader._maybe_propose()
+        cluster.run(1.0)
+        assert leader.last_executed == victim.last_executed == 8
+        assert cluster.apps[1].history == cluster.apps[0].history
+
+    def test_state_transfer_carries_the_executed_table(self):
+        """The same re-proposal at a replica with no WAL at all: it
+        rebuilds from the peers' checkpoint, so the table it skips the
+        request by comes from the ``StateReply``."""
+        cluster = Cluster(checkpoint_period=4)
+        leader, victim = cluster.replicas[0], cluster.replicas[1]
+        proxy = cluster.proxy()
+        for operation in range(1, 9):
+            assert cluster.drain([proxy.invoke(operation)])
+        victim.crash(amnesia=True)
+        victim.recover()
+        cluster.run(3.0)
+        assert victim.state_transfer.transfers_completed == 1
+        assert victim.log.checkpoint.cid == 7 and victim.last_executed == 7
+        assert victim._executed_ids == leader._executed_ids
+
         replayed = ClientRequest(proxy.client_id, 0, operation=1000)
         leader.pending.add(replayed, cluster.sim.now)
         leader._maybe_propose()

@@ -79,6 +79,30 @@ class TestStateTransferRobustness:
             )
         assert replica.last_executed == -1
 
+    def test_executed_table_is_covered_by_the_state_hash(self, cluster):
+        """f+1 replies agree on the key, but ship an executed-request
+        table other than the one their ``state_hash`` covers: none
+        verifies, so nothing is installed."""
+        replica = cluster.replicas[3]
+        replica.state_transfer.in_progress = True
+        state = {"total": 10, "history": [10]}
+        executed = (((900, 5),), ())
+        for sender in (1, 2):
+            replica.state_transfer.on_state_reply(
+                sender,
+                StateReply(
+                    sender=sender,
+                    checkpoint_cid=5,
+                    state=state,
+                    state_hash=state_digest(state, executed),
+                    log=[],
+                    last_cid=5,
+                    executed=((), ()),
+                ),
+            )
+        assert replica.last_executed == -1
+        assert (900, 0) not in replica._executed_ids
+
     def test_honest_majority_wins_during_recovery(self):
         """Full-system: one Byzantine peer feeds garbage state replies
         while a replica recovers; the honest majority's state is the

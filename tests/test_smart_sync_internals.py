@@ -110,14 +110,19 @@ class TestCertificateValidation:
 
     def test_hash_mismatch_rejected(self, cluster):
         synchronizer = cluster.replicas[0].synchronizer
-        cert = WriteCertificate(
-            cid=0,
-            regency=0,
-            value_hash=sha256("lies"),
-            writers=(0, 1, 2),
-            batch=[request(0)],
-        )
-        assert not synchronizer._certificate_valid(cert)
+        # a made-up hash, and the honest hash over a swapped operation
+        for value_hash, batch in (
+            (sha256("lies"), [request(0)]),
+            (batch_hash(0, [request(0)]), [request(0, op=-1)]),
+        ):
+            cert = WriteCertificate(
+                cid=0,
+                regency=0,
+                value_hash=value_hash,
+                writers=(0, 1, 2),
+                batch=batch,
+            )
+            assert not synchronizer._certificate_valid(cert)
 
     def test_none_certificate_valid(self, cluster):
         assert cluster.replicas[0].synchronizer._certificate_valid(None)

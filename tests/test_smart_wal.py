@@ -268,3 +268,7 @@ class TestWalCodec:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             encode_value(object())
+
+
+if __name__ == "__main__":
+    print(json.dumps(wal_image_fingerprint(), indent=1))
