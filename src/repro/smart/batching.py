@@ -1,8 +1,9 @@
-"""Request batching at the leader, and the table of executed requests.
+"""The request pool of both BFT machines, and the table of executed requests.
 
-BFT-SMaRt amortizes consensus over batches: the leader drains its
-pending-request queue into a batch of at most ``max_batch`` requests
-(the paper's deployments use 400) and at most ``max_batch_bytes``.
+BFT-SMaRt's replicas and SmartBFT's nodes keep their pending requests
+in one :class:`PendingQueue`, which feeds their request timers.  It
+holds no policy: BFT-SMaRt's leader drains it into batches under the
+limits of its ``ReplicaConfig`` (``max_batch`` is 400 in the paper).
 """
 
 from __future__ import annotations
@@ -43,17 +44,14 @@ class RequestBatch(list):
 
 
 class PendingQueue:
-    """FIFO of requests awaiting ordering, deduplicated by request id."""
+    """FIFO of requests awaiting ordering, deduplicated by request id.
 
-    def __init__(
-        self,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
-    ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.max_batch = max_batch
-        self.max_batch_bytes = max_batch_bytes
+    Arrivals carry the simulator's non-decreasing clock, so the head is
+    the oldest.  An ``OrderedDict``: a plain dict popped at its head
+    makes ``next(iter(...))`` scan the deleted slots.
+    """
+
+    def __init__(self) -> None:
         #: request id -> (request, arrival time), in arrival order
         self._queue: OrderedDict[RequestId, Tuple[ClientRequest, float]] = OrderedDict()
 
@@ -64,9 +62,6 @@ class PendingQueue:
             return False
         self._queue[rid] = (request, now)
         return True
-
-    def remove(self, rid: RequestId) -> None:
-        self._queue.pop(rid, None)
 
     def remove_all(self, requests: List[ClientRequest]) -> None:
         discard = self._queue.pop
@@ -96,17 +91,18 @@ class PendingQueue:
             (rid, (request, now)) for rid, (request, _arrival) in self._queue.items()
         )
 
-    def next_batch(self) -> List[ClientRequest]:
-        """Drain up to the batch limits, preserving FIFO order."""
+    def next_batch(self, max_batch: int, max_batch_bytes: int) -> List[ClientRequest]:
+        """Drain at most ``max_batch`` requests and ``max_batch_bytes``
+        (one oversized request still goes alone), preserving FIFO order."""
         batch = RequestBatch()
-        room = self.max_batch
+        room = max_batch
         batch_bytes = 0
         # walks the head of the queue only: the backlog behind the batch
         # (thousands of requests past saturation) is never touched
         for request, _arrival in self._queue.values():
             if room == 0:
                 break
-            if batch and batch_bytes + request.size_bytes > self.max_batch_bytes:
+            if batch and batch_bytes + request.size_bytes > max_batch_bytes:
                 break
             batch.append(request)
             batch_bytes += request.size_bytes

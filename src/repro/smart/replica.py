@@ -142,6 +142,10 @@ class ReplicaConfig:
     checkpoint_period: int = 1000
     tentative_execution: bool = False
 
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+
 
 @dataclass
 class FaultControls:
@@ -218,7 +222,7 @@ class ServiceReplica:
         self.last_executed = -1
         self.active_cid: Optional[int] = None
         self.instances: Dict[int, ConsensusInstance] = {}
-        self.pending = PendingQueue(self.config.max_batch, self.config.max_batch_bytes)
+        self.pending = PendingQueue()
         self.crashed = False
         #: the next recover() must run the full restart protocol
         self._amnesia_pending = False
@@ -409,7 +413,7 @@ class ServiceReplica:
         self.last_executed = -1
         self.active_cid = None
         self.instances = {}
-        self.pending = PendingQueue(self.config.max_batch, self.config.max_batch_bytes)
+        self.pending = PendingQueue()
         self._last_reply = {}
         self._executed_ids = ExecutedRequests()
         self._tentative_stack = []
@@ -497,7 +501,7 @@ class ServiceReplica:
             return
         if self.synchronizer.changing_regency:
             return
-        batch = self.pending.next_batch()
+        batch = self.pending.next_batch(self.config.max_batch, self.config.max_batch_bytes)
         if not batch:
             return
         cid = self.last_executed + 1
@@ -954,7 +958,6 @@ class ServiceReplica:
     def install_view(self, new_view: View) -> None:
         """Adopt a new view; open instances restart under it."""
         self.view = new_view
-        self.pending.max_batch = self.config.max_batch
         for cid in list(self.instances):
             if cid > self.last_executed:
                 inst = self.instances[cid]

@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.hashing import sha256
@@ -56,7 +57,7 @@ from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
 from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import Network
-from repro.smart.batching import ExecutedRequests
+from repro.smart.batching import ExecutedRequests, PendingQueue
 from repro.smart.durability import OperationLog
 from repro.smart.messages import ClientRequest
 from repro.smart.replica import FaultControls
@@ -235,7 +236,7 @@ class SmartBFTNode:
         self._held: Dict[int, Preprepare] = {}
 
         # request bookkeeping
-        self._pending: Dict[Tuple[int, int], Tuple[ClientRequest, float]] = {}
+        self.pending = PendingQueue()
         #: cut batches waiting for room in the proposal window
         self._batch_queue: Deque[Tuple[str, List[ClientRequest]]] = deque()
         #: envelope id -> ingested requests carrying it, oldest first (a
@@ -387,7 +388,7 @@ class SmartBFTNode:
         self._committed_ids = ExecutedRequests()
         self._accepted_ids = set()
         self._held = {}
-        self._pending = {}
+        self.pending = PendingQueue()
         self._batch_queue = deque()
         self._req_by_env = {}
         self._leader_seen = set()
@@ -437,8 +438,7 @@ class SmartBFTNode:
         committed = self._committed_ids
         if rid in committed.above or rid[1] < committed.low.get(rid[0], 0):
             return
-        if rid not in self._pending:
-            self._pending[rid] = (request, self.sim.now)
+        self.pending.add(request, self.sim.now)
         if self.is_leader:
             self._leader_ingest(request)
         elif not forwarded:
@@ -794,9 +794,7 @@ class SmartBFTNode:
         self._committed_ids.update(rids)
         if self._leader_seen:
             self._leader_seen.difference_update(rids)
-        settle = self._pending.pop
-        for rid in rids:
-            settle(rid, None)
+        self.pending.remove_all(decision.batch)
         if self.obs is not None:
             self.obs.on_block_signed(
                 self.name, decision.block, self.sim.now, self.sim.now
@@ -887,23 +885,18 @@ class SmartBFTNode:
         if not self._changing and not self.is_leader:
             if now - self._last_leader_alive > self.heartbeat_timeout:
                 self._suspect("timeout")
-            elif self._pending:
-                oldest = min(arrived for _req, arrived in self._pending.values())
-                if now - oldest > 2 * self.request_timeout:
+            elif self.pending:
+                age = self.pending.oldest_age(now)
+                if age > 2 * self.request_timeout:
                     self._suspect("censorship")
-                elif now - oldest > self.request_timeout:
+                elif age > self.request_timeout:
                     # retry before escalating: the forward may have been lost
-                    for rid in sorted(self._pending):
-                        request, _arrived = self._pending[rid]
-                        self._send(
-                            self.leader,
-                            Forward(sender=self.replica_id, request=request),
-                        )
+                    self._forward_pending()
         elif self._changing and now - self._change_started > self.heartbeat_timeout:
             # the view change itself stalled (e.g. next leader crashed):
             # escalate to the view after the highest one we voted for
             self._suspect("stalled-change")
-        if self.is_leader and self._pending and not self._changing:
+        if self.is_leader and self.pending and not self._changing:
             # a leader with pending-but-uncut requests nudges its cutter
             for channel_id in sorted(self._channels):
                 if len(self._channels[channel_id].cutter) > 0:
@@ -1068,10 +1061,7 @@ class SmartBFTNode:
         # a full request_timeout to order what is already pending (else
         # stale arrival times re-trigger suspicion faster than any
         # leader can cut a partial batch, and views churn forever)
-        self._pending = {
-            rid: (request, self.sim.now)
-            for rid, (request, _arrived) in sorted(self._pending.items())
-        }
+        self.pending.restart_clocks(self.sim.now)
         self._view_changes = {
             view: votes
             for view, votes in sorted(self._view_changes.items())
@@ -1095,13 +1085,18 @@ class SmartBFTNode:
         if self.is_leader:
             self._arm_heartbeat()
             self._repropose_from_proof(msg)
-            for rid in sorted(self._pending):
-                request, _arrived = self._pending[rid]
+            for request in self._pending_by_id():
                 self._leader_ingest(request)
         else:
-            for rid in sorted(self._pending):
-                request, _arrived = self._pending[rid]
-                self._send(self.leader, Forward(sender=self.replica_id, request=request))
+            self._forward_pending()
+
+    def _pending_by_id(self) -> List[ClientRequest]:
+        """The pool in request-id order, the order every re-send takes."""
+        return sorted(self.pending.peek_all(), key=attrgetter("request_id"))
+
+    def _forward_pending(self) -> None:
+        for request in self._pending_by_id():
+            self._send(self.leader, Forward(sender=self.replica_id, request=request))
 
     def _repropose_from_proof(self, msg: NewView) -> None:
         """PBFT value selection, one sequence number at a time from

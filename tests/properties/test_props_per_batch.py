@@ -95,11 +95,10 @@ class PerEnvelopeNode(BFTOrderingNode):
 
 class TwoDictPendingQueue:
     """``PendingQueue`` when it kept the arrival times in a dict of
-    their own and copied the whole backlog for every batch."""
+    their own and copied the whole backlog for every batch (its batch
+    limits are arguments, as the queue's are)."""
 
-    def __init__(self, max_batch, max_batch_bytes):
-        self.max_batch = max_batch
-        self.max_batch_bytes = max_batch_bytes
+    def __init__(self):
         self._queue: "OrderedDict[RequestId, ClientRequest]" = OrderedDict()
         self._arrival: Dict[RequestId, float] = {}
 
@@ -134,14 +133,18 @@ class TwoDictPendingQueue:
     def peek_all(self):
         return list(self._queue.values())
 
-    def next_batch(self):
+    def restart_clocks(self, now):
+        for rid in self._arrival:
+            self._arrival[rid] = now
+
+    def next_batch(self, max_batch, max_batch_bytes):
         batch = RequestBatch()
         batch_bytes = 0
         for rid in list(self._queue):
             request = self._queue[rid]
-            if len(batch) >= self.max_batch:
+            if len(batch) >= max_batch:
                 break
-            if batch and batch_bytes + request.size_bytes > self.max_batch_bytes:
+            if batch and batch_bytes + request.size_bytes > max_batch_bytes:
                 break
             batch.append(request)
             batch_bytes += request.size_bytes
@@ -427,10 +430,7 @@ class ReplicaUnderTest:
             replier=self.reply,
         )
         if replica_class is PerRequestReplica:
-            config = self.replica.config
-            self.replica.pending = TwoDictPendingQueue(
-                config.max_batch, config.max_batch_bytes
-            )
+            self.replica.pending = TwoDictPendingQueue()
 
     def reply(self, replica, request, result, regency, tentative):
         # the arguments, plus what a reply is built from besides them:
@@ -561,15 +561,15 @@ class TestReplicaExecuteBatch:
 
 
 # ----------------------------------------------------------------------
-# PendingQueue == the two-dict queue
+# PendingQueue == the two-dict queue, and its head == a plain dict's min
 # ----------------------------------------------------------------------
 queue_ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(0, 12), st.integers(0, 120)),
         st.tuples(st.just("add"), st.integers(0, 12), st.integers(0, 120)),
-        st.tuples(st.just("remove"), st.integers(0, 12), st.just(0)),
         st.tuples(st.just("remove_all"), st.integers(0, 12), st.integers(0, 12)),
         st.tuples(st.just("next_batch"), st.just(0), st.just(0)),
+        st.tuples(st.just("restart_clocks"), st.just(0), st.just(0)),
     ),
     max_size=60,
 )
@@ -579,8 +579,13 @@ class TestPendingQueue:
     @given(ops=queue_ops, max_batch=st.integers(1, 5), max_bytes=st.integers(1, 300))
     @settings(max_examples=200, deadline=None)
     def test_same_answers_same_order(self, ops, max_batch, max_bytes):
-        oracle = TwoDictPendingQueue(max_batch, max_bytes)
-        queue = PendingQueue(max_batch, max_bytes)
+        """``oldest_age`` reads the FIFO head; SmartBFT's watchdog took
+        the ``min`` over a plain ``{rid: (request, arrival)}`` dict, the
+        third side here.  Arrivals never go back in time, so the two
+        must agree at every step."""
+        oracle = TwoDictPendingQueue()
+        queue = PendingQueue()
+        by_id = {}
         pool = {}
         for now, (op, key, extra) in enumerate(ops):
             if op == "add":
@@ -588,20 +593,32 @@ class TestPendingQueue:
                     key, ClientRequest(client_id=5, sequence=key, operation=None, size_bytes=extra)
                 )
                 assert queue.add(request, float(now)) == oracle.add(request, float(now))
-            elif op == "remove":
-                queue.remove((5, key))
-                oracle.remove((5, key))
+                by_id.setdefault(request.request_id, (request, float(now)))
             elif op == "remove_all":
                 doomed = [pool[k] for k in (key, extra, key) if k in pool]
                 queue.remove_all(doomed)
                 oracle.remove_all(doomed)
-            else:
-                batch = queue.next_batch()
-                assert batch == oracle.next_batch()
+                for request in doomed:
+                    by_id.pop(request.request_id, None)
+            elif op == "next_batch":
+                batch = queue.next_batch(max_batch, max_bytes)
+                assert batch == oracle.next_batch(max_batch, max_bytes)
                 assert isinstance(batch, RequestBatch)
+                for request in batch:
+                    del by_id[request.request_id]
+            else:
+                queue.restart_clocks(float(now))
+                oracle.restart_clocks(float(now))
+                by_id = {rid: (request, float(now)) for rid, (request, _) in by_id.items()}
             assert queue.peek_all() == oracle.peek_all()
-            assert len(queue) == len(oracle)
-            assert queue.oldest_age(now + 0.5) == oracle.oldest_age(now + 0.5)
+            assert len(queue) == len(oracle) == len(by_id)
+            later = now + 0.5
+            assert queue.oldest_age(later) == oracle.oldest_age(later)
+            assert queue.oldest_age(later) == (
+                later - min(arrival for _request, arrival in by_id.values())
+                if by_id
+                else None
+            )
             assert ((5, key) in queue) == ((5, key) in oracle)
 
 

@@ -9,7 +9,7 @@ from repro.fabric.envelope import Envelope
 from repro.fabric.ledger import Ledger
 from repro.fabric.statedb import VersionedKVStore
 from repro.ordering.blockcutter import BlockCutter
-from repro.smart.batching import ExecutedRequests, PendingQueue
+from repro.smart.batching import DEFAULT_MAX_BATCH_BYTES, ExecutedRequests, PendingQueue
 from repro.smart.messages import ClientRequest
 
 
@@ -91,7 +91,7 @@ class TestPendingQueueProperties:
     )
     @settings(max_examples=60)
     def test_drain_everything_preserves_fifo_of_first_occurrence(self, id_pairs):
-        queue = PendingQueue(max_batch=7)
+        queue = PendingQueue()
         seen = set()
         expected = []
         for client, seq in id_pairs:
@@ -102,7 +102,7 @@ class TestPendingQueueProperties:
                 expected.append((client, seq))
         drained = []
         while len(queue):
-            batch = queue.next_batch()
+            batch = queue.next_batch(7, DEFAULT_MAX_BATCH_BYTES)
             assert 0 < len(batch) <= 7
             drained.extend(r.request_id for r in batch)
         assert drained == expected

@@ -235,7 +235,6 @@ class TestCensorClients:
         )
         replica = service.replicas[1]
         forward = ForwardedRequest if orderer == "bftsmart" else Forward
-        pending = replica.pending if orderer == "bftsmart" else replica._pending
         injector = FaultInjector(service.network, service.replicas)
         action = injector.start(CensorClients(1, {42}))
         victim, other = (
@@ -246,12 +245,12 @@ class TestCensorClients:
         replica.deliver(2, forward(2, victim))
         replica.deliver(7, other)
         replica.deliver(2, forward(2, ClientRequest(client_id=7, sequence=1, operation=1)))
-        assert (42, 0) not in pending
-        assert (7, 0) in pending and (7, 1) in pending
+        assert (42, 0) not in replica.pending
+        assert (7, 0) in replica.pending and (7, 1) in replica.pending
         injector.stop(action)
         assert replica.faults.censor_clients == set()
         replica.deliver(2, forward(2, victim))
-        assert (42, 0) in pending
+        assert (42, 0) in replica.pending
 
 
 class TestPartitionAndBlock:

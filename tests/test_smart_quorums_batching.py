@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.smart.batching import PendingQueue
+from repro.smart.batching import DEFAULT_MAX_BATCH_BYTES, PendingQueue
 from repro.smart.consensus import ConsensusInstance, batch_hash
 from repro.smart.messages import ClientRequest
 from repro.smart.quorums import VoteSet
+from repro.smart.replica import ReplicaConfig
 from repro.smart.view import View
 
 
@@ -72,10 +73,10 @@ class TestVoteSet:
 
 class TestPendingQueue:
     def test_fifo_order(self):
-        queue = PendingQueue(max_batch=10)
+        queue = PendingQueue()
         for i in range(5):
             queue.add(request(seq=i), now=0.0)
-        batch = queue.next_batch()
+        batch = queue.next_batch(10, DEFAULT_MAX_BATCH_BYTES)
         assert [r.sequence for r in batch] == [0, 1, 2, 3, 4]
 
     def test_deduplication(self):
@@ -86,23 +87,23 @@ class TestPendingQueue:
         assert len(queue) == 1
 
     def test_batch_respects_count_limit(self):
-        queue = PendingQueue(max_batch=3)
+        queue = PendingQueue()
         for i in range(10):
             queue.add(request(seq=i), 0.0)
-        assert len(queue.next_batch()) == 3
+        assert len(queue.next_batch(3, DEFAULT_MAX_BATCH_BYTES)) == 3
         assert len(queue) == 7
 
     def test_batch_respects_byte_limit(self):
-        queue = PendingQueue(max_batch=100, max_batch_bytes=250)
+        queue = PendingQueue()
         for i in range(5):
             queue.add(request(seq=i, size=100), 0.0)
-        batch = queue.next_batch()
+        batch = queue.next_batch(100, 250)
         assert len(batch) == 2
 
     def test_single_oversized_request_still_batched(self):
-        queue = PendingQueue(max_batch=100, max_batch_bytes=50)
+        queue = PendingQueue()
         queue.add(request(size=500), 0.0)
-        assert len(queue.next_batch()) == 1
+        assert len(queue.next_batch(100, 50)) == 1
 
     def test_oldest_age(self):
         queue = PendingQueue()
@@ -120,14 +121,6 @@ class TestPendingQueue:
         assert queue.oldest_age(7.0) == pytest.approx(1.0)
         assert queue.peek_all() == [first, second]
 
-    def test_remove(self):
-        queue = PendingQueue()
-        r = request()
-        queue.add(r, 0.0)
-        queue.remove(r.request_id)
-        assert len(queue) == 0
-        assert queue.oldest_age(1.0) is None
-
     def test_contains(self):
         queue = PendingQueue()
         r = request()
@@ -135,8 +128,10 @@ class TestPendingQueue:
         assert r.request_id in queue
 
     def test_invalid_max_batch(self):
+        """The queue holds no limits: the one it drains by is checked
+        where it enters, in the replica's config."""
         with pytest.raises(ValueError):
-            PendingQueue(max_batch=0)
+            ReplicaConfig(max_batch=0)
 
 
 class TestConsensusInstance:

@@ -16,7 +16,9 @@ flight.  These tests hold all three to their definitions:
 - a view change carries a certificate for every prepared round of the
   window and the new leader re-proposes them in order, stopping at the
   first gap -- and carrying only the first certificate would fork;
-- re-proposed requests are not cut into a second block.
+- re-proposed requests are not cut into a second block;
+- a follower's watchdog re-forwards what a censoring leader ignores,
+  then votes it out, and gives the next leader a full timeout.
 
 The helpers that craft signed protocol messages are shared with
 ``tests/properties/test_props_smartbft_votes.py`` and
@@ -33,7 +35,7 @@ from repro.fabric.envelope import Envelope
 from repro.smart.batching import ExecutedRequests
 from repro.smart.messages import ClientRequest
 from repro.smart2.messages import (
-    BlockPull, BlockPush, Commit, NewView, Prepare, Preprepare, ViewChange,
+    BlockPull, BlockPush, Commit, Forward, NewView, Prepare, Preprepare, ViewChange,
 )
 from repro.smart2.node import PROPOSAL_WINDOW, SmartBFTNode, preprepare_payload
 from tests.test_smartbft_vote_pins import build_service
@@ -522,7 +524,9 @@ class TestReproposedRequests:
         cutter a second time; the view then orders new requests."""
         service, new_leader = prepared_then_the_leader_crashes()
         assert proposed(new_leader) == [0]
-        assert sorted(new_leader._pending) == [r.request_id for r in requests(range(4))]
+        assert sorted(r.request_id for r in new_leader.pending.peek_all()) == [
+            r.request_id for r in requests(range(4))
+        ]
         assert not new_leader._batch_queue and len(new_leader._channels[CHANNEL].cutter) == 0
         for request in requests(range(4, 8)):
             new_leader.deliver(1000, request)
@@ -561,6 +565,69 @@ class TestReproposedRequests:
         service.run(3.0)
         for node in service.nodes[1:]:
             assert [ids for _seq, _digest, ids in decided_headers(node)] == [[0, 1, 2, 3]]
+
+
+class TestFollowerWatchdog:
+    def test_re_forward_censorship_vote_then_a_new_clock(self):
+        """Nodes 0 and 1 censor client 1000, so the view change that
+        deposes leader 0 installs another censor.  Requests 1 then 0
+        reach the followers at 0.1 s and 0.3 s.  Follower 2's first tick
+        past ``T`` from the older arrival re-forwards both, in request-id
+        order; its first tick past ``2T`` votes "censorship"; after
+        view 1 installs, no censorship vote fires before ``2T`` from the
+        install, and one fires at the first tick past it."""
+        T = 1.0
+        service = build(request_timeout=T)
+        sim, node = service.sim, service.nodes[2]
+        for pid in (0, 1):
+            service.nodes[pid].faults.censor_clients = {1000}
+        forwards, votes, installs = [], [], []
+        send, broadcast, install = node._send, node._broadcast, node._install_view
+
+        def sent(dst, message):
+            if isinstance(message, Forward):
+                forwards.append((sim.now, dst, message.request.request_id))
+            send(dst, message)
+
+        def broadcast_watched(message):
+            if isinstance(message, ViewChange):
+                votes.append((sim.now, message.new_view, message.reason))
+            broadcast(message)
+
+        def installed(message):
+            installs.append((sim.now, message.new_view))
+            install(message)
+
+        node._send, node._broadcast, node._install_view = sent, broadcast_watched, installed
+        late, early = requests([1, 0])
+        for at, request in ((0.1, late), (0.3, early)):
+            for pid in (1, 2, 3):
+                sim.schedule_at(at, service.nodes[pid].deliver, 1000, request)
+        sim.run_until(lambda: len(votes) == 2, 10.0)
+        tick = node.heartbeat_interval
+        ids = [early.request_id, late.request_id]
+
+        # arrival forwards, then the first tick past T re-forwards both
+        assert forwards[:2] == [(0.1, 0, late.request_id), (0.3, 0, early.request_id)]
+        resend_at = forwards[2][0]
+        assert resend_at - 0.1 > T >= resend_at - tick - 0.1
+        # every re-send, to either leader, goes in request-id order
+        resends = forwards[2:]
+        for at in sorted({at for at, _dst, _rid in resends}):
+            assert [rid for when, _dst, rid in resends if when == at] == ids
+
+        # the first tick past 2T votes the censor out
+        (voted_at, view, reason), (second_at, second_view, second_reason) = votes
+        assert (view, reason) == (1, "censorship")
+        assert voted_at - 0.1 > 2 * T >= voted_at - tick - 0.1
+        assert {dst for at, dst, _rid in resends if at < voted_at} == {0}
+
+        # view 1 installs; its clocks start at the install
+        (installed_at, installed_view), = installs
+        assert installed_view == 1 and node.leader == 1
+        assert {dst for at, dst, _rid in resends if at > voted_at} == {1}
+        assert (second_view, second_reason) == (2, "censorship")
+        assert second_at - installed_at > 2 * T >= second_at - tick - installed_at
 
 
 class TestDurableCommit:
