@@ -32,12 +32,16 @@ RACESAN_K ?= 8
 # alternating parent/child pairs of the perf benchmark (tools/perf_pairs.py)
 PAIRS ?= 10
 
+# tracemalloc census of one perf workload (tools/mem_census.py)
+SCALE ?= 1.0
+TOP ?= 15
+
 # hypothesis profile of `make test` (registered in tests/conftest.py)
 HYPOTHESIS_PROFILE ?= tier1
 
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
-.PHONY: test lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs
+.PHONY: test lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs mem-census
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run);
 ## property tests run under the derandomized, database-less hypothesis
@@ -182,3 +186,12 @@ perf-pairs:
 		$(foreach name,$(WORKLOAD),--workload $(name)) \
 		--pairs $(PAIRS) $(if $(CONTROLS),--controls $(CONTROLS)) \
 		$(if $(METRIC),--metric $(METRIC))
+
+## where one perf workload's memory goes: runs one full repeat of
+## WORKLOAD at seed 0 through benchmarks/perf/worker.py::run_job under
+## tracemalloc and prints ru_maxrss, the traced current and peak and
+## the TOP allocation sites alive at exit (count, bytes per item)
+## usage: make mem-census WORKLOAD=<name> [SCALE=1.0] [TOP=15]
+mem-census:
+	$(PYTHON) tools/mem_census.py --workload $(WORKLOAD) \
+		--scale $(SCALE) --top $(TOP)

@@ -64,9 +64,14 @@ class PendingQueue:
         return True
 
     def remove_all(self, requests: List[ClientRequest]) -> None:
-        discard = self._queue.pop
+        queue = self._queue
+        discard = queue.pop
         for request in requests:
             discard(request.request_id, None)
+        if not queue:
+            # a dict never shrinks on deletion: without a fresh table a
+            # drained backlog of thousands keeps its slots for the run
+            self._queue = OrderedDict()
 
     def __contains__(self, rid: RequestId) -> bool:
         return rid in self._queue

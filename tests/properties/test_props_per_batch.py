@@ -13,6 +13,7 @@ oracle, and random mixes must leave both sides in the same state having
 made the same calls in the same order.
 """
 
+import struct
 from collections import OrderedDict
 from typing import Any, Dict, List
 
@@ -27,7 +28,7 @@ from repro.fabric.envelope import Envelope
 from repro.ordering.blockcutter import BlockCutter, BlockWriter, TimeToCutMachine
 from repro.ordering.node import BFTOrderingNode, TimeToCut
 from repro.sim import ConstantLatency, Network, Simulator
-from repro.sim.monitor import LatencyRecorder
+from repro.sim.monitor import LatencyRecorder, ThroughputMeter
 from repro.smart import ServiceReplica, View
 from repro.smart.batching import PendingQueue, RequestBatch
 from repro.smart.consensus import ConsensusInstance
@@ -185,6 +186,50 @@ class PerRequestReplica(ServiceReplica):
             if cached is None or request.sequence >= cached[0]:
                 self._last_reply[request.client_id] = (request.sequence, result, regency)
         self.replier(self, request, result, regency, tentative)
+
+
+class ListLatencyRecorder(LatencyRecorder):
+    """``LatencyRecorder`` when its samples and sorted view were lists
+    of boxed floats; the statistics read either the same way."""
+
+    def __init__(self, name: str = "latency"):
+        super().__init__(name)
+        self._samples = []
+
+    def reset(self) -> None:
+        self._samples = []
+        self._sorted = None
+        self._sum = 0.0
+
+    def extend(self, samples) -> None:
+        samples = list(samples)
+        if not samples:
+            return
+        self._samples += samples
+        self._sorted = None
+        total = self._sum
+        for sample in samples:
+            total += sample
+        self._sum = total
+
+    @property
+    def samples(self):
+        return list(self._samples)
+
+    def _sorted_samples(self):
+        cached = self._sorted
+        if cached is None:
+            cached = self._sorted = sorted(self._samples)
+        return cached
+
+
+class ListThroughputMeter(ThroughputMeter):
+    """``ThroughputMeter`` when its times and weights were lists."""
+
+    def __init__(self, name: str = "throughput"):
+        super().__init__(name)
+        self._times = []
+        self._weights = []
 
 
 # ----------------------------------------------------------------------
@@ -623,9 +668,36 @@ class TestPendingQueue:
 
 
 # ----------------------------------------------------------------------
-# LatencyRecorder.extend == a record() loop
+# LatencyRecorder.extend == a record() loop; array series == list series
 # ----------------------------------------------------------------------
 latencies = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+signed = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+series_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), signed),
+        st.tuples(st.just("extend"), st.lists(signed, max_size=30)),
+        st.tuples(st.just("reset"), st.none()),
+        st.tuples(
+            st.just("meter"),
+            st.tuples(
+                st.floats(min_value=0.0, max_value=5.0),
+                st.one_of(st.floats(min_value=0.0, max_value=1e3), st.integers(0, 400)),
+            ),
+        ),
+    ),
+    max_size=40,
+)
+windows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.floats(min_value=-1.0, max_value=200.0)),
+        st.one_of(st.none(), st.floats(min_value=-1.0, max_value=200.0)),
+    ),
+    max_size=4,
+)
+
+
+def bits(*values: float) -> List[bytes]:
+    return [struct.pack("<d", value) for value in values]
 
 
 class TestRecorderExtend:
@@ -643,6 +715,43 @@ class TestRecorderExtend:
             if chunk:
                 assert bulk.percentile(50.0) == looped.percentile(50.0)  # sorted view rebuilt
         assert repr(bulk.summary()) == repr(looped.summary())  # NaN-safe equality
+
+    @given(ops=series_ops, queries=windows)
+    @settings(max_examples=200, deadline=None)
+    def test_array_series_equal_the_list_series_bit_for_bit(self, ops, queries):
+        recorder, oracle = LatencyRecorder(), ListLatencyRecorder()
+        meter, list_meter = ThroughputMeter(), ListThroughputMeter()
+        now = 0.0
+        for op, arg in ops:
+            if op == "record":
+                recorder.record(arg)
+                oracle.record(arg)
+            elif op == "extend":
+                recorder.extend(iter(arg))
+                oracle.extend(iter(arg))
+            elif op == "reset":
+                recorder.reset()
+                oracle.reset()
+            else:
+                step, weight = arg
+                now += step
+                meter.record(now, weight)
+                list_meter.record(now, weight)
+            assert bits(*recorder.samples) == bits(*oracle.samples)
+            assert repr(recorder.summary()) == repr(oracle.summary())
+            for p in (0.0, 1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0):
+                assert bits(recorder.percentile(p)) == bits(oracle.percentile(p))
+            assert meter.total == list_meter.total
+            for start, end in [(None, None), *queries]:
+                assert bits(meter.rate(start, end)) == bits(list_meter.rate(start, end))
+
+    def test_an_int_sample_reads_back_as_a_float(self):
+        recorder = LatencyRecorder()
+        recorder.record(3)
+        recorder.extend([4])
+        assert recorder.samples == [3.0, 4.0]
+        assert {type(sample) for sample in recorder.samples} == {float}
+        assert type(recorder.minimum) is float and recorder.median == 3.5
 
     def test_extend_invalidates_the_sorted_view(self):
         recorder = LatencyRecorder()
@@ -664,3 +773,6 @@ def test_oracles_match_the_documented_signatures():
     assert PerRequestReplica._execute_batch is not ServiceReplica._execute_batch
     assert PerRequestReplica._confirm_batch is ServiceReplica._confirm_batch
     assert PerRequestReplica._rollback_tentative is ServiceReplica._rollback_tentative
+    assert ListLatencyRecorder.percentile is LatencyRecorder.percentile
+    assert ListLatencyRecorder.record is LatencyRecorder.record
+    assert ListThroughputMeter.rate is ThroughputMeter.rate

@@ -21,6 +21,8 @@ fixes is resolved when the view is installed*.
 """
 
 import collections
+import contextlib
+import gc
 import json
 import random
 import sys
@@ -489,6 +491,29 @@ def test_every_table_stays_bounded_over_2000_blocks():
 # ----------------------------------------------------------------------
 # pay per batch, not per envelope (docs/KERNEL.md): Python-call budgets
 # ----------------------------------------------------------------------
+@contextlib.contextmanager
+def profiling(hook):
+    """``hook`` as the profile function, with the cyclic collector off.
+
+    A collection that fires inside a counted call runs the finalisers of
+    whatever an earlier test left in a reference cycle -- a suspended
+    simulator process's generator ``close``, a ``__del__`` -- and each
+    is a Python frame the budget would count.  When the collector fires
+    depends on every allocation made since the process started, so the
+    garbage is collected before the hook goes on and none is collected
+    while it is on."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(hook)
+    try:
+        yield hook
+    finally:
+        sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
+
+
 class CallProfile:
     """A ``sys.setprofile`` hook counting Python frames (``call``
     events; C functions are ``c_call`` and not counted) in three places
@@ -585,12 +610,8 @@ class TestPerBatchBudgets:
                 channel_id="ch0", transaction=None, payload_size=256, envelope_id=i
             )
             service.sim.schedule_at(0.01, service.submit, envelope, i % 2)
-        profile = CallProfile(service)
-        sys.setprofile(profile)
-        try:
+        with profiling(CallProfile(service)) as profile:
             service.run(5.0)
-        finally:
-            sys.setprofile(None)
         blocks = self.ENVELOPES // self.BLOCK_SIZE
         assert [fe.blocks_delivered for fe in service.frontends] == [blocks, blocks]
         assert [r.counters.consensus_decided for r in service.replicas] == [3] * 4
@@ -713,16 +734,12 @@ def run_cft_orderer(backend: str, envelopes: int, block_size: int):
         orderer = KafkaOrderer(sim, network, "orderer0", identity, cluster, channel)
     network.register("sink", SimpleNamespace(deliver=lambda src, message: None))
     orderer.attach_receiver("sink")
-    profile = BlockTailProfile()
-    sys.setprofile(profile)
-    try:
+    with profiling(BlockTailProfile()) as profile:
         for i in range(envelopes):
             orderer.submit(
                 Envelope(channel_id="ch0", transaction=None, payload_size=256, envelope_id=i)
             )
         sim.run(until=1.0)
-    finally:
-        sys.setprofile(None)
     assert orderer.blocks_created == envelopes // block_size
     return orderer, profile
 

@@ -65,8 +65,9 @@ class TestMessagePattern:
         reason="value-fetch storm: a replica at the tail of the leader's "
         "serialized PROPOSE broadcast reaches the ACCEPT quorum first and "
         "broadcasts a ValueRequest that every peer answers with the full "
-        "batch; BFT-SMaRt waits for the PROPOSE (ROADMAP, 'Make the "
-        "modelled service faster' (d))",
+        "batch; BFT-SMaRt waits for the PROPOSE (ROADMAP item 3, 'The "
+        "value-fetch storm at n=10'; its first commit, item 2.4, re-bases "
+        "the saturated workloads' offered rates)",
     )
     def test_no_value_fetch_when_the_propose_is_merely_late(self):
         """Fault-free, n=10, one 100 KB batch on the 1 Gb/s NIC model:

@@ -1,5 +1,7 @@
 """Unit tests for vote sets, batching and consensus-instance state."""
 
+import sys
+
 import pytest
 
 from repro.smart.batching import DEFAULT_MAX_BATCH_BYTES, PendingQueue
@@ -104,6 +106,26 @@ class TestPendingQueue:
         queue = PendingQueue()
         queue.add(request(size=500), 0.0)
         assert len(queue.next_batch(100, 50)) == 1
+
+    def test_drained_backlog_releases_its_table(self):
+        """A dict keeps its slots after its entries are deleted; an
+        emptied pool must not hold a past backlog's table for the run."""
+        fresh = sys.getsizeof(PendingQueue()._queue)
+        backlog = [request(seq=i) for i in range(10_000)]
+        batched, decided = PendingQueue(), PendingQueue()
+        for queue in (batched, decided):
+            for i, r in enumerate(backlog):
+                queue.add(r, float(i))
+            assert sys.getsizeof(queue._queue) > fresh
+        while batched:  # the BFT-SMaRt leader's path
+            batched.next_batch(400, DEFAULT_MAX_BATCH_BYTES)
+        for start in range(0, len(backlog), 400):  # a decision's path
+            decided.remove_all(backlog[start:start + 400])
+        for queue in (batched, decided):
+            assert len(queue) == 0 and queue.oldest_age(0.0) is None
+            assert sys.getsizeof(queue._queue) == fresh
+            queue.add(request(seq=10_000), 1.0)  # and keeps working
+            assert queue.oldest_age(2.0) == 1.0
 
     def test_oldest_age(self):
         queue = PendingQueue()

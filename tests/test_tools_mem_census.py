@@ -1,0 +1,44 @@
+"""tools/mem_census.py end to end, on one perf workload at 5 % size."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def census(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "mem_census.py"), *args],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_a_small_run_prints_the_census():
+    proc = census("--workload", "lan_n4_fanout16_sat", "--scale", "0.05", "--top", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "workload lan_n4_fanout16_sat  seed 0  scale 0.05"
+    figures = {}
+    for line in lines[1:4]:
+        name, value = re.fullmatch(r"(\S+(?: \S+)?) +([0-9.]+) MiB.*", line).groups()
+        figures[name] = float(value)
+    assert set(figures) == {"ru_maxrss", "traced current", "traced peak"}
+    assert 0 < figures["traced current"] <= figures["traced peak"] < figures["ru_maxrss"]
+    assert lines[4].split() == ["verify", "ok"]
+    assert lines[5] == "top 5 allocation sites alive at exit:"
+    assert lines[6].split() == ["MiB", "count", "B/item", "site"]
+    rows = [line.split(None, 3) for line in lines[7:]]  # a site may hold a space
+    assert len(rows) == 5
+    sizes = []
+    for mib, count, per_item, site in rows:
+        assert int(count) > 0 and float(per_item) > 0 and re.search(r":\d+$", site)
+        sizes.append(float(mib))
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_an_unknown_workload_is_a_usage_error():
+    proc = census("--workload", "no_such_workload")
+    assert proc.returncode == 2
+    assert "unknown workload 'no_such_workload'" in proc.stderr
