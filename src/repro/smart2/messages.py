@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.smart.messages import (
     HASH_BYTES,
@@ -144,10 +144,8 @@ def _cert_size(cert: PreparedCert) -> int:
 class ViewChange:
     """A node's signed vote to depose the current leader.
 
-    It carries a certificate for every round the sender prepared in its
-    proposal window, in sequence order: the first in ``prepared``, the
-    rest in ``prepared_after``.  With at most one the message is the
-    same as when a single proposal was in flight.
+    ``prepared`` carries a certificate for every round the sender
+    prepared in its proposal window, in sequence order.
     """
 
     kind = sys.intern("smart2.ViewChange")
@@ -157,14 +155,11 @@ class ViewChange:
     last_seq: int
     suspected: int
     reason: str
-    prepared: Optional[PreparedCert]
+    prepared: Tuple[PreparedCert, ...]
     signature: bytes = b""
-    prepared_after: Tuple[PreparedCert, ...] = ()
 
     def wire_size(self) -> int:
-        prepared = _cert_size(self.prepared) if self.prepared is not None else 0
-        for cert in self.prepared_after:
-            prepared += _cert_size(cert)
+        prepared = sum(_cert_size(cert) for cert in self.prepared)
         return MESSAGE_HEADER_BYTES + 24 + SIGNATURE_BYTES + prepared
 
     def signing_payload(self) -> bytes:

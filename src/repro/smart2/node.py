@@ -928,8 +928,7 @@ class SmartBFTNode:
             last_seq=self.next_commit_seq - 1,
             suspected=self.leader,
             reason=reason,
-            prepared=certificates[0] if certificates else None,
-            prepared_after=tuple(certificates[1:]),
+            prepared=tuple(certificates),
         )
         vote.signature = self.identity.sign(vote.signing_payload())
         self.view_changes_sent += 1
@@ -1111,10 +1110,7 @@ class SmartBFTNode:
         not cut them into a second block."""
         best: Dict[int, Preprepare] = {}
         for vote in sorted(msg.proof, key=lambda v: v.sender):
-            certificates = vote.prepared_after
-            if vote.prepared is not None:
-                certificates = (vote.prepared,) + certificates
-            for candidate, _voters in certificates:
+            for candidate, _voters in vote.prepared:
                 current = best.get(candidate.seq)
                 if current is None or candidate.view_number > current.view_number:
                     best[candidate.seq] = candidate

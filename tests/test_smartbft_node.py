@@ -103,8 +103,7 @@ def signed_view_change(
 ) -> ViewChange:
     vote = ViewChange(
         sender=sender, new_view=new_view, last_seq=-1, suspected=suspected,
-        reason="timeout", prepared=certificates[0] if certificates else None,
-        prepared_after=tuple(certificates[1:]),
+        reason="timeout", prepared=tuple(certificates),
     )
     vote.signature = identity_of(service, sender).sign(vote.signing_payload())
     return vote
@@ -304,7 +303,7 @@ def one_certificate_per_vote(node) -> None:
     """Make ``node`` keep only the first certificate of every view-change
     vote it records -- its own included: the rule of a window of one."""
     store = node._store_view_change
-    node._store_view_change = lambda vote: store(dataclasses.replace(vote, prepared_after=()))
+    node._store_view_change = lambda vote: store(dataclasses.replace(vote, prepared=vote.prepared[:1]))
 
 
 def leader_decides_two_then_crashes(strip: bool = False):
