@@ -181,6 +181,9 @@ SCENARIOS: Dict[str, ScenarioRow] = {
     "smartbft_leader_crash": replace(
         SMOKE, backend="smartbft", crash=0, request_timeout=_CRASH_DETECTION
     ),
+    # smartbft with a batch timeout shorter than a block takes to fill:
+    # the leader's batch timer cuts every block
+    "smartbft_timeout_cut": replace(SMOKE, backend="smartbft", batch_timeout=0.02),
     # leader_crash at n=10 with 4 KB envelopes: a regency change under a
     # backlog that outlasts the sync timeout unless SYNC stays small
     "leader_crash_n10": replace(

@@ -4,9 +4,10 @@ HLF ships this for development/testing (paper section 3: "a single
 point of failure").  It shares the block cutter, chain position and
 block writer of :mod:`repro.ordering.blockcutter` with the other
 orderers, so throughput comparisons isolate the cost of replication.
-Its batch timeout is a plain local timer, armed by the first envelope
-left pending and reset by every cut: with no total order to agree on,
-there is nothing to make deterministic.
+Its batch timeout is the local :class:`BatchTimer` it shares with the
+SmartBFT leader, armed by the first envelope left pending and reset by
+every cut: with no total order to agree on, there is nothing to make
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.crypto.keys import Identity
 from repro.fabric.api import SubmitEnvelope
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering.blockcutter import BlockCutter, BlockWriter, ChainPosition
+from repro.ordering.blockcutter import BatchTimer, BlockCutter, BlockWriter, ChainPosition
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
 from repro.sim.monitor import MetricsRegistry
@@ -52,7 +53,7 @@ class SoloOrderer:
             stats=self.stats, record_latency=True,
         )
         self.crashed = False
-        self._cut_timer = None
+        self.timer = BatchTimer(sim, channel.batch_timeout, self._timeout_cut)
 
     @property
     def next_number(self) -> int:
@@ -90,19 +91,10 @@ class SoloOrderer:
         batches = self.cutter.ordered(envelope)
         for batch in batches:
             self._write(batch)
-        if batches and self._cut_timer is not None:
-            # as in Fabric's solo, a cut resets the batch timer
-            self._cut_timer.cancel()
-            self._cut_timer = None
-        if len(self.cutter) > 0 and self._cut_timer is None:
-            self._cut_timer = self.sim.schedule(
-                self.channel.batch_timeout, self._timeout_cut
-            )
+        self.timer.ordered(bool(batches), len(self.cutter))
 
     def _timeout_cut(self) -> None:
-        self._cut_timer = None
-        if len(self.cutter) > 0:
-            self._write(self.cutter.cut())
+        self._write(self.cutter.cut())
 
     def _write(self, batch: List[Envelope]) -> None:
         self.writer.write(self.chain.append(batch, self.channel.channel_id))

@@ -8,8 +8,11 @@ into the next block.  :class:`BlockCutter` mirrors Fabric's
 immediate cut of config envelopes.  As Fabric gives every consensus
 plug-in the same block writer (arXiv:1801.10228), the rest of the
 pipeline is shared too: :class:`ChainPosition` assembles the next
-block, :class:`BlockWriter` signs and sends it, and
-:class:`TimeToCutMachine` makes batch timeouts deterministic.
+block and :class:`BlockWriter` signs and sends it.  A batch timeout is
+one of two timers: :class:`TimeToCutMachine` orders it, so that every
+replica cuts at the same envelope (BFT-SMaRt, Kafka), and
+:class:`BatchTimer` is the local timer of an orderer that cuts alone
+(solo, the SmartBFT leader).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.fabric.api import BlockDelivery
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader, compute_data_hash
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.sim.core import Simulator
+from repro.sim.core import EventHandle, Simulator
 from repro.sim.cpu import ThreadPool
 from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import Network
@@ -210,6 +213,39 @@ class BlockWriter:
             latency.extend(
                 [now - e.create_time for e in block.envelopes if e.create_time is not None]
             )
+
+
+class BatchTimer:
+    """The batch timeout of an orderer that cuts alone, as Fabric's
+    solo keeps it: armed by the first envelope left pending, reset by
+    every cut, and calling ``on_due`` once when ``timeout`` runs out."""
+
+    def __init__(self, sim: Simulator, timeout: float, on_due: Callable[[], None]):
+        self.sim = sim
+        self.timeout = timeout
+        self.on_due = on_due
+        self._handle: Optional[EventHandle] = None
+
+    def ordered(self, cut: bool, pending: int) -> None:
+        """After the cutter took an envelope: a cut resets the timer,
+        and ``pending`` envelopes left in the cutter arm it if idle."""
+        if cut:
+            self.cancel()
+        if pending:
+            self.arm()
+
+    def arm(self) -> None:
+        if self._handle is None:
+            self._handle = self.sim.schedule(self.timeout, self._due)
+
+    def cancel(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _due(self) -> None:
+        self._handle = None
+        self.on_due()
 
 
 @dataclass(frozen=True)

@@ -180,9 +180,10 @@ class NewView:
     """New leader -> all: the view-change quorum proof + blacklist.
 
     ``proof`` carries the ``2f+1`` signed :class:`ViewChange` votes;
-    receivers re-verify every one, recompute the blacklist additions
-    (ids suspected by at least ``f+1`` voters) and check the sender is
-    the rotation's rightful leader under the carried blacklist.
+    receivers re-verify every one, check the sender is the rotation's
+    rightful leader under the carried blacklist, and adopt that
+    blacklist as it is: they do not recompute the additions (ids
+    suspected by at least ``f+1`` voters) from the proof.
     """
 
     kind = sys.intern("smart2.NewView")

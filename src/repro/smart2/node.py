@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
@@ -52,7 +52,7 @@ from repro.fabric.block import SHARED_DIGESTS, Block, BlockHeader
 from repro.fabric.blockpolicy import SignedQuorum
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering.blockcutter import BlockCutter, ChainPosition
+from repro.ordering.blockcutter import BatchTimer, BlockCutter, ChainPosition
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
 from repro.sim.monitor import MetricsRegistry
@@ -100,9 +100,12 @@ def preprepare_payload(view_number: int, seq: int, header_digest: bytes) -> byte
 class _ChainState:
     """Per-channel block chain position (tiny, like the paper's §5.2):
     the committed one, and the one the next accepted pre-prepare takes
-    (the latest accepted header in the window, else the committed)."""
+    (the latest accepted header in the window, else the committed);
+    and, at the leader, the envelopes waiting to be cut and their batch
+    timer."""
 
     cutter: BlockCutter
+    timer: BatchTimer
     committed: ChainPosition = field(default_factory=ChainPosition)
     tip: ChainPosition = field(default_factory=ChainPosition)
 
@@ -110,6 +113,11 @@ class _ChainState:
         """Drop the accepted, undecided headers from the tip."""
         self.tip.number = self.committed.number
         self.tip.previous_hash = self.committed.previous_hash
+
+    def drop_pending(self) -> None:
+        """Forget the envelopes waiting to be cut, and stop their timer."""
+        self.cutter = BlockCutter(self.cutter.config)
+        self.timer.cancel()
 
 
 @dataclass
@@ -208,10 +216,12 @@ class SmartBFTNode:
         self.obs = None
 
         self._channels: Dict[str, _ChainState] = {
-            channel_id: _ChainState(cutter=BlockCutter(config))
+            channel_id: _ChainState(
+                BlockCutter(config),
+                BatchTimer(sim, config.batch_timeout, partial(self._timeout_cut, channel_id)),
+            )
             for channel_id, config in channels.items()
         }
-        self._channel_configs = dict(channels)
         self._others: List[int] = [
             p for p in membership.processes if p != replica_id
         ]
@@ -277,8 +287,6 @@ class SmartBFTNode:
         self.view_changes_sent = 0
 
         self._timer_epoch = 0
-        self._cut_epoch = 0
-        self._cut_armed: Set[str] = set()
         self._amnesia_pending = False
         self._arm_watchdog()
         if self.is_leader:
@@ -345,6 +353,8 @@ class SmartBFTNode:
             return
         self.crashed = True
         self._timer_epoch += 1
+        for state in self._channels.values():
+            state.timer.cancel()
         if amnesia:
             self._amnesia_pending = True
         self.network.crash(self.replica_id)
@@ -358,8 +368,6 @@ class SmartBFTNode:
             self._amnesia_pending = False
             self._reset_to_genesis()
         self._timer_epoch += 1
-        self._cut_epoch += 1
-        self._cut_armed.clear()
         # grace period before suspecting anyone, then resume timers
         self._last_leader_alive = self.sim.now
         self._changing = False
@@ -367,6 +375,9 @@ class SmartBFTNode:
         self._arm_watchdog()
         if self.is_leader:
             self._arm_heartbeat()
+            for state in self._channels.values():
+                if len(state.cutter) > 0:
+                    state.timer.arm()
         # catch up on decisions (and the latest NewView) from the peers
         self._broadcast(BlockPull(sender=self.replica_id, from_seq=self.next_commit_seq))
 
@@ -377,10 +388,10 @@ class SmartBFTNode:
         transfer), so the durable log is cleared and regrows in commit
         order as :class:`BlockPush` catch-up re-applies each decision.
         """
-        self._channels = {
-            channel_id: _ChainState(cutter=BlockCutter(config))
-            for channel_id, config in self._channel_configs.items()
-        }
+        for state in self._channels.values():
+            state.drop_pending()
+            state.committed = ChainPosition()
+            state.rewind()
         self._rounds = {}
         self.next_commit_seq = 0
         self._next_accept = 0
@@ -463,8 +474,7 @@ class SmartBFTNode:
         batches = state.cutter.ordered(envelope)
         for batch in batches:
             self._enqueue_batch(envelope.channel_id, batch)
-        if len(state.cutter) > 0:
-            self._arm_cut_timer(envelope.channel_id)
+        state.timer.ordered(bool(batches), len(state.cutter))
         if self._batch_queue:
             self._maybe_propose()
 
@@ -479,24 +489,9 @@ class SmartBFTNode:
                 del self._req_by_env[envelope.envelope_id]
         self._batch_queue.append((channel_id, requests))
 
-    def _arm_cut_timer(self, channel_id: str) -> None:
-        if channel_id in self._cut_armed:
-            return
-        self._cut_armed.add(channel_id)
-        config = self._channel_configs[channel_id]
-        self.sim.schedule(
-            config.batch_timeout, self._timeout_cut, channel_id, self._cut_epoch
-        )
-
-    def _timeout_cut(self, channel_id: str, epoch: int) -> None:
-        if epoch != self._cut_epoch or self.crashed:
-            return
-        self._cut_armed.discard(channel_id)
-        if not self.is_leader:
-            return
-        state = self._channels[channel_id]
-        if len(state.cutter) > 0:
-            self._enqueue_batch(channel_id, state.cutter.cut())
+    def _timeout_cut(self, channel_id: str) -> None:
+        if self.is_leader:  # else a view change is running
+            self._enqueue_batch(channel_id, self._channels[channel_id].cutter.cut())
             self._maybe_propose()
 
     # ------------------------------------------------------------------
@@ -896,11 +891,6 @@ class SmartBFTNode:
             # the view change itself stalled (e.g. next leader crashed):
             # escalate to the view after the highest one we voted for
             self._suspect("stalled-change")
-        if self.is_leader and self.pending and not self._changing:
-            # a leader with pending-but-uncut requests nudges its cutter
-            for channel_id in sorted(self._channels):
-                if len(self._channels[channel_id].cutter) > 0:
-                    self._arm_cut_timer(channel_id)
         self._arm_watchdog()
 
     # ------------------------------------------------------------------
@@ -1074,11 +1064,8 @@ class SmartBFTNode:
         self._leader_seen = set()
         self._req_by_env = {}
         self._batch_queue = deque()
-        for channel_id in sorted(self._channels):
-            state = self._channels[channel_id]
-            state.cutter = BlockCutter(self._channel_configs[channel_id])
-        self._cut_epoch += 1
-        self._cut_armed.clear()
+        for state in self._channels.values():
+            state.drop_pending()
         self._timer_epoch += 1
         self._arm_watchdog()
         if self.is_leader:

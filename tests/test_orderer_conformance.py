@@ -95,17 +95,8 @@ def test_backend_commits_workload(backend, row):
     [STANDARD, BYTES_BOUND, STRADDLE, OUTLAST],
     ids=["standard", "bytes", "straddle", "outlast"],
 )
-def test_chain_identical_across_backends(backend, row, request):
+def test_chain_identical_across_backends(backend, row):
     """The whole point: byte-identical header chains on every backend."""
-    if backend == "smartbft" and row is OUTLAST:
-        request.applymarker(
-            pytest.mark.xfail(
-                strict=True,
-                reason="the SmartBFT leader's batch timer is armed once and "
-                "not reset by a count cut, so it cuts a partial block "
-                "batch_timeout after it was armed (ROADMAP item 6)",
-            )
-        )
     reference = get_run("solo", row)
     run = get_run(backend, row)
     assert run.header_digests == reference.header_digests

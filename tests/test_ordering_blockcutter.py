@@ -1,9 +1,12 @@
-"""Tests for the block cutter."""
+"""Tests for the block cutter and the batch timer of an orderer that
+cuts alone."""
 
+import pytest
 
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering.blockcutter import BlockCutter
+from repro.ordering.blockcutter import BatchTimer, BlockCutter
+from repro.sim.core import Simulator
 
 
 def cutter(max_count=10, max_bytes=1000):
@@ -102,3 +105,51 @@ class TestBlockCutter:
         assert [[e.envelope_id for e in b] for b in batches1] == [
             [e.envelope_id for e in b] for b in batches2
         ]
+
+
+class TestBatchTimer:
+    """Fabric solo's rule, which the SmartBFT leader follows too: the
+    first envelope left pending arms the timer, every cut resets it."""
+
+    def setup_method(self):
+        self.sim = Simulator()
+        self.cutter = cutter(max_count=3)
+        self.due = []
+        self.timer = BatchTimer(self.sim, 1.0, lambda: self.due.append(self.sim.now))
+
+    def feed(self, at: float, count: int = 1) -> None:
+        def order():
+            for _ in range(count):
+                batches = self.cutter.ordered(raw())
+                self.timer.ordered(bool(batches), len(self.cutter))
+
+        self.sim.schedule_at(at, order)
+
+    def test_arms_on_the_first_pending_envelope_only(self):
+        self.feed(0.0)
+        self.feed(0.5)  # a second pending envelope leaves the countdown alone
+        self.sim.run(until=5.0)
+        assert self.due == [1.0]
+
+    def test_a_cut_with_a_remainder_re_arms_a_full_timeout_from_the_cut(self):
+        self.feed(0.0)
+        self.feed(0.5, count=3)  # cuts three, leaves one pending
+        self.sim.run(until=5.0)
+        assert len(self.cutter) == 1
+        assert self.due == [pytest.approx(1.5)]
+
+    def test_a_cut_that_leaves_nothing_leaves_the_timer_idle(self):
+        self.feed(0.0)
+        self.feed(0.5, count=2)
+        self.sim.run(until=5.0)
+        assert len(self.cutter) == 0 and self.cutter.batches_cut == 1
+        assert self.due == []
+
+    def test_cancel_before_due_means_on_due_never_runs(self):
+        self.feed(0.0)
+        self.sim.schedule_at(0.5, self.timer.cancel)
+        self.sim.run(until=5.0)
+        assert self.due == []
+        self.feed(6.0)  # and a cancelled timer arms again
+        self.sim.run(until=10.0)
+        assert self.due == [7.0]

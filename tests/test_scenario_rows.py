@@ -10,13 +10,21 @@ evenly spaced submit loop, and a new row is one table entry.
 
 import ast
 import pathlib
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.sanitizer import DEFAULT_SCENARIOS, SCENARIOS, run_racesan
+from repro.analysis.sanitizer import (
+    DEFAULT_DURATION,
+    DEFAULT_SCENARIOS,
+    RACESAN_RATE,
+    SCENARIOS,
+    run_racesan,
+)
 from repro.obs.report import run_scenario
 from repro.ordering.backends import (
     BACKENDS,
+    OpenLoop,
     ScenarioRow,
     SpacedLoad,
     run_backend_workload,
@@ -126,6 +134,21 @@ def test_leader_crash_at_n10_is_one_entry_and_recovers():
     service = result.service
     assert service.total_delivered() == result.submitted == 1000
     assert [r.counters.regency_changes for r in service.replicas[1:]] == [1] * 9
+
+
+def test_smartbft_timeout_cut_row_decides_blocks_by_timeout():
+    """A default row reaches the SmartBFT leader's batch timer: at the
+    capture defaults every decided block is partial and far below the
+    byte limit, so the timer cut each one."""
+    assert "smartbft_timeout_cut" in DEFAULT_SCENARIOS
+    row = SCENARIOS["smartbft_timeout_cut"]
+    load = OpenLoop(RACESAN_RATE, DEFAULT_DURATION, row.load.envelope_size)
+    result = run_scenario(replace(row, load=load))
+    for node in result.service.nodes:
+        sizes = [len(decision.block.envelopes) for decision in node._decisions]
+        assert sizes and max(sizes) < row.block_size
+        assert max(sizes) * row.load.envelope_size < row.preferred_max_bytes
+    assert result.service.total_delivered() == result.submitted
 
 
 def test_cft_rows_honour_their_latency():

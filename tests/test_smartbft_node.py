@@ -17,6 +17,8 @@ flight.  These tests hold all three to their definitions:
   window and the new leader re-proposes them in order, stopping at the
   first gap -- and carrying only the first certificate would fork;
 - re-proposed requests are not cut into a second block;
+- the leader's batch timer is reset by a count cut, and a leader that
+  recovers (without amnesia) with envelopes in its cutter re-arms it;
 - a follower's watchdog re-forwards what a censoring leader ignores,
   then votes it out, and gives the next leader a full timeout.
 
@@ -657,3 +659,45 @@ class TestDurableCommit:
         assert [seq for seq, _at in sent] == [0, 1]
         for seq, at in sent:
             assert at >= durable[seq]
+
+
+# ----------------------------------------------------------------------
+# the leader's batch timer (Fabric solo's rule, ordering/blockcutter.py)
+# ----------------------------------------------------------------------
+def decided_ids(node) -> List[List[int]]:
+    return [ids for _seq, _digest, ids in decided_headers(node)]
+
+
+class TestLeaderBatchTimer:
+    def test_a_count_cut_resets_the_timer(self):
+        """batch_timeout 0.25: envelope 0 reaches the leader at 0.0 and
+        envelopes 1-4 at 0.2.  The count cut of 0-3 resets the timer, so
+        envelope 4 waits a full timeout from 0.2, not from 0.0."""
+        service = build()
+        leader = service.nodes[0]
+        batch = requests(range(5))
+        service.sim.schedule_at(0.0, leader.deliver, 1000, batch[0])
+        for request in batch[1:]:
+            service.sim.schedule_at(0.2, leader.deliver, 1000, request)
+        service.run(0.3)
+        assert [e.envelope_id for e in leader._channels[CHANNEL].cutter._pending] == [4]
+        service.run(0.2)
+        assert decided_ids(leader) == [[0, 1, 2, 3], [4]]
+
+    def test_a_recovered_leader_cuts_what_its_cutter_kept(self):
+        """The leader crashes at 0.1 without amnesia, holding envelope 0
+        in its cutter, and recovers at 1.0, before any follower suspects
+        it (heartbeat timeout 2 s): the crash stopped the timer, the
+        recovery re-arms it, and the envelope is cut a full timeout after
+        the recovery."""
+        service = build(request_timeout=2.0)
+        leader = service.nodes[0]
+        leader.deliver(1000, requests([0])[0])
+        service.sim.schedule_at(0.1, service.crash_node, 0)
+        service.sim.schedule_at(1.0, service.recover_node, 0)
+        service.run(1.2)
+        assert len(leader._channels[CHANNEL].cutter) == 1 and leader._decisions == []
+        service.run(0.3)
+        for node in service.nodes:
+            assert decided_ids(node) == [[0]]
+            assert node.installed_views == [(0, 0)]

@@ -141,14 +141,15 @@ def test_the_pinned_runs_exercise_what_they_claim():
     assert len({
         json.dumps([d[2:] for d in node["decisions"]]) for node in n10["nodes"].values()
     }) > 1
-    assert crash["delivered"] == [26, 26]
+    assert crash["delivered"] == [25, 25]
     for node in crash["nodes"].values():
         assert node["installed_views"] == [[0, 0], [1, 1]]
         assert node["blacklist_events"] == [[0, 1, 5]]  # adopted from the NewView
     # three blocks before the crash; the amnesiac ex-leader then rebuilt
-    # 14 from signed decisions alone and voted on the nine after it rejoined
+    # 14 from signed decisions alone and voted on the eight after it
+    # rejoined: the second wave's 32 envelopes in full blocks of four
     rejoined = [entry[2] is not None for entry in crash["nodes"]["0"]["decisions"]]
-    assert rejoined == [True] * 3 + [False] * 14 + [True] * 9
+    assert rejoined == [True] * 3 + [False] * 14 + [True] * 8
     assert any(
         "orderer0" in entry[3]
         for node in crash["nodes"].values()
