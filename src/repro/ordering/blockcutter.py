@@ -227,15 +227,11 @@ class BatchTimer:
         self._handle: Optional[EventHandle] = None
 
     def ordered(self, cut: bool, pending: int) -> None:
-        """After the cutter took an envelope: a cut resets the timer,
-        and ``pending`` envelopes left in the cutter arm it if idle."""
+        """After the cutter took envelopes: a cut resets the timer, and
+        ``pending`` envelopes left in the cutter arm it if it is idle."""
         if cut:
             self.cancel()
-        if pending:
-            self.arm()
-
-    def arm(self) -> None:
-        if self._handle is None:
+        if pending and self._handle is None:
             self._handle = self.sim.schedule(self.timeout, self._due)
 
     def cancel(self) -> None:

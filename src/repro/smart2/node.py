@@ -375,9 +375,8 @@ class SmartBFTNode:
         self._arm_watchdog()
         if self.is_leader:
             self._arm_heartbeat()
-            for state in self._channels.values():
-                if len(state.cutter) > 0:
-                    state.timer.arm()
+            for state in self._channels.values():  # what the crash left uncut
+                state.timer.ordered(False, len(state.cutter))
         # catch up on decisions (and the latest NewView) from the peers
         self._broadcast(BlockPull(sender=self.replica_id, from_seq=self.next_commit_seq))
 
