@@ -305,7 +305,9 @@ def one_certificate_per_vote(node) -> None:
     """Make ``node`` keep only the first certificate of every view-change
     vote it records -- its own included: the rule of a window of one."""
     store = node._store_view_change
-    node._store_view_change = lambda vote: store(dataclasses.replace(vote, prepared=vote.prepared[:1]))
+    node._store_view_change = lambda vote: store(
+        dataclasses.replace(vote, prepared=vote.prepared[:1])
+    )
 
 
 def leader_decides_two_then_crashes(strip: bool = False):
