@@ -235,7 +235,9 @@ PROFILES: Dict[str, Profile] = {
         stream="fault-schedule/recovery",
         kinds=_MESSAGE_KINDS + ("crash_restart", "partition"),
         lead="crash_restart",
-        row=replace(_DEPLOYMENT, durable_wal=True),
+        # a checkpoint every 4 decisions: the 24-envelope load crosses
+        # one, so restarts replay from a compacted WAL
+        row=replace(_DEPLOYMENT, durable_wal=True, checkpoint_period=4),
         record_votes=True,
     ),
     # ``censor`` is the signature Byzantine fault; the BFT-SMaRt-specific

@@ -157,6 +157,9 @@ class ScenarioRow:
     #: accounting)
     cpu: bool = False
     durable_wal: bool = False
+    #: decisions between the BFT-SMaRt replicas' checkpoints (each one
+    #: compacts a durable WAL)
+    checkpoint_period: int = 1000
     admission: Optional[AdmissionConfig] = None
     #: replica that crashes at 0.4 of the load window -- with amnesia,
     #: to replay its WAL and state-transfer back at 0.7, when ``rejoin``
@@ -321,6 +324,7 @@ def _stand_up_bft(
         request_timeout=row.request_timeout,
         enable_batch_timeout=row.enable_batch_timeout,
         durable_wal=row.durable_wal,
+        checkpoint_period=row.checkpoint_period,
         admission=row.admission,
         seed=row.seed,
     )

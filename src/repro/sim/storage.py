@@ -6,8 +6,10 @@ module models the disk a replica writes its WAL to:
 
 - :class:`SimDisk` -- an append-only byte device with a volatile write
   cache.  ``append`` lands in the cache; ``sync`` (fsync) moves the
-  cache to the durable image and returns the modeled latency.  A crash
-  discards the cache, optionally leaving a *torn tail* (a
+  cache to the durable image and returns the modeled latency; ``swap``
+  replaces the whole durable image at once (a new file written beside
+  the log, then renamed over it -- how a checkpoint compacts the WAL).
+  A crash discards the cache, optionally leaving a *torn tail* (a
   sector-aligned prefix of the unsynced suffix) or flipping a durable
   byte (*bit rot*).
 - :func:`frame_record` / :func:`frame_payload` / :func:`scan_records`
@@ -97,6 +99,18 @@ class SimDisk:
     @property
     def unsynced_size(self) -> int:
         return len(self._cache)
+
+    def swap(self, image: bytearray) -> None:
+        """Atomically replace the durable image with ``image``.
+
+        Models writing a new file and renaming it over the old one: a
+        crash sees either image whole, never a mix.  Allowed only with
+        an empty cache, right after the fsync the caller rides, so
+        ``fsyncs`` and ``bytes_appended`` do not move.  The disk takes
+        ownership of ``image``.
+        """
+        assert not self._cache, "swap with unsynced bytes in the cache"
+        self._durable = image
 
     def truncate(self, length: int) -> None:
         """Discard durable bytes past ``length`` (recovery's torn-tail cut)."""

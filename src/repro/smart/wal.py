@@ -19,6 +19,14 @@ A ``ckpt`` record's ``executed`` is the checkpoint's
 :meth:`~repro.smart.batching.ExecutedRequests.snapshot`, left out while
 the table is empty.
 
+A checkpoint compacts the log, as BFT-SMaRt's does: once its ``ckpt``
+record is durable, the image is swapped (:meth:`SimDisk.swap`) for that
+frame, one ``reg`` frame with the highest regency logged (if any was),
+and the ``batch`` / ``write`` / ``accept`` frames above the
+checkpoint's cid in their original order.  Recovery then reads the
+checkpoint plus its suffix, and the image stays about one checkpoint
+period long however long the run.
+
 Decided-batch records deliberately ride the next vote's fsync (group
 commit): losing one costs a state-transfer round-trip on recovery but
 never safety.
@@ -62,6 +70,14 @@ _VOTE_TEMPLATES = {
     "accept": b'{"cid":%d,"h":"%b","reg":%d,"t":"accept"}',
 }
 _REGENCY_TEMPLATE = b'{"reg":%d,"t":"reg"}'
+
+#: A record's keys sort ``cid`` first (``reg`` in a ``reg`` record) and
+#: ``t`` last, so :meth:`ConsensusWAL._compacted` reads a frame's kind
+#: and number off its bytes without decoding it: the number runs from
+#: the end of the seven-byte head to the next comma.
+_REG_HEAD = b'{"reg":'
+_CKPT_TAIL = b'"t":"ckpt"}\n'
+_HEAD_END = 9 + len(_REG_HEAD)
 
 
 def _identity(value: Any) -> Any:
@@ -177,8 +193,42 @@ class ConsensusWAL(OperationLog):
         }
         if any(checkpoint.executed):
             record["executed"] = checkpoint.executed
-        self.disk.append(frame_record(record))
+        frame = frame_record(record)
+        self.disk.append(frame)
         self.disk.sync()
+        self.disk.swap(self._compacted(checkpoint.cid, frame))
+
+    def _compacted(self, cid: int, frame: bytes) -> bytearray:
+        """The image a checkpoint at ``cid`` leaves, its ``frame`` first.
+
+        Walks the durable image frame by frame without decoding one:
+        the ``reg`` frames fold into one with the highest regency, and
+        of the others only the non-``ckpt`` frames above ``cid`` stay,
+        in their order.  The image ends with ``frame`` itself, which the
+        walk stops short of.  Every frame on the disk is one this WAL
+        wrote or :meth:`recover` salvaged (it cuts the image at the
+        first damaged byte), so each one parses.
+        """
+        durable = self.disk.read()
+        kept: List[Tuple[int, int]] = []
+        regency: Optional[int] = None
+        offset, end = 0, len(durable) - len(frame)
+        while offset < end:
+            line_end = durable.index(b"\n", offset) + 1
+            head = offset + _HEAD_END
+            number = int(durable[head : durable.index(b",", head)])
+            if durable.startswith(_REG_HEAD, offset + 9):
+                regency = number if regency is None else max(regency, number)
+            elif number > cid and not durable.endswith(_CKPT_TAIL, offset, line_end):
+                kept.append((offset, line_end))
+            offset = line_end
+        image = bytearray(frame)
+        if regency is not None:
+            image += frame_payload(_REGENCY_TEMPLATE % regency)
+        view = memoryview(durable)
+        for start, stop in kept:
+            image += view[start:stop]
+        return image
 
     # ------------------------------------------------------------------
     # Consensus-evidence records
@@ -276,7 +326,9 @@ class ConsensusWAL(OperationLog):
         Used by the fault explorer's durable-log invariant: the stream
         must parse cleanly and must never contain two different batch
         payloads for one cid or two different hashes for one
-        (vote-kind, cid, regency) slot.
+        (vote-kind, cid, regency) slot, nor a record for a cid at or
+        below a checkpoint that precedes it -- no correct replica
+        writes one, and no correct compaction leaves one.
         """
         problems: List[str] = []
         scan = scan_records(self.disk.contents())
@@ -284,8 +336,16 @@ class ConsensusWAL(OperationLog):
             problems.append(f"log scan failed: {scan.error}")
         batches: Dict[int, Any] = {}
         votes: Dict[Tuple[str, int, int], str] = {}
+        checkpoint: Optional[int] = None
         for record in scan.records:
             kind = record["t"]
+            if kind == "ckpt":
+                checkpoint = record["cid"]
+            elif checkpoint is not None and record.get("cid", checkpoint + 1) <= checkpoint:
+                problems.append(
+                    f"{kind} record for cid={record['cid']} after the checkpoint "
+                    f"at cid={checkpoint}"
+                )
             if kind == "batch":
                 cid = record["cid"]
                 if cid in batches and batches[cid] != record["reqs"]:

@@ -6,9 +6,14 @@ encoder, byte template, or a frame another replica built for the same
 batch object -- must never show in its bytes.  The reference is the
 ``json.dumps`` framing the WAL had before, kept in
 ``tests/test_sim_storage.py``.
+
+A checkpoint compacts the image; :class:`TestCompaction` holds what a
+restart rebuilds off it to what it rebuilds off the stream as written
+(:class:`UncompactedDisk`).
 """
 
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +21,7 @@ from hypothesis import strategies as st
 from repro.fabric.envelope import Envelope
 from repro.ordering.node import TimeToCut
 from repro.ordering.wal_codec import encode_value
-from repro.sim.storage import SimDisk, scan_records
+from repro.sim.storage import SimDisk, StorageFaults, scan_records
 from repro.smart.batching import RequestBatch
 from repro.smart.durability import Checkpoint
 from repro.smart.messages import ClientRequest
@@ -159,4 +164,102 @@ class TestBatchAndCheckpointRecords:
                 "state": encode_value(state),
                 "hash": state_hash.hex(),
             }
+        )
+
+
+class UncompactedDisk(SimDisk):
+    """The oracle: a disk that records every synced byte and ignores a
+    checkpoint's swap, so its image is the stream as it was written."""
+
+    def swap(self, image: bytearray) -> None:
+        assert not self.unsynced_size
+
+
+#: what a replica writes, in any interleaving: the next decided batch,
+#: a vote at the instance just decided or the next one, a regency, and a
+#: checkpoint at the last decision or, as state transfer installs one,
+#: past it
+wal_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("batch"), st.integers(0, 2)),
+        st.tuples(st.sampled_from(["write", "accept"]), st.integers(0, 1), st.integers(0, 3)),
+        st.tuples(st.just("reg"), st.integers(0, 3)),
+        st.tuples(st.just("ckpt"), st.integers(0, 2), st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+def replay(ops, wal: ConsensusWAL) -> None:
+    decided, checkpoint = -1, -1
+    for op in ops:
+        kind = op[0]
+        if kind == "batch":
+            decided += 1
+            wal.append(decided, [ClientRequest(7, decided, operation=op[1], size_bytes=1)])
+        elif kind in ("write", "accept"):
+            log = wal.log_write if kind == "write" else wal.log_accept
+            cid = max(decided, checkpoint + 1) + op[1]
+            log(cid, op[2], b"%d/%d" % (cid, op[2]))  # one value per slot
+        elif kind == "reg":
+            wal.log_regency(op[1])
+        elif decided + op[1] > checkpoint:
+            checkpoint = decided = decided + op[1]
+            executed = ((), ((7, decided),)) if op[2] else ((), ())
+            state = {"at": decided}
+            wal.set_checkpoint(Checkpoint(decided, state, b"%d" % decided, executed))
+
+
+def recovered(disk: SimDisk) -> tuple:
+    """What a restart off ``disk`` rebuilds, votes at or below the
+    checkpoint left out: a replica never reads those."""
+    recovery = ConsensusWAL(disk).recover()
+    checkpoint = recovery.checkpoint
+    floor = checkpoint.cid if checkpoint is not None else -1
+    return (
+        None
+        if checkpoint is None
+        else (checkpoint.cid, checkpoint.state, checkpoint.state_hash, checkpoint.executed),
+        [
+            (cid, [(r.client_id, r.sequence, r.operation, r.size_bytes) for r in batch])
+            for cid, batch in recovery.entries
+        ],
+        recovery.regency,
+        {cid: votes for cid, votes in recovery.write_evidence.items() if cid > floor},
+        {cid: votes for cid, votes in recovery.accept_evidence.items() if cid > floor},
+        recovery.truncated_bytes,
+        recovery.corrupt,
+    )
+
+
+class TestCompaction:
+    @settings(max_examples=120, deadline=None)
+    @given(ops=wal_ops, tear=st.none() | st.integers(0, 2**32))
+    def test_recovery_of_the_compacted_image_is_the_oracles(self, ops, tear):
+        """Same operations on a compacting disk and on the oracle, then
+        the same crash (unsynced suffix lost, or torn by the same draw):
+        a restart rebuilds the same thing off either image."""
+        compacted, oracle = ConsensusWAL(SimDisk()), ConsensusWAL(UncompactedDisk())
+        replay(ops, compacted)
+        replay(ops, oracle)
+        assert compacted.disk.fsyncs == oracle.disk.fsyncs
+        assert compacted.disk.bytes_appended == oracle.disk.bytes_appended
+        assert compacted.disk.durable_size <= oracle.disk.durable_size
+        assert compacted.verify() == [] and oracle.verify() == []
+        if tear is not None:
+            for wal in (compacted, oracle):
+                wal.disk.crash(StorageFaults(torn_tail=True), random.Random(tear))
+        assert recovered(compacted.disk) == recovered(oracle.disk)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=wal_ops, state=codec_values)
+    def test_a_checkpoint_over_everything_leaves_only_its_frame(self, ops, state):
+        """No regency logged and nothing above the checkpoint: the image
+        is the checkpoint's frame, byte for byte."""
+        wal = ordering_wal()
+        replay([op for op in ops if op[0] != "reg"], wal)
+        top = 3 * len(ops) + 3  # past every cid the operations reach
+        wal.set_checkpoint(Checkpoint(cid=top, state=state, state_hash=b"\x01"))
+        assert wal.disk.read() == oracle_frame_record(
+            {"t": "ckpt", "cid": top, "state": encode_value(state), "hash": "01"}
         )

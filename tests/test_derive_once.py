@@ -155,12 +155,17 @@ class TestBudgets:
         assert encodes["batch"] == decisions
         assert set(encodes) == {"batch", "ckpt"}  # no vote or regency went through JSON
         assert constructed == []
-        # and what was shared is what each replica would have written itself
+        # and what was shared is what each replica would have written itself;
+        # the last checkpoint compacted the image to its frame plus the
+        # records above it
         for replica in service.replicas:
             image = replica.log.disk.contents()
             records = scan_records(image).records
-            assert sum(1 for r in records if r["t"] == "batch") == decisions
-            assert sum(1 for r in records if r["t"] in ("write", "accept")) == 2 * decisions
+            assert records[0]["t"] == "ckpt"
+            above = decisions - 1 - records[0]["cid"]
+            assert above > 0
+            assert sum(1 for r in records if r["t"] == "batch") == above
+            assert sum(1 for r in records if r["t"] in ("write", "accept")) == 2 * above
             assert image == b"".join(oracle_frame_record(r) for r in records)
             assert replica.log.disk.fsyncs >= 2 * decisions  # one per vote, as before
         assert check_durable_logs(service.replicas) == []

@@ -95,6 +95,24 @@ class TestSimDisk:
         disk.truncate(4)
         assert disk.read() == b"0123"
 
+    def test_swap_replaces_the_durable_image_and_counts_nothing(self):
+        disk = SimDisk()
+        disk.append(b"0123456789")
+        disk.sync()
+        disk.swap(bytearray(b"abc"))
+        assert disk.read() == b"abc"
+        assert (disk.fsyncs, disk.bytes_appended) == (1, 10)
+        disk.append(b"d")
+        disk.sync()
+        assert disk.read() == b"abcd"
+
+    def test_swap_refuses_unsynced_bytes(self):
+        disk = SimDisk()
+        disk.append(b"unsynced")
+        with pytest.raises(AssertionError):
+            disk.swap(bytearray(b"abc"))
+        assert disk.contents() == b"unsynced"
+
     def test_read_latency_scales_with_size(self):
         disk = SimDisk(fsync_latency=0.0, read_bandwidth=100.0)
         disk.append(b"x" * 200)

@@ -11,7 +11,7 @@ import random
 from repro.faults.invariants import VoteRecorder, check_durable_logs
 from repro.obs import Observability
 from repro.ordering.wal_codec import decode_value, encode_value
-from repro.sim.storage import SimDisk, StorageFaults
+from repro.sim.storage import SimDisk, StorageFaults, scan_records
 from repro.smart import ReconfigurationClient, default_replier
 from repro.smart.messages import ClientRequest
 from repro.smart.wal import ConsensusWAL
@@ -187,6 +187,74 @@ class TestAmnesiacRestart:
         cluster.run(1.0)
         assert leader.last_executed == victim.last_executed == 8
         assert cluster.apps[1].history == cluster.apps[0].history
+
+
+def assert_one_period_on_disk(wal: ConsensusWAL, period: int) -> None:
+    """The durable image is the last checkpoint's frame, at most one
+    ``reg`` frame, and the batch and vote frames of one period plus the
+    instance in flight, all above the checkpoint, one of each per slot."""
+    records = scan_records(wal.disk.read()).records
+    floor = -1
+    if any(record["t"] == "ckpt" for record in records):
+        assert records[0]["t"] == "ckpt"
+        floor = records.pop(0)["cid"]
+        if records and records[0]["t"] == "reg":
+            records.pop(0)
+    slots = [(r["t"], r["cid"], r.get("reg")) for r in records if r["t"] != "reg"]
+    assert len(slots) == len(set(slots))
+    cids = {cid for _, cid, _ in slots}
+    assert all(cid > floor for cid in cids)
+    assert len(cids) <= period + 1
+
+
+class TestCheckpointCompactsTheWal:
+    def test_image_stays_one_period_long_and_a_restart_rejoins(self):
+        """Five periods of decisions, one each, checked after every
+        record a replica logs; replica 1 crashes with amnesia after the
+        third checkpoint, replays from it and rejoins."""
+        period = 4
+        cluster = wal_cluster(checkpoint_period=period)
+        checked = []
+
+        def watch(wal, name):
+            logged = getattr(wal, name)
+
+            def checking(*args):
+                result = logged(*args)
+                assert_one_period_on_disk(wal, period)
+                checked.append(name)
+                return result
+
+            setattr(wal, name, checking)
+
+        for replica in cluster.replicas:
+            for name in ("append", "set_checkpoint", "log_write", "log_accept", "log_regency"):
+                watch(replica.log, name)
+        victim = cluster.replicas[1]
+        proxy = cluster.proxy()
+        for operation in range(1, 13):  # cids 0..11: the third checkpoint is at 11
+            assert cluster.drain([proxy.invoke(operation)])
+        assert victim.log.checkpoint.cid == 11
+        victim.crash(amnesia=True)
+        victim.log.disk.crash(StorageFaults(torn_tail=True), random.Random(5))
+        assert scan_records(victim.log.disk.read()).records[0]["cid"] == 11
+        for operation in range(13, 17):
+            assert cluster.drain([proxy.invoke(operation)])
+        victim.recover()
+        cluster.run(3.0)
+        for operation in range(17, 21):  # cids 16..19: the fifth period
+            assert cluster.drain([proxy.invoke(operation)])
+        cluster.run(1.0)
+
+        assert victim.counters.restarts == 1
+        assert victim.recovery_stats["rejoined_at"] is not None
+        assert not victim.recovery_stats["corrupt"]
+        assert {replica.last_executed for replica in cluster.replicas} == {19}
+        assert {replica.log.checkpoint.cid for replica in cluster.replicas} == {19}
+        assert all(app.get_state() == cluster.apps[0].get_state() for app in cluster.apps)
+        assert cluster.apps[0].history == list(range(1, 21))
+        assert checked.count("set_checkpoint") >= 4 * 4
+        assert check_durable_logs(cluster.replicas) == []
 
 
 class TestLeaderReturnsBeforeItsSuccessorIsElected:

@@ -13,7 +13,7 @@ from repro.faults.invariants import check_durable_logs
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 from repro.ordering.node import TimeToCut
 from repro.ordering.wal_codec import decode_value, encode_value
-from repro.sim.storage import SimDisk, StorageFaults
+from repro.sim.storage import SimDisk, StorageFaults, frame_record
 from repro.smart.durability import Checkpoint, OperationLog, state_digest
 from repro.smart.messages import ClientRequest
 from repro.smart.reconfiguration import ReconfigOp
@@ -138,6 +138,58 @@ class TestConsensusWAL:
         problems = wal.verify()
         assert any("conflicting write votes" in p for p in problems)
 
+    def test_checkpoint_compacts_the_image(self):
+        """The checkpoint's frame first, one ``reg`` frame with the
+        highest regency logged, then the frames above the checkpoint
+        in their order -- the bytes they had, and no fsync more."""
+        wal = make_wal()
+        wal.log_regency(2)
+        wal.append(0, [request(0)])
+        wal.log_write(1, 2, b"\x01" * 4)
+        wal.log_regency(1)
+        wal.append(1, [request(1)])
+        wal.log_accept(1, 2, b"\x01" * 4)
+        wal.log_write(2, 2, b"\x02" * 4)
+        fsyncs, appended = wal.disk.fsyncs, wal.disk.bytes_appended
+        state = {"total": 1}
+        wal.set_checkpoint(Checkpoint(cid=1, state=state, state_hash=state_digest(state)))
+        ckpt = frame_record(
+            {"t": "ckpt", "cid": 1, "state": state, "hash": state_digest(state).hex()}
+        )
+        assert wal.disk.read() == (
+            ckpt
+            + frame_record({"t": "reg", "reg": 2})
+            + frame_record({"t": "write", "cid": 2, "reg": 2, "h": "02020202"})
+        )
+        assert wal.disk.fsyncs == fsyncs + 1
+        assert wal.disk.bytes_appended == appended + len(ckpt)
+        assert wal.verify() == []
+
+    def test_checkpoint_above_everything_leaves_its_frame_alone(self):
+        wal = make_wal()
+        wal.append(0, [request(0)])
+        wal.log_write(0, 0, b"\x01" * 4)
+        wal.set_checkpoint(Checkpoint(cid=0, state=None, state_hash=b"\x00"))
+        assert wal.disk.read() == frame_record(
+            {"t": "ckpt", "cid": 0, "state": None, "hash": "00"}
+        )
+
+    def test_verify_reports_a_record_at_or_below_an_earlier_checkpoint(self):
+        """A mutation compaction would hide: after the checkpoint at
+        cid 1, a vote at cid 1 and a batch at cid 0."""
+        wal = make_wal()
+        wal.append(0, [request(0)])
+        wal.append(1, [request(1)])
+        wal.set_checkpoint(Checkpoint(cid=1, state=None, state_hash=b"\x00"))
+        wal.log_write(2, 0, b"\x01" * 4)
+        assert wal.verify() == []
+        wal.log_accept(1, 0, b"\x01" * 4)
+        wal.disk.append(frame_record({"t": "batch", "cid": 0, "reqs": []}))
+        assert wal.verify() == [
+            "accept record for cid=1 after the checkpoint at cid=1",
+            "batch record for cid=0 after the checkpoint at cid=1",
+        ]
+
     def test_verify_reports_scan_damage(self):
         wal = make_wal()
         wal.log_write(0, 0, b"\x01" * 8)
@@ -228,7 +280,9 @@ def wal_image_fingerprint() -> dict:
 def test_wal_image_matches_golden():
     """Recorded at the parent of the templated / shared framing: every
     byte any replica wrote -- votes, regencies, batches, checkpoints,
-    the torn and truncated tail -- is unchanged, and so is every fsync."""
+    the torn and truncated tail -- is unchanged, and so is every fsync.
+    Re-recorded once when a checkpoint began to compact the image: only
+    each replica's ``sha256`` and ``durable_size`` moved."""
     fingerprint = wal_image_fingerprint()
     assert fingerprint["truncated_bytes"] > 0 and max(fingerprint["regencies"]) >= 1
     assert fingerprint == json.loads(GOLDEN.read_text())
