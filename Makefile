@@ -12,7 +12,6 @@ PROFILE_SEEDS ?= 25
 # benchmark harness knobs (see docs/BENCHMARKS.md)
 BASELINE ?= benchmarks/baselines/BENCH_smoke.json
 CANDIDATE ?= BENCH_smoke.json
-TOLERANCE ?= 0.05
 
 # experiment report / sweep knobs (see docs/BENCHMARKS.md)
 REPORT_INPUTS ?= $(BASELINE) $(CANDIDATE)
@@ -41,7 +40,7 @@ HYPOTHESIS_PROFILE ?= tier1
 
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
-.PHONY: test lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs mem-census
+.PHONY: test golden lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs mem-census
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run);
 ## property tests run under the derandomized, database-less hypothesis
@@ -49,6 +48,15 @@ HYPOTHESIS_PROFILE ?= tier1
 test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q \
 		--hypothesis-profile=$(HYPOTHESIS_PROFILE)
+
+## the pin ledger (tests/golden.py): diff every golden under
+## tests/data/golden/ against a fresh recording, old -> new per moved
+## field, exit 1 on any move; UPDATE=NAME rewrites that one file
+## (PYTHONHASHSEED=1 is the hash_seed a rewritten smoke golden records)
+## usage: make golden [UPDATE=NAME]
+golden:
+	PYTHONHASHSEED=1 $(PYTHONPATH_PREFIX) $(PYTHON) -m tests.golden \
+		$(if $(UPDATE),--update $(UPDATE))
 
 ## static checks: real ruff when installed, AST fallback otherwise
 ## (config in pyproject.toml; see tools/lint.py)
@@ -125,13 +133,16 @@ bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run --smoke \
 		--name smoke --out $(CANDIDATE)
 
-## regression gate: compare a candidate run against the stored baseline
-## usage: make bench-check [BASELINE=...] [CANDIDATE=...] [TOLERANCE=0.05]
+## regression gate: the candidate must reproduce every value of the
+## stored baseline exactly, per unit and seed (any move fails, better
+## or worse; a unit that moves on purpose comes with bench-baseline)
+## usage: make bench-check [BASELINE=...] [CANDIDATE=...]
 bench-check:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench compare \
-		$(BASELINE) $(CANDIDATE) --tolerance $(TOLERANCE)
+		$(BASELINE) $(CANDIDATE)
 
-## refresh the committed smoke baseline after an intentional perf change
+## refresh the committed smoke baseline after an intentional change of
+## behaviour (commit it with the change that moved it)
 bench-baseline:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run --smoke \
 		--name smoke --out $(BASELINE)

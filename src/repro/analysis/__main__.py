@@ -10,7 +10,7 @@ Subcommands:
 - ``racesan``: the schedule-race sanitizer (K tie-break permutations
   per scenario, semantic-digest diff, RACESAN001).
 - ``capture``: one scenario run to a JSON record -- what ``detsan``
-  spawns once per hash seed, and what ``tools/write_golden.py`` pins.
+  spawns once per hash seed, and what the pin ledger's smoke goldens pin.
 - ``rules``: print the rule catalog.
 
 Exit status everywhere: 0 clean, 1 findings/divergence, 2 internal

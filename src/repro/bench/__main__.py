@@ -8,13 +8,13 @@ Subcommands::
     python -m repro.bench run --smoke --out path.json --repeats 3
     python -m repro.bench run --spec benchmarks/specs/bakeoff.toml
     python -m repro.bench compare baseline.json candidate.json
-    python -m repro.bench compare baseline.json candidate.json --tolerance 0.1
     python -m repro.bench report a.json b.json --names baseline,candidate
     python -m repro.bench report BENCH_full.json --by orderer
     python -m repro.bench history append BENCH_full.json --dir benchmarks/history
 
-``compare`` exits 0 when the candidate is clean, 1 on a regression
-(the gate of :mod:`repro.bench.report`), 2 on usage/schema errors.
+``compare`` exits 0 when the candidate reproduces every baseline value
+exactly, 1 on any moved or missing unit (the gate of
+:mod:`repro.bench.report`), 2 on usage/schema errors.
 ``report`` (the same module's N-way analysis) and ``history`` exit 0
 on success, 2 on usage/schema errors.
 """
@@ -108,16 +108,13 @@ def cmd_compare(args) -> int:
 
     try:
         report = compare_results(
-            load_result(args.baseline),
-            load_result(args.candidate),
-            tolerance=args.tolerance,
-            alpha=args.alpha,
+            load_result(args.baseline), load_result(args.candidate)
         )
     except (OSError, ValueError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.render())
-    code = gate(report, strict_missing=args.strict_missing)
+    code = gate(report)
     if code != 0:
         print("bench-compare: FAIL", file=sys.stderr)
     return code
@@ -264,22 +261,12 @@ def main(argv=None) -> int:
     run_parser.add_argument("--quiet", action="store_true")
 
     compare_parser = sub.add_parser(
-        "compare", help="gate a candidate result against a baseline"
+        "compare",
+        help="gate a candidate result against a baseline: any moved or "
+        "missing value fails",
     )
     compare_parser.add_argument("baseline")
     compare_parser.add_argument("candidate")
-    compare_parser.add_argument(
-        "--tolerance", type=float, default=0.05,
-        help="relative median tolerance before a move counts (default 0.05)",
-    )
-    compare_parser.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="Mann-Whitney significance level (default 0.05)",
-    )
-    compare_parser.add_argument(
-        "--strict-missing", action="store_true",
-        help="fail when baseline coverage is missing from the candidate",
-    )
 
     report_parser = sub.add_parser(
         "report",

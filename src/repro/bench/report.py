@@ -4,8 +4,9 @@ This module answers the evaluation question the paper (and the SmartBFT
 bake-off after it) is built on: **given N variants — orderers, configs,
 commits — which is best, where, and is the difference statistically
 real?**  "Did *this one* run regress against *that one* baseline?" is
-its two-variant case, read off the same per-unit statistics by the
-regression gate at the bottom (``python -m repro.bench compare``).
+its two-variant case, which the regression gate at the bottom
+(``python -m repro.bench compare``) reads off the same grouping without
+statistics: the simulator is deterministic, so the gate is exact.
 
 Inputs are ``repro-bench-result/1`` documents.  Variants come from one
 of two groupings:
@@ -113,6 +114,9 @@ class Unit:
     samples: Dict[str, List[float]] = field(default_factory=dict)
     #: variant -> median-of-repeats (None when non-finite)
     medians: Dict[str, Optional[float]] = field(default_factory=dict)
+    #: variant -> ``(seed, value)`` per repeat, as recorded (the gate's
+    #: exact comparison)
+    runs: Dict[str, List[Tuple[Any, Any]]] = field(default_factory=dict)
 
     @property
     def key(self) -> Tuple:
@@ -183,6 +187,9 @@ def _ingest_document(
                 unit.samples[point_variant] = _finite(summary["values"])
                 unit.medians[point_variant] = _finite_or_none(
                     summary.get("median")
+                )
+                unit.runs[point_variant] = list(
+                    zip(point["seeds"], summary["values"])
                 )
             if "phases" in point and point["phases"]:
                 entry = grouping.phases.setdefault(
@@ -267,8 +274,8 @@ class PairwiseCell:
 class UnitAnalysis:
     """Every statistic of one unit, computed on first read and memoized
     (the shape of fuzzbench's ``BenchmarkResults``): the markdown, HTML,
-    JSON and step-summary renderers and the regression gate are all
-    readers of these properties, so no test is run twice."""
+    JSON and step-summary renderers are all readers of these
+    properties, so no test is run twice."""
 
     unit: Unit
     #: the report's variants; the unit is *complete* when it covers all
@@ -996,16 +1003,10 @@ def build_report(
 
 
 # ----------------------------------------------------------------------
-# Regression gate: the two-variant reading (``compare`` on the CLI)
+# Regression gate: the exact two-variant reading (``compare`` on the CLI)
 # ----------------------------------------------------------------------
 #: Variant names of the gate's two-file grouping.
 BASELINE, CANDIDATE = "baseline", "candidate"
-
-#: Minimum per-side repeats before the Mann-Whitney test is consulted.
-MIN_SAMPLES_FOR_TEST = 5
-
-#: Default relative tolerance on the median delta (5%).
-DEFAULT_TOLERANCE = 0.05
 
 
 @dataclass
@@ -1014,15 +1015,13 @@ class Verdict:
 
     unit: Unit
     status: str  # "ok" | "improved" | "regression" | "missing"
-    delta_relative: Optional[float] = None
-    #: set, like ``effect_a12``, only when both sides were testable
-    p_value: Optional[float] = None
-    #: probability that a candidate repeat exceeds a baseline repeat
-    effect_a12: Optional[float] = None
+    #: ``(seed, baseline value, candidate value)`` of every repeat
+    #: whose value moved
+    moves: List[Tuple[Any, Any, Any]] = field(default_factory=list)
     detail: str = ""
-    #: on a regression between two ``--phases`` runs, phase label ->
+    #: on a move between two ``--phases`` runs, phase label ->
     #: ``{"baseline": s, "candidate": s, "delta": s}`` (means over
-    #: repeats): which protocol phase the regression sits in
+    #: repeats): which protocol phase the move sits in
     phase_deltas: Optional[Dict[str, Dict[str, float]]] = None
 
     def describe(self) -> str:
@@ -1033,32 +1032,34 @@ class Verdict:
         )
         if self.status == "missing":
             return f"{head}: {self.detail}"
-        delta = (
-            "n/a"
-            if self.delta_relative is None
-            else f"{self.delta_relative * 100:+.1f}%"
+        moved = "; ".join(
+            f"seed {seed}: {old!r} → {new!r}{_relative_move(old, new)}"
+            for seed, old, new in self.moves
         )
-        p = "" if self.p_value is None else f", p={self.p_value:.4f}"
-        if self.effect_a12 is not None:
-            p += f", A12={self.effect_a12:.2f}"
-        line = (
-            f"{head}: {_fmt(unit.medians[BASELINE])} -> "
-            f"{_fmt(unit.medians[CANDIDATE])} "
-            f"({delta}{p}, {unit.direction} is better)"
-        )
+        line = f"{head} ({unit.direction} is better): {moved}"
         if self.phase_deltas:
             worst = sorted(
                 self.phase_deltas.items(),
                 key=lambda item: abs(item[1]["delta"]),
                 reverse=True,
             )[:3]
-            moved = "; ".join(
+            phases = "; ".join(
                 f"{label} {entry['baseline'] * 1e3:.3f}ms -> "
                 f"{entry['candidate'] * 1e3:.3f}ms"
                 for label, entry in worst
             )
-            line += f"\n             phases most moved: {moved}"
+            line += f"\n             phases most moved: {phases}"
         return line
+
+
+def _numbers(*values: Any) -> bool:
+    return len(_finite(values)) == len(values)
+
+
+def _relative_move(old: Any, new: Any) -> str:
+    if not _numbers(old, new) or old == 0:
+        return ""
+    return f" ({(new - old) / abs(old):+.2%})"
 
 
 @dataclass
@@ -1067,8 +1068,6 @@ class GateReport:
 
     baseline_name: str
     candidate_name: str
-    tolerance: float
-    alpha: float
     verdicts: List[Verdict]
 
     @property
@@ -1085,39 +1084,11 @@ class GateReport:
             counts[verdict.status] += 1
         return counts
 
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": "repro-bench-compare/1",
-            "baseline": self.baseline_name,
-            "candidate": self.candidate_name,
-            "tolerance": self.tolerance,
-            "alpha": self.alpha,
-            "counts": self.summary_counts(),
-            "comparisons": [
-                {
-                    "benchmark": v.unit.benchmark,
-                    "params": v.unit.params,
-                    "metric": v.unit.metric,
-                    "direction": v.unit.direction,
-                    "status": v.status,
-                    "baseline_median": v.unit.medians.get(BASELINE),
-                    "candidate_median": v.unit.medians.get(CANDIDATE),
-                    "delta_relative": v.delta_relative,
-                    "p_value": v.p_value,
-                    "effect_a12": v.effect_a12,
-                    "detail": v.detail,
-                    "phase_deltas": v.phase_deltas,
-                }
-                for v in self.verdicts
-            ],
-        }
-
     def render(self) -> str:
         counts = self.summary_counts()
         lines = [
             f"bench-compare: baseline={self.baseline_name} "
-            f"candidate={self.candidate_name} "
-            f"tolerance={self.tolerance:.1%} alpha={self.alpha}",
+            f"candidate={self.candidate_name} (exact: any moved value fails)",
             f"  {counts['ok']} ok, {counts['improved']} improved, "
             f"{counts['regression']} regressions, {counts['missing']} missing",
         ]
@@ -1128,102 +1099,74 @@ class GateReport:
 
 
 def compare_results(
-    baseline: Mapping[str, Any],
-    candidate: Mapping[str, Any],
-    tolerance: float = DEFAULT_TOLERANCE,
-    alpha: float = DEFAULT_ALPHA,
+    baseline: Mapping[str, Any], candidate: Mapping[str, Any]
 ) -> GateReport:
-    """Gate two validated result documents: the two-variant report,
-    read from the baseline's perspective.
+    """Gate two validated result documents exactly.
 
-    Every baseline unit gets a verdict; extra candidate coverage is
-    ignored.  A unit the candidate lacks is ``missing`` (matrix subsets
-    — smoke vs full — are routine, but dropped coverage stays visible).
-    Otherwise it is a ``regression`` when (1) the median-of-repeats
-    moves in the metric's bad direction by more than ``tolerance``
-    (relative) and (2), if both sides carry >= ``MIN_SAMPLES_FOR_TEST``
-    repeats, the unit's Mann–Whitney test also rejects the no-change
-    null (p < ``alpha``), so repeat noise cannot trip the gate; with
-    fewer repeats the median delta alone decides, which is sound
-    because single-repeat runs of the deterministic simulator are
-    bit-stable.  The mirror-image move is ``improved``, the rest ``ok``.
+    For a given seed the simulator's metric values are bit-identical, so
+    a value either reproduces or the behaviour moved.  Every baseline
+    unit gets a verdict; extra candidate coverage is ignored.  A unit
+    the candidate lacks, or a seed of it, is ``missing``.  Otherwise
+    each repeat is compared with the candidate's at the same position
+    and seed, and any difference is a move: ``improved`` when every
+    moved value went the metric's good way, ``regression`` otherwise.
+    Every verdict but ``ok`` fails the gate -- a unit that moves on
+    purpose arrives with a regenerated baseline.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
     grouping = group_by_files([(BASELINE, baseline), (CANDIDATE, candidate)])
-    report = analyze(grouping, alpha=alpha)
     # what the candidate covers at all, to say *what* is missing
     covered = set()
-    for analysis in report.units:
-        if CANDIDATE in analysis.unit.medians:
-            covered.add(analysis.unit.benchmark)
-            covered.add(analysis.unit.key[:2])
+    for unit in grouping.units.values():
+        if CANDIDATE in unit.runs:
+            covered.add(unit.benchmark)
+            covered.add(unit.key[:2])
     verdicts: List[Verdict] = []
-    for analysis in report.units:
-        unit = analysis.unit
-        if BASELINE not in unit.medians:
+    for unit in grouping.units.values():
+        if BASELINE not in unit.runs:
             continue
-        if CANDIDATE not in unit.medians:
-            why = (
-                "benchmark absent from candidate"
-                if unit.benchmark not in covered
-                else "matrix point absent from candidate"
-                if unit.key[:2] not in covered
-                else "metric absent from candidate"
-            )
-            verdicts.append(Verdict(unit, "missing", detail=why))
-            continue
-        verdict = _verdict(analysis, tolerance, alpha)
-        if verdict.status == "regression":
-            verdict.phase_deltas = _phase_deltas(report.phases.get(unit.key[:2]))
+        verdict = _verdict(unit, covered)
+        if verdict.moves:
+            verdict.phase_deltas = _phase_deltas(grouping.phases.get(unit.key[:2]))
         verdicts.append(verdict)
     return GateReport(
         baseline_name=baseline["run_name"],
         candidate_name=candidate["run_name"],
-        tolerance=tolerance,
-        alpha=alpha,
         verdicts=verdicts,
     )
 
 
-def _verdict(analysis: UnitAnalysis, tolerance: float, alpha: float) -> Verdict:
-    unit = analysis.unit
-    base_median, cand_median = unit.medians[BASELINE], unit.medians[CANDIDATE]
-    if base_median is None or cand_median is None:
+def _verdict(unit: Unit, covered: set) -> Verdict:
+    if CANDIDATE not in unit.runs:
+        why = (
+            "benchmark absent from candidate"
+            if unit.benchmark not in covered
+            else "matrix point absent from candidate"
+            if unit.key[:2] not in covered
+            else "metric absent from candidate"
+        )
+        return Verdict(unit, "missing", detail=why)
+    base, cand = unit.runs[BASELINE], unit.runs[CANDIDATE]
+    absent = [
+        seed
+        for index, (seed, _) in enumerate(base)
+        if index >= len(cand) or cand[index][0] != seed
+    ]
+    if absent:
         return Verdict(
-            unit, "missing", detail="median is null (non-finite measurement)"
+            unit, "missing", detail=f"seed(s) {absent} absent from candidate"
         )
-    if base_median == 0:
-        delta = 0.0 if cand_median == 0 else math.inf
-    else:
-        delta = (cand_median - base_median) / abs(base_median)
-    verdict = Verdict(
-        unit, "ok", delta_relative=delta if math.isfinite(delta) else None
+    moves = [
+        (seed, old, new)
+        for (seed, old), (_, new) in zip(base, cand)
+        if not (old == new or (old != old and new != new))  # NaN is NaN
+    ]
+    if not moves:
+        return Verdict(unit, "ok")
+    better = all(
+        _numbers(old, new) and (new < old if unit.direction == "lower" else new > old)
+        for _, old, new in moves
     )
-    worse = delta > tolerance if unit.direction == "lower" else delta < -tolerance
-    better = delta < -tolerance if unit.direction == "lower" else delta > tolerance
-
-    repeats = min(len(unit.samples[BASELINE]), len(unit.samples[CANDIDATE]))
-    if repeats >= MIN_SAMPLES_FOR_TEST:
-        (cell,) = analysis.pairwise
-        verdict.p_value = cell.p_value
-        verdict.effect_a12 = cell.effect_of(CANDIDATE)
-        if cell.p_value >= alpha:
-            # the median moved, but the distributions are not
-            # distinguishable: treat as noise
-            if worse:
-                verdict.detail = "median delta beyond tolerance but p >= alpha"
-            worse = better = False
-
-    if worse:
-        verdict.status = "regression"
-        verdict.detail = (
-            f"median moved {delta:+.1%} in the bad direction "
-            f"(tolerance {tolerance:.1%})"
-        )
-    elif better:
-        verdict.status = "improved"
-    return verdict
+    return Verdict(unit, "improved" if better else "regression", moves=moves)
 
 
 def _phase_deltas(
@@ -1250,10 +1193,7 @@ def _phase_deltas(
     return deltas or None
 
 
-def gate(report: GateReport, strict_missing: bool = False) -> int:
-    """Process exit code for a gate report."""
-    if report.regressions:
-        return 1
-    if strict_missing and report.missing:
-        return 1
-    return 0
+def gate(report: GateReport) -> int:
+    """Process exit code for a gate report: 1 on any moved or missing
+    unit."""
+    return 0 if all(v.status == "ok" for v in report.verdicts) else 1

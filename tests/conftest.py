@@ -213,6 +213,16 @@ def cluster():
 
 
 @pytest.fixture
+def golden():
+    """The pin ledger (``tests/golden.py``): imported when a test first
+    asks for it, since it imports the test modules whose recorders it
+    holds."""
+    from tests import golden as ledger
+
+    return ledger
+
+
+@pytest.fixture
 def sim():
     return Simulator()
 

@@ -8,8 +8,8 @@ Three layers:
 - the report engine (:mod:`repro.bench.report`) over synthetic result
   documents: grouping rules, pairwise matrices, ranking, history
   series, and the golden-markdown determinism pin
-  (``tests/data/golden/bench_report.md``, regenerate with
-  ``PYTHONPATH=src python tools/write_report_golden.py``);
+  (``tests/data/golden/bench_report.md``, the pin ledger's
+  ``bench_report`` row: ``make golden UPDATE=bench_report``);
 - the ``python -m repro.bench report`` / ``history`` CLI exit codes.
 """
 
@@ -45,8 +45,6 @@ from repro.bench.stats import (
     sparkline,
 )
 from repro.sim.monitor import summarize
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
 
 # ----------------------------------------------------------------------
@@ -99,9 +97,8 @@ def make_document(run_name, benchmarks, mode="full"):
 
 
 def golden_scenario():
-    """Deterministic three-variant scenario used by the golden test and
-    ``tools/write_report_golden.py`` — change it only together with the
-    committed golden file."""
+    """Deterministic three-variant scenario of the ``bench_report``
+    golden — change it only together with the committed golden file."""
     variants = {
         "alpha": ([0.100, 0.101, 0.099, 0.102, 0.098, 0.100], 1200.0),
         "beta": ([0.130, 0.131, 0.129, 0.132, 0.128, 0.130], 1500.0),
@@ -430,14 +427,8 @@ class TestAnalysis:
         second = render_markdown(build_golden_report())
         assert first == second
 
-    def test_markdown_matches_golden(self):
-        golden_path = GOLDEN_DIR / "bench_report.md"
-        rendered = render_markdown(build_golden_report())
-        assert rendered == golden_path.read_text(encoding="utf-8"), (
-            "report markdown drifted from the committed golden; if the "
-            "change is intentional regenerate with "
-            "`PYTHONPATH=src python tools/write_report_golden.py`"
-        )
+    def test_markdown_matches_golden(self, golden):
+        golden.check("bench_report")
 
 
 class TestHistorySeries:

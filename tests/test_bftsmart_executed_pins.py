@@ -13,20 +13,15 @@ this one pins what the votes decided was executed, so a change to how a
 vote binds a batch (``smart/consensus.py::batch_hash``) must reproduce
 it byte for byte.
 
-``python -m tests.test_bftsmart_executed_pins`` prints the recording.
+The file is a row of the pin ledger, ``tests/golden.py``.
 """
-
-import json
-import pathlib
 
 import pytest
 
 from repro.crypto.hashing import sha256
 from repro.fabric.envelope import Envelope
 from repro.ordering.node import TimeToCut
-from tests.test_bftsmart_vote_pins import RUNS, encode
-
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden" / "bftsmart_executed_seed0.json"
+from tests.test_bftsmart_vote_pins import RUNS
 
 
 def operation_digest(operation) -> str:
@@ -62,21 +57,16 @@ def record(run: str) -> dict:
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_executed_operations_are_pinned(run):
-    golden = json.loads(GOLDEN.read_text())
-    assert encode(record(run)) == encode(golden[run])
+def test_executed_operations_are_pinned(golden, run):
+    golden.check("bftsmart_executed_seed0", run)
 
 
-def test_the_pinned_runs_execute_what_they_claim():
-    golden = json.loads(GOLDEN.read_text())
-    for executed in golden.values():
+def test_the_pinned_runs_execute_what_they_claim(golden):
+    pinned = golden.stored("bftsmart_executed_seed0")
+    for executed in pinned.values():
         # every replica executed the same sequence
         sequences = list(executed.values())
         assert sequences[0] and all(sequence == sequences[0] for sequence in sequences)
         cids = [cid for cid, _ in sequences[0]]
         assert cids == list(range(len(cids)))
-    assert sum(len(ops) for _, ops in golden["n10"]["0"]) >= 480
-
-
-if __name__ == "__main__":
-    print(encode({run: record(run) for run in sorted(RUNS)}), end="")
+    assert sum(len(ops) for _, ops in pinned["n10"]["0"]) >= 480

@@ -33,11 +33,8 @@ Two seeded LAN runs:
 ``test_seam_pins.py`` pins the event *stream*; this pins the quorum
 *contents* the stream cannot see.
 
-``python -m tests.test_bftsmart_vote_pins`` prints the recording.
+The file is a row of the pin ledger, ``tests/golden.py``.
 """
-
-import json
-import pathlib
 
 import pytest
 
@@ -48,7 +45,6 @@ from repro.fabric.envelope import Envelope
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 from repro.smart.messages import Write
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden" / "bftsmart_votes_seed0.json"
 #: the n10 run's batch size and load
 N10_BATCH = 16
 N10_ENVELOPES = 480
@@ -206,19 +202,14 @@ def record(run: str) -> dict:
     return _run_recording(build(), duration)
 
 
-def encode(recording: dict) -> str:
-    return json.dumps(recording, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_votes_counted_are_pinned(run):
-    golden = json.loads(GOLDEN.read_text())
-    assert encode(record(run)) == encode(golden[run])
+def test_votes_counted_are_pinned(golden, run):
+    golden.check("bftsmart_votes_seed0", run)
 
 
-def test_the_pinned_runs_exercise_what_they_claim():
-    golden = json.loads(GOLDEN.read_text())
-    n4, n10 = golden["n4_equivocation"], golden["n10"]
+def test_the_pinned_runs_exercise_what_they_claim(golden):
+    pinned = golden.stored("bftsmart_votes_seed0")
+    n4, n10 = pinned["n4_equivocation"], pinned["n10"]
     assert n4["regencies"] == [1, 1, 1, 1]
     for pid, rows in n4["replicas"].items():
         # one instance with the votes of both regencies, decided in the second
@@ -234,10 +225,3 @@ def test_the_pinned_runs_exercise_what_they_claim():
         decided = [row for row in rows if row[4] is not None]
         assert len(decided) < 2 * N10_ENVELOPES // N10_BATCH  # batches fill
         assert all(len(row[1][0][1][row[4][1]]) >= 7 for row in decided)
-
-
-if __name__ == "__main__":
-    print(
-        encode({run: record(run) for run in sorted(RUNS)}),
-        end="",
-    )

@@ -9,17 +9,13 @@ solo orderer; the bytes are also pinned over the BFT-SMaRt service,
 with and without its durable WAL.
 """
 
-import json
 import random
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from repro.faults.invariants import check_serializability
 from tests.conftest import BFT_FABRIC, SOLO_FABRIC, FabricNetwork, count_hashes_by_tag
-
-GOLDENS = Path(__file__).parent / "data" / "golden"
 
 HOT_KEYS = 16
 
@@ -58,35 +54,39 @@ def fabric_path_fingerprint(pipeline: FabricNetwork) -> dict:
     }
 
 
-#: row, transactions, golden file and its entry (None: the whole file)
+#: row, transactions, and where the pin ledger (``tests/golden.py``)
+#: keeps the path's fingerprint: a golden, then its entry if it has any
 FABRIC_PATHS = {
-    "solo": (SOLO_FABRIC, 200, "fabric_path_seed0.json", None),
-    "bftsmart": (BFT_FABRIC, 100, "fabric_path_bftsmart_seed0.json", "durable_wal=False"),
+    "solo": (SOLO_FABRIC, 200, ("fabric_path_seed0",)),
+    "bftsmart": (BFT_FABRIC, 100, ("fabric_path_bftsmart_seed0", "durable_wal=False")),
     "bftsmart-durable_wal": (
         replace(BFT_FABRIC, durable_wal=True),
         100,
-        "fabric_path_bftsmart_seed0.json",
-        "durable_wal=True",
+        ("fabric_path_bftsmart_seed0", "durable_wal=True"),
     ),
 }
 
 
+def record(path: str) -> dict:
+    """The fingerprint of one Fabric path's hot-key run."""
+    row, transactions, _pinned_at = FABRIC_PATHS[path]
+    pipeline = FabricNetwork(row)
+    run_hot_keys(pipeline, transactions)
+    assert check_serializability(pipeline.committers) == []
+    return fabric_path_fingerprint(pipeline)
+
+
 @pytest.mark.parametrize("path", FABRIC_PATHS)
-def test_fabric_path_bytes_match_golden(path):
+def test_fabric_path_bytes_match_golden(golden, path):
     """The solo golden was recorded at the parent of the single-pass
     encoder / digest caches, the BFT-SMaRt one on the hand-built
     pipeline the stand-up replaced, each in a process whose id counter
     stood at zero; ids feed the digests and come from the pipeline's
     own simulator."""
-    row, transactions, golden, entry = FABRIC_PATHS[path]
-    pipeline = FabricNetwork(row)
-    run_hot_keys(pipeline, transactions)
-    assert check_serializability(pipeline.committers) == []
-    fingerprint = fabric_path_fingerprint(pipeline)
+    _row, transactions, pinned_at = FABRIC_PATHS[path]
+    fingerprint = golden.check(*pinned_at)
     codes = [code for block in fingerprint["codes"] for code in block]
     assert len(codes) == transactions and "MVCC_READ_CONFLICT" in codes
-    expected = json.loads((GOLDENS / golden).read_text())
-    assert fingerprint == (expected if entry is None else expected[entry])
 
 
 def test_hash_budget_per_transaction(monkeypatch):

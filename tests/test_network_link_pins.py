@@ -23,11 +23,9 @@ second, zero-overhead network on the same simulator with zero-byte
 messages.  The file also pins ``delay()`` for every site pair of the AWS
 matrix under a seeded rng.
 
-``python -m tests.test_network_link_pins`` prints the recording.
+The file is a row of the pin ledger, ``tests/golden.py``.
 """
 
-import json
-import pathlib
 import random
 
 import pytest
@@ -35,8 +33,6 @@ import pytest
 from repro.bench.topology import AWS_REGIONS, aws_latency_model
 from repro.sim import ConstantLatency, Network, RandomStreams, Simulator
 from repro.sim.network import Intercept
-
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden" / "network_links_seed0.json"
 
 #: node ids mix strings and ints, as deployments do
 NODES = ("a", "b", "c", "d", "e", 7)
@@ -217,20 +213,14 @@ def record_wan_delays() -> list:
 RECORDERS = {"lan": record_lan, "wan": record_wan, "wan_delays": record_wan_delays}
 
 
-def encode(recording) -> str:
-    return json.dumps(recording, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 @pytest.mark.parametrize("run", sorted(RECORDERS))
-def test_network_arithmetic_is_pinned(run):
-    golden = json.loads(GOLDEN.read_text())
-    assert encode(RECORDERS[run]()) == encode(golden[run])
+def test_network_arithmetic_is_pinned(golden, run):
+    golden.check("network_links_seed0", run)
 
 
-def test_the_pinned_runs_exercise_what_they_claim():
-    golden = json.loads(GOLDEN.read_text())
+def test_the_pinned_runs_exercise_what_they_claim(golden):
     for name in ("lan", "wan"):
-        run = golden[name]
+        run = golden.stored("network_links_seed0")[name]
         deliveries = run["deliveries"]
         links = {(src, dst): count for src, dst, count in run["network"]["bytes_by_link"]}
         # loopback, on both networks
@@ -251,10 +241,3 @@ def test_the_pinned_runs_exercise_what_they_claim():
         assert run["hub_messages"] > 0
         sent, delivered, dropped, _bytes = run["network"]["counters"]
         assert delivered > 0 and dropped > 0 and sent > 0
-
-
-if __name__ == "__main__":
-    print(
-        encode({name: recorder() for name, recorder in sorted(RECORDERS.items())}),
-        end="",
-    )

@@ -11,18 +11,12 @@ timestamp, or shifts an RNG draw fails here byte-for-byte, so the fast
 path can only ever be a faster encoding of the same computation.
 """
 
-import json
-import pathlib
-
 import pytest
 
-from repro.analysis.sanitizer import capture_record
 from repro.bench.figures import geo_latency_experiment, simulate_lan_throughput
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope, envelope_ids
 from repro.ordering import OrderingServiceConfig, build_ordering_service
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
 
 class TestSeededReproducibility:
@@ -88,41 +82,15 @@ class TestSeededReproducibility:
 
 
 class TestGoldenEquivalence:
-    """The committed digests are the semantic contract of the kernel.
+    """The committed records are the semantic contract of the kernel.
 
     ``capture_record`` (the sanitizer harness) runs the seeded smoke
-    scenario with tracing on and digests three independent views:
-    the full event stream (time/kind/src/dst/detail rows in emission
-    order), the span tree, and the metrics snapshot.  The digests are
-    hash-seed independent (DetSan double-runs under different
-    ``PYTHONHASHSEED`` values in CI), so they must match here under
-    whatever hash seed pytest happens to run with.
-
-    To refresh after an *intentional* semantic change:
-    ``PYTHONHASHSEED=1 PYTHONPATH=src python tools/write_golden.py``
-    (and justify the change in the PR).
+    scenario with tracing on; the full event stream (time/kind/src/dst/
+    detail rows in emission order), the span tree and the metrics
+    snapshot must match under whatever hash seed pytest runs with.
+    Both files are rows of the pin ledger (``tests/golden.py``).
     """
 
     @pytest.mark.parametrize("name", ["smoke_seed0", "smoke_seed7"])
-    def test_digests_match_golden(self, name):
-        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-        scenario = golden["scenario"]
-        record = capture_record(
-            "smoke",
-            seed=scenario["seed"],
-            duration=scenario["duration"],
-            rate=scenario["rate"],
-        )
-        # locate the first divergent event row before comparing digests:
-        # "digest mismatch" alone is undebuggable
-        if record["digests"]["events"] != golden["digests"]["events"]:
-            for index, (got, want) in enumerate(
-                zip(record["events"], golden["events"])
-            ):
-                assert got == want, f"first divergent event at index {index}"
-            assert len(record["events"]) == len(golden["events"])
-        for view in ("events", "metrics", "span_tree"):
-            assert record["digests"][view] == golden["digests"][view], (
-                f"{name}: {view} digest diverged from the committed golden; "
-                "the kernel's observable behavior changed"
-            )
+    def test_digests_match_golden(self, golden, name):
+        golden.check(name)

@@ -1,10 +1,10 @@
 """Cross-commit pins for the ordering-service seam.
 
-Recorded once (``tests/data/golden/seam_pins.json``; ``python -m
-tests.test_seam_pins`` prints the recording) and never regenerated by
-a refactor: a change to the frontend, the deployment
-builder or the explorer's samplers that claims to be neutral must
-reproduce every value here byte for byte.
+Recorded once (``tests/data/golden/seam_pins.json``, a row of the pin
+ledger ``tests/golden.py``) and never regenerated by a refactor: a
+change to the frontend, the deployment builder or the explorer's
+samplers that claims to be neutral must reproduce every value here byte
+for byte.
 
 (a) For each explorer profile, seeds 0-24: the sampled schedule, the
     fault-trace and ledger digests and the delivery totals, folded
@@ -17,23 +17,20 @@ reproduce every value here byte for byte.
 """
 
 import hashlib
-import json
-import pathlib
 
 import pytest
 
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.faults.explorer import ExplorerConfig, run_seed, sample_schedule
+from repro.faults.explorer import PROFILES, ExplorerConfig, run_seed, sample_schedule
 from repro.ordering import (
     AdmissionConfig,
     OrderingServiceConfig,
     build_ordering_service,
 )
 
-PINS = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "golden" / "seam_pins.json").read_text()
-)
+#: {bftsmart, smartbft} x {no admission, admission}
+BACKEND_RUNS = ("bftsmart/admission", "bftsmart/plain", "smartbft/admission", "smartbft/plain")
 
 
 def explorer_digest(profile: str) -> str:
@@ -85,24 +82,23 @@ def backend_run(orderer: str, admission: bool) -> list:
     ]
 
 
+RECORDERS = {
+    "backend_runs": lambda: {
+        key: backend_run(key.split("/")[0], key.endswith("/admission"))
+        for key in BACKEND_RUNS
+    },
+    "explorer": lambda: {profile: explorer_digest(profile) for profile in PROFILES},
+}
+
+
 @pytest.mark.faults
-@pytest.mark.parametrize("profile", sorted(PINS["explorer"]))
-def test_explorer_profile_seeds_are_pinned(profile):
-    assert explorer_digest(profile) == PINS["explorer"][profile]
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_explorer_profile_seeds_are_pinned(golden, profile):
+    pinned = golden.stored("seam_pins")["explorer"][profile]
+    assert golden.record("seam_pins", "explorer")[profile] == pinned
 
 
-@pytest.mark.parametrize("key", sorted(PINS["backend_runs"]))
-def test_backend_event_stream_is_pinned(key):
-    orderer, mode = key.split("/")
-    assert backend_run(orderer, mode == "admission") == PINS["backend_runs"][key]
-
-
-if __name__ == "__main__":
-    recording = {
-        "backend_runs": {
-            key: backend_run(key.split("/")[0], key.endswith("/admission"))
-            for key in PINS["backend_runs"]
-        },
-        "explorer": {profile: explorer_digest(profile) for profile in PINS["explorer"]},
-    }
-    print(json.dumps(recording, sort_keys=True, indent=1))
+@pytest.mark.parametrize("key", BACKEND_RUNS)
+def test_backend_event_stream_is_pinned(golden, key):
+    pinned = golden.stored("seam_pins")["backend_runs"][key]
+    assert golden.record("seam_pins", "backend_runs")[key] == pinned

@@ -1,5 +1,6 @@
 """Unit tests for synchronization-phase internals (Mod-SMaRt rules)."""
 
+import pytest
 
 from repro.crypto.hashing import sha256
 from repro.smart.consensus import batch_hash
@@ -69,6 +70,33 @@ class TestValueSelection:
         )
         selected = synchronizer._select_value(0, reports)
         assert batch_hash(0, selected) == batch_hash(0, new_batch)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12: a WriteCertificate is writer ids plus a batch, "
+        "and _select_value takes the highest regency from any single STOPDATA: "
+        "one Byzantine report's forged certificate wins (docs/SMARTBFT.md, departures)",
+    )
+    def test_a_forged_higher_regency_certificate_is_not_selected(self, cluster):
+        """Reports 1 and 2 carry the honest batch, certified at regency 0;
+        report 3 carries writers (0, 1, 2) at regency 5 over a batch no
+        client submitted.  Every certificate passes the validity check."""
+        synchronizer = cluster.replicas[1].synchronizer
+        honest = [request(0, op=7)]
+        forged = [request(0, op=666, client=999)]
+        reports = self.make_reports(
+            cluster,
+            [
+                (1, -1, certificate(0, 0, honest), []),
+                (2, -1, certificate(0, 0, honest), []),
+                (3, -1, certificate(0, 5, forged, writers=(0, 1, 2)), []),
+            ],
+        )
+        assert all(
+            synchronizer._certificate_valid(report.write_certificate)
+            for report in reports.values()
+        )
+        assert synchronizer._select_value(0, reports) == honest
 
     def test_certificates_for_other_instances_ignored(self, cluster):
         synchronizer = cluster.replicas[1].synchronizer
@@ -202,8 +230,6 @@ class TestEmptySyncRound:
     loudly, not with max()'s bare ValueError."""
 
     def test_send_sync_with_no_reports_raises_named_error(self, cluster):
-        import pytest
-
         from repro.smart.synchronization import EmptySyncRound
 
         synchronizer = cluster.replicas[1].synchronizer

@@ -1,9 +1,7 @@
 """Tests for the consensus WAL and the ordering-service WAL codec."""
 
 import hashlib
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -18,8 +16,6 @@ from repro.smart.durability import Checkpoint, OperationLog, state_digest
 from repro.smart.messages import ClientRequest
 from repro.smart.reconfiguration import ReconfigOp
 from repro.smart.wal import ConsensusWAL
-
-GOLDEN = Path(__file__).parent / "data" / "golden" / "wal_image_seed3.json"
 
 
 def request(seq, op=7):
@@ -277,15 +273,16 @@ def wal_image_fingerprint() -> dict:
     }
 
 
-def test_wal_image_matches_golden():
+def test_wal_image_matches_golden(golden):
     """Recorded at the parent of the templated / shared framing: every
     byte any replica wrote -- votes, regencies, batches, checkpoints,
     the torn and truncated tail -- is unchanged, and so is every fsync.
     Re-recorded once when a checkpoint began to compact the image: only
-    each replica's ``sha256`` and ``durable_size`` moved."""
-    fingerprint = wal_image_fingerprint()
+    each replica's ``sha256`` and ``durable_size`` moved.  The golden,
+    ``wal_image_seed3.json``, is a row of the pin ledger
+    (``tests/golden.py``)."""
+    fingerprint = golden.check("wal_image_seed3")
     assert fingerprint["truncated_bytes"] > 0 and max(fingerprint["regencies"]) >= 1
-    assert fingerprint == json.loads(GOLDEN.read_text())
 
 
 class TestWalCodec:
@@ -322,7 +319,3 @@ class TestWalCodec:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             encode_value(object())
-
-
-if __name__ == "__main__":
-    print(json.dumps(wal_image_fingerprint(), indent=1))

@@ -20,12 +20,11 @@ holds
   (every node must reproduce the chain, not merely agree with a peer);
 - every frontend's ledger digest and delivered-block count.
 
-``python -m tests.test_smartbft_chain_pins`` prints the recording.
+The file is a row of the pin ledger, ``tests/golden.py``.
 """
 
 import hashlib
 import json
-import pathlib
 
 import pytest
 
@@ -34,7 +33,6 @@ from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden" / "smartbft_chain_seed0.json"
 BLOCK_SIZE = 10
 ENVELOPES = 1200
 
@@ -103,21 +101,15 @@ RECORDERS = {
 }
 
 
-def encode(recording: dict) -> str:
-    return json.dumps(recording, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 @pytest.mark.parametrize("run", sorted(RECORDERS))
-def test_decided_chain_is_pinned(run):
-    golden = json.loads(GOLDEN.read_text())
-    assert encode(RECORDERS[run]()) == encode(golden[run])
+def test_decided_chain_is_pinned(golden, run):
+    golden.check("smartbft_chain_seed0", run)
 
 
-def test_the_pinned_runs_are_whole_and_agree():
-    golden = json.loads(GOLDEN.read_text())
+def test_the_pinned_runs_are_whole_and_agree(golden):
     blocks = ENVELOPES // BLOCK_SIZE
     for run, n in (("n4", 4), ("n10", 10)):
-        recording = golden[run]
+        recording = golden.stored("smartbft_chain_seed0")[run]
         chain = recording["chain"]
         assert [row[0] for row in chain] == list(range(blocks))
         assert [row[1] for row in chain] == list(range(blocks))
@@ -130,10 +122,3 @@ def test_the_pinned_runs_are_whole_and_agree():
         )
         assert recording["delivered"] == [blocks, blocks]
         assert len(set(recording["ledger_digests"])) == 1
-
-
-if __name__ == "__main__":
-    print(
-        encode({name: recorder() for name, recorder in sorted(RECORDERS.items())}),
-        end="",
-    )

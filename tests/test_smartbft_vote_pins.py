@@ -22,19 +22,16 @@ votes on a second wave of blocks.
 *contents* the stream cannot see -- a tally that counted a different
 voter set with the same cardinality would pass there and fail here.
 
-``python -m tests.test_smartbft_vote_pins`` prints the recording.
+The file is a row of the pin ledger, ``tests/golden.py``.
 """
 
 import json
-import pathlib
 
 import pytest
 
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering import OrderingServiceConfig, build_ordering_service
-
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden" / "smartbft_votes_seed0.json"
 
 
 def build_service(f: int, block_size: int, **config):
@@ -118,19 +115,14 @@ def record_n4_leader_crash() -> dict:
 RECORDERS = {"n10": record_n10, "n4_leader_crash": record_n4_leader_crash}
 
 
-def encode(recording: dict) -> str:
-    return json.dumps(recording, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 @pytest.mark.parametrize("run", sorted(RECORDERS))
-def test_votes_counted_are_pinned(run):
-    golden = json.loads(GOLDEN.read_text())
-    assert encode(RECORDERS[run]()) == encode(golden[run])
+def test_votes_counted_are_pinned(golden, run):
+    golden.check("smartbft_votes_seed0", run)
 
 
-def test_the_pinned_runs_exercise_what_they_claim():
-    golden = json.loads(GOLDEN.read_text())
-    n10, crash = golden["n10"], golden["n4_leader_crash"]
+def test_the_pinned_runs_exercise_what_they_claim(golden):
+    pinned = golden.stored("smartbft_votes_seed0")
+    n10, crash = pinned["n10"], pinned["n4_leader_crash"]
     assert n10["delivered"] == [12, 12]
     for node in n10["nodes"].values():
         assert len(node["decisions"]) == 12
@@ -154,10 +146,4 @@ def test_the_pinned_runs_exercise_what_they_claim():
         "orderer0" in entry[3]
         for node in crash["nodes"].values()
         for entry in node["decisions"][17:]
-    )
-
-if __name__ == "__main__":
-    print(
-        encode({name: recorder() for name, recorder in sorted(RECORDERS.items())}),
-        end="",
     )

@@ -10,20 +10,17 @@ each of them byte-identical.
 - the sha256 of ``python -m repro.obs report``'s text at seed 0;
 - the sha256 of that run's Chrome trace document.
 
-``python -m tests.test_telemetry_pins`` prints the recording.
+The file is a row of the pin ledger, ``tests/golden.py``.
 """
 
 import hashlib
 import json
-import pathlib
 
 import pytest
 
 from repro.analysis.sanitizer import DEFAULT_SCENARIOS, capture_record
 from repro.obs.export import chrome_trace
 from repro.obs.report import render_report, run_scenario
-
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden" / "telemetry_seed0.json"
 
 SEEDS = (0, 7)
 
@@ -53,18 +50,6 @@ def record_report() -> dict:
 RECORDERS = {"sanitizer": record_sanitizer_rows, "report": record_report}
 
 
-def encode(recording) -> str:
-    return json.dumps(recording, sort_keys=True, indent=1) + "\n"
-
-
 @pytest.mark.parametrize("view", sorted(RECORDERS))
-def test_telemetry_is_pinned(view):
-    golden = json.loads(GOLDEN.read_text())
-    assert encode(RECORDERS[view]()) == encode(golden[view])
-
-
-if __name__ == "__main__":
-    print(
-        encode({name: recorder() for name, recorder in sorted(RECORDERS.items())}),
-        end="",
-    )
+def test_telemetry_is_pinned(golden, view):
+    golden.check("telemetry_seed0", view)
