@@ -13,12 +13,11 @@ PROFILE_SEEDS ?= 25
 BASELINE ?= benchmarks/baselines/BENCH_smoke.json
 CANDIDATE ?= BENCH_smoke.json
 
-# experiment report / sweep knobs (see docs/BENCHMARKS.md)
+# experiment report knobs (see docs/BENCHMARKS.md)
 REPORT_INPUTS ?= $(BASELINE) $(CANDIDATE)
 REPORT_NAMES ?= baseline,candidate
 REPORT_OUT ?= bench-report.md
 REPORT_JSON ?= bench-report.json
-SPEC ?= benchmarks/specs/bakeoff.toml
 
 # protocol-aware analysis knobs (see docs/ANALYSIS.md)
 ANALYZE_OUT ?= analysis-report.json
@@ -40,7 +39,7 @@ HYPOTHESIS_PROFILE ?= tier1
 
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
-.PHONY: test golden lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report bench-sweep perf perf-quick perf-pairs mem-census
+.PHONY: test golden lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report perf perf-quick perf-pairs mem-census
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run);
 ## property tests run under the derandomized, database-less hypothesis
@@ -159,12 +158,6 @@ bench-report:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench report \
 		$(REPORT_INPUTS) --names $(REPORT_NAMES) \
 		--out $(REPORT_OUT) --json $(REPORT_JSON)
-
-## declarative sweep: expand + run a TOML experiment spec
-## usage: make bench-sweep [SPEC=benchmarks/specs/bakeoff.toml] [SMOKE=1]
-bench-sweep:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run \
-		--spec $(SPEC)$(if $(SMOKE), --smoke,)
 
 ## host cost of the simulator itself: the repo's performance benchmark
 ## (BENCHMARK.json; benchmarks/perf/README.md) -- all seven workloads,

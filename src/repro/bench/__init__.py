@@ -14,8 +14,8 @@ seed; how fast the simulator itself runs on the host is measured by
 - :mod:`repro.bench.harness` -- the declarative benchmark registry,
   runner, and versioned JSON result schema (``BENCH_<name>.json``);
 - :mod:`repro.bench.suite` -- the registered benchmarks (importing it
-  populates the registry);
-- :mod:`repro.bench.spec` -- declarative TOML experiment sweeps;
+  populates the registry), every sweep of the evaluation declared once
+  as a parameter matrix;
 - :mod:`repro.bench.stats` / :mod:`repro.bench.report` -- the
   statistical kernels and the N-way experiment analysis over result
   documents, whose two-variant reading is the regression gate behind

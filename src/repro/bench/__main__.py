@@ -6,7 +6,7 @@ Subcommands::
     python -m repro.bench run --smoke                 # -> BENCH_smoke.json
     python -m repro.bench run --only fig8 --only eq1  # subset, full matrices
     python -m repro.bench run --smoke --out path.json --repeats 3
-    python -m repro.bench run --spec benchmarks/specs/bakeoff.toml
+    python -m repro.bench run --only bakeoff_orderers --name bakeoff
     python -m repro.bench compare baseline.json candidate.json
     python -m repro.bench report a.json b.json --names baseline,candidate
     python -m repro.bench report BENCH_full.json --by orderer
@@ -50,50 +50,22 @@ def cmd_run(args) -> int:
 
     mode = "smoke" if args.smoke else "full"
     run_name = args.name or mode
-    repeats = args.repeats
-    base_seed = args.seed
-    phases = args.phases
-    out = args.out
-    if args.spec is not None:
-        from repro.bench.spec import SpecError, describe_spec, expand_spec, load_spec
-
-        if args.only:
-            print("error: --only and --spec are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        try:
-            spec = load_spec(args.spec)
-            benchmarks = expand_spec(spec, REGISTRY)
-        except (OSError, SpecError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # explicit CLI flags beat the spec's [run] table
-        if not args.smoke:
-            mode = spec.mode
-        run_name = args.name or spec.name
-        repeats = args.repeats if args.repeats is not None else spec.repeats
-        base_seed = args.seed if args.seed is not None else spec.seed
-        phases = args.phases or spec.phases
-        out = args.out or spec.default_out
-        if not args.quiet:
-            print(describe_spec(spec, benchmarks))
-    else:
-        try:
-            benchmarks = REGISTRY.select(args.only)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        benchmarks = REGISTRY.select(args.only)
+    except KeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     progress = None if args.quiet else lambda line: print(f"  {line}", flush=True)
     result = run_suite(
         benchmarks,
         run_name=run_name,
         mode=mode,
-        repeats=repeats,
-        base_seed=base_seed,
+        repeats=args.repeats,
+        base_seed=args.seed,
         progress=progress,
-        phases=phases,
+        phases=args.phases,
     )
-    path = out or f"BENCH_{run_name}.json"
+    path = args.out or f"BENCH_{run_name}.json"
     write_result(result, path)
     if not args.quiet:
         print()
@@ -137,16 +109,11 @@ def cmd_report(args) -> int:
     if args.names is not None:
         names = [n.strip() for n in args.names.split(",") if n.strip()]
     try:
-        snapshots = (
-            load_history(args.history, limit=args.history_limit)
-            if args.history
-            else None
-        )
+        snapshots = load_history(args.history) if args.history else None
         report = build_report(
             args.results,
             by_axis=args.by,
             names=names,
-            alpha=args.alpha,
             history_snapshots=snapshots,
         )
     except (OSError, ReportError, SchemaError, ValueError) as exc:
@@ -233,16 +200,12 @@ def main(argv=None) -> int:
         help="run only benchmarks whose name contains PATTERN (repeatable)",
     )
     run_parser.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help="expand a repro-bench-spec/1 TOML experiment spec instead "
-        "of --only (see docs/BENCHMARKS.md, 'Declarative sweeps')",
+        "--repeats", type=int, default=1,
+        help="measurements per matrix point (default 1)",
     )
     run_parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="override each benchmark's repeat count",
-    )
-    run_parser.add_argument(
-        "--seed", type=int, default=None, help="override the base seed"
+        "--seed", type=int, default=0,
+        help="base seed of the repeats (default 0)",
     )
     run_parser.add_argument(
         "--name", default=None,
@@ -288,11 +251,6 @@ def main(argv=None) -> int:
         "(default: each document's run_name)",
     )
     report_parser.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="significance level for pairwise tests and the critical "
-        "difference (default 0.05)",
-    )
-    report_parser.add_argument(
         "--out", default=None,
         help="write the markdown report here (default: stdout)",
     )
@@ -309,10 +267,6 @@ def main(argv=None) -> int:
         "--history", default=None, metavar="DIR",
         help="render regression-history sparklines from the snapshot "
         "directory (see 'history append')",
-    )
-    report_parser.add_argument(
-        "--history-limit", type=int, default=None,
-        help="use only the newest N history snapshots",
     )
     report_parser.add_argument(
         "--full-detail", action="store_true",

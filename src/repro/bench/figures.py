@@ -34,6 +34,7 @@ from repro.bench.model import (
 )
 from repro.bench.topology import aws_latency_model, lan_latency_model
 from repro.fabric.channel import ChannelConfig
+from repro.ordering.backends import OpenLoop, ScenarioRow, stand_up
 from repro.ordering.service import (
     FRONTEND_ID_BASE,
     OrderingServiceConfig,
@@ -136,37 +137,27 @@ def simulate_lan_throughput(
     and signing-CPU contention natively, so measured throughput should
     land in the same regime as the model's prediction.
     """
-    f = (orderers - 1) // 3
     model = OrderingCapacityModel(n=orderers)
     predicted = model.throughput(envelope_size, block_size, receivers)
     offered = predicted * rate_factor
-    channel = ChannelConfig(
-        "bench", max_message_count=block_size, batch_timeout=10.0
-    )
-    config = OrderingServiceConfig(
-        f=f,
-        channel=channel,
+    row = ScenarioRow(
+        f=(orderers - 1) // 3,
+        seed=seed,
+        channel="bench",
+        block_size=block_size,
+        preferred_max_bytes=ChannelConfig.preferred_max_bytes,
+        batch_timeout=10.0,
+        enable_batch_timeout=False,
         num_frontends=receivers,
+        # saturation benches must not trigger regency changes
+        request_timeout=30.0,
         latency=lan_latency_model(),
-        bandwidth_bps=1e9,
-        physical_cores=8,
-        hardware_threads=16,
-        signing_workers=16,
-        smart_cpu_fraction=0.6,
-        max_batch=BATCH_LIMIT,
-        request_timeout=30.0,  # saturation benches must not trigger
-        seed=seed,             # regency changes
+        cpu=True,
+        load=OpenLoop(
+            rate=offered, duration=warmup + duration, envelope_size=envelope_size
+        ),
     )
-    service = build_ordering_service(config, observability=observability)
-    generator = OpenLoopGenerator(
-        sim=service.sim,
-        frontends=service.frontends,
-        channel_id="bench",
-        envelope_size=envelope_size,
-        rate_per_second=offered,
-        duration=warmup + duration,
-    )
-    generator.start()
+    service = stand_up(row, observability=observability).service
     service.run(warmup + duration)
     node_meter = service.stats.meter("orderer0.envelopes")
     frontend_meter = service.stats.meter(f"{FRONTEND_ID_BASE}.envelopes")

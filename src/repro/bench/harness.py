@@ -5,22 +5,23 @@ The harness replaces the hand-rolled sweep loops of the original
 from benchalot's benchmark matrix):
 
 - a :class:`Benchmark` declares a *parameter matrix* (the cross product
-  of named value lists), optional ``setup``/``teardown`` callables, a
-  ``run`` callable that measures one matrix point and returns a flat
-  ``{metric_name: value}`` mapping, a repeat count, and a seed policy;
+  of named value lists), a ``run`` callable that measures one matrix
+  point and returns a flat ``{metric_name: value}`` mapping, and a seed
+  policy;
 - :func:`run_benchmark` expands the matrix, executes every point
-  ``repeats`` times, records the per-repeat metric samples through the
-  :mod:`repro.sim.monitor` instruments, and summarizes them
-  (mean/median/p95/stdev);
+  ``repeats`` times from ``base_seed`` (1 and 0 unless the caller --
+  ``--repeats`` / ``--seed`` on the CLI -- says otherwise), records the
+  per-repeat metric samples through the :mod:`repro.sim.monitor`
+  instruments, and summarizes them (mean/median/p95/stdev);
 - :func:`run_suite` runs any subset of the registry and produces a
   versioned, machine-readable result document that
   :func:`write_result` serializes to ``BENCH_<name>.json`` — the
   trajectory that the regression gate of :mod:`repro.bench.report`
   (``python -m repro.bench compare``) reads.
 
-Every benchmark may declare a ``smoke_matrix`` (and ``smoke_repeats``):
-a seconds-fast subset used by ``make bench-smoke`` and the tier-1 test
-suite, while the full matrix reproduces the paper figures.
+Every benchmark may declare a ``smoke_matrix``: a seconds-fast subset
+used by ``make bench-smoke`` and the tier-1 test suite, while the full
+matrix reproduces the paper figures.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class BenchContext:
 
 @dataclass(frozen=True)
 class Benchmark:
-    """One registered benchmark: a parameter matrix plus callables.
+    """One registered benchmark: a parameter matrix plus a callable.
 
     ``run(ctx)`` measures a single matrix point and returns a flat
     ``{metric: float}`` mapping.  ``directions`` maps metric names to
@@ -92,15 +93,9 @@ class Benchmark:
     run: Callable[[BenchContext], Mapping[str, float]]
     matrix: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     smoke_matrix: Optional[Mapping[str, Sequence[Any]]] = None
-    setup: Optional[Callable[[BenchContext], None]] = None
-    teardown: Optional[Callable[[BenchContext], None]] = None
-    repeats: int = 1
-    smoke_repeats: int = 1
-    base_seed: int = 0
     seed_policy: str = "per-repeat"
     directions: Mapping[str, str] = field(default_factory=dict)
     description: str = ""
-    tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -128,9 +123,6 @@ class Benchmark:
             return self.smoke_matrix
         return self.matrix
 
-    def repeats_for(self, mode: str) -> int:
-        return self.smoke_repeats if mode == "smoke" else self.repeats
-
     def points(self, mode: str = "full") -> Iterator[Dict[str, Any]]:
         """Expand the matrix into points, declaration order first."""
         matrix = self.matrix_for(mode)
@@ -141,11 +133,10 @@ class Benchmark:
         for combo in itertools.product(*(matrix[k] for k in keys)):
             yield dict(zip(keys, combo))
 
-    def seed_for(self, repeat: int, base_seed: Optional[int] = None) -> int:
-        base = self.base_seed if base_seed is None else base_seed
+    def seed_for(self, repeat: int, base_seed: int = 0) -> int:
         if self.seed_policy == "fixed":
-            return base
-        return base + repeat
+            return base_seed
+        return base_seed + repeat
 
     def direction_of(self, metric: str) -> str:
         explicit = self.directions.get(metric)
@@ -405,8 +396,8 @@ def environment_fingerprint() -> Dict[str, Any]:
 def run_benchmark(
     benchmark: Benchmark,
     mode: str = "full",
-    repeats: Optional[int] = None,
-    base_seed: Optional[int] = None,
+    repeats: int = 1,
+    base_seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
     phases: bool = False,
 ) -> BenchmarkResult:
@@ -426,8 +417,7 @@ def run_benchmark(
     """
     if mode not in ("full", "smoke"):
         raise ValueError(f"mode must be 'full' or 'smoke', got {mode!r}")
-    repeat_count = benchmark.repeats_for(mode) if repeats is None else repeats
-    if repeat_count < 1:
+    if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
     points: List[PointResult] = []
@@ -436,7 +426,7 @@ def run_benchmark(
         seeds: List[int] = []
         directions: Dict[str, str] = {}
         phase_samples: Dict[str, List[float]] = {}
-        for repeat in range(repeat_count):
+        for repeat in range(repeats):
             seed = benchmark.seed_for(repeat, base_seed)
             seeds.append(seed)
             obs = None
@@ -447,13 +437,7 @@ def run_benchmark(
             ctx = BenchContext(
                 params=params, seed=seed, repeat=repeat, mode=mode, obs=obs
             )
-            if benchmark.setup is not None:
-                benchmark.setup(ctx)
-            try:
-                metrics = benchmark.run(ctx)
-            finally:
-                if benchmark.teardown is not None:
-                    benchmark.teardown(ctx)
+            metrics = benchmark.run(ctx)
             if not metrics:
                 raise ValueError(
                     f"{benchmark.name}: run returned no metrics at {params}"
@@ -471,7 +455,7 @@ def run_benchmark(
                         breakdown.end_to_end_mean
                     )
         for metric in directions:
-            if len(samples[metric]) != repeat_count:
+            if len(samples[metric]) != repeats:
                 raise ValueError(
                     f"{benchmark.name}: metric {metric!r} missing from some "
                     f"repeats at {params}"
@@ -508,8 +492,8 @@ def run_suite(
     benchmarks: Sequence[Benchmark],
     run_name: str,
     mode: str = "full",
-    repeats: Optional[int] = None,
-    base_seed: Optional[int] = None,
+    repeats: int = 1,
+    base_seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
     phases: bool = False,
 ) -> SuiteResult:
@@ -674,20 +658,16 @@ def append_history(
     return path
 
 
-def load_history(
-    history_dir: str, limit: Optional[int] = None
-) -> List[Tuple[str, Dict[str, Any]]]:
+def load_history(history_dir: str) -> List[Tuple[str, Dict[str, Any]]]:
     """Load history snapshots as ``(filename, document)`` pairs, oldest
-    first (filename order); at most the newest ``limit`` when given.
-    Schema-invalid files raise — history is append-only through
+    first (filename order); :func:`append_history` caps how many there
+    are.  Schema-invalid files raise — history is append-only through
     :func:`append_history`, so damage should be loud, not skipped."""
     if not os.path.isdir(history_dir):
         return []
     names = sorted(
         name for name in os.listdir(history_dir) if name.endswith(".json")
     )
-    if limit is not None and limit >= 0:
-        names = names[len(names) - min(limit, len(names)):]
     return [
         (name, load_result(os.path.join(history_dir, name))) for name in names
     ]

@@ -64,7 +64,7 @@ from repro.bench.stats import (
 #: Version tag of the report JSON documents.
 REPORT_SCHEMA = "repro-bench-report/1"
 
-#: Default significance level for the pairwise tests and the CD.
+#: The significance level of the pairwise tests and the CD.
 DEFAULT_ALPHA = 0.05
 
 #: Detail (pairwise-matrix) sections rendered per benchmark before the
@@ -335,7 +335,6 @@ class RankingSummary:
 @dataclass
 class ExperimentReport:
     variants: List[str]
-    alpha: float
     sources: List[Dict[str, str]]
     grouping_mode: str  # "files" or "axis:<name>"
     benchmark_order: List[str]
@@ -357,7 +356,6 @@ class ExperimentReport:
 
 def analyze(
     grouping: Grouping,
-    alpha: float = DEFAULT_ALPHA,
     sources: Optional[List[Dict[str, str]]] = None,
     grouping_mode: str = "files",
     history: Optional[Dict[str, Any]] = None,
@@ -377,7 +375,7 @@ def analyze(
     complete = len(per_unit_ranks)
     ranks_avg = mean_ranks(per_unit_ranks) if complete else {}
     cd = (
-        critical_difference(len(variants), complete, alpha)
+        critical_difference(len(variants), complete, DEFAULT_ALPHA)
         if complete
         else None
     )
@@ -393,7 +391,6 @@ def analyze(
     )
     return ExperimentReport(
         variants=variants,
-        alpha=alpha,
         sources=sources or [],
         grouping_mode=grouping_mode,
         benchmark_order=list(grouping.benchmark_order),
@@ -502,7 +499,7 @@ def _render_ranking(report: ExperimentReport) -> List[str]:
     lines.append("")
     if ranking.critical_diff is not None:
         lines.append(
-            f"Critical difference (Nemenyi, α={report.alpha:g}): "
+            f"Critical difference (Nemenyi, α={DEFAULT_ALPHA:g}): "
             f"**{ranking.critical_diff:.3f}** — variants whose mean ranks "
             f"differ by less are statistically indistinguishable."
         )
@@ -515,7 +512,7 @@ def _render_ranking(report: ExperimentReport) -> List[str]:
     else:
         lines.append(
             "Critical difference unavailable (Nemenyi critical values are "
-            "tabulated for 2–10 variants at α ∈ {0.05, 0.10})."
+            "tabulated for 2–10 variants)."
         )
     return lines
 
@@ -552,11 +549,11 @@ def _render_benchmark(
     significant = [
         a
         for a in analyses
-        if a.min_p is not None and a.min_p < report.alpha and len(a.pairwise)
+        if a.min_p is not None and a.min_p < DEFAULT_ALPHA and len(a.pairwise)
     ]
     if not significant:
         lines.append(
-            f"No pairwise difference below α={report.alpha:g} in this "
+            f"No pairwise difference below α={DEFAULT_ALPHA:g} in this "
             "benchmark."
         )
         return lines
@@ -588,7 +585,7 @@ def _render_benchmark(
                 if cell is None:
                     row.append("-")
                     continue
-                mark = "*" if cell.p_value < report.alpha else ""
+                mark = "*" if cell.p_value < DEFAULT_ALPHA else ""
                 row.append(
                     f"{cell.p_value:.4f}{mark} / {cell.effect_of(va):.2f}"
                 )
@@ -695,7 +692,7 @@ def render_markdown(
     )
     lines.append(
         f"N-way statistical comparison of {len(report.variants)} variants "
-        f"({mode}), α={report.alpha:g}."
+        f"({mode}), α={DEFAULT_ALPHA:g}."
     )
     lines.append("")
     if report.sources:
@@ -872,7 +869,7 @@ def report_to_json_dict(report: ExperimentReport) -> Dict[str, Any]:
     document: Dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "variants": list(report.variants),
-        "alpha": report.alpha,
+        "alpha": DEFAULT_ALPHA,
         "grouping": report.grouping_mode,
         "sources": list(report.sources),
         "notes": list(report.notes),
@@ -915,7 +912,7 @@ def report_to_json_dict(report: ExperimentReport) -> Dict[str, Any]:
                             "p_value": cell.p_value,
                             "a12": cell.effect_a12,
                             "magnitude": cell.magnitude,
-                            "significant": cell.p_value < report.alpha,
+                            "significant": cell.p_value < DEFAULT_ALPHA,
                         }
                         for cell in analysis.pairwise
                     ],
@@ -956,7 +953,6 @@ def build_report(
     paths: Sequence[str],
     by_axis: Optional[str] = None,
     names: Optional[Sequence[str]] = None,
-    alpha: float = DEFAULT_ALPHA,
     history_snapshots: Optional[Sequence[Tuple[str, Mapping[str, Any]]]] = None,
 ) -> ExperimentReport:
     """Load result files, group, and analyze (raises ReportError /
@@ -995,7 +991,6 @@ def build_report(
     )
     return analyze(
         grouping,
-        alpha=alpha,
         sources=sources,
         grouping_mode=grouping_mode,
         history=history,

@@ -72,7 +72,6 @@ from repro.sim.storage import StorageFaults
         "model_sig_per_sec": "higher",
         "tx_per_sec_bound": "higher",
     },
-    tags=("figure6", "signing"),
 )
 def fig6_signing(ctx: BenchContext) -> Dict[str, float]:
     workers = ctx["workers"]
@@ -103,7 +102,6 @@ def fig6_signing(ctx: BenchContext) -> Dict[str, float]:
         "workers": (16,),
     },
     directions={"sig_per_sec": "higher"},
-    tags=("figure6", "signing"),
 )
 def fig6_invariance(ctx: BenchContext) -> Dict[str, float]:
     model = SignatureThroughputModel()
@@ -130,7 +128,6 @@ def fig6_invariance(ctx: BenchContext) -> Dict[str, float]:
         "receivers": (1, 32),
     },
     directions={"tx_per_sec": "higher", "blocks_per_sec": "higher"},
-    tags=("figure7", "lan"),
 )
 def fig7_capacity(ctx: BenchContext) -> Dict[str, float]:
     model = OrderingCapacityModel(n=ctx["orderers"])
@@ -164,7 +161,6 @@ def fig7_capacity(ctx: BenchContext) -> Dict[str, float]:
         "model_tx_per_sec": "higher",
         "offered_tx_per_sec": "higher",
     },
-    tags=("figure7", "lan", "sim"),
 )
 def fig7_lan_sim(ctx: BenchContext) -> Dict[str, float]:
     result = simulate_lan_throughput(
@@ -236,7 +232,6 @@ for _region in GEO_FRONTEND_SITES:
         "warmup": (0.5,),
     },
     directions=_GEO_DIRECTIONS,
-    tags=("figure8", "geo"),
 )
 def fig8_geo(ctx: BenchContext) -> Dict[str, float]:
     return _geo_metrics(ctx)
@@ -263,7 +258,6 @@ def fig8_geo(ctx: BenchContext) -> Dict[str, float]:
         "warmup": (0.5,),
     },
     directions=_GEO_DIRECTIONS,
-    tags=("figure9", "geo"),
 )
 def fig9_geo(ctx: BenchContext) -> Dict[str, float]:
     return _geo_metrics(ctx)
@@ -293,7 +287,6 @@ def fig9_geo(ctx: BenchContext) -> Dict[str, float]:
         "eq1_bound_tx_per_sec": "higher",
         "headroom_tx_per_sec": "higher",
     },
-    tags=("eq1",),
 )
 def eq1_bounds(ctx: BenchContext) -> Dict[str, float]:
     model = OrderingCapacityModel(n=ctx["orderers"])
@@ -320,7 +313,6 @@ def eq1_bounds(ctx: BenchContext) -> Dict[str, float]:
         "speedup_vs_ethereum": "higher",
         "speedup_vs_bitcoin": "higher",
     },
-    tags=("conclusion",),
 )
 def conclusion(ctx: BenchContext) -> Dict[str, float]:
     comparison = conclusion_comparison()
@@ -355,7 +347,6 @@ def conclusion(ctx: BenchContext) -> Dict[str, float]:
         "duration": (2.0,),
     },
     directions={"median_s": "lower", "p90_s": "lower"},
-    tags=("ablation", "geo"),
 )
 def ablation_wheat(ctx: BenchContext) -> Dict[str, float]:
     row = wheat_ablation_point(
@@ -389,7 +380,6 @@ def ablation_wheat(ctx: BenchContext) -> Dict[str, float]:
         "receivers": (2,),
     },
     directions={"tx_per_sec": "higher"},
-    tags=("ablation", "lan"),
 )
 def ablation_batching(ctx: BenchContext) -> Dict[str, float]:
     model = OrderingCapacityModel(n=ctx["orderers"], batch_limit=ctx["batch_limit"])
@@ -428,7 +418,6 @@ def ablation_batching(ctx: BenchContext) -> Dict[str, float]:
         "replayed_batches": "higher",
         "delivered": "higher",
     },
-    tags=("recovery", "wal", "faults"),
 )
 def recovery_time(ctx: BenchContext) -> Dict[str, float]:
     envelopes = ctx["envelopes"]
@@ -519,7 +508,6 @@ def recovery_time(ctx: BenchContext) -> Dict[str, float]:
         "blocks": "higher",
         "median_latency_s": "lower",
     },
-    tags=("bakeoff", "lan", "smartbft"),
 )
 def bakeoff_orderers(ctx: BenchContext) -> Dict[str, float]:
     row = ScenarioRow(
@@ -552,7 +540,7 @@ def bakeoff_orderers(ctx: BenchContext) -> Dict[str, float]:
     "one-tenant duplicate flood.  Admission control must make goodput "
     "saturate instead of collapse (docs/WORKLOADS.md).",
     matrix={
-        "load_multiplier": (0.5, 1.0, 2.0, 4.0),
+        "load_multiplier": (0.5, 1.0, 2.0, 4.0, 8.0),
         "adversary": ("none", "duplicate-flood"),
         "saturation_rate": (800.0,),
         "tenants": (4,),
@@ -575,7 +563,6 @@ def bakeoff_orderers(ctx: BenchContext) -> Dict[str, float]:
         "offered": "higher",
         "committed": "higher",
     },
-    tags=("overload", "workload", "admission"),
 )
 def overload(ctx: BenchContext) -> Dict[str, float]:
     from repro.ordering import AdmissionConfig

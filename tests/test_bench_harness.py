@@ -72,10 +72,11 @@ class TestBenchmarkDeclaration:
             Benchmark(name="t", run=_toy, directions={"m": "sideways"})
 
     def test_seed_policy(self):
-        per_repeat = Benchmark(name="t", run=_toy, base_seed=7)
-        assert [per_repeat.seed_for(i) for i in range(3)] == [7, 8, 9]
-        fixed = Benchmark(name="t", run=_toy, base_seed=7, seed_policy="fixed")
-        assert [fixed.seed_for(i) for i in range(3)] == [7, 7, 7]
+        per_repeat = Benchmark(name="t", run=_toy)
+        assert [per_repeat.seed_for(i) for i in range(3)] == [0, 1, 2]
+        assert [per_repeat.seed_for(i, 7) for i in range(3)] == [7, 8, 9]
+        fixed = Benchmark(name="t", run=_toy, seed_policy="fixed")
+        assert [fixed.seed_for(i, 7) for i in range(3)] == [7, 7, 7]
 
     def test_direction_heuristic(self):
         assert default_direction("tx_per_sec") == "higher"
@@ -128,10 +129,8 @@ class TestRegistry:
 
 class TestRunner:
     def test_metrics_summarized_per_point(self):
-        bench = Benchmark(
-            name="t", run=_toy, matrix={"x": (1, 2), "y": (0,)}, repeats=3
-        )
-        result = run_benchmark(bench)
+        bench = Benchmark(name="t", run=_toy, matrix={"x": (1, 2), "y": (0,)})
+        result = run_benchmark(bench, repeats=3)
         assert [p.params for p in result.points] == [
             {"x": 1, "y": 0},
             {"x": 2, "y": 0},
@@ -163,7 +162,7 @@ class TestRunner:
         def noisy(ctx):
             return {"m": float(ctx.repeat)}  # 0, 1, 2, 3
 
-        result = run_benchmark(Benchmark(name="t", run=noisy, repeats=4))
+        result = run_benchmark(Benchmark(name="t", run=noisy), repeats=4)
         stats = result.points[0].metrics["m"].stats
         assert stats["count"] == 4.0
         assert stats["median"] == 1.5
@@ -173,24 +172,12 @@ class TestRunner:
             math.sqrt(sum((x - 1.5) ** 2 for x in (0, 1, 2, 3)) / 3)
         )
 
-    def test_setup_teardown_called(self):
-        calls = []
-        bench = Benchmark(
-            name="t",
-            run=lambda ctx: (calls.append("run"), {"m": 1.0})[1],
-            setup=lambda ctx: calls.append("setup"),
-            teardown=lambda ctx: calls.append("teardown"),
-            repeats=2,
-        )
-        run_benchmark(bench)
-        assert calls == ["setup", "run", "teardown"] * 2
-
     def test_inconsistent_metrics_rejected(self):
         def flaky(ctx):
             return {"m": 1.0} if ctx.repeat == 0 else {"other": 1.0}
 
         with pytest.raises(ValueError):
-            run_benchmark(Benchmark(name="t", run=flaky, repeats=2))
+            run_benchmark(Benchmark(name="t", run=flaky), repeats=2)
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):
@@ -266,12 +253,12 @@ class TestSeedReproducibility:
             rng = random.Random(ctx.seed)
             return {"m": rng.random(), "n": rng.gauss(0, 1)}
 
-        bench = Benchmark(name="t", run=seeded, matrix={"x": (1, 2)}, repeats=3)
-        first = self._strip(run_suite([bench], run_name="r", mode="full").to_json_dict())
-        second = self._strip(run_suite([bench], run_name="r", mode="full").to_json_dict())
+        bench = Benchmark(name="t", run=seeded, matrix={"x": (1, 2)})
+        first = self._strip(run_suite([bench], run_name="r", repeats=3).to_json_dict())
+        second = self._strip(run_suite([bench], run_name="r", repeats=3).to_json_dict())
         assert first == second
         shifted = self._strip(
-            run_suite([bench], run_name="r", mode="full", base_seed=99).to_json_dict()
+            run_suite([bench], run_name="r", repeats=3, base_seed=99).to_json_dict()
         )
         assert shifted != first
 

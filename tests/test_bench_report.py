@@ -175,7 +175,6 @@ def build_golden_report():
     grouping = group_by_files(documents)
     return analyze(
         grouping,
-        alpha=0.05,
         sources=[
             {"variant": name, "path": f"results/{name}.json",
              "run_name": name, "mode": "full"}
@@ -510,7 +509,12 @@ class TestHistoryStorage:
             document["created_unix"] = 1700000000.0 + i
             result.write_text(json.dumps(document))
             append_history(str(result), str(history_dir))
-        assert len(load_history(str(history_dir), limit=2)) == 2
+        # the cap on append is the only limit: load reads every snapshot
+        values = [
+            doc["benchmarks"][0]["points"][0]["metrics"]["m"]["median"]
+            for _, doc in load_history(str(history_dir))
+        ]
+        assert values == [0.0, 1.0, 2.0, 3.0]
         assert load_history(str(tmp_path / "missing")) == []
 
 

@@ -150,8 +150,8 @@ class TestBenchPhases:
             )
             return {"delivered_tx_per_sec": sim.delivered_rate}
 
-        bench = Benchmark(name="phase-probe", run=run, repeats=2)
-        result = run_benchmark(bench, phases=True)
+        bench = Benchmark(name="phase-probe", run=run)
+        result = run_benchmark(bench, repeats=2, phases=True)
         (point,) = result.points
         assert point.phases is not None
         assert "end_to_end" in point.phases

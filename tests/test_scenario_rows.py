@@ -102,9 +102,26 @@ def census(paths, target="build_ordering_service"):
     return calls, loops
 
 
-def test_harnesses_build_deployments_only_through_the_shared_stand_up():
-    calls, _ = census(HARNESS_FILES)
-    assert calls == ["backends.py::_stand_up_bft"]
+@pytest.mark.parametrize(
+    "paths, expected",
+    [
+        (HARNESS_FILES, ["backends.py::_stand_up_bft"]),
+        # the paper-figure experiments not yet rows (ROADMAP item 9)
+        (
+            sorted((SRC / "bench").glob("*.py")),
+            [
+                "figures.py::geo_latency_experiment",
+                "figures.py::wheat_ablation_point",
+                "figures.py::wheat_ablation_point",
+                "suite.py::overload",
+            ],
+        ),
+    ],
+    ids=["harnesses", "bench"],
+)
+def test_harnesses_build_deployments_only_through_the_shared_stand_up(paths, expected):
+    calls, _ = census(paths)
+    assert calls == expected
 
 
 def test_one_evenly_spaced_submit_loop_in_the_source_tree():
