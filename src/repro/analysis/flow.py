@@ -57,16 +57,15 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .engine import REPO_ROOT, _iter_python_files, _rel
 from .rules import MUTATOR_METHODS, Finding
 from .suppress import (
     UNKNOWN_SUPPRESSION,
     is_suppressed,
     parse_suppressions,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[3]
 
 #: Default analysis surface: the four protocol packages named by the
 #: paper's architecture (consensus x2, ordering service, fabric layer),
@@ -151,21 +150,6 @@ def _module_name(rel_path: str) -> str:
     if "src" in parts:
         parts = parts[parts.index("src") + 1 :]
     return ".".join(parts)
-
-
-def _iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
-    for path in paths:
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            yield path
-
-
-def _rel(path: Path, root: Path) -> str:
-    try:
-        return path.resolve().relative_to(root).as_posix()
-    except ValueError:
-        return path.as_posix()
 
 
 def _annotation_names(node: ast.AST) -> Set[str]:

@@ -24,25 +24,17 @@ sizes, receivers, protocols and toggles are the parameter matrices of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence
 
-from repro.bench.model import (
-    BATCH_LIMIT,
-    OrderingCapacityModel,
-    SignatureThroughputModel,
-)
+from repro.bench.model import OrderingCapacityModel, SignatureThroughputModel
 from repro.bench.topology import aws_latency_model, lan_latency_model
 from repro.fabric.channel import ChannelConfig
-from repro.ordering.backends import OpenLoop, ScenarioRow, stand_up
-from repro.ordering.service import (
-    FRONTEND_ID_BASE,
-    OrderingServiceConfig,
-    build_ordering_service,
-)
+from repro.ordering.backends import OpenLoop, ScenarioRow, StandUp, stand_up
+from repro.ordering.service import FRONTEND_ID_BASE
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.workload import OpenLoopGenerator
+from repro.smart.view import View
 
 #: The envelope sizes of the evaluation: a SHA-256 hash, three ECDSA
 #: endorsement signatures, and 1/4 KB transaction messages (§6.2).
@@ -192,6 +184,32 @@ class GeoLatencyResult:
     throughput: float
 
 
+def geo_row(
+    wheat: bool, block_size: int, load: OpenLoop, seed: int = 0
+) -> ScenarioRow:
+    """The section 6.3 deployment: BFT-SMaRt (4 replicas, uniform
+    weights, final delivery) or WHEAT (5 replicas with Virginia as the
+    extra, Oregon+Virginia -- replicas 0 and 1 -- holding Vmax,
+    tentative execution), four frontends across the Americas.  No CPU
+    model: 16 vCPUs are never the bottleneck here."""
+    return ScenarioRow(
+        delta=1 if wheat else 0,
+        seed=seed,
+        channel="geo",
+        block_size=block_size,
+        preferred_max_bytes=ChannelConfig.preferred_max_bytes,
+        batch_timeout=1.0,
+        num_frontends=len(GEO_FRONTEND_SITES),
+        request_timeout=8.0,
+        latency=aws_latency_model(),
+        node_sites=WHEAT_GEO_SITES if wheat else BFTSMART_GEO_SITES,
+        frontend_sites=GEO_FRONTEND_SITES,
+        bandwidth_bps=2e9,  # m4.4xlarge "High" network performance
+        tentative_execution=wheat,
+        load=load,
+    )
+
+
 def geo_latency_experiment(
     protocol: str = "bftsmart",
     envelope_size: int = 1024,
@@ -205,55 +223,12 @@ def geo_latency_experiment(
     four frontends across the Americas, median and 90th-percentile
     ordering latency per frontend.
 
-    ``protocol`` is ``"bftsmart"`` (4 replicas, uniform weights, final
-    delivery) or ``"wheat"`` (5 replicas with Virginia as the extra,
-    Oregon+Virginia holding Vmax, tentative execution).
+    ``protocol`` is ``"bftsmart"`` or ``"wheat"`` (:func:`geo_row`).
     """
-    if protocol == "bftsmart":
-        sites = list(BFTSMART_GEO_SITES)
-        delta = 0
-        vmax_holders: Optional[Sequence[int]] = None
-        tentative = False
-    elif protocol == "wheat":
-        sites = list(WHEAT_GEO_SITES)
-        delta = 1
-        vmax_holders = (0, 1)  # oregon + virginia
-        tentative = True
-    else:
+    if protocol not in ("bftsmart", "wheat"):
         raise ValueError(f"unknown protocol {protocol!r}")
-
-    channel = ChannelConfig(
-        "geo", max_message_count=block_size, batch_timeout=1.0
-    )
-    config = OrderingServiceConfig(
-        f=1,
-        delta=delta,
-        vmax_holders=vmax_holders,
-        tentative_execution=tentative,
-        channel=channel,
-        num_frontends=len(GEO_FRONTEND_SITES),
-        node_sites=sites,
-        frontend_sites=list(GEO_FRONTEND_SITES),
-        latency=aws_latency_model(),
-        bandwidth_bps=2e9,  # m4.4xlarge "High" network performance
-        physical_cores=None,  # 16 vCPUs are never the bottleneck here
-        max_batch=BATCH_LIMIT,
-        request_timeout=8.0,
-        enable_batch_timeout=True,
-        seed=seed,
-    )
-    service = build_ordering_service(config)
-    generator = OpenLoopGenerator(
-        sim=service.sim,
-        frontends=service.frontends,
-        channel_id="geo",
-        envelope_size=envelope_size,
-        rate_per_second=rate,
-        duration=warmup + duration,
-        jitter_fraction=0.2,
-        streams=None,
-    )
-    generator.start()
+    load = OpenLoop(rate, warmup + duration, envelope_size, jitter_fraction=0.2)
+    service = stand_up(geo_row(protocol == "wheat", block_size, load, seed)).service
     service.run(warmup)
     for index in range(len(service.frontends)):
         service.stats.histogram(f"{FRONTEND_ID_BASE + index}.latency").reset()
@@ -317,58 +292,28 @@ def wheat_ablation_point(
     seed: int = 0,
 ) -> AblationResult:
     """One cell of the WHEAT ablation: weighted quorums and tentative
-    execution toggled independently on the 5-replica geo deployment."""
-    channel = ChannelConfig(
-        "geo", max_message_count=block_size, batch_timeout=1.0
-    )
-    config = OrderingServiceConfig(
-        f=1,
-        delta=1,
-        vmax_holders=(0, 1) if weights else None,
-        tentative_execution=tentative,
-        channel=channel,
-        num_frontends=len(GEO_FRONTEND_SITES),
-        node_sites=list(WHEAT_GEO_SITES),
-        frontend_sites=list(GEO_FRONTEND_SITES),
-        latency=aws_latency_model(),
-        bandwidth_bps=2e9,
-        physical_cores=None,
-        request_timeout=8.0,
-        enable_batch_timeout=True,
-        seed=seed,
-    )
-    if not weights:
-        # uniform weights over 3f+1+delta replicas
-        config.vmax_holders = None
-        uniform = {i: 1.0 for i in range(config.n)}
-        service = build_ordering_service(config)
-        # rebuild views with uniform weights is equivalent to
-        # passing explicit weights; the builder computes binary
-        # weights from delta, so override them here
-        from repro.smart.view import View
+    execution toggled independently on the 5-replica geo deployment.
 
+    Without ``weights`` every replica and every frontend's relay is
+    handed one view of uniform weights once the deployment is built."""
+
+    def uniform_weights(up: StandUp) -> None:
+        service = up.service
+        processes = tuple(range(service.config.n))
         view = View(
-            view_id=0,
-            processes=tuple(range(config.n)),
-            f=1,
-            delta=1,
-            weights=uniform,
+            view_id=0, processes=processes, f=1, delta=1,
+            weights={i: 1.0 for i in processes},
         )
         for replica in service.replicas:
             replica.view = view
         for frontend in service.frontends:
             frontend.relay.update_view(view)
-    else:
-        service = build_ordering_service(config)
-    generator = OpenLoopGenerator(
-        sim=service.sim,
-        frontends=service.frontends,
-        channel_id="geo",
-        envelope_size=envelope_size,
-        rate_per_second=rate,
-        duration=warmup + duration,
+
+    row = replace(
+        geo_row(True, block_size, OpenLoop(rate, warmup + duration, envelope_size), seed),
+        tentative_execution=tentative,
     )
-    generator.start()
+    service = stand_up(row, None if weights else uniform_weights).service
     service.run(warmup)
     index = GEO_FRONTEND_SITES.index(frontend_region)
     recorder = service.stats.histogram(f"{FRONTEND_ID_BASE + index}.latency")

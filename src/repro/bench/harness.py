@@ -410,10 +410,10 @@ def run_benchmark(
 
     With ``phases=True`` every repeat gets a fresh
     :class:`repro.obs.Observability` hub on its :class:`BenchContext`;
-    benchmarks that thread it into ``build_ordering_service`` produce a
-    per-phase latency breakdown embedded in the point's JSON, which
-    lets ``bench compare`` localize a latency regression to a protocol
-    phase.
+    benchmarks that pass it to ``stand_up`` (``fig7_lan_sim``,
+    ``recovery_time``, ``overload``) produce a per-phase latency
+    breakdown embedded in the point's JSON, which lets ``bench
+    compare`` localize a latency regression to a protocol phase.
     """
     if mode not in ("full", "smoke"):
         raise ValueError(f"mode must be 'full' or 'smoke', got {mode!r}")

@@ -38,16 +38,17 @@ from repro.bench.model import (
     SignatureThroughputModel,
     eq1_bound,
 )
-from repro.fabric.channel import ChannelConfig
-from repro.ordering import OrderingServiceConfig, build_ordering_service
+from repro.ordering.admission import AdmissionConfig
 from repro.ordering.backends import (
     ScenarioRow,
     SpacedLoad,
+    Tenants,
     run_backend_workload,
     stand_up,
 )
 from repro.sim import RandomStreams
 from repro.sim.storage import StorageFaults
+from repro.workload import DuplicateFlood, RawProfile, TenantSpec
 
 
 # ----------------------------------------------------------------------
@@ -565,32 +566,11 @@ def bakeoff_orderers(ctx: BenchContext) -> Dict[str, float]:
     },
 )
 def overload(ctx: BenchContext) -> Dict[str, float]:
-    from repro.ordering import AdmissionConfig
-    from repro.workload import DuplicateFlood, RawProfile, TenantSpec, WorkloadEngine
-
     num_tenants = ctx["tenants"]
     saturation = ctx["saturation_rate"]
     duration = ctx["duration"]
     share = saturation / num_tenants  # per-tenant fair share
     num_frontends = 2
-    config = OrderingServiceConfig(
-        f=1,
-        channel=ChannelConfig(
-            "ch0", max_message_count=ctx["block_size"], batch_timeout=0.05
-        ),
-        num_frontends=num_frontends,
-        physical_cores=None,
-        enable_batch_timeout=True,
-        seed=ctx.seed,
-        # per-tenant budget = the fair share; the window stays loose so
-        # the token buckets, not the window, shape the steady state
-        admission=AdmissionConfig(
-            tenant_rate=share,
-            tenant_burst=share * 0.25,
-            max_in_flight=600,
-        ),
-    )
-    service = build_ordering_service(config, observability=ctx.obs)
     # tenants are pinned to frontends so each tenant faces exactly one
     # token bucket (admission state is per frontend)
     tenants = [
@@ -614,16 +594,24 @@ def overload(ctx: BenchContext) -> Dict[str, float]:
                 frontend_index=0,
             )
         )
-    engine = WorkloadEngine(
-        service.sim,
-        service.frontends,
-        tenants,
-        streams=RandomStreams(ctx.seed),
-        duration=duration,
+    row = ScenarioRow(
+        seed=ctx.seed,
+        block_size=ctx["block_size"],
+        batch_timeout=0.05,
+        num_frontends=num_frontends,
+        request_timeout=2.0,
+        # per-tenant budget = the fair share; the window stays loose so
+        # the token buckets, not the window, shape the steady state
+        admission=AdmissionConfig(
+            tenant_rate=share,
+            tenant_burst=share * 0.25,
+            max_in_flight=600,
+        ),
+        load=Tenants(tuple(tenants), duration),
     )
-    engine.start()
-    service.run(duration + 1.5)  # drain the in-flight tail
-    report = engine.report(honest_only_fairness=True)
+    up = stand_up(row, observability=ctx.obs)
+    up.service.run(duration + 1.5)  # drain the in-flight tail
+    report = up.engine.report(honest_only_fairness=True)
     return {
         "goodput_per_s": report.committed / duration,
         "p99_latency_s": report.p99_latency_s,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 from repro.obs.observability import MILESTONES, PHASES, Observability
@@ -179,6 +179,24 @@ def _fmt_seconds(value: float) -> str:
     return f"{value * 1e3:8.3f} ms"
 
 
+def phase_bars(
+    durations: Sequence[float],
+    total: float,
+    fmt: Callable[[float], str],
+    width: int,
+) -> List[str]:
+    """One ``label  time  share  ###`` line per :data:`PHASES` entry
+    (``durations`` in that order), then the end-to-end ``total``."""
+    longest = max(len(label) for label, _, _ in PHASES)
+    lines = []
+    for (label, _, _), seconds in zip(PHASES, durations):
+        share = seconds / total if total > 0 else 0.0
+        bar = "#" * max(0, round(share * width))
+        lines.append(f"  {label:<{longest}}  {fmt(seconds)}  {share:6.1%}  {bar}")
+    lines.append(f"  {'end-to-end':<{longest}}  {fmt(total)}  100.0%")
+    return lines
+
+
 def render_critical_path(
     obs: Observability, cid: int, width: int = 40
 ) -> str:
@@ -193,15 +211,8 @@ def render_critical_path(
         lines.append(f"  incomplete chain (reached: {reached})")
         return "\n".join(lines)
     total = times["delivered"] - times["submitted"]
-    longest = max(len(label) for label, _, _ in PHASES)
-    for label, start, stop in PHASES:
-        delta = times[stop] - times[start]
-        share = delta / total if total > 0 else 0.0
-        bar = "#" * max(0, round(share * width))
-        lines.append(
-            f"  {label:<{longest}}  {_fmt_seconds(delta)}  {share:6.1%}  {bar}"
-        )
-    lines.append(f"  {'end-to-end':<{longest}}  {_fmt_seconds(total)}  100.0%")
+    durations = [times[stop] - times[start] for _, start, stop in PHASES]
+    lines += phase_bars(durations, total, _fmt_seconds, width)
     return "\n".join(lines)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.bench.topology import lan_latency_model
+from repro.obs.export import phase_bars, render_critical_path
 from repro.obs.observability import PHASES, Observability
 from repro.ordering.backends import OpenLoop, ScenarioRow, stand_up
 from repro.ordering.service import FRONTEND_ID_BASE, OrderingService
@@ -110,14 +111,8 @@ def cross_check(result: ScenarioResult) -> Tuple[bool, str]:
 def _phase_section(result: ScenarioResult) -> List[str]:
     breakdown = result.obs.phase_breakdown()
     lines = ["latency by protocol phase (mean over complete envelope chains)"]
-    total = breakdown.end_to_end_mean
-    longest = max(len(label) for label, _, _ in PHASES)
-    for label, _, _ in PHASES:
-        mean = breakdown.mean(label)
-        share = mean / total if total > 0 else 0.0
-        bar = "#" * max(0, round(share * 30))
-        lines.append(f"  {label:<{longest}}  {_fmt_ms(mean)}  {share:6.1%}  {bar}")
-    lines.append(f"  {'end-to-end':<{longest}}  {_fmt_ms(total)}  100.0%")
+    means = [breakdown.mean(label) for label, _, _ in PHASES]
+    lines += phase_bars(means, breakdown.end_to_end_mean, _fmt_ms, 30)
     lines.append(
         f"  envelopes: {breakdown.complete} complete chains, "
         f"{breakdown.incomplete} incomplete (in flight at shutdown)"
@@ -181,8 +176,6 @@ def _counter_section(result: ScenarioResult) -> List[str]:
 
 
 def render_report(result: ScenarioResult, cid: Optional[int] = None) -> str:
-    from repro.obs.export import render_critical_path
-
     service = result.service
     config = service.config
     sections = [

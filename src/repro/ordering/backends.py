@@ -49,7 +49,7 @@ from repro.sim.core import Simulator
 from repro.sim.monitor import MetricsRegistry
 from repro.sim.network import ConstantLatency, LatencyModel, Network
 from repro.sim.randomness import RandomStreams
-from repro.workload import OpenLoopGenerator
+from repro.workload import RawProfile, TenantSpec, WorkloadEngine, make_arrivals
 
 #: network id of the harness's committing peer
 PEER_NAME = "peer0"
@@ -105,32 +105,72 @@ class SpacedLoad:
             up.sim.post_at(self.at(index), submit, index)
 
 
+def _start_engine(
+    up: "StandUp",
+    tenants: Tuple[TenantSpec, ...],
+    duration: float,
+    seed: int,
+    track_latency: bool,
+) -> None:
+    if up.service is None:
+        raise ValueError(f"an open loop needs frontends; {up.row.backend} has none")
+    up.engine = WorkloadEngine(
+        up.sim,
+        up.service.frontends,
+        tenants,
+        streams=RandomStreams(seed),
+        duration=duration,
+        track_latency=track_latency,
+    )
+    up.engine.start()
+
+
 @dataclass(frozen=True)
 class OpenLoop:
-    """:class:`~repro.workload.OpenLoopGenerator`: fixed-interval
-    arrivals at ``rate`` envelopes/s for ``duration`` seconds, each
-    timer chained from the last, with ids drawn from the run."""
+    """The paper's client load (section 6.2-6.3): one tenant of
+    fixed-interval arrivals at ``rate`` envelopes/s for ``duration``
+    seconds, round-robin over the frontends, each timer chained from
+    the last, with ids drawn from the run.
+
+    Each gap is stretched by one uniform draw in ``+-jitter_fraction``
+    (none when it is zero) from the ``"workload"`` stream of seed 0,
+    whatever the row's seed.
+    """
 
     rate: float
     duration: float
     envelope_size: int = 1024
+    jitter_fraction: float = 0.0
 
     @property
     def end(self) -> float:
         return self.duration
 
     def start_on(self, up: "StandUp") -> None:
-        if up.service is None:
-            raise ValueError(f"an open loop needs frontends; {up.row.backend} has none")
-        up.generator = OpenLoopGenerator(
-            sim=up.sim,
-            frontends=up.service.frontends,
-            channel_id=up.row.channel,
-            envelope_size=self.envelope_size,
-            rate_per_second=self.rate,
-            duration=self.duration,
+        spec = TenantSpec(
+            name="loadgen",
+            arrival=make_arrivals("fixed", self.rate, jitter_fraction=self.jitter_fraction),
+            profile=RawProfile(channel=up.row.channel, envelope_size=self.envelope_size),
+            stream="workload",
         )
-        up.generator.start()
+        _start_engine(up, (spec,), self.duration, seed=0, track_latency=False)
+
+
+@dataclass(frozen=True)
+class Tenants:
+    """A :class:`~repro.workload.WorkloadEngine` tenant mix for
+    ``duration`` seconds, drawing on the row's seed and recording each
+    tenant's admitted latency (``up.engine.report()``)."""
+
+    tenants: Tuple[TenantSpec, ...]
+    duration: float
+
+    @property
+    def end(self) -> float:
+        return self.duration
+
+    def start_on(self, up: "StandUp") -> None:
+        _start_engine(up, self.tenants, self.duration, up.row.seed, track_latency=True)
 
 
 @dataclass(frozen=True)
@@ -153,6 +193,12 @@ class ScenarioRow:
     request_timeout: float = 0.5
     #: None: 0.1 ms constant one-way delay
     latency: Optional[LatencyModel] = None
+    #: site per ordering node / per frontend, as the latency model names
+    #: them (None: all "lan"); BFT backends only
+    node_sites: Optional[Tuple[str, ...]] = None
+    frontend_sites: Optional[Tuple[str, ...]] = None
+    #: every NIC's bandwidth
+    bandwidth_bps: float = 1e9
     #: per-node CPU model, the section 6.2 machine (off: no CPU cost
     #: accounting)
     cpu: bool = False
@@ -160,12 +206,14 @@ class ScenarioRow:
     #: decisions between the BFT-SMaRt replicas' checkpoints (each one
     #: compacts a durable WAL)
     checkpoint_period: int = 1000
+    #: WHEAT's tentative execution (BFT-SMaRt only)
+    tentative_execution: bool = False
     admission: Optional[AdmissionConfig] = None
     #: replica that crashes at 0.4 of the load window -- with amnesia,
     #: to replay its WAL and state-transfer back at 0.7, when ``rejoin``
     crash: Optional[int] = None
     rejoin: bool = False
-    load: Union[SpacedLoad, OpenLoop] = SpacedLoad()
+    load: Union[SpacedLoad, OpenLoop, Tenants] = SpacedLoad()
     #: what the channel's transactions need endorsed, unless their
     #: chaincode says otherwise
     endorsement_policy: EndorsementPolicy = SignedBy("org0")
@@ -208,15 +256,16 @@ class StandUp:
     #: what the ``arm`` hook of :func:`stand_up` returned
     armed: Any = None
     rejected: int = 0
-    generator: Optional[OpenLoopGenerator] = None
+    #: the open-loop engine of an ``OpenLoop`` or ``Tenants`` load
+    engine: Optional[WorkloadEngine] = None
     committers: List[CommittingPeer] = field(default_factory=list)
     endorsers: List[EndorsingPeer] = field(default_factory=list)
 
     @property
     def submitted(self) -> int:
         """Envelopes the load has handed to the ordering service."""
-        if self.generator is not None:
-            return self.generator.submitted
+        if self.engine is not None:
+            return self.engine.offered
         return self.row.load.count - self.rejected
 
     def add_peer(
@@ -263,7 +312,7 @@ def _stand_up_cft(
     network = Network(
         sim,
         row.latency or ConstantLatency(0.0001),
-        default_bandwidth_bps=1e9,
+        default_bandwidth_bps=row.bandwidth_bps,
         streams=streams,
     )
     stats = MetricsRegistry()
@@ -317,7 +366,10 @@ def _stand_up_bft(
         delta=row.delta,
         channel=row.channel_config(),
         num_frontends=row.num_frontends,
+        node_sites=row.node_sites,
+        frontend_sites=row.frontend_sites,
         latency=row.latency,
+        bandwidth_bps=row.bandwidth_bps,
         # 8 cores, BFT-SMaRt itself taking 60 % of each node's CPU
         physical_cores=8 if row.cpu else None,
         smart_cpu_fraction=0.6,
@@ -325,6 +377,7 @@ def _stand_up_bft(
         enable_batch_timeout=row.enable_batch_timeout,
         durable_wal=row.durable_wal,
         checkpoint_period=row.checkpoint_period,
+        tentative_execution=row.tentative_execution,
         admission=row.admission,
         seed=row.seed,
     )

@@ -137,7 +137,6 @@ class ReplicaConfig:
     """Tunables of one replica (defaults follow the paper)."""
 
     max_batch: int = DEFAULT_MAX_BATCH
-    max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES
     request_timeout: float = 2.0
     checkpoint_period: int = 1000
     tentative_execution: bool = False
@@ -501,7 +500,7 @@ class ServiceReplica:
             return
         if self.synchronizer.changing_regency:
             return
-        batch = self.pending.next_batch(self.config.max_batch, self.config.max_batch_bytes)
+        batch = self.pending.next_batch(self.config.max_batch, DEFAULT_MAX_BATCH_BYTES)
         if not batch:
             return
         cid = self.last_executed + 1

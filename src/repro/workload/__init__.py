@@ -23,8 +23,9 @@ state:
 - :mod:`repro.workload.engine` -- the engine driving any set of
   tenants against the frontends, recording offered/admitted/rejected/
   committed counts, admitted latency and per-tenant fairness; plus the
-  two paper-style drivers built on it (``OpenLoopGenerator``: one
-  fixed-rate tenant; ``ClosedLoopDriver``: a fixed client count).
+  paper-style ``ClosedLoopDriver`` (a fixed client count).  The
+  paper's fixed-rate client load is a scenario row's ``OpenLoop``, one
+  fixed-interval tenant of this engine (:mod:`repro.ordering.backends`).
 
 See docs/WORKLOADS.md for the design discussion.
 """
@@ -45,7 +46,6 @@ from repro.workload.adversarial import (
 )
 from repro.workload.engine import (
     ClosedLoopDriver,
-    OpenLoopGenerator,
     TenantSpec,
     TenantStats,
     WorkloadEngine,
@@ -70,7 +70,6 @@ __all__ = [
     "DuplicateFlood",
     "FixedArrivals",
     "MultiChannelProfile",
-    "OpenLoopGenerator",
     "OversizedSpam",
     "PoissonArrivals",
     "ProvenanceProfile",

@@ -43,7 +43,7 @@ class ArrivalProcess:
 class FixedArrivals(ArrivalProcess):
     """Evenly spaced arrivals, optionally jittered.
 
-    Exactly the historical ``OpenLoopGenerator`` spacing: the base
+    The spacing of a scenario row's ``OpenLoop`` load: the base
     interval stretched by a single uniform draw in
     ``±jitter_fraction`` -- and *no* draw at all when the jitter is
     zero, so unjittered schedules consume no randomness.

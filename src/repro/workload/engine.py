@@ -270,58 +270,6 @@ class WorkloadEngine:
 
 
 @dataclass
-class OpenLoopGenerator:
-    """Submits raw envelopes at a fixed aggregate rate, round-robin over
-    frontends (each frontend then behaves like the paper's client
-    threads feeding the ordering cluster, §6.2-6.3).
-
-    A single-tenant :class:`WorkloadEngine` with fixed-interval
-    arrivals on the ``"workload"`` stream: no draws when unjittered,
-    one draw per arrival otherwise, so the paper-figure experiments
-    and the committed seeds that drive it stay byte-identical.
-    """
-
-    sim: Simulator
-    frontends: Sequence
-    channel_id: str
-    envelope_size: int
-    rate_per_second: float
-    duration: float
-    jitter_fraction: float = 0.0
-    streams: Optional[RandomStreams] = None
-    _engine: Optional[WorkloadEngine] = field(default=None, init=False, repr=False)
-
-    def start(self) -> None:
-        spec = TenantSpec(
-            name="loadgen",
-            arrival=make_arrivals(
-                "fixed", self.rate_per_second, jitter_fraction=self.jitter_fraction
-            ),
-            profile=RawProfile(
-                channel=self.channel_id, envelope_size=self.envelope_size
-            ),
-            stream="workload",
-        )
-        self._engine = WorkloadEngine(
-            self.sim,
-            self.frontends,
-            [spec],
-            streams=self.streams or RandomStreams(0),
-            duration=self.duration,
-            track_latency=False,
-        )
-        self._engine.start()
-
-    def stop(self) -> None:
-        if self._engine is not None:
-            self._engine.stop()
-
-    @property
-    def submitted(self) -> int:
-        return self._engine.offered if self._engine is not None else 0
-
-
-@dataclass
 class ClosedLoopDriver:
     """``clients`` concurrent submitters, each sending its next
     envelope as soon as the previous one is committed at its frontend.

@@ -7,7 +7,6 @@ attempt by the leader.
 
 
 from repro.bench.figures import geo_latency_experiment
-from repro.bench.topology import aws_latency_model
 from repro.faults import CensorClients, Drop, FaultInjector, Match
 from tests.conftest import Cluster
 
@@ -50,48 +49,20 @@ class TestGeoDeployments:
     def test_geo_cluster_survives_distant_replica_crash(self):
         """Sydney going dark must not affect safety; WHEAT's weights
         mean it barely affects latency either."""
-        from repro.bench.figures import GEO_FRONTEND_SITES, WHEAT_GEO_SITES
-        from repro.fabric.channel import ChannelConfig
-        from repro.ordering.service import (
-            FRONTEND_ID_BASE,
-            OrderingServiceConfig,
-            build_ordering_service,
-        )
-        from repro.workload import OpenLoopGenerator
+        from repro.bench.figures import WHEAT_GEO_SITES, geo_row
+        from repro.ordering.backends import OpenLoop, stand_up
+        from repro.ordering.service import FRONTEND_ID_BASE
 
-        config = OrderingServiceConfig(
-            f=1,
-            delta=1,
-            vmax_holders=(0, 1),
-            tentative_execution=True,
-            channel=ChannelConfig("geo", max_message_count=10, batch_timeout=1.0),
-            num_frontends=len(GEO_FRONTEND_SITES),
-            node_sites=list(WHEAT_GEO_SITES),
-            frontend_sites=list(GEO_FRONTEND_SITES),
-            latency=aws_latency_model(),
-            bandwidth_bps=2e9,
-            physical_cores=None,
-            request_timeout=8.0,
-            enable_batch_timeout=True,
-        )
-        service = build_ordering_service(config)
-        generator = OpenLoopGenerator(
-            sim=service.sim,
-            frontends=service.frontends,
-            channel_id="geo",
-            envelope_size=1024,
-            rate_per_second=900,
-            duration=6.0,
-        )
-        generator.start()
+        up = stand_up(geo_row(True, block_size=10, load=OpenLoop(900, 6.0)))
+        service = up.service
         service.run(2.0)
         sydney_index = WHEAT_GEO_SITES.index("sydney")
         service.crash_node(sydney_index)
         service.run(8.0)  # finish the offered load + drain the tail
         meter = service.stats.meter(f"{FRONTEND_ID_BASE}.envelopes")
         # every single offered envelope was ordered and delivered
-        assert meter.total == generator.submitted
-        assert generator.submitted > 5000
+        assert meter.total == up.submitted
+        assert up.submitted > 5000
 
 
 class TestAdversarialNetworks:

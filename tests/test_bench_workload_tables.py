@@ -5,7 +5,8 @@ import pytest
 
 from repro.fabric.channel import ChannelConfig
 from repro.ordering import OrderingServiceConfig, build_ordering_service
-from repro.workload import ClosedLoopDriver, OpenLoopGenerator
+from repro.ordering.backends import OpenLoop, ScenarioRow, stand_up
+from repro.workload import ClosedLoopDriver
 
 
 def small_service(block_size=5, num_frontends=2):
@@ -19,140 +20,92 @@ def small_service(block_size=5, num_frontends=2):
     return build_ordering_service(config)
 
 
+def open_loop(rate=100.0, duration=2.0, num_frontends=2, arm=None, **load):
+    """A row's ``OpenLoop`` of 100-byte envelopes on the small
+    deployment, stood up (``arm`` runs before the first arrival)."""
+    row = ScenarioRow(
+        block_size=5,
+        batch_timeout=0.5,
+        num_frontends=num_frontends,
+        load=OpenLoop(rate, duration, envelope_size=100, **load),
+    )
+    return stand_up(row, arm)
+
+
+def submit_times(up):
+    """Record the simulated time of every submission at every frontend."""
+    times = []
+    for frontend in up.service.frontends:
+        original = frontend.submit
+
+        def probe(envelope, _original=original):
+            times.append(up.sim.now)
+            return _original(envelope)
+
+        frontend.submit = probe
+    return times
+
+
 class TestOpenLoopGenerator:
+    """The paper's fixed-rate client load: a row's ``OpenLoop``."""
+
     def test_rate_and_duration(self):
-        service = small_service()
-        generator = OpenLoopGenerator(
-            sim=service.sim,
-            frontends=service.frontends,
-            channel_id="ch0",
-            envelope_size=100,
-            rate_per_second=100.0,
-            duration=2.0,
-        )
-        generator.start()
-        service.run(5.0)
-        assert generator.submitted == pytest.approx(200, abs=3)
-        meter = service.stats.meter("orderer0.envelopes")
-        assert meter.total == generator.submitted
+        up = open_loop()
+        up.service.run(5.0)
+        assert up.submitted == pytest.approx(200, abs=3)
+        meter = up.service.stats.meter("orderer0.envelopes")
+        assert meter.total == up.submitted
 
     def test_round_robin_across_frontends(self):
-        service = small_service()
-        generator = OpenLoopGenerator(
-            sim=service.sim,
-            frontends=service.frontends,
-            channel_id="ch0",
-            envelope_size=100,
-            rate_per_second=100.0,
-            duration=1.0,
-        )
-        generator.start()
-        service.run(3.0)
-        submitted = [f.envelopes_submitted for f in service.frontends]
+        up = open_loop(duration=1.0)
+        up.service.run(3.0)
+        submitted = [f.envelopes_submitted for f in up.service.frontends]
         assert abs(submitted[0] - submitted[1]) <= 1
 
     def test_stop(self):
-        service = small_service()
-        generator = OpenLoopGenerator(
-            sim=service.sim,
-            frontends=service.frontends,
-            channel_id="ch0",
-            envelope_size=100,
-            rate_per_second=1000.0,
-            duration=10.0,
-        )
-        generator.start()
-        service.run(0.1)
-        generator.stop()
-        count = generator.submitted
-        service.run(1.0)
-        assert generator.submitted == count
+        up = open_loop(rate=1000.0, duration=10.0)
+        up.service.run(0.1)
+        up.engine.stop()
+        count = up.submitted
+        up.service.run(1.0)
+        assert up.submitted == count
 
     def test_invalid_rate(self):
-        service = small_service()
-        generator = OpenLoopGenerator(
-            sim=service.sim,
-            frontends=service.frontends,
-            channel_id="ch0",
-            envelope_size=100,
-            rate_per_second=0.0,
-            duration=1.0,
-        )
         with pytest.raises(ValueError):
-            generator.start()
+            open_loop(rate=0.0, duration=1.0)
 
     def test_stop_is_idempotent_and_sticky(self):
-        service = small_service()
-        generator = OpenLoopGenerator(
-            sim=service.sim,
-            frontends=service.frontends,
-            channel_id="ch0",
-            envelope_size=100,
-            rate_per_second=500.0,
-            duration=10.0,
-        )
-        generator.start()
-        service.run(0.05)
-        generator.stop()
-        generator.stop()  # double stop is harmless
-        count = generator.submitted
-        service.run(1.0)
-        assert generator.submitted == count
+        up = open_loop(rate=500.0, duration=10.0)
+        up.service.run(0.05)
+        up.engine.stop()
+        up.engine.stop()  # double stop is harmless
+        count = up.submitted
+        up.service.run(1.0)
+        assert up.submitted == count
 
     def test_deterministic_arrival_sequence(self):
-        """Same seed => byte-identical submission times and counts."""
-        from repro.sim.randomness import RandomStreams
+        """A jittered load repeats byte for byte; every gap stays within
+        the jitter of the base interval, and the gaps differ."""
 
-        def arrivals(seed):
-            service = small_service()
-            times = []
-            original = service.frontends[0].submit
-
-            def probe(envelope, _original=original, _times=times):
-                _times.append(service.sim.now)
-                return _original(envelope)
-
-            service.frontends[0].submit = probe
-            generator = OpenLoopGenerator(
-                sim=service.sim,
-                frontends=[service.frontends[0]],
-                channel_id="ch0",
-                envelope_size=100,
-                rate_per_second=200.0,
-                duration=0.5,
+        def arrivals():
+            up = open_loop(
+                rate=200.0, duration=0.5, num_frontends=1, arm=submit_times,
                 jitter_fraction=0.3,
-                streams=RandomStreams(seed),
             )
-            generator.start()
-            service.run(2.0)
-            return times
+            up.service.run(2.0)
+            return up.armed
 
-        first = arrivals(7)
+        first = arrivals()
         assert len(first) > 50
-        assert arrivals(7) == first
-        assert arrivals(8) != first
+        assert arrivals() == first
+        gaps = [b - a for a, b in zip(first, first[1:])]
+        assert all(0.7 / 200.0 - 1e-12 <= gap <= 1.3 / 200.0 + 1e-12 for gap in gaps)
+        assert len({round(gap, 9) for gap in gaps}) > len(gaps) // 2
 
     def test_unjittered_arrivals_are_evenly_spaced(self):
-        service = small_service()
-        times = []
-        for frontend in service.frontends:
-            original = frontend.submit
-
-            def probe(envelope, _original=original):
-                times.append(service.sim.now)
-                return _original(envelope)
-
-            frontend.submit = probe
-        generator = OpenLoopGenerator(
-            sim=service.sim,
-            frontends=service.frontends,
-            channel_id="ch0",
-            envelope_size=100,
-            rate_per_second=100.0,
-            duration=0.5,
-        )
-        generator.start()
-        service.run(2.0)
+        up = open_loop(duration=0.5, arm=submit_times)
+        up.service.run(2.0)
+        times = up.armed
         gaps = {round(b - a, 9) for a, b in zip(times, times[1:])}
         assert gaps == {0.01}
 

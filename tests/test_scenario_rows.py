@@ -1,7 +1,7 @@
 """Scenarios are data: one row type, one stand-up, one load loop.
 
-The fault explorer, the sanitizers, the ``obs`` report and the
-conformance battery describe every run as a
+The fault explorer, the sanitizers, the ``obs`` report, the benchmark
+suite and the conformance battery describe every run as a
 :class:`repro.ordering.backends.ScenarioRow` and stand it up through
 :func:`repro.ordering.backends.stand_up`.  These tests hold that shape:
 no harness builds a deployment of its own, no module hand-rolls its own
@@ -37,6 +37,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 #: the harness modules that stand deployments up only through stand_up
 HARNESS_FILES = (
     *sorted((SRC / "analysis").glob("*.py")),
+    *sorted((SRC / "bench").glob("*.py")),
     *sorted((SRC / "faults").glob("*.py")),
     SRC / "obs" / "report.py",
     SRC / "ordering" / "backends.py",
@@ -102,26 +103,9 @@ def census(paths, target="build_ordering_service"):
     return calls, loops
 
 
-@pytest.mark.parametrize(
-    "paths, expected",
-    [
-        (HARNESS_FILES, ["backends.py::_stand_up_bft"]),
-        # the paper-figure experiments not yet rows (ROADMAP item 9)
-        (
-            sorted((SRC / "bench").glob("*.py")),
-            [
-                "figures.py::geo_latency_experiment",
-                "figures.py::wheat_ablation_point",
-                "figures.py::wheat_ablation_point",
-                "suite.py::overload",
-            ],
-        ),
-    ],
-    ids=["harnesses", "bench"],
-)
-def test_harnesses_build_deployments_only_through_the_shared_stand_up(paths, expected):
-    calls, _ = census(paths)
-    assert calls == expected
+def test_harnesses_build_deployments_only_through_the_shared_stand_up():
+    calls, _ = census(HARNESS_FILES)
+    assert calls == ["backends.py::_stand_up_bft"]
 
 
 def test_one_evenly_spaced_submit_loop_in_the_source_tree():

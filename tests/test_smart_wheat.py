@@ -1,6 +1,8 @@
 """Tests for WHEAT: weighted quorums and tentative execution."""
 
+import pytest
 
+from repro.ordering.backends import stand_up
 from repro.smart.wheat import WheatConfig, rank_by_latency, wheat_view
 from tests.conftest import Cluster
 
@@ -119,3 +121,31 @@ class TestHelpers:
         view = wheat_view(0, tuple(range(5)), f=1, delta=1, vmax_holders=(2, 3))
         assert view.weights[2] == 2.0
         assert view.weights[0] == 1.0
+
+
+class TestWheatAblation:
+    @pytest.mark.parametrize("weights", [False, True])
+    def test_weights_toggle_reaches_replicas_and_relays(self, monkeypatch, weights):
+        """The ablation's ``weights=False`` cell hands every replica and
+        every frontend's relay uniform weights; ``weights=True`` keeps
+        Vmax (2.0 at f=1, delta=1) on replicas 0 and 1."""
+        from repro.bench import figures
+
+        stood_up = []
+
+        def recording_stand_up(*args, **kwargs):
+            stood_up.append(stand_up(*args, **kwargs))
+            return stood_up[-1]
+
+        monkeypatch.setattr(figures, "stand_up", recording_stand_up)
+        figures.wheat_ablation_point(
+            weights, tentative=True, rate=100.0, duration=0.2, warmup=0.1
+        )
+        (up,) = stood_up
+        vmax = 2.0 if weights else 1.0
+        expected = {0: vmax, 1: vmax, 2: 1.0, 3: 1.0, 4: 1.0}
+        service = up.service
+        views = [replica.view for replica in service.replicas]
+        views += [frontend.relay.view for frontend in service.frontends]
+        assert len(views) == 5 + 4
+        assert [view.weights for view in views] == [expected] * len(views)
