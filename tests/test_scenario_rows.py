@@ -37,7 +37,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 #: the harness modules that stand deployments up only through stand_up
 HARNESS_FILES = (
     *sorted((SRC / "analysis").glob("*.py")),
-    *sorted((SRC / "bench").glob("*.py")),
     *sorted((SRC / "faults").glob("*.py")),
     SRC / "obs" / "report.py",
     SRC / "ordering" / "backends.py",
@@ -103,9 +102,18 @@ def census(paths, target="build_ordering_service"):
     return calls, loops
 
 
-def test_harnesses_build_deployments_only_through_the_shared_stand_up():
-    calls, _ = census(HARNESS_FILES)
-    assert calls == ["backends.py::_stand_up_bft"]
+@pytest.mark.parametrize(
+    "paths, expected",
+    [
+        (HARNESS_FILES, ["backends.py::_stand_up_bft"]),
+        # every paper-figure experiment is a row: bench builds nothing by hand
+        (sorted((SRC / "bench").glob("*.py")), []),
+    ],
+    ids=["harnesses", "bench"],
+)
+def test_harnesses_build_deployments_only_through_the_shared_stand_up(paths, expected):
+    calls, _ = census(paths)
+    assert calls == expected
 
 
 def test_one_evenly_spaced_submit_loop_in_the_source_tree():
