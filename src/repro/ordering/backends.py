@@ -133,8 +133,8 @@ class OpenLoop:
     the last, with ids drawn from the run.
 
     Each gap is stretched by one uniform draw in ``+-jitter_fraction``
-    (none when it is zero) from the ``"workload"`` stream of seed 0,
-    whatever the row's seed.
+    (none when it is zero) from the ``"workload"`` stream of the row's
+    seed, so the repeats of a jittered row differ in their arrivals too.
     """
 
     rate: float
@@ -153,7 +153,7 @@ class OpenLoop:
             profile=RawProfile(channel=up.row.channel, envelope_size=self.envelope_size),
             stream="workload",
         )
-        _start_engine(up, (spec,), self.duration, seed=0, track_latency=False)
+        _start_engine(up, (spec,), self.duration, up.row.seed, track_latency=False)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
+from repro.fabric.block import BlockHeader
+from repro.fabric.envelope import Envelope
 from repro.smart.messages import (
     HASH_BYTES,
     MESSAGE_HEADER_BYTES,
@@ -48,6 +50,11 @@ class Preprepare:
     ``number``/``previous_hash`` pin the block's position in the
     per-channel chain; followers check both against their own chain
     state, so a leader cannot silently fork or skip numbers.
+
+    One message reaches every node, so the block body it proposes is
+    derived once on it: :meth:`header` and :meth:`envelopes` are pure
+    functions of the message's own fields, cached as ``wire_size`` is,
+    and every node's decided block shares them.
     """
 
     kind = sys.intern("smart2.Preprepare")
@@ -58,9 +65,31 @@ class Preprepare:
     channel_id: str
     number: int
     previous_hash: bytes
-    batch: List[ClientRequest]
+    batch: Tuple[ClientRequest, ...]
     signature: bytes = b""
     _wire: int = field(default=-1, init=False, repr=False, compare=False)
+    _header: Optional[BlockHeader] = field(default=None, init=False, repr=False, compare=False)
+    _envelopes: Optional[List[Envelope]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def envelopes(self) -> List[Envelope]:
+        """The proposed block's envelopes: each request's operation."""
+        envelopes = self._envelopes
+        if envelopes is None:
+            envelopes = self._envelopes = [r.operation for r in self.batch]
+        return envelopes
+
+    def header(self) -> BlockHeader:
+        """The proposed block's header, at ``number`` off ``previous_hash``."""
+        header = self._header
+        if header is None:
+            from repro.ordering.blockcutter import ChainPosition
+
+            header = self._header = ChainPosition(self.number, self.previous_hash).header(
+                self.envelopes()
+            )
+        return header
 
     def wire_size(self) -> int:
         wire = self._wire

@@ -147,14 +147,19 @@ class _Round:
     committed: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _Decision:
-    """One decided block, with its quorum signatures and raw batch."""
+    """One decided block, with its quorum signatures and raw batch.
+
+    The block's header and envelope list, and the batch, are the
+    pre-prepare's (or the catch-up push's), shared by every node that
+    decided it; only ``block.signatures`` is this node's own.
+    """
 
     seq: int
     channel_id: str
     block: Block
-    batch: List[ClientRequest]
+    batch: Tuple[ClientRequest, ...]
 
 
 class SmartBFTNode:
@@ -248,7 +253,7 @@ class SmartBFTNode:
         # request bookkeeping
         self.pending = PendingQueue()
         #: cut batches waiting for room in the proposal window
-        self._batch_queue: Deque[Tuple[str, List[ClientRequest]]] = deque()
+        self._batch_queue: Deque[Tuple[str, Tuple[ClientRequest, ...]]] = deque()
         #: envelope id -> ingested requests carrying it, oldest first (a
         #: client may submit one id under several request ids)
         self._req_by_env: Dict[int, Deque[ClientRequest]] = {}
@@ -486,7 +491,7 @@ class SmartBFTNode:
             requests.append(waiting.popleft())
             if not waiting:
                 del self._req_by_env[envelope.envelope_id]
-        self._batch_queue.append((channel_id, requests))
+        self._batch_queue.append((channel_id, tuple(requests)))
 
     def _timeout_cut(self, channel_id: str) -> None:
         if self.is_leader:  # else a view change is running
@@ -507,29 +512,28 @@ class SmartBFTNode:
             channel_id, batch = self._batch_queue.popleft()
             self._propose(channel_id, batch)
 
-    def _propose(self, channel_id: str, batch: List[ClientRequest]) -> None:
+    def _propose(self, channel_id: str, batch: Tuple[ClientRequest, ...]) -> None:
         """Pre-prepare ``batch`` at the next sequence number, chained off
         this node's last proposed header on the channel."""
         seq = self._next_accept
         state = self._channels[channel_id]
-        header = state.tip.header([r.operation for r in batch])
         message = Preprepare(
             sender=self.replica_id,
             view_number=self.view_number,
             seq=seq,
             channel_id=channel_id,
-            number=header.number,
-            previous_hash=header.previous_hash,
+            number=state.tip.number,
+            previous_hash=state.tip.previous_hash,
             batch=batch,
         )
+        header = message.header()
         message.signature = self.identity.sign(
             preprepare_payload(message.view_number, seq, header.digest())
         )
         if self.obs is not None:
             self.obs.on_block_cut(
                 self.name,
-                Block(header=header, envelopes=[r.operation for r in batch],
-                      channel_id=channel_id),
+                Block(header=header, envelopes=message.envelopes(), channel_id=channel_id),
                 self.sim.now,
             )
         self._broadcast(message)
@@ -578,9 +582,7 @@ class SmartBFTNode:
         verifier = self._verifier_of(msg.sender)
         if verifier is None:
             return None
-        header = ChainPosition(msg.number, msg.previous_hash).header(
-            [r.operation for r in msg.batch]
-        )
+        header = msg.header()
         if not verifier.verify(
             preprepare_payload(msg.view_number, msg.seq, header.digest()),
             msg.signature,
@@ -761,16 +763,15 @@ class SmartBFTNode:
                 if voter in names
             }
             block = Block(
-                header=round_.header,
-                envelopes=[r.operation for r in msg.batch],
+                header=msg.header(),
+                envelopes=msg.envelopes(),
                 signatures=signatures,
                 channel_id=msg.channel_id,
             )
             del self._rounds[seq]
             self._accepted_ids.difference_update([r.request_id for r in msg.batch])
             self._commit_decision(
-                _Decision(seq=seq, channel_id=msg.channel_id, block=block,
-                          batch=list(msg.batch))
+                _Decision(seq=seq, channel_id=msg.channel_id, block=block, batch=msg.batch)
             )
 
     def _commit_decision(self, decision: _Decision) -> None:
@@ -1110,7 +1111,7 @@ class SmartBFTNode:
             ):
                 break
             self._leader_seen.update([r.request_id for r in candidate.batch])
-            self._propose(candidate.channel_id, list(candidate.batch))
+            self._propose(candidate.channel_id, candidate.batch)
 
     # ------------------------------------------------------------------
     # catch-up
@@ -1124,9 +1125,7 @@ class SmartBFTNode:
         window = self._decisions[start : start + CATCHUP_BATCH]
         push = BlockPush(
             sender=self.replica_id,
-            decisions=tuple(
-                (d.seq, d.block, tuple(d.batch)) for d in window
-            ),
+            decisions=tuple((d.seq, d.block, d.batch) for d in window),
         )
         self._send(src, push)
 
@@ -1161,7 +1160,7 @@ class SmartBFTNode:
                     seq=seq,
                     channel_id=block.channel_id,
                     block=block,
-                    batch=list(batch),
+                    batch=batch,
                 )
             )
             progressed = True

@@ -171,3 +171,33 @@ def test_cft_rows_honour_their_latency():
     assert len(slow.commit_latencies) == len(fast.commit_latencies) == 8
     for slower, faster in zip(slow.commit_latencies, fast.commit_latencies):
         assert slower - faster == pytest.approx(0.0004)
+
+
+def _submit_times(seed: int, jitter_fraction: float):
+    """Every frontend submit time of a jittered open loop at ``seed``."""
+    times = []
+
+    def record_submits(up):
+        for frontend in up.service.frontends:
+            def submit(envelope, _submit=frontend.submit):
+                times.append(up.sim.now)
+                return _submit(envelope)
+
+            frontend.submit = submit
+
+    row = ScenarioRow(
+        seed=seed, load=OpenLoop(200.0, 0.5, jitter_fraction=jitter_fraction)
+    )
+    stand_up(row, arm=record_submits).sim.run(until=0.6)
+    return times
+
+
+def test_an_open_loop_draws_its_jitter_from_the_row_seed():
+    """Repeats of a jittered row differ in their arrivals, and one seed
+    reproduces them exactly."""
+    seed0 = _submit_times(0, 0.2)
+    assert len(seed0) > 50
+    assert _submit_times(0, 0.2) == seed0
+    assert _submit_times(1, 0.2) != seed0
+    # without jitter nothing is drawn, so the seed moves no arrival
+    assert _submit_times(0, 0.0) == _submit_times(1, 0.0)
