@@ -194,7 +194,8 @@ perf-pairs:
 ## where one perf workload's memory goes: runs one full repeat of
 ## WORKLOAD at seed 0 through benchmarks/perf/worker.py::run_job under
 ## tracemalloc and prints ru_maxrss, the traced current and peak and
-## the TOP allocation sites alive at exit (count, bytes per item)
+## the TOP allocation sites alive at exit and at the sampled peak (the
+## run slice that ended highest), each with count and bytes per item
 ## usage: make mem-census WORKLOAD=<name> [SCALE=1.0] [TOP=15]
 mem-census:
 	$(PYTHON) tools/mem_census.py --workload $(WORKLOAD) \

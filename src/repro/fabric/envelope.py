@@ -107,6 +107,19 @@ class PayloadRef:
         return f"<PayloadRef {self.length}B {mode}>"
 
 
+#: Payload lengths whose synthetic handle is kept for sharing: a run
+#: offers a handful of envelope sizes.
+SHARED_PAYLOAD_LENGTHS = 256
+
+
+@lru_cache(maxsize=SHARED_PAYLOAD_LENGTHS)
+def synthetic_payload(length: int) -> PayloadRef:
+    """The synthetic handle of ``length`` bytes, one per length: such a
+    handle is a pure function of its length, so every raw envelope of
+    that size can point at the same one."""
+    return PayloadRef(length)
+
+
 #: What validation paths accept as "a payload".
 PayloadLike = Union[bytes, bytearray, memoryview, PayloadRef]
 
@@ -362,8 +375,8 @@ class Envelope:
     accounting -- the paper evaluates 40 B (a SHA-256 hash), 200 B
     (three ECDSA endorsement signatures), 1 KB and 4 KB envelopes.
     ``payload`` optionally carries the zero-copy :class:`PayloadRef`
-    handle; synthetic envelopes leave it ``None`` and materialize one
-    lazily through :meth:`payload_ref`.
+    handle; synthetic envelopes leave it ``None`` and take the shared
+    handle of their length through :meth:`payload_ref`.
     """
 
     channel_id: str
@@ -390,10 +403,11 @@ class Envelope:
         return cached
 
     def payload_ref(self) -> PayloadRef:
-        """The payload handle (created on first use for raw envelopes)."""
+        """The payload handle: for a raw envelope, the one synthetic
+        handle of its length (:func:`synthetic_payload`)."""
         ref = self.payload
         if ref is None:
-            ref = self.payload = PayloadRef(self.payload_size)
+            ref = self.payload = synthetic_payload(self.payload_size)
         return ref
 
     @classmethod

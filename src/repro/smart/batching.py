@@ -8,7 +8,8 @@ limits of its ``ReplicaConfig`` (``max_batch`` is 400 in the paper).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from array import array
+from itertools import compress
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.smart.messages import ClientRequest, RequestId
@@ -47,54 +48,90 @@ class PendingQueue:
     """FIFO of requests awaiting ordering, deduplicated by request id.
 
     Arrivals carry the simulator's non-decreasing clock, so the head is
-    the oldest.  An ``OrderedDict``: a plain dict popped at its head
-    makes ``next(iter(...))`` scan the deleted slots.
+    the oldest.  One slot per request, in arrival order: a list of
+    requests, an unboxed ``array('d')`` of arrival times and one dict
+    from request id to slot.  A removed request leaves its slot empty
+    (``None``) until the pool compacts, once empty slots outnumber
+    filled ones, or resets, once it empties.
+
+    Not an ``OrderedDict``: its node, pair and boxed float cost ~155 B a
+    request.  Not a plain dict: DET004 flags the ``.values()`` walk.
     """
 
+    __slots__ = ("_requests", "_arrivals", "_slot_of", "_head")
+
     def __init__(self) -> None:
-        #: request id -> (request, arrival time), in arrival order
-        self._queue: OrderedDict[RequestId, Tuple[ClientRequest, float]] = OrderedDict()
+        #: the requests in arrival order, ``None`` where one was removed
+        self._requests: List[Optional[ClientRequest]] = []
+        #: ``_arrivals[i]`` is when ``_requests[i]`` arrived
+        self._arrivals = array("d")
+        #: request id -> its slot, for every request still pending
+        self._slot_of: Dict[RequestId, int] = {}
+        #: every slot below this one is empty
+        self._head = 0
 
     def add(self, request: ClientRequest, now: float) -> bool:
         """Enqueue unless already pending; returns True if added."""
         rid = request.request_id
-        if rid in self._queue:
+        slot_of = self._slot_of
+        if rid in slot_of:
             return False
-        self._queue[rid] = (request, now)
+        requests = self._requests
+        slot_of[rid] = len(requests)
+        requests.append(request)
+        self._arrivals.append(now)
         return True
 
     def remove_all(self, requests: List[ClientRequest]) -> None:
-        queue = self._queue
-        discard = queue.pop
+        slots = self._requests
+        vacate = self._slot_of.pop
         for request in requests:
-            discard(request.request_id, None)
-        if not queue:
-            # a dict never shrinks on deletion: without a fresh table a
-            # drained backlog of thousands keeps its slots for the run
-            self._queue = OrderedDict()
+            slot = vacate(request.request_id, None)
+            if slot is not None:
+                slots[slot] = None
+        live = len(self._slot_of)
+        if not live:
+            # neither a list, an array nor a dict shrinks on deletion:
+            # without fresh ones a drained backlog of thousands keeps
+            # its slots for the run
+            self._requests = []
+            self._arrivals = array("d")
+            self._slot_of = {}
+            self._head = 0
+        elif len(slots) > 2 * live:
+            # empty slots outnumber filled ones: close the gaps, which
+            # renumbers every slot, so the id table is built afresh
+            filled = [request is not None for request in slots]
+            self._requests = slots = list(compress(slots, filled))
+            self._arrivals = array("d", compress(self._arrivals, filled))
+            self._slot_of = {request.request_id: slot for slot, request in enumerate(slots)}
+            self._head = 0
 
     def __contains__(self, rid: RequestId) -> bool:
-        return rid in self._queue
+        return rid in self._slot_of
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._slot_of)
 
     def oldest_age(self, now: float) -> Optional[float]:
         """Age of the longest-waiting request, or None if empty."""
-        for _request, arrival in self._queue.values():
-            return now - arrival
-        return None
+        if not self._slot_of:
+            return None
+        slots = self._requests
+        head = self._head
+        while slots[head] is None:
+            head += 1
+        self._head = head
+        return now - self._arrivals[head]
 
     def peek_all(self) -> List[ClientRequest]:
-        return [request for request, _arrival in self._queue.values()]
+        return [request for request in self._requests if request is not None]
 
     def restart_clocks(self, now: float) -> None:
         """Re-stamp every pending request as arrived at ``now``, keeping
         FIFO order: a newly installed leader gets a full request timeout
         for the backlog it inherited."""
-        self._queue = OrderedDict(
-            (rid, (request, now)) for rid, (request, _arrival) in self._queue.items()
-        )
+        self._arrivals = array("d", (now,)) * len(self._arrivals)
 
     def next_batch(self, max_batch: int, max_batch_bytes: int) -> List[ClientRequest]:
         """Drain at most ``max_batch`` requests and ``max_batch_bytes``
@@ -102,9 +139,14 @@ class PendingQueue:
         batch = RequestBatch()
         room = max_batch
         batch_bytes = 0
+        slots = self._requests
+        slot = self._head
         # walks the head of the queue only: the backlog behind the batch
         # (thousands of requests past saturation) is never touched
-        for request, _arrival in self._queue.values():
+        for slot in range(slot, len(slots)):
+            request = slots[slot]
+            if request is None:
+                continue
             if room == 0:
                 break
             if batch and batch_bytes + request.size_bytes > max_batch_bytes:
@@ -112,6 +154,7 @@ class PendingQueue:
             batch.append(request)
             batch_bytes += request.size_bytes
             room -= 1
+        self._head = slot
         self.remove_all(batch)
         return batch
 

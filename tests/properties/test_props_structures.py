@@ -1,5 +1,7 @@
 """Property-based tests for blocks, ledgers, cutters and the state DB."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +108,108 @@ class TestPendingQueueProperties:
             assert 0 < len(batch) <= 7
             drained.extend(r.request_id for r in batch)
         assert drained == expected
+
+
+class OrderedDictPendingQueue:
+    """``PendingQueue`` when it kept an ``OrderedDict`` of ``(request,
+    arrival)`` pairs by request id: the oracle of the slot layout."""
+
+    def __init__(self):
+        self._queue = OrderedDict()
+
+    def add(self, request, now):
+        rid = request.request_id
+        if rid in self._queue:
+            return False
+        self._queue[rid] = (request, now)
+        return True
+
+    def remove_all(self, requests):
+        for request in requests:
+            self._queue.pop(request.request_id, None)
+
+    def __len__(self):
+        return len(self._queue)
+
+    def oldest_age(self, now):
+        for _request, arrival in self._queue.values():
+            return now - arrival
+        return None
+
+    def peek_all(self):
+        return [request for request, _arrival in self._queue.values()]
+
+    def restart_clocks(self, now):
+        for rid, (request, _arrival) in self._queue.items():
+            self._queue[rid] = (request, now)
+
+    def next_batch(self, max_batch, max_batch_bytes):
+        batch = []
+        batch_bytes = 0
+        for request, _arrival in self._queue.values():
+            if len(batch) == max_batch:
+                break
+            if batch and batch_bytes + request.size_bytes > max_batch_bytes:
+                break
+            batch.append(request)
+            batch_bytes += request.size_bytes
+        self.remove_all(batch)
+        return batch
+
+
+#: ids 0-15 of one client: adds re-add removed ids, removals name ids in
+#: any order, pending or not, and the pool empties and compacts often;
+#: the clock moves on at every step
+pool_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 15)),
+        st.tuples(st.just("add"), st.integers(0, 15)),
+        st.tuples(st.just("add"), st.integers(0, 15)),
+        st.tuples(st.just("remove_all"), st.lists(st.integers(0, 15), max_size=6)),
+        st.tuples(
+            st.just("next_batch"), st.tuples(st.integers(1, 6), st.integers(1, 400))
+        ),
+        st.tuples(st.just("restart_clocks"), st.none()),
+    ),
+    max_size=120,
+)
+
+
+class TestPendingQueueDifferential:
+    @given(pool_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_same_answers_as_the_ordered_dict(self, ops):
+        """After every step: the same ``peek_all``, ``oldest_age``,
+        ``len`` and membership, the same batches -- and never more empty
+        slots than filled ones."""
+        oracle = OrderedDictPendingQueue()
+        queue = PendingQueue()
+        requests = {
+            key: ClientRequest(client_id=7, sequence=key, operation=None, size_bytes=10 * key)
+            for key in range(16)
+        }
+        for step, (op, arg) in enumerate(ops):
+            now = step * 0.25
+            if op == "add":
+                request = requests[arg]
+                assert queue.add(request, now) == oracle.add(request, now)
+            elif op == "remove_all":
+                doomed = [requests[key] for key in arg]
+                queue.remove_all(doomed)
+                oracle.remove_all(doomed)
+            elif op == "next_batch":
+                batch, expected = queue.next_batch(*arg), oracle.next_batch(*arg)
+                assert len(batch) == len(expected)
+                assert all(got is want for got, want in zip(batch, expected))
+            else:
+                queue.restart_clocks(now)
+                oracle.restart_clocks(now)
+            assert queue.peek_all() == oracle.peek_all()
+            assert len(queue) == len(oracle)
+            assert queue.oldest_age(now + 0.5) == oracle.oldest_age(now + 0.5)
+            for request in requests.values():
+                assert (request.request_id in queue) == (request.request_id in oracle._queue)
+            assert len(queue._requests) <= 2 * len(queue)
 
 
 #: a small id space: batches repeat ids, run out of order and leave gaps

@@ -123,6 +123,20 @@ class TestPayloadRef:
         assert len(ref) == 4096
         assert envelope.payload_ref() is ref  # cached on the envelope
 
+    def test_raw_envelopes_of_one_length_share_one_handle(self):
+        first, second = Envelope.raw("ch0", 4096), Envelope.raw("ch1", 4096)
+        assert first.payload_ref() is second.payload_ref()
+        assert Envelope.raw("ch0", 40).payload_ref() is not first.payload_ref()
+        assert first.payload_ref().digest() == PayloadRef(4096).digest()
+
+    def test_real_bytes_handles_are_never_shared(self):
+        content = b"z" * 4096
+        first = Envelope.from_bytes("ch0", content)
+        second = Envelope.from_bytes("ch0", content)
+        assert first.payload_ref() is not second.payload_ref()
+        assert first.payload_ref() is not Envelope.raw("ch0", 4096).payload_ref()
+        assert first.payload_ref()._content is content
+
 
 class TestFrontendOversizedRejection:
     """The frontend enforces AbsoluteMaxBytes identically for synthetic

@@ -1,6 +1,7 @@
 """Unit tests for vote sets, batching and consensus-instance state."""
 
 import sys
+import tracemalloc
 
 import pytest
 
@@ -73,6 +74,13 @@ class TestVoteSet:
         assert votes.voters_of(b"h") == (0, 2)
 
 
+def table_bytes(queue: PendingQueue) -> int:
+    """What the pool's own tables hold, not the requests in them."""
+    return sum(
+        sys.getsizeof(table) for table in (queue._requests, queue._arrivals, queue._slot_of)
+    )
+
+
 class TestPendingQueue:
     def test_fifo_order(self):
         queue = PendingQueue()
@@ -108,24 +116,48 @@ class TestPendingQueue:
         assert len(queue.next_batch(100, 50)) == 1
 
     def test_drained_backlog_releases_its_table(self):
-        """A dict keeps its slots after its entries are deleted; an
-        emptied pool must not hold a past backlog's table for the run."""
-        fresh = sys.getsizeof(PendingQueue()._queue)
+        """A list, an array and a dict keep their slots after their
+        entries are deleted; an emptied pool must not hold a past
+        backlog's tables for the run."""
+        fresh = table_bytes(PendingQueue())
         backlog = [request(seq=i) for i in range(10_000)]
         batched, decided = PendingQueue(), PendingQueue()
         for queue in (batched, decided):
             for i, r in enumerate(backlog):
                 queue.add(r, float(i))
-            assert sys.getsizeof(queue._queue) > fresh
+            assert table_bytes(queue) > fresh
         while batched:  # the BFT-SMaRt leader's path
             batched.next_batch(400, DEFAULT_MAX_BATCH_BYTES)
         for start in range(0, len(backlog), 400):  # a decision's path
             decided.remove_all(backlog[start:start + 400])
         for queue in (batched, decided):
             assert len(queue) == 0 and queue.oldest_age(0.0) is None
-            assert sys.getsizeof(queue._queue) == fresh
+            assert table_bytes(queue) == fresh
             queue.add(request(seq=10_000), 1.0)  # and keeps working
             assert queue.oldest_age(2.0) == 1.0
+
+    def test_a_pending_request_costs_under_a_hundred_bytes(self):
+        """Past saturation every replica holds a backlog of thousands:
+        one slot, one arrival double and one id-table entry per request
+        (the ``OrderedDict`` of ``(request, arrival)`` pairs, with each
+        arrival a boxed float, cost about 155 B).  Measured as the
+        tracemalloc growth of a pool of 10 000, with every arrival a
+        fresh float, as the simulator's clock hands them out."""
+        backlog = [request(seq=i) for i in range(10_000)]
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            queue = PendingQueue()
+            for i, r in enumerate(backlog):
+                queue.add(r, i * 1e-3)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(queue) == len(backlog)
+        assert (after - before) / len(backlog) < 100
 
     def test_oldest_age(self):
         queue = PendingQueue()

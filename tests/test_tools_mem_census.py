@@ -29,7 +29,24 @@ def test_a_small_run_prints_the_census():
     assert lines[4].split() == ["verify", "ok"]
     assert lines[5] == "top 5 allocation sites alive at exit:"
     assert lines[6].split() == ["MiB", "count", "B/item", "site"]
-    rows = [line.split(None, 3) for line in lines[7:]]  # a site may hold a space
+    check_sites(lines[7:12])
+    # the same table at the sampled peak: the slice that ended highest
+    sampled = re.fullmatch(
+        r"top 5 allocation sites at the sampled peak, ([0-9.]+) MiB traced"
+        r" after run (\d+) of (\d+):",
+        lines[12],
+    )
+    assert sampled, lines[12]
+    peak_mib, run, runs = float(sampled[1]), int(sampled[2]), int(sampled[3])
+    assert 0 < peak_mib <= figures["traced peak"]
+    assert 1 <= run <= runs
+    assert lines[13].split() == ["MiB", "count", "B/item", "site"]
+    check_sites(lines[14:])
+
+
+def check_sites(lines):
+    """Five site rows, largest first."""
+    rows = [line.split(None, 3) for line in lines]  # a site may hold a space
     assert len(rows) == 5
     sizes = []
     for mib, count, per_item, site in rows:
