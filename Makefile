@@ -39,7 +39,7 @@ HYPOTHESIS_PROFILE ?= tier1
 
 # (the per-profile faults-<profile> targets come from a pattern rule,
 # which make skips for .PHONY names -- none of them names a file)
-.PHONY: test golden lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report perf perf-quick perf-pairs mem-census
+.PHONY: test golden lint analyze flow msgflow detsan racesan ci obs-report faults-smoke faults-explore bench-smoke bench-check bench-baseline bench-full bench-report perf perf-quick perf-pairs mem-census event-census
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run);
 ## property tests run under the derandomized, database-less hypothesis
@@ -200,3 +200,12 @@ perf-pairs:
 mem-census:
 	$(PYTHON) tools/mem_census.py --workload $(WORKLOAD) \
 		--scale $(SCALE) --top $(TOP)
+
+## what one perf workload's events are: runs one full repeat of
+## WORKLOAD at seed 0 through benchmarks/perf/worker.py::run_job twice,
+## untraced and with the measured window tallied per callback; prints
+## the window's events per callback and the no-op fires at the epoch
+## guards, and exits 1 unless every sim_* value equals the untraced run's
+## usage: make event-census WORKLOAD=<name> [SCALE=1.0]
+event-census:
+	$(PYTHON) tools/event_census.py --workload $(WORKLOAD) --scale $(SCALE)

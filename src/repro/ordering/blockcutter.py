@@ -12,7 +12,8 @@ block and :class:`BlockWriter` signs and sends it.  A batch timeout is
 one of two timers: :class:`TimeToCutMachine` orders it, so that every
 replica cuts at the same envelope (BFT-SMaRt, Kafka), and
 :class:`BatchTimer` is the local timer of an orderer that cuts alone
-(solo, the SmartBFT leader).
+(solo, the SmartBFT leader).  Either way a superseded timer is
+cancelled, never left to fire as a no-op.
 """
 
 from __future__ import annotations
@@ -259,10 +260,16 @@ class ChannelState:
 
     cutter: BlockCutter
     chain: ChainPosition = field(default_factory=ChainPosition)
-    #: a timer is armed (or a TTC submitted) for the current height
-    ttc_pending: bool = False
-    #: generation counter so stale timers cannot cancel newer arming
-    ttc_epoch: int = 0
+    #: the one live timer, armed (or re-submitting a TTC) for the
+    #: current height; None while nothing waits for a timeout
+    ttc_timer: Optional[EventHandle] = None
+
+    def disarm(self) -> None:
+        """Cancel the timer: a cut, an ordered TTC or a state that
+        replaces this one supersedes it."""
+        if self.ttc_timer is not None:
+            self.ttc_timer.cancel()
+            self.ttc_timer = None
 
 
 class TimeToCutMachine:
@@ -275,8 +282,10 @@ class TimeToCutMachine:
     -- when it fires at that height, and again every ``batch_timeout``
     until the height is cut, so a lost TTC cannot wedge the tail.  The
     first TTC ordered for a height cuts on every node; later ones are
-    stale.  Stale timers drop out by epoch; a cut or a stale TTC that
-    leaves envelopes pending arms afresh.  No ``submit``, no timers.
+    stale.  Superseded timers are cancelled: a cut or an ordered TTC
+    disarms the channel, and one that leaves envelopes pending arms
+    afresh, so a timer that fires always finds its height uncut.  No
+    ``submit``, no timers.
     """
 
     def __init__(
@@ -300,15 +309,15 @@ class TimeToCutMachine:
         count = len(envelopes)
         fed = 0
         while fed < count:
-            # with no timer pending the very next envelope may have to
+            # with no timer armed the very next envelope may have to
             # arm one, so it is fed alone; otherwise feed up to a cut
-            stop = fed + 1 if timed and not state.ttc_pending else count
+            stop = fed + 1 if timed and state.ttc_timer is None else count
             batches, fed = cutter.ordered_run(envelopes, fed, stop)
             for batch in batches:
                 self.writer.write(state.chain.append(batch, channel_id))
             if batches:
-                state.ttc_pending = False
-            if timed and not state.ttc_pending and len(cutter) > 0:
+                state.disarm()
+            if timed and state.ttc_timer is None and len(cutter) > 0:
                 # covers both a fresh remainder after a cut and the
                 # plain not-yet-full case
                 self.arm(channel_id, state)
@@ -317,7 +326,7 @@ class TimeToCutMachine:
         state = self.channels.get(ttc.channel_id)
         if state is None:
             return {"status": "NO_SUCH_CHANNEL", "channel": ttc.channel_id}
-        state.ttc_pending = False
+        state.disarm()
         if state.chain.number != ttc.target_height or len(state.cutter) == 0:
             if len(state.cutter) > 0:
                 self.arm(ttc.channel_id, state)
@@ -326,29 +335,17 @@ class TimeToCutMachine:
         return {"status": "CUT", "height": ttc.target_height}
 
     def arm(self, channel_id: str, state: ChannelState) -> None:
-        if self.submit is None or state.ttc_pending:
+        if self.submit is None or state.ttc_timer is not None:
             return
-        state.ttc_pending = True
         self._count_down(channel_id, state, state.chain.number)
 
     def _count_down(self, channel_id: str, state: ChannelState, target: int) -> None:
-        state.ttc_epoch += 1
+        state.disarm()
         timeout = state.cutter.config.batch_timeout
-        self.sim.schedule(timeout, self._when_due, channel_id, target, state.ttc_epoch)
+        state.ttc_timer = self.sim.schedule(timeout, self._when_due, channel_id, state, target)
 
-    def _when_due(self, channel_id: str, target: int, epoch: int) -> None:
-        state = self.channels.get(channel_id)
-        if state is None or self.submit is None:
-            return
-        if epoch != state.ttc_epoch or not state.ttc_pending:
-            return  # stale timer from an earlier arming
-        if state.chain.number != target or len(state.cutter) == 0:
-            state.ttc_pending = False
-            if len(state.cutter) > 0:
-                # armed for a height that was cut meanwhile, but new
-                # envelopes are waiting: re-arm for the current height
-                self.arm(channel_id, state)
-            return
+    def _when_due(self, channel_id: str, state: ChannelState, target: int) -> None:
+        # whatever cut this height cancelled the timer, so it is uncut
         self.submit(TimeToCut(channel_id=channel_id, target_height=target))
         # re-submit in case the TTC got lost (fire-and-forget submission)
         self._count_down(channel_id, state, target)

@@ -183,6 +183,8 @@ class BFTOrderingNode(StateMachine):
             for envelope in entry["pending"]:
                 state.cutter._pending.append(envelope)
                 state.cutter._pending_bytes += envelope.payload_size
+            # the replaced state's timer was armed for a chain that is gone
+            self._channels[channel_id].disarm()
             self._channels[channel_id] = state
 
     def snapshot(self) -> Any:
@@ -196,7 +198,9 @@ class BFTOrderingNode(StateMachine):
 
         ``set_state(None)`` is a no-op by contract, so rebuild every
         channel from its static config instead (in place: the TimeToCut
-        machine reads this mapping)."""
+        machine reads this mapping), cancelling the forgotten timers."""
+        for channel_id in sorted(self._channels):
+            self._channels[channel_id].disarm()
         self._channels.clear()
         self._channels.update(
             {

@@ -25,7 +25,12 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering.blockcutter import BlockCutter, BlockWriter, TimeToCutMachine
+from repro.ordering.blockcutter import (
+    BlockCutter,
+    BlockWriter,
+    ChannelState,
+    TimeToCutMachine,
+)
 from repro.ordering.node import BFTOrderingNode, TimeToCut
 from repro.sim import ConstantLatency, Network, Simulator
 from repro.sim.monitor import LatencyRecorder, ThroughputMeter
@@ -88,7 +93,7 @@ class PerEnvelopeNode(BFTOrderingNode):
         for batch in batches:
             self.writer.write(state.chain.append(batch, envelope.channel_id))
         if batches:
-            state.ttc_pending = False
+            state.disarm()
         if len(state.cutter) > 0:
             self.ttc.arm(envelope.channel_id, state)
         return {"status": "ACK", "channel": envelope.channel_id}
@@ -259,6 +264,11 @@ def cutter_state(cutter: BlockCutter):
     )
 
 
+def timer_state(timer):
+    """The live TimeToCut timer's deadline and target height."""
+    return None if timer is None else (timer.time, timer.args[-1])
+
+
 class TestCutterRun:
     @given(
         specs=envelope_specs,
@@ -361,7 +371,13 @@ class NodeUnderTest:
         schedule = self.sim.schedule
 
         def logged_schedule(delay, fn, *args):
-            self.log.append(("timer", self.sim.now, delay, fn.__name__, args))
+            # a timer armed for a channel's state logs as that channel's
+            # key, so both sides' logs compare
+            logged = tuple(
+                self.channel_of(arg) if isinstance(arg, ChannelState) else arg
+                for arg in args
+            )
+            self.log.append(("timer", self.sim.now, delay, fn.__name__, logged))
             return schedule(delay, fn, *args)
 
         self.sim.schedule = logged_schedule
@@ -385,13 +401,15 @@ class NodeUnderTest:
     def submit_ttc(self, ttc: TimeToCut) -> None:
         self.log.append(("ttc", self.sim.now, ttc))
 
+    def channel_of(self, state: ChannelState):
+        return next(c for c, live in self.node._channels.items() if live is state)
+
     def state(self):
         return {
             channel_id: (
                 state.chain.number,
                 state.chain.previous_hash,
-                state.ttc_pending,
-                state.ttc_epoch,
+                timer_state(state.ttc_timer),
                 cutter_state(state.cutter),
             )
             for channel_id, state in self.node._channels.items()
