@@ -24,8 +24,8 @@ Quickstart::
 Packages:
 
 - :mod:`repro.sim` -- discrete-event simulation kernel (network, CPU);
-- :mod:`repro.crypto` -- SHA-256 hashing, pure-Python ECDSA P-256,
-  simulated signatures with modeled cost, HMAC channel MACs;
+- :mod:`repro.crypto` -- SHA-256 hashing and simulated signatures
+  whose modeled cost is calibrated to Figure 6;
 - :mod:`repro.smart` -- BFT-SMaRt state machine replication
   (consensus, leader change, state transfer, reconfiguration, WHEAT);
 - :mod:`repro.fabric` -- the Hyperledger Fabric substrate (envelopes,

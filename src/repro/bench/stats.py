@@ -7,10 +7,9 @@ dependency-free module:
 - :func:`rankdata` / :func:`mann_whitney_u` — the rank machinery and
   the two-sided U test (normal approximation, tie + continuity
   corrections) that the regression gate has used since PR 2;
-- :func:`a12` — the Vargha–Delaney A12 effect size (probability that a
-  sample from *a* exceeds a sample from *b*, counting ties as half),
-  with :func:`a12_magnitude` mapping |A12 − 0.5| onto the conventional
-  negligible/small/medium/large bands;
+- :func:`a12_magnitude` — the conventional negligible/small/medium/large
+  band of a Vargha–Delaney A12 effect size (the report reads A12 off
+  the U statistic: ``U1 / (n1 * n2)``);
 - :func:`rank_by_median` — direction-aware competition-free ranking of
   N variants at one measurement unit (best = rank 1, ties averaged),
   and :func:`mean_ranks` aggregating those per-unit ranks across the
@@ -77,24 +76,6 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float
         z = 0.0
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return u1, min(1.0, p)
-
-
-def a12(a: Sequence[float], b: Sequence[float]) -> float:
-    """Vargha-Delaney A12 effect size of sample ``a`` over ``b``.
-
-    The probability that a randomly drawn value of ``a`` is larger than
-    a randomly drawn value of ``b``, counting ties as half a win:
-    ``0.5`` means stochastically equal, ``1.0`` means every ``a`` beats
-    every ``b``.  Computed from the same rank sums as the U test, so
-    ``a12 == U1 / (n1 * n2)``.
-    """
-    n1, n2 = len(a), len(b)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("both samples must be non-empty")
-    ranks = rankdata(list(a) + list(b))
-    r1 = sum(ranks[:n1])
-    u1 = r1 - n1 * (n1 + 1) / 2.0
-    return u1 / (n1 * n2)
 
 
 #: |A12 - 0.5| thresholds of the conventional magnitude bands

@@ -64,13 +64,3 @@ def aws_latency_model(jitter_fraction: float = 0.05) -> MatrixLatency:
 def lan_latency_model(jitter_fraction: float = 0.1) -> ConstantLatency:
     """The Gigabit-Ethernet cluster of section 6.2."""
     return ConstantLatency(LAN_ONE_WAY, jitter_fraction=jitter_fraction)
-
-
-def aws_rtt_between(a: str, b: str) -> float:
-    """RTT in seconds between two regions (0 within a region)."""
-    if a == b:
-        return AWS_LOCAL_RTT_MS / 1000.0
-    rtt = AWS_RTT_MS.get((a, b), AWS_RTT_MS.get((b, a)))
-    if rtt is None:
-        raise KeyError(f"no RTT for {a!r} <-> {b!r}")
-    return rtt / 1000.0

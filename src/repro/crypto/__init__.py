@@ -1,26 +1,19 @@
 """Cryptographic substrate.
 
-Two interchangeable signature schemes share one interface:
-
-- :class:`repro.crypto.ecdsa.ECDSAP256Scheme` -- a from-scratch,
-  pure-Python implementation of ECDSA over NIST P-256 with RFC 6979
-  deterministic nonces.  Used by unit tests and available to examples
-  that want real cryptography (HLF 1.0 signs block headers with ECDSA).
-- :class:`repro.crypto.signatures.SimulatedECDSA` -- a keyed-hash
-  stand-in with identical semantics (unforgeable without the private
-  key, tamper-evident) plus a *modeled CPU cost* per operation, so the
-  simulator charges signing time to the ordering node's cores exactly
-  as the real scheme would (this is what Figure 6 measures).
+Signatures are simulated: :class:`repro.crypto.signatures.SimulatedECDSA`
+is a keyed-hash scheme with ECDSA's interface and signature size
+(unforgeable without the private key, tamper-evident) plus a *modeled
+CPU cost* per operation, calibrated to the paper's Figure 6, so the
+simulator charges signing time to the ordering node's cores as a real
+ECDSA P-256 signer would.
 
 Hashing (:mod:`repro.crypto.hashing`) is always real SHA-256 over a
 canonical encoding, so hash chains in the ledger are genuinely
 tamper-evident even in simulation.
 """
 
-from repro.crypto.ecdsa import ECDSAP256Scheme, EllipticCurvePoint, P256
 from repro.crypto.hashing import canonical_encode, sha256
 from repro.crypto.keys import Identity, KeyRegistry
-from repro.crypto.mac import MacAuthenticator
 from repro.crypto.signatures import (
     SignatureScheme,
     Signer,
@@ -29,12 +22,8 @@ from repro.crypto.signatures import (
 )
 
 __all__ = [
-    "ECDSAP256Scheme",
-    "EllipticCurvePoint",
     "Identity",
     "KeyRegistry",
-    "MacAuthenticator",
-    "P256",
     "SignatureScheme",
     "Signer",
     "SimulatedECDSA",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, Callable, Dict, Iterable, Union
+from typing import Any, Callable, Dict, Union
 
 Encodable = Union[bytes, str, int, float, bool, None, tuple, list, dict]
 
@@ -141,8 +141,3 @@ def sha256(*values: Encodable) -> bytes:
 
 def sha256_hex(*values: Encodable) -> str:
     return sha256(*values).hex()
-
-
-def hash_iterable(items: Iterable[Any]) -> bytes:
-    """Hash an iterable of encodable items as a list."""
-    return sha256(list(items))

@@ -1,12 +1,12 @@
-"""Signature scheme abstraction shared by real and simulated crypto.
+"""The simulated signature scheme and its signer / verifier halves.
 
 The ordering service signs every block header and every HLF component
 verifies those signatures (paper section 5).  Inside the simulator we
 want signing to be (a) cheap in wall-clock time, (b) unforgeable
 without the private key, and (c) charged to the CPU model at the
-*modeled* cost of a real ECDSA signature.  :class:`SimulatedECDSA`
-delivers exactly that; :class:`repro.crypto.ecdsa.ECDSAP256Scheme`
-satisfies the same :class:`SignatureScheme` protocol with real math.
+*modeled* cost of a real ECDSA signature, calibrated to Figure 6.
+:class:`SimulatedECDSA` delivers exactly that behind the
+:class:`SignatureScheme` protocol.
 """
 
 from __future__ import annotations
@@ -168,9 +168,3 @@ class Verifier:
     @property
     def verify_cost(self) -> float:
         return getattr(self.scheme, "verify_cost", DEFAULT_VERIFY_COST)
-
-
-def make_keypair(scheme: SignatureScheme, rng) -> Tuple[Signer, Verifier]:
-    """Convenience: generate a key pair and wrap both halves."""
-    private, public = scheme.keygen(rng)
-    return Signer(scheme, private, public), Verifier(scheme, public)

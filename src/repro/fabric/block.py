@@ -18,10 +18,6 @@ from repro.fabric.envelope import Envelope
 #: Genesis "previous hash".
 GENESIS_PREVIOUS_HASH = b"\x00" * 32
 
-#: Id of the config envelope in block 0: fixed, so every peer that
-#: builds the genesis block of a channel gets the same header digest.
-GENESIS_ENVELOPE_ID = 0
-
 #: Serialized header bytes (number + two hashes + lengths).
 HEADER_SIZE = 72
 
@@ -130,16 +126,3 @@ def make_block(
         data_hash=compute_data_hash(envelopes),
     )
     return Block(header=header, envelopes=list(envelopes), channel_id=channel_id)
-
-
-def genesis_block(channel_id: str = "system") -> Block:
-    """Block 0 of a channel (a config block in real HLF)."""
-    config_envelope = Envelope(
-        channel_id=channel_id,
-        transaction=None,
-        payload_size=128,
-        submitter="genesis",
-        is_config=True,
-        envelope_id=GENESIS_ENVELOPE_ID,
-    )
-    return make_block(0, GENESIS_PREVIOUS_HASH, [config_envelope], channel_id)

@@ -152,7 +152,3 @@ class SignedQuorum(BlockValidityPolicy):
 
     def describe(self) -> str:
         return f"signature-quorum>={self.quorum}"
-
-
-#: ``SignatureQuorumPolicy(f, registry, names)``: the equal-weight rule
-SignatureQuorumPolicy = SignedQuorum.equal_weight

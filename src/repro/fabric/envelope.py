@@ -129,13 +129,6 @@ def payload_length(payload: PayloadLike) -> int:
     return len(payload)
 
 
-def payload_digest(payload: PayloadLike) -> bytes:
-    """Content digest of a payload, for real bytes and handles alike."""
-    if isinstance(payload, PayloadRef):
-        return payload.digest()
-    return hashlib.sha256(bytes(payload)).digest()
-
-
 def check_payload_size(
     payload: PayloadLike, max_bytes: int = DEFAULT_MAX_PAYLOAD_BYTES
 ) -> int:

@@ -31,7 +31,7 @@ relay, oversized payloads raise).  Deployments enable it through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: rejection reasons (stable strings: metric names and reports key on them)
 REASON_RATE_LIMITED = "rate-limited"
@@ -177,21 +177,3 @@ def jain_fairness(values: List[float]) -> float:
     if sum_of_squares == 0.0:
         return 1.0
     return square_of_sum / (len(xs) * sum_of_squares)
-
-
-def merge_tenant_counts(
-    controllers: List[AdmissionController],
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Aggregate (admitted, rejected) per tenant across frontends."""
-    admitted: Dict[str, int] = {}
-    rejected: Dict[str, int] = {}
-    for controller in controllers:
-        for tenant, count in sorted(
-            controller.tenant_admitted.items(), key=lambda kv: kv[0]
-        ):
-            admitted[tenant] = admitted.get(tenant, 0) + count
-        for tenant, count in sorted(
-            controller.tenant_rejected.items(), key=lambda kv: kv[0]
-        ):
-            rejected[tenant] = rejected.get(tenant, 0) + count
-    return admitted, rejected

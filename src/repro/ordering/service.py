@@ -40,8 +40,9 @@ from repro.smart.consensus import replica_log_digests
 from repro.smart.messages import ClientRequest
 from repro.smart.proxy import ServiceProxy
 from repro.smart.replica import ReplicaConfig, ServiceReplica, default_replier
-from repro.smart.view import View, bft_group_size, binary_weights, one_correct_size
+from repro.smart.view import View, bft_group_size, one_correct_size
 from repro.smart.wal import ConsensusWAL
+from repro.smart.wheat import wheat_view
 
 #: network-id base for frontends (BFT-SMaRt client ids)
 FRONTEND_ID_BASE = 1000
@@ -526,10 +527,7 @@ def build_ordering_service(
 
     n = config.n
     processes = tuple(range(n))
-    weights = binary_weights(processes, config.f, config.delta, config.vmax_holders)
-    view = View(
-        view_id=0, processes=processes, f=config.f, delta=config.delta, weights=weights
-    )
+    view = wheat_view(0, processes, config.f, config.delta, config.vmax_holders)
     node_sites = list(config.node_sites or ["lan"] * n)
     frontend_sites = list(config.frontend_sites or ["lan"] * config.num_frontends)
     if len(node_sites) != n:

@@ -4,8 +4,8 @@ This package stands in for the physical testbeds used in the paper (a
 Gigabit LAN cluster of Dell R410 servers and Amazon EC2 instances in
 five regions).  It provides:
 
-- :mod:`repro.sim.core` -- the event loop, timers and lightweight
-  generator-based processes;
+- :mod:`repro.sim.core` -- the event loop, timers and one-shot
+  futures;
 - :mod:`repro.sim.network` -- a message-passing network with per-link
   latency, NIC bandwidth with egress queueing, partitions and loss;
 - :mod:`repro.sim.cpu` -- a processor-sharing multicore CPU model with
@@ -22,7 +22,7 @@ The message log lives on the observability hub: an
 (:mod:`repro.obs.observability`).
 """
 
-from repro.sim.core import EventHandle, Future, Process, Simulator
+from repro.sim.core import EventHandle, Future, Simulator
 from repro.sim.cpu import CPU, ThreadPool
 from repro.sim.monitor import (
     Counter,
@@ -63,7 +63,6 @@ __all__ = [
     "MetricsRegistry",
     "NIC",
     "Network",
-    "Process",
     "RandomStreams",
     "ScanResult",
     "SimDisk",

@@ -2,10 +2,9 @@
 
 A :class:`Simulator` owns a virtual clock and a priority queue of
 scheduled callbacks.  Protocol components are written in an
-event-driven style (``schedule`` + message handlers); sequential logic
-such as load generators can instead be written as generator-based
-:class:`Process` coroutines that ``yield`` delays or :class:`Future`
-objects.
+event-driven style (``schedule`` + message handlers); a one-shot
+result that several callers wait for is a :class:`Future` they attach
+callbacks to.
 
 The kernel is fully deterministic: ties in time are broken by a
 monotonically increasing sequence number, and all randomness must come
@@ -46,7 +45,7 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-from typing import Any, Callable, Dict, Generator, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 _heappush = heapq.heappush
 
@@ -102,7 +101,7 @@ class EventHandle:
 
 
 class Future:
-    """A one-shot value that :class:`Process` coroutines can wait on."""
+    """A one-shot value that callbacks can wait on."""
 
     __slots__ = ("sim", "_value", "_done", "_failed", "_callbacks")
 
@@ -134,7 +133,7 @@ class Future:
         self._fire()
 
     def fail(self, exc: BaseException) -> None:
-        """Complete the future with an exception raised into waiters."""
+        """Complete the future with an exception its ``value`` raises."""
         if self._done:
             raise SimulationError("future already resolved")
         self._done = True
@@ -151,67 +150,6 @@ class Future:
         callbacks, self._callbacks = self._callbacks, []
         if callbacks:
             self.sim.post_many(0.0, callbacks, self)
-
-
-class Process:
-    """A generator-based coroutine driven by the simulator.
-
-    The generator may ``yield``:
-
-    - a ``float``/``int`` -- sleep for that many simulated seconds;
-    - a :class:`Future` -- resume (with its value) when it resolves;
-    - ``None`` -- yield control and resume immediately.
-
-    The process itself exposes a :attr:`result` future resolved with
-    the generator's return value.
-    """
-
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = "process"):
-        self.sim = sim
-        self.gen = gen
-        self.name = name
-        self.result = Future(sim)
-        sim.post(0.0, self._step, None)
-
-    def _step(self, send_value: Any) -> None:
-        if self.result.done:
-            return
-        try:
-            yielded = self.gen.send(send_value)
-        except StopIteration as stop:
-            self.result.resolve(stop.value)
-            return
-        if yielded is None:
-            self.sim.post(0.0, self._step, None)
-        elif isinstance(yielded, (int, float)):
-            if yielded < 0:
-                raise SimulationError(f"process {self.name} slept for {yielded!r} < 0")
-            self.sim.post(float(yielded), self._step, None)
-        elif isinstance(yielded, Future):
-            yielded.add_callback(self._step_future)
-        else:
-            raise SimulationError(
-                f"process {self.name} yielded unsupported value {yielded!r}"
-            )
-
-    def _step_future(self, fut: Future) -> None:
-        if self.result.done:
-            return
-        try:
-            value = fut.value
-        except BaseException as exc:  # propagate failure into the generator
-            try:
-                self.gen.throw(exc)
-            except StopIteration as stop:
-                self.result.resolve(stop.value)
-            return
-        self._step(value)
-
-    def interrupt(self) -> None:
-        """Stop the process; its result future resolves to ``None``."""
-        if not self.result.done:
-            self.gen.close()
-            self.result.resolve(None)
 
 
 class Simulator:
@@ -329,10 +267,6 @@ class Simulator:
             if tie_key is not None:
                 seq = tie_key(seq)
             push(heap, (time, seq, fn, args))
-
-    def spawn(self, gen: Generator, name: str = "process") -> Process:
-        """Start a generator-based :class:`Process`."""
-        return Process(self, gen, name=name)
 
     def future(self) -> Future:
         return Future(self)

@@ -14,7 +14,7 @@ geo-replication optimizations [23]:
 - :mod:`repro.smart.durability` -- operation logs and checkpoints;
 - :mod:`repro.smart.wal` -- the consensus write-ahead log backing
   crash-recovery with amnesia (see docs/RECOVERY.md);
-- :mod:`repro.smart.wheat` -- weight assignment and WHEAT configs.
+- :mod:`repro.smart.wheat` -- the WHEAT view (binary weights).
 """
 
 from repro.smart.batching import DEFAULT_MAX_BATCH, PendingQueue
@@ -39,9 +39,9 @@ from repro.smart.replica import (
     StateMachine,
     default_replier,
 )
-from repro.smart.view import View, binary_weights, classic_quorum, max_faults
+from repro.smart.view import View, binary_weights, max_faults
 from repro.smart.wal import ConsensusWAL, WalRecovery
-from repro.smart.wheat import WheatConfig, optimal_vmax_assignment, wheat_view
+from repro.smart.wheat import wheat_view
 
 __all__ = [
     "Accept",
@@ -66,14 +66,11 @@ __all__ = [
     "View",
     "VoteSet",
     "WalRecovery",
-    "WheatConfig",
     "Write",
     "apply_reconfig",
     "batch_hash",
     "binary_weights",
-    "classic_quorum",
     "default_replier",
     "max_faults",
-    "optimal_vmax_assignment",
     "wheat_view",
 ]

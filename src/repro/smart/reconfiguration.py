@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.smart.view import View, max_faults
+from repro.smart.view import View
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,7 @@ def apply_reconfig(view: View, op: ReconfigOp) -> View:
                 f"cannot shrink below {MIN_GROUP_SIZE} replicas (f >= 1 required)"
             )
         processes.remove(op.replica_id)
-    new_f = max_faults(len(processes), view.delta)
-    return View(
-        view_id=view.view_id + 1,
-        processes=tuple(processes),
-        f=new_f,
-        delta=view.delta,
-    )
+    return view.with_processes(processes)
 
 
 class ReconfigurationClient:

@@ -14,14 +14,8 @@ classical ``ceil((n + f + 1) / 2)`` used by BFT-SMaRt.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-
-def classic_quorum(n: int, f: int) -> int:
-    """BFT-SMaRt's unweighted WRITE/ACCEPT quorum size."""
-    return math.ceil((n + f + 1) / 2)
 
 
 def one_correct_size(f: int) -> int:

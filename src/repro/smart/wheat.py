@@ -20,18 +20,9 @@ Virginia holding ``Vmax = 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 from repro.smart.view import View, binary_weights
-
-
-@dataclass(frozen=True)
-class WheatConfig:
-    """How a deployment applies WHEAT's two optimizations."""
-
-    delta: int = 1
-    tentative_execution: bool = True
 
 
 def wheat_view(
@@ -41,7 +32,7 @@ def wheat_view(
     delta: int = 1,
     vmax_holders: Optional[Iterable[int]] = None,
 ) -> View:
-    """Build a WHEAT view with binary weights.
+    """Build a WHEAT view with binary weights (equal ones at ``delta`` 0).
 
     ``vmax_holders`` names the 2f replicas that get Vmax (pass the ones
     closest to clients/leader, as the paper does with Oregon+Virginia).
@@ -50,33 +41,3 @@ def wheat_view(
     return View(
         view_id=view_id, processes=tuple(processes), f=f, delta=delta, weights=weights
     )
-
-
-def rank_by_latency(
-    latency_to_others: Dict[int, float], processes: Sequence[int]
-) -> List[int]:
-    """Order replicas fastest-first by a latency metric (lower=faster)."""
-    return sorted(processes, key=lambda p: latency_to_others.get(p, float("inf")))
-
-
-def optimal_vmax_assignment(
-    rtt_matrix: Dict[Tuple[int, int], float], processes: Sequence[int], f: int
-) -> List[int]:
-    """Pick the 2f replicas with the lowest median RTT to the rest.
-
-    This follows WHEAT's empirical finding that the best weight
-    distribution favours the best-connected replicas.
-    """
-    def median_rtt(p: int) -> float:
-        rtts = sorted(
-            rtt_matrix.get((p, q), rtt_matrix.get((q, p), 0.0))
-            for q in processes
-            if q != p
-        )
-        mid = len(rtts) // 2
-        if len(rtts) % 2:
-            return rtts[mid]
-        return 0.5 * (rtts[mid - 1] + rtts[mid])
-
-    ranked = sorted(processes, key=median_rtt)
-    return ranked[: 2 * f]

@@ -11,19 +11,16 @@ This package models that traffic without ever allocating per-client
 state:
 
 - :mod:`repro.workload.arrivals` -- tenant-aggregated arrival
-  processes (Poisson, bursty on/off, diurnal, fixed-interval): a
-  tenant with a million sessions is one superposed process with a
-  million times the rate, one timer, O(1) state;
-- :mod:`repro.workload.profiles` -- application profiles drawn from
-  the Fabric application-requirements literature (hot-key token
-  transfers, deep-read provenance, multi-channel tenants);
+  processes (Poisson, fixed-interval): a tenant with a million
+  sessions is one superposed process with a million times the rate,
+  one timer, O(1) state;
+- :mod:`repro.workload.profiles` -- what a tenant's envelopes look
+  like (size-only raw envelopes, hot-key token transfers);
 - :mod:`repro.workload.adversarial` -- abusive mixes (duplicate
-  floods, oversized envelopes, conflict-maximizing keys,
-  censorship-target spam);
+  floods, conflict-maximizing keys);
 - :mod:`repro.workload.engine` -- the engine driving any set of
   tenants against the frontends, recording offered/admitted/rejected/
-  committed counts, admitted latency and per-tenant fairness; plus the
-  paper-style ``ClosedLoopDriver`` (a fixed client count).  The
+  committed counts, admitted latency and per-tenant fairness.  The
   paper's fixed-rate client load is a scenario row's ``OpenLoop``, one
   fixed-interval tenant of this engine (:mod:`repro.ordering.backends`).
 
@@ -32,20 +29,15 @@ See docs/WORKLOADS.md for the design discussion.
 
 from repro.workload.arrivals import (
     ArrivalProcess,
-    BurstyArrivals,
-    DiurnalArrivals,
     FixedArrivals,
     PoissonArrivals,
     make_arrivals,
 )
 from repro.workload.adversarial import (
-    CensorshipTargetSpam,
     ConflictStorm,
     DuplicateFlood,
-    OversizedSpam,
 )
 from repro.workload.engine import (
-    ClosedLoopDriver,
     TenantSpec,
     TenantStats,
     WorkloadEngine,
@@ -53,8 +45,6 @@ from repro.workload.engine import (
 )
 from repro.workload.profiles import (
     ApplicationProfile,
-    MultiChannelProfile,
-    ProvenanceProfile,
     RawProfile,
     TokenTransferProfile,
 )
@@ -62,17 +52,10 @@ from repro.workload.profiles import (
 __all__ = [
     "ApplicationProfile",
     "ArrivalProcess",
-    "BurstyArrivals",
-    "CensorshipTargetSpam",
-    "ClosedLoopDriver",
     "ConflictStorm",
-    "DiurnalArrivals",
     "DuplicateFlood",
     "FixedArrivals",
-    "MultiChannelProfile",
-    "OversizedSpam",
     "PoissonArrivals",
-    "ProvenanceProfile",
     "RawProfile",
     "TenantSpec",
     "TenantStats",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.fabric.envelope import DEFAULT_MAX_PAYLOAD_BYTES, Envelope
+from repro.fabric.envelope import Envelope
 from repro.workload.profiles import ApplicationProfile, TokenTransferProfile
 
 
@@ -53,30 +53,6 @@ class DuplicateFlood(ApplicationProfile):
         )
 
 
-@dataclass
-class OversizedSpam(ApplicationProfile):
-    """Envelopes over the channel's AbsoluteMaxBytes ceiling.
-
-    ``oversize_fraction`` of submissions exceed the ceiling by
-    ``factor``; the rest are normal-size cover traffic.  Every
-    oversized envelope must come back as an explicit ``oversized``
-    rejection -- never a silent drop, and never an admitted giant.
-    """
-
-    channel: str = "channel0"
-    envelope_size: int = 1024
-    ceiling: int = DEFAULT_MAX_PAYLOAD_BYTES
-    factor: float = 2.0
-    oversize_fraction: float = 0.5
-
-    def make(self, rng, tenant, ids):
-        if rng.random() < self.oversize_fraction:
-            size = int(self.ceiling * self.factor)
-        else:
-            size = self.envelope_size
-        return self._envelope(self.channel, size, tenant, ids)
-
-
 def ConflictStorm(
     channel: str = "channel0",
     envelope_size: int = 200,
@@ -93,22 +69,3 @@ def ConflictStorm(
         cold_keys=1,
         hot_fraction=1.0,
     )
-
-
-@dataclass
-class CensorshipTargetSpam(ApplicationProfile):
-    """Cover spam aimed at a censorship victim's frontend.
-
-    Models the attack where spam is pointed at the exact frontend a
-    colluding orderer censors, hoping the extra queueing hides the
-    censorship as overload.  Pair it with a ``censor`` fault on the
-    same frontend (the explorer's overload profile does) and pin the
-    tenant's ``frontend_index`` to the victim.
-    """
-
-    channel: str = "channel0"
-    envelope_size: int = 256
-    victim: str = "victim"
-
-    def make(self, rng, tenant, ids):
-        return self._envelope(self.channel, self.envelope_size, tenant, ids)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.fabric.envelope import Envelope, envelope_ids
+from repro.fabric.envelope import envelope_ids
 from repro.ordering.admission import jain_fairness
 from repro.sim.core import Simulator
 from repro.sim.randomness import RandomStreams
@@ -44,8 +44,8 @@ class TenantSpec:
     name: str
     sessions: int = 1
     session_rate: float = 1.0
-    #: arrival kind ("fixed"/"poisson"/"bursty"/"diurnal") or a
-    #: pre-built process (its rate overrides sessions*session_rate)
+    #: arrival kind ("fixed"/"poisson") or a pre-built process (its
+    #: rate overrides sessions*session_rate)
     arrival: Union[str, ArrivalProcess] = "poisson"
     profile: ApplicationProfile = field(default_factory=RawProfile)
     #: fixed frontend, or None for round-robin over all of them
@@ -267,54 +267,3 @@ class WorkloadEngine:
             shed_fraction=(offered - admitted) / offered if offered else 0.0,
             per_tenant={s.spec.name: s.stats for s in self._states},
         )
-
-
-@dataclass
-class ClosedLoopDriver:
-    """``clients`` concurrent submitters, each sending its next
-    envelope as soon as the previous one is committed at its frontend.
-
-    Uses the frontend's ``on_block`` hook as the completion signal, so
-    in-flight envelopes are bounded by the client count -- useful to
-    probe latency at a fixed concurrency instead of a fixed rate.
-    """
-
-    sim: Simulator
-    frontend: object
-    channel_id: str
-    envelope_size: int
-    clients: int
-    max_envelopes: int
-    submitter: str = "closedloop"
-    submitted: int = 0
-    completed: int = 0
-    _outstanding: dict = field(default_factory=dict)
-
-    def start(self) -> None:
-        self.frontend.on_block.append(self._on_block)
-        for _ in range(min(self.clients, self.max_envelopes)):
-            self._submit_next()
-
-    def _submit_next(self) -> None:
-        if self.submitted >= self.max_envelopes:
-            return
-        envelope = Envelope.raw(
-            self.channel_id,
-            self.envelope_size,
-            submitter=self.submitter,
-            envelope_id=next(envelope_ids(self.sim)),
-        )
-        self._outstanding[envelope.envelope_id] = envelope
-        self.submitted += 1
-        self.frontend.submit(envelope)
-
-    def _on_block(self, block) -> None:
-        for envelope in block.envelopes:
-            if envelope.envelope_id in self._outstanding:
-                del self._outstanding[envelope.envelope_id]
-                self.completed += 1
-                self._submit_next()
-
-    @property
-    def done(self) -> bool:
-        return self.completed >= self.max_envelopes

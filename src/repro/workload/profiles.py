@@ -2,10 +2,8 @@
 
 Drawn from "Evaluating Blockchain Application Requirements and their
 Satisfaction in Hyperledger Fabric" (arXiv:2111.15399): token-transfer
-apps with skewed key popularity (the MVCC-conflict generator),
-supply-chain provenance (deep reads, fat read-sets, thin writes) and
-multi-channel tenants whose traffic fans out over several ordering
-channels.
+apps with skewed key popularity (the MVCC-conflict generator), beside
+the paper's size-only microworkload.
 
 A profile's job is to produce the tenant's *next envelope* -- channel,
 payload size, key choices -- from the tenant's seeded RNG.  The
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from repro.fabric.envelope import Envelope
 
@@ -105,47 +103,3 @@ class TokenTransferProfile(ApplicationProfile):
     def conflict_fraction(self) -> float:
         """Fraction of transfers touching at least one hot key."""
         return self.conflict_candidates / self.envelopes if self.envelopes else 0.0
-
-
-@dataclass
-class ProvenanceProfile(ApplicationProfile):
-    """Supply-chain provenance: deep read chains, fat envelopes.
-
-    Each transaction walks ``read_depth`` provenance links and appends
-    one record, so the endorsement result set (and with it the
-    envelope) grows with the chain depth -- the read-heavy, large-
-    envelope end of the application spectrum.
-    """
-
-    channel: str = "channel0"
-    base_size: int = 512
-    per_read_bytes: int = 96
-    read_depth_min: int = 4
-    read_depth_max: int = 32
-    reads: int = field(default=0, init=False)
-    envelopes: int = field(default=0, init=False)
-
-    def make(self, rng, tenant, ids):
-        depth = rng.randint(self.read_depth_min, self.read_depth_max)
-        self.reads += depth
-        self.envelopes += 1
-        size = self.base_size + depth * self.per_read_bytes
-        return self._envelope(self.channel, size, tenant, ids)
-
-
-@dataclass
-class MultiChannelProfile(ApplicationProfile):
-    """A tenant spreading traffic over several channels (per-channel
-    ordering, §3: the service gathers envelopes from all channels)."""
-
-    channels: Sequence[str] = ("channel0",)
-    envelope_size: int = 1024
-    #: relative channel weights (uniform when empty)
-    weights: Sequence[float] = ()
-
-    def make(self, rng, tenant, ids):
-        if self.weights:
-            channel = rng.choices(list(self.channels), weights=list(self.weights))[0]
-        else:
-            channel = self.channels[rng.randrange(len(self.channels))]
-        return self._envelope(channel, self.envelope_size, tenant, ids)

@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.ecdsa import ECDSAP256Scheme
 from repro.crypto.hashing import canonical_encode, sha256
-from repro.crypto.mac import MacAuthenticator
 from repro.crypto.signatures import SimulatedECDSA
 
 # a strategy for arbitrarily nested encodable values
@@ -197,30 +195,3 @@ class TestSimulatedSignatures:
         signature = bytearray(scheme.sign(private, message))
         signature[flip_byte % len(signature)] ^= 0x01
         assert not scheme.verify(public, message, bytes(signature))
-
-
-class TestRealECDSA:
-    @given(st.binary(max_size=128))
-    @settings(max_examples=10, deadline=None)
-    def test_roundtrip(self, message):
-        scheme = ECDSAP256Scheme()
-        private, public = scheme.keygen(random.Random(99))
-        assert scheme.verify(public, message, scheme.sign(private, message))
-
-    @given(st.binary(min_size=1, max_size=64))
-    @settings(max_examples=10, deadline=None)
-    def test_cross_message_rejection(self, message):
-        scheme = ECDSAP256Scheme()
-        private, public = scheme.keygen(random.Random(99))
-        signature = scheme.sign(private, b"fixed")
-        if message != b"fixed":
-            assert not scheme.verify(public, message, signature)
-
-
-class TestMacs:
-    @given(st.binary(max_size=128), st.integers(0, 7), st.integers(0, 7))
-    @settings(max_examples=40)
-    def test_roundtrip_any_pair(self, message, a, b):
-        auth_a = MacAuthenticator(a)
-        auth_b = MacAuthenticator(b)
-        assert auth_b.check(a, message, auth_a.tag(b, message))

@@ -1,6 +1,8 @@
 """Tests for the capacity model: the paper's headline numbers must
 emerge from the calibrated constants."""
 
+import random
+
 import pytest
 
 from repro.bench.model import (
@@ -9,7 +11,14 @@ from repro.bench.model import (
     cpu_capacity,
     eq1_bound,
 )
-from repro.bench.topology import aws_latency_model, aws_rtt_between, lan_latency_model
+from repro.bench.topology import AWS_RTT_MS, aws_latency_model, lan_latency_model
+
+
+def round_trip(a, b):
+    """Round trip between two regions under the unjittered WAN model."""
+    model = aws_latency_model(jitter_fraction=0.0)
+    rng = random.Random(0)
+    return model.delay(a, b, rng) + model.delay(b, a, rng)
 
 
 class TestSignatureModel:
@@ -135,29 +144,25 @@ class TestEq1:
 
 class TestTopology:
     def test_rtt_symmetric(self):
-        assert aws_rtt_between("oregon", "sydney") == aws_rtt_between(
+        assert round_trip("oregon", "sydney") == round_trip(
             "sydney", "oregon"
         )
 
     def test_local_rtt_small(self):
-        assert aws_rtt_between("oregon", "oregon") < 0.005
+        assert round_trip("oregon", "oregon") < 0.005
 
     def test_all_paper_regions_covered(self):
         regions = ("oregon", "virginia", "canada", "saopaulo", "ireland", "sydney")
         for a in regions:
             for b in regions:
-                assert aws_rtt_between(a, b) >= 0
+                assert round_trip(a, b) >= 0
 
     def test_latency_model_one_way_half_rtt(self):
-        import random
-
         model = aws_latency_model(jitter_fraction=0.0)
         delay = model.delay("oregon", "ireland", random.Random(0))
-        assert delay == pytest.approx(aws_rtt_between("oregon", "ireland") / 2)
+        assert delay == pytest.approx(AWS_RTT_MS[("oregon", "ireland")] / 2 / 1000)
 
     def test_lan_model_sub_millisecond(self):
-        import random
-
         assert lan_latency_model(0.0).delay("lan", "lan", random.Random(0)) < 0.001
 
     def test_sao_paulo_is_far_from_everything(self):
@@ -165,6 +170,6 @@ class TestTopology:
         observation."""
         regions = ("oregon", "virginia", "canada", "ireland")
         for region in regions:
-            assert aws_rtt_between("saopaulo", region) > aws_rtt_between(
+            assert round_trip("saopaulo", region) > round_trip(
                 "virginia", "canada"
             )

@@ -27,6 +27,7 @@ from repro.bench.harness import (
     validate_result,
 )
 from repro.bench.report import (
+    PairwiseCell,
     ReportError,
     analyze,
     group_by_axis,
@@ -36,10 +37,10 @@ from repro.bench.report import (
     report_to_json_dict,
 )
 from repro.bench.stats import (
-    a12,
     a12_magnitude,
     cd_groups,
     critical_difference,
+    mann_whitney_u,
     mean_ranks,
     rank_by_median,
     sparkline,
@@ -188,16 +189,24 @@ def build_golden_report():
 # ----------------------------------------------------------------------
 # Statistical kernels
 # ----------------------------------------------------------------------
+def report_a12(a, b):
+    """A12 of ``a`` over ``b`` the way the report reads it: the U
+    statistic of ``a`` over the number of pairs."""
+    u_statistic, p_value = mann_whitney_u(a, b)
+    cell = PairwiseCell("a", "b", p_value, u_statistic, len(a) * len(b))
+    return cell.effect_a12
+
+
 class TestA12:
     def test_hand_computed_references(self):
-        assert a12([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(0.5)
-        assert a12([2.0, 2.0], [1.0, 1.0]) == 1.0
-        assert a12([1.0, 1.0], [2.0, 2.0]) == 0.0
-        assert a12([1.0], [1.0]) == pytest.approx(0.5)  # pure tie
-        assert a12([1.0, 2.0], [1.5]) == pytest.approx(0.5)  # one win, one loss
+        assert report_a12([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(0.5)
+        assert report_a12([2.0, 2.0], [1.0, 1.0]) == 1.0
+        assert report_a12([1.0, 1.0], [2.0, 2.0]) == 0.0
+        assert report_a12([1.0], [1.0]) == pytest.approx(0.5)  # pure tie
+        assert report_a12([1.0, 2.0], [1.5]) == pytest.approx(0.5)  # one win, one loss
         # 2 wins + 1 tie + 1 loss over 2x2 comparisons:
         # pairs (3,2):win (3,4):loss (2,2):tie (2,4):loss -> (1+0.5)/4
-        assert a12([3.0, 2.0], [2.0, 4.0]) == pytest.approx(1.5 / 4.0)
+        assert report_a12([3.0, 2.0], [2.0, 4.0]) == pytest.approx(1.5 / 4.0)
 
     def test_matches_brute_force_win_count(self):
         rng = random.Random(7)
@@ -207,7 +216,7 @@ class TestA12:
             wins = sum(1 for x in xs for y in ys if x > y)
             ties = sum(1 for x in xs for y in ys if x == y)
             expected = (wins + 0.5 * ties) / (len(xs) * len(ys))
-            assert a12(xs, ys) == pytest.approx(expected)
+            assert report_a12(xs, ys) == pytest.approx(expected)
 
     def test_matches_scipy_u_statistic(self):
         stats = pytest.importorskip("scipy.stats")
@@ -216,11 +225,11 @@ class TestA12:
             xs = [rng.random() for _ in range(8)]
             ys = [rng.random() for _ in range(6)]
             u1 = stats.mannwhitneyu(xs, ys, alternative="two-sided").statistic
-            assert a12(xs, ys) == pytest.approx(u1 / (len(xs) * len(ys)))
+            assert report_a12(xs, ys) == pytest.approx(u1 / (len(xs) * len(ys)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            a12([], [1.0])
+            report_a12([], [1.0])
 
     def test_magnitudes(self):
         assert a12_magnitude(0.5) == "negligible"

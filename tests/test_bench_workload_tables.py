@@ -1,23 +1,10 @@
-"""Tests for the paper-style load drivers, the retired figure CLI and
+"""Tests for the paper-style open-loop load, the retired figure CLI and
 service-config validation."""
 
 import pytest
 
-from repro.fabric.channel import ChannelConfig
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 from repro.ordering.backends import OpenLoop, ScenarioRow, stand_up
-from repro.workload import ClosedLoopDriver
-
-
-def small_service(block_size=5, num_frontends=2):
-    config = OrderingServiceConfig(
-        f=1,
-        channel=ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5),
-        num_frontends=num_frontends,
-        physical_cores=None,
-        enable_batch_timeout=True,
-    )
-    return build_ordering_service(config)
 
 
 def open_loop(rate=100.0, duration=2.0, num_frontends=2, arm=None, **load):
@@ -108,72 +95,6 @@ class TestOpenLoopGenerator:
         times = up.armed
         gaps = {round(b - a, 9) for a, b in zip(times, times[1:])}
         assert gaps == {0.01}
-
-
-class TestClosedLoopClients:
-    def test_completes_all_envelopes(self):
-        service = small_service(block_size=2, num_frontends=1)
-        clients = ClosedLoopDriver(
-            sim=service.sim,
-            frontend=service.frontends[0],
-            channel_id="ch0",
-            envelope_size=64,
-            clients=4,
-            max_envelopes=20,
-        )
-        clients.start()
-        service.run(20.0)
-        assert clients.done
-        assert clients.completed == 20
-
-    def test_bounded_concurrency(self):
-        service = small_service(block_size=2, num_frontends=1)
-        clients = ClosedLoopDriver(
-            sim=service.sim,
-            frontend=service.frontends[0],
-            channel_id="ch0",
-            envelope_size=64,
-            clients=3,
-            max_envelopes=30,
-        )
-        clients.start()
-        assert len(clients._outstanding) == 3
-        service.run(30.0)
-        assert clients.completed == 30
-
-    def test_done_semantics(self):
-        service = small_service(block_size=2, num_frontends=1)
-        clients = ClosedLoopDriver(
-            sim=service.sim,
-            frontend=service.frontends[0],
-            channel_id="ch0",
-            envelope_size=64,
-            clients=2,
-            max_envelopes=6,
-        )
-        assert not clients.done  # nothing completed yet
-        clients.start()
-        assert not clients.done  # submissions are in flight, not done
-        service.run(20.0)
-        assert clients.done
-        assert clients.submitted == 6
-        # done stays true and no extra submissions happen afterwards
-        service.run(5.0)
-        assert clients.done and clients.submitted == 6
-
-    def test_clients_capped_by_max_envelopes(self):
-        service = small_service(block_size=2, num_frontends=1)
-        clients = ClosedLoopDriver(
-            sim=service.sim,
-            frontend=service.frontends[0],
-            channel_id="ch0",
-            envelope_size=64,
-            clients=10,
-            max_envelopes=3,
-        )
-        clients.start()
-        assert clients.submitted == 3
-        assert len(clients._outstanding) == 3
 
 
 class TestCli:

@@ -7,7 +7,7 @@ from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, make_block
 from repro.fabric.blockpolicy import (
     SignatureCountPolicy,
-    SignatureQuorumPolicy,
+    SignedQuorum,
     count_valid_signatures,
 )
 from repro.fabric.envelope import Envelope
@@ -82,7 +82,7 @@ def test_signature_count_policy_threshold():
 def test_signature_quorum_policy_needs_2f_plus_1():
     registry, identities, block = _harness()
     names = {i.name for i in identities}
-    policy = SignatureQuorumPolicy(1, registry, names)
+    policy = SignedQuorum.equal_weight(1, registry, names)
     assert policy.quorum == 3
     _sign(block, identities[:2])
     assert not policy.check(block)

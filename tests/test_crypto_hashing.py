@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.crypto.hashing import canonical_encode, hash_iterable, sha256, sha256_hex
+from repro.crypto.hashing import canonical_encode, sha256, sha256_hex
 
 
 class Colour(enum.IntEnum):
@@ -230,7 +230,3 @@ class TestSha256:
 
     def test_hex_variant(self):
         assert sha256_hex("x") == sha256("x").hex()
-
-    def test_hash_iterable(self):
-        assert hash_iterable([1, 2]) == sha256([1, 2])
-        assert hash_iterable([1, 2]) != hash_iterable([2, 1])

@@ -1,4 +1,4 @@
-"""Unit tests for the signature abstraction, key registry and MACs."""
+"""Unit tests for the signature abstraction and the key registry."""
 
 import hmac
 import random
@@ -6,12 +6,7 @@ import random
 import pytest
 
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.mac import MacAuthenticator
-from repro.crypto.signatures import (
-    DEFAULT_SIGN_COST,
-    SimulatedECDSA,
-    make_keypair,
-)
+from repro.crypto.signatures import DEFAULT_SIGN_COST, Signer, SimulatedECDSA
 
 
 class TestSimulatedECDSA:
@@ -48,13 +43,9 @@ class TestSimulatedECDSA:
         # 8 cores * 1.3 HT yield / cost ~= 8400 signatures/second
         assert 8 * 1.3 / scheme.sign_cost == pytest.approx(8400, rel=0.01)
 
-    def test_make_keypair_wraps_both_halves(self, scheme):
-        signer, verifier = make_keypair(scheme, random.Random(2))
-        assert verifier.verify(b"m", signer.sign(b"m"))
-
     def test_signer_cost_exposed(self, scheme):
-        signer, _ = make_keypair(scheme, random.Random(2))
-        assert signer.sign_cost == DEFAULT_SIGN_COST
+        private, public = scheme.keygen(random.Random(2))
+        assert Signer(scheme, private, public).sign_cost == DEFAULT_SIGN_COST
 
     @pytest.mark.parametrize("key_size", [0, 1, 32, 63, 64, 65, 200])
     def test_mac_from_pads_is_the_stdlib_hmac(self, scheme, key_size):
@@ -107,33 +98,3 @@ class TestKeyRegistry:
         assert "here" in registry
         assert "gone" not in registry
 
-
-class TestMacAuthenticator:
-    def test_tag_check_roundtrip(self):
-        a = MacAuthenticator(0)
-        b = MacAuthenticator(1)
-        tag = a.tag(1, b"message")
-        assert b.check(0, b"message", tag)
-
-    def test_tampered_message_fails(self):
-        a = MacAuthenticator(0)
-        b = MacAuthenticator(1)
-        tag = a.tag(1, b"message")
-        assert not b.check(0, b"messagf", tag)
-
-    def test_wrong_link_fails(self):
-        a = MacAuthenticator(0)
-        c = MacAuthenticator(2)
-        tag = a.tag(1, b"message")  # intended for node 1
-        assert not c.check(0, b"message", tag)
-
-    def test_different_deployment_secret_fails(self):
-        a = MacAuthenticator(0, deployment_secret=b"one")
-        b = MacAuthenticator(1, deployment_secret=b"two")
-        tag = a.tag(1, b"m")
-        assert not b.check(0, b"m", tag)
-
-    def test_symmetric_key_both_directions(self):
-        a = MacAuthenticator(0)
-        b = MacAuthenticator(1)
-        assert a.check(1, b"m", b.tag(0, b"m"))

@@ -20,7 +20,7 @@ from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.block import make_block
 from repro.fabric.blockpolicy import (
     SignatureCountPolicy,
-    SignatureQuorumPolicy,
+    SignedQuorum,
     count_valid_signatures,
 )
 from repro.fabric.channel import ChannelConfig
@@ -216,7 +216,7 @@ def _quorum_harness(f=1):
         channel,
         registry=registry,
         orderer_names={i.name for i in identities},
-        block_policy=SignatureQuorumPolicy(
+        block_policy=SignedQuorum.equal_weight(
             f, registry=registry, orderer_names={i.name for i in identities}
         ),
     )
@@ -305,4 +305,4 @@ def test_count_policy_matches_legacy_committer_behaviour():
     assert SignatureCountPolicy(0).check(block)  # disabled check
     assert SignatureCountPolicy(2, registry, names).check(block)
     assert not SignatureCountPolicy(3, registry, names).check(block)
-    assert not SignatureQuorumPolicy(1, registry, names).check(block)
+    assert not SignedQuorum.equal_weight(1, registry, names).check(block)

@@ -20,7 +20,6 @@ from repro.ordering.admission import (
     AdmissionController,
     Rejected,
     jain_fairness,
-    merge_tenant_counts,
 )
 
 
@@ -97,16 +96,6 @@ class TestAdmissionController:
         assert controller.shed_count == 2  # alice's 3rd and 4th
         assert controller.shed_fraction() == pytest.approx(2 / 6)
         assert controller.fairness_index() == pytest.approx(1.0)  # 2 vs 2
-
-    def test_merge_tenant_counts(self):
-        a = AdmissionController(AdmissionConfig(tenant_burst=10.0))
-        b = AdmissionController(AdmissionConfig(tenant_burst=10.0))
-        a.admit("alice", 0.0)
-        b.admit("alice", 0.0)
-        b.admit("bob", 0.0)
-        admitted, rejected = merge_tenant_counts([a, b])
-        assert admitted == {"alice": 2, "bob": 1}
-        assert rejected == {}
 
 
 class TestJainFairness:

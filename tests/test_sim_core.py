@@ -185,83 +185,6 @@ class TestFuture:
         assert not sim.drain([future], deadline=1.0)
 
 
-class TestProcess:
-    def test_process_sleeps(self, sim):
-        seen = []
-
-        def proc():
-            seen.append(sim.now)
-            yield 1.0
-            seen.append(sim.now)
-            yield 2.0
-            seen.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run()
-        assert seen == [0.0, 1.0, 3.0]
-
-    def test_process_returns_value(self, sim):
-        def proc():
-            yield 1.0
-            return 42
-
-        process = sim.spawn(proc())
-        sim.run()
-        assert process.result.value == 42
-
-    def test_process_waits_on_future(self, sim):
-        future = sim.future()
-        seen = []
-
-        def proc():
-            value = yield future
-            seen.append((sim.now, value))
-
-        sim.spawn(proc())
-        sim.schedule(2.0, future.resolve, "ready")
-        sim.run()
-        assert seen == [(2.0, "ready")]
-
-    def test_process_yield_none_continues(self, sim):
-        seen = []
-
-        def proc():
-            yield None
-            seen.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run()
-        assert seen == [0.0]
-
-    def test_process_interrupt(self, sim):
-        seen = []
-
-        def proc():
-            yield 1.0
-            seen.append("should not happen")
-
-        process = sim.spawn(proc())
-        process.interrupt()
-        sim.run()
-        assert seen == []
-        assert process.result.done
-
-    def test_failed_future_raises_inside_process(self, sim):
-        future = sim.future()
-        caught = []
-
-        def proc():
-            try:
-                yield future
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        sim.spawn(proc())
-        sim.schedule(1.0, future.fail, RuntimeError("broken"))
-        sim.run()
-        assert caught == ["broken"]
-
-
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
         def build():

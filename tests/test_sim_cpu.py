@@ -279,16 +279,6 @@ class TestCompletionsAreCalls:
         sim.run()
         assert future.done and resolved_at == [2.0]
 
-    def test_process_waits_on_cpu_future(self, sim, cpu):
-        def worker():
-            yield cpu.submit(1.0)
-            yield cpu.submit(0.0)
-            return sim.now
-
-        process = sim.spawn(worker())
-        sim.run()
-        assert process.result.value == 1.0
-
     def test_two_pools_sharing_a_cpu_call_back_at_the_same_instant(self, sim, cpu):
         pool_a = ThreadPool(cpu, workers=8)
         pool_b = ThreadPool(cpu, workers=8)

@@ -98,6 +98,36 @@ class TestValueSelection:
         )
         assert synchronizer._select_value(0, reports) == honest
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12b: at equal regency _select_value keeps the first "
+        "certificate in sender order, so a forged one reported first wins; "
+        "item 12a's regency bound leaves this open, and BFT-SMaRt has no "
+        "signature to check",
+    )
+    def test_a_forged_same_regency_certificate_is_not_selected(self, cluster):
+        """Report 1 carries writers (0, 1, 2) at regency 0 over a batch no
+        client submitted; reports 2 and 3 carry the honest batch at
+        regency 0.  Every certificate is below the reports' regency 1 and
+        passes the validity check."""
+        synchronizer = cluster.replicas[1].synchronizer
+        honest = [request(0, op=7)]
+        forged = [request(0, op=666, client=999)]
+        reports = self.make_reports(
+            cluster,
+            [
+                (1, -1, certificate(0, 0, forged, writers=(0, 1, 2)), []),
+                (2, -1, certificate(0, 0, honest), []),
+                (3, -1, certificate(0, 0, honest), []),
+            ],
+        )
+        assert all(
+            synchronizer._certificate_valid(report.write_certificate)
+            and report.write_certificate.regency < report.regency
+            for report in reports.values()
+        )
+        assert synchronizer._select_value(0, reports) == honest
+
     def test_certificates_for_other_instances_ignored(self, cluster):
         synchronizer = cluster.replicas[1].synchronizer
         stale = certificate(7, 0, [request(0, op=1)])

@@ -5,18 +5,21 @@ import pytest
 from repro.smart.view import (
     View,
     binary_weights,
-    classic_quorum,
     max_faults,
 )
-from repro.smart.wheat import optimal_vmax_assignment, wheat_view
+from repro.smart.wheat import wheat_view
 
 
 class TestClassicQuorum:
+    """Equal weights degenerate to BFT-SMaRt's ``ceil((n + f + 1) / 2)``."""
+
     @pytest.mark.parametrize(
         "n,f,expected", [(4, 1, 3), (7, 2, 5), (10, 3, 7), (5, 1, 4)]
     )
     def test_values(self, n, f, expected):
-        assert classic_quorum(n, f) == expected
+        view = View(view_id=0, processes=tuple(range(n)), f=f)
+        assert not view.has_quorum(range(expected - 1))
+        assert view.has_quorum(range(expected))
 
 
 class TestMaxFaults:
@@ -153,16 +156,3 @@ class TestView:
     def test_total_weight(self):
         view = wheat_view(0, tuple(range(5)), f=1, delta=1)
         assert view.total_weight == pytest.approx(7.0)
-
-
-class TestOptimalAssignment:
-    def test_picks_best_connected(self):
-        rtt = {
-            (0, 1): 0.01, (0, 2): 0.01, (0, 3): 0.3, (0, 4): 0.3,
-            (1, 2): 0.01, (1, 3): 0.3, (1, 4): 0.3,
-            (2, 3): 0.3, (2, 4): 0.3,
-            (3, 4): 0.3,
-        }
-        holders = optimal_vmax_assignment(rtt, tuple(range(5)), f=1)
-        assert set(holders) <= {0, 1, 2}
-        assert len(holders) == 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ordering.backends import stand_up
-from repro.smart.wheat import WheatConfig, rank_by_latency, wheat_view
+from repro.smart.wheat import wheat_view
 from tests.conftest import Cluster
 
 
@@ -108,15 +108,6 @@ class TestRollbackMechanism:
 
 
 class TestHelpers:
-    def test_rank_by_latency(self):
-        ranked = rank_by_latency({0: 0.3, 1: 0.1, 2: 0.2}, (0, 1, 2))
-        assert ranked == [1, 2, 0]
-
-    def test_wheat_config_defaults(self):
-        config = WheatConfig()
-        assert config.delta == 1
-        assert config.tentative_execution
-
     def test_wheat_view_weights(self):
         view = wheat_view(0, tuple(range(5)), f=1, delta=1, vmax_holders=(2, 3))
         assert view.weights[2] == 2.0

@@ -499,6 +499,32 @@ class TestProposalWindow:
         assert new_leader.installed_views[-1] == (1, 1)
         assert new_leader._rounds[0].preprepare.batch == honest.batch
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12b: _repropose_from_proof keeps the first "
+        "certificate of equal view in sender order, so a second pre-prepare "
+        "that view 0's leader signed wins when its voter reports first; "
+        "item 12a's view bound and signature check leave this open",
+    )
+    def test_an_equivocated_same_view_certificate_is_not_re_proposed(self):
+        """View 0's leader signs two pre-prepares for seq 0, as an
+        equivocating leader could.  Voter 2 reports the second one with
+        voters (0, 1, 2); voter 3 reports the honest one.  Both are at
+        view 0, below the view change, and carry the leader's valid
+        signature."""
+        service = build()
+        new_leader = service.nodes[1]
+        honest, _header = signed_preprepare(
+            service, 0, 0, 0, 0, GENESIS_PREVIOUS_HASH, requests(range(4))
+        )
+        equivocated, _header = signed_preprepare(
+            service, 0, 0, 0, 0, GENESIS_PREVIOUS_HASH, requests(range(90, 94))
+        )
+        new_leader.deliver(2, signed_view_change(service, 2, 1, 0, [(equivocated, (0, 1, 2))]))
+        new_leader.deliver(3, signed_view_change(service, 3, 1, 0, [(honest, (0, 1, 2))]))
+        assert new_leader.installed_views[-1] == (1, 1)
+        assert new_leader._rounds[0].preprepare.batch == honest.batch
+
 
 def prepared_then_the_leader_crashes():
     """n=4: requests 0..3 reach follower 1, which forwards them; leader

@@ -102,3 +102,21 @@ class TestReplacedChannelState:
         order_one(node, 1)  # the restored channel arms for t = 1.5
         sim.run(until=2.0)
         assert submitted == [(1.5, TimeToCut("ch0", 0))]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="set_state restores a channel's pending envelopes but arms no "
+        "TimeToCut timer for them: they wait for the next envelope of the "
+        "channel or another replica's TTC (docs/RECOVERY.md, known limitations)",
+    )
+    def test_restored_pending_envelopes_are_cut_by_timeout(self):
+        """A fresh node that takes another node's snapshot by
+        ``set_state`` submits the TTC for the restored envelope within
+        ``batch_timeout``."""
+        source = ordering_node(Simulator(), [])
+        order_one(source, 0)
+        sim, submitted = Simulator(), []
+        node = ordering_node(sim, submitted)
+        node.set_state(source.snapshot())
+        sim.run(until=5.0)
+        assert [ttc for at, ttc in submitted if at <= 1.0] == [TimeToCut("ch0", 0)]

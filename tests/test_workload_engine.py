@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import DEFAULT_MAX_PAYLOAD_BYTES
 from repro.ordering import (
     AdmissionConfig,
     OrderingServiceConfig,
@@ -13,17 +12,10 @@ from repro.ordering import (
 )
 from repro.sim.randomness import RandomStreams
 from repro.workload import (
-    BurstyArrivals,
-    CensorshipTargetSpam,
-    ClosedLoopDriver,
     ConflictStorm,
-    DiurnalArrivals,
     DuplicateFlood,
     FixedArrivals,
-    MultiChannelProfile,
-    OversizedSpam,
     PoissonArrivals,
-    ProvenanceProfile,
     RawProfile,
     TenantSpec,
     TokenTransferProfile,
@@ -77,33 +69,9 @@ class TestArrivals:
         delays = [arrival.next_delay(rng, 0.0) for _ in range(4000)]
         assert sum(delays) / len(delays) == pytest.approx(1 / 200.0, rel=0.1)
 
-    def test_bursty_preserves_long_run_rate(self):
-        rng = RandomStreams(5).stream("t")
-        arrival = BurstyArrivals(rate=100.0, period=1.0, on_fraction=0.25)
-        now, count = 0.0, 0
-        while now < 50.0:
-            now += arrival.next_delay(rng, now)
-            count += 1
-        assert count / now == pytest.approx(100.0, rel=0.15)
-
-    def test_bursty_is_silent_between_bursts(self):
-        rng = RandomStreams(5).stream("t")
-        arrival = BurstyArrivals(rate=100.0, period=1.0, on_fraction=0.25)
-        # from mid-silence the next arrival lands in the next period
-        delay = arrival.next_delay(rng, now=0.5)
-        assert delay >= 0.5
-
-    def test_diurnal_delays_are_positive(self):
-        rng = RandomStreams(9).stream("t")
-        arrival = DiurnalArrivals(rate=100.0, period=10.0, amplitude=0.9)
-        for step in range(100):
-            assert arrival.next_delay(rng, now=step * 0.1) > 0
-
     def test_factory_kinds_and_errors(self):
         assert isinstance(make_arrivals("fixed", 1.0), FixedArrivals)
         assert isinstance(make_arrivals("poisson", 1.0), PoissonArrivals)
-        assert isinstance(make_arrivals("bursty", 1.0), BurstyArrivals)
-        assert isinstance(make_arrivals("diurnal", 1.0), DiurnalArrivals)
         with pytest.raises(ValueError):
             make_arrivals("poisson", 0.0)
         with pytest.raises(ValueError):
@@ -138,30 +106,6 @@ class TestProfiles:
             profile.make(rng, "acme", ids)
         assert profile.conflict_candidates == 0
 
-    def test_provenance_size_tracks_read_depth(self):
-        rng = RandomStreams(3).stream("t")
-        ids = itertools.count()
-        profile = ProvenanceProfile(
-            base_size=100, per_read_bytes=10, read_depth_min=2, read_depth_max=5
-        )
-        sizes = {profile.make(rng, "acme", ids).payload_size for _ in range(200)}
-        assert sizes <= {120, 130, 140, 150}
-        assert len(sizes) > 1
-
-    def test_multi_channel_spreads_traffic(self):
-        rng = RandomStreams(4).stream("t")
-        ids = itertools.count()
-        profile = MultiChannelProfile(channels=("a", "b", "c"), envelope_size=64)
-        seen = {profile.make(rng, "acme", ids).channel_id for _ in range(100)}
-        assert seen == {"a", "b", "c"}
-
-    def test_multi_channel_respects_weights(self):
-        rng = RandomStreams(4).stream("t")
-        ids = itertools.count()
-        profile = MultiChannelProfile(channels=("a", "b"), weights=(1.0, 0.0))
-        seen = {profile.make(rng, "acme", ids).channel_id for _ in range(50)}
-        assert seen == {"a"}
-
 
 class TestAdversarialProfiles:
     def test_duplicate_flood_replays_identity(self):
@@ -176,20 +120,6 @@ class TestAdversarialProfiles:
         assert envelopes[1] is not envelopes[0]
         assert envelopes[1].digest() == envelopes[0].digest()
 
-    def test_oversized_spam_exceeds_ceiling(self):
-        rng = RandomStreams(6).stream("t")
-        ids = itertools.count()
-        spam = OversizedSpam(oversize_fraction=1.0)
-        envelope = spam.make(rng, "mallory", ids)
-        assert envelope.payload_size > DEFAULT_MAX_PAYLOAD_BYTES
-
-    def test_oversized_spam_mixes_cover_traffic(self):
-        rng = RandomStreams(6).stream("t")
-        ids = itertools.count()
-        spam = OversizedSpam(oversize_fraction=0.5, envelope_size=100)
-        sizes = {spam.make(rng, "mallory", ids).payload_size for _ in range(100)}
-        assert sizes == {100, int(DEFAULT_MAX_PAYLOAD_BYTES * 2.0)}
-
     def test_conflict_storm_always_conflicts(self):
         rng = RandomStreams(7).stream("t")
         ids = itertools.count()
@@ -197,13 +127,6 @@ class TestAdversarialProfiles:
         for _ in range(100):
             storm.make(rng, "mallory", ids)
         assert storm.conflict_fraction() == 1.0
-
-    def test_censorship_spam_builds_plain_envelopes(self):
-        rng = RandomStreams(8).stream("t")
-        ids = itertools.count()
-        spam = CensorshipTargetSpam(envelope_size=128)
-        envelope = spam.make(rng, "mallory", ids)
-        assert envelope.payload_size == 128
 
 
 class TestWorkloadEngine:
@@ -349,7 +272,7 @@ class TestWorkloadEngine:
                 service.frontends,
                 [
                     TenantSpec(name="a", session_rate=80.0, profile=RawProfile(channel="ch0")),
-                    TenantSpec(name="b", session_rate=40.0, arrival="bursty", profile=RawProfile(channel="ch0")),
+                    TenantSpec(name="b", session_rate=40.0, arrival="poisson", profile=RawProfile(channel="ch0")),
                 ],
                 streams=RandomStreams(seed),
                 duration=1.0,
@@ -426,23 +349,3 @@ class TestWorkloadEngine:
         assert len(engine._states) == 10
         # pending-latency map is bounded by the admission window
         assert len(engine._pending) <= 1000
-
-
-class TestClosedLoopDriver:
-    def test_bounded_outstanding_and_done(self):
-        service = small_service()
-        driver = ClosedLoopDriver(
-            sim=service.sim,
-            frontend=service.frontends[0],
-            channel_id="ch0",
-            envelope_size=100,
-            clients=4,
-            max_envelopes=20,
-        )
-        driver.start()
-        assert len(driver._outstanding) == 4
-        service.run(30.0)
-        assert driver.done
-        assert driver.completed == 20
-        assert driver.submitted == 20
-        assert not driver._outstanding
