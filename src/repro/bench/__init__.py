@@ -23,53 +23,3 @@ seed; how fast the simulator itself runs on the host is measured by
 
 See ``docs/BENCHMARKS.md`` for the workflow.
 """
-
-from repro.bench.harness import (
-    REGISTRY,
-    BenchContext,
-    Benchmark,
-    BenchmarkRegistry,
-    BenchmarkResult,
-    SuiteResult,
-    load_result,
-    render_result,
-    render_suite,
-    run_benchmark,
-    run_suite,
-    validate_result,
-    write_result,
-)
-from repro.bench.model import (
-    OrderingCapacityModel,
-    SignatureThroughputModel,
-    eq1_bound,
-)
-from repro.bench.topology import (
-    AWS_REGIONS,
-    aws_latency_model,
-    aws_oneway_seconds,
-    lan_latency_model,
-)
-
-__all__ = [
-    "AWS_REGIONS",
-    "Benchmark",
-    "BenchmarkRegistry",
-    "BenchmarkResult",
-    "BenchContext",
-    "OrderingCapacityModel",
-    "REGISTRY",
-    "SignatureThroughputModel",
-    "SuiteResult",
-    "aws_latency_model",
-    "aws_oneway_seconds",
-    "eq1_bound",
-    "lan_latency_model",
-    "load_result",
-    "render_result",
-    "render_suite",
-    "run_benchmark",
-    "run_suite",
-    "validate_result",
-    "write_result",
-]

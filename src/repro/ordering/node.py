@@ -183,9 +183,12 @@ class BFTOrderingNode(StateMachine):
             for envelope in entry["pending"]:
                 state.cutter._pending.append(envelope)
                 state.cutter._pending_bytes += envelope.payload_size
-            # the replaced state's timer was armed for a chain that is gone
+            # the replaced state's timer was armed for a chain that is gone;
+            # the restored envelopes wait at most a timeout from here
             self._channels[channel_id].disarm()
             self._channels[channel_id] = state
+            if len(state.cutter) > 0:
+                self.ttc.arm(channel_id, state)
 
     def snapshot(self) -> Any:
         return self.get_state()

@@ -147,21 +147,6 @@ class _Round:
     committed: bool = False
 
 
-@dataclass(slots=True)
-class _Decision:
-    """One decided block, with its quorum signatures and raw batch.
-
-    The block's header and envelope list, and the batch, are the
-    pre-prepare's (or the catch-up push's), shared by every node that
-    decided it; only ``block.signatures`` is this node's own.
-    """
-
-    seq: int
-    channel_id: str
-    block: Block
-    batch: Tuple[ClientRequest, ...]
-
-
 class SmartBFTNode:
     """One member of the SmartBFT-style ordering cluster."""
 
@@ -234,7 +219,12 @@ class SmartBFTNode:
         # consensus state
         self._rounds: Dict[int, _Round] = {}
         self.next_commit_seq = 0
-        self._decisions: List[_Decision] = []
+        #: the ledger, by sequence number: each decision's shared source (the
+        #: decided pre-prepare, or the catch-up push's ``(seq, block, batch)``
+        #: entry) and this node's quorum signatures as ``(name, signature,
+        #: ...)`` in voter order (``()`` for a pushed entry); see ``_decision``
+        self._sources: List[Any] = []
+        self._signatures: List[Tuple[Any, ...]] = []
         #: the replay check is the ids of committed batches plus those of
         #: the batches accepted in the window; an accepted round's ids
         #: leave ``_accepted_ids`` with the round -- into the committed
@@ -399,7 +389,8 @@ class SmartBFTNode:
         self._rounds = {}
         self.next_commit_seq = 0
         self._next_accept = 0
-        self._decisions = []
+        self._sources = []
+        self._signatures = []
         self._committed_ids = ExecutedRequests()
         self._accepted_ids = set()
         self._held = {}
@@ -750,49 +741,47 @@ class SmartBFTNode:
         self._apply_ready_decisions()
 
     def _apply_ready_decisions(self) -> None:
+        names = self.peer_names
         while True:
             round_ = self._rounds.get(self.next_commit_seq)
             if round_ is None or not round_.committed:
                 break
-            seq = self.next_commit_seq
             msg = round_.preprepare
-            names = self.peer_names
-            signatures = {
-                names[voter]: sig
-                for voter, sig in sorted(round_.commits[round_.digest].items())
-                if voter in names
-            }
-            block = Block(
-                header=msg.header(),
-                envelopes=msg.envelopes(),
-                signatures=signatures,
-                channel_id=msg.channel_id,
-            )
-            del self._rounds[seq]
+            signatures = []
+            for voter, signature in sorted(round_.commits[round_.digest].items()):
+                if voter in names:
+                    signatures += (names[voter], signature)
+            del self._rounds[self.next_commit_seq]
             self._accepted_ids.difference_update([r.request_id for r in msg.batch])
             self._commit_decision(
-                _Decision(seq=seq, channel_id=msg.channel_id, block=block, batch=msg.batch)
+                msg, tuple(signatures), msg.channel_id, msg.header(),
+                len(msg.batch), msg.batch,
             )
 
-    def _commit_decision(self, decision: _Decision) -> None:
-        """Apply one decided block (from consensus or catch-up)."""
-        state = self._channels[decision.channel_id]
-        state.committed.advance(decision.block.header)
-        self.log.append(decision.seq, decision.batch)
-        self.next_commit_seq = decision.seq + 1
+    def _commit_decision(
+        self, source: Any, signatures: Tuple[Any, ...], channel_id: str,
+        header: BlockHeader, size: int, batch: Tuple[ClientRequest, ...],
+    ) -> None:
+        """Apply the decision at ``next_commit_seq`` (from consensus or
+        catch-up): ``header`` and its ``size`` envelopes are ``source``'s."""
+        seq = self.next_commit_seq
+        self._channels[channel_id].committed.advance(header)
+        self.log.append(seq, batch)
+        self.next_commit_seq = seq + 1
         if self._next_accept < self.next_commit_seq:
             # caught up past what this node accepted: chain off the decided
             self._drop_accepted()
-        self._decisions.append(decision)
+        self._sources.append(source)
+        self._signatures.append(signatures)
         self.blocks_created += 1
-        rids = [request.request_id for request in decision.batch]
+        rids = [request.request_id for request in batch]
         self._committed_ids.update(rids)
         if self._leader_seen:
             self._leader_seen.difference_update(rids)
-        self.pending.remove_all(decision.batch)
+        self.pending.remove_all(batch)
         if self.obs is not None:
             self.obs.on_block_signed(
-                self.name, decision.block, self.sim.now, self.sim.now
+                self.name, self._decision(seq)[1], self.sim.now, self.sim.now
             )
         if self.stats is not None:
             meters = self._meters
@@ -803,10 +792,25 @@ class SmartBFTNode:
                 )
             now = self.sim.now
             meters[0].record(now, 1.0)
-            meters[1].record(now, float(len(decision.block.envelopes)))
+            meters[1].record(now, float(size))
         self._push_to_subscribers()
         if self._batch_queue:
             self._maybe_propose()
+
+    def _decision(self, seq: int) -> Tuple[int, Block, Tuple[ClientRequest, ...]]:
+        """Ledger entry ``seq`` as it leaves this node, ``(seq, block, batch)``: a
+        pushed entry as it came, else a block of the pre-prepare and our signatures."""
+        source = self._sources[seq]
+        if source.__class__ is not Preprepare:
+            return source
+        signatures = self._signatures[seq]
+        block = Block(
+            header=source.header(),
+            envelopes=source.envelopes(),
+            signatures=dict(zip(signatures[::2], signatures[1::2])),
+            channel_id=source.channel_id,
+        )
+        return seq, block, source.batch
 
     # ------------------------------------------------------------------
     # dissemination: one signed copy per subscriber
@@ -814,12 +818,11 @@ class SmartBFTNode:
     def _push_to_subscribers(self) -> None:
         if self.faults.mute:
             return
-        total = len(self._decisions)
+        total = len(self._sources)
         for frontend_id in self._subscriber_order:
             cursor = self._subscribers[frontend_id]
             while cursor < total:
-                decision = self._decisions[cursor]
-                delivery = BlockDelivery(block=decision.block, source=self.name)
+                delivery = BlockDelivery(block=self._decision(cursor)[1], source=self.name)
                 self.network.send(
                     self.replica_id, frontend_id, delivery, delivery.wire_size()
                 )
@@ -827,7 +830,7 @@ class SmartBFTNode:
             self._subscribers[frontend_id] = cursor
 
     def _on_subscribe(self, src: Any, msg: Subscribe) -> None:
-        self._subscribers[src] = min(max(msg.next_seq, 0), len(self._decisions))
+        self._subscribers[src] = min(max(msg.next_seq, 0), len(self._sources))
         self._subscriber_order = sorted(self._subscribers, key=repr)
         self._push_to_subscribers()
 
@@ -1120,18 +1123,19 @@ class SmartBFTNode:
         if self._last_new_view is not None:
             self._send(src, self._last_new_view)
         start = max(msg.from_seq, 0)
-        if start >= len(self._decisions):
+        stop = min(start + CATCHUP_BATCH, len(self._sources))
+        if start >= stop:
             return
-        window = self._decisions[start : start + CATCHUP_BATCH]
         push = BlockPush(
             sender=self.replica_id,
-            decisions=tuple((d.seq, d.block, d.batch) for d in window),
+            decisions=tuple(self._decision(seq) for seq in range(start, stop)),
         )
         self._send(src, push)
 
     def on_blockpush(self, src: int, msg: BlockPush) -> None:
         progressed = False
-        for seq, block, batch in msg.decisions:
+        for entry in msg.decisions:
+            seq, block, batch = entry
             if seq != self.next_commit_seq:
                 continue
             state = self._channels.get(block.channel_id)
@@ -1156,12 +1160,7 @@ class SmartBFTNode:
                     )
             self._rounds.pop(seq, None)
             self._commit_decision(
-                _Decision(
-                    seq=seq,
-                    channel_id=block.channel_id,
-                    block=block,
-                    batch=batch,
-                )
+                entry, (), block.channel_id, block.header, len(block.envelopes), batch
             )
             progressed = True
         if progressed:

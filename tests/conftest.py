@@ -137,6 +137,13 @@ def prefix_consistent(apps) -> bool:
     return all(longest[: len(h)] == h for h in histories)
 
 
+def smartbft_ledger(node) -> list:
+    """A SmartBFT node's decisions as it serves them: ``(seq, block,
+    batch)`` per decided sequence number, the shape a ``BlockPush``
+    carries."""
+    return [node._decision(seq) for seq in range(node.next_commit_seq)]
+
+
 class Cluster:
     """A wired BFT-SMaRt cluster over a fresh simulator."""
 

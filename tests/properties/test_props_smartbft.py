@@ -25,6 +25,7 @@ from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering.service import OrderingServiceConfig, build_ordering_service
 from repro.smart2.messages import Commit
+from tests.conftest import smartbft_ledger
 from tests.test_smartbft_chain_pins import build_lan_service
 
 SEEDS = range(8)
@@ -202,10 +203,10 @@ def test_a_full_window_orders_every_request_once_on_one_chain(seed):
     assert len(set(service.ledger_digests().values())) == 1
     chains = {}
     for node in service.nodes:
-        for decision in node._decisions:
-            row = (decision.block.header.number, decision.block.header.digest())
-            assert chains.setdefault(decision.seq, row) == row, (
-                f"seed {seed}: nodes disagree at seq {decision.seq}"
+        for seq, block, _batch in smartbft_ledger(node):
+            row = (block.header.number, block.header.digest())
+            assert chains.setdefault(seq, row) == row, (
+                f"seed {seed}: nodes disagree at seq {seq}"
             )
     if seed % 2:
         assert all(node.view_number >= 1 for node in service.nodes[1:])

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.fabric.block import GENESIS_PREVIOUS_HASH
 from repro.smart2.messages import Commit, Prepare
+from tests.conftest import smartbft_ledger
 from tests.test_smartbft_node import build, requests, signed_commit, signed_preprepare
 
 #: (f, delta): n = 3f+1+delta, the first 2f members hold Vmax = 1 + delta/f
@@ -121,7 +122,7 @@ def agree(node, oracle: Oracle) -> None:
     view = node.view
     assert node.next_commit_seq == oracle.next_commit_seq
     assert [
-        (d.seq, tuple(sorted(d.block.signatures))) for d in node._decisions
+        (seq, tuple(sorted(block.signatures))) for seq, block, _ in smartbft_ledger(node)
     ] == [
         (seq, tuple(sorted(node.peer_names[pid] for pid in signers)))
         for seq, signers in oracle.decided

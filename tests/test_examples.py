@@ -1,5 +1,7 @@
 """Every example runs to completion, and the two Fabric examples print
-exactly what they printed when they were pinned.
+exactly what they printed when they were pinned; so does the code
+block under "Driving it" in docs/WORKLOADS.md, so a stale import there
+fails.
 
 Each example is a separate interpreter (a fresh id stream, as a user
 running it sees).  ``asset_transfer.py`` is deterministic end to end;
@@ -79,3 +81,12 @@ def test_example_runs(example):
         return
     masked = re.sub(r"\S*repro-ledger-[^/\s]+", "<tmp>", stdout)
     assert masked == pinned
+
+
+def test_the_workloads_guide_drives_an_engine(tmp_path):
+    guide = (ROOT / "docs" / "WORKLOADS.md").read_text()
+    section = guide[guide.index("### Driving it") :]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    script = tmp_path / "driving_it.py"
+    script.write_text(code + "assert report.committed > 0\n")
+    _run(script)

@@ -31,6 +31,7 @@ from repro.ordering.backends import (
     stand_up,
 )
 from repro.sim.network import ConstantLatency
+from tests.conftest import smartbft_ledger
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -154,7 +155,7 @@ def test_smartbft_timeout_cut_row_decides_blocks_by_timeout():
     load = OpenLoop(RACESAN_RATE, DEFAULT_DURATION, row.load.envelope_size)
     result = run_scenario(replace(row, load=load))
     for node in result.service.nodes:
-        sizes = [len(decision.block.envelopes) for decision in node._decisions]
+        sizes = [len(block.envelopes) for _seq, block, _batch in smartbft_ledger(node)]
         assert sizes and max(sizes) < row.block_size
         assert max(sizes) * row.load.envelope_size < row.preferred_max_bytes
     assert result.service.total_delivered() == result.submitted

@@ -32,6 +32,7 @@ from repro.bench.topology import lan_latency_model
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering import OrderingServiceConfig, build_ordering_service
+from tests.conftest import smartbft_ledger
 
 BLOCK_SIZE = 10
 ENVELOPES = 1200
@@ -74,12 +75,12 @@ def record(f: int, rate: float) -> dict:
     for node in service.nodes:
         chains[str(node.replica_id)] = [
             [
-                d.seq,
-                d.block.header.number,
-                d.block.header.digest().hex(),
-                [e.envelope_id for e in d.block.envelopes],
+                seq,
+                block.header.number,
+                block.header.digest().hex(),
+                [e.envelope_id for e in block.envelopes],
             ]
-            for d in node._decisions
+            for seq, block, _batch in smartbft_ledger(node)
         ]
     return {
         "chain": chains["0"],

@@ -40,6 +40,7 @@ from repro.smart2.messages import (
     BlockPull, BlockPush, Commit, Forward, NewView, Prepare, Preprepare, ViewChange,
 )
 from repro.smart2.node import PROPOSAL_WINDOW, SmartBFTNode, preprepare_payload
+from tests.conftest import smartbft_ledger
 from tests.test_smartbft_vote_pins import build_service
 
 CHANNEL = "ch0"
@@ -245,8 +246,8 @@ class TestLeaderQueues:
         assert max(in_flight) == PROPOSAL_WINDOW
         decided = [
             request.request_id
-            for decision in leader._decisions
-            for request in decision.batch
+            for _seq, _block, decided_batch in smartbft_ledger(leader)
+            for request in decided_batch
         ]
         assert decided == [request.request_id for request in batch]
         assert not leader._batch_queue and not leader._req_by_env
@@ -285,8 +286,8 @@ class TestLeaderQueues:
 # ----------------------------------------------------------------------
 def decided_headers(node) -> List[Tuple[int, bytes, List[int]]]:
     return [
-        (d.seq, d.block.header.digest(), [e.envelope_id for e in d.block.envelopes])
-        for d in node._decisions
+        (seq, block.header.digest(), [e.envelope_id for e in block.envelopes])
+        for seq, block, _batch in smartbft_ledger(node)
     ]
 
 
@@ -724,7 +725,7 @@ class TestLeaderBatchTimer:
         service.sim.schedule_at(0.1, service.crash_node, 0)
         service.sim.schedule_at(1.0, service.recover_node, 0)
         service.run(1.2)
-        assert len(leader._channels[CHANNEL].cutter) == 1 and leader._decisions == []
+        assert len(leader._channels[CHANNEL].cutter) == 1 and leader.next_commit_seq == 0
         service.run(0.3)
         for node in service.nodes:
             assert decided_ids(node) == [[0]]

@@ -32,6 +32,7 @@ import pytest
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering import OrderingServiceConfig, build_ordering_service
+from tests.conftest import smartbft_ledger
 
 
 def build_service(f: int, block_size: int, **config):
@@ -77,12 +78,12 @@ def _run_recording(service, duration: float) -> dict:
         nodes[str(node.replica_id)] = {
             "decisions": [
                 [
-                    d.seq,
-                    d.block.header.digest().hex(),
-                    seen.get((d.seq, d.block.header.digest())),
-                    sorted(d.block.signatures),
+                    seq,
+                    block.header.digest().hex(),
+                    seen.get((seq, block.header.digest())),
+                    sorted(block.signatures),
                 ]
-                for d in node._decisions
+                for seq, block, _batch in smartbft_ledger(node)
             ],
             "installed_views": [list(entry) for entry in node.installed_views],
             "blacklist_events": [list(entry) for entry in node.blacklist_events],

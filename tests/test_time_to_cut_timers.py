@@ -103,12 +103,6 @@ class TestReplacedChannelState:
         sim.run(until=2.0)
         assert submitted == [(1.5, TimeToCut("ch0", 0))]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="set_state restores a channel's pending envelopes but arms no "
-        "TimeToCut timer for them: they wait for the next envelope of the "
-        "channel or another replica's TTC (docs/RECOVERY.md, known limitations)",
-    )
     def test_restored_pending_envelopes_are_cut_by_timeout(self):
         """A fresh node that takes another node's snapshot by
         ``set_state`` submits the TTC for the restored envelope within

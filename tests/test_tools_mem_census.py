@@ -41,7 +41,19 @@ def test_a_small_run_prints_the_census():
     assert 0 < peak_mib <= figures["traced peak"]
     assert 1 <= run <= runs
     assert lines[13].split() == ["MiB", "count", "B/item", "site"]
-    check_sites(lines[14:])
+    check_sites(lines[14:19])
+    # each phase's entering level and peak; the highest is the run's peak
+    assert lines[19:21] == ["traced memory by phase:", "phase     entering      peak"]
+    rows = [line.split() for line in lines[21:]]
+    assert [row[0] for row in rows] == [
+        "build", "warm-up", "window", "drain", "report", "verify"
+    ]
+    peaks = [float(row[2]) for row in rows]
+    assert all(0 <= float(row[1]) <= float(row[2]) for row in rows)
+    assert max(peaks) == figures["traced peak"] >= peak_mib
+    marked = [row[0] for row in rows if row[3:] == ["<-", "the", "run's", "peak"]]
+    assert marked == [rows[peaks.index(max(peaks))][0]]
+    assert lines[3].endswith(f"(in {marked[0]})")
 
 
 def check_sites(lines):

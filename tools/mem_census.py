@@ -21,7 +21,12 @@ the kept snapshot.  Then it prints:
   source line each, with its live block count and bytes per block;
 - the ``--top`` sites at the sampled peak, the same way: a run past
   capacity holds its largest backlog mid-run, and ``host_peak_rss_mb``
-  is a peak, so what is alive at exit need not be what set it.
+  is a peak, so what is alive at exit need not be what set it;
+- per phase of ``run_job`` (build -- imports, build, arm and the setup
+  calibration --, warm-up, window, drain, report, verify) the traced
+  memory entering it and the traced peak inside it (tracemalloc's peak
+  is reset as each phase begins), naming the phase that set the run's
+  peak: a slice sample sees none of drain, report or verify.
 
 Exits 1 if the run fails ``verify``.  Stdlib only.
 """
@@ -34,7 +39,7 @@ import sys
 import sysconfig
 import tracemalloc
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 for _path in (REPO / "src", REPO):
@@ -84,41 +89,80 @@ class PeakSampler:
             self.snapshot = tracemalloc.take_snapshot()
 
 
+class PhasePeaks:
+    """The traced memory entering each phase of ``run_job`` and the
+    traced peak inside it: the peak is reset as a phase begins and read
+    as the next one does."""
+
+    def __init__(self) -> None:
+        #: (phase, traced bytes entering it, traced peak inside it)
+        self.phases: List[Tuple[str, int, int]] = []
+        self.phase = "build"
+        self._entering = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+
+    def begin(self, phase: str) -> None:
+        current, peak = tracemalloc.get_traced_memory()
+        self.phases.append((self.phase, self._entering, peak))
+        tracemalloc.reset_peak()
+        self.phase, self._entering = phase, current
+
+    def first(self, phase: str, fn: Callable[..., Any], after: Tuple[str, ...] = ()):
+        """``fn``, beginning ``phase`` when called in a phase of ``after``
+        (in any phase if ``after`` is empty)."""
+
+        def wrapped(*args):
+            if not after or self.phase in after:
+                self.begin(phase)
+            return fn(*args)
+
+        return wrapped
+
+
 def census(workload: str, scale: float, top: int) -> int:
     tracemalloc.start()
+    phases = PhasePeaks()
     from benchmarks.perf import adapter
     from benchmarks.perf.worker import run_job
 
     # run_job drops its deployment on return; keep it for the exit
-    # snapshot, and sample the traced total after each of its runs
+    # snapshot, sample the traced total after each of its runs, and
+    # mark where each phase begins: the warm-up at the first run, the
+    # window at the first mark, the rest at their own calls
     kept = []
     build = adapter.build
 
     def build_and_keep(*args):
         deployment = build(*args)
-        deployment.run = PeakSampler(deployment.run)
-        kept.append(deployment)
+        sampler = PeakSampler(deployment.run)
+        deployment.run = phases.first("warm-up", sampler, ("build",))
+        deployment.mark = phases.first("window", deployment.mark, ("build", "warm-up"))
+        for phase in ("drain", "report", "verify"):
+            setattr(deployment, phase, phases.first(phase, getattr(deployment, phase)))
+        kept.append((deployment, sampler))
         return deployment
 
     adapter.build = build_and_keep
     result = run_job(
         {"workload": workload, "seed": 0, "scale": scale, "repeat": 0, "mode": "full"}
     )
+    phases.begin("exit")  # closes verify's row
     failures = result["failures"]
     gc.collect()
-    current, peak = tracemalloc.get_traced_memory()
+    current = tracemalloc.get_traced_memory()[0]
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()
     stats = snapshot.statistics("lineno")
+    peak_phase, _entering, peak = max(phases.phases, key=lambda row: row[2])
 
     print(f"workload {workload}  seed 0  scale {scale}")
     print(f"ru_maxrss        {result['peak_rss_mb']:9.2f} MiB  (tracing included)")
     print(f"traced current   {current / MIB:9.2f} MiB")
-    print(f"traced peak      {peak / MIB:9.2f} MiB")
+    print(f"traced peak      {peak / MIB:9.2f} MiB  (in {peak_phase})")
     print(f"verify           {'ok' if not failures else '; '.join(failures)}")
     print(f"top {min(top, len(stats))} allocation sites alive at exit:")
     print_sites(stats, top)
-    sampler = kept[0].run
+    sampler = kept[0][1]
     peak_stats = sampler.snapshot.statistics("lineno")
     print(
         f"top {min(top, len(peak_stats))} allocation sites at the sampled peak,"
@@ -126,6 +170,11 @@ def census(workload: str, scale: float, top: int) -> int:
         f" {sampler.peak_run} of {sampler.runs}:"
     )
     print_sites(peak_stats, top)
+    print("traced memory by phase:")
+    print(f"{'phase':<8} {'entering':>9} {'peak':>9}")
+    for phase, entering, phase_peak in phases.phases:
+        mark = "  <- the run's peak" if phase == peak_phase else ""
+        print(f"{phase:<8} {entering / MIB:9.2f} {phase_peak / MIB:9.2f}{mark}")
     return 1 if failures else 0
 
 
